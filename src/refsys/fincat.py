@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterator
 
+from .kernel import ValidationError
+
 
 def canon_key(x: Any) -> tuple:
     """Deterministic sort key across the element kinds used in this package."""
@@ -151,7 +153,8 @@ class FinCategory:
 
     Composition is diagrammatic: ``compose(a, b)`` is "a then b", defined when
     dst(a) == src(b).  Construction validates identities, closure, unit laws,
-    and associativity exhaustively.
+    and associativity exhaustively and raises ValidationError on the first
+    failure (explicitly, so the check also runs under ``python -O``).
     """
 
     def __init__(self, name: str, objects: tuple, arrows: dict,
@@ -166,25 +169,31 @@ class FinCategory:
         self._validate()
 
     def _validate(self):
-        assert len(set(self.objects)) == len(self.objects)
+        if len(set(self.objects)) != len(self.objects):
+            raise ValidationError(f"{self.name!r}: duplicate objects")
         for a, (s, d) in self.arrows.items():
-            assert s in self.objects and d in self.objects, f"arrow {a!r} has unknown endpoint"
-        assert set(self.identities) == set(self.objects), "identities must cover all objects"
+            if s not in self.objects or d not in self.objects:
+                raise ValidationError(f"arrow {a!r} has unknown endpoint")
+        if set(self.identities) != set(self.objects):
+            raise ValidationError("identities must cover all objects")
         for o, i in self.identities.items():
-            assert self.arrows[i] == (o, o), f"identity of {o!r} has wrong endpoints"
+            if self.arrows[i] != (o, o):
+                raise ValidationError(f"identity of {o!r} has wrong endpoints")
         for a, (_, da) in self.arrows.items():
             for b, (sb, db) in self.arrows.items():
                 if da == sb:
                     c = self.composition.get((a, b))
-                    assert c is not None, f"missing composite {a!r};{b!r}"
-                    assert self.arrows[c] == (self.arrows[a][0], db), \
-                        f"composite {a!r};{b!r} has wrong endpoints"
-                else:
-                    assert (a, b) not in self.composition, \
-                        f"composite of non-composable pair {a!r};{b!r}"
+                    if c is None:
+                        raise ValidationError(f"missing composite {a!r};{b!r}")
+                    if self.arrows[c] != (self.arrows[a][0], db):
+                        raise ValidationError(f"composite {a!r};{b!r} has wrong endpoints")
+                elif (a, b) in self.composition:
+                    raise ValidationError(f"composite of non-composable pair {a!r};{b!r}")
         for a, (s, d) in self.arrows.items():
-            assert self.composition[(self.identities[s], a)] == a, f"left unit fails at {a!r}"
-            assert self.composition[(a, self.identities[d])] == a, f"right unit fails at {a!r}"
+            if self.composition[(self.identities[s], a)] != a:
+                raise ValidationError(f"left unit fails at {a!r}")
+            if self.composition[(a, self.identities[d])] != a:
+                raise ValidationError(f"right unit fails at {a!r}")
         for a, (_, da) in self.arrows.items():
             for b, (sb, db) in self.arrows.items():
                 if da != sb:
@@ -194,7 +203,8 @@ class FinCategory:
                         continue
                     left = self.composition[(self.composition[(a, b)], c)]
                     right = self.composition[(a, self.composition[(b, c)])]
-                    assert left == right, f"associativity fails at {a!r};{b!r};{c!r}"
+                    if left != right:
+                        raise ValidationError(f"associativity fails at {a!r};{b!r};{c!r}")
 
     def src(self, a) -> Any:
         return self.arrows[a][0]

@@ -48,6 +48,10 @@ class LawViolation(RefinementError):
     """A witness failed an equation it is contractually required to satisfy."""
 
 
+class ValidationError(RefinementError):
+    """A finite structure given as tables (category, presheaf) breaks its laws."""
+
+
 class Status(enum.Enum):
     DERIVABLE = "derivable"
     UNDERIVABLE = "underivable"

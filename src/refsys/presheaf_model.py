@@ -36,7 +36,7 @@ from .fincat import (
     render_elem,
     terminal_category,
 )
-from .kernel import CapabilityError, IllFormedError, RefinementSystem
+from .kernel import CapabilityError, IllFormedError, RefinementSystem, ValidationError
 
 DEFAULT_MAX_VALUES = 200_000
 DEFAULT_MAX_FUNCTOR_OBJECTS = 64
@@ -48,7 +48,8 @@ class FinPresheaf:
 
     ob maps each object to a FinSet; ar maps each arrow name to a FinFunction
     between the corresponding value sets.  Construction checks functoriality
-    exhaustively.  Equality compares names, value sets, and action tables.
+    exhaustively and raises ValidationError on the first failure.  Equality
+    compares names, value sets, and action tables.
     """
 
     def __init__(self, name: str, cat: FinCategory, ob: dict, ar: dict):
@@ -56,18 +57,20 @@ class FinPresheaf:
         self.cat = cat
         self.ob = dict(ob)
         self.ar = dict(ar)
-        assert set(self.ob) == set(cat.objects), f"{name!r}: values must cover all objects"
-        assert set(self.ar) == set(cat.arrows), f"{name!r}: action must cover all arrows"
+        if set(self.ob) != set(cat.objects):
+            raise ValidationError(f"{name!r}: values must cover all objects")
+        if set(self.ar) != set(cat.arrows):
+            raise ValidationError(f"{name!r}: action must cover all arrows")
         for u, (s, d) in cat.arrows.items():
             fu = self.ar[u]
-            assert fu.dom == self.ob[s] and fu.cod == self.ob[d], \
-                f"{name!r}: action at {u!r} has wrong boundaries"
+            if fu.dom != self.ob[s] or fu.cod != self.ob[d]:
+                raise ValidationError(f"{name!r}: action at {u!r} has wrong boundaries")
         for o in cat.objects:
-            assert self.ar[cat.identity(o)] == FinFunction.identity(self.ob[o]), \
-                f"{name!r}: identity of {o!r} not sent to the identity"
+            if self.ar[cat.identity(o)] != FinFunction.identity(self.ob[o]):
+                raise ValidationError(f"{name!r}: identity of {o!r} not sent to the identity")
         for (u, v), w in cat.composition.items():
-            assert self.ar[u].then(self.ar[v]) == self.ar[w], \
-                f"{name!r}: action does not respect {u!r};{v!r}"
+            if self.ar[u].then(self.ar[v]) != self.ar[w]:
+                raise ValidationError(f"{name!r}: action does not respect {u!r};{v!r}")
 
     def value(self, o) -> FinSet:
         return self.ob[o]

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .fincat import FinCategory, FinFunction, FinFunctor, FinSet, check_functor, monoid_category
+from .kernel import ValidationError
 from .subset_model import HoareProgram, SubsetSystem, subset
 from .trivial_model import TrivialSystem
 
@@ -247,7 +248,7 @@ def _load_category(cname: str, spec, where: str) -> FinCategory:
                 table[(a, b)] = v
         try:
             return monoid_category(cname, elems, table, unit)
-        except AssertionError as exc:
+        except ValidationError as exc:
             raise SignatureError(f"{where}: not a monoid ({exc})") from exc
     _require_keys(spec, where, ("objects", "arrows"), ("compose",))
     objects = _parse_elements(spec["objects"], f"{where}.objects")
@@ -284,7 +285,7 @@ def _load_category(cname: str, spec, where: str) -> FinCategory:
                 raise SignatureError(f"{where}.compose: missing composite {a!r};{b!r}")
     try:
         return FinCategory(cname, objects, arrows, composition, identities)
-    except AssertionError as exc:
+    except ValidationError as exc:
         raise SignatureError(f"{where}: not a category ({exc})") from exc
 
 
@@ -334,7 +335,7 @@ def _load_presheaf_model(doc: dict, path: str, name: str) -> Signature:
             ar[aname] = FinFunction(f"{pname}({key})", ob[src], ob[dst], table)
         try:
             presheaves[pname] = FinPresheaf(pname, cat, ob, ar)
-        except AssertionError as exc:
+        except ValidationError as exc:
             raise SignatureError(f"presheaves.{pname}: not functorial ({exc})") from exc
 
     bounds = doc.get("bounds", {})

@@ -16,9 +16,15 @@ tensor with explicit coherence cells, and the function-space residuals
 
 whose carriers coincide (the cartesian tensor is symmetric, so both are the
 plain function space); evaluation and currying expressions are built as
-lookup tables.  Constructed carriers (products, function spaces) are cached
-per system and guarded by ``max_carrier``; exceeding the guard raises
-CapabilityError with a size report instead of exhausting memory.
+lookup tables.  A residual is built directly, not by filtering the function
+space: a function in [A->C] is the tuple of its values in A's order, the
+space lists them in lexicographic order, so { t | t(S) <= U } is the
+mixed-radix product of U's indices at the positions in S and all of C's
+elsewhere, |U|^|S| * |C|^(|A|-|S|) tuples picked from the space by index.
+Constructed carriers (products, function spaces) are cached per system and
+guarded by ``max_carrier``; exceeding the guard raises CapabilityError with
+a size report instead of exhausting memory.  The guard applies to the
+function space, which every residual is built inside.
 """
 from __future__ import annotations
 
@@ -364,19 +370,55 @@ class SubsetSystem(RefinementSystem):
             {x: tuple(f((x, y)) for y in b.elements) for x in a.elements},
         )
 
+    def _residual(self, s: Subset, u: Subset) -> Subset:
+        """{ t : A -> C | t(S) <= U } for S <= A and U <= C, built directly.
+
+        [A->C] lists the tuples of ``itertools.product(C, repeat=|A|)`` in
+        lexicographic order, so the tuple at index k has the base-|C| digits
+        of k as its value indices, the first position most significant.  The
+        residual is the mixed-radix product in which a position x in S takes
+        the indices of U and every other position all of C; its size is
+        |U|^|S| * |C|^(|A|-|S|).  The members are taken from ``fs.elements``
+        by index (each prefix followed by free positions is one slice), so the
+        residual shares the function space's tuples instead of holding copies
+        of them.
+        """
+        a, c = s.of, u.of
+        fs = self.function_space(a, c)
+        n = len(c)
+        # ascending digits keep the members in the space's order
+        allowed = sorted(c.index(y) for y in u.elements)
+        digits = [allowed if x in s else range(n) for x in a.elements]
+        # trailing positions that allow all of C make each prefix a contiguous run
+        run = 1
+        while digits and len(digits[-1]) == n:
+            digits.pop()
+            run *= n
+        starts = [0]
+        for ds in digits:
+            starts = [k * n + d for k in starts for d in ds]
+        return Subset(fs, frozenset(itertools.chain.from_iterable(
+            fs.elements[k * run:(k + 1) * run] for k in starts
+        )))
+
     def residual_left_etype(self, s: Subset, u: Subset) -> Subset:
-        fs = self.function_space(s.of, u.of)
-        a = s.of
-        return Subset(fs, frozenset(
-            t for t in fs.elements if all(t[a.index(x)] in u for x in s.elements)
-        ))
+        """Left residual of U by S: the functions in [A->C] that map S into U.
+
+        Built directly by :meth:`_residual`, with |U|^|S| * |C|^(|A|-|S|)
+        members; the function space [A->C] itself is still subject to the
+        ``max_carrier`` guard.
+        """
+        return self._residual(s, u)
 
     def residual_right_etype(self, u: Subset, t: Subset) -> Subset:
-        fs = self.function_space(t.of, u.of)
-        b = t.of
-        return Subset(fs, frozenset(
-            r for r in fs.elements if all(r[b.index(x)] in u for x in t.elements)
-        ))
+        """Right residual of U by T: the functions in [B->C] that map T into U.
+
+        The cartesian tensor is symmetric, so this is the same subset as the
+        left residual of U by T, built directly by :meth:`_residual` with
+        |U|^|T| * |C|^(|B|-|T|) members; [B->C] is still subject to the
+        ``max_carrier`` guard.
+        """
+        return self._residual(t, u)
 
     def residual_left_ev_interp(self, s: Subset, u: Subset) -> SubsetMor:
         res = self.residual_left_etype(s, u)

@@ -15,6 +15,7 @@ from refsys.fincat import (
     product_category,
     terminal_category,
 )
+from refsys.kernel import ValidationError
 
 Z2_TABLE = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
 
@@ -60,7 +61,7 @@ def test_monoid_category_z2():
 
 
 def test_category_validation_rejects_missing_composite():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValidationError, match="missing composite"):
         FinCategory(
             "bad", ("x", "y"),
             {"id_x": ("x", "x"), "id_y": ("y", "y"), "u": ("x", "y")},

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from refsys.fincat import FinFunction, FinSet, monoid_category
+from refsys.kernel import ValidationError
 from refsys.presheaf_model import (
     FinPresheaf,
     constant_presheaf,
@@ -27,7 +28,7 @@ def test_presheaf_functoriality_enforced():
     FinPresheaf("X", m, {"*": fs}, {0: FinFunction.identity(fs), 1: swap})
     rotate_to_x0 = FinFunction("c", fs, fs, {"x0": "x0", "x1": "x0"})
     # 1;1 = 0 must act as the identity; a collapsing action cannot
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValidationError, match="does not respect"):
         FinPresheaf("bad", m, {"*": fs},
                     {0: FinFunction.identity(fs), 1: rotate_to_x0})
 

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -203,6 +206,42 @@ def test_missing_composite_rejected(tmp_path):
     }
     with pytest.raises(SignatureError, match="missing composite"):
         load_signature(write_sig(tmp_path, doc))
+
+
+def test_ill_formed_tables_rejected_under_optimize(tmp_path):
+    # validation raises explicitly, so `python -O` (which strips asserts) still refuses
+    z2_not_functorial = {
+        "model": "presheaf",
+        "categories": {"M": {"monoid": {
+            "elements": [0, 1], "unit": 0,
+            "table": {"0": {"0": 0, "1": 1}, "1": {"0": 1, "1": 0}},
+        }}},
+        "presheaves": {"P": {"cat": "M", "at": {"*": ["a", "b"]},
+                             "action": {"1": {"a": "b", "b": "b"}}}},
+    }
+    # unit laws hold, but (a*a)*a = b*a = b while a*(a*a) = a*b = a
+    not_associative = {
+        "model": "presheaf",
+        "categories": {"M": {"monoid": {
+            "elements": ["e", "a", "b"], "unit": "e",
+            "table": {"e": {"e": "e", "a": "a", "b": "b"},
+                      "a": {"e": "a", "a": "b", "b": "a"},
+                      "b": {"e": "b", "a": "b", "b": "a"}},
+        }}},
+        "presheaves": {"P": {"cat": "M", "at": {"*": ["x"]},
+                             "action": {"a": {"x": "x"}, "b": {"x": "x"}}}},
+    }
+    env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent))
+    for doc, name, message in ((z2_not_functorial, "z2.json", "not functorial"),
+                               (not_associative, "m3.json", "not a monoid")):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "refsys.cli", "check",
+             write_sig(tmp_path, doc, name), "P <= P"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 3, proc.stdout + proc.stderr
+        assert message in proc.stderr
+        assert proc.stdout == ""
 
 
 def test_functor_must_satisfy_the_laws(tmp_path):

@@ -70,6 +70,34 @@ def test_residual_is_the_function_space(small_sys):
     assert len(w) == 3
 
 
+def _mask_subset(of: FinSet, mask: int):
+    return subset(of, (x for i, x in enumerate(of.elements) if mask >> i & 1))
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 4), st.integers(0, 3), st.data())
+def test_residuals_match_the_defining_filter(n_a, n_c, data):
+    a = FinSet("A", tuple(f"a{i}" for i in range(n_a)))
+    c = FinSet("C", tuple(range(n_c)))
+    sys = build_subset_system((a, c))
+    s = _mask_subset(a, data.draw(st.integers(0, (1 << n_a) - 1), label="S"))
+    u = _mask_subset(c, data.draw(st.integers(0, (1 << n_c) - 1), label="U"))
+    fs = sys.function_space(a, c)
+    expected = frozenset(
+        t for t in fs.elements if all(t[a.index(x)] in u for x in s.elements)
+    )
+    left = sys.residual_left_etype(s, u)
+    right = sys.residual_right_etype(u, s)
+    assert left.of == fs and right.of == fs
+    assert left.elements == expected
+    assert right.elements == expected
+    assert len(left) == len(u) ** len(s) * n_c ** (n_a - len(s))
+    # members are the function space's own tuples, not copies of them
+    own = {id(t) for t in fs.elements}
+    assert all(id(t) in own for t in left.elements)
+    assert all(id(t) in own for t in right.elements)
+
+
 def test_hoare_wp_sp_oracles(hoare4):
     prog = hoare4.machine
     high = hoare4.etype("high")
