@@ -22,6 +22,7 @@ from .kernel import (
     MismatchError,
     RefinementError,
     Status,
+    ValidationError,
     axiom,
     classify,
     compose_derivations,
@@ -514,7 +515,7 @@ def _suite_monoidal(sig: Signature, max_set: int) -> SuiteResult:
                 continue
             try:
                 multiplication_functor(sys_, cat)
-            except AssertionError as exc:
+            except ValidationError as exc:
                 res.note(f"category {cname}: {exc}")
                 continue
             pool = [p for p in sig.etypes.values() if p.cat == cat]
@@ -645,8 +646,7 @@ def _find_encodings(sig: Signature, pool, u) -> dict:
         a = sys_.refines(t)
         for f in sys_.expressions(a, target):
             et, _, _ = sys_.pullback_data(f, u)
-            if et == t or (isinstance(et, Subset) and et.elements == t.elements
-                           and et.of == t.of):
+            if et == t:
                 encodings[t] = f
                 break
     return encodings

@@ -311,7 +311,8 @@ class FinFunctor:
         self.arrow_map = dict(arrow_map)
         if check:
             report = check_functor(self)
-            assert report.ok, str(report)
+            if not report.ok:
+                raise ValidationError(str(report))
 
     @staticmethod
     def unchecked(name, dom, cod, object_map, arrow_map) -> "FinFunctor":

@@ -903,26 +903,6 @@ def double_negation_weakening(sys: RefinementSystem, t, u, f) -> Derivation:
 
 # --- encodings, universality, reflection, and the representation theorem -------------------
 
-@dataclass
-class EncodingFamily:
-    """A universal type U with one encoding expression per e-type.
-
-    Each S must be the pullback of U along its encoding; verify() checks
-    every registered encoding and reports the failures by name.
-    """
-    sys: RefinementSystem
-    u: Any
-    encodings: dict
-
-    def expr_for(self, s):
-        return self.encodings[s]
-
-    def verify(self, etypes=None, mode: str = "membership",
-               x_types=None) -> LawReport:
-        return check_universal(self.sys, self.u, self.encodings,
-                               etypes=etypes, mode=mode, x_types=x_types)
-
-
 def check_universal(sys: RefinementSystem, u, encodings: dict, etypes=None,
                     mode: str = "membership", x_types=None) -> LawReport:
     """Every e-type is the pullback of U along its encoding, witness laws included."""

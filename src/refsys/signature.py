@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from .cartesian import DEFAULT_MAX_CARRIER
 from .fincat import FinCategory, FinFunction, FinFunctor, FinSet, check_functor, monoid_category
 from .kernel import ValidationError
 from .subset_model import HoareProgram, SubsetSystem, subset
@@ -125,16 +126,20 @@ def _load_sets(raw, where: str) -> dict:
     return carriers
 
 
+def _max_carrier(doc: dict) -> int:
+    max_carrier = doc.get("max_carrier", DEFAULT_MAX_CARRIER)
+    if not isinstance(max_carrier, int) or max_carrier <= 0:
+        raise SignatureError("max_carrier: expected a positive integer")
+    return max_carrier
+
+
 def _load_subset_model(doc: dict, path: str, name: str) -> Signature:
     _require_keys(doc, "signature", ("model", "sets"),
                   ("name", "max_carrier", "functions", "subsets", "monoid",
                    "machine", "adjunction"))
     carriers = _load_sets(doc["sets"], "sets")
-    max_carrier = doc.get("max_carrier", 200_000)
-    if not isinstance(max_carrier, int) or max_carrier <= 0:
-        raise SignatureError("max_carrier: expected a positive integer")
     system = SubsetSystem(name, tuple(c.fs for c in carriers.values()),
-                          max_carrier=max_carrier)
+                          max_carrier=_max_carrier(doc))
     sig = Signature(path=path, name=name, kind="subset", system=system,
                     sets={n: c.fs for n, c in carriers.items()})
 
@@ -213,11 +218,8 @@ def _load_trivial_model(doc: dict, path: str, name: str) -> Signature:
     _require_keys(doc, "signature", ("model", "sets"),
                   ("name", "max_carrier", "adjunction"))
     carriers = _load_sets(doc["sets"], "sets")
-    max_carrier = doc.get("max_carrier", 200_000)
-    if not isinstance(max_carrier, int) or max_carrier <= 0:
-        raise SignatureError("max_carrier: expected a positive integer")
     system = TrivialSystem(name, tuple(c.fs for c in carriers.values()),
-                           max_carrier=max_carrier)
+                           max_carrier=_max_carrier(doc))
     sig = Signature(path=path, name=name, kind="trivial", system=system,
                     sets={n: c.fs for n, c in carriers.items()},
                     exprs={"id": "id"},

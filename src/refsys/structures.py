@@ -397,8 +397,9 @@ class WeightedFamily:
 
     For an intersection over (f_i : A -> B_i, T_i), the constructed type W
     refines A, each projection W =[f_i]=> T_i is derivable, and the tupling
-    rule turns a family beta_i : S =[g;f_i]=> T_i into S =[g]=> W.  Unions
-    are dual.  The weights may land in distinct index types.
+    rule turns a family beta_i : S =[g;f_i]=> T_i into S =[g]=> W.  A union
+    has the dual injections S_i =[f_i]=> W.  The weights may land in
+    distinct index types.
     """
     sys: RefinementSystem
     kind: str
@@ -433,24 +434,6 @@ class WeightedFamily:
             raise MismatchError("tupling with no premises needs cotupling of arity 0 via axiom")
         d = axiom(sys, subject, g, self.etype)
         return Derivation("wint-R", d.judgment, tuple(betas), d.interp)
-
-    def cotuple_rule(self, betas: tuple, g) -> Derivation:
-        """union: from beta_i : S_i =[f_i;g]=> X, infer W =[g]=> X."""
-        assert self.kind == "union"
-        sys = self.sys
-        assert len(betas) == len(self.family)
-        target = None
-        for beta, (f, s) in zip(betas, self.family):
-            if beta.subject != s or not sys.exprs_equal(beta.expr, sys.compose_exprs(f, g)):
-                raise MismatchError("cotupling: premise does not match its weight")
-            if target is None:
-                target = beta.target
-            elif beta.target != target:
-                raise MismatchError("cotupling: premises have different targets")
-        if target is None:
-            raise MismatchError("cotupling with no premises needs a target")
-        d = axiom(sys, self.etype, g, target)
-        return Derivation("wuni-L", d.judgment, tuple(betas), d.interp)
 
 
 def weighted_intersection(sys: RefinementSystem, a, family) -> WeightedFamily:

@@ -15,16 +15,19 @@ tensor with explicit coherence cells, and the function-space residuals
     right residual of U by T:  { t : B -> C | t(T) <= U }
 
 whose carriers coincide (the cartesian tensor is symmetric, so both are the
-plain function space); evaluation and currying expressions are built as
-lookup tables.  A residual is built directly, not by filtering the function
-space: a function in [A->C] is the tuple of its values in A's order, the
+plain function space).  The index level is cartesian closed, so its
+carriers (products, function spaces, the unit 1 = {*}) and its tables
+(pairing, coherence cells, evaluation, currying) come from the system's
+:class:`refsys.cartesian.CartesianKit`, which caches the carriers and
+refuses any larger than ``max_carrier`` with a CapabilityError.  This
+module adds what is particular to subsets: the subsets over those carriers,
+and the residuals, built directly rather than by filtering the function
+space.  A function in [A->C] is the tuple of its values in A's order, the
 space lists them in lexicographic order, so { t | t(S) <= U } is the
 mixed-radix product of U's indices at the positions in S and all of C's
 elsewhere, |U|^|S| * |C|^(|A|-|S|) tuples picked from the space by index.
-Constructed carriers (products, function spaces) are cached per system and
-guarded by ``max_carrier``; exceeding the guard raises CapabilityError with
-a size report instead of exhausting memory.  The guard applies to the
-function space, which every residual is built inside.
+The guard applies to the function space, which every residual is built
+inside.
 """
 from __future__ import annotations
 
@@ -33,10 +36,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
+from .cartesian import DEFAULT_MAX_CARRIER, CartesianKit, cell_ends
 from .fincat import FinFunction, FinSet, all_functions, render_elem
-from .kernel import CapabilityError, IllFormedError, RefinementSystem
-
-DEFAULT_MAX_CARRIER = 200_000
+from .kernel import IllFormedError, RefinementSystem
 
 
 @dataclass(frozen=True)
@@ -104,13 +106,8 @@ class SubsetSystem(RefinementSystem):
         self.name = name
         self._sets = tuple(sets)
         assert len({a.name for a in self._sets}) == len(self._sets), "duplicate set names"
-        self.max_carrier = max_carrier
-        self._tensor_cache: dict = {}
-        self._tensor_factors: dict = {}
-        self._fspace_cache: dict = {}
-        self._fspace_factors: dict = {}
+        self.kit = CartesianKit(max_carrier)
         self._id_cache: dict = {}
-        self._unit = FinSet("1", ("*",))
 
     # --- index level -------------------------------------------------------
     def i_types(self) -> tuple:
@@ -120,9 +117,10 @@ class SubsetSystem(RefinementSystem):
         return all_functions(a, b, name_prefix=f"{a.name}>{b.name}#")
 
     def id_expr(self, a: FinSet) -> FinFunction:
-        if a.name not in self._id_cache or self._id_cache[a.name].dom != a:
-            self._id_cache[a.name] = FinFunction.identity(a)
-        return self._id_cache[a.name]
+        f = self._id_cache.get(a)
+        if f is None:
+            f = self._id_cache[a] = FinFunction.identity(a)
+        return f
 
     def compose_exprs(self, f: FinFunction, g: FinFunction) -> FinFunction:
         return f.then(g)
@@ -210,127 +208,40 @@ class SubsetSystem(RefinementSystem):
             elems |= {f(x) for x in s.elements}
         return Subset(b, frozenset(elems))
 
-    # --- monoidal structure ---------------------------------------------------
-    def _guard(self, size: int, what: str):
-        if size > self.max_carrier:
-            raise CapabilityError(
-                f"{what} would have {size} elements, exceeding the bound {self.max_carrier}"
-            )
-
+    # --- monoidal structure: the kit's products, at the index level ------------
     def tensor_itype(self, a: FinSet, b: FinSet) -> FinSet:
-        key = (a.name, b.name)
-        cached = self._tensor_cache.get(key)
-        if cached is not None and self._tensor_factors[key] == (a, b):
-            return cached
-        self._guard(len(a) * len(b), f"product ({a.name}x{b.name})")
-        prod = FinSet(
-            f"({a.name}x{b.name})", tuple(itertools.product(a.elements, b.elements))
-        )
-        self._tensor_cache[key] = prod
-        self._tensor_factors[key] = (a, b)
-        return prod
-
-    def tensor_factors(self, p: FinSet) -> tuple:
-        for key, cached in self._tensor_cache.items():
-            if cached == p:
-                return self._tensor_factors[key]
-        raise CapabilityError(f"{p.name!r} is not a constructed product")
+        return self.kit.product(a, b)
 
     def unit_itype(self) -> FinSet:
-        return self._unit
+        return self.kit.unit
 
     def tensor_expr(self, f: FinFunction, g: FinFunction) -> FinFunction:
-        dom = self.tensor_itype(f.dom, g.dom)
-        cod = self.tensor_itype(f.cod, g.cod)
-        return FinFunction(
-            f"({f.name}x{g.name})", dom, cod,
-            {(x, y): (f(x), g(y)) for x, y in dom.elements},
-        )
+        return self.kit.pairing(f, g)
 
     def tensor_etype(self, s: Subset, t: Subset) -> Subset:
         return Subset(
-            self.tensor_itype(s.of, t.of),
+            self.kit.product(s.of, t.of),
             frozenset(itertools.product(s.elements, t.elements)),
         )
 
     def unit_etype(self) -> Subset:
-        return full_subset(self._unit)
+        return full_subset(self.kit.unit)
 
     def tensor_interp(self, m: SubsetMor, n: SubsetMor) -> SubsetMor:
         return SubsetMor(
             self.tensor_etype(m.src, n.src),
-            self.tensor_expr(m.expr, n.expr),
+            self.kit.pairing(m.expr, n.expr),
             self.tensor_etype(m.dst, n.dst),
         )
 
     def coherence_cell(self, kind: str, etypes: tuple):
-        if kind in ("assoc", "assoc_inv"):
-            s, t, v = etypes
-            a, b, c = s.of, t.of, v.of
-            lhs = self.tensor_itype(self.tensor_itype(a, b), c)
-            rhs = self.tensor_itype(a, self.tensor_itype(b, c))
-            if kind == "assoc":
-                expr = FinFunction(
-                    f"assoc[{a.name},{b.name},{c.name}]", lhs, rhs,
-                    {((x, y), z): (x, (y, z)) for ((x, y), z) in lhs.elements},
-                )
-                src = self.tensor_etype(self.tensor_etype(s, t), v)
-                dst = self.tensor_etype(s, self.tensor_etype(t, v))
-            else:
-                expr = FinFunction(
-                    f"assoc_inv[{a.name},{b.name},{c.name}]", rhs, lhs,
-                    {(x, (y, z)): ((x, y), z) for (x, (y, z)) in rhs.elements},
-                )
-                src = self.tensor_etype(s, self.tensor_etype(t, v))
-                dst = self.tensor_etype(self.tensor_etype(s, t), v)
-        elif kind in ("unit_l", "unit_l_inv"):
-            (s,) = etypes
-            a = s.of
-            ua = self.tensor_itype(self._unit, a)
-            if kind == "unit_l":
-                expr = FinFunction(
-                    f"unitl[{a.name}]", ua, a, {("*", x): x for (_, x) in ua.elements}
-                )
-                src, dst = self.tensor_etype(self.unit_etype(), s), s
-            else:
-                expr = FinFunction(
-                    f"unitl_inv[{a.name}]", a, ua, {x: ("*", x) for x in a.elements}
-                )
-                src, dst = s, self.tensor_etype(self.unit_etype(), s)
-        elif kind in ("unit_r", "unit_r_inv"):
-            (s,) = etypes
-            a = s.of
-            au = self.tensor_itype(a, self._unit)
-            if kind == "unit_r":
-                expr = FinFunction(
-                    f"unitr[{a.name}]", au, a, {(x, "*"): x for (x, _) in au.elements}
-                )
-                src, dst = self.tensor_etype(s, self.unit_etype()), s
-            else:
-                expr = FinFunction(
-                    f"unitr_inv[{a.name}]", a, au, {x: (x, "*") for x in a.elements}
-                )
-                src, dst = s, self.tensor_etype(s, self.unit_etype())
-        else:
-            raise CapabilityError(f"unknown coherence cell {kind!r}")
+        expr = self.kit.cell(kind, tuple(s.of for s in etypes))
+        src, dst = cell_ends(kind, etypes, self.tensor_etype, self.unit_etype())
         return expr, src, dst, SubsetMor(src, expr, dst)
 
-    # --- residuals -------------------------------------------------------------
+    # --- residuals: subsets of the kit's function spaces ------------------------
     def function_space(self, a: FinSet, c: FinSet) -> FinSet:
-        key = (a.name, c.name)
-        cached = self._fspace_cache.get(key)
-        if cached is not None and self._fspace_factors[key] == (a, c):
-            return cached
-        if len(a) > 0:
-            size = len(c) ** len(a)
-            self._guard(size, f"function space [{a.name}->{c.name}]")
-        fs = FinSet(
-            f"[{a.name}->{c.name}]",
-            tuple(itertools.product(c.elements, repeat=len(a))),
-        )
-        self._fspace_cache[key] = fs
-        self._fspace_factors[key] = (a, c)
-        return fs
+        return self.kit.function_space(a, c)
 
     def residual_left_itype(self, a: FinSet, c: FinSet) -> FinSet:
         return self.function_space(a, c)
@@ -339,36 +250,16 @@ class SubsetSystem(RefinementSystem):
         return self.function_space(b, c)
 
     def plug_l_expr(self, a: FinSet, c: FinSet) -> FinFunction:
-        fs = self.function_space(a, c)
-        dom = self.tensor_itype(a, fs)
-        return FinFunction(
-            f"plugL[{a.name},{c.name}]", dom, c,
-            {(x, t): t[a.index(x)] for (x, t) in dom.elements},
-        )
+        return self.kit.plug_l(a, c)
 
     def plug_r_expr(self, c: FinSet, b: FinSet) -> FinFunction:
-        fs = self.function_space(b, c)
-        dom = self.tensor_itype(fs, b)
-        return FinFunction(
-            f"plugR[{c.name},{b.name}]", dom, c,
-            {(t, x): t[b.index(x)] for (t, x) in dom.elements},
-        )
+        return self.kit.plug_r(c, b)
 
     def curry_l_expr(self, f: FinFunction) -> FinFunction:
-        a, b = self.tensor_factors(f.dom)
-        fs = self.function_space(a, f.cod)
-        return FinFunction(
-            f"lc({f.name})", b, fs,
-            {y: tuple(f((x, y)) for x in a.elements) for y in b.elements},
-        )
+        return self.kit.curry_l(f, *self.kit.factors(f.dom))
 
     def curry_r_expr(self, f: FinFunction) -> FinFunction:
-        a, b = self.tensor_factors(f.dom)
-        fs = self.function_space(b, f.cod)
-        return FinFunction(
-            f"rc({f.name})", a, fs,
-            {x: tuple(f((x, y)) for y in b.elements) for x in a.elements},
-        )
+        return self.kit.curry_r(f, *self.kit.factors(f.dom))
 
     def _residual(self, s: Subset, u: Subset) -> Subset:
         """{ t : A -> C | t(S) <= U } for S <= A and U <= C, built directly.

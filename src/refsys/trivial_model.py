@@ -11,20 +11,22 @@ for exhibiting inequations that proof-irrelevant models cannot see.
 Pullback and pushforward along the identity are trivial (the type itself),
 while the monoidal and closed structure is real: tensor is the cartesian
 product of sets, residuals are full function spaces, and the coherence
-cells are honest bijections.
+cells are honest bijections.  The refinement level is cartesian closed, so
+these carriers and tables (products, function spaces, pairing, coherence
+cells, evaluation plugL/plugR and currying lc/rc) come from the system's
+:class:`refsys.cartesian.CartesianKit`, which caches the carriers and
+refuses any larger than ``max_carrier`` with a CapabilityError.
 """
 from __future__ import annotations
 
-import itertools
 from typing import Iterator
 
+from .cartesian import DEFAULT_MAX_CARRIER, CartesianKit
 from .fincat import FinFunction, FinSet, all_functions
-from .kernel import CapabilityError, RefinementSystem
+from .kernel import RefinementSystem
 
 POINT = "*"
 POINT_EXPR = "id"
-
-DEFAULT_MAX_CARRIER = 200_000
 
 
 class TrivialSystem(RefinementSystem):
@@ -40,12 +42,7 @@ class TrivialSystem(RefinementSystem):
         self.name = name
         self._sets = tuple(sets)
         assert len({a.name for a in self._sets}) == len(self._sets), "duplicate set names"
-        self.max_carrier = max_carrier
-        self._tensor_cache: dict = {}
-        self._tensor_factors: dict = {}
-        self._fspace_cache: dict = {}
-        self._fspace_factors: dict = {}
-        self._unit = FinSet("1", ("*",))
+        self.kit = CartesianKit(max_carrier)
 
     # --- index level: one point, one expression -------------------------------
     def i_types(self) -> tuple:
@@ -114,13 +111,7 @@ class TrivialSystem(RefinementSystem):
 
         return s, FinFunction.identity(s), factor
 
-    # --- monoidal structure -----------------------------------------------------
-    def _guard(self, size: int, what: str):
-        if size > self.max_carrier:
-            raise CapabilityError(
-                f"{what} would have {size} elements, exceeding the bound {self.max_carrier}"
-            )
-
+    # --- monoidal structure: the kit's products, at the refinement level --------
     def tensor_itype(self, a, b):
         assert a == POINT and b == POINT
         return POINT
@@ -133,85 +124,21 @@ class TrivialSystem(RefinementSystem):
         return POINT_EXPR
 
     def tensor_etype(self, s: FinSet, t: FinSet) -> FinSet:
-        key = (s.name, t.name)
-        cached = self._tensor_cache.get(key)
-        if cached is not None and self._tensor_factors[key] == (s, t):
-            return cached
-        self._guard(len(s) * len(t), f"product ({s.name}x{t.name})")
-        prod = FinSet(
-            f"({s.name}x{t.name})", tuple(itertools.product(s.elements, t.elements))
-        )
-        self._tensor_cache[key] = prod
-        self._tensor_factors[key] = (s, t)
-        return prod
+        return self.kit.product(s, t)
 
     def unit_etype(self) -> FinSet:
-        return self._unit
+        return self.kit.unit
 
     def tensor_interp(self, m: FinFunction, n: FinFunction) -> FinFunction:
-        dom = self.tensor_etype(m.dom, n.dom)
-        cod = self.tensor_etype(m.cod, n.cod)
-        return FinFunction(
-            f"({m.name}x{n.name})", dom, cod,
-            {(x, y): (m(x), n(y)) for x, y in dom.elements},
-        )
+        return self.kit.pairing(m, n)
 
     def coherence_cell(self, kind: str, etypes: tuple):
-        if kind in ("assoc", "assoc_inv"):
-            s, t, v = etypes
-            lhs = self.tensor_etype(self.tensor_etype(s, t), v)
-            rhs = self.tensor_etype(s, self.tensor_etype(t, v))
-            if kind == "assoc":
-                interp = FinFunction(
-                    f"assoc[{s.name},{t.name},{v.name}]", lhs, rhs,
-                    {((x, y), z): (x, (y, z)) for ((x, y), z) in lhs.elements},
-                )
-            else:
-                interp = FinFunction(
-                    f"assoc_inv[{s.name},{t.name},{v.name}]", rhs, lhs,
-                    {(x, (y, z)): ((x, y), z) for (x, (y, z)) in rhs.elements},
-                )
-        elif kind in ("unit_l", "unit_l_inv"):
-            (s,) = etypes
-            us = self.tensor_etype(self._unit, s)
-            if kind == "unit_l":
-                interp = FinFunction(
-                    f"unitl[{s.name}]", us, s, {("*", x): x for (_, x) in us.elements}
-                )
-            else:
-                interp = FinFunction(
-                    f"unitl_inv[{s.name}]", s, us, {x: ("*", x) for x in s.elements}
-                )
-        elif kind in ("unit_r", "unit_r_inv"):
-            (s,) = etypes
-            su = self.tensor_etype(s, self._unit)
-            if kind == "unit_r":
-                interp = FinFunction(
-                    f"unitr[{s.name}]", su, s, {(x, "*"): x for (x, _) in su.elements}
-                )
-            else:
-                interp = FinFunction(
-                    f"unitr_inv[{s.name}]", s, su, {x: (x, "*") for x in s.elements}
-                )
-        else:
-            raise CapabilityError(f"unknown coherence cell {kind!r}")
+        interp = self.kit.cell(kind, etypes)
         return POINT_EXPR, interp.dom, interp.cod, interp
 
-    # --- residuals: full function spaces -----------------------------------------
+    # --- residuals: the kit's function spaces -------------------------------------
     def function_space(self, s: FinSet, u: FinSet) -> FinSet:
-        key = (s.name, u.name)
-        cached = self._fspace_cache.get(key)
-        if cached is not None and self._fspace_factors[key] == (s, u):
-            return cached
-        if len(s) > 0:
-            self._guard(len(u) ** len(s), f"function space [{s.name}->{u.name}]")
-        fs = FinSet(
-            f"[{s.name}->{u.name}]",
-            tuple(itertools.product(u.elements, repeat=len(s))),
-        )
-        self._fspace_cache[key] = fs
-        self._fspace_factors[key] = (s, u)
-        return fs
+        return self.kit.function_space(s, u)
 
     def residual_left_itype(self, a, c):
         return POINT
@@ -240,36 +167,18 @@ class TrivialSystem(RefinementSystem):
         return self.function_space(t, u)
 
     def residual_left_ev_interp(self, s: FinSet, u: FinSet) -> FinFunction:
-        fs = self.function_space(s, u)
-        dom = self.tensor_etype(s, fs)
-        return FinFunction(
-            f"ev[{s.name},{u.name}]", dom, u,
-            {(x, t): t[s.index(x)] for (x, t) in dom.elements},
-        )
+        return self.kit.plug_l(s, u)
 
     def residual_right_ev_interp(self, u: FinSet, t: FinSet) -> FinFunction:
-        fs = self.function_space(t, u)
-        dom = self.tensor_etype(fs, t)
-        return FinFunction(
-            f"ve[{u.name},{t.name}]", dom, u,
-            {(r, x): r[t.index(x)] for (r, x) in dom.elements},
-        )
+        return self.kit.plug_r(u, t)
 
     def residual_left_curry_interp(self, m: FinFunction, s: FinSet, v: FinSet,
                                    u: FinSet) -> FinFunction:
-        fs = self.function_space(s, u)
-        return FinFunction(
-            f"cl({m.name})", v, fs,
-            {y: tuple(m((x, y)) for x in s.elements) for y in v.elements},
-        )
+        return self.kit.curry_l(m, s, v)
 
     def residual_right_curry_interp(self, m: FinFunction, v: FinSet, t: FinSet,
                                     u: FinSet) -> FinFunction:
-        fs = self.function_space(t, u)
-        return FinFunction(
-            f"cr({m.name})", v, fs,
-            {x: tuple(m((x, y)) for y in t.elements) for x in v.elements},
-        )
+        return self.kit.curry_r(m, v, t)
 
 
 def build_trivial_system(sets, name: str = "trivial",

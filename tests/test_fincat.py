@@ -99,7 +99,7 @@ def test_functor_law_violation_reported():
     assert not report.ok
     assert report.law_violations or report.structural_errors
     assert check_functor(bad).ok
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValidationError, match="functor: INVALID"):
         FinFunctor("broken", m, m, {"*": "*"}, {0: 1, 1: 1})
 
 

@@ -6,7 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from refsys.fincat import FinFunction, FinSet
-from refsys.kernel import axiom, compose_derivations, derivations_equal, identity_derivation, is_identity_on
+from refsys.kernel import (
+    MismatchError,
+    Status,
+    axiom,
+    classify,
+    compose_derivations,
+    derivations_equal,
+    from_interp,
+    identity_derivation,
+    is_identity_on,
+)
 from refsys.monoidal import (
     check_monoidal_equations,
     check_residual_laws,
@@ -16,6 +26,8 @@ from refsys.monoidal import (
     reset_derivation,
     residual_left,
     residual_right,
+    residual_subtyping_left,
+    residual_subtyping_right,
     shift_derivation,
     star_etype,
     tensor_derivations,
@@ -85,6 +97,55 @@ def test_residual_right_mirrors_left(small_sys):
     report = check_residual_laws(w, (subset(a, ("a1",)),), expr_cap=60)
     assert report.ok
     assert report.checked > 0
+
+
+def test_residual_subtyping_variance_subset(small_sys):
+    sys = small_sys
+    a, b = sys.i_types()
+    s_small, s_big = subset(a, ("a1",)), full_subset(a)
+    u_small, u_big = subset(b, (1,)), subset(b, (1, 2))
+    alpha_s = axiom(sys, s_small, sys.id_expr(a), s_big)
+    alpha_u = axiom(sys, u_small, sys.id_expr(b), u_big)
+    left = residual_subtyping_left(sys, alpha_s, alpha_u)
+    right = residual_subtyping_right(sys, alpha_s, alpha_u)
+    # contravariant in the fixed side, covariant in the answers
+    assert left.subject == sys.residual_left_etype(s_big, u_small)
+    assert left.target == sys.residual_left_etype(s_small, u_big)
+    assert right.subject == sys.residual_right_etype(u_small, s_big)
+    assert right.target == sys.residual_right_etype(u_big, s_small)
+    for d in (left, right):
+        assert sys.is_identity_expr(d.expr)
+        assert classify(sys, d.subject, d.expr, d.target) is Status.DERIVABLE
+        assert len(d.subject) == 1 and len(d.target) == 6
+    swap = FinFunction("swap", a, a, {"a1": "a2", "a2": "a1"})
+    not_sub = axiom(sys, s_small, swap, subset(a, ("a2",)))
+    with pytest.raises(MismatchError):
+        residual_subtyping_left(sys, not_sub, alpha_u)
+    with pytest.raises(MismatchError):
+        residual_subtyping_right(sys, not_sub, alpha_u)
+
+
+def test_residual_subtyping_variance_trivial():
+    # every expression of the trivial model is the identity, so every
+    # derivation is a subtyping and the MismatchError case cannot arise
+    two = FinSet("two", (1, 2))
+    three = FinSet("three", (1, 2, 3))
+    sys = build_trivial_system((two, three))
+    alpha_s = from_interp(sys, FinFunction("inc", two, three, {1: 1, 2: 3}))
+    alpha_u = from_interp(sys, FinFunction("inc", two, three, {1: 2, 2: 1}))
+    left = residual_subtyping_left(sys, alpha_s, alpha_u)
+    right = residual_subtyping_right(sys, alpha_s, alpha_u)
+    assert left.subject == sys.residual_left_etype(three, two)
+    assert left.target == sys.residual_left_etype(two, three)
+    assert right.subject == sys.residual_right_etype(two, three)
+    assert right.target == sys.residual_right_etype(three, two)
+    for d in (left, right):
+        assert sys.is_identity_expr(d.expr)
+        assert classify(sys, d.subject, d.expr, d.target) is Status.DERIVABLE
+        # the derived map is t |-> alpha_u . t . alpha_s
+        for t in d.subject.elements:
+            assert d.interp(t) == tuple(
+                alpha_u.interp(t[three.index(alpha_s.interp(x))]) for x in two.elements)
 
 
 def test_double_negation_sizes():

@@ -96,7 +96,7 @@ def test_multiplication_functor_needs_commutativity(day_z2):
     lz = monoid_category("LZ", ("e", "a", "b"), table, "e")
     from refsys.presheaf_model import build_presheaf_system
     sys2 = build_presheaf_system((lz,), ())
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValidationError, match="functor: INVALID"):
         multiplication_functor(sys2, lz)
 
 

@@ -244,6 +244,35 @@ def test_ill_formed_tables_rejected_under_optimize(tmp_path):
         assert proc.stdout == ""
 
 
+def test_non_commutative_monoid_skipped_under_optimize(tmp_path):
+    # left-zero monoid with a unit: x*y = x for x, y != e, so the Day
+    # multiplication is not a functor and the monoidal suite must skip it
+    left_zero = {
+        "model": "presheaf",
+        "categories": {"LZ": {"monoid": {
+            "elements": ["e", "a", "b"], "unit": "e",
+            "table": {"e": {"e": "e", "a": "a", "b": "b"},
+                      "a": {"e": "a", "a": "a", "b": "a"},
+                      "b": {"e": "b", "a": "b", "b": "b"}},
+        }}},
+        "presheaves": {"P": {"cat": "LZ", "at": {"*": ["x"]},
+                             "action": {"a": {"x": "x"}, "b": {"x": "x"}}}},
+    }
+    path = write_sig(tmp_path, left_zero)
+    env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent))
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "refsys.cli", "laws", path, "monoidal", "--json"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        for flags in ((), ("-O",))
+    ]
+    plain, optimized = runs
+    assert plain.returncode == optimized.returncode == 0, plain.stderr + optimized.stderr
+    assert plain.stdout == optimized.stdout
+    assert "category LZ: functor: INVALID" in optimized.stdout
+
+
 def test_functor_must_satisfy_the_laws(tmp_path):
     doc = {
         "model": "presheaf",
@@ -455,3 +484,15 @@ def test_json_check_payload(capsys):
     assert rc == 0
     assert json.loads(out) == {
         "judgment": "negative =[sq]=> positive", "status": "derivable"}
+
+
+# --- the law reports, pinned to the recorded answers ---------------------------------------
+
+GOLDEN = DATA.parent.parent.parent / "perfbench" / "golden"
+
+
+@pytest.mark.parametrize("sig", ["trivial2", "classifier", "hoare4", "continuation", "z4"])
+def test_laws_all_matches_the_recorded_report(capsys, sig):
+    rc, out, _ = run(capsys, "laws", data_file(f"{sig}.json"), "all", "--json")
+    assert rc == 0
+    assert json.loads(out) == json.loads((GOLDEN / f"{sig}.json").read_text())
