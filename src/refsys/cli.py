@@ -4,75 +4,26 @@ Every subcommand takes a signature file first (see docs/signature_schema.md)
 and emits byte-identical output for identical inputs.  Exit codes: 0 for a
 derivable judgment or a passing check, 1 for underivable or failing, 2 for an
 ill-formed judgment, 3 for parse errors, bad signatures, or unknown names.
+The law suites themselves live in refsys.laws; `laws` only renders their
+reports, as text or with --json.
 """
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import re
 import sys
-from dataclasses import dataclass
 
-from .fincat import FinFunction, FinFunctor, FinSet, render_elem
-from .kernel import (
-    CapabilityError,
-    IllFormedError,
-    LawViolation,
-    MismatchError,
-    RefinementError,
-    Status,
-    ValidationError,
-    axiom,
-    classify,
-    compose_derivations,
-    derivations_equal,
-    identity_derivation,
-)
-from .monoidal import (
-    check_monoidal_equations,
-    check_star_wand,
-    check_threeway_adjunction,
-    residual_left,
-    residual_right,
-    star_etype,
-    tensor_pull_iso,
-    tensor_push_iso,
-    wand_left_etype,
-    wand_right_etype,
-)
-from .monadrep import (
-    FiberwiseMonad,
-    build_continuation_adjunction,
-    check_adjunction,
-    check_comparison,
-    check_monad_laws,
-    check_reflected,
-    check_retraction,
-    check_section,
-    check_theorem,
-    check_universal,
-    identity_adjunction,
-    search_encodings,
-)
-from .presheaf_model import (
-    FinPresheaf,
-    day_star,
-    day_star_coend,
-    multiplication_functor,
-    same_values,
-)
+from .fincat import FinSet, render_elem
+from .kernel import RefinementError, Status, classify
+# cmd_laws looks suites up in laws' own dict at call time, so a profiler that
+# wraps its entries (perfbench/tracer.py) also times `refsys laws`
+from .laws import SUITE_FNS as _SUITE_FNS, SUITES, etype_label
+from .monoidal import residual_left, residual_right, star_etype, wand_left_etype, wand_right_etype
+from .presheaf_model import FinPresheaf
 from .signature import Signature, SignatureError, load_signature
-from .structures import (
-    pull_compose_iso,
-    pullback,
-    push_compose_iso,
-    pushforward,
-    three_way,
-)
-from .subset_model import Subset, full_subset, subset
-
-SUITES = ("kernel", "structures", "monoidal", "sep", "monadrep")
+from .structures import LawReport, pullback, pushforward
+from .subset_model import Subset
 
 
 class UsageError(Exception):
@@ -80,21 +31,6 @@ class UsageError(Exception):
 
 
 # --- rendering ---------------------------------------------------------------
-
-def _etype_label(et) -> str:
-    if isinstance(et, Subset):
-        return et.name
-    if isinstance(et, FinSet):
-        inner = ",".join(render_elem(x) for x in et.elements)
-        return f"{et.name} = {{{inner}}}"
-    if isinstance(et, FinPresheaf):
-        parts = []
-        for o in et.cat.objects:
-            inner = ",".join(render_elem(x) for x in et.ob[o].elements)
-            parts.append(f"{render_elem(o)} -> {{{inner}}}")
-        return f"{et.name}: " + "; ".join(parts)
-    return str(et)
-
 
 def _etype_json(et):
     if isinstance(et, Subset):
@@ -119,12 +55,6 @@ def _etype_json(et):
             },
         }
     return {"kind": "opaque", "text": str(et)}
-
-
-def _expr_label(sig: Signature, f) -> str:
-    if isinstance(f, (FinFunction, FinFunctor)):
-        return f.name
-    return str(f)
 
 
 def _emit(args, lines, payload) -> None:
@@ -179,7 +109,7 @@ def cmd_pull(sig: Signature, args) -> int:
     f = sig.expr(args.expr)
     t = sig.etype(args.etype)
     w = pullback(sig.system, f, t)
-    lines = [f"pullback of {args.etype} along {args.expr}: {_etype_label(w.etype)}"]
+    lines = [f"pullback of {args.etype} along {args.expr}: {etype_label(w.etype)}"]
     _emit(args, lines, {
         "operation": "pullback",
         "expr": args.expr,
@@ -193,7 +123,7 @@ def cmd_push(sig: Signature, args) -> int:
     s = sig.etype(args.etype)
     f = sig.expr(args.expr)
     w = pushforward(sig.system, s, f)
-    lines = [f"pushforward of {args.etype} along {args.expr}: {_etype_label(w.etype)}"]
+    lines = [f"pushforward of {args.etype} along {args.expr}: {etype_label(w.etype)}"]
     _emit(args, lines, {
         "operation": "pushforward",
         "expr": args.expr,
@@ -214,7 +144,7 @@ def cmd_residual(sig: Signature, args) -> int:
     else:
         w = residual_right(sig.system, a, b)
         shown = f"right residual of {args.first} by {args.second}"
-    lines = [f"{shown}: {_etype_label(w.etype)}"]
+    lines = [f"{shown}: {etype_label(w.etype)}"]
     _emit(args, lines, {
         "operation": f"residual_{args.side}",
         "first": args.first,
@@ -235,7 +165,7 @@ def cmd_star(sig: Signature, args) -> int:
     s = sig.etype(args.s)
     t = sig.etype(args.t)
     et = star_etype(sig.system, mult, s, t)
-    lines = [f"{args.s} * {args.t}: {_etype_label(et)}"]
+    lines = [f"{args.s} * {args.t}: {etype_label(et)}"]
     _emit(args, lines, {
         "operation": "star",
         "s": args.s,
@@ -255,7 +185,7 @@ def cmd_wand(sig: Signature, args) -> int:
     else:
         et = wand_left_etype(sig.system, mult, operand, u)
         shown = f"{args.operand} *- {args.answer}"
-    lines = [f"{shown}: {_etype_label(et)}"]
+    lines = [f"{shown}: {etype_label(et)}"]
     _emit(args, lines, {
         "operation": f"wand_{args.side}",
         "operand": args.operand,
@@ -285,14 +215,14 @@ def cmd_hoare(sig: Signature, args) -> int:
         cur = sig.machine.wp(n, cur)
         wp_chain.append((n, cur))
     for n, et in wp_chain:
-        lines.append(f"wp[{n}]: {_etype_label(et)}")
+        lines.append(f"wp[{n}]: {etype_label(et)}")
     sp_chain = []
     cur = p
     for n in names:
         cur = sig.machine.sp(cur, n)
         sp_chain.append((n, cur))
     for n, et in sp_chain:
-        lines.append(f"sp[{n}]: {_etype_label(et)}")
+        lines.append(f"sp[{n}]: {etype_label(et)}")
     holds = sig.machine.check_triple(p, names, q)
     lines.append("holds" if holds else "fails")
     _emit(args, lines, {
@@ -306,493 +236,41 @@ def cmd_hoare(sig: Signature, args) -> int:
 
 # --- law suites -------------------------------------------------------------------
 
-@dataclass
-class SuiteResult:
-    suite: str
-    applicable: bool = True
-    reason: str = ""
-    checked: int = 0
-    failures: tuple = ()
-    notes: tuple = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def absorb(self, report, where: str = "") -> None:
-        self.checked += report.checked
-        prefix = f"{where}: " if where else ""
-        self.failures += tuple(f"{prefix}{f}" for f in report.failures)
-        self.notes += tuple(f"{prefix}{s}" for s in getattr(report, "skipped", ()))
-
-    def fail(self, msg: str) -> None:
-        self.checked += 1
-        self.failures += (msg,)
-
-    def note(self, msg: str) -> None:
-        self.notes += (msg,)
-
-
-def _etype_pool(sig: Signature, max_set: int) -> tuple:
-    sys_ = sig.system
-    if sig.kind == "subset":
-        pool = []
-        for fs in sig.sets.values():
-            if len(fs.elements) <= max_set:
-                pool.extend(sys_.e_types_over(fs))
-            else:
-                pool.append(subset(fs, ()))
-                pool.append(full_subset(fs))
-                pool.extend(s for s in sig.etypes.values() if s.of == fs)
-        seen = set()
-        out = []
-        for s in pool:
-            if s.name not in seen:
-                seen.add(s.name)
-                out.append(s)
-        return tuple(out)
-    if sig.kind == "trivial":
-        return tuple(fs for fs in sig.sets.values() if len(fs.elements) <= max_set) \
-            or tuple(sig.sets.values())[:1]
-    return tuple(sig.etypes.values())
-
-
-def _expr_pool(sig: Signature) -> tuple:
-    sys_ = sig.system
-    if sig.kind == "trivial":
-        return ("id",)
-    if sig.kind == "presheaf":
-        idents = tuple(FinFunctor.identity(c) for c in sig.categories.values())
-        return idents + tuple(sig.exprs.values())
-    idents = tuple(sys_.id_expr(fs) for fs in sig.sets.values())
-    named = tuple(sig.exprs.values())
-    extra = (sig.monoid_mult,) if sig.monoid_mult is not None else ()
-    return idents + named + extra
-
-
-def _suite_kernel(sig: Signature, max_set: int) -> SuiteResult:
-    sys_ = sig.system
-    res = SuiteResult("kernel")
-    etypes = _etype_pool(sig, max_set)
-    exprs = _expr_pool(sig)
-    ders = []
-    for f in exprs:
-        a, b = sys_.expr_dom(f), sys_.expr_cod(f)
-        for s in etypes:
-            for t in etypes:
-                status = classify(sys_, s, f, t)
-                well = sys_.refines(s) == a and sys_.refines(t) == b
-                res.checked += 1
-                if well == (status is Status.ILL_FORMED):
-                    res.failures += (
-                        f"trichotomy: {_etype_label(s)} =[{_expr_label(sig, f)}]=> "
-                        f"{_etype_label(t)} is {status.name} but well-formedness is {well}",
-                    )
-                    continue
-                if not well:
-                    continue
-                found = next(iter(sys_.morphisms_over(s, f, t)), None)
-                res.checked += 1
-                if (found is not None) != (status is Status.DERIVABLE):
-                    res.failures += (
-                        f"search disagrees with classification at {_etype_label(s)} "
-                        f"=[{_expr_label(sig, f)}]=> {_etype_label(t)}",
-                    )
-                    continue
-                if status is Status.DERIVABLE and len(ders) < 12:
-                    d = axiom(sys_, s, f, t)
-                    res.checked += 1
-                    if d.subject != s or d.target != t:
-                        res.failures += ("axiom boundary mismatch",)
-                    else:
-                        ders.append(d)
-    for d in ders:
-        left = compose_derivations(sys_, identity_derivation(sys_, d.subject), d)
-        right = compose_derivations(sys_, d, identity_derivation(sys_, d.target))
-        res.checked += 2
-        if not derivations_equal(sys_, left, d):
-            res.failures += (f"I;d != d over {_expr_label(sig, d.expr)}",)
-        if not derivations_equal(sys_, right, d):
-            res.failures += (f"d;I != d over {_expr_label(sig, d.expr)}",)
-    pairs = [(d1, d2) for d1 in ders for d2 in ders if d1.target == d2.subject]
-    for (d1, d2), d3 in itertools.islice(
-            ((p, d) for p in pairs for d in ders if p[1].target == d.subject), 64):
-        lhs = compose_derivations(sys_, compose_derivations(sys_, d1, d2), d3)
-        rhs = compose_derivations(sys_, d1, compose_derivations(sys_, d2, d3))
-        res.checked += 1
-        if not derivations_equal(sys_, lhs, rhs):
-            res.failures += ("composition of derivations is not associative",)
-    for f, g, h in itertools.islice(
-            ((f, g, h) for f in exprs for g in exprs for h in exprs
-             if sys_.expr_cod(f) == sys_.expr_dom(g)
-             and sys_.expr_cod(g) == sys_.expr_dom(h)), 64):
-        lhs = sys_.compose_exprs(sys_.compose_exprs(f, g), h)
-        rhs = sys_.compose_exprs(f, sys_.compose_exprs(g, h))
-        res.checked += 1
-        if not sys_.exprs_equal(lhs, rhs):
-            res.failures += ("composition of expressions is not associative",)
-    return res
-
-
-def _suite_structures(sig: Signature, max_set: int) -> SuiteResult:
-    from .structures import check_beta_eta
-
-    sys_ = sig.system
-    res = SuiteResult("structures")
-    etypes = _etype_pool(sig, max_set)
-    exprs = _expr_pool(sig)
-    mode = "membership" if sys_.proof_irrelevant else "literal"
-    for f in exprs:
-        a, b = sys_.expr_dom(f), sys_.expr_cod(f)
-        if sys_.has_pullbacks:
-            for t in [t for t in etypes if sys_.refines(t) == b][:6]:
-                try:
-                    w = pullback(sys_, f, t)
-                    res.absorb(check_beta_eta(w, mode=mode),
-                               f"pullback of {_etype_label(t)} along {_expr_label(sig, f)}")
-                except CapabilityError as exc:
-                    res.note(str(exc))
-        if sys_.has_pushforwards:
-            for s in [s for s in etypes if sys_.refines(s) == a][:6]:
-                try:
-                    w = pushforward(sys_, s, f)
-                    res.absorb(check_beta_eta(w, mode=mode),
-                               f"pushforward of {_etype_label(s)} along {_expr_label(sig, f)}")
-                except CapabilityError as exc:
-                    res.note(str(exc))
-    composable = [(f, g) for f in exprs for g in exprs
-                  if sys_.expr_cod(f) == sys_.expr_dom(g)]
-    for f, g in composable[:12]:
-        c = sys_.expr_cod(g)
-        a = sys_.expr_dom(f)
-        if sys_.has_pullbacks:
-            for t in [t for t in etypes if sys_.refines(t) == c][:2]:
-                try:
-                    pull_compose_iso(sys_, f, g, t)
-                    res.checked += 1
-                except CapabilityError as exc:
-                    res.note(str(exc))
-                except LawViolation as exc:
-                    res.fail(f"pullback composite iso: {exc}")
-        if sys_.has_pushforwards:
-            for s in [s for s in etypes if sys_.refines(s) == a][:2]:
-                try:
-                    push_compose_iso(sys_, s, f, g)
-                    res.checked += 1
-                except CapabilityError as exc:
-                    res.note(str(exc))
-                except LawViolation as exc:
-                    res.fail(f"pushforward composite iso: {exc}")
-    if sys_.has_pullbacks and sys_.has_pushforwards:
-        for f in exprs:
-            a, b = sys_.expr_dom(f), sys_.expr_cod(f)
-            ss = [s for s in etypes if sys_.refines(s) == a][:6]
-            ts = [t for t in etypes if sys_.refines(t) == b][:6]
-            for s, t in itertools.product(ss, ts):
-                try:
-                    tw = three_way(sys_, s, f, t)
-                except CapabilityError as exc:
-                    res.note(str(exc))
-                    continue
-                res.checked += 1
-                if not tw.agree:
-                    res.failures += (
-                        f"three-way readings disagree at {_etype_label(s)} "
-                        f"=[{_expr_label(sig, f)}]=> {_etype_label(t)}",
-                    )
-    return res
-
-
-def _suite_monoidal(sig: Signature, max_set: int) -> SuiteResult:
-    sys_ = sig.system
-    if not sys_.is_monoidal:
-        return SuiteResult("monoidal", applicable=False, reason="system is not monoidal")
-    res = SuiteResult("monoidal")
-    if sig.kind == "presheaf":
-        for cname, cat in sig.categories.items():
-            if len(cat.objects) != 1:
-                res.note(f"category {cname} has several objects; convolution not attempted")
-                continue
-            try:
-                multiplication_functor(sys_, cat)
-            except ValidationError as exc:
-                res.note(f"category {cname}: {exc}")
-                continue
-            pool = [p for p in sig.etypes.values() if p.cat == cat]
-            for s, t in itertools.product(pool, pool):
-                try:
-                    lhs = day_star(sys_, cat, s, t)
-                    rhs = day_star_coend(sys_, cat, s, t)
-                except CapabilityError as exc:
-                    res.note(str(exc))
-                    continue
-                res.checked += 1
-                if not same_values(lhs, rhs):
-                    res.failures += (
-                        f"convolution disagrees with its coend at {s.name} * {t.name}",
-                    )
-        ds = [identity_derivation(sys_, p) for p in list(sig.etypes.values())[:3]]
-        if ds:
-            try:
-                res.absorb(check_monoidal_equations(sys_, ds, cap=64), "equations")
-            except CapabilityError as exc:
-                res.note(str(exc))
-        return res
-    etypes = _etype_pool(sig, max_set)
-    ds = [identity_derivation(sys_, s) for s in etypes[:6]]
-    for s, t in itertools.product(etypes, etypes):
-        if len(ds) >= 10:
-            break
-        if s.name == t.name or sys_.refines(s) != sys_.refines(t):
-            continue
-        if classify(sys_, s, sys_.id_expr(sys_.refines(s)), t) is Status.DERIVABLE:
-            ds.append(axiom(sys_, s, sys_.id_expr(sys_.refines(s)), t))
-    try:
-        res.absorb(check_monoidal_equations(sys_, ds, cap=200), "equations")
-    except CapabilityError as exc:
-        res.note(str(exc))
-    exprs = _expr_pool(sig)
-    combos = 0
-    for f1, f2 in itertools.product(exprs, exprs):
-        if combos >= 8:
-            break
-        t1s = [t for t in etypes if sys_.refines(t) == sys_.expr_cod(f1)][:1]
-        t2s = [t for t in etypes if sys_.refines(t) == sys_.expr_cod(f2)][:1]
-        s1s = [s for s in etypes if sys_.refines(s) == sys_.expr_dom(f1)][:1]
-        s2s = [s for s in etypes if sys_.refines(s) == sys_.expr_dom(f2)][:1]
-        if not (t1s and t2s and s1s and s2s):
-            continue
-        combos += 1
-        try:
-            tensor_pull_iso(sys_, f1, t1s[0], f2, t2s[0])
-            tensor_push_iso(sys_, s1s[0], f1, s2s[0], f2)
-            res.checked += 2
-        except CapabilityError as exc:
-            res.note(str(exc))
-        except LawViolation as exc:
-            res.fail(f"tensor preservation: {exc}")
-    return res
-
-
-def _suite_sep(sig: Signature, max_set: int) -> SuiteResult:
-    if sig.monoid_mult is None:
-        return SuiteResult("sep", applicable=False, reason="no monoid stanza")
-    sys_ = sig.system
-    res = SuiteResult("sep")
-    mult, car, unit = sig.monoid_mult, sig.monoid_carrier, sig.monoid_unit
-    tbl = mult.mapping
-    for a in car.elements:
-        res.checked += 2
-        if tbl[(unit, a)] != a:
-            res.failures += (f"unit law fails: e * {render_elem(a)} != {render_elem(a)}",)
-        if tbl[(a, unit)] != a:
-            res.failures += (f"unit law fails: {render_elem(a)} * e != {render_elem(a)}",)
-    for a, b, c in itertools.product(car.elements, repeat=3):
-        res.checked += 1
-        if tbl[(tbl[(a, b)], c)] != tbl[(a, tbl[(b, c)])]:
-            res.failures += (
-                f"associativity fails at ({render_elem(a)},{render_elem(b)},{render_elem(c)}): "
-                f"({render_elem(a)}*{render_elem(b)})*{render_elem(c)} = "
-                f"{render_elem(tbl[(tbl[(a, b)], c)])} but "
-                f"{render_elem(a)}*({render_elem(b)}*{render_elem(c)}) = "
-                f"{render_elem(tbl[(a, tbl[(b, c)])])}",
-            )
-            if len(res.failures) >= 5:
-                break
-    if len(car.elements) <= 6:
-        subs = list(sys_.e_types_over(car))
-    else:
-        subs = [subset(car, ()), full_subset(car)]
-        subs += [s for s in sig.etypes.values() if s.of == car]
-    for s, t in itertools.product(subs, subs):
-        star = star_etype(sys_, mult, s, t)
-        expect = {tbl[(x, y)] for x in s.elements for y in t.elements}
-        res.checked += 1
-        if star.elements != frozenset(expect):
-            res.failures += (f"star table wrong at {s.name} * {t.name}",)
-    for u, t in itertools.product(subs, subs):
-        wr = wand_right_etype(sys_, mult, u, t)
-        expect = {x for x in car.elements
-                  if all(tbl[(x, y)] in u.elements for y in t.elements)}
-        res.checked += 1
-        if wr.elements != frozenset(expect):
-            res.failures += (f"right wand table wrong at {t.name} -* {u.name}",)
-    for s, u in itertools.product(subs, subs):
-        wl = wand_left_etype(sys_, mult, s, u)
-        expect = {y for y in car.elements
-                  if all(tbl[(x, y)] in u.elements for x in s.elements)}
-        res.checked += 1
-        if wl.elements != frozenset(expect):
-            res.failures += (f"left wand table wrong at {s.name} *- {u.name}",)
-    for s, t, u in itertools.product(subs, subs, subs):
-        res.absorb(check_threeway_adjunction(sys_, mult, s, t, u))
-        if len(res.failures) >= 5:
-            return res
-    triples = list(itertools.product(subs, subs, subs))
-    stride = max(1, len(triples) // 48)
-    for s, t, u in triples[::stride]:
-        res.absorb(check_star_wand(sys_, mult, s, t, u),
-                   f"round trip at ({s.name},{t.name},{u.name})")
-        if len(res.failures) >= 5:
-            return res
-    return res
-
-
-def _find_encodings(sig: Signature, pool, u) -> dict:
-    sys_ = sig.system
-    target = sys_.refines(u)
-    encodings = {}
-    for t in pool:
-        a = sys_.refines(t)
-        for f in sys_.expressions(a, target):
-            et, _, _ = sys_.pullback_data(f, u)
-            if et == t:
-                encodings[t] = f
-                break
-    return encodings
-
-
-def _suite_monadrep(sig: Signature, max_set: int) -> SuiteResult:
-    if sig.adjunction_kind is None:
-        return SuiteResult("monadrep", applicable=False, reason="no adjunction stanza")
-    sys_ = sig.system
-    res = SuiteResult("monadrep")
-    if sig.adjunction_kind == "identity":
-        adj = identity_adjunction(sys_)
-    else:
-        adj = build_continuation_adjunction(sys_, sig.answers)
-    pool = list(_etype_pool(sig, max_set))
-    if sig.adjunction_kind == "continuation":
-        # double negation carriers grow twice-exponentially in the base size
-        if sig.kind == "subset":
-            pool = [t for t in pool if len(t.of.elements) <= 2][:4]
-        else:
-            pool = [t for t in pool if len(t.elements) <= 2][:2]
-    else:
-        pool = pool[:8]
-    ders = [identity_derivation(sys_, t) for t in pool[:3]]
-    strength = [(a, b) for a in pool[:2] for b in pool[:2]]
-    try:
-        res.absorb(check_adjunction(adj, p_etypes=pool, q_etypes=pool,
-                                    p_derivations=ders,
-                                    q_derivations=ders if sig.adjunction_kind == "identity" else (),
-                                    strength_pairs=strength), "adjunction")
-    except CapabilityError as exc:
-        res.note(str(exc))
-    monad = FiberwiseMonad(adj)
-    # each continuation multiplication materializes a million-element tensor
-    monad_pool = pool[:1] if sig.adjunction_kind == "continuation" else pool[:4]
-    try:
-        res.absorb(check_monad_laws(monad, monad_pool), "monad")
-    except CapabilityError as exc:
-        res.note(str(exc))
-    if sig.answers is not None:
-        u = sig.answers
-        enc_pool = pool[:2] if sig.adjunction_kind == "continuation" else pool[:3]
-        for t in enc_pool:
-            try:
-                et = monad.carrier(t)
-                res.checked += 1
-                res.note(f"monad carrier at {_etype_label(t)}: {_etype_label(et)}")
-            except CapabilityError as exc:
-                res.note(str(exc))
-        for t in enc_pool:
-            try:
-                res.absorb(check_comparison(adj, t, u), f"comparison at {_etype_label(t)}")
-            except CapabilityError as exc:
-                res.note(str(exc))
-        for t in enc_pool:
-            try:
-                found = search_encodings(adj, t, u, limit=20_000)
-                res.checked += 1
-                res.note(f"encodings of {_etype_label(t)}: {len(found)} found")
-            except CapabilityError as exc:
-                res.note(str(exc))
-                continue
-            for f in found[:1]:
-                try:
-                    res.absorb(check_retraction(adj, t, u, f),
-                               f"retraction at {_etype_label(t)}")
-                    sec = check_section(adj, t, u, f)
-                    res.note(f"section at {_etype_label(t)}: "
-                             + ("holds" if sec else "fails"))
-                except CapabilityError as exc:
-                    res.note(str(exc))
-    if sig.universal is not None:
-        u = sig.universal
-        full_pool = list(_etype_pool(sig, max_set))
-        encodings = _find_encodings(sig, full_pool, u)
-        missing = [t for t in full_pool if t not in encodings]
-        for t in missing:
-            res.fail(f"no encoding found for {_etype_label(t)}")
-        if encodings:
-            res.absorb(check_universal(sys_, u, encodings, etypes=list(encodings)),
-                       "universality")
-            rep = check_reflected(adj, u, encodings,
-                                  q_etypes=list(encodings), p_etypes=list(encodings))
-            res.checked += rep.checked
-            res.failures += tuple(f"reflection: {f}" for f in rep.failures)
-            res.notes += tuple(f"reflection: {s}" for s in rep.skipped)
-            strict_holds = sum(1 for _, s in rep.double_negation_strict if s)
-            res.note(f"strict double negation holds at {strict_holds} of "
-                     f"{len(rep.double_negation_strict)} types (informational)")
-            for t in list(encodings)[:3]:
-                try:
-                    check_theorem(adj, u, encodings, t)
-                    res.checked += 1
-                except CapabilityError as exc:
-                    res.note(str(exc))
-                except (LawViolation, MismatchError) as exc:
-                    res.fail(f"representation at {_etype_label(t)}: {exc}")
-    return res
-
-
-_SUITE_FNS = {
-    "kernel": _suite_kernel,
-    "structures": _suite_structures,
-    "monoidal": _suite_monoidal,
-    "sep": _suite_sep,
-    "monadrep": _suite_monadrep,
-}
-
-
 def cmd_laws(sig: Signature, args) -> int:
     if args.suite != "all" and args.suite not in _SUITE_FNS:
         raise UsageError(
             f"unknown suite {args.suite!r} (choose from {', '.join(SUITES)}, all)")
-    names = SUITES if args.suite == "all" else (args.suite,)
-    results = [_SUITE_FNS[n](sig, args.max_set) for n in names]
+    results = []
+    for name in SUITES if args.suite == "all" else (args.suite,):
+        r = _SUITE_FNS[name](sig, args.max_set)
+        results.append((name, r, LawReport()) if isinstance(r, str) else (name, "", r))
     lines = []
-    for r in results:
-        if not r.applicable:
-            lines.append(f"suite {r.suite}: skipped ({r.reason})")
+    for name, reason, r in results:
+        if reason:
+            lines.append(f"suite {name}: skipped ({reason})")
             continue
-        if r.ok and r.checked == 0 and r.notes:
-            lines.append(f"suite {r.suite}: no feasible instances under the carrier bound")
-            for s in r.notes:
-                lines.append(f"  note: {s}")
-            continue
-        verdict = "ok" if r.ok else "FAIL"
-        lines.append(f"suite {r.suite}: {verdict} ({r.checked} instances)")
-        for f in r.failures[:5]:
-            lines.append(f"  counterexample: {f}")
-        for s in r.notes:
-            lines.append(f"  note: {s}")
-    overall = all(r.ok for r in results if r.applicable)
+        if r.ok and r.checked == 0 and r.skipped:
+            lines.append(f"suite {name}: no feasible instances under the carrier bound")
+        else:
+            verdict = "ok" if r.ok else "FAIL"
+            lines.append(f"suite {name}: {verdict} ({r.checked} instances)")
+            lines += [f"  counterexample: {f}" for f in r.failures[:5]]
+        lines += [f"  note: {s}" for s in r.skipped]
+    overall = all(r.ok for _, _, r in results)
     lines.append("all laws hold" if overall else "law violations found")
     payload = {
         "signature": sig.name,
         "ok": overall,
         "suites": [
             {
-                "suite": r.suite,
-                "applicable": r.applicable,
-                "reason": r.reason,
+                "suite": name,
+                "applicable": not reason,
+                "reason": reason,
                 "instances": r.checked,
-                "failures": list(r.failures),
-                "notes": list(r.notes),
+                "failures": r.failures,
+                "notes": r.skipped,
             }
-            for r in results
+            for name, reason, r in results
         ],
     }
     _emit(args, lines, payload)
@@ -861,13 +339,7 @@ def main(argv=None) -> int:
             raise UsageError("missing subcommand (try --help)")
         sig = load_signature(args.signature)
         return args.fn(sig, args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except SignatureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (CapabilityError, RefinementError) as exc:
+    except (UsageError, SignatureError, RefinementError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -23,7 +23,6 @@ the same derivation" an executable check rather than a symbolic one.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 

@@ -28,7 +28,7 @@ between p and p-op is an ordinary descriptor built from residual rules.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
 from .kernel import (
@@ -346,92 +346,87 @@ def check_adjunction(adj: AdjunctionDescriptor, p_etypes=(), q_etypes=(),
     instances whose carriers exceed the model's bound are reported skipped.
     """
     p, q = adj.p, adj.q
-    failures: list = []
-    skipped: list = []
-    checked = 0
-
-    def note(ok: bool, msg: str):
-        nonlocal checked
-        checked += 1
-        if not ok:
-            failures.append(msg)
+    rep = LawReport()
 
     for s in p_etypes:
-        if len(failures) >= max_failures:
+        if len(rep.failures) >= max_failures:
             break
+        name = getattr(s, "name", s)
         ls = adj.l_etype(s)
-        note(q.refines(ls) == adj.l0(p.refines(s)),
-             f"L does not commute with the base at {getattr(s, 'name', s)}")
+        rep.check(q.refines(ls) == adj.l0(p.refines(s)),
+                  lambda: f"L does not commute with the base at {name}")
         eta = adj.eta_rule(s)
-        note(eta.subject == s and eta.target == adj.rl_etype(s)
-             and p.exprs_equal(eta.expr, adj.eta0(p.refines(s))),
-             f"unit rule has wrong boundaries at {getattr(s, 'name', s)}")
+        rep.check(eta.subject == s and eta.target == adj.rl_etype(s)
+                  and p.exprs_equal(eta.expr, adj.eta0(p.refines(s))),
+                  lambda: f"unit rule has wrong boundaries at {name}")
         # triangle: L(eta);eps == id at both levels
         tri = compose_derivations(q, adj.l_der(eta), adj.eps_rule(ls))
-        note(derivations_equal(q, tri, identity_derivation(q, ls)),
-             f"triangle L(eta);eps fails at {getattr(s, 'name', s)}")
+        rep.check(derivations_equal(q, tri, identity_derivation(q, ls)),
+                  lambda: f"triangle L(eta);eps fails at {name}")
         a = p.refines(s)
         lhs = q.compose_exprs(adj.l1(adj.eta0(a)), adj.eps0(adj.l0(a)))
-        note(q.exprs_equal(lhs, q.id_expr(adj.l0(a))),
-             "index-level triangle L(eta);eps fails")
+        rep.check(q.exprs_equal(lhs, q.id_expr(adj.l0(a))),
+                  "index-level triangle L(eta);eps fails")
 
     for t in q_etypes:
-        if len(failures) >= max_failures:
+        if len(rep.failures) >= max_failures:
             break
+        name = getattr(t, "name", t)
         rt = adj.r_etype(t)
-        note(p.refines(rt) == adj.r0(q.refines(t)),
-             f"R does not commute with the base at {getattr(t, 'name', t)}")
+        rep.check(p.refines(rt) == adj.r0(q.refines(t)),
+                  lambda: f"R does not commute with the base at {name}")
         eps = adj.eps_rule(t)
-        note(eps.subject == adj.l_etype(rt) and eps.target == t
-             and q.exprs_equal(eps.expr, adj.eps0(q.refines(t))),
-             f"counit rule has wrong boundaries at {getattr(t, 'name', t)}")
+        rep.check(eps.subject == adj.l_etype(rt) and eps.target == t
+                  and q.exprs_equal(eps.expr, adj.eps0(q.refines(t))),
+                  lambda: f"counit rule has wrong boundaries at {name}")
         tri = compose_derivations(p, adj.eta_rule(rt), adj.r_der(eps))
-        note(derivations_equal(p, tri, identity_derivation(p, rt)),
-             f"triangle eta;R(eps) fails at {getattr(t, 'name', t)}")
+        rep.check(derivations_equal(p, tri, identity_derivation(p, rt)),
+                  lambda: f"triangle eta;R(eps) fails at {name}")
         b = q.refines(t)
         lhs = p.compose_exprs(adj.eta0(adj.r0(b)), adj.r1(adj.eps0(b)))
-        note(p.exprs_equal(lhs, p.id_expr(adj.r0(b))),
-             "index-level triangle eta;R(eps) fails")
+        rep.check(p.exprs_equal(lhs, p.id_expr(adj.r0(b))),
+                  "index-level triangle eta;R(eps) fails")
 
     for alpha in p_derivations:
-        if len(failures) >= max_failures:
+        if len(rep.failures) >= max_failures:
             break
         la = adj.l_der(alpha)
-        note(q.exprs_equal(la.expr, adj.l1(alpha.expr))
-             and la.subject == adj.l_etype(alpha.subject)
-             and la.target == adj.l_etype(alpha.target),
-             "L action does not lie over the index-level L")
+        rep.check(q.exprs_equal(la.expr, adj.l1(alpha.expr))
+                  and la.subject == adj.l_etype(alpha.subject)
+                  and la.target == adj.l_etype(alpha.target),
+                  "L action does not lie over the index-level L")
         nat_l = compose_derivations(p, alpha, adj.eta_rule(alpha.target))
         nat_r = compose_derivations(p, adj.eta_rule(alpha.subject), adj.rl_der(alpha))
-        note(derivations_equal(p, nat_l, nat_r), "unit is not natural")
+        rep.check(derivations_equal(p, nat_l, nat_r), "unit is not natural")
         ida = identity_derivation(p, alpha.subject)
-        note(derivations_equal(q, adj.l_der(ida),
-                               identity_derivation(q, adj.l_etype(alpha.subject))),
-             "L does not preserve identities")
+        rep.check(derivations_equal(q, adj.l_der(ida),
+                                    identity_derivation(q, adj.l_etype(alpha.subject))),
+                  "L does not preserve identities")
 
     for d1 in p_derivations:
         for d2 in p_derivations:
             if d1.target != d2.subject:
                 continue
-            if len(failures) >= max_failures:
+            if len(rep.failures) >= max_failures:
                 break
             lhs = adj.l_der(compose_derivations(p, d1, d2))
             rhs = compose_derivations(q, adj.l_der(d1), adj.l_der(d2))
-            note(derivations_equal(q, lhs, rhs), "L does not preserve composition")
+            rep.check(derivations_equal(q, lhs, rhs), "L does not preserve composition")
 
     for beta in q_derivations:
-        if len(failures) >= max_failures:
+        if len(rep.failures) >= max_failures:
             break
         nat_l = compose_derivations(q, adj.l_der(adj.r_der(beta)),
                                     adj.eps_rule(beta.target))
         nat_r = compose_derivations(q, adj.eps_rule(beta.subject), beta)
-        note(derivations_equal(q, nat_l, nat_r), "counit is not natural")
+        rep.check(derivations_equal(q, nat_l, nat_r), "counit is not natural")
 
     if adj.sigma_rule is not None:
         unit_et = p.unit_etype()
         for (s, t) in strength_pairs:
-            if len(failures) >= max_failures:
+            if len(rep.failures) >= max_failures:
                 break
+            at = f"({getattr(s, 'name', s)}, {getattr(t, 'name', t)})"
             try:
                 sig = adj.sigma_rule(s, t)
                 rl_t = adj.rl_etype(t)
@@ -441,17 +436,16 @@ def check_adjunction(adj: AdjunctionDescriptor, p_etypes=(), q_etypes=(),
                     p, adj.sigma_rule(unit_et, t),
                     adj.rl_der(coherence_derivation(p, "unit_l", (t,))),
                 )
-                note(derivations_equal(p, lhs, lam_rl),
-                     f"strength unitor axiom fails at {getattr(t, 'name', t)}")
+                rep.check(derivations_equal(p, lhs, lam_rl),
+                          lambda: f"strength unitor axiom fails at {getattr(t, 'name', t)}")
                 # unit compatibility: (id (x) eta);sigma == eta
                 lhs = compose_derivations(
                     p,
                     tensor_derivations(p, identity_derivation(p, s), adj.eta_rule(t)),
                     sig,
                 )
-                note(derivations_equal(p, lhs, adj.eta_rule(p.tensor_etype(s, t))),
-                     f"strength unit axiom fails at ({getattr(s, 'name', s)}, "
-                     f"{getattr(t, 'name', t)})")
+                rep.check(derivations_equal(p, lhs, adj.eta_rule(p.tensor_etype(s, t))),
+                          lambda: f"strength unit axiom fails at {at}")
                 # associativity compatibility, with t doubling as the third operand
                 v = t
                 rl_v = adj.rl_etype(v)
@@ -466,15 +460,11 @@ def check_adjunction(adj: AdjunctionDescriptor, p_etypes=(), q_etypes=(),
                     adj.sigma_rule(p.tensor_etype(s, t), v),
                     adj.rl_der(coherence_derivation(p, "assoc", (s, t, v))),
                 )
-                note(derivations_equal(p, lhs, rhs),
-                     f"strength associativity axiom fails at "
-                     f"({getattr(s, 'name', s)}, {getattr(t, 'name', t)})")
+                rep.check(derivations_equal(p, lhs, rhs),
+                          lambda: f"strength associativity axiom fails at {at}")
             except CapabilityError as exc:
-                skipped.append(
-                    f"strength instance ({getattr(s, 'name', s)}, "
-                    f"{getattr(t, 'name', t)}): {exc}"
-                )
-    return LawReport(not failures, checked, tuple(failures), tuple(skipped))
+                rep.skip(f"strength instance {at}: {exc}")
+    return rep
 
 
 # --- the fiberwise monad --------------------------------------------------------------
@@ -538,38 +528,31 @@ def check_monad_laws(monad: FiberwiseMonad, etypes,
                      max_failures: int = 5) -> LawReport:
     """Unit laws and associativity, by interpretation; infeasible carriers skipped."""
     p = monad.p
-    failures: list = []
-    skipped: list = []
-    checked = 0
+    rep = LawReport()
     for t in etypes:
         name = getattr(t, "name", t)
         try:
             mt = monad.carrier(t)
             ident = identity_derivation(p, mt)
             mult = monad.mult(t)
-            checked += 1
-            if not derivations_equal(
-                    p, compose_derivations(p, monad.unit(mt), mult), ident):
-                failures.append(f"left unit law fails at {name}")
-            checked += 1
-            if not derivations_equal(
-                    p, compose_derivations(p, monad.map(monad.unit(t)), mult), ident):
-                failures.append(f"right unit law fails at {name}")
+            rep.check(derivations_equal(
+                p, compose_derivations(p, monad.unit(mt), mult), ident),
+                lambda: f"left unit law fails at {name}")
+            rep.check(derivations_equal(
+                p, compose_derivations(p, monad.map(monad.unit(t)), mult), ident),
+                lambda: f"right unit law fails at {name}")
         except CapabilityError as exc:
-            skipped.append(f"unit laws at {name}: {exc}")
+            rep.skip(f"unit laws at {name}: {exc}")
             continue
         try:
-            mmt = monad.carrier(mt)
-            checked += 1
             lhs = compose_derivations(p, monad.map(monad.mult(t)), mult)
             rhs = compose_derivations(p, monad.mult(mt), mult)
-            if not derivations_equal(p, lhs, rhs):
-                failures.append(f"associativity fails at {name}")
+            rep.check(derivations_equal(p, lhs, rhs), lambda: f"associativity fails at {name}")
         except CapabilityError as exc:
-            skipped.append(f"associativity at {name}: {exc}")
-        if len(failures) >= max_failures:
+            rep.skip(f"associativity at {name}: {exc}")
+        if len(rep.failures) >= max_failures:
             break
-    return LawReport(not failures, checked, tuple(failures), tuple(skipped))
+    return rep
 
 
 # --- double negation: comparison, to/from, retraction ----------------------------------
@@ -606,19 +589,18 @@ def check_comparison(adj: AdjunctionDescriptor, t, u) -> LawReport:
     composed derivation must equal the shift derivation by interpretation.
     """
     p = adj.p
-    failures: list = []
+    rep = LawReport()
     xi = double_negation_comparison(adj, t, u)
     w = adj.r_etype(u)
     b = p.refines(t)
     cw = p.refines(w)
     lhs_expr = p.compose_exprs(adj.eta0(b), xi.expr)
-    if not p.exprs_equal(lhs_expr, shift_expr(p, b, cw)):
-        failures.append("eta;comparison is not the shift expression")
+    rep.check(p.exprs_equal(lhs_expr, shift_expr(p, b, cw)),
+              "eta;comparison is not the shift expression")
     lhs = compose_derivations(p, adj.eta_rule(t), xi)
-    rhs = shift_derivation(p, t, w)
-    if not derivations_equal(p, lhs, rhs):
-        failures.append("eta;comparison is not the shift derivation")
-    return LawReport(not failures, 2, tuple(failures))
+    rep.check(derivations_equal(p, lhs, shift_derivation(p, t, w)),
+              "eta;comparison is not the shift derivation")
+    return rep
 
 
 def double_negation_etypes(adj: AdjunctionDescriptor, t, u) -> tuple:
@@ -708,8 +690,10 @@ def check_retraction(adj: AdjunctionDescriptor, t, u, f) -> LawReport:
     monad = FiberwiseMonad(adj)
     mt = monad.carrier(t)
     composite = compose_derivations(p, fwd, bwd)
-    ok = derivations_equal(p, composite, identity_derivation(p, mt))
-    return LawReport(ok, 1, () if ok else ("retraction composite is not the identity",))
+    rep = LawReport()
+    rep.check(derivations_equal(p, composite, identity_derivation(p, mt)),
+              "retraction composite is not the identity")
+    return rep
 
 
 def check_section(adj: AdjunctionDescriptor, t, u, f) -> bool:
@@ -803,26 +787,20 @@ class DiagramJudgment:
 
     def verify(self, sys: RefinementSystem, mode: str = "literal",
                x_types=None) -> LawReport:
-        j = self.judgment
+        j, w = self.judgment, self.witness
         if self.kind == "plain":
-            return LawReport(True, 0)
+            return LawReport()
         if self.kind == "pullback":
-            w = self.witness
-            if not isinstance(w, PullbackWitness):
-                return LawReport(False, 1, ("pullback marker without a pullback witness",))
-            if (w.etype != j.subject or w.target != j.target
-                    or not sys.exprs_equal(w.expr, j.expr)):
-                return LawReport(False, 1, ("pullback witness does not match the judgment",))
-            return check_beta_eta(w, mode=mode, x_types=x_types)
-        if self.kind == "pushforward":
-            w = self.witness
-            if not isinstance(w, PushforwardWitness):
-                return LawReport(False, 1, ("pushforward marker without a pushforward witness",))
-            if (w.etype != j.target or w.subject != j.subject
-                    or not sys.exprs_equal(w.expr, j.expr)):
-                return LawReport(False, 1, ("pushforward witness does not match the judgment",))
-            return check_beta_eta(w, mode=mode, x_types=x_types)
-        return LawReport(False, 1, (f"unknown marker {self.kind!r}",))
+            witness_cls, ends = PullbackWitness, lambda: (w.etype, w.target)
+        elif self.kind == "pushforward":
+            witness_cls, ends = PushforwardWitness, lambda: (w.subject, w.etype)
+        else:
+            return LawReport(1, [f"unknown marker {self.kind!r}"])
+        if not isinstance(w, witness_cls):
+            return LawReport(1, [f"{self.kind} marker without a {self.kind} witness"])
+        if ends() != (j.subject, j.target) or not sys.exprs_equal(w.expr, j.expr):
+            return LawReport(1, [f"{self.kind} witness does not match the judgment"])
+        return check_beta_eta(w, mode=mode, x_types=x_types)
 
 
 def mark_pullback(sys: RefinementSystem, f, t) -> DiagramJudgment:
@@ -843,28 +821,29 @@ def two_out_of_three_pull(sys: RefinementSystem, dj_fg: DiagramJudgment,
     Verifies both hypotheses' markers, constructs the implied witness, and
     runs its laws; the report concatenates all three checks.
     """
-    rep = dj_fg.verify(sys, mode=mode, x_types=x_types)
-    rep = rep.merge(dj_g.verify(sys, mode=mode, x_types=x_types))
-    if not rep.ok:
-        return rep
-    if dj_fg.kind != "pullback" or dj_g.kind != "pullback":
-        return rep.merge(LawReport(False, 1, ("two-out-of-three needs pullback markers",)))
-    implied = implied_pullback_witness(sys, dj_fg.witness, dj_g.witness, f)
-    return rep.merge(check_beta_eta(implied, mode=mode, x_types=x_types))
+    return _two_out_of_three(
+        sys, "pullback", dj_fg, dj_g, mode, x_types,
+        lambda: implied_pullback_witness(sys, dj_fg.witness, dj_g.witness, f))
 
 
 def two_out_of_three_push(sys: RefinementSystem, dj_fg: DiagramJudgment,
                           dj_f: DiagramJudgment, g, mode: str = "literal",
                           x_types=None) -> LawReport:
     """If S =[f;g]=> U and S =[f]=> T are pushforwards, then T =[g]=> U is one."""
+    return _two_out_of_three(
+        sys, "pushforward", dj_fg, dj_f, mode, x_types,
+        lambda: implied_pushforward_witness(sys, dj_fg.witness, dj_f.witness, g))
+
+
+def _two_out_of_three(sys, kind: str, dj_fg, dj_other, mode, x_types, implied) -> LawReport:
     rep = dj_fg.verify(sys, mode=mode, x_types=x_types)
-    rep = rep.merge(dj_f.verify(sys, mode=mode, x_types=x_types))
+    rep.absorb(dj_other.verify(sys, mode=mode, x_types=x_types))
     if not rep.ok:
         return rep
-    if dj_fg.kind != "pushforward" or dj_f.kind != "pushforward":
-        return rep.merge(LawReport(False, 1, ("two-out-of-three needs pushforward markers",)))
-    implied = implied_pushforward_witness(sys, dj_fg.witness, dj_f.witness, g)
-    return rep.merge(check_beta_eta(implied, mode=mode, x_types=x_types))
+    if dj_fg.kind != kind or dj_other.kind != kind:
+        rep.check(False, f"two-out-of-three needs {kind} markers")
+        return rep
+    return rep.absorb(check_beta_eta(implied(), mode=mode, x_types=x_types))
 
 
 # --- answer weakening for the double negation ---------------------------------------------
@@ -906,42 +885,22 @@ def double_negation_weakening(sys: RefinementSystem, t, u, f) -> Derivation:
 def check_universal(sys: RefinementSystem, u, encodings: dict, etypes=None,
                     mode: str = "membership", x_types=None) -> LawReport:
     """Every e-type is the pullback of U along its encoding, witness laws included."""
-    failures = []
-    skipped = []
-    checked = 0
+    rep = LawReport()
     for s in (etypes if etypes is not None else sys.e_types()):
         name = getattr(s, "name", s)
         if s not in encodings:
-            failures.append(f"no encoding for {name}")
+            rep.failures.append(f"no encoding for {name}")
             continue
         w = pullback(sys, encodings[s], u)
-        checked += 1
-        if w.etype != s:
-            failures.append(f"encoding of {name} pulls back to {w.etype.name}")
-            continue
-        rep = check_beta_eta(w, mode=mode, x_types=x_types)
-        checked += rep.checked
-        failures.extend(f"{name}: {msg}" for msg in rep.failures)
-        skipped.extend(rep.skipped)
-    return LawReport(not failures, checked, tuple(failures), tuple(skipped))
+        if rep.check(w.etype == s, lambda: f"encoding of {name} pulls back to {w.etype.name}"):
+            rep.absorb(check_beta_eta(w, mode=mode, x_types=x_types), name)
+    return rep
 
 
-@dataclass(frozen=True)
-class ReflectionReport:
-    ok: bool
-    checked: int
-    failures: tuple = ()
-    skipped: tuple = ()
-    double_negation_strict: tuple = ()
-
-    def __str__(self):
-        head = "ok" if self.ok else "FAILED"
-        lines = [f"reflection: {head} ({self.checked} instances)"]
-        lines += [f"  failure: {m}" for m in self.failures]
-        lines += [f"  skipped: {m}" for m in self.skipped]
-        lines += [f"  strict double-negation pullback at {n}: {v}"
-                  for n, v in self.double_negation_strict]
-        return "\n".join(lines)
+@dataclass
+class ReflectionReport(LawReport):
+    """A LawReport plus (type name, holds) for the unshifted double negation."""
+    double_negation_strict: list = field(default_factory=list)
 
 
 def _point_expr(adj: AdjunctionDescriptor, t, encodings: dict):
@@ -992,53 +951,38 @@ def check_reflected(adj: AdjunctionDescriptor, u, encodings: dict,
     and the theorem needs only the shifted form.
     """
     p, q = adj.p, adj.q
-    failures: list = []
-    skipped: list = []
-    strict: list = []
-    checked = 0
+    rep = ReflectionReport()
     for t_q in (q_etypes if q_etypes is not None else q.e_types()):
         name = getattr(t_q, "name", t_q)
         if t_q not in encodings:
-            failures.append(f"no encoding for q-type {name}")
+            rep.failures.append(f"no encoding for q-type {name}")
             continue
-        checked += 1
         w = pullback(p, adj.r1(encodings[t_q]), adj.r_etype(u))
-        if w.etype != adj.r_etype(t_q):
-            failures.append(
+        if rep.check(w.etype == adj.r_etype(t_q), lambda: (
                 f"R does not preserve the encoding pullback at {name}: "
-                f"got {getattr(w.etype, 'name', w.etype)}"
-            )
-            continue
-        rep = check_beta_eta(w, mode=mode, x_types=x_types)
-        checked += rep.checked
-        failures.extend(f"condition 1 at {name}: {m}" for m in rep.failures)
-        skipped.extend(rep.skipped)
+                f"got {getattr(w.etype, 'name', w.etype)}")):
+            rep.absorb(check_beta_eta(w, mode=mode, x_types=x_types), f"condition 1 at {name}")
     w_ans = adj.r_etype(u)
     cw = p.refines(w_ans)
     for t in (p_etypes if p_etypes is not None else p.e_types()):
         name = getattr(t, "name", t)
         if adj.l_etype(t) not in encodings:
-            failures.append(f"no encoding for L[{name}]")
+            rep.failures.append(f"no encoding for L[{name}]")
             continue
         try:
             _, dn = double_negation_etypes(adj, t, u)
             _, expr2 = _evaluation_expr(adj, t, u, encodings)
-            b = p.refines(t)
-            sh = shift_expr(p, b, cw)
-            checked += 1
+            sh = shift_expr(p, p.refines(t), cw)
             lhs, _, _ = p.pullback_data(sh, dn)
             rhs, _, _ = p.pullback_data(p.compose_exprs(sh, expr2), w_ans)
-            if lhs != rhs:
-                failures.append(
-                    f"condition 2 (shift context) fails at {name}: "
-                    f"{getattr(lhs, 'name', lhs)} != {getattr(rhs, 'name', rhs)}"
-                )
+            rep.check(lhs == rhs, lambda: (
+                f"condition 2 (shift context) fails at {name}: "
+                f"{getattr(lhs, 'name', lhs)} != {getattr(rhs, 'name', rhs)}"))
             unshifted, _, _ = p.pullback_data(expr2, w_ans)
-            strict.append((name, unshifted == dn))
+            rep.double_negation_strict.append((name, unshifted == dn))
         except CapabilityError as exc:
-            skipped.append(f"condition 2 at {name}: {exc}")
-    return ReflectionReport(not failures, checked, tuple(failures),
-                            tuple(skipped), tuple(strict))
+            rep.skip(f"condition 2 at {name}: {exc}")
+    return rep
 
 
 def check_theorem(adj: AdjunctionDescriptor, u, encodings: dict, t) -> VerticalIso:

@@ -85,26 +85,24 @@ def check_monoidal_equations(sys: RefinementSystem, ds, cap: int = 2000,
       invertibility     each cell composed with its inverse is an identity
       pentagon/triangle the two classical diagrams, on the subjects of ds
     """
-    ds = tuple(ds)
-    failures: list = []
-    checked = 0
+    rep = LawReport()
+    for holds, failure in _monoidal_instances(sys, tuple(ds), cap):
+        rep.check(holds, failure)
+        if len(rep.failures) >= max_failures:
+            break
+    return rep
 
-    def note(ok: bool, msg: str) -> bool:
-        nonlocal checked
-        checked += 1
-        if not ok:
-            failures.append(msg)
-        return len(failures) >= max_failures
 
+def _monoidal_instances(sys: RefinementSystem, ds: tuple, cap: int):
+    """(holds, failure message) for each instance, equation by equation."""
     # functoriality on identities
     for d1, d2 in itertools.islice(itertools.product(ds, repeat=2), cap):
         i1 = identity_derivation(sys, d1.subject)
         i2 = identity_derivation(sys, d2.subject)
         lhs = tensor_derivations(sys, i1, i2)
         rhs = identity_derivation(sys, sys.tensor_etype(d1.subject, d2.subject))
-        if note(derivations_equal(sys, lhs, rhs),
-                f"M(I,I) != I at {d1.subject.name}, {d2.subject.name}"):
-            return LawReport(False, checked, tuple(failures))
+        yield (derivations_equal(sys, lhs, rhs),
+               lambda: f"M(I,I) != I at {d1.subject.name}, {d2.subject.name}")
 
     # functoriality on composites
     composable = [
@@ -118,8 +116,7 @@ def check_monoidal_equations(sys: RefinementSystem, ds, cap: int = 2000,
         rhs = tensor_derivations(
             sys, compose_derivations(sys, d1, e1), compose_derivations(sys, d2, e2)
         )
-        if note(derivations_equal(sys, lhs, rhs), "tensor does not respect cut"):
-            return LawReport(False, checked, tuple(failures))
+        yield derivations_equal(sys, lhs, rhs), "tensor does not respect cut"
 
     # associator naturality
     for d1, d2, d3 in itertools.islice(itertools.product(ds, repeat=3), cap):
@@ -132,8 +129,7 @@ def check_monoidal_equations(sys: RefinementSystem, ds, cap: int = 2000,
         rhs = compose_derivations(
             sys, tensor_derivations(sys, tensor_derivations(sys, d1, d2), d3), a_dst
         )
-        if note(derivations_equal(sys, lhs, rhs), "associator is not natural"):
-            return LawReport(False, checked, tuple(failures))
+        yield derivations_equal(sys, lhs, rhs), "associator is not natural"
 
     # unitor naturality and invertibility of all cells
     u = unit_derivation(sys)
@@ -142,14 +138,20 @@ def check_monoidal_equations(sys: RefinementSystem, ds, cap: int = 2000,
         l_dst = coherence_derivation(sys, "unit_l", (d.target,))
         lhs = compose_derivations(sys, l_src, d)
         rhs = compose_derivations(sys, tensor_derivations(sys, u, d), l_dst)
-        if note(derivations_equal(sys, lhs, rhs), "left unitor is not natural"):
-            return LawReport(False, checked, tuple(failures))
+        yield derivations_equal(sys, lhs, rhs), "left unitor is not natural"
         r_src = coherence_derivation(sys, "unit_r", (d.subject,))
         r_dst = coherence_derivation(sys, "unit_r", (d.target,))
         lhs = compose_derivations(sys, r_src, d)
         rhs = compose_derivations(sys, tensor_derivations(sys, d, u), r_dst)
-        if note(derivations_equal(sys, lhs, rhs), "right unitor is not natural"):
-            return LawReport(False, checked, tuple(failures))
+        yield derivations_equal(sys, lhs, rhs), "right unitor is not natural"
+
+    def invertible(kind, inv, operands) -> bool:
+        fwd = coherence_derivation(sys, kind, operands)
+        bwd = coherence_derivation(sys, inv, operands)
+        return (derivations_equal(sys, compose_derivations(sys, fwd, bwd),
+                                  identity_derivation(sys, fwd.subject))
+                and derivations_equal(sys, compose_derivations(sys, bwd, fwd),
+                                      identity_derivation(sys, fwd.target)))
 
     subjects = []
     for d in ds:
@@ -157,27 +159,10 @@ def check_monoidal_equations(sys: RefinementSystem, ds, cap: int = 2000,
             subjects.append(d.subject)
     for s in subjects:
         for kind, inv in (("unit_l", "unit_l_inv"), ("unit_r", "unit_r_inv")):
-            fwd = coherence_derivation(sys, kind, (s,))
-            bwd = coherence_derivation(sys, inv, (s,))
-            ok = (derivations_equal(
-                      sys, compose_derivations(sys, fwd, bwd),
-                      identity_derivation(sys, fwd.subject))
-                  and derivations_equal(
-                      sys, compose_derivations(sys, bwd, fwd),
-                      identity_derivation(sys, fwd.target)))
-            if note(ok, f"{kind} cell is not invertible at {s.name}"):
-                return LawReport(False, checked, tuple(failures))
+            yield (invertible(kind, inv, (s,)),
+                   lambda: f"{kind} cell is not invertible at {s.name}")
     for s, t, v in itertools.islice(itertools.product(subjects, repeat=3), cap):
-        fwd = coherence_derivation(sys, "assoc", (s, t, v))
-        bwd = coherence_derivation(sys, "assoc_inv", (s, t, v))
-        ok = (derivations_equal(
-                  sys, compose_derivations(sys, fwd, bwd),
-                  identity_derivation(sys, fwd.subject))
-              and derivations_equal(
-                  sys, compose_derivations(sys, bwd, fwd),
-                  identity_derivation(sys, fwd.target)))
-        if note(ok, "associator cell is not invertible"):
-            return LawReport(False, checked, tuple(failures))
+        yield invertible("assoc", "assoc_inv", (s, t, v)), "associator cell is not invertible"
 
     # triangle
     unit_et = sys.unit_etype()
@@ -189,8 +174,7 @@ def check_monoidal_equations(sys: RefinementSystem, ds, cap: int = 2000,
         i_t = identity_derivation(sys, t)
         lhs = compose_derivations(sys, assoc, tensor_derivations(sys, i_s, lam))
         rhs = tensor_derivations(sys, rho, i_t)
-        if note(derivations_equal(sys, lhs, rhs), "triangle equation fails"):
-            return LawReport(False, checked, tuple(failures))
+        yield derivations_equal(sys, lhs, rhs), "triangle equation fails"
 
     # pentagon
     for s, t, v, w in itertools.islice(itertools.product(subjects, repeat=4), cap):
@@ -207,10 +191,7 @@ def check_monoidal_equations(sys: RefinementSystem, ds, cap: int = 2000,
             coherence_derivation(sys, "assoc", (sys.tensor_etype(s, t), v, w)),
             coherence_derivation(sys, "assoc", (s, t, sys.tensor_etype(v, w))),
         )
-        if note(derivations_equal(sys, lhs, rhs), "pentagon equation fails"):
-            return LawReport(False, checked, tuple(failures))
-
-    return LawReport(not failures, checked, tuple(failures))
+        yield derivations_equal(sys, lhs, rhs), "pentagon equation fails"
 
 
 # --- tensor preserves pullbacks and pushforwards -----------------------------------
@@ -333,8 +314,7 @@ def check_residual_laws(w: ResidualWitness, vs, expr_cap: Optional[int] = None,
     expr_cap bounds how many expressions f and g are tried per V.
     """
     sys = w.sys
-    failures: list = []
-    checked = 0
+    rep = LawReport()
     n_itype = sys.refines(w.etype)
     c_itype = sys.refines(w.u)
     for v in vs:
@@ -346,23 +326,17 @@ def check_residual_laws(w: ResidualWitness, vs, expr_cap: Optional[int] = None,
         dom_itype = sys.refines(sv)
         for f in itertools.islice(sys.expressions(dom_itype, c_itype), expr_cap):
             for beta in derivations_over(sys, sv, f, w.u):
-                checked += 1
-                if not derivations_equal(sys, w.uncurry(w.curry(beta, v)), beta):
-                    failures.append(
-                        f"beta-law fails at V={v.name}, f={getattr(f, 'name', f)}"
-                    )
-                    if len(failures) >= max_failures:
-                        return LawReport(False, checked, tuple(failures))
+                rep.check(derivations_equal(sys, w.uncurry(w.curry(beta, v)), beta),
+                          lambda: f"beta-law fails at V={v.name}, f={getattr(f, 'name', f)}")
+                if len(rep.failures) >= max_failures:
+                    return rep
         for g in itertools.islice(sys.expressions(x, n_itype), expr_cap):
             for gamma in derivations_over(sys, v, g, w.etype):
-                checked += 1
-                if not derivations_equal(sys, w.curry(w.uncurry(gamma), v), gamma):
-                    failures.append(
-                        f"eta-law fails at V={v.name}, g={getattr(g, 'name', g)}"
-                    )
-                    if len(failures) >= max_failures:
-                        return LawReport(False, checked, tuple(failures))
-    return LawReport(not failures, checked, tuple(failures))
+                rep.check(derivations_equal(sys, w.curry(w.uncurry(gamma), v), gamma),
+                          lambda: f"eta-law fails at V={v.name}, g={getattr(g, 'name', g)}")
+                if len(rep.failures) >= max_failures:
+                    return rep
+    return rep
 
 
 def residual_subtyping_left(sys: RefinementSystem, alpha_s: Derivation,
@@ -518,28 +492,25 @@ def check_star_wand(sys: RefinementSystem, mult, s, t, u,
     original subtyping; when S <= T -* U holds, the reverse round trip must
     reproduce it.  Both are checked by interpretation.
     """
-    failures: list = []
-    checked = 0
+    rep = LawReport()
     star = star_etype(sys, mult, s, t)
     wand = wand_right_etype(sys, mult, u, t)
     ident = sys.id_expr(sys.refines(star))
     fwd_holds = classify(sys, star, ident, u) is Status.DERIVABLE
     bwd_holds = classify(sys, s, sys.id_expr(sys.refines(s)), wand) is Status.DERIVABLE
-    checked += 1
-    if fwd_holds != bwd_holds:
-        failures.append("adjunction bijection fails: one side derivable, other not")
-    if fwd_holds and not failures:
+    if (rep.check(fwd_holds == bwd_holds,
+                  "adjunction bijection fails: one side derivable, other not")
+            and fwd_holds):
         for beta in derivations_over(sys, star, ident, u):
-            checked += 1
             intro = wand_intro_rule(sys, mult, beta, s, t)
             elim = wand_elim_rule(sys, mult, u, t)
             alpha2 = identity_derivation(sys, t)
             back = compose_derivations(sys, star_rule(sys, mult, intro, alpha2), elim)
-            if not derivations_equal(sys, back, beta):
-                failures.append("intro;elim does not reproduce the premise")
-            if len(failures) >= max_failures:
+            rep.check(derivations_equal(sys, back, beta),
+                      "intro;elim does not reproduce the premise")
+            if len(rep.failures) >= max_failures:
                 break
-    return LawReport(not failures, checked, tuple(failures))
+    return rep
 
 
 def check_threeway_adjunction(sys: RefinementSystem, mult, s, t, u) -> LawReport:
@@ -555,9 +526,6 @@ def check_threeway_adjunction(sys: RefinementSystem, mult, s, t, u) -> LawReport
     b1 = classify(sys, star, sys.id_expr(sys.refines(star)), u) is Status.DERIVABLE
     b2 = classify(sys, t, sys.id_expr(sys.refines(t)), wl) is Status.DERIVABLE
     b3 = classify(sys, s, sys.id_expr(sys.refines(s)), wr) is Status.DERIVABLE
-    ok = b1 == b2 == b3
-    failure = () if ok else (
+    return LawReport(3, [] if b1 == b2 == b3 else [
         f"three-way adjunction disagrees: star<=U is {b1}, "
-        f"T<=wand_left is {b2}, S<=wand_right is {b3}",
-    )
-    return LawReport(ok, 3, failure)
+        f"T<=wand_left is {b2}, S<=wand_right is {b3}"])

@@ -366,20 +366,18 @@ class PresheafSystem(RefinementSystem):
             )
 
     def tensor_itype(self, a: FinCategory, b: FinCategory) -> FinCategory:
-        key = (a.name, b.name)
-        cached = self._pcat_cache.get(key)
-        if cached is not None and self._pcat_factors[key] == (a, b):
-            return cached
-        prod = product_category(a, b)
-        self._pcat_cache[key] = prod
-        self._pcat_factors[key] = (a, b)
+        prod = self._pcat_cache.get((a, b))
+        if prod is None:
+            prod = product_category(a, b)
+            self._pcat_cache[a, b] = prod
+            self._pcat_factors[prod] = (a, b)
         return prod
 
     def tensor_factors(self, p: FinCategory) -> tuple:
-        for key, cached in self._pcat_cache.items():
-            if cached == p:
-                return self._pcat_factors[key]
-        raise CapabilityError(f"{p.name!r} is not a constructed product category")
+        try:
+            return self._pcat_factors[p]
+        except KeyError:
+            raise CapabilityError(f"{p.name!r} is not a constructed product category") from None
 
     def unit_itype(self) -> FinCategory:
         return self._unit_cat

@@ -272,7 +272,7 @@ def _load_category(cname: str, spec, where: str) -> FinCategory:
         parts = key.split(";")
         if len(parts) != 2 or parts[0] not in arrows or parts[1] not in arrows:
             raise SignatureError(f"{where}.compose: bad key {key!r} (want 'a;b')")
-        if val not in arrows:
+        if not isinstance(val, str) or val not in arrows:
             raise SignatureError(f"{where}.compose.{key}: unknown arrow {val!r}")
         composition[(parts[0], parts[1])] = val
     for a, (_, da) in arrows.items():

@@ -20,7 +20,7 @@ bi-implication on the carrier.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from .kernel import (
@@ -41,20 +41,34 @@ from .kernel import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass
 class LawReport:
-    ok: bool
-    checked: int
-    failures: tuple = ()
-    skipped: tuple = ()
+    """What a law check found: instances checked, failure messages, skipped instances."""
+    checked: int = 0
+    failures: list = field(default_factory=list)
+    skipped: list = field(default_factory=list)
 
-    def merge(self, other: "LawReport") -> "LawReport":
-        return LawReport(
-            self.ok and other.ok,
-            self.checked + other.checked,
-            self.failures + other.failures,
-            self.skipped + other.skipped,
-        )
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    def check(self, holds: bool, failure) -> bool:
+        """Count one instance; on failure record the message (a callable is called then)."""
+        self.checked += 1
+        if not holds:
+            self.failures.append(failure() if callable(failure) else failure)
+        return holds
+
+    def skip(self, msg: str) -> None:
+        self.skipped.append(msg)
+
+    def absorb(self, other: "LawReport", where: str = "") -> "LawReport":
+        """Add other's instances, failures and skips, the latter two prefixed with where."""
+        prefix = f"{where}: " if where else ""
+        self.checked += other.checked
+        self.failures += [prefix + f for f in other.failures]
+        self.skipped += [prefix + s for s in other.skipped]
+        return self
 
     def __str__(self):
         head = "ok" if self.ok else "FAILED"
@@ -62,10 +76,6 @@ class LawReport:
         lines += [f"  failure: {f}" for f in self.failures]
         lines += [f"  skipped: {s}" for s in self.skipped]
         return "\n".join(lines)
-
-
-def _passed(checked: int) -> LawReport:
-    return LawReport(True, checked)
 
 
 @dataclass
@@ -151,29 +161,38 @@ def check_beta_eta(w, mode: str = "literal", x_types: Optional[tuple] = None,
     derivation, and the elementwise bi-implication is exactly the universal
     property quantified over all subjects and factors at once.
     """
+    if mode not in ("literal", "membership"):
+        raise ValueError(f"unknown mode {mode!r}")
     if isinstance(w, PullbackWitness):
-        return _check_pull(w, mode, x_types, max_failures)
-    if isinstance(w, PushforwardWitness):
-        return _check_push(w, mode, x_types, max_failures)
-    raise TypeError(f"not a witness: {w!r}")
-
-
-def _check_pull(w: PullbackWitness, mode, x_types, max_failures) -> LawReport:
+        kind, literal = "pullback", _check_pull
+    elif isinstance(w, PushforwardWitness):
+        kind, literal = "pushforward", _check_push
+    else:
+        raise TypeError(f"not a witness: {w!r}")
+    if mode == "literal":
+        return literal(w, x_types, max_failures)
     sys = w.sys
-    if mode == "membership":
-        if not sys.proof_irrelevant:
-            raise CapabilityError("membership mode needs a proof-irrelevant system")
+    if not sys.proof_irrelevant:
+        raise CapabilityError("membership mode needs a proof-irrelevant system")
+    if kind == "pullback":
         et, _, _ = sys.pullback_data(w.expr, w.target)
-        if et != w.etype:
-            return LawReport(False, 1, (
-                f"pullback along {getattr(w.expr, 'name', w.expr)!r}: "
-                f"constructed {getattr(w.etype, 'name', w.etype)} != canonical "
-                f"{getattr(et, 'name', et)}",
-            ))
-        return _passed(len(getattr(et, "of", et)) if hasattr(et, "of") else 1)
-    assert mode == "literal", f"unknown mode {mode!r}"
-    failures = []
-    checked = 0
+    else:
+        et, _, _ = sys.pushforward_data(w.subject, w.expr)
+    rep = LawReport()
+    if rep.check(et == w.etype, lambda: (
+            f"{kind} along {_name(w.expr)!r}: "
+            f"constructed {_name(w.etype)} != canonical {_name(et)}")):
+        rep.checked = len(et.of) if hasattr(et, "of") else 1
+    return rep
+
+
+def _name(x) -> str:
+    return getattr(x, "name", x)
+
+
+def _check_pull(w: PullbackWitness, x_types, max_failures) -> LawReport:
+    sys = w.sys
+    rep = LawReport()
     a = sys.expr_dom(w.expr)
     for x in (x_types if x_types is not None else sys.i_types()):
         subjects = sys.e_types_over(x)
@@ -181,40 +200,21 @@ def _check_pull(w: PullbackWitness, mode, x_types, max_failures) -> LawReport:
             gf = sys.compose_exprs(g, w.expr)
             for s in subjects:
                 for beta in derivations_over(sys, s, gf, w.target):
-                    checked += 1
                     round_trip = compose_derivations(sys, w.right(beta, g), w.left)
-                    if not derivations_equal(sys, round_trip, beta):
-                        failures.append(
-                            f"beta-law fails at subject {s.name}, factor {g.name}"
-                        )
+                    rep.check(derivations_equal(sys, round_trip, beta),
+                              lambda: f"beta-law fails at subject {s.name}, factor {_name(g)}")
                 for eta in derivations_over(sys, s, g, w.etype):
-                    checked += 1
                     back = w.right(compose_derivations(sys, eta, w.left), g)
-                    if not derivations_equal(sys, back, eta):
-                        failures.append(
-                            f"eta-law fails at subject {s.name}, factor {g.name}"
-                        )
-                if len(failures) >= max_failures:
-                    return LawReport(False, checked, tuple(failures))
-    return LawReport(not failures, checked, tuple(failures))
+                    rep.check(derivations_equal(sys, back, eta),
+                              lambda: f"eta-law fails at subject {s.name}, factor {_name(g)}")
+                if len(rep.failures) >= max_failures:
+                    return rep
+    return rep
 
 
-def _check_push(w: PushforwardWitness, mode, x_types, max_failures) -> LawReport:
+def _check_push(w: PushforwardWitness, x_types, max_failures) -> LawReport:
     sys = w.sys
-    if mode == "membership":
-        if not sys.proof_irrelevant:
-            raise CapabilityError("membership mode needs a proof-irrelevant system")
-        et, _, _ = sys.pushforward_data(w.subject, w.expr)
-        if et != w.etype:
-            return LawReport(False, 1, (
-                f"pushforward along {getattr(w.expr, 'name', w.expr)!r}: "
-                f"constructed {getattr(w.etype, 'name', w.etype)} != canonical "
-                f"{getattr(et, 'name', et)}",
-            ))
-        return _passed(len(getattr(et, "of", et)) if hasattr(et, "of") else 1)
-    assert mode == "literal", f"unknown mode {mode!r}"
-    failures = []
-    checked = 0
+    rep = LawReport()
     b = sys.expr_cod(w.expr)
     for x in (x_types if x_types is not None else sys.i_types()):
         targets = sys.e_types_over(x)
@@ -222,22 +222,16 @@ def _check_push(w: PushforwardWitness, mode, x_types, max_failures) -> LawReport
             fg = sys.compose_exprs(w.expr, g)
             for t in targets:
                 for beta in derivations_over(sys, w.subject, fg, t):
-                    checked += 1
                     round_trip = compose_derivations(sys, w.right, w.left(beta, g))
-                    if not derivations_equal(sys, round_trip, beta):
-                        failures.append(
-                            f"beta-law fails at target {t.name}, factor {g.name}"
-                        )
+                    rep.check(derivations_equal(sys, round_trip, beta),
+                              lambda: f"beta-law fails at target {t.name}, factor {_name(g)}")
                 for eta in derivations_over(sys, w.etype, g, t):
-                    checked += 1
                     back = w.left(compose_derivations(sys, w.right, eta), g)
-                    if not derivations_equal(sys, back, eta):
-                        failures.append(
-                            f"eta-law fails at target {t.name}, factor {g.name}"
-                        )
-                if len(failures) >= max_failures:
-                    return LawReport(False, checked, tuple(failures))
-    return LawReport(not failures, checked, tuple(failures))
+                    rep.check(derivations_equal(sys, back, eta),
+                              lambda: f"eta-law fails at target {t.name}, factor {_name(g)}")
+                if len(rep.failures) >= max_failures:
+                    return rep
+    return rep
 
 
 # --- uniqueness and composition ------------------------------------------------

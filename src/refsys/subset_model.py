@@ -38,7 +38,7 @@ from typing import Iterator
 
 from .cartesian import DEFAULT_MAX_CARRIER, CartesianKit, cell_ends
 from .fincat import FinFunction, FinSet, all_functions, render_elem
-from .kernel import IllFormedError, RefinementSystem
+from .kernel import IllFormedError, LawViolation, RefinementSystem, ValidationError
 
 
 @dataclass(frozen=True)
@@ -353,7 +353,8 @@ class HoareProgram:
         self.sys = sys
         self.states = states
         for name, f in commands.items():
-            assert f.dom == states and f.cod == states, f"command {name!r} is not an endo"
+            if f.dom != states or f.cod != states:
+                raise ValidationError(f"command {name!r} is not an endo")
         self.commands = dict(commands)
 
     def composite(self, names) -> FinFunction:
@@ -387,7 +388,8 @@ class HoareProgram:
         direct = self.sys.holds(p, self.composite(names), q)
         backward = p.elements <= self.wp_fold(names, q).elements
         forward = self.sp_fold(p, names).elements <= q.elements
-        assert direct == backward == forward, "predicate transformer readings disagree"
+        if not direct == backward == forward:
+            raise LawViolation("predicate transformer readings disagree")
         return direct
 
 

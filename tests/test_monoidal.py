@@ -36,7 +36,13 @@ from refsys.monoidal import (
     wand_left_etype,
     wand_right_etype,
 )
-from refsys.subset_model import build_subset_system, full_subset, subset
+from refsys.subset_model import (
+    SubsetMor,
+    SubsetSystem,
+    build_subset_system,
+    full_subset,
+    subset,
+)
 from refsys.trivial_model import build_trivial_system
 
 
@@ -59,6 +65,29 @@ def test_monoidal_equations_hold(small_sys):
     report = check_monoidal_equations(sys, tuple(ds))
     assert report.ok
     assert report.checked > 50
+
+
+class ConstantAssociator(SubsetSystem):
+    """A subset system whose associator sends every triple to one element."""
+
+    def coherence_cell(self, kind, etypes):
+        expr, src, dst, interp = super().coherence_cell(kind, etypes)
+        if kind != "assoc":
+            return expr, src, dst, interp
+        first = expr.cod.elements[0]
+        bad = FinFunction(expr.name, expr.dom, expr.cod, {x: first for x in expr.dom.elements})
+        return bad, src, dst, SubsetMor(src, bad, dst)
+
+
+def test_wrong_associator_stops_at_max_failures():
+    a, b = FinSet("A", ("a1", "a2")), FinSet("B", (1, 2, 3))
+    sys = ConstantAssociator("wrong", (a, b))
+    ds = [identity_derivation(sys, full_subset(x)) for x in (a, b)]
+    report = check_monoidal_equations(sys, ds)
+    assert (report.checked, list(report.failures)) == (29, ["associator cell is not invertible"] * 5)
+    report = check_monoidal_equations(sys, ds, max_failures=100)
+    assert (report.checked, list(report.failures)) == (
+        52, ["associator cell is not invertible"] * 8 + ["triangle equation fails"] * 4)
 
 
 def test_tensor_preservation_isos(small_sys):

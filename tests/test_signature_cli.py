@@ -208,6 +208,21 @@ def test_missing_composite_rejected(tmp_path):
         load_signature(write_sig(tmp_path, doc))
 
 
+def test_composite_must_be_an_arrow_name(tmp_path, capsys):
+    doc = {
+        "model": "presheaf",
+        "categories": {"M": {"objects": ["x"],
+                             "arrows": {"f": {"dom": "x", "cod": "x"}},
+                             "compose": {"f;f": ["f"]}}},
+    }
+    path = write_sig(tmp_path, doc)
+    with pytest.raises(SignatureError, match=r"compose.f;f: unknown arrow \['f'\]"):
+        load_signature(path)
+    rc, out, err = run(capsys, "check", path, "P <= P")
+    assert (rc, out) == (3, "")
+    assert "unknown arrow" in err
+
+
 def test_ill_formed_tables_rejected_under_optimize(tmp_path):
     # validation raises explicitly, so `python -O` (which strips asserts) still refuses
     z2_not_functorial = {
@@ -451,11 +466,24 @@ def test_laws_unknown_suite(capsys):
 def test_broken_associativity_is_reported(tmp_path, capsys):
     doc = json.loads((DATA / "z4.json").read_text())
     doc["monoid"]["table"]["2"]["2"] = 1
-    rc, out, _ = run(capsys, "laws", write_sig(tmp_path, doc), "sep")
+    path = write_sig(tmp_path, doc)
+    rc, out, _ = run(capsys, "laws", path, "sep")
     assert rc == 1
     assert "suite sep: FAIL" in out
     assert "associativity fails at" in out
     assert out.splitlines()[-1] == "law violations found"
+    rc, out, _ = run(capsys, "laws", path, "sep", "--json")
+    assert rc == 1
+    assert json.loads(out) == {"ok": False, "signature": "z4", "suites": [{
+        "suite": "sep", "applicable": True, "reason": "", "instances": 823, "notes": [],
+        "failures": [
+            "associativity fails at (1,1,2): (1*1)*2 = 1 but 1*(1*2) = 0",
+            "associativity fails at (1,2,2): (1*2)*2 = 1 but 1*(2*2) = 2",
+            "associativity fails at (2,1,1): (2*1)*1 = 0 but 2*(1*1) = 1",
+            "associativity fails at (2,2,1): (2*2)*1 = 2 but 2*(2*1) = 1",
+            "associativity fails at (2,2,3): (2*2)*3 = 0 but 2*(2*3) = 3",
+        ],
+    }]}
 
 
 # --- machine-readable output -----------------------------------------------------------------
@@ -491,7 +519,8 @@ def test_json_check_payload(capsys):
 GOLDEN = DATA.parent.parent.parent / "perfbench" / "golden"
 
 
-@pytest.mark.parametrize("sig", ["trivial2", "classifier", "hoare4", "continuation", "z4"])
+@pytest.mark.parametrize("sig", ["trivial2", "classifier", "hoare4", "continuation", "z4",
+                                 "presheaf_arrow", "day_z2"])
 def test_laws_all_matches_the_recorded_report(capsys, sig):
     rc, out, _ = run(capsys, "laws", data_file(f"{sig}.json"), "all", "--json")
     assert rc == 0

@@ -44,6 +44,12 @@ def test_pushforward_is_the_direct_image(squaring):
     assert set(w.etype.elements) == {1, 4, 9}
 
 
+def test_beta_eta_rejects_an_unknown_mode(squaring):
+    w = pullback(squaring.system, squaring.expr("sq"), squaring.etype("big"))
+    with pytest.raises(ValueError, match="unknown mode 'exhaustive'"):
+        check_beta_eta(w, mode="exhaustive")
+
+
 def test_witness_equations_both_modes(squaring, small_sys):
     sys = squaring.system
     sq = squaring.expr("sq")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from refsys.fincat import FinFunction, FinSet, all_functions
-from refsys.kernel import CapabilityError
+from refsys.kernel import CapabilityError, LawViolation, ValidationError
 from refsys.subset_model import (
     HoareProgram,
     build_classifier_system,
@@ -128,8 +128,28 @@ def test_hoare_readings_agree_random(hoare4, data):
     q = subset(prog.states, data.draw(st.sets(st.sampled_from(states)), label="Q"))
     names = data.draw(
         st.lists(st.sampled_from(sorted(prog.commands)), max_size=3), label="cs")
-    # check_triple asserts internally that all three readings agree
+    # check_triple raises LawViolation unless all three readings agree
     prog.check_triple(p, names, q)
+
+
+def test_hoare_command_must_be_an_endomorphism(hoare4):
+    prog = hoare4.machine
+    other = FinSet("other", ("x",))
+    leave = FinFunction("leave", prog.states, other, {s: "x" for s in prog.states.elements})
+    with pytest.raises(ValidationError, match="'leave' is not an endo"):
+        HoareProgram(prog.sys, prog.states, {"leave": leave})
+
+
+def test_hoare_disagreeing_readings_raise(hoare4):
+    class EverythingIsSafe(HoareProgram):
+        def wp(self, name, q):
+            return full_subset(self.states)
+
+    prog = hoare4.machine
+    broken = EverythingIsSafe(prog.sys, prog.states, prog.commands)
+    low, high = hoare4.etype("low"), hoare4.etype("high")
+    with pytest.raises(LawViolation, match="readings disagree"):
+        broken.check_triple(low, ("inc",), high)
 
 
 def test_classifier_encodings_are_characteristic():

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from refsys.fincat import FinSet
+from refsys.fincat import FinFunction, FinSet
 from refsys.kernel import Status, classify
 from refsys.structures import check_beta_eta, pullback, pushforward
 from refsys.trivial_model import POINT, build_trivial_system
@@ -68,3 +70,14 @@ def test_membership_mode_refused():
     w = pullback(sys, sys.id_expr(POINT), two)
     with pytest.raises(CapabilityError):
         check_beta_eta(w, mode="membership")
+
+
+def test_broken_right_rule_is_reported_not_raised():
+    # the trivial model's one expression is the string "id", which has no .name
+    two = FinSet("two", (1, 2))
+    sys = build_trivial_system((two,))
+    w = pullback(sys, sys.id_expr(POINT), two)
+    swap = FinFunction("swap", two, two, {1: 2, 2: 1})
+    broken = dataclasses.replace(w, _factor=lambda m, g: m.then(swap))
+    report = check_beta_eta(broken, mode="literal")
+    assert report.failures[0] == "beta-law fails at subject two, factor id"
