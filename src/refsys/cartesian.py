@@ -15,10 +15,16 @@ their carriers and structural tables from one :class:`CartesianKit`:
     currying      lc f : B -> [A->C]           rc f : A -> [B->C]
                   for f : A x B -> C
 
-Products and function spaces are cached per kit, keyed by their factors,
-so equal operands give the same carrier object.  Every carrier the kit
-would build with more than ``max_carrier`` elements is refused with a
-CapabilityError that names its size, instead of exhausting memory.
+Products, function spaces, pairings and coherence cells are built once per
+kit, so asking again returns the same object.  Products and function spaces
+are keyed by their factors and cells by their kind and the sets they act
+on; equal ``FinSet``s have equal names and elements, so an equal key gives
+an equal result.  Pairings are keyed by the identity of the two functions,
+and each entry keeps both alive: ``FinFunction`` equality ignores the name
+that the pairing's name is made from.  Evaluation and currying tables are
+built on each call.  Every carrier the kit would build with more than
+``max_carrier`` elements is refused with a CapabilityError that names its
+size, instead of exhausting memory; a refusal is not cached.
 """
 from __future__ import annotations
 
@@ -67,6 +73,8 @@ class CartesianKit:
         self._products: dict = {}
         self._factors: dict = {}
         self._spaces: dict = {}
+        self._pairings: dict = {}
+        self._cells: dict = {}
 
     def _guard(self, size: int, what: str):
         if size > self.max_carrier:
@@ -101,15 +109,26 @@ class CartesianKit:
         return fs
 
     def pairing(self, f: FinFunction, g: FinFunction) -> FinFunction:
-        dom = self.product(f.dom, g.dom)
-        return FinFunction(f"({f.name}x{g.name})", dom, self.product(f.cod, g.cod),
-                           {(x, y): (f(x), g(y)) for x, y in dom.elements})
+        key = (id(f), id(g))
+        entry = self._pairings.get(key)
+        if entry is None:
+            dom = self.product(f.dom, g.dom)
+            fg = FinFunction(f"({f.name}x{g.name})", dom, self.product(f.cod, g.cod),
+                             {(x, y): (f(x), g(y)) for x, y in dom.elements})
+            # holding f and g keeps their ids from being reused while the entry lives
+            entry = self._pairings[key] = (f, g, fg)
+        return entry[2]
 
     def cell(self, kind: str, sets: tuple) -> FinFunction:
-        src, dst = cell_ends(kind, sets, self.product, self.unit)
-        name = f"{kind.replace('unit_', 'unit')}[{','.join(a.name for a in sets)}]"
-        reshape = _RESHAPE[kind]
-        return FinFunction(name, src, dst, {x: reshape(x) for x in src.elements})
+        sets = tuple(sets)
+        c = self._cells.get((kind, sets))
+        if c is None:
+            src, dst = cell_ends(kind, sets, self.product, self.unit)
+            name = f"{kind.replace('unit_', 'unit')}[{','.join(a.name for a in sets)}]"
+            reshape = _RESHAPE[kind]
+            c = FinFunction(name, src, dst, {x: reshape(x) for x in src.elements})
+            self._cells[kind, sets] = c
+        return c
 
     def plug_l(self, a: FinSet, c: FinSet) -> FinFunction:
         dom = self.product(a, self.function_space(a, c))

@@ -889,7 +889,7 @@ def check_universal(sys: RefinementSystem, u, encodings: dict, etypes=None,
     for s in (etypes if etypes is not None else sys.e_types()):
         name = getattr(s, "name", s)
         if s not in encodings:
-            rep.failures.append(f"no encoding for {name}")
+            rep.check(False, f"no encoding for {name}")
             continue
         w = pullback(sys, encodings[s], u)
         if rep.check(w.etype == s, lambda: f"encoding of {name} pulls back to {w.etype.name}"):
@@ -955,7 +955,7 @@ def check_reflected(adj: AdjunctionDescriptor, u, encodings: dict,
     for t_q in (q_etypes if q_etypes is not None else q.e_types()):
         name = getattr(t_q, "name", t_q)
         if t_q not in encodings:
-            rep.failures.append(f"no encoding for q-type {name}")
+            rep.check(False, f"no encoding for q-type {name}")
             continue
         w = pullback(p, adj.r1(encodings[t_q]), adj.r_etype(u))
         if rep.check(w.etype == adj.r_etype(t_q), lambda: (
@@ -967,7 +967,7 @@ def check_reflected(adj: AdjunctionDescriptor, u, encodings: dict,
     for t in (p_etypes if p_etypes is not None else p.e_types()):
         name = getattr(t, "name", t)
         if adj.l_etype(t) not in encodings:
-            rep.failures.append(f"no encoding for L[{name}]")
+            rep.check(False, f"no encoding for L[{name}]")
             continue
         try:
             _, dn = double_negation_etypes(adj, t, u)

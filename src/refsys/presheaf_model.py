@@ -16,6 +16,14 @@ materialized functor category (size-guarded), and the residual value at a
 functor-object f is the set of natural transformations S => U(f-), encoded
 as nested tuples of images.
 
+A system builds its tensor structure once.  Product categories are keyed
+by their two factors, tensor presheaves by their two factors, and coherence
+cells by their kind and the presheaves they act on; ``FinPresheaf`` and
+``FinCategory`` equality compare names and every table, so an equal key
+gives an equal result.  The unit presheaf is built with the system.  A
+build refused with a CapabilityError is not cached, so asking again refuses
+again.
+
 ``day_star`` specializes the pushforward to a commutative monoid viewed as a
 one-object category, and ``day_star_coend`` recomputes the same presheaf by
 an independent fixpoint quotient so tests can compare the two label-for-label.
@@ -196,7 +204,12 @@ class PresheafSystem(RefinementSystem):
         self._fcat_objects: dict = {}
         self._fcat_components: dict = {}
         self._unit_cat = terminal_category()
-        self._unit_set = FinSet("1", ("*",))
+        unit_set = FinSet("1", ("*",))
+        self._unit = FinPresheaf(
+            "1", self._unit_cat, {"*": unit_set}, {"id": FinFunction.identity(unit_set)},
+        )
+        self._tensors: dict = {}
+        self._cells: dict = {}
 
     # --- index level -------------------------------------------------------------
     def i_types(self) -> tuple:
@@ -392,6 +405,9 @@ class PresheafSystem(RefinementSystem):
         )
 
     def tensor_etype(self, s: FinPresheaf, t: FinPresheaf) -> FinPresheaf:
+        st = self._tensors.get((s, t))
+        if st is not None:
+            return st
         cat = self.tensor_itype(s.cat, t.cat)
         name = f"({s.name}x{t.name})"
         ob = {}
@@ -408,13 +424,11 @@ class PresheafSystem(RefinementSystem):
                 ob[(a, b)], ob[(a2, b2)],
                 {(x, y): (s.ar[u](x), t.ar[v](y)) for (x, y) in ob[(a, b)].elements},
             )
-        return FinPresheaf(name, cat, ob, ar)
+        st = self._tensors[s, t] = FinPresheaf(name, cat, ob, ar)
+        return st
 
     def unit_etype(self) -> FinPresheaf:
-        return FinPresheaf(
-            "1", self._unit_cat, {"*": self._unit_set},
-            {"id": FinFunction.identity(self._unit_set)},
-        )
+        return self._unit
 
     def tensor_interp(self, m: NatTransOver, n: NatTransOver) -> NatTransOver:
         src = self.tensor_etype(m.src, n.src)
@@ -431,6 +445,10 @@ class PresheafSystem(RefinementSystem):
         return NatTransOver(src, expr, dst, comps, check=False)
 
     def coherence_cell(self, kind: str, etypes: tuple):
+        etypes = tuple(etypes)
+        cell = self._cells.get((kind, etypes))
+        if cell is not None:
+            return cell
         if kind in ("assoc", "assoc_inv"):
             s, t, v = etypes
             lhs_e = self.tensor_etype(self.tensor_etype(s, t), v)
@@ -445,7 +463,7 @@ class PresheafSystem(RefinementSystem):
                 el_map = lambda e: ((e[0], e[1][0]), e[1][1])
         elif kind in ("unit_l", "unit_l_inv"):
             (s,) = etypes
-            us = self.tensor_etype(self.unit_etype(), s)
+            us = self.tensor_etype(self._unit, s)
             if kind == "unit_l":
                 src_e, dst_e = us, s
                 ob_map = lambda o: o[1]
@@ -456,7 +474,7 @@ class PresheafSystem(RefinementSystem):
                 el_map = lambda e: ("*", e)
         elif kind in ("unit_r", "unit_r_inv"):
             (s,) = etypes
-            su = self.tensor_etype(s, self.unit_etype())
+            su = self.tensor_etype(s, self._unit)
             if kind == "unit_r":
                 src_e, dst_e = su, s
                 ob_map = lambda o: o[0]
@@ -490,7 +508,8 @@ class PresheafSystem(RefinementSystem):
             for o in src_c.objects
         }
         interp = NatTransOver(src_e, expr, dst_e, comps, check=False)
-        return expr, src_e, dst_e, interp
+        cell = self._cells[kind, etypes] = (expr, src_e, dst_e, interp)
+        return cell
 
     # --- residuals: functor categories and ends --------------------------------------------
     def functor_category(self, a: FinCategory, c: FinCategory) -> FinCategory:

@@ -18,16 +18,22 @@ whose carriers coincide (the cartesian tensor is symmetric, so both are the
 plain function space).  The index level is cartesian closed, so its
 carriers (products, function spaces, the unit 1 = {*}) and its tables
 (pairing, coherence cells, evaluation, currying) come from the system's
-:class:`refsys.cartesian.CartesianKit`, which caches the carriers and
-refuses any larger than ``max_carrier`` with a CapabilityError.  This
-module adds what is particular to subsets: the subsets over those carriers,
-and the residuals, built directly rather than by filtering the function
-space.  A function in [A->C] is the tuple of its values in A's order, the
-space lists them in lexicographic order, so { t | t(S) <= U } is the
-mixed-radix product of U's indices at the positions in S and all of C's
-elsewhere, |U|^|S| * |C|^(|A|-|S|) tuples picked from the space by index.
-The guard applies to the function space, which every residual is built
-inside.
+:class:`refsys.cartesian.CartesianKit`, which builds each carrier,
+pairing and coherence cell once and refuses any carrier larger than
+``max_carrier`` with a CapabilityError.  The system itself builds each
+tensor subset once, keyed by its two factors, each coherence cell once,
+keyed by its kind and subsets (equal subsets have equal carriers and
+elements, so an equal key gives an equal result), and the unit subset with
+the system.
+
+This module adds what is particular to subsets: the subsets over those
+carriers, and the residuals, built directly rather than by filtering the
+function space.  A function in [A->C] is the tuple of its values in A's
+order, the space lists them in lexicographic order, so { t | t(S) <= U } is
+the mixed-radix product of U's indices at the positions in S and all of
+C's elsewhere, |U|^|S| * |C|^(|A|-|S|) tuples picked from the space by
+index.  The guard applies to the function space, which every residual is
+built inside.
 """
 from __future__ import annotations
 
@@ -49,7 +55,8 @@ class Subset:
 
     def __post_init__(self):
         for x in self.elements:
-            assert x in self.of, f"element {x!r} outside carrier {self.of.name!r}"
+            if x not in self.of:
+                raise ValidationError(f"element {x!r} outside carrier {self.of.name!r}")
 
     @cached_property
     def name(self) -> str:
@@ -84,12 +91,13 @@ class SubsetMor:
     dst: Subset
 
     def __post_init__(self):
-        assert self.expr.dom == self.src.of and self.expr.cod == self.dst.of, \
-            "morphism boundaries do not match the expression"
+        if not (self.expr.dom == self.src.of and self.expr.cod == self.dst.of):
+            raise ValidationError("morphism boundaries do not match the expression")
         for x in self.src.elements:
-            assert self.expr(x) in self.dst, (
-                f"{self.expr.name!r} does not map {self.src.name} into {self.dst.name}"
-            )
+            if self.expr(x) not in self.dst:
+                raise ValidationError(
+                    f"{self.expr.name!r} does not map {self.src.name} into {self.dst.name}"
+                )
 
 
 class SubsetSystem(RefinementSystem):
@@ -108,6 +116,9 @@ class SubsetSystem(RefinementSystem):
         assert len({a.name for a in self._sets}) == len(self._sets), "duplicate set names"
         self.kit = CartesianKit(max_carrier)
         self._id_cache: dict = {}
+        self._unit = full_subset(self.kit.unit)
+        self._tensors: dict = {}
+        self._cells: dict = {}
 
     # --- index level -------------------------------------------------------
     def i_types(self) -> tuple:
@@ -219,13 +230,17 @@ class SubsetSystem(RefinementSystem):
         return self.kit.pairing(f, g)
 
     def tensor_etype(self, s: Subset, t: Subset) -> Subset:
-        return Subset(
-            self.kit.product(s.of, t.of),
-            frozenset(itertools.product(s.elements, t.elements)),
-        )
+        st = self._tensors.get((s, t))
+        if st is None:
+            st = Subset(
+                self.kit.product(s.of, t.of),
+                frozenset(itertools.product(s.elements, t.elements)),
+            )
+            self._tensors[s, t] = st
+        return st
 
     def unit_etype(self) -> Subset:
-        return full_subset(self.kit.unit)
+        return self._unit
 
     def tensor_interp(self, m: SubsetMor, n: SubsetMor) -> SubsetMor:
         return SubsetMor(
@@ -235,9 +250,13 @@ class SubsetSystem(RefinementSystem):
         )
 
     def coherence_cell(self, kind: str, etypes: tuple):
-        expr = self.kit.cell(kind, tuple(s.of for s in etypes))
-        src, dst = cell_ends(kind, etypes, self.tensor_etype, self.unit_etype())
-        return expr, src, dst, SubsetMor(src, expr, dst)
+        etypes = tuple(etypes)
+        cell = self._cells.get((kind, etypes))
+        if cell is None:
+            expr = self.kit.cell(kind, tuple(s.of for s in etypes))
+            src, dst = cell_ends(kind, etypes, self.tensor_etype, self._unit)
+            cell = self._cells[kind, etypes] = (expr, src, dst, SubsetMor(src, expr, dst))
+        return cell
 
     # --- residuals: subsets of the kit's function spaces ------------------------
     def function_space(self, a: FinSet, c: FinSet) -> FinSet:

@@ -14,8 +14,9 @@ product of sets, residuals are full function spaces, and the coherence
 cells are honest bijections.  The refinement level is cartesian closed, so
 these carriers and tables (products, function spaces, pairing, coherence
 cells, evaluation plugL/plugR and currying lc/rc) come from the system's
-:class:`refsys.cartesian.CartesianKit`, which caches the carriers and
-refuses any larger than ``max_carrier`` with a CapabilityError.
+:class:`refsys.cartesian.CartesianKit`, which builds each carrier,
+pairing and coherence cell once and refuses any carrier larger than
+``max_carrier`` with a CapabilityError.
 """
 from __future__ import annotations
 

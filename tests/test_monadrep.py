@@ -145,6 +145,20 @@ def test_universal_type_and_reflection():
     assert len(strict) == 10
 
 
+def test_a_missing_encoding_is_a_counted_failure():
+    sys, truth, encodings = build_classifier_system(sizes=(1, 2))
+    missing = next(t for t in sys.e_types() if t.of.name == "A2")
+    partial = {t: e for t, e in encodings.items() if t != missing}
+    rep = check_universal(sys, truth, partial, etypes=(missing,))
+    assert rep.failures == [f"no encoding for {missing.name}"]
+    assert rep.checked >= len(rep.failures)
+    ref = check_reflected(identity_adjunction(sys), truth, partial,
+                          q_etypes=(missing,), p_etypes=(missing,))
+    assert ref.failures == [f"no encoding for q-type {missing.name}",
+                            f"no encoding for L[{missing.name}]"]
+    assert ref.checked >= len(ref.failures)
+
+
 def test_representation_theorem_isos():
     sys, truth, encodings = build_classifier_system(sizes=(1, 2))
     adj = identity_adjunction(sys)

@@ -520,7 +520,7 @@ GOLDEN = DATA.parent.parent.parent / "perfbench" / "golden"
 
 
 @pytest.mark.parametrize("sig", ["trivial2", "classifier", "hoare4", "continuation", "z4",
-                                 "presheaf_arrow", "day_z2"])
+                                 "presheaf_arrow", "day_z2", "squaring"])
 def test_laws_all_matches_the_recorded_report(capsys, sig):
     rc, out, _ = run(capsys, "laws", data_file(f"{sig}.json"), "all", "--json")
     assert rc == 0

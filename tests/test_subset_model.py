@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,11 +12,14 @@ from refsys.fincat import FinFunction, FinSet, all_functions
 from refsys.kernel import CapabilityError, LawViolation, ValidationError
 from refsys.subset_model import (
     HoareProgram,
+    SubsetMor,
     build_classifier_system,
     build_subset_system,
     full_subset,
     subset,
 )
+
+from conftest import DATA
 
 
 def test_subset_validation():
@@ -21,8 +27,40 @@ def test_subset_validation():
     s = subset(a, (3, 1))
     assert s.elements == frozenset({1, 3})
     assert s.name == "{1,3}:A"
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValidationError, match="outside carrier"):
         subset(a, (4,))
+
+
+def test_subset_morphism_validation():
+    a, b = FinSet("A", (1, 2)), FinSet("B", (1, 2))
+    f = FinFunction("f", a, a, {1: 2, 2: 2})
+    assert SubsetMor(subset(a, (1,)), f, subset(a, (2,))).expr is f
+    with pytest.raises(ValidationError, match="does not map"):
+        SubsetMor(subset(a, (1,)), f, subset(a, (1,)))
+    with pytest.raises(ValidationError, match="boundaries"):
+        SubsetMor(subset(b, (1,)), f, subset(a, (2,)))
+
+
+def test_subset_validation_under_optimize():
+    # the checks raise explicitly, so `python -O` (which strips asserts) still refuses
+    code = """
+from refsys.fincat import FinFunction, FinSet
+from refsys.kernel import ValidationError
+from refsys.subset_model import SubsetMor, subset
+a = FinSet("A", (1, 2))
+f = FinFunction("f", a, a, {1: 2, 2: 2})
+for build in (lambda: subset(a, (3,)), lambda: SubsetMor(subset(a, (1,)), f, subset(a, (1,)))):
+    try:
+        build()
+    except ValidationError as exc:
+        print(exc)
+"""
+    env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "element 3 outside carrier 'A'", "'f' does not map {1}:A into {1}:A"]
 
 
 def test_e_types_counts(small_sys):
