@@ -15,6 +15,15 @@ their carriers and structural tables from one :class:`CartesianKit`:
     currying      lc f : B -> [A->C]           rc f : A -> [B->C]
                   for f : A x B -> C
 
+Every table is built as an index table (see
+:class:`refsys.fincat.FinFunction`), from positions alone.  A product lists
+its pairs lexicographically, so (a_i, b_j) sits at position i*|B| + j: the
+pairing sends i*|B| + j to f.idx[i]*|B'| + g.idx[j], and a coherence cell
+only regroups, so it keeps every position.  The function at position k of
+[A->C] has its values at the positions given by the base-|C| digits of k,
+most significant first: evaluation reads a digit of k, and currying writes
+the digits of a row or column of f's table.
+
 Products, function spaces, pairings and coherence cells are built once per
 kit, so asking again returns the same object.  Products and function spaces
 are keyed by their factors and cells by their kind and the sets they act
@@ -31,19 +40,11 @@ from __future__ import annotations
 import itertools
 
 from .fincat import FinFunction, FinSet
-from .kernel import CapabilityError
+from .kernel import CapabilityError, MismatchError
 
 DEFAULT_MAX_CARRIER = 200_000
 
-# each coherence cell as a map on elements, from its source to its target
-_RESHAPE = {
-    "assoc": lambda p: (p[0][0], (p[0][1], p[1])),
-    "assoc_inv": lambda p: ((p[0], p[1][0]), p[1][1]),
-    "unit_l": lambda p: p[1],
-    "unit_l_inv": lambda x: ("*", x),
-    "unit_r": lambda p: p[0],
-    "unit_r_inv": lambda x: (x, "*"),
-}
+_CELL_KINDS = ("assoc", "assoc_inv", "unit_l", "unit_l_inv", "unit_r", "unit_r_inv")
 
 
 def cell_ends(kind: str, operands: tuple, tensor, unit) -> tuple:
@@ -52,7 +53,7 @@ def cell_ends(kind: str, operands: tuple, tensor, unit) -> tuple:
     Models apply this to their own types: the kit to carriers, the subset
     model to the subsets over them.
     """
-    if kind not in _RESHAPE:
+    if kind not in _CELL_KINDS:
         raise CapabilityError(f"unknown coherence cell {kind!r}")
     base = kind.removesuffix("_inv")
     if base == "assoc":
@@ -86,8 +87,8 @@ class CartesianKit:
         p = self._products.get((a, b))
         if p is None:
             self._guard(len(a) * len(b), f"product ({a.name}x{b.name})")
-            p = FinSet(f"({a.name}x{b.name})",
-                       tuple(itertools.product(a.elements, b.elements)))
+            p = FinSet._distinct(f"({a.name}x{b.name})",
+                                 tuple(itertools.product(a.elements, b.elements)))
             self._products[a, b] = p
             self._factors[p] = (a, b)
         return p
@@ -103,8 +104,8 @@ class CartesianKit:
         fs = self._spaces.get((a, c))
         if fs is None:
             self._guard(len(c) ** len(a), f"function space [{a.name}->{c.name}]")
-            fs = FinSet(f"[{a.name}->{c.name}]",
-                        tuple(itertools.product(c.elements, repeat=len(a))))
+            fs = FinSet._distinct(f"[{a.name}->{c.name}]",
+                                  tuple(itertools.product(c.elements, repeat=len(a))))
             self._spaces[a, c] = fs
         return fs
 
@@ -112,9 +113,12 @@ class CartesianKit:
         key = (id(f), id(g))
         entry = self._pairings.get(key)
         if entry is None:
-            dom = self.product(f.dom, g.dom)
-            fg = FinFunction(f"({f.name}x{g.name})", dom, self.product(f.cod, g.cod),
-                             {(x, y): (f(x), g(y)) for x, y in dom.elements})
+            n = len(g.cod)
+            fg = FinFunction._from_idx(
+                f"({f.name}x{g.name})", self.product(f.dom, g.dom),
+                self.product(f.cod, g.cod),
+                tuple([i * n + j for i in f.idx for j in g.idx]),
+            )
             # holding f and g keeps their ids from being reused while the entry lives
             entry = self._pairings[key] = (f, g, fg)
         return entry[2]
@@ -125,27 +129,54 @@ class CartesianKit:
         if c is None:
             src, dst = cell_ends(kind, sets, self.product, self.unit)
             name = f"{kind.replace('unit_', 'unit')}[{','.join(a.name for a in sets)}]"
-            reshape = _RESHAPE[kind]
-            c = FinFunction(name, src, dst, {x: reshape(x) for x in src.elements})
+            # regrouping keeps the lexicographic position of every element
+            c = FinFunction._from_idx(name, src, dst, tuple(range(len(src))))
             self._cells[kind, sets] = c
         return c
 
     def plug_l(self, a: FinSet, c: FinSet) -> FinFunction:
-        dom = self.product(a, self.function_space(a, c))
-        return FinFunction(f"plugL[{a.name},{c.name}]", dom, c,
-                           {(x, t): t[a.index(x)] for x, t in dom.elements})
+        fs = self.function_space(a, c)
+        n, m = len(c), len(a)
+        # (x_i, t_k) is sent to t_k's i-th value, whose position is digit i of k
+        idx: list = []
+        for i in range(m):
+            idx.extend([d for d in range(n) for _ in range(n ** (m - 1 - i))] * n ** i)
+        return FinFunction._from_idx(f"plugL[{a.name},{c.name}]",
+                                     self.product(a, fs), c, tuple(idx))
 
     def plug_r(self, c: FinSet, b: FinSet) -> FinFunction:
-        dom = self.product(self.function_space(b, c), b)
-        return FinFunction(f"plugR[{c.name},{b.name}]", dom, c,
-                           {(t, x): t[b.index(x)] for t, x in dom.elements})
+        fs = self.function_space(b, c)
+        # (t_k, y_j) is sent to t_k's j-th value, whose position is digit j of k
+        idx = itertools.chain.from_iterable(itertools.product(range(len(c)), repeat=len(b)))
+        return FinFunction._from_idx(f"plugR[{c.name},{b.name}]",
+                                     self.product(fs, b), c, tuple(idx))
 
     def curry_l(self, f: FinFunction, a: FinSet, b: FinSet) -> FinFunction:
         """lc f : B -> [A->C] for f : A x B -> C."""
-        return FinFunction(f"lc({f.name})", b, self.function_space(a, f.cod),
-                           {y: tuple(f((x, y)) for x in a.elements) for y in b.elements})
+        self._require_product(f, a, b)
+        nb, n = len(b), len(f.cod)
+        return FinFunction._from_idx(
+            f"lc({f.name})", b, self.function_space(a, f.cod),
+            tuple(_position(f.idx[j::nb], n) for j in range(nb)),
+        )
 
     def curry_r(self, f: FinFunction, a: FinSet, b: FinSet) -> FinFunction:
         """rc f : A -> [B->C] for f : A x B -> C."""
-        return FinFunction(f"rc({f.name})", a, self.function_space(b, f.cod),
-                           {x: tuple(f((x, y)) for y in b.elements) for x in a.elements})
+        self._require_product(f, a, b)
+        nb, n = len(b), len(f.cod)
+        return FinFunction._from_idx(
+            f"rc({f.name})", a, self.function_space(b, f.cod),
+            tuple(_position(f.idx[i * nb:(i + 1) * nb], n) for i in range(len(a))),
+        )
+
+    def _require_product(self, f: FinFunction, a: FinSet, b: FinSet) -> None:
+        if f.dom != self.product(a, b):
+            raise MismatchError(f"cannot curry {f.name!r}: its domain is not ({a.name}x{b.name})")
+
+
+def _position(values: tuple, n: int) -> int:
+    """Position in [A->C] of the function whose values sit at these positions of C."""
+    k = 0
+    for v in values:
+        k = k * n + v
+    return k

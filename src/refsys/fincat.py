@@ -4,6 +4,16 @@ Everything here is a plain lookup table.  Elements and arrow names may be any
 hashable values (strings, ints, nested tuples); a deterministic total order on
 them is provided by :func:`canon_key` so that constructed carriers and reports
 are byte-stable.
+
+A :class:`FinSet` fixes the order of its elements, and a :class:`FinFunction`
+is stored against those orders: a tuple holding, for each domain element, the
+position of its value in the codomain.  Composition gathers one tuple through
+another, and equality and hashing compare tuples.  Tables are checked in one
+place, the public ``FinFunction`` constructor, which takes an element table
+(as a signature file gives it) and raises ValidationError on a bad one.
+Results that are valid by construction (composites, identities, enumerated
+tables) are wrapped from index tuples without a second check.  Every check
+raises explicitly, so it also runs under ``python -O``.
 """
 from __future__ import annotations
 
@@ -12,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterator
 
-from .kernel import ValidationError
+from .kernel import MismatchError, ValidationError
 
 
 def canon_key(x: Any) -> tuple:
@@ -40,21 +50,35 @@ class FinSet:
 
     def __init__(self, name: str, elements: tuple):
         elements = tuple(elements)
-        assert len(set(elements)) == len(elements), f"duplicate elements in {name!r}"
+        if len(set(elements)) != len(elements):
+            raise ValidationError(f"duplicate elements in {name!r}")
         self.name = name
         self.elements = elements
         self._index = None
         self._hash = None
 
-    def index(self, x: Any) -> int:
+    @classmethod
+    def _distinct(cls, name: str, elements: tuple) -> "FinSet":
+        """A set whose elements are distinct by construction (a product of
+        sets, a function space), built without the duplicate check."""
+        a = cls.__new__(cls)
+        a.name = name
+        a.elements = elements
+        a._index = None
+        a._hash = None
+        return a
+
+    def positions(self) -> dict:
+        """Element -> its position in the canonical order, built on first use."""
         if self._index is None:
             self._index = {e: i for i, e in enumerate(self.elements)}
-        return self._index[x]
+        return self._index
+
+    def index(self, x: Any) -> int:
+        return self.positions()[x]
 
     def __contains__(self, x: Any) -> bool:
-        if self._index is None:
-            self._index = {e: i for i, e in enumerate(self.elements)}
-        return x in self._index
+        return x in self.positions()
 
     def __iter__(self):
         return iter(self.elements)
@@ -79,73 +103,122 @@ class FinSet:
 
 
 class FinFunction:
-    """A total function between finite sets, stored as a lookup table.
+    """A total function between finite sets, stored as a table of indices.
+
+    ``idx[i]`` is the position in ``cod`` of the value at the i-th element of
+    ``dom`` (both in canonical order), so composition is an index gather and
+    equality a tuple comparison.  ``mapping``, ``__call__`` and ``image``
+    read the table in terms of elements; ``mapping`` is a dict built on first
+    use.
+
+    The public constructor takes an element table and is the one place where
+    a table is checked: it raises ValidationError unless the table covers
+    exactly the domain with values in the codomain.  ``_from_idx`` wraps an
+    index tuple without checking it, for results that are valid by
+    construction (composites, identities, enumerated tables, the tables of
+    :class:`refsys.cartesian.CartesianKit`).
 
     Equality ignores the name: two functions are equal iff they have equal
     boundaries and equal tables.  That is what makes conversion-style
     reasoning ("these two composites are the same expression") decidable.
     """
 
-    __slots__ = ("name", "dom", "cod", "mapping", "_hash")
+    __slots__ = ("name", "dom", "cod", "idx", "_mapping", "_hash")
 
     def __init__(self, name: str, dom: FinSet, cod: FinSet, mapping: dict):
-        assert set(mapping) == set(dom.elements), f"{name!r}: table domain mismatch"
-        for x, y in mapping.items():
-            assert y in cod, f"{name!r}: value {y!r} at {x!r} not in codomain {cod.name!r}"
+        at = cod.positions()
+        try:
+            idx = tuple([at[mapping[x]] for x in dom.elements])
+        except (KeyError, TypeError):
+            idx = None
+        if idx is None or len(mapping) != len(idx):
+            raise ValidationError(_table_fault(name, dom, cod, mapping))
         self.name = name
         self.dom = dom
         self.cod = cod
-        self.mapping = mapping
+        self.idx = idx
+        self._mapping = None
         self._hash = None
 
+    @classmethod
+    def _from_idx(cls, name: str, dom: FinSet, cod: FinSet, idx: tuple) -> "FinFunction":
+        """The function with index table idx, which must be valid: one
+        position in cod for each element of dom.  Not checked."""
+        f = cls.__new__(cls)
+        f.name = name
+        f.dom = dom
+        f.cod = cod
+        f.idx = idx
+        f._mapping = None
+        f._hash = None
+        return f
+
+    @property
+    def mapping(self) -> dict:
+        if self._mapping is None:
+            cod = self.cod.elements
+            self._mapping = dict(zip(self.dom.elements, [cod[j] for j in self.idx]))
+        return self._mapping
+
     def __call__(self, x: Any) -> Any:
-        return self.mapping[x]
+        return self.cod.elements[self.idx[self.dom.positions()[x]]]
 
     def then(self, other: "FinFunction") -> "FinFunction":
         """Diagrammatic composite self;other."""
-        assert self.cod == other.dom, (
-            f"cannot compose {self.name!r} : ..->{self.cod.name!r} "
-            f"with {other.name!r} : {other.dom.name!r}->.."
-        )
-        return FinFunction(
-            f"{self.name};{other.name}",
-            self.dom,
-            other.cod,
-            {x: other.mapping[y] for x, y in self.mapping.items()},
+        if self.cod != other.dom:
+            raise MismatchError(
+                f"cannot compose {self.name!r} : ..->{self.cod.name!r} "
+                f"with {other.name!r} : {other.dom.name!r}->.."
+            )
+        o = other.idx
+        return FinFunction._from_idx(
+            f"{self.name};{other.name}", self.dom, other.cod, tuple([o[i] for i in self.idx])
         )
 
     @staticmethod
     def identity(a: FinSet) -> "FinFunction":
-        return FinFunction(f"id_{a.name}", a, a, {x: x for x in a.elements})
+        return FinFunction._from_idx(f"id_{a.name}", a, a, tuple(range(len(a))))
 
     def image(self, elems) -> frozenset:
-        return frozenset(self.mapping[x] for x in elems)
+        at, idx, cod = self.dom.positions(), self.idx, self.cod.elements
+        return frozenset([cod[idx[at[x]]] for x in elems])
 
     def __eq__(self, other):
         if self is other:
             return True
         if not isinstance(other, FinFunction):
             return NotImplemented
-        return self.dom == other.dom and self.cod == other.cod and self.mapping == other.mapping
+        return self.idx == other.idx and self.dom == other.dom and self.cod == other.cod
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.dom.name, self.cod.name, len(self.mapping)))
+            self._hash = hash((self.dom.name, self.cod.name, self.idx))
         return self._hash
 
     def __repr__(self):
         return f"FinFunction({self.name!r}: {self.dom.name} -> {self.cod.name})"
 
 
+def _table_fault(name: str, dom: FinSet, cod: FinSet, mapping: dict) -> str:
+    """Why mapping is not a table dom -> cod."""
+    for x in dom.elements:
+        if x not in mapping:
+            break
+        y = mapping[x]
+        try:
+            ok = y in cod
+        except TypeError:
+            ok = False
+        if not ok:
+            return f"{name!r}: value {y!r} at {x!r} not in codomain {cod.name!r}"
+    return f"{name!r}: table domain mismatch"
+
+
 def all_functions(dom: FinSet, cod: FinSet, name_prefix: str = "f") -> Iterator[FinFunction]:
-    """Lazily enumerate every function dom -> cod in a deterministic order."""
-    if len(dom) == 0:
-        yield FinFunction(f"{name_prefix}0", dom, cod, {})
-        return
-    for i, values in enumerate(itertools.product(cod.elements, repeat=len(dom))):
-        yield FinFunction(
-            f"{name_prefix}{i}", dom, cod, dict(zip(dom.elements, values))
-        )
+    """Lazily enumerate every function dom -> cod in a deterministic order:
+    lexicographic in the codomain positions of dom's elements."""
+    for i, idx in enumerate(itertools.product(range(len(cod)), repeat=len(dom))):
+        yield FinFunction._from_idx(f"{name_prefix}{i}", dom, cod, idx)
 
 
 class FinCategory:
@@ -179,6 +252,11 @@ class FinCategory:
         for o, i in self.identities.items():
             if self.arrows[i] != (o, o):
                 raise ValidationError(f"identity of {o!r} has wrong endpoints")
+        # after[i][j] = k when arrow k is arrow i;arrow j, numbering the arrows
+        # in order: a name may be a nested tuple, which costs a hash per lookup
+        names = tuple(self.arrows)
+        number = {a: i for i, a in enumerate(names)}
+        after: list = [{} for _ in names]
         for a, (_, da) in self.arrows.items():
             for b, (sb, db) in self.arrows.items():
                 if da == sb:
@@ -187,6 +265,7 @@ class FinCategory:
                         raise ValidationError(f"missing composite {a!r};{b!r}")
                     if self.arrows[c] != (self.arrows[a][0], db):
                         raise ValidationError(f"composite {a!r};{b!r} has wrong endpoints")
+                    after[number[a]][number[b]] = number[c]
                 elif (a, b) in self.composition:
                     raise ValidationError(f"composite of non-composable pair {a!r};{b!r}")
         for a, (s, d) in self.arrows.items():
@@ -194,17 +273,14 @@ class FinCategory:
                 raise ValidationError(f"left unit fails at {a!r}")
             if self.composition[(a, self.identities[d])] != a:
                 raise ValidationError(f"right unit fails at {a!r}")
-        for a, (_, da) in self.arrows.items():
-            for b, (sb, db) in self.arrows.items():
-                if da != sb:
-                    continue
-                for c, (sc, _) in self.arrows.items():
-                    if db != sc:
-                        continue
-                    left = self.composition[(self.composition[(a, b)], c)]
-                    right = self.composition[(a, self.composition[(b, c)])]
-                    if left != right:
-                        raise ValidationError(f"associativity fails at {a!r};{b!r};{c!r}")
+        for a, then_a in enumerate(after):
+            for b, ab in then_a.items():
+                then_ab, then_b = after[ab], after[b]
+                if [then_ab[c] for c in then_b] != [then_a[bc] for bc in then_b.values()]:
+                    c = next(c for c, bc in then_b.items() if then_ab[c] != then_a[bc])
+                    raise ValidationError(
+                        f"associativity fails at {names[a]!r};{names[b]!r};{names[c]!r}"
+                    )
 
     def src(self, a) -> Any:
         return self.arrows[a][0]
@@ -325,7 +401,8 @@ class FinFunctor:
         return self.arrow_map[a]
 
     def then(self, other: "FinFunctor") -> "FinFunctor":
-        assert self.cod == other.dom
+        if self.cod != other.dom:
+            raise MismatchError(f"cannot compose functors {self.name!r} and {other.name!r}")
         return FinFunctor(
             f"{self.name};{other.name}", self.dom, other.cod,
             {x: other.object_map[y] for x, y in self.object_map.items()},

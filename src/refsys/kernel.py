@@ -256,7 +256,7 @@ def well_formed(sys: RefinementSystem, s, f, t) -> bool:
     """Boundary check: f must run from the index of s to the index of t."""
     try:
         return sys.expr_dom(f) == sys.refines(s) and sys.expr_cod(f) == sys.refines(t)
-    except (KeyError, AssertionError):
+    except (KeyError, IllFormedError, AssertionError):
         return False
 
 

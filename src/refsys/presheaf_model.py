@@ -38,6 +38,7 @@ from .fincat import (
     FinFunction,
     FinFunctor,
     FinSet,
+    all_functions,
     canon_key,
     enumerate_functors,
     product_category,
@@ -76,8 +77,11 @@ class FinPresheaf:
         for o in cat.objects:
             if self.ar[cat.identity(o)] != FinFunction.identity(self.ob[o]):
                 raise ValidationError(f"{name!r}: identity of {o!r} not sent to the identity")
+        # the boundaries match, so u;v is respected iff the index tables compose
+        idx = {u: fu.idx for u, fu in self.ar.items()}
         for (u, v), w in cat.composition.items():
-            if self.ar[u].then(self.ar[v]) != self.ar[w]:
+            iv = idx[v]
+            if tuple([iv[i] for i in idx[u]]) != idx[w]:
                 raise ValidationError(f"{name!r}: action does not respect {u!r};{v!r}")
 
     def value(self, o) -> FinSet:
@@ -110,7 +114,7 @@ def same_values(p: FinPresheaf, q: FinPresheaf) -> bool:
         if p.ob[o].elements != q.ob[o].elements:
             return False
     for u in p.cat.arrows:
-        if p.ar[u].mapping != q.ar[u].mapping:
+        if p.ar[u].idx != q.ar[u].idx:
             return False
     return True
 
@@ -252,12 +256,7 @@ class PresheafSystem(RefinementSystem):
         spaces = []
         for a in objs:
             dom, cod = s.ob[a], t.ob[f.ob(a)]
-            tables = []
-            for i, values in enumerate(itertools.product(cod.elements, repeat=len(dom))):
-                tables.append(FinFunction(
-                    f"c{i}", dom, cod, dict(zip(dom.elements, values))
-                ))
-            spaces.append(tables)
+            spaces.append(list(all_functions(dom, cod, name_prefix="c")))
         for choice in itertools.product(*spaces):
             components = dict(zip(objs, choice))
             ok = True
@@ -486,16 +485,19 @@ class PresheafSystem(RefinementSystem):
         else:
             raise CapabilityError(f"unknown coherence cell {kind!r}")
         src_c, dst_c = src_e.cat, dst_e.cat
+        # arrows regroup as objects do, except that the unit's arrow is "id"
+        if kind == "unit_l_inv":
+            ar_map = lambda u: ("id", u)
+        elif kind == "unit_r_inv":
+            ar_map = lambda u: (u, "id")
+        else:
+            ar_map = ob_map
         arrow_map = {}
         for u, (o1, o2) in src_c.arrows.items():
-            target = ob_map(o1), ob_map(o2)
-            cand = None
-            for w, (p1, p2) in dst_c.arrows.items():
-                if (p1, p2) == target and _arrow_matches(kind, u, w):
-                    cand = w
-                    break
-            assert cand is not None
-            arrow_map[u] = cand
+            w = ar_map(u)
+            if dst_c.arrows.get(w) != (ob_map(o1), ob_map(o2)):
+                raise ValidationError(f"{kind} cell: {dst_c.name} has no arrow {w!r}")
+            arrow_map[u] = w
         expr = FinFunctor.unchecked(
             f"{kind}[{src_c.name}]", src_c, dst_c,
             {o: ob_map(o) for o in src_c.objects}, arrow_map,
@@ -784,22 +786,6 @@ class PresheafSystem(RefinementSystem):
                 mapping[x] = enc
             comps[a] = FinFunction(f"rcur@{render_elem(a)}", v.ob[a], cod, mapping)
         return NatTransOver(v, expr, res, comps, check=False)
-
-
-def _arrow_matches(kind: str, u, w) -> bool:
-    """Does product-category arrow w equal the regrouping of arrow u?"""
-    if kind.startswith("assoc"):
-        if kind == "assoc":
-            return w == (u[0][0], (u[0][1], u[1]))
-        return w == ((u[0], u[1][0]), u[1][1])
-    if kind == "unit_l":
-        return w == u[1]
-    if kind == "unit_l_inv":
-        return w == ("id", u)
-    if kind == "unit_r":
-        return w == u[0]
-    assert kind == "unit_r_inv"
-    return w == (u, "id")
 
 
 def build_presheaf_system(cats, presheaves, name: str = "presheaf",

@@ -34,6 +34,12 @@ the mixed-radix product of U's indices at the positions in S and all of
 C's elsewhere, |U|^|S| * |C|^(|A|-|S|) tuples picked from the space by
 index.  The guard applies to the function space, which every residual is
 built inside.
+
+``Subset`` and ``SubsetMor`` check their members when built from outside.
+Results that are valid by construction skip that check: residuals and
+tensors (their members are drawn from the carrier), and the morphisms of
+``morphisms_over`` (just checked by ``holds``), identities, cuts and
+pairings (each step maps into the next).
 """
 from __future__ import annotations
 
@@ -44,7 +50,28 @@ from typing import Iterator
 
 from .cartesian import DEFAULT_MAX_CARRIER, CartesianKit, cell_ends
 from .fincat import FinFunction, FinSet, all_functions, render_elem
-from .kernel import IllFormedError, LawViolation, RefinementSystem, ValidationError
+from .kernel import (
+    CapabilityError,
+    IllFormedError,
+    LawViolation,
+    MismatchError,
+    RefinementSystem,
+    ValidationError,
+)
+
+MAX_ENUMERATED_CARRIER = 16
+
+
+def _unchecked(cls, **fields):
+    """An instance of a frozen dataclass built without its __post_init__ check.
+
+    Only for values that are valid by construction; a test compares each
+    such construction with the checked one.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -119,6 +146,8 @@ class SubsetSystem(RefinementSystem):
         self._unit = full_subset(self.kit.unit)
         self._tensors: dict = {}
         self._cells: dict = {}
+        # the last composite built, which the cut's interpretation asks for next
+        self._last_composite: tuple = (None, None, None)
 
     # --- index level -------------------------------------------------------
     def i_types(self) -> tuple:
@@ -134,7 +163,11 @@ class SubsetSystem(RefinementSystem):
         return f
 
     def compose_exprs(self, f: FinFunction, g: FinFunction) -> FinFunction:
-        return f.then(g)
+        last_f, last_g, fg = self._last_composite
+        if f is not last_f or g is not last_g:
+            fg = f.then(g)
+            self._last_composite = (f, g, fg)
+        return fg
 
     def expr_dom(self, f: FinFunction) -> FinSet:
         return f.dom
@@ -144,9 +177,14 @@ class SubsetSystem(RefinementSystem):
 
     # --- refinement level ----------------------------------------------------
     def e_types(self) -> tuple:
+        for a in self._sets:
+            if len(a) > MAX_ENUMERATED_CARRIER:
+                raise CapabilityError(
+                    f"refusing to enumerate the 2^{len(a)} subsets of {a.name!r}: "
+                    f"it has {len(a)} elements, exceeding the bound {MAX_ENUMERATED_CARRIER}"
+                )
         out = []
         for a in self._sets:
-            assert len(a) <= 16, f"refusing to enumerate 2^{len(a)} subsets of {a.name!r}"
             for mask in range(1 << len(a)):
                 out.append(Subset(a, frozenset(
                     x for i, x in enumerate(a.elements) if mask >> i & 1
@@ -165,14 +203,17 @@ class SubsetSystem(RefinementSystem):
 
     def morphisms_over(self, s: Subset, f: FinFunction, t: Subset) -> Iterator[SubsetMor]:
         if self.holds(s, f, t):
-            yield SubsetMor(s, f, t)
+            yield _unchecked(SubsetMor, src=s, expr=f, dst=t)
 
     def id_interp(self, s: Subset) -> SubsetMor:
-        return SubsetMor(s, self.id_expr(s.of), s)
+        return _unchecked(SubsetMor, src=s, expr=self.id_expr(s.of), dst=s)
 
     def compose_interps(self, m: SubsetMor, n: SubsetMor) -> SubsetMor:
-        assert m.dst == n.src
-        return SubsetMor(m.src, m.expr.then(n.expr), n.dst)
+        """The cut of two morphisms: f;g maps m.src into n.dst since each step does."""
+        if m.dst != n.src:
+            raise MismatchError(f"cut: target {m.dst.name} != subject {n.src.name}")
+        return _unchecked(SubsetMor, src=m.src, expr=self.compose_exprs(m.expr, n.expr),
+                          dst=n.dst)
 
     def interp_expr(self, m: SubsetMor) -> FinFunction:
         return m.expr
@@ -232,10 +273,9 @@ class SubsetSystem(RefinementSystem):
     def tensor_etype(self, s: Subset, t: Subset) -> Subset:
         st = self._tensors.get((s, t))
         if st is None:
-            st = Subset(
-                self.kit.product(s.of, t.of),
-                frozenset(itertools.product(s.elements, t.elements)),
-            )
+            # pairs of members of S and T are members of the product carrier
+            st = _unchecked(Subset, of=self.kit.product(s.of, t.of),
+                            elements=frozenset(itertools.product(s.elements, t.elements)))
             self._tensors[s, t] = st
         return st
 
@@ -243,10 +283,12 @@ class SubsetSystem(RefinementSystem):
         return self._unit
 
     def tensor_interp(self, m: SubsetMor, n: SubsetMor) -> SubsetMor:
-        return SubsetMor(
-            self.tensor_etype(m.src, n.src),
-            self.kit.pairing(m.expr, n.expr),
-            self.tensor_etype(m.dst, n.dst),
+        """The pairing maps S x T into S' x T' since each factor does."""
+        return _unchecked(
+            SubsetMor,
+            src=self.tensor_etype(m.src, n.src),
+            expr=self.kit.pairing(m.expr, n.expr),
+            dst=self.tensor_etype(m.dst, n.dst),
         )
 
     def coherence_cell(self, kind: str, etypes: tuple):
@@ -307,7 +349,8 @@ class SubsetSystem(RefinementSystem):
         starts = [0]
         for ds in digits:
             starts = [k * n + d for k in starts for d in ds]
-        return Subset(fs, frozenset(itertools.chain.from_iterable(
+        # every member is taken from fs.elements, so it needs no membership check
+        return _unchecked(Subset, of=fs, elements=frozenset(itertools.chain.from_iterable(
             fs.elements[k * run:(k + 1) * run] for k in starts
         )))
 

@@ -24,10 +24,20 @@ from typing import Iterator
 
 from .cartesian import DEFAULT_MAX_CARRIER, CartesianKit
 from .fincat import FinFunction, FinSet, all_functions
-from .kernel import RefinementSystem
+from .kernel import IllFormedError, MismatchError, RefinementSystem
 
 POINT = "*"
 POINT_EXPR = "id"
+
+
+def _require_point(a) -> None:
+    if a != POINT:
+        raise IllFormedError(f"unknown index type {a!r}: the only one is {POINT!r}")
+
+
+def _require_expr(f, error=IllFormedError) -> None:
+    if f != POINT_EXPR:
+        raise error(f"unknown expression {f!r}: the only one is {POINT_EXPR!r}")
 
 
 class TrivialSystem(RefinementSystem):
@@ -50,23 +60,25 @@ class TrivialSystem(RefinementSystem):
         return (POINT,)
 
     def expressions(self, a, b) -> Iterator[str]:
-        assert a == POINT and b == POINT
-        yield POINT_EXPR
+        _require_point(a)
+        _require_point(b)
+        return iter((POINT_EXPR,))
 
     def id_expr(self, a) -> str:
-        assert a == POINT
+        _require_point(a)
         return POINT_EXPR
 
     def compose_exprs(self, f: str, g: str) -> str:
-        assert f == POINT_EXPR and g == POINT_EXPR
+        _require_expr(f, MismatchError)
+        _require_expr(g, MismatchError)
         return POINT_EXPR
 
     def expr_dom(self, f: str):
-        assert f == POINT_EXPR, f"unknown expression {f!r}"
+        _require_expr(f)
         return POINT
 
     def expr_cod(self, f: str):
-        assert f == POINT_EXPR, f"unknown expression {f!r}"
+        _require_expr(f)
         return POINT
 
     # --- refinement level: sets and all functions ------------------------------
@@ -77,7 +89,7 @@ class TrivialSystem(RefinementSystem):
         return POINT
 
     def morphisms_over(self, s: FinSet, f: str, t: FinSet) -> Iterator[FinFunction]:
-        assert f == POINT_EXPR
+        _require_expr(f)
         return all_functions(s, t, name_prefix=f"{s.name}>{t.name}#")
 
     def id_interp(self, s: FinSet) -> FinFunction:

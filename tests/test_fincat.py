@@ -15,7 +15,7 @@ from refsys.fincat import (
     product_category,
     terminal_category,
 )
-from refsys.kernel import ValidationError
+from refsys.kernel import MismatchError, ValidationError
 
 Z2_TABLE = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
 
@@ -25,7 +25,7 @@ def test_finset_basics():
     assert len(a) == 3
     assert a.index(1) == a.elements.index(1)
     assert 2 in a.elements
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValidationError, match="duplicate elements in 'dup'"):
         FinSet("dup", (1, 1))
 
 
@@ -38,9 +38,9 @@ def test_finfunction_compose_and_identity():
     assert ida.then(f) == f
     assert f.then(idb) == f
     assert f.image({1, 2}) == frozenset({"x", "z"})
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValidationError, match="'partial': table domain mismatch"):
         FinFunction("partial", a, b, {1: "x"})
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValidationError, match="'stray': value 'w' at 2 not in codomain 'B'"):
         FinFunction("stray", a, b, {1: "x", 2: "w"})
 
 
@@ -88,6 +88,8 @@ def test_functor_identity_and_composition():
     fold = FinFunctor("fold", m, m, {"*": "*"}, {0: 0, 1: 0})
     assert fold.then(ident) == fold
     assert ident.then(fold) == fold
+    with pytest.raises(MismatchError, match="cannot compose functors 'fold'"):
+        fold.then(FinFunctor.identity(terminal_category()))
 
 
 def test_functor_law_violation_reported():

@@ -130,6 +130,25 @@ def test_table_value_outside_codomain(tmp_path):
         load_signature(write_sig(tmp_path, doc))
 
 
+def test_bad_tables_exit_3_under_both_interpreters(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent))
+    for table, message in (({"1": 1}, "functions.f.table: table is not total"),
+                           ({"1": 1, "2": 9}, "functions.f.table[2]")):
+        path = write_sig(tmp_path, {
+            "model": "subset",
+            "sets": {"A": [1, 2]},
+            "functions": {"f": {"dom": "A", "cod": "A", "table": table}},
+        })
+        for flags in ((), ("-O",)):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "refsys.cli", "check", path, "A =[f]=> A"],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 3, proc.stdout + proc.stderr
+            assert message in proc.stderr
+            assert proc.stdout == ""
+
+
 def test_subset_of_unknown_carrier(tmp_path):
     doc = {
         "model": "subset",

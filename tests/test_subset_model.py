@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from refsys.fincat import FinFunction, FinSet, all_functions
-from refsys.kernel import CapabilityError, LawViolation, ValidationError
+from refsys.kernel import CapabilityError, LawViolation, MismatchError, ValidationError
 from refsys.subset_model import (
     HoareProgram,
+    Subset,
     SubsetMor,
     build_classifier_system,
     build_subset_system,
@@ -129,11 +130,90 @@ def test_residuals_match_the_defining_filter(n_a, n_c, data):
     assert left.of == fs and right.of == fs
     assert left.elements == expected
     assert right.elements == expected
+    # residuals are built without the membership check; the checked build agrees
+    assert left == right == Subset(fs, expected)
     assert len(left) == len(u) ** len(s) * n_c ** (n_a - len(s))
     # members are the function space's own tuples, not copies of them
     own = {id(t) for t in fs.elements}
     assert all(id(t) in own for t in left.elements)
     assert all(id(t) in own for t in right.elements)
+
+
+def test_residuals_equal_checked_builds_on_a8_c4():
+    a = FinSet("A8", tuple(f"a{i}" for i in range(8)))
+    c = FinSet("C4", ("w", "x", "y", "z"))
+    sys = build_subset_system((a, c))
+    fs = sys.function_space(a, c)
+    for s_elems, u_elems in (((), ("w",)), (("a7",), ("w", "x", "y")),
+                             (("a0", "a3"), ("x",)), (("a1", "a2", "a5"), ("w", "z")),
+                             (a.elements, c.elements), (a.elements, ())):
+        s, u = subset(a, s_elems), subset(c, u_elems)
+        expected = Subset(fs, frozenset(
+            t for t in fs.elements if all(t[a.index(x)] in u for x in s.elements)))
+        assert sys.residual_left_etype(s, u) == expected
+        assert sys.residual_right_etype(u, s) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_unchecked_morphisms_equal_checked_builds(n_a, n_b, data):
+    a = FinSet("A", tuple(f"a{i}" for i in range(n_a)))
+    b = FinSet("B", tuple(range(n_b)))
+    sys = build_subset_system((a, b))
+    pick = lambda of, label: _mask_subset(
+        of, data.draw(st.integers(0, (1 << len(of)) - 1), label=label))
+    s, t, v = pick(a, "S"), pick(b, "T"), pick(b, "V")
+    fs = list(all_functions(a, b))
+    gs = list(all_functions(b, b))
+    f = fs[data.draw(st.integers(0, len(fs) - 1), label="f")]
+    g = gs[data.draw(st.integers(0, len(gs) - 1), label="g")]
+
+    def checked(m):
+        return SubsetMor(m.src, m.expr, m.dst)
+
+    st_ = sys.tensor_etype(s, t)
+    assert st_ == Subset(sys.tensor_itype(a, b), frozenset(itertools.product(s.elements, t.elements)))
+    ms = list(sys.morphisms_over(s, f, t))
+    assert [checked(m) for m in ms] == ms
+    assert checked(sys.id_interp(s)) == sys.id_interp(s)
+    ns = list(sys.morphisms_over(t, g, v))
+    for m in ms:
+        for n in ns:
+            cut = sys.compose_interps(m, n)
+            assert checked(cut) == cut
+            assert cut.expr == f.then(g)
+            pair = sys.tensor_interp(m, n)
+            assert checked(pair) == pair
+
+
+def test_cut_refuses_mismatched_morphisms():
+    a = FinSet("A", (1, 2))
+    sys = build_subset_system((a,))
+    m = sys.id_interp(subset(a, (1,)))
+    with pytest.raises(MismatchError, match="cut"):
+        sys.compose_interps(m, sys.id_interp(subset(a, (2,))))
+
+
+def test_e_types_refuses_a_large_carrier_under_both_interpreters():
+    # the bound is checked before any subset is built, also under `python -O`
+    code = """
+from refsys.fincat import FinSet
+from refsys.kernel import CapabilityError
+from refsys.subset_model import build_subset_system
+big = FinSet("Big", tuple(range(17)))
+try:
+    build_subset_system((FinSet("A", (1,)), big)).e_types()
+except CapabilityError as exc:
+    print(exc)
+"""
+    env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent))
+    for flags in ((), ("-O",)):
+        proc = subprocess.run([sys.executable, *flags, "-c", code],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "refusing to enumerate the 2^17 subsets of 'Big': "
+            "it has 17 elements, exceeding the bound 16"]
 
 
 def test_hoare_wp_sp_oracles(hoare4):

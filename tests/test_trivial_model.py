@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import pytest
 
 from refsys.fincat import FinFunction, FinSet
-from refsys.kernel import Status, classify
+from refsys.kernel import IllFormedError, MismatchError, Status, classify
 from refsys.structures import check_beta_eta, pullback, pushforward
 from refsys.trivial_model import POINT, build_trivial_system
+
+from conftest import DATA
 
 
 def test_single_index_type():
@@ -81,3 +86,34 @@ def test_broken_right_rule_is_reported_not_raised():
     broken = dataclasses.replace(w, _factor=lambda m, g: m.then(swap))
     report = check_beta_eta(broken, mode="literal")
     assert report.failures[0] == "beta-law fails at subject two, factor id"
+
+
+def test_unknown_index_types_and_expressions_are_refused():
+    two = FinSet("two", (1, 2))
+    sys = build_trivial_system((two,))
+    assert classify(sys, two, "nope", two) is Status.ILL_FORMED
+    for call in (lambda: sys.expr_dom("nope"), lambda: sys.expr_cod("nope"),
+                 lambda: sys.id_expr("elsewhere"), lambda: sys.expressions(POINT, "elsewhere"),
+                 lambda: sys.morphisms_over(two, "nope", two)):
+        with pytest.raises(IllFormedError):
+            call()
+    with pytest.raises(MismatchError):
+        sys.compose_exprs("id", "nope")
+
+
+def test_unknown_expression_is_ill_formed_under_optimize():
+    # the refusals raise explicitly, so `python -O` (which strips asserts) agrees
+    code = """
+from refsys.fincat import FinSet
+from refsys.kernel import classify
+from refsys.trivial_model import build_trivial_system
+two = FinSet("two", (1, 2))
+sys = build_trivial_system((two,))
+print(classify(sys, two, "nope", two).name, classify(sys, two, "id", two).name)
+"""
+    env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent))
+    for flags in ((), ("-O",)):
+        proc = subprocess.run([sys.executable, *flags, "-c", code],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["ILL_FORMED", "DERIVABLE"]
