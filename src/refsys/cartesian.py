@@ -87,8 +87,8 @@ class CartesianKit:
         p = self._products.get((a, b))
         if p is None:
             self._guard(len(a) * len(b), f"product ({a.name}x{b.name})")
-            p = FinSet._distinct(f"({a.name}x{b.name})",
-                                 tuple(itertools.product(a.elements, b.elements)))
+            p = FinSet(f"({a.name}x{b.name})",
+                       tuple(itertools.product(a.elements, b.elements)))
             self._products[a, b] = p
             self._factors[p] = (a, b)
         return p
@@ -104,8 +104,8 @@ class CartesianKit:
         fs = self._spaces.get((a, c))
         if fs is None:
             self._guard(len(c) ** len(a), f"function space [{a.name}->{c.name}]")
-            fs = FinSet._distinct(f"[{a.name}->{c.name}]",
-                                  tuple(itertools.product(c.elements, repeat=len(a))))
+            fs = FinSet(f"[{a.name}->{c.name}]",
+                        tuple(itertools.product(c.elements, repeat=len(a))))
             self._spaces[a, c] = fs
         return fs
 

@@ -57,17 +57,6 @@ class FinSet:
         self._index = None
         self._hash = None
 
-    @classmethod
-    def _distinct(cls, name: str, elements: tuple) -> "FinSet":
-        """A set whose elements are distinct by construction (a product of
-        sets, a function space), built without the duplicate check."""
-        a = cls.__new__(cls)
-        a.name = name
-        a.elements = elements
-        a._index = None
-        a._hash = None
-        return a
-
     def positions(self) -> dict:
         """Element -> its position in the canonical order, built on first use."""
         if self._index is None:

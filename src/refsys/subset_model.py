@@ -35,11 +35,9 @@ C's elsewhere, |U|^|S| * |C|^(|A|-|S|) tuples picked from the space by
 index.  The guard applies to the function space, which every residual is
 built inside.
 
-``Subset`` and ``SubsetMor`` check their members when built from outside.
-Results that are valid by construction skip that check: residuals and
-tensors (their members are drawn from the carrier), and the morphisms of
-``morphisms_over`` (just checked by ``holds``), identities, cuts and
-pairings (each step maps into the next).
+``Subset`` and ``SubsetMor`` check their members when built.  Two results
+that are valid by construction skip that check: residuals (their members
+are taken from the function space) and cuts (each step maps into the next).
 """
 from __future__ import annotations
 
@@ -146,8 +144,6 @@ class SubsetSystem(RefinementSystem):
         self._unit = full_subset(self.kit.unit)
         self._tensors: dict = {}
         self._cells: dict = {}
-        # the last composite built, which the cut's interpretation asks for next
-        self._last_composite: tuple = (None, None, None)
 
     # --- index level -------------------------------------------------------
     def i_types(self) -> tuple:
@@ -163,11 +159,7 @@ class SubsetSystem(RefinementSystem):
         return f
 
     def compose_exprs(self, f: FinFunction, g: FinFunction) -> FinFunction:
-        last_f, last_g, fg = self._last_composite
-        if f is not last_f or g is not last_g:
-            fg = f.then(g)
-            self._last_composite = (f, g, fg)
-        return fg
+        return f.then(g)
 
     def expr_dom(self, f: FinFunction) -> FinSet:
         return f.dom
@@ -203,17 +195,16 @@ class SubsetSystem(RefinementSystem):
 
     def morphisms_over(self, s: Subset, f: FinFunction, t: Subset) -> Iterator[SubsetMor]:
         if self.holds(s, f, t):
-            yield _unchecked(SubsetMor, src=s, expr=f, dst=t)
+            yield SubsetMor(s, f, t)
 
     def id_interp(self, s: Subset) -> SubsetMor:
-        return _unchecked(SubsetMor, src=s, expr=self.id_expr(s.of), dst=s)
+        return SubsetMor(s, self.id_expr(s.of), s)
 
     def compose_interps(self, m: SubsetMor, n: SubsetMor) -> SubsetMor:
         """The cut of two morphisms: f;g maps m.src into n.dst since each step does."""
         if m.dst != n.src:
             raise MismatchError(f"cut: target {m.dst.name} != subject {n.src.name}")
-        return _unchecked(SubsetMor, src=m.src, expr=self.compose_exprs(m.expr, n.expr),
-                          dst=n.dst)
+        return _unchecked(SubsetMor, src=m.src, expr=m.expr.then(n.expr), dst=n.dst)
 
     def interp_expr(self, m: SubsetMor) -> FinFunction:
         return m.expr
@@ -273,9 +264,10 @@ class SubsetSystem(RefinementSystem):
     def tensor_etype(self, s: Subset, t: Subset) -> Subset:
         st = self._tensors.get((s, t))
         if st is None:
-            # pairs of members of S and T are members of the product carrier
-            st = _unchecked(Subset, of=self.kit.product(s.of, t.of),
-                            elements=frozenset(itertools.product(s.elements, t.elements)))
+            st = Subset(
+                self.kit.product(s.of, t.of),
+                frozenset(itertools.product(s.elements, t.elements)),
+            )
             self._tensors[s, t] = st
         return st
 
@@ -283,12 +275,10 @@ class SubsetSystem(RefinementSystem):
         return self._unit
 
     def tensor_interp(self, m: SubsetMor, n: SubsetMor) -> SubsetMor:
-        """The pairing maps S x T into S' x T' since each factor does."""
-        return _unchecked(
-            SubsetMor,
-            src=self.tensor_etype(m.src, n.src),
-            expr=self.kit.pairing(m.expr, n.expr),
-            dst=self.tensor_etype(m.dst, n.dst),
+        return SubsetMor(
+            self.tensor_etype(m.src, n.src),
+            self.kit.pairing(m.expr, n.expr),
+            self.tensor_etype(m.dst, n.dst),
         )
 
     def coherence_cell(self, kind: str, etypes: tuple):

@@ -7,13 +7,17 @@ is compared here with the same table built through that check.
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import refsys
 from refsys.cartesian import CartesianKit
 from refsys.fincat import FinFunction, FinSet, all_functions, monoid_category
-from refsys.kernel import MismatchError, ValidationError
+from refsys.kernel import MismatchError
 from refsys.presheaf_model import (
     build_presheaf_system,
     enumerate_monoid_presheaves,
@@ -153,16 +157,29 @@ def test_presheaf_candidates_equal_checked_builds(s, t):
     assert found == checked
 
 
-def test_the_public_constructor_rejects_bad_tables():
-    a, b = FinSet("A", (1, 2)), FinSet("B", ("x", "y"))
-    for bad, message in (
-        ({1: "x"}, "'f': table domain mismatch"),
-        ({1: "x", 2: "y", 3: "x"}, "'f': table domain mismatch"),
-        ({1: "x", 2: "z"}, "'f': value 'z' at 2 not in codomain 'B'"),
-        ({1: "x", 2: ["y"]}, "'f': value \\['y'\\] at 2 not in codomain 'B'"),
-    ):
-        with pytest.raises(ValidationError, match=message):
-            FinFunction("f", a, b, bad)
+def test_the_public_constructor_rejects_bad_tables_under_both_interpreters():
+    # the check raises explicitly, so `python -O` rejects the same tables
+    code = """
+from refsys.fincat import FinFunction, FinSet
+from refsys.kernel import ValidationError
+a, b = FinSet("A", (1, 2)), FinSet("B", ("x", "y"))
+for bad in ({1: "x"}, {1: "x", 2: "y", 3: "x"}, {1: "x", 2: "z"}, {1: "x", 2: ["y"]}):
+    try:
+        FinFunction("f", a, b, bad)
+    except ValidationError as exc:
+        print(exc)
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(refsys.__file__)))
+    for flags in ((), ("-O",)):
+        proc = subprocess.run([sys.executable, *flags, "-c", code],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "'f': table domain mismatch",
+            "'f': table domain mismatch",
+            "'f': value 'z' at 2 not in codomain 'B'",
+            "'f': value ['y'] at 2 not in codomain 'B'",
+        ]
 
 
 def test_composition_checks_the_boundary():

@@ -156,7 +156,7 @@ def test_residuals_equal_checked_builds_on_a8_c4():
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 3), st.data())
-def test_unchecked_morphisms_equal_checked_builds(n_a, n_b, data):
+def test_cuts_equal_checked_builds(n_a, n_b, data):
     a = FinSet("A", tuple(f"a{i}" for i in range(n_a)))
     b = FinSet("B", tuple(range(n_b)))
     sys = build_subset_system((a, b))
@@ -167,23 +167,11 @@ def test_unchecked_morphisms_equal_checked_builds(n_a, n_b, data):
     gs = list(all_functions(b, b))
     f = fs[data.draw(st.integers(0, len(fs) - 1), label="f")]
     g = gs[data.draw(st.integers(0, len(gs) - 1), label="g")]
-
-    def checked(m):
-        return SubsetMor(m.src, m.expr, m.dst)
-
-    st_ = sys.tensor_etype(s, t)
-    assert st_ == Subset(sys.tensor_itype(a, b), frozenset(itertools.product(s.elements, t.elements)))
-    ms = list(sys.morphisms_over(s, f, t))
-    assert [checked(m) for m in ms] == ms
-    assert checked(sys.id_interp(s)) == sys.id_interp(s)
-    ns = list(sys.morphisms_over(t, g, v))
-    for m in ms:
-        for n in ns:
+    # cuts are built without the membership check; the checked build agrees
+    for m in sys.morphisms_over(s, f, t):
+        for n in sys.morphisms_over(t, g, v):
             cut = sys.compose_interps(m, n)
-            assert checked(cut) == cut
-            assert cut.expr == f.then(g)
-            pair = sys.tensor_interp(m, n)
-            assert checked(pair) == pair
+            assert cut == SubsetMor(m.src, f.then(g), n.dst)
 
 
 def test_cut_refuses_mismatched_morphisms():
