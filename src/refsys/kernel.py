@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, NamedTuple, Optional
 
 
 class RefinementError(Exception):
@@ -57,20 +57,20 @@ class Status(enum.Enum):
     ILL_FORMED = "ill-formed"
 
 
-@dataclass(frozen=True)
-class Judgment:
+class Judgment(NamedTuple):
     """A typing triple subject =[expr]=> target; subtyping when expr is an identity."""
     subject: Any
     expr: Any
     target: Any
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(NamedTuple):
     """A derivation tree together with its interpretation in the ambient model.
 
     rule is a short label for the final rule; premises are the sub-derivations;
     interp is a morphism of the model whose boundaries match the judgment.
+    Both value types are named tuples: immutable, hashed and compared by
+    their fields, and cheaper to build than frozen dataclasses.
     """
     rule: str
     judgment: Judgment
@@ -309,13 +309,20 @@ def identity_derivation(sys: RefinementSystem, s) -> Derivation:
 
 
 def compose_derivations(sys: RefinementSystem, d1: Derivation, d2: Derivation) -> Derivation:
-    """The cut rule: paste d1 : S=[f]=>T with d2 : T=[g]=>U into S=[f;g]=>U."""
+    """The cut rule: paste d1 : S=[f]=>T with d2 : T=[g]=>U into S=[f;g]=>U.
+
+    A refinement system is a functor p from its morphisms to its
+    expressions, so the cut's expression is p of the composite
+    interpretation.  By functoriality it equals compose_exprs(f, g), up to
+    table equality when a premise went through :func:`conversion`, so the
+    expressions are not composed a second time.
+    """
     if d1.target != d2.subject:
         raise MismatchError(
             f"cut: target {describe(sys, d1.target)} != subject {describe(sys, d2.subject)}"
         )
-    j = Judgment(d1.subject, sys.compose_exprs(d1.expr, d2.expr), d2.target)
-    return Derivation("C", j, (d1, d2), sys.compose_interps(d1.interp, d2.interp))
+    m = sys.compose_interps(d1.interp, d2.interp)
+    return Derivation("C", Judgment(d1.subject, sys.interp_expr(m), d2.target), (d1, d2), m)
 
 
 def compose_many(sys: RefinementSystem, *ds: Derivation) -> Derivation:

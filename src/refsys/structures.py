@@ -401,21 +401,28 @@ class WeightedFamily:
     family: tuple
     etype: Any
 
+    def _require_kind(self, kind: str, rule: str) -> None:
+        if self.kind != kind:
+            raise MismatchError(f"{rule} applies to a weighted {kind}, not to this {self.kind}")
+
     def projection(self, i: int) -> Derivation:
-        assert self.kind == "intersection"
+        self._require_kind("intersection", "projection")
         f, t = self.family[i]
         return axiom(self.sys, self.etype, f, t)
 
     def injection(self, i: int) -> Derivation:
-        assert self.kind == "union"
+        self._require_kind("union", "injection")
         f, s = self.family[i]
         return axiom(self.sys, s, f, self.etype)
 
     def tuple_rule(self, betas: tuple, g) -> Derivation:
         """intersection: from beta_i : S =[g;f_i]=> T_i, infer S =[g]=> W."""
-        assert self.kind == "intersection"
+        self._require_kind("intersection", "tupling")
         sys = self.sys
-        assert len(betas) == len(self.family)
+        if len(betas) != len(self.family):
+            raise MismatchError(
+                f"tupling: {len(betas)} premises for {len(self.family)} weights"
+            )
         subject = None
         for beta, (f, t) in zip(betas, self.family):
             if beta.target != t or not sys.exprs_equal(beta.expr, sys.compose_exprs(g, f)):
@@ -446,13 +453,15 @@ def weighted_union(sys: RefinementSystem, b, family) -> WeightedFamily:
 
 def binary_intersection(sys: RefinementSystem, t1, t2):
     a = sys.refines(t1)
-    assert sys.refines(t2) == a
+    if sys.refines(t2) != a:
+        raise MismatchError("binary intersection: the types refine different index types")
     i = sys.id_expr(a)
     return weighted_intersection(sys, a, ((i, t1), (i, t2))).etype
 
 
 def binary_union(sys: RefinementSystem, s1, s2):
     a = sys.refines(s1)
-    assert sys.refines(s2) == a
+    if sys.refines(s2) != a:
+        raise MismatchError("binary union: the types refine different index types")
     i = sys.id_expr(a)
     return weighted_union(sys, a, ((i, s1), (i, s2))).etype

@@ -35,9 +35,10 @@ C's elsewhere, |U|^|S| * |C|^(|A|-|S|) tuples picked from the space by
 index.  The guard applies to the function space, which every residual is
 built inside.
 
-``Subset`` and ``SubsetMor`` check their members when built.  Two results
+``Subset`` and ``SubsetMor`` check their members when built.  Three results
 that are valid by construction skip that check: residuals (their members
-are taken from the function space) and cuts (each step maps into the next).
+are taken from the function space), cuts (each step maps into the next) and
+the morphisms of ``morphisms_over`` (``holds`` has just checked them).
 """
 from __future__ import annotations
 
@@ -138,7 +139,8 @@ class SubsetSystem(RefinementSystem):
     def __init__(self, name: str, sets, max_carrier: int = DEFAULT_MAX_CARRIER):
         self.name = name
         self._sets = tuple(sets)
-        assert len({a.name for a in self._sets}) == len(self._sets), "duplicate set names"
+        if len({a.name for a in self._sets}) != len(self._sets):
+            raise ValidationError(f"{name}: duplicate set names")
         self.kit = CartesianKit(max_carrier)
         self._id_cache: dict = {}
         self._unit = full_subset(self.kit.unit)
@@ -168,20 +170,33 @@ class SubsetSystem(RefinementSystem):
         return f.cod
 
     # --- refinement level ----------------------------------------------------
-    def e_types(self) -> tuple:
+    def _check_enumerable(self) -> None:
         for a in self._sets:
             if len(a) > MAX_ENUMERATED_CARRIER:
                 raise CapabilityError(
                     f"refusing to enumerate the 2^{len(a)} subsets of {a.name!r}: "
                     f"it has {len(a)} elements, exceeding the bound {MAX_ENUMERATED_CARRIER}"
                 )
-        out = []
-        for a in self._sets:
-            for mask in range(1 << len(a)):
-                out.append(Subset(a, frozenset(
-                    x for i, x in enumerate(a.elements) if mask >> i & 1
-                )))
-        return tuple(out)
+
+    @staticmethod
+    def _subsets(a: FinSet) -> list:
+        return [
+            Subset(a, frozenset(x for i, x in enumerate(a.elements) if mask >> i & 1))
+            for mask in range(1 << len(a))
+        ]
+
+    def e_types(self) -> tuple:
+        self._check_enumerable()
+        return tuple(s for a in self._sets for s in self._subsets(a))
+
+    def e_types_over(self, a: FinSet) -> tuple:
+        """The subsets of a, as filtering e_types() would give them, built alone.
+
+        The bound is checked on every registered carrier first, as e_types()
+        does; an unregistered carrier has no e-types.
+        """
+        self._check_enumerable()
+        return tuple(s for b in self._sets if b == a for s in self._subsets(b))
 
     def refines(self, s: Subset) -> FinSet:
         return s.of
@@ -195,7 +210,8 @@ class SubsetSystem(RefinementSystem):
 
     def morphisms_over(self, s: Subset, f: FinFunction, t: Subset) -> Iterator[SubsetMor]:
         if self.holds(s, f, t):
-            yield SubsetMor(s, f, t)
+            # holds has just checked the boundaries and every member
+            yield _unchecked(SubsetMor, src=s, expr=f, dst=t)
 
     def id_interp(self, s: Subset) -> SubsetMor:
         return SubsetMor(s, self.id_expr(s.of), s)
@@ -217,7 +233,8 @@ class SubsetSystem(RefinementSystem):
 
     # --- pullback / pushforward ---------------------------------------------
     def pullback_data(self, f: FinFunction, t: Subset):
-        assert f.cod == t.of, "pullback: expression must land in the carrier of the target"
+        if f.cod != t.of:
+            raise MismatchError("pullback: expression must land in the carrier of the target")
         et = Subset(f.dom, frozenset(x for x in f.dom.elements if f(x) in t))
         left = SubsetMor(et, f, t)
 
@@ -227,7 +244,10 @@ class SubsetSystem(RefinementSystem):
         return et, left, factor
 
     def pushforward_data(self, s: Subset, f: FinFunction):
-        assert f.dom == s.of, "pushforward: expression must start at the carrier of the subject"
+        if f.dom != s.of:
+            raise MismatchError(
+                "pushforward: expression must start at the carrier of the subject"
+            )
         et = Subset(f.cod, f.image(s.elements))
         right = SubsetMor(s, f, et)
 
@@ -239,7 +259,11 @@ class SubsetSystem(RefinementSystem):
     # --- weighted families ----------------------------------------------------
     def weighted_intersection_etype(self, a: FinSet, family) -> Subset:
         for f, t in family:
-            assert f.dom == a and f.cod == t.of
+            if not (f.dom == a and f.cod == t.of):
+                raise MismatchError(
+                    f"weighted intersection: weight {f.name!r} does not run from "
+                    f"{a.name!r} to the carrier of {t.name}"
+                )
         return Subset(a, frozenset(
             x for x in a.elements if all(f(x) in t for f, t in family)
         ))
@@ -247,7 +271,11 @@ class SubsetSystem(RefinementSystem):
     def weighted_union_etype(self, b: FinSet, family) -> Subset:
         elems: set = set()
         for f, s in family:
-            assert f.cod == b and f.dom == s.of
+            if not (f.cod == b and f.dom == s.of):
+                raise MismatchError(
+                    f"weighted union: weight {f.name!r} does not run from "
+                    f"the carrier of {s.name} to {b.name!r}"
+                )
             elems |= {f(x) for x in s.elements}
         return Subset(b, frozenset(elems))
 
