@@ -14,6 +14,14 @@ place, the public ``FinFunction`` constructor, which takes an element table
 Results that are valid by construction (composites, identities, enumerated
 tables) are wrapped from index tuples without a second check.  Every check
 raises explicitly, so it also runs under ``python -O``.
+
+Every search over finite structures (functors here; natural
+transformations, functor-category arrows and monoid actions in
+:mod:`refsys.presheaf_model`) goes through one depth-first search,
+:func:`solutions`.  It yields the tuples of ``itertools.product`` that meet
+a list of constraints, in product order, and tests each constraint as soon
+as its last variable is fixed, so a failing prefix is cut off instead of
+being extended to every full candidate and filtered afterwards.
 """
 from __future__ import annotations
 
@@ -208,6 +216,47 @@ def all_functions(dom: FinSet, cod: FinSet, name_prefix: str = "f") -> Iterator[
     lexicographic in the codomain positions of dom's elements."""
     for i, idx in enumerate(itertools.product(range(len(cod)), repeat=len(dom))):
         yield FinFunction._from_idx(f"{name_prefix}{i}", dom, cod, idx)
+
+
+def solutions(domains, constraints) -> Iterator[tuple]:
+    """Every tuple with one value from each domain that meets every constraint.
+
+    The tuples come in ``itertools.product(*domains)`` order.  A constraint
+    is a pair ``(variables, holds)``: a sequence of domain positions (it may
+    be empty or repeat a position) and a predicate called with the values at
+    those positions, in that order.  The search is depth first.  Each
+    constraint is tested once for each prefix that fixes the last of its
+    variables, so a prefix that fails one is never extended.
+    """
+    domains = [tuple(d) for d in domains]
+    due: list = [[] for _ in domains]
+    for variables, holds in constraints:
+        variables = tuple(variables)
+        if not variables:
+            if not holds():
+                return
+        else:
+            due[max(variables)].append((variables, holds))
+    if not all(domains):
+        return
+    if not domains:
+        yield ()
+        return
+    last = len(domains) - 1
+    values = [None] * len(domains)
+    branches = [iter(domains[0])]
+    while branches:
+        i = len(branches) - 1
+        for values[i] in branches[i]:
+            if all(holds(*[values[j] for j in vs]) for vs, holds in due[i]):
+                break
+        else:
+            branches.pop()
+            continue
+        if i == last:
+            yield tuple(values)
+        else:
+            branches.append(iter(domains[i + 1]))
 
 
 class FinCategory:
@@ -473,29 +522,26 @@ def check_functor(p: FinFunctor) -> FunctorReport:
 def enumerate_functors(dom: FinCategory, cod: FinCategory) -> tuple:
     """All functors dom -> cod, deterministically ordered.
 
-    Enumeration is by object assignment, then arrow assignments constrained to
-    matching homs, filtered by the functor laws.
+    The object maps run over their full product.  For each, the arrow images
+    are found by :func:`solutions` over the matching hom-sets of cod, with
+    the preservation of every identity and every composite as a constraint.
     """
-    out = []
     arrow_names = dom.arrow_names()
+    at = {a: i for i, a in enumerate(arrow_names)}
+
+    def preserved(fa, fb, fc):
+        return cod.compose(fa, fb) == fc
+
+    composites = [((at[a], at[b], at[c]), preserved) for (a, b), c in dom.composition.items()]
+    out = []
     for obj_choice in itertools.product(cod.objects, repeat=len(dom.objects)):
         object_map = dict(zip(dom.objects, obj_choice))
-        candidates = []
-        feasible = True
-        for a in arrow_names:
-            s, d = dom.arrows[a]
-            hom = cod.hom(object_map[s], object_map[d])
-            if not hom:
-                feasible = False
-                break
-            candidates.append(hom)
-        if not feasible:
-            continue
-        for arrow_choice in itertools.product(*candidates):
-            arrow_map = dict(zip(arrow_names, arrow_choice))
-            cand = FinFunctor.unchecked("F", dom, cod, object_map, arrow_map)
-            if check_functor(cand).ok:
-                out.append(cand)
-    for i, f in enumerate(out):
-        f.name = f"F{i}_{dom.name}_{cod.name}"
+        homs = [cod.hom(object_map[dom.src(a)], object_map[dom.dst(a)]) for a in arrow_names]
+        units = [((at[dom.identity(o)],), lambda fa, i=cod.identity(object_map[o]): fa == i)
+                 for o in dom.objects]
+        for arrow_choice in solutions(homs, units + composites):
+            out.append(FinFunctor.unchecked(
+                f"F{len(out)}_{dom.name}_{cod.name}", dom, cod,
+                object_map, dict(zip(arrow_names, arrow_choice)),
+            ))
     return tuple(out)

@@ -23,6 +23,7 @@ the same derivation" an executable check rather than a symbolic one.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Any, Iterator, NamedTuple, Optional
 
@@ -256,7 +257,7 @@ def well_formed(sys: RefinementSystem, s, f, t) -> bool:
     """Boundary check: f must run from the index of s to the index of t."""
     try:
         return sys.expr_dom(f) == sys.refines(s) and sys.expr_cod(f) == sys.refines(t)
-    except (KeyError, IllFormedError, AssertionError):
+    except (KeyError, IllFormedError):
         return False
 
 
@@ -365,28 +366,52 @@ def is_identity_on(sys: RefinementSystem, d: Derivation, s) -> bool:
             and derivations_equal(sys, d, identity_derivation(sys, s)))
 
 
+def find_inverse(sys: RefinementSystem, fwd: Derivation,
+                 candidates: Optional[Iterator] = None) -> Optional[Derivation]:
+    """A derivation over the identity inverting fwd on both sides, if one exists.
+
+    The candidates are model morphisms from fwd's target back to its subject,
+    by default all of those over the identity; the first inverse is returned.
+    """
+    if candidates is None:
+        ident = sys.id_expr(sys.refines(fwd.target))
+        candidates = sys.morphisms_over(fwd.target, ident, fwd.subject)
+    id_src = sys.id_interp(fwd.subject)
+    id_dst = sys.id_interp(fwd.target)
+    for m in candidates:
+        if (sys.interps_equal(sys.compose_interps(fwd.interp, m), id_src)
+                and sys.interps_equal(sys.compose_interps(m, fwd.interp), id_dst)):
+            return from_interp(sys, m, "iso")
+    return None
+
+
 def check_vertical_iso(sys: RefinementSystem, s, t,
                        limit: Optional[int] = 10000) -> Optional[VerticalIso]:
     """Search for a pair of subtyping derivations composing to identities.
 
-    Enumerates morphism pairs over the identity expression; returns the first
-    inverse pair found, or None when the (bounded) search is exhausted.
+    Runs :func:`find_inverse` on each morphism S => T over the identity and
+    returns the first inverse pair, or None when there is none.  Trying more
+    than `limit` pairs raises CapabilityError, so a refusal never reads as
+    "no iso".
     """
     a = sys.refines(s)
     if sys.refines(t) != a:
         return None
     ident = sys.id_expr(a)
-    id_s = sys.id_interp(s)
-    id_t = sys.id_interp(t)
-    count = 0
-    for m in sys.morphisms_over(s, ident, t):
+    tried = itertools.count(1)
+
+    def backward():
         for n in sys.morphisms_over(t, ident, s):
-            count += 1
-            if limit is not None and count > limit:
-                return None
-            if (sys.interps_equal(sys.compose_interps(m, n), id_s)
-                    and sys.interps_equal(sys.compose_interps(n, m), id_t)):
-                return VerticalIso(
-                    from_interp(sys, m, "iso"), from_interp(sys, n, "iso")
+            if limit is not None and next(tried) > limit:
+                raise CapabilityError(
+                    f"vertical iso search between {describe(sys, s)} and "
+                    f"{describe(sys, t)} exceeds the bound of {limit} pairs"
                 )
+            yield n
+
+    for m in sys.morphisms_over(s, ident, t):
+        fwd = from_interp(sys, m, "iso")
+        bwd = find_inverse(sys, fwd, backward())
+        if bwd is not None:
+            return VerticalIso(fwd, bwd)
     return None

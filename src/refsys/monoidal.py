@@ -37,7 +37,7 @@ from .kernel import (
     conversion,
     derivations_equal,
     derivations_over,
-    from_interp,
+    find_inverse,
     identity_derivation,
 )
 from .structures import LawReport, pullback, pushforward
@@ -196,18 +196,6 @@ def _monoidal_instances(sys: RefinementSystem, ds: tuple, cap: int):
 
 # --- tensor preserves pullbacks and pushforwards -----------------------------------
 
-def _find_inverse(sys: RefinementSystem, fwd: Derivation) -> Optional[Derivation]:
-    """A derivation over the identity inverting fwd on both sides, if one exists."""
-    ident = sys.id_expr(sys.refines(fwd.target))
-    id_src = sys.id_interp(fwd.subject)
-    id_dst = sys.id_interp(fwd.target)
-    for m in sys.morphisms_over(fwd.target, ident, fwd.subject):
-        if (sys.interps_equal(sys.compose_interps(fwd.interp, m), id_src)
-                and sys.interps_equal(sys.compose_interps(m, fwd.interp), id_dst)):
-            return from_interp(sys, m, "iso")
-    return None
-
-
 def tensor_pull_iso(sys: RefinementSystem, f1, t1, f2, t2) -> VerticalIso:
     """f1*T1 (x) f2*T2 is canonically isomorphic to (f1 (x) f2)*(T1 (x) T2)."""
     w1 = pullback(sys, f1, t1)
@@ -215,7 +203,7 @@ def tensor_pull_iso(sys: RefinementSystem, f1, t1, f2, t2) -> VerticalIso:
     w12 = pullback(sys, sys.tensor_expr(f1, f2), sys.tensor_etype(t1, t2))
     paired = tensor_derivations(sys, w1.left, w2.left)
     fwd = w12.right(paired, sys.id_expr(sys.refines(paired.subject)))
-    bwd = _find_inverse(sys, fwd)
+    bwd = find_inverse(sys, fwd)
     if bwd is None:
         raise LawViolation("tensor does not preserve this pullback pair")
     return VerticalIso(fwd, bwd)
@@ -228,7 +216,7 @@ def tensor_push_iso(sys: RefinementSystem, s1, f1, s2, f2) -> VerticalIso:
     w12 = pushforward(sys, sys.tensor_etype(s1, s2), sys.tensor_expr(f1, f2))
     paired = tensor_derivations(sys, w1.right, w2.right)
     fwd = w12.left(paired, sys.id_expr(sys.refines(paired.target)))
-    bwd = _find_inverse(sys, fwd)
+    bwd = find_inverse(sys, fwd)
     if bwd is None:
         raise LawViolation("tensor does not preserve this pushforward pair")
     return VerticalIso(fwd, bwd)

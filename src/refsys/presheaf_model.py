@@ -7,6 +7,17 @@ component function per object and checked against every naturality square.
 Hom-sets over an expression routinely have several elements, so this is the
 model where derivation equality genuinely compares proofs.
 
+Every enumeration here runs on the one depth-first search of
+:mod:`refsys.fincat`, :func:`refsys.fincat.solutions`.  For natural
+transformations S => T(f-) (:func:`natural_components`, shared by
+``morphisms_over`` and the residual values) the variables are the
+components, one per object, and each naturality square is a constraint; for
+the arrows of a functor category the variables are the components in the
+hom-sets; for M-sets they are the action tables of the generators, under
+the composite law of each pair of arrows.  A square is tested as soon as
+both of its components are fixed, so a failing partial choice is dropped,
+and the results come in the same order as from the full product.
+
 Pullback is precomposition.  Pushforward is a pointwise left Kan extension:
 the value at d is the set of pairs (arrow f(a) -> d, element of S(a))
 quotiented by the relation generated from the arrows of A, computed by
@@ -16,9 +27,11 @@ materialized functor category (size-guarded), and the residual value at a
 functor-object f is the set of natural transformations S => U(f-), encoded
 as nested tuples of images.
 
-A system builds its tensor structure once.  Product categories are keyed
-by their two factors, tensor presheaves by their two factors, and coherence
-cells by their kind and the presheaves they act on; ``FinPresheaf`` and
+A system builds its tensor structure once.  Product categories, the
+functors between two categories and functor categories are keyed by their
+two categories, tensor presheaves by their two factors, the tables of a
+functor category by the category itself, and coherence cells by their kind
+and the presheaves they act on; ``FinPresheaf`` and
 ``FinCategory`` equality compare names and every table, so an equal key
 gives an equal result.  The unit presheaf is built with the system.  A
 build refused with a CapabilityError is not cached, so asking again refuses
@@ -43,9 +56,12 @@ from .fincat import (
     enumerate_functors,
     product_category,
     render_elem,
+    solutions,
     terminal_category,
 )
-from .kernel import CapabilityError, IllFormedError, RefinementSystem, ValidationError
+from .kernel import (
+    CapabilityError, IllFormedError, MismatchError, RefinementSystem, ValidationError,
+)
 
 DEFAULT_MAX_VALUES = 200_000
 DEFAULT_MAX_FUNCTOR_OBJECTS = 64
@@ -125,22 +141,11 @@ class NatTransOver:
     __slots__ = ("src", "expr", "dst", "components")
 
     def __init__(self, src: FinPresheaf, expr: FinFunctor, dst: FinPresheaf,
-                 components: dict, check: bool = True):
+                 components: dict):
         self.src = src
         self.expr = expr
         self.dst = dst
         self.components = dict(components)
-        if check:
-            assert expr.dom == src.cat and expr.cod == dst.cat, "functor boundary mismatch"
-            assert set(self.components) == set(src.cat.objects)
-            for a in src.cat.objects:
-                c = self.components[a]
-                assert c.dom == src.ob[a] and c.cod == dst.ob[expr.ob(a)], \
-                    f"component at {a!r} has wrong boundaries"
-            for u, (a, a2) in src.cat.arrows.items():
-                lhs = self.components[a].then(dst.ar[expr.ar(u)])
-                rhs = src.ar[u].then(self.components[a2])
-                assert lhs == rhs, f"naturality fails at arrow {u!r}"
 
     def __eq__(self, other):
         if self is other:
@@ -152,6 +157,32 @@ class NatTransOver:
 
     def __repr__(self):
         return f"NatTransOver({self.src.name} => {self.dst.name} over {self.expr.name})"
+
+
+def natural_components(s: FinPresheaf, f: FinFunctor, t: FinPresheaf) -> Iterator[tuple]:
+    """The natural transformations S => T(f-), each as its tuple of components.
+
+    The components follow the objects of S's base, and each ranges over
+    ``all_functions`` (named ``c0``, ``c1``, ...), so the transformations
+    come in the lexicographic order of those tables.  Each naturality square
+    is one constraint of the search.
+    """
+    at = {a: i for i, a in enumerate(s.cat.objects)}
+    spaces = [all_functions(s.ob[a], t.ob[f.ob(a)], name_prefix="c") for a in s.cat.objects]
+    squares = [((at[a], at[a2]), _commutes(t.ar[f.ar(u)].idx, s.ar[u].idx))
+               for u, (a, a2) in s.cat.arrows.items()]
+    return solutions(spaces, squares)
+
+
+def _commutes(t_u: tuple, s_u: tuple):
+    """The test that components c, c2 make the square c;T(fu) = S(u);c2
+    commute: the boundaries match, so it commutes iff the index tables do."""
+    return lambda c, c2: [t_u[j] for j in c.idx] == [c2.idx[i] for i in s_u]
+
+
+def _square(cat: FinCategory, f_u, g_u):
+    """The test that arrows x, y of cat make the square f_u;y = x;g_u commute."""
+    return lambda x, y: cat.compose(f_u, y) == cat.compose(x, g_u)
 
 
 class _UnionFind:
@@ -193,11 +224,13 @@ class PresheafSystem(RefinementSystem):
                  max_functor_arrows: int = DEFAULT_MAX_FUNCTOR_ARROWS):
         self.name = name
         self._cats = tuple(cats)
-        assert len({c.name for c in self._cats}) == len(self._cats), "duplicate category names"
+        if len({c.name for c in self._cats}) != len(self._cats):
+            raise ValidationError(f"{name}: duplicate category names")
         self._presheaves = tuple(presheaves)
         for p in self._presheaves:
-            assert any(p.cat == c for c in self._cats), \
-                f"presheaf {p.name!r} lives over an unregistered category"
+            if p.cat not in self._cats:
+                raise ValidationError(
+                    f"presheaf {p.name!r} lives over an unregistered category")
         self.max_values = max_values
         self.max_functor_objects = max_functor_objects
         self.max_functor_arrows = max_functor_arrows
@@ -207,6 +240,7 @@ class PresheafSystem(RefinementSystem):
         self._fcat_cache: dict = {}
         self._fcat_objects: dict = {}
         self._fcat_components: dict = {}
+        self._fcat_arrows: dict = {}
         self._unit_cat = terminal_category()
         unit_set = FinSet("1", ("*",))
         self._unit = FinPresheaf(
@@ -220,12 +254,10 @@ class PresheafSystem(RefinementSystem):
         return self._cats
 
     def expressions(self, a: FinCategory, b: FinCategory) -> Iterator[FinFunctor]:
-        key = (a.name, b.name)
-        cached = self._expr_cache.get(key)
-        if cached is None or cached[0] != (a, b):
-            cached = ((a, b), enumerate_functors(a, b))
-            self._expr_cache[key] = cached
-        return iter(cached[1])
+        functors = self._expr_cache.get((a, b))
+        if functors is None:
+            functors = self._expr_cache[a, b] = enumerate_functors(a, b)
+        return iter(functors)
 
     def id_expr(self, a: FinCategory) -> FinFunctor:
         return FinFunctor.identity(a)
@@ -252,35 +284,22 @@ class PresheafSystem(RefinementSystem):
             raise IllFormedError(
                 f"{s.name} =[{f.name}]=> {t.name}: boundaries do not match"
             )
-        objs = s.cat.objects
-        spaces = []
-        for a in objs:
-            dom, cod = s.ob[a], t.ob[f.ob(a)]
-            spaces.append(list(all_functions(dom, cod, name_prefix="c")))
-        for choice in itertools.product(*spaces):
-            components = dict(zip(objs, choice))
-            ok = True
-            for u, (a, a2) in s.cat.arrows.items():
-                if components[a].then(t.ar[f.ar(u)]) != s.ar[u].then(components[a2]):
-                    ok = False
-                    break
-            if ok:
-                yield NatTransOver(s, f, t, components, check=False)
+        for components in natural_components(s, f, t):
+            yield NatTransOver(s, f, t, dict(zip(s.cat.objects, components)))
 
     def id_interp(self, s: FinPresheaf) -> NatTransOver:
         return NatTransOver(
             s, FinFunctor.identity(s.cat), s,
             {a: FinFunction.identity(s.ob[a]) for a in s.cat.objects},
-            check=False,
         )
 
     def compose_interps(self, m: NatTransOver, n: NatTransOver) -> NatTransOver:
-        assert m.dst == n.src, "pasting: boundaries do not match"
+        if m.dst != n.src:
+            raise MismatchError("pasting: boundaries do not match")
         return NatTransOver(
             m.src, m.expr.then(n.expr), n.dst,
             {a: m.components[a].then(n.components[m.expr.ob(a)])
              for a in m.src.cat.objects},
-            check=False,
         )
 
     def interp_expr(self, m: NatTransOver) -> FinFunctor:
@@ -294,7 +313,8 @@ class PresheafSystem(RefinementSystem):
 
     # --- pullback: precomposition ------------------------------------------------------
     def pullback_data(self, f: FinFunctor, t: FinPresheaf):
-        assert f.cod == t.cat, "pullback: functor must land in the base of the target"
+        if f.cod != t.cat:
+            raise MismatchError("pullback: functor must land in the base of the target")
         et = FinPresheaf(
             f"({t.name}o{f.name})", f.dom,
             {a: t.ob[f.ob(a)] for a in f.dom.objects},
@@ -303,17 +323,17 @@ class PresheafSystem(RefinementSystem):
         left = NatTransOver(
             et, f, t,
             {a: FinFunction.identity(et.ob[a]) for a in f.dom.objects},
-            check=False,
         )
 
         def factor(m: NatTransOver, g: FinFunctor) -> NatTransOver:
-            return NatTransOver(m.src, g, et, m.components, check=False)
+            return NatTransOver(m.src, g, et, m.components)
 
         return et, left, factor
 
     # --- pushforward: pointwise left Kan extension ---------------------------------------
     def pushforward_data(self, s: FinPresheaf, f: FinFunctor):
-        assert f.dom == s.cat, "pushforward: functor must start at the base of the subject"
+        if f.dom != s.cat:
+            raise MismatchError("pushforward: functor must start at the base of the subject")
         c, d = s.cat, f.cod
         label_of: dict = {}
         ob: dict = {}
@@ -353,7 +373,6 @@ class PresheafSystem(RefinementSystem):
                 {x: label_of[(f.ob(a), (a, d.identity(f.ob(a)), x))]
                  for x in s.ob[a].elements},
             ) for a in c.objects},
-            check=False,
         )
 
         def factor(m: NatTransOver, g: FinFunctor) -> NatTransOver:
@@ -366,7 +385,7 @@ class PresheafSystem(RefinementSystem):
                     {lab: x_presheaf.ar[g.ar(lab[1])](m.components[lab[0]](lab[2]))
                      for lab in ob[dd].elements},
                 )
-            return NatTransOver(et, g, x_presheaf, comps, check=False)
+            return NatTransOver(et, g, x_presheaf, comps)
 
         return et, right, factor
 
@@ -441,7 +460,7 @@ class PresheafSystem(RefinementSystem):
                 {(x, y): (m.components[a](x), n.components[b](y))
                  for (x, y) in src.ob[(a, b)].elements},
             )
-        return NatTransOver(src, expr, dst, comps, check=False)
+        return NatTransOver(src, expr, dst, comps)
 
     def coherence_cell(self, kind: str, etypes: tuple):
         etypes = tuple(etypes)
@@ -509,16 +528,15 @@ class PresheafSystem(RefinementSystem):
             )
             for o in src_c.objects
         }
-        interp = NatTransOver(src_e, expr, dst_e, comps, check=False)
+        interp = NatTransOver(src_e, expr, dst_e, comps)
         cell = self._cells[kind, etypes] = (expr, src_e, dst_e, interp)
         return cell
 
     # --- residuals: functor categories and ends --------------------------------------------
     def functor_category(self, a: FinCategory, c: FinCategory) -> FinCategory:
-        key = (a.name, c.name)
-        cached = self._fcat_cache.get(key)
-        if cached is not None and cached[0] == (a, c):
-            return cached[1]
+        fcat = self._fcat_cache.get((a, c))
+        if fcat is not None:
+            return fcat
         functors = enumerate_functors(a, c)
         if len(functors) > self.max_functor_objects:
             raise CapabilityError(
@@ -539,26 +557,20 @@ class PresheafSystem(RefinementSystem):
                 f"functor category [{a.name},{c.name}] has {candidate_count} candidate "
                 f"transformations, exceeding the bound {self.max_functor_arrows}"
             )
+        at = {o: i for i, o in enumerate(a.objects)}
         arrows: dict = {}
         components: dict = {}
         lookup: dict = {}
         for f in functors:
             for g in functors:
                 homs = [c.hom(f.ob(o), g.ob(o)) for o in a.objects]
-                idx = 0
-                for choice in itertools.product(*homs):
-                    comp = dict(zip(a.objects, choice))
-                    natural = all(
-                        c.compose(f.ar(u), comp[o2]) == c.compose(comp[o1], g.ar(u))
-                        for u, (o1, o2) in a.arrows.items()
-                    )
-                    if not natural:
-                        continue
+                squares = [((at[o1], at[o2]), _square(c, f.ar(u), g.ar(u)))
+                           for u, (o1, o2) in a.arrows.items()]
+                for idx, choice in enumerate(solutions(homs, squares)):
                     nm = f"n{idx}[{f.name}>{g.name}]"
-                    idx += 1
                     arrows[nm] = (f.name, g.name)
-                    components[nm] = comp
-                    lookup[(f.name, g.name, tuple(comp[o] for o in a.objects))] = nm
+                    components[nm] = dict(zip(a.objects, choice))
+                    lookup[(f.name, g.name, choice)] = nm
         composition = {}
         for n1, (f1, g1) in arrows.items():
             for n2, (f2, g2) in arrows.items():
@@ -573,13 +585,14 @@ class PresheafSystem(RefinementSystem):
                     tuple(c.identity(f.ob(o)) for o in a.objects))
             identities[f.name] = lookup[key2]
         fcat = FinCategory(f"[{a.name},{c.name}]", objects, arrows, composition, identities)
-        self._fcat_cache[key] = ((a, c), fcat)
-        self._fcat_objects[fcat.name] = by_name
-        self._fcat_components[fcat.name] = components
+        self._fcat_cache[a, c] = fcat
+        self._fcat_objects[fcat] = by_name
+        self._fcat_components[fcat] = components
+        self._fcat_arrows[fcat] = lookup
         return fcat
 
     def _functor_at(self, fcat: FinCategory, obj: str) -> FinFunctor:
-        return self._fcat_objects[fcat.name][obj]
+        return self._fcat_objects[fcat][obj]
 
     def residual_left_itype(self, a: FinCategory, c: FinCategory) -> FinCategory:
         return self.functor_category(a, c)
@@ -589,7 +602,7 @@ class PresheafSystem(RefinementSystem):
 
     def plug_l_expr(self, a: FinCategory, c: FinCategory) -> FinFunctor:
         fcat = self.functor_category(a, c)
-        comps = self._fcat_components[fcat.name]
+        comps = self._fcat_components[fcat]
         dom = self.tensor_itype(a, fcat)
         return FinFunctor.unchecked(
             f"plugL[{a.name},{c.name}]", dom, c,
@@ -601,7 +614,7 @@ class PresheafSystem(RefinementSystem):
 
     def plug_r_expr(self, c: FinCategory, b: FinCategory) -> FinFunctor:
         fcat = self.functor_category(b, c)
-        comps = self._fcat_components[fcat.name]
+        comps = self._fcat_components[fcat]
         dom = self.tensor_itype(fcat, b)
         return FinFunctor.unchecked(
             f"plugR[{c.name},{b.name}]", dom, c,
@@ -624,7 +637,7 @@ class PresheafSystem(RefinementSystem):
             object_map = {y: h.ob((fixed, y)) for y in cat.objects}
             arrow_map = {v: h.ar((a_cat.identity(fixed), v)) for v in cat.arrows}
         target = FinFunctor.unchecked("partial", cat, h.cod, object_map, arrow_map)
-        for name, func in self._fcat_objects[fcat.name].items():
+        for name, func in self._fcat_objects[fcat].items():
             if func == target:
                 return name
         raise CapabilityError("partial application is not an object of the functor category")
@@ -632,11 +645,7 @@ class PresheafSystem(RefinementSystem):
     def curry_l_expr(self, h: FinFunctor) -> FinFunctor:
         a_cat, b_cat = self.tensor_factors(h.dom)
         fcat = self.functor_category(a_cat, h.cod)
-        lookup = {
-            (arrows[0], arrows[1], tuple(self._fcat_components[fcat.name][nm][o]
-                                         for o in a_cat.objects)): nm
-            for nm, arrows in fcat.arrows.items()
-        }
+        lookup = self._fcat_arrows[fcat]
         object_map = {
             b: self._partial_functor_name(h, b, "left", fcat) for b in b_cat.objects
         }
@@ -651,11 +660,7 @@ class PresheafSystem(RefinementSystem):
     def curry_r_expr(self, h: FinFunctor) -> FinFunctor:
         a_cat, b_cat = self.tensor_factors(h.dom)
         fcat = self.functor_category(b_cat, h.cod)
-        lookup = {
-            (arrows[0], arrows[1], tuple(self._fcat_components[fcat.name][nm][o]
-                                         for o in b_cat.objects)): nm
-            for nm, arrows in fcat.arrows.items()
-        }
+        lookup = self._fcat_arrows[fcat]
         object_map = {
             x: self._partial_functor_name(h, x, "right", fcat) for x in a_cat.objects
         }
@@ -668,33 +673,15 @@ class PresheafSystem(RefinementSystem):
         return FinFunctor.unchecked(f"rc({h.name})", a_cat, fcat, object_map, arrow_map)
 
     def _nat_set(self, s: FinPresheaf, u: FinPresheaf, f: FinFunctor) -> tuple:
-        """All natural transformations S => U(f-), encoded as nested tuples."""
-        objs = s.cat.objects
-        spaces = []
-        for a in objs:
-            dom, cod = s.ob[a], u.ob[f.ob(a)]
-            spaces.append(tuple(itertools.product(cod.elements, repeat=len(dom))))
-        out = []
-        for choice in itertools.product(*spaces):
-            tables = {
-                a: dict(zip(s.ob[a].elements, choice[i]))
-                for i, a in enumerate(objs)
-            }
-            ok = True
-            for w, (a, a2) in s.cat.arrows.items():
-                for x in s.ob[a].elements:
-                    if u.ar[f.ar(w)](tables[a][x]) != tables[a2][s.ar[w](x)]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                out.append(choice)
+        """All natural transformations S => U(f-), each encoded as the tuple of
+        its components' value tuples, in canonical order."""
+        out = [tuple(tuple([c.cod.elements[j] for j in c.idx]) for c in components)
+               for components in natural_components(s, f, u)]
         return tuple(sorted(out, key=canon_key))
 
     def _residual_presheaf(self, s: FinPresheaf, u: FinPresheaf,
                            fcat: FinCategory, name: str) -> FinPresheaf:
-        comps = self._fcat_components[fcat.name]
+        comps = self._fcat_components[fcat]
         ob = {}
         for fn in fcat.objects:
             f = self._functor_at(fcat, fn)
@@ -737,7 +724,7 @@ class PresheafSystem(RefinementSystem):
                 {(x, enc): self._enc_lookup(s, enc, a, x)
                  for (x, enc) in src.ob[(a, fn)].elements},
             )
-        return NatTransOver(src, expr, u, comps, check=False)
+        return NatTransOver(src, expr, u, comps)
 
     def residual_right_ev_interp(self, u: FinPresheaf, t: FinPresheaf) -> NatTransOver:
         res = self.residual_right_etype(u, t)
@@ -751,7 +738,7 @@ class PresheafSystem(RefinementSystem):
                 {(enc, x): self._enc_lookup(t, enc, b, x)
                  for (enc, x) in src.ob[(fn, b)].elements},
             )
-        return NatTransOver(src, expr, u, comps, check=False)
+        return NatTransOver(src, expr, u, comps)
 
     def residual_left_curry_interp(self, m: NatTransOver, s: FinPresheaf,
                                    v: FinPresheaf, u: FinPresheaf) -> NatTransOver:
@@ -768,7 +755,7 @@ class PresheafSystem(RefinementSystem):
                 )
                 mapping[y] = enc
             comps[b] = FinFunction(f"lcur@{render_elem(b)}", v.ob[b], cod, mapping)
-        return NatTransOver(v, expr, res, comps, check=False)
+        return NatTransOver(v, expr, res, comps)
 
     def residual_right_curry_interp(self, m: NatTransOver, v: FinPresheaf,
                                     t: FinPresheaf, u: FinPresheaf) -> NatTransOver:
@@ -785,7 +772,7 @@ class PresheafSystem(RefinementSystem):
                 )
                 mapping[x] = enc
             comps[a] = FinFunction(f"rcur@{render_elem(a)}", v.ob[a], cod, mapping)
-        return NatTransOver(v, expr, res, comps, check=False)
+        return NatTransOver(v, expr, res, comps)
 
 
 def build_presheaf_system(cats, presheaves, name: str = "presheaf",
@@ -823,7 +810,8 @@ def multiplication_functor(sys: PresheafSystem, m: FinCategory) -> FinFunctor:
     Functoriality of (u, v) -> u;v is exactly commutativity of the monoid;
     the functor check raises on a non-commutative table.
     """
-    assert len(m.objects) == 1, "Day multiplication needs a one-object category"
+    if len(m.objects) != 1:
+        raise MismatchError("Day multiplication needs a one-object category")
     dom = sys.tensor_itype(m, m)
     star = m.objects[0]
     return FinFunctor(
@@ -893,12 +881,14 @@ def enumerate_monoid_presheaves(m: FinCategory, max_elems: int,
                                 prefix: str = "X") -> tuple:
     """All M-sets over a one-object category with at most max_elems elements.
 
-    Each result is a presheaf whose single value set is {p0, p1, ...}; the
-    action tables range over every assignment that respects the composition
-    table.  The order is deterministic: by size, then lexicographically by
-    the action tables.
+    Each result is a presheaf whose single value set is {p0, p1, ...}.  The
+    action tables of the non-identity arrows are the variables of one search
+    per size, with the composite law of each pair of arrows as a constraint.
+    The order is deterministic: by size, then lexicographically by the
+    action tables.
     """
-    assert len(m.objects) == 1, "M-set enumeration needs a one-object category"
+    if len(m.objects) != 1:
+        raise MismatchError("M-set enumeration needs a one-object category")
     star = m.objects[0]
     unit = m.identities[star]
     names = m.arrow_names()
@@ -907,22 +897,33 @@ def enumerate_monoid_presheaves(m: FinCategory, max_elems: int,
     low = prefix.lower()
     for n in range(1, max_elems + 1):
         elems = tuple(f"{low}{i}" for i in range(n))
-        for tables in itertools.product(
-                itertools.product(elems, repeat=n), repeat=len(gens)):
-            act = {unit: {e: e for e in elems}}
-            for g, tbl in zip(gens, tables):
-                act[g] = dict(zip(elems, tbl))
-            ok = all(
-                act[m.compose(u, v)][e] == act[v][act[u][e]]
-                for u in names for v in names for e in elems
-            )
-            if not ok:
-                continue
+        tables = list(itertools.product(range(n), repeat=n))
+        laws = [_action_law(u, v, m.compose(u, v), gens, unit, tuple(range(n)))
+                for u in names for v in names]
+        for choice in solutions([tables] * len(gens), laws):
+            act = dict(zip(gens, choice))
+            act[unit] = tuple(range(n))
             name = f"{prefix}{len(out)}"
             fs = FinSet(f"{name}({render_elem(star)})", elems)
             ar = {
-                u: FinFunction(f"{name}.{render_elem(u)}", fs, fs, act[u])
+                u: FinFunction._from_idx(f"{name}.{render_elem(u)}", fs, fs, act[u])
                 for u in names
             }
             out.append(FinPresheaf(name, m, {star: fs}, ar))
     return tuple(out)
+
+
+def _action_law(u, v, w, gens: tuple, unit, identity: tuple) -> tuple:
+    """The constraint that the action of w = u;v is that of u, then v.
+
+    Its variables are the tables of those of u, v, w that are not the unit,
+    whose table is the identity and fixed."""
+    named = [x for x in (u, v, w) if x != unit]
+
+    def holds(*tables):
+        act = dict(zip(named, tables))
+        act[unit] = identity
+        t_v = act[v]
+        return tuple([t_v[i] for i in act[u]]) == act[w]
+
+    return tuple(gens.index(x) for x in named), holds

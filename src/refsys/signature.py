@@ -413,11 +413,8 @@ def load_signature(path: str) -> Signature:
     name = doc.get("name", kind)
     if not isinstance(name, str) or not name:
         raise SignatureError(f"{path}: name must be a nonempty string")
-    try:
-        if kind == "subset":
-            return _load_subset_model(doc, path, name)
-        if kind == "trivial":
-            return _load_trivial_model(doc, path, name)
-        return _load_presheaf_model(doc, path, name)
-    except AssertionError as exc:
-        raise SignatureError(f"{path}: {exc}") from exc
+    if kind == "subset":
+        return _load_subset_model(doc, path, name)
+    if kind == "trivial":
+        return _load_trivial_model(doc, path, name)
+    return _load_presheaf_model(doc, path, name)

@@ -24,7 +24,7 @@ from typing import Iterator
 
 from .cartesian import DEFAULT_MAX_CARRIER, CartesianKit
 from .fincat import FinFunction, FinSet, all_functions
-from .kernel import IllFormedError, MismatchError, RefinementSystem
+from .kernel import IllFormedError, MismatchError, RefinementSystem, ValidationError
 
 POINT = "*"
 POINT_EXPR = "id"
@@ -52,7 +52,8 @@ class TrivialSystem(RefinementSystem):
     def __init__(self, name: str, sets, max_carrier: int = DEFAULT_MAX_CARRIER):
         self.name = name
         self._sets = tuple(sets)
-        assert len({a.name for a in self._sets}) == len(self._sets), "duplicate set names"
+        if len({a.name for a in self._sets}) != len(self._sets):
+            raise ValidationError(f"{name}: duplicate set names")
         self.kit = CartesianKit(max_carrier)
 
     # --- index level: one point, one expression -------------------------------
@@ -109,7 +110,7 @@ class TrivialSystem(RefinementSystem):
 
     # --- pullback / pushforward: trivial along the identity --------------------
     def pullback_data(self, f: str, t: FinSet):
-        assert f == POINT_EXPR
+        _require_expr(f)
 
         def factor(m: FinFunction, g: str) -> FinFunction:
             return m
@@ -117,7 +118,7 @@ class TrivialSystem(RefinementSystem):
         return t, FinFunction.identity(t), factor
 
     def pushforward_data(self, s: FinSet, f: str):
-        assert f == POINT_EXPR
+        _require_expr(f)
 
         def factor(m: FinFunction, g: str) -> FinFunction:
             return m
@@ -126,14 +127,16 @@ class TrivialSystem(RefinementSystem):
 
     # --- monoidal structure: the kit's products, at the refinement level --------
     def tensor_itype(self, a, b):
-        assert a == POINT and b == POINT
+        _require_point(a)
+        _require_point(b)
         return POINT
 
     def unit_itype(self):
         return POINT
 
     def tensor_expr(self, f: str, g: str) -> str:
-        assert f == POINT_EXPR and g == POINT_EXPR
+        _require_expr(f)
+        _require_expr(g)
         return POINT_EXPR
 
     def tensor_etype(self, s: FinSet, t: FinSet) -> FinSet:
@@ -166,11 +169,11 @@ class TrivialSystem(RefinementSystem):
         return POINT_EXPR
 
     def curry_l_expr(self, f: str) -> str:
-        assert f == POINT_EXPR
+        _require_expr(f)
         return POINT_EXPR
 
     def curry_r_expr(self, f: str) -> str:
-        assert f == POINT_EXPR
+        _require_expr(f)
         return POINT_EXPR
 
     def residual_left_etype(self, s: FinSet, u: FinSet) -> FinSet:

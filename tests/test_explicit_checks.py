@@ -1,8 +1,8 @@
 """Validation never depends on `assert`, which `python -O` strips.
 
-The subset model and the structure witnesses raise their errors explicitly,
-so both interpreters refuse the same bad inputs with the same message; an
-AST check keeps `assert` statements out of the library.
+The models and the structure witnesses raise their errors explicitly, so
+both interpreters refuse the same bad inputs with the same message; an AST
+check keeps `assert` statements out of the library.
 """
 from __future__ import annotations
 
@@ -16,15 +16,19 @@ from conftest import DATA
 SRC = DATA.parent
 
 # modules whose remaining asserts are still to be replaced by explicit errors
-ASSERT_ALLOWED = {"presheaf_model.py", "trivial_model.py"}
+ASSERT_ALLOWED: set = set()
 
 BAD_INPUTS = """
-from refsys.fincat import FinFunction, FinSet
-from refsys.kernel import RefinementError
+from refsys.fincat import FinCategory, FinFunction, FinSet, terminal_category
+from refsys.kernel import RefinementError, check_vertical_iso
+from refsys.presheaf_model import (
+    PresheafSystem, constant_presheaf, enumerate_monoid_presheaves, multiplication_functor,
+)
 from refsys.structures import (
     binary_intersection, binary_union, weighted_intersection, weighted_union,
 )
 from refsys.subset_model import build_subset_system, full_subset
+from refsys.trivial_model import TrivialSystem
 
 a, b = FinSet("A", (1, 2)), FinSet("B", ("x",))
 sys_ = build_subset_system((a, b))
@@ -32,6 +36,14 @@ f = FinFunction("f", a, b, {1: "x", 2: "x"})
 sa, sb = full_subset(a), full_subset(b)
 inter = weighted_intersection(sys_, a, ((f, sb),))
 union = weighted_union(sys_, b, ((f, sa),))
+one = terminal_category()
+arrow = FinCategory("2", ("x", "y"), {"ix": ("x", "x"), "iy": ("y", "y"), "u": ("x", "y")},
+                    {("ix", "ix"): "ix", ("iy", "iy"): "iy", ("ix", "u"): "u",
+                     ("u", "iy"): "u"}, {"x": "ix", "y": "iy"})
+p, q = constant_presheaf("P", one, b), constant_presheaf("Q", arrow, b)
+psys = PresheafSystem("psh", (one, arrow), (p, q))
+collapse = next(psys.expressions(arrow, one))
+triv = TrivialSystem("triv", (a, b))
 cases = [
     lambda: build_subset_system((a, FinSet("A", (3,)))),
     lambda: sys_.pullback_data(f, sa),
@@ -46,6 +58,21 @@ cases = [
     lambda: inter.injection(0),
     lambda: union.tuple_rule((), f),
     lambda: inter.tuple_rule((), sys_.id_expr(a)),
+    lambda: check_vertical_iso(triv, a, a, limit=3),
+    lambda: PresheafSystem("psh", (one, terminal_category()), ()),
+    lambda: PresheafSystem("psh", (one,), (q,)),
+    lambda: psys.compose_interps(psys.id_interp(p), psys.id_interp(q)),
+    lambda: psys.pullback_data(collapse, q),
+    lambda: psys.pushforward_data(p, collapse),
+    lambda: multiplication_functor(psys, arrow),
+    lambda: enumerate_monoid_presheaves(arrow, 1),
+    lambda: TrivialSystem("triv", (a, FinSet("A", (3,)))),
+    lambda: triv.pullback_data("f", a),
+    lambda: triv.pushforward_data(a, "f"),
+    lambda: triv.tensor_itype("*", "A"),
+    lambda: triv.tensor_expr("id", "f"),
+    lambda: triv.curry_l_expr("f"),
+    lambda: triv.curry_r_expr("f"),
 ]
 for case in cases:
     try:
@@ -74,6 +101,21 @@ EXPECTED = [
     "MismatchError: injection applies to a weighted union, not to this intersection",
     "MismatchError: tupling applies to a weighted intersection, not to this union",
     "MismatchError: tupling: 0 premises for 1 weights",
+    "CapabilityError: vertical iso search between A and A exceeds the bound of 3 pairs",
+    "ValidationError: psh: duplicate category names",
+    "ValidationError: presheaf 'Q' lives over an unregistered category",
+    "MismatchError: pasting: boundaries do not match",
+    "MismatchError: pullback: functor must land in the base of the target",
+    "MismatchError: pushforward: functor must start at the base of the subject",
+    "MismatchError: Day multiplication needs a one-object category",
+    "MismatchError: M-set enumeration needs a one-object category",
+    "ValidationError: triv: duplicate set names",
+    "IllFormedError: unknown expression 'f': the only one is 'id'",
+    "IllFormedError: unknown expression 'f': the only one is 'id'",
+    "IllFormedError: unknown index type 'A': the only one is '*'",
+    "IllFormedError: unknown expression 'f': the only one is 'id'",
+    "IllFormedError: unknown expression 'f': the only one is 'id'",
+    "IllFormedError: unknown expression 'f': the only one is 'id'",
 ]
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from refsys.fincat import FinSet
 from refsys.kernel import (
+    CapabilityError,
     IllFormedError,
     RefinementError,
     Status,
@@ -121,6 +122,22 @@ def test_vertical_iso_found_and_refused():
     assert same is not None
     other = check_vertical_iso(sys, s, subset(a, (1,)))
     assert other is None
+
+
+def test_vertical_iso_search_past_its_bound_is_a_refusal():
+    three, two = FinSet("three", (0, 1, 2)), FinSet("two", (0, 1))
+    triv = build_trivial_system((three, two))
+    # the first bijection of three is the sixth function; its inverse, the
+    # identity, is the sixth candidate: pair 5 * 27 + 6 = 141
+    iso = check_vertical_iso(triv, three, three, limit=141)
+    assert iso.fwd.interp.idx == (0, 1, 2) and iso.bwd.interp.idx == (0, 1, 2)
+    with pytest.raises(CapabilityError, match="exceeds the bound of 140 pairs"):
+        check_vertical_iso(triv, three, three, limit=140)
+    # no iso three ~ two: all 8 * 9 pairs tried within the bound is a
+    # refutation, a bound one pair lower a refusal
+    assert check_vertical_iso(triv, three, two, limit=72) is None
+    with pytest.raises(CapabilityError, match="bound of 71 pairs"):
+        check_vertical_iso(triv, three, two, limit=71)
 
 
 @given(st.data())
