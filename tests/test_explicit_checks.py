@@ -15,7 +15,7 @@ from conftest import DATA
 
 SRC = DATA.parent
 
-# modules whose remaining asserts are still to be replaced by explicit errors
+# modules allowed to keep `assert` statements; none is left
 ASSERT_ALLOWED: set = set()
 
 BAD_INPUTS = """
