@@ -417,20 +417,26 @@ class FinFunctor:
     """A functor between finite categories given by object/arrow tables."""
 
     def __init__(self, name: str, dom: FinCategory, cod: FinCategory,
-                 object_map: dict, arrow_map: dict, check: bool = True):
+                 object_map: dict, arrow_map: dict):
         self.name = name
         self.dom = dom
         self.cod = cod
         self.object_map = dict(object_map)
         self.arrow_map = dict(arrow_map)
-        if check:
-            report = check_functor(self)
-            if not report.ok:
-                raise ValidationError(str(report))
+        report = check_functor(self)
+        if not report.ok:
+            raise ValidationError(str(report))
 
-    @staticmethod
-    def unchecked(name, dom, cod, object_map, arrow_map) -> "FinFunctor":
-        return FinFunctor(name, dom, cod, object_map, arrow_map, check=False)
+    @classmethod
+    def unchecked(cls, name, dom, cod, object_map, arrow_map) -> "FinFunctor":
+        """The functor with these tables, which must be valid.  Not checked."""
+        f = cls.__new__(cls)
+        f.name = name
+        f.dom = dom
+        f.cod = cod
+        f.object_map = dict(object_map)
+        f.arrow_map = dict(arrow_map)
+        return f
 
     def ob(self, x):
         return self.object_map[x]
@@ -441,18 +447,16 @@ class FinFunctor:
     def then(self, other: "FinFunctor") -> "FinFunctor":
         if self.cod != other.dom:
             raise MismatchError(f"cannot compose functors {self.name!r} and {other.name!r}")
-        return FinFunctor(
+        return FinFunctor.unchecked(
             f"{self.name};{other.name}", self.dom, other.cod,
             {x: other.object_map[y] for x, y in self.object_map.items()},
             {a: other.arrow_map[b] for a, b in self.arrow_map.items()},
-            check=False,
         )
 
     @staticmethod
     def identity(c: FinCategory) -> "FinFunctor":
-        return FinFunctor(
-            f"Id_{c.name}", c, c,
-            {x: x for x in c.objects}, {a: a for a in c.arrows}, check=False,
+        return FinFunctor.unchecked(
+            f"Id_{c.name}", c, c, {x: x for x in c.objects}, {a: a for a in c.arrows},
         )
 
     def __eq__(self, other):

@@ -19,6 +19,15 @@ Every derivation carries its interpretation - a morphism of the ambient
 finite model - and two derivations are equal iff their boundaries agree and
 their interpretations are equal.  That makes "these two proof trees denote
 the same derivation" an executable check rather than a symbolic one.
+
+A refinement system is a functor p from its morphisms to its expressions,
+so a morphism m fixes its judgment: (dom m, p m, cod m).  A rule's judgment
+is therefore read off its interpretation by :func:`from_interp` (identity,
+tensor, unit, coherence cells, residual evaluation), unless the judgment is
+a given one: an axiom or :func:`derivations_over` states the judgment it was
+asked for, :func:`conversion` the replacement expression, the cut the
+boundaries of its premises, and the pull/push rules the factor they were
+given.
 """
 from __future__ import annotations
 
@@ -186,9 +195,6 @@ class RefinementSystem:
     def tensor_itype(self, a, b):
         raise CapabilityError(f"{self.name}: not monoidal")
 
-    def unit_itype(self):
-        raise CapabilityError(f"{self.name}: not monoidal")
-
     def tensor_expr(self, f, g):
         raise CapabilityError(f"{self.name}: not monoidal")
 
@@ -205,8 +211,9 @@ class RefinementSystem:
         """A named structural isomorphism cell.
 
         kind is one of assoc, assoc_inv, unit_l, unit_l_inv, unit_r,
-        unit_r_inv; etypes are the refinement-type operands.  Returns
-        (expr, src_etype, dst_etype, interp).
+        unit_r_inv; etypes are the refinement-type operands.  Returns the
+        cell's interpretation, a model morphism; its expression and its two
+        ends are read off it by interp_expr, interp_src and interp_dst.
         """
         raise CapabilityError(f"{self.name}: not monoidal")
 
@@ -285,10 +292,16 @@ def describe(sys: RefinementSystem, s) -> str:
 
 # --- rule constructors -------------------------------------------------------
 
-def from_interp(sys: RefinementSystem, m, rule: str = "ax") -> Derivation:
-    """Wrap a model morphism as an axiom derivation."""
+def from_interp(sys: RefinementSystem, m, rule: str = "ax",
+                premises: tuple = ()) -> Derivation:
+    """The derivation by `rule` from `premises` whose interpretation is m.
+
+    Its judgment is read off m as (dom m, p m, cod m), so it is never stated
+    a second time.  Every rule whose judgment is not a given one is built
+    here.
+    """
     j = Judgment(sys.interp_src(m), sys.interp_expr(m), sys.interp_dst(m))
-    return Derivation(rule, j, (), m)
+    return Derivation(rule, j, premises, m)
 
 
 def axiom(sys: RefinementSystem, s, f, t) -> Derivation:
@@ -305,8 +318,7 @@ def axiom(sys: RefinementSystem, s, f, t) -> Derivation:
 
 
 def identity_derivation(sys: RefinementSystem, s) -> Derivation:
-    a = sys.refines(s)
-    return Derivation("I", Judgment(s, sys.id_expr(a), s), (), sys.id_interp(s))
+    return from_interp(sys, sys.id_interp(s), "I")
 
 
 def compose_derivations(sys: RefinementSystem, d1: Derivation, d2: Derivation) -> Derivation:

@@ -270,11 +270,8 @@ def build_continuation_adjunction(sys: RefinementSystem, u) -> AdjunctionDescrip
         )
         w_s = residual_right(sys, u, alpha.subject)
         d = w_s.curry(step, w_t.etype)
-        return Derivation(
-            "adj-L",
-            Judgment(l_etype(alpha.subject), OpExpr(d.expr), l_etype(alpha.target)),
-            (alpha,), OpMor(d.interp),
-        )
+        return Derivation("adj-L", Judgment(d.target, OpExpr(d.expr), d.subject),
+                          (alpha,), OpMor(d.interp))
 
     def r_der(beta: Derivation) -> Derivation:
         # a q-derivation from T1 to T2 carries a base morphism T2 -> T1
@@ -296,11 +293,8 @@ def build_continuation_adjunction(sys: RefinementSystem, u) -> AdjunctionDescrip
         w_l = residual_left(sys, t, u)
         w_r = residual_right(sys, u, w_l.etype)
         d = w_r.curry(w_l.ev, t)
-        return Derivation(
-            "eps",
-            Judgment(l_etype(r_etype(t)), OpExpr(d.expr), t),
-            (d,), OpMor(d.interp),
-        )
+        return Derivation("eps", Judgment(d.target, OpExpr(d.expr), d.subject),
+                          (d,), OpMor(d.interp))
 
     def sigma_rule(s, t):
         rl_t = r_etype(l_etype(t))
@@ -910,7 +904,7 @@ def _point_expr(adj: AdjunctionDescriptor, t, encodings: dict):
     lt = adj.l_etype(t)
     e_lt = encodings[lt]
     r_e = adj.r1(e_lt)
-    lam = p.coherence_cell("unit_l", (t,))[0]
+    lam = p.interp_expr(p.coherence_cell("unit_l", (t,)))
     inner = p.compose_exprs(p.compose_exprs(lam, adj.eta0(b)), r_e)
     return r_e, p.curry_r_expr(inner)
 
@@ -925,7 +919,7 @@ def _evaluation_expr(adj: AdjunctionDescriptor, t, u, encodings: dict):
     r_e, point = _point_expr(adj, t, encodings)
     nr_itype = p.residual_right_itype(cw, b)
     plug = p.plug_l_expr(nr_itype, cw)
-    lam_inv = p.coherence_cell("unit_l_inv", (dn,))[0]
+    lam_inv = p.interp_expr(p.coherence_cell("unit_l_inv", (dn,)))
     expr2 = p.compose_exprs(
         lam_inv,
         p.compose_exprs(

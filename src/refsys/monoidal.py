@@ -38,6 +38,7 @@ from .kernel import (
     derivations_equal,
     derivations_over,
     find_inverse,
+    from_interp,
     identity_derivation,
 )
 from .structures import LawReport, pullback, pushforward
@@ -47,26 +48,17 @@ from .structures import LawReport, pullback, pushforward
 
 def tensor_derivations(sys: RefinementSystem, d1: Derivation, d2: Derivation) -> Derivation:
     """The congruence rule M: pair two derivations into one over the tensor."""
-    j = Judgment(
-        sys.tensor_etype(d1.subject, d2.subject),
-        sys.tensor_expr(d1.expr, d2.expr),
-        sys.tensor_etype(d1.target, d2.target),
-    )
-    return Derivation("M", j, (d1, d2), sys.tensor_interp(d1.interp, d2.interp))
+    return from_interp(sys, sys.tensor_interp(d1.interp, d2.interp), "M", (d1, d2))
 
 
 def unit_derivation(sys: RefinementSystem) -> Derivation:
     """The nullary rule U: the unit type entails itself."""
-    u = sys.unit_etype()
-    return Derivation(
-        "U", Judgment(u, sys.id_expr(sys.unit_itype()), u), (), sys.id_interp(u)
-    )
+    return from_interp(sys, sys.id_interp(sys.unit_etype()), "U")
 
 
 def coherence_derivation(sys: RefinementSystem, kind: str, etypes: tuple) -> Derivation:
     """A structural cell (assoc/unitors, and their inverses) as a derivation."""
-    expr, src, dst, interp = sys.coherence_cell(kind, tuple(etypes))
-    return Derivation("coh", Judgment(src, expr, dst), (), interp)
+    return from_interp(sys, sys.coherence_cell(kind, tuple(etypes)), "coh")
 
 
 # --- the monoidal equations -------------------------------------------------------
@@ -246,16 +238,17 @@ class ResidualWitness:
         if self.side == "left":
             if beta.subject != sys.tensor_etype(self.fixed, v):
                 raise MismatchError("residual curry: premise subject is not S (x) V")
-            expr = sys.curry_l_expr(beta.expr)
             interp = sys.residual_left_curry_interp(beta.interp, self.fixed, v, self.u)
             rule = "lres-R"
         else:
             if beta.subject != sys.tensor_etype(v, self.fixed):
                 raise MismatchError("residual curry: premise subject is not V (x) T")
-            expr = sys.curry_r_expr(beta.expr)
             interp = sys.residual_right_curry_interp(beta.interp, v, self.fixed, self.u)
             rule = "rres-R"
-        return Derivation(rule, Judgment(v, expr, self.etype), (beta,), interp)
+        # v and self.etype are stated, not read off interp, so that the judgment
+        # shares the witness's residual rather than an equal one built again
+        j = Judgment(v, sys.interp_expr(interp), self.etype)
+        return Derivation(rule, j, (beta,), interp)
 
     def uncurry(self, gamma: Derivation) -> Derivation:
         """Inverse transpose: pair gamma with the fixed side and evaluate."""
@@ -272,23 +265,13 @@ class ResidualWitness:
 
 def residual_left(sys: RefinementSystem, s, u) -> ResidualWitness:
     et = sys.residual_left_etype(s, u)
-    a, c = sys.refines(s), sys.refines(u)
-    ev = Derivation(
-        "lres-L",
-        Judgment(sys.tensor_etype(s, et), sys.plug_l_expr(a, c), u),
-        (), sys.residual_left_ev_interp(s, u),
-    )
+    ev = from_interp(sys, sys.residual_left_ev_interp(s, u), "lres-L")
     return ResidualWitness(sys, "left", s, u, et, ev)
 
 
 def residual_right(sys: RefinementSystem, u, t) -> ResidualWitness:
     et = sys.residual_right_etype(u, t)
-    b, c = sys.refines(t), sys.refines(u)
-    ev = Derivation(
-        "rres-L",
-        Judgment(sys.tensor_etype(et, t), sys.plug_r_expr(c, b), u),
-        (), sys.residual_right_ev_interp(u, t),
-    )
+    ev = from_interp(sys, sys.residual_right_ev_interp(u, t), "rres-L")
     return ResidualWitness(sys, "right", t, u, et, ev)
 
 

@@ -241,10 +241,9 @@ class PresheafSystem(RefinementSystem):
         self._fcat_objects: dict = {}
         self._fcat_components: dict = {}
         self._fcat_arrows: dict = {}
-        self._unit_cat = terminal_category()
         unit_set = FinSet("1", ("*",))
         self._unit = FinPresheaf(
-            "1", self._unit_cat, {"*": unit_set}, {"id": FinFunction.identity(unit_set)},
+            "1", terminal_category(), {"*": unit_set}, {"id": FinFunction.identity(unit_set)},
         )
         self._tensors: dict = {}
         self._cells: dict = {}
@@ -410,9 +409,6 @@ class PresheafSystem(RefinementSystem):
         except KeyError:
             raise CapabilityError(f"{p.name!r} is not a constructed product category") from None
 
-    def unit_itype(self) -> FinCategory:
-        return self._unit_cat
-
     def tensor_expr(self, f: FinFunctor, g: FinFunctor) -> FinFunctor:
         dom = self.tensor_itype(f.dom, g.dom)
         cod = self.tensor_itype(f.cod, g.cod)
@@ -462,7 +458,7 @@ class PresheafSystem(RefinementSystem):
             )
         return NatTransOver(src, expr, dst, comps)
 
-    def coherence_cell(self, kind: str, etypes: tuple):
+    def coherence_cell(self, kind: str, etypes: tuple) -> NatTransOver:
         etypes = tuple(etypes)
         cell = self._cells.get((kind, etypes))
         if cell is not None:
@@ -528,8 +524,7 @@ class PresheafSystem(RefinementSystem):
             )
             for o in src_c.objects
         }
-        interp = NatTransOver(src_e, expr, dst_e, comps)
-        cell = self._cells[kind, etypes] = (expr, src_e, dst_e, interp)
+        cell = self._cells[kind, etypes] = NatTransOver(src_e, expr, dst_e, comps)
         return cell
 
     # --- residuals: functor categories and ends --------------------------------------------

@@ -387,7 +387,7 @@ def _load_presheaf_model(doc: dict, path: str, name: str) -> Signature:
             if str(tgt) not in cod_by_str:
                 raise SignatureError(f"functors.{fname}.ar.{key}: unknown arrow {tgt!r}")
             ar_map[aname] = cod_by_str[str(tgt)]
-        functor = FinFunctor(fname, dom, cod, ob_map, ar_map, check=False)
+        functor = FinFunctor.unchecked(fname, dom, cod, ob_map, ar_map)
         report = check_functor(functor)
         if not report.ok:
             bad = (report.structural_errors + report.law_violations)[0]

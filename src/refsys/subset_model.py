@@ -170,8 +170,8 @@ class SubsetSystem(RefinementSystem):
         return f.cod
 
     # --- refinement level ----------------------------------------------------
-    def _check_enumerable(self) -> None:
-        for a in self._sets:
+    def _check_enumerable(self, carriers) -> None:
+        for a in carriers:
             if len(a) > MAX_ENUMERATED_CARRIER:
                 raise CapabilityError(
                     f"refusing to enumerate the 2^{len(a)} subsets of {a.name!r}: "
@@ -186,17 +186,19 @@ class SubsetSystem(RefinementSystem):
         ]
 
     def e_types(self) -> tuple:
-        self._check_enumerable()
+        self._check_enumerable(self._sets)
         return tuple(s for a in self._sets for s in self._subsets(a))
 
     def e_types_over(self, a: FinSet) -> tuple:
         """The subsets of a, as filtering e_types() would give them, built alone.
 
-        The bound is checked on every registered carrier first, as e_types()
-        does; an unregistered carrier has no e-types.
+        Only the registered carriers equal to a are bounded, so a larger
+        carrier elsewhere in the system is not refused here; an unregistered
+        carrier has no e-types.
         """
-        self._check_enumerable()
-        return tuple(s for b in self._sets if b == a for s in self._subsets(b))
+        carriers = [b for b in self._sets if b == a]
+        self._check_enumerable(carriers)
+        return tuple(s for b in carriers for s in self._subsets(b))
 
     def refines(self, s: Subset) -> FinSet:
         return s.of
@@ -283,9 +285,6 @@ class SubsetSystem(RefinementSystem):
     def tensor_itype(self, a: FinSet, b: FinSet) -> FinSet:
         return self.kit.product(a, b)
 
-    def unit_itype(self) -> FinSet:
-        return self.kit.unit
-
     def tensor_expr(self, f: FinFunction, g: FinFunction) -> FinFunction:
         return self.kit.pairing(f, g)
 
@@ -309,13 +308,13 @@ class SubsetSystem(RefinementSystem):
             self.tensor_etype(m.dst, n.dst),
         )
 
-    def coherence_cell(self, kind: str, etypes: tuple):
+    def coherence_cell(self, kind: str, etypes: tuple) -> SubsetMor:
         etypes = tuple(etypes)
         cell = self._cells.get((kind, etypes))
         if cell is None:
             expr = self.kit.cell(kind, tuple(s.of for s in etypes))
             src, dst = cell_ends(kind, etypes, self.tensor_etype, self._unit)
-            cell = self._cells[kind, etypes] = (expr, src, dst, SubsetMor(src, expr, dst))
+            cell = self._cells[kind, etypes] = SubsetMor(src, expr, dst)
         return cell
 
     # --- residuals: subsets of the kit's function spaces ------------------------

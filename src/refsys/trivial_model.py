@@ -131,9 +131,6 @@ class TrivialSystem(RefinementSystem):
         _require_point(b)
         return POINT
 
-    def unit_itype(self):
-        return POINT
-
     def tensor_expr(self, f: str, g: str) -> str:
         _require_expr(f)
         _require_expr(g)
@@ -148,9 +145,8 @@ class TrivialSystem(RefinementSystem):
     def tensor_interp(self, m: FinFunction, n: FinFunction) -> FinFunction:
         return self.kit.pairing(m, n)
 
-    def coherence_cell(self, kind: str, etypes: tuple):
-        interp = self.kit.cell(kind, etypes)
-        return POINT_EXPR, interp.dom, interp.cod, interp
+    def coherence_cell(self, kind: str, etypes: tuple) -> FinFunction:
+        return self.kit.cell(kind, etypes)
 
     # --- residuals: the kit's function spaces -------------------------------------
     def function_space(self, s: FinSet, u: FinSet) -> FinSet:

@@ -1,7 +1,9 @@
 """The derivation path computes each fact once.
 
 The cut reads its expression off the composite interpretation (p of the
-composite, for the functor p of a refinement system), the subset model's
+composite, for the functor p of a refinement system), and so do the
+identity, unit, tensor, coherence, evaluation and currying rules, which
+read their whole judgment off their interpretation.  The subset model's
 enumerated morphisms are checked once by ``holds``, and ``e_types_over``
 builds the subsets of one carrier only.  Each test compares the fast path
 with the construction it replaces.
@@ -25,9 +27,16 @@ from refsys.kernel import (
     derivations_over,
     identity_derivation,
 )
-from refsys.monadrep import OpExpr, OppositeSystem
+from refsys.monadrep import OpExpr, OppositeSystem, build_continuation_adjunction
+from refsys.monoidal import (
+    coherence_derivation,
+    residual_left,
+    residual_right,
+    tensor_derivations,
+    unit_derivation,
+)
 from refsys.subset_model import SubsetMor, build_subset_system, subset
-from refsys.trivial_model import build_trivial_system
+from refsys.trivial_model import POINT_EXPR, build_trivial_system
 
 
 def _small_subset_system():
@@ -101,6 +110,150 @@ def test_cut_after_conversion_keeps_the_composite_table():
     assert cut.expr is cut.interp.expr
 
 
+# --- structural rules read their judgment off their interpretation -------------
+
+def _small_trivial_system():
+    return build_trivial_system((FinSet("S", (1,)), FinSet("T", (1, 2))))
+
+
+@pytest.fixture(params=["subset", "presheaf", "trivial"])
+def system(request):
+    """(system, rename) where rename gives a table-equal expression."""
+    if request.param == "subset":
+        return _small_subset_system(), _rename_function
+    if request.param == "presheaf":
+        return request.getfixturevalue("arrow_sig").system, _rename_functor
+    return _small_trivial_system(), lambda f: f
+
+
+def _assert_read_off(sys, d):
+    """d's judgment is (dom m, p m, cod m) for its interpretation m."""
+    m = d.interp
+    assert tuple(d.judgment) == (sys.interp_src(m), sys.interp_expr(m), sys.interp_dst(m))
+
+
+def _regroup(kind, x, unit):
+    """The element (or object, or arrow) x moved by the coherence cell kind."""
+    if kind == "assoc":
+        (a, b), c = x
+        return a, (b, c)
+    if kind == "assoc_inv":
+        a, (b, c) = x
+        return (a, b), c
+    return {"unit_l": lambda: x[1], "unit_l_inv": lambda: (unit, x),
+            "unit_r": lambda: x[0], "unit_r_inv": lambda: (x, unit)}[kind]()
+
+
+def _regrouping_expr(sys, kind, d):
+    """The cell's expression built by its checked constructor, from its ends."""
+    a, b = sys.refines(d.subject), sys.refines(d.target)
+    if isinstance(a, FinSet):
+        return FinFunction("old", a, b, {x: _regroup(kind, x, "*") for x in a.elements})
+    if a == "*":
+        return POINT_EXPR
+    return FinFunctor("old", a, b, {o: _regroup(kind, o, "*") for o in a.objects},
+                      {u: _regroup(kind, u, "id") for u in a.arrows})
+
+
+def _premises(sys, rename):
+    """Derivations between e-types, and each of them after a conversion."""
+    ds = list(_derivations(sys))
+    return ds + [conversion(sys, d, rename(d.expr)) for d in ds]
+
+
+def test_identity_and_unit_read_their_judgment_off_the_interpretation(system):
+    sys, _ = system
+    for s in sys.e_types() + (sys.unit_etype(),):
+        d = identity_derivation(sys, s)
+        _assert_read_off(sys, d)
+        assert (d.rule, d.subject, d.target) == ("I", s, s)
+        assert sys.exprs_equal(d.expr, sys.id_expr(sys.refines(s)))
+    u = unit_derivation(sys)
+    _assert_read_off(sys, u)
+    assert (u.rule, u.subject, u.target) == ("U", sys.unit_etype(), sys.unit_etype())
+    assert sys.exprs_equal(u.expr, sys.id_expr(sys.refines(sys.unit_etype())))
+
+
+def test_tensor_reads_its_judgment_off_the_interpretation(system):
+    sys, rename = system
+    premises = _premises(sys, rename)
+    for d1, d2 in itertools.product(premises, repeat=2):
+        d = tensor_derivations(sys, d1, d2)
+        _assert_read_off(sys, d)
+        assert (d.rule, d.premises) == ("M", (d1, d2))
+        assert d.subject == sys.tensor_etype(d1.subject, d2.subject)
+        assert d.target == sys.tensor_etype(d1.target, d2.target)
+        assert sys.exprs_equal(d.expr, sys.tensor_expr(d1.expr, d2.expr))
+
+
+def test_coherence_cells_read_their_judgment_off_the_interpretation(system):
+    sys, _ = system
+    es = sys.e_types()[:3]
+    kinds = 0
+    for kind in ("assoc", "assoc_inv", "unit_l", "unit_l_inv", "unit_r", "unit_r_inv"):
+        arity = 3 if kind.startswith("assoc") else 1
+        for operands in itertools.product(es, repeat=arity):
+            d = coherence_derivation(sys, kind, operands)
+            _assert_read_off(sys, d)
+            assert d.rule == "coh" and d.interp is sys.coherence_cell(kind, operands)
+            assert sys.exprs_equal(d.expr, _regrouping_expr(sys, kind, d))
+        kinds += 1
+    assert kinds == 6
+
+
+def test_evaluation_and_currying_read_their_judgment_off_the_interpretation(system):
+    sys, rename = system
+    es = sys.e_types()[:3]
+    curried = 0
+    for fixed, u in itertools.product(es, repeat=2):
+        for w in (residual_left(sys, fixed, u), residual_right(sys, u, fixed)):
+            left = w.side == "left"
+            _assert_read_off(sys, w.ev)
+            assert w.ev.rule == ("lres-L" if left else "rres-L")
+            a, c = sys.refines(fixed), sys.refines(u)
+            plug = sys.plug_l_expr(a, c) if left else sys.plug_r_expr(c, a)
+            assert sys.exprs_equal(w.ev.expr, plug)
+            assert w.ev.target == u
+            assert w.ev.subject == (sys.tensor_etype(fixed, w.etype) if left
+                                    else sys.tensor_etype(w.etype, fixed))
+            for v in es:
+                sv = sys.tensor_etype(fixed, v) if left else sys.tensor_etype(v, fixed)
+                for f in sys.expressions(sys.refines(sv), c):
+                    for beta in derivations_over(sys, sv, f, u):
+                        for premise in (beta, conversion(sys, beta, rename(f))):
+                            d = w.curry(premise, v)
+                            _assert_read_off(sys, d)
+                            assert d.subject is v and d.target is w.etype
+                            old = (sys.curry_l_expr(premise.expr) if left
+                                   else sys.curry_r_expr(premise.expr))
+                            assert sys.exprs_equal(d.expr, old)
+                            curried += 1
+    assert curried > 0
+
+
+@pytest.mark.parametrize("build", [_small_subset_system, _small_trivial_system])
+def test_continuation_adjunction_keeps_its_boundaries(build):
+    sys = build()
+    u = sys.e_types()[-1]
+    adj = build_continuation_adjunction(sys, u)
+    for t in sys.e_types():
+        eps = adj.eps_rule(t)
+        assert eps.rule == "eps"
+        assert (eps.subject, eps.target) == (adj.l_etype(adj.r_etype(t)), t)
+        assert adj.q.exprs_equal(eps.expr, adj.q.interp_expr(eps.interp))
+    lifted = 0
+    for alpha in _derivations(sys):
+        if alpha.subject == alpha.target:
+            continue
+        la = adj.l_der(alpha)
+        assert la.rule == "adj-L" and la.premises == (alpha,)
+        assert (la.subject, la.target) == (adj.l_etype(alpha.subject),
+                                           adj.l_etype(alpha.target))
+        assert adj.q.exprs_equal(la.expr, adj.q.interp_expr(la.interp))
+        lifted += 1
+    assert lifted > 0
+
+
 # --- e_types_over builds the subsets of one carrier ----------------------------
 
 def test_e_types_over_equals_the_filter_of_e_types():
@@ -122,13 +275,14 @@ def test_e_types_over_refuses_as_e_types_does():
     sys = build_subset_system((small, big))
     with pytest.raises(CapabilityError) as whole:
         sys.e_types()
-    for x in (small, big, FinSet("C", (1,))):
-        with pytest.raises(CapabilityError) as one:
-            sys.e_types_over(x)
-        assert str(one.value) == str(whole.value)
     assert str(whole.value) == (
         "refusing to enumerate the 2^17 subsets of 'Big': "
         "it has 17 elements, exceeding the bound 16")
+    assert sys.e_types_over(small) == (subset(small, ()), subset(small, (1,)))
+    assert sys.e_types_over(FinSet("C", (1,))) == ()
+    with pytest.raises(CapabilityError) as one:
+        sys.e_types_over(big)
+    assert str(one.value) == str(whole.value)
 
 
 # --- morphisms_over: one check per morphism --------------------------------------

@@ -71,12 +71,13 @@ class ConstantAssociator(SubsetSystem):
     """A subset system whose associator sends every triple to one element."""
 
     def coherence_cell(self, kind, etypes):
-        expr, src, dst, interp = super().coherence_cell(kind, etypes)
+        cell = super().coherence_cell(kind, etypes)
         if kind != "assoc":
-            return expr, src, dst, interp
+            return cell
+        expr = cell.expr
         first = expr.cod.elements[0]
         bad = FinFunction(expr.name, expr.dom, expr.cod, {x: first for x in expr.dom.elements})
-        return bad, src, dst, SubsetMor(src, bad, dst)
+        return SubsetMor(cell.src, bad, cell.dst)
 
 
 def test_wrong_associator_stops_at_max_failures():

@@ -88,7 +88,7 @@ def test_tensor_and_unit(small_sys):
     assert set(st_.elements) == {("a1", 2), ("a1", 3)}
     unit = small_sys.unit_etype()
     assert len(unit) == 1
-    assert small_sys.refines(unit) == small_sys.unit_itype()
+    assert small_sys.refines(unit) == small_sys.kit.unit
 
 
 def test_carrier_bound_refuses_large_products():

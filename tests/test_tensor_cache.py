@@ -38,7 +38,7 @@ def _trivial_calls(sig) -> dict:
     return {
         "tensor_etype": lambda: sys.tensor_etype(two, two),
         "unit_etype": sys.unit_etype,
-        "coherence_cell": lambda: sys.coherence_cell("unit_r", (two,))[3],
+        "coherence_cell": lambda: sys.coherence_cell("unit_r", (two,)),
         "kit.pairing": lambda: sys.tensor_interp(m, n),
         "kit.cell": lambda: sys.kit.cell("assoc", (two, two, two)),
     }
@@ -59,9 +59,12 @@ CALLS = {"hoare4": _subset_calls, "trivial2": _trivial_calls,
 
 
 def _names(x):
-    """The names a result shows; FinFunction equality leaves the name out."""
-    if isinstance(x, tuple):
-        return tuple(_names(v) for v in x)
+    """The names a result shows; FinFunction equality leaves the name out.
+
+    A model morphism shows the names of its ends and its expression.
+    """
+    if hasattr(x, "expr"):
+        return tuple(_names(v) for v in (x.src, x.expr, x.dst))
     return getattr(x, "name", None)
 
 
