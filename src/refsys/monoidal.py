@@ -264,14 +264,15 @@ class ResidualWitness:
 
 
 def residual_left(sys: RefinementSystem, s, u) -> ResidualWitness:
-    et = sys.residual_left_etype(s, u)
+    # evaluation first: when its tensor is refused, no residual was built twice
     ev = from_interp(sys, sys.residual_left_ev_interp(s, u), "lres-L")
+    et = sys.residual_left_etype(s, u)
     return ResidualWitness(sys, "left", s, u, et, ev)
 
 
 def residual_right(sys: RefinementSystem, u, t) -> ResidualWitness:
-    et = sys.residual_right_etype(u, t)
     ev = from_interp(sys, sys.residual_right_ev_interp(u, t), "rres-L")
+    et = sys.residual_right_etype(u, t)
     return ResidualWitness(sys, "right", t, u, et, ev)
 
 
