@@ -264,7 +264,7 @@ class ResidualWitness:
 
 
 def residual_left(sys: RefinementSystem, s, u) -> ResidualWitness:
-    # evaluation first: when its tensor is refused, no residual was built twice
+    # evaluation first, so that a refused tensor stops before a second residual is built
     ev = from_interp(sys, sys.residual_left_ev_interp(s, u), "lres-L")
     et = sys.residual_left_etype(s, u)
     return ResidualWitness(sys, "left", s, u, et, ev)
