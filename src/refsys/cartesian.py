@@ -24,6 +24,16 @@ only regroups, so it keeps every position.  The function at position k of
 most significant first: evaluation reads a digit of k, and currying writes
 the digits of a row or column of f's table.
 
+Products and function spaces are computed carriers (:class:`ProductSet`,
+:class:`FunctionSpace`).  Each keeps its factors, and its length, hash,
+equality and membership are computed from them: (x, y) is in A x B iff x is
+in A and y is in B, and t is in [A->C] iff it is a |A|-tuple of elements of
+C.  Their ``elements`` tuple, and the position dict that ``index`` reads,
+are built only when a caller iterates, indexes or renders the carrier; they
+are distinct by construction, so no duplicate check runs.  A carrier past
+the bound is therefore refused before any of its members, or any member of
+a carrier built over it, exists.
+
 Products, function spaces, pairings and coherence cells are built once per
 kit, so asking again returns the same object.  Products and function spaces
 are keyed by their factors and cells by their kind and the sets they act
@@ -38,6 +48,7 @@ size, instead of exhausting memory; a refusal is not cached.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 from .fincat import FinFunction, FinSet
 from .kernel import CapabilityError, MismatchError
@@ -45,6 +56,99 @@ from .kernel import CapabilityError, MismatchError
 DEFAULT_MAX_CARRIER = 200_000
 
 _CELL_KINDS = ("assoc", "assoc_inv", "unit_l", "unit_l_inv", "unit_r", "unit_r_inv")
+
+
+class _KitCarrier(FinSet):
+    """A carrier computed from its factors; its elements are built on first read.
+
+    It equals, hashes like and lists the same elements as the plain FinSet
+    built from its materialised tuple.  It is built without
+    ``FinSet.__init__``, whose duplicate check would read the elements.
+    """
+
+    __slots__ = ("factors", "_size")
+
+    def __init__(self, name: str, factors: tuple, size: int):
+        self.name = name
+        self.factors = factors
+        self._size = size
+        self._index = None
+        self._hash = None
+
+    @cached_property
+    def elements(self) -> tuple:
+        return tuple(self._members())
+
+    def __len__(self):
+        return self._size
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, FinSet):
+            return NotImplemented
+        return self.name == other.name and _same_elements(self, other)
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.name, self._size))
+        return self._hash
+
+
+class ProductSet(_KitCarrier):
+    """A x B: its pairs in lexicographic order, (a_i, b_j) at position i*|B| + j."""
+
+    __slots__ = ()
+
+    def __init__(self, a: FinSet, b: FinSet):
+        super().__init__(f"({a.name}x{b.name})", (a, b), len(a) * len(b))
+
+    def _members(self):
+        a, b = self.factors
+        return itertools.product(a.elements, b.elements)
+
+    def __contains__(self, x) -> bool:
+        a, b = self.factors
+        return isinstance(x, tuple) and len(x) == 2 and x[0] in a and x[1] in b
+
+
+class FunctionSpace(_KitCarrier):
+    """[A->C]: the |A|-tuples of C's elements in lexicographic order."""
+
+    __slots__ = ()
+
+    def __init__(self, a: FinSet, c: FinSet):
+        super().__init__(f"[{a.name}->{c.name}]", (a, c), len(c) ** len(a))
+
+    def _members(self):
+        a, c = self.factors
+        return itertools.product(c.elements, repeat=len(a))
+
+    def __contains__(self, x) -> bool:
+        a, c = self.factors
+        return isinstance(x, tuple) and len(x) == len(a) and all(v in c for v in x)
+
+
+def _same_elements(x: FinSet, y: FinSet) -> bool:
+    """Whether x and y list the same elements in the same order, names aside.
+
+    Two products or two function spaces are compared through their factors,
+    building neither: a nonempty product's pairs fix the elements of both
+    factors, and a nonempty function space's tuples fix their length and,
+    when that is positive, the elements of the values' set.
+    """
+    if x is y:
+        return True
+    if len(x) != len(y):
+        return False
+    if not len(x):
+        return True
+    if isinstance(x, ProductSet) and isinstance(y, ProductSet):
+        return all(map(_same_elements, x.factors, y.factors))
+    if isinstance(x, FunctionSpace) and isinstance(y, FunctionSpace):
+        (a, c), (a2, c2) = x.factors, y.factors
+        return len(a) == len(a2) and (not len(a) or _same_elements(c, c2))
+    return x.elements == y.elements
 
 
 def cell_ends(kind: str, operands: tuple, tensor, unit) -> tuple:
@@ -72,7 +176,6 @@ class CartesianKit:
         self.max_carrier = max_carrier
         self.unit = FinSet("1", ("*",))
         self._products: dict = {}
-        self._factors: dict = {}
         self._spaces: dict = {}
         self._pairings: dict = {}
         self._cells: dict = {}
@@ -87,26 +190,21 @@ class CartesianKit:
         p = self._products.get((a, b))
         if p is None:
             self._guard(len(a) * len(b), f"product ({a.name}x{b.name})")
-            p = FinSet(f"({a.name}x{b.name})",
-                       tuple(itertools.product(a.elements, b.elements)))
-            self._products[a, b] = p
-            self._factors[p] = (a, b)
+            p = self._products[a, b] = ProductSet(a, b)
         return p
 
-    def factors(self, p: FinSet) -> tuple:
-        """(A, B) for a product A x B built by this kit."""
-        try:
-            return self._factors[p]
-        except KeyError:
-            raise CapabilityError(f"{p.name!r} is not a constructed product") from None
+    @staticmethod
+    def factors(p: FinSet) -> tuple:
+        """(A, B) for a product A x B built by a kit."""
+        if not isinstance(p, ProductSet):
+            raise CapabilityError(f"{p.name!r} is not a constructed product")
+        return p.factors
 
     def function_space(self, a: FinSet, c: FinSet) -> FinSet:
         fs = self._spaces.get((a, c))
         if fs is None:
             self._guard(len(c) ** len(a), f"function space [{a.name}->{c.name}]")
-            fs = FinSet(f"[{a.name}->{c.name}]",
-                        tuple(itertools.product(c.elements, repeat=len(a))))
-            self._spaces[a, c] = fs
+            fs = self._spaces[a, c] = FunctionSpace(a, c)
         return fs
 
     def pairing(self, f: FinFunction, g: FinFunction) -> FinFunction:

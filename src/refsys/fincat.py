@@ -96,7 +96,7 @@ class FinSet:
         return self._hash
 
     def __repr__(self):
-        return f"FinSet({self.name!r}, {len(self.elements)} elements)"
+        return f"FinSet({self.name!r}, {len(self)} elements)"
 
 
 class FinFunction:

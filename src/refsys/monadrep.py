@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
+from .fincat import FinFunction, FinSet
 from .kernel import (
     CapabilityError,
     Derivation,
@@ -711,16 +712,19 @@ def search_encodings(adj: AdjunctionDescriptor, t, u,
     certified rather than silently truncated.
     """
     p = adj.p
+    # refuse up front, from the index types alone: building RL[T] and R[U]
+    # costs O(|dom|), and so does even one candidate
+    dom = adj.r0(adj.l0(p.refines(t)))
+    cod = adj.r0(p.refines(u))
+    if limit is not None and isinstance(dom, FinSet) and isinstance(cod, FinSet):
+        if _power_exceeds(len(cod), len(dom), limit):
+            raise CapabilityError(
+                f"encoding search exceeds {limit} candidate expressions"
+            )
     rl_t = adj.rl_etype(t)
     r_u = adj.r_etype(u)
     dom = p.refines(rl_t)
     cod = p.refines(r_u)
-    if limit is not None and hasattr(dom, "elements") and hasattr(cod, "elements"):
-        # refuse up front: building even one candidate costs O(|dom|)
-        if len(cod.elements) ** len(dom.elements) > limit:
-            raise CapabilityError(
-                f"encoding search exceeds {limit} candidate expressions"
-            )
     out = []
     count = 0
     for f in p.expressions(dom, cod):
@@ -733,6 +737,18 @@ def search_encodings(adj: AdjunctionDescriptor, t, u,
         if et == rl_t:
             out.append(f)
     return tuple(out)
+
+
+def _power_exceeds(base: int, exp: int, limit: int) -> bool:
+    """Whether base ** exp > limit, multiplying no further than past limit."""
+    if base < 2:
+        return base ** exp > limit
+    acc = 1
+    for _ in range(exp):
+        acc *= base
+        if acc > limit:
+            return True
+    return acc > limit
 
 
 def count_encodings_elementwise(adj: AdjunctionDescriptor, t, u) -> tuple:
@@ -762,7 +778,6 @@ def count_encodings_elementwise(adj: AdjunctionDescriptor, t, u) -> tuple:
             table[x] = choices[0]
     if count == 0:
         return 0, None
-    from .fincat import FinFunction
     return count, FinFunction(f"enc[{getattr(t, 'name', t)}]", dom, cod, table)
 
 

@@ -44,6 +44,18 @@ def _as_name_dict(obj, where: str) -> dict:
     return obj
 
 
+def _name_ref(value, table: dict, path: Optional[str], what: str):
+    """table[value] for a reference by name; SignatureError at path otherwise.
+
+    A reference that is not a string is refused before it is looked up, so a
+    JSON list or object in its place is bad input, not an unhashable key.
+    """
+    if not isinstance(value, str) or value not in table:
+        prefix = f"{path}: " if path else ""
+        raise SignatureError(f"{prefix}unknown {what} {value!r}")
+    return table[value]
+
+
 def _parse_elements(raw, where: str) -> tuple:
     if not isinstance(raw, list) or not raw:
         raise SignatureError(f"{where}: expected a nonempty list of elements")
@@ -109,14 +121,10 @@ class Signature:
     universal: Any = None
 
     def etype(self, name: str):
-        if name not in self.etypes:
-            raise SignatureError(f"unknown type {name!r}")
-        return self.etypes[name]
+        return _name_ref(name, self.etypes, None, "type")
 
     def expr(self, name: str):
-        if name not in self.exprs:
-            raise SignatureError(f"unknown expression {name!r}")
-        return self.exprs[name]
+        return _name_ref(name, self.exprs, None, "expression")
 
 
 def _load_sets(raw, where: str) -> dict:
@@ -145,17 +153,14 @@ def _load_subset_model(doc: dict, path: str, name: str) -> Signature:
 
     for fname, spec in _as_name_dict(doc.get("functions", {}), "functions").items():
         _require_keys(spec, f"functions.{fname}", ("dom", "cod", "table"))
-        if spec["dom"] not in carriers or spec["cod"] not in carriers:
-            raise SignatureError(f"functions.{fname}: unknown dom or cod")
-        dom, cod = carriers[spec["dom"]], carriers[spec["cod"]]
+        dom = _name_ref(spec["dom"], carriers, f"functions.{fname}.dom", "set")
+        cod = _name_ref(spec["cod"], carriers, f"functions.{fname}.cod", "set")
         table = dom.resolve_table(spec["table"], cod, f"functions.{fname}.table")
         sig.exprs[fname] = FinFunction(fname, dom.fs, cod.fs, table)
 
     for sname, spec in _as_name_dict(doc.get("subsets", {}), "subsets").items():
         _require_keys(spec, f"subsets.{sname}", ("of", "elements"))
-        if spec["of"] not in carriers:
-            raise SignatureError(f"subsets.{sname}: unknown carrier {spec['of']!r}")
-        car = carriers[spec["of"]]
+        car = _name_ref(spec["of"], carriers, f"subsets.{sname}.of", "carrier")
         if not isinstance(spec["elements"], list):
             raise SignatureError(f"subsets.{sname}.elements: expected a list")
         elems = {car.resolve(e, f"subsets.{sname}.elements") for e in spec["elements"]}
@@ -164,9 +169,7 @@ def _load_subset_model(doc: dict, path: str, name: str) -> Signature:
     if "monoid" in doc:
         spec = doc["monoid"]
         _require_keys(spec, "monoid", ("carrier", "unit", "table"))
-        if spec["carrier"] not in carriers:
-            raise SignatureError(f"monoid.carrier: unknown set {spec['carrier']!r}")
-        car = carriers[spec["carrier"]]
+        car = _name_ref(spec["carrier"], carriers, "monoid.carrier", "set")
         unit = car.resolve(spec["unit"], "monoid.unit")
         rows = _as_name_dict(spec["table"], "monoid.table")
         if set(rows) != set(car.by_str):
@@ -185,9 +188,7 @@ def _load_subset_model(doc: dict, path: str, name: str) -> Signature:
     if "machine" in doc:
         spec = doc["machine"]
         _require_keys(spec, "machine", ("states", "commands"))
-        if spec["states"] not in carriers:
-            raise SignatureError(f"machine.states: unknown set {spec['states']!r}")
-        states = carriers[spec["states"]]
+        states = _name_ref(spec["states"], carriers, "machine.states", "set")
         commands = {}
         for cname, tbl in _as_name_dict(spec["commands"], "machine.commands").items():
             table = states.resolve_table(tbl, states, f"machine.commands.{cname}")
@@ -209,9 +210,10 @@ def _load_adjunction_stanza(spec, sig: Signature):
     if kind == "continuation" and "answers" not in spec:
         raise SignatureError("adjunction: continuation kind needs an answers type")
     if "answers" in spec:
-        sig.answers = sig.etype(spec["answers"])
+        sig.answers = _name_ref(spec["answers"], sig.etypes, "adjunction.answers", "type")
     if "universal" in spec:
-        sig.universal = sig.etype(spec["universal"])
+        sig.universal = _name_ref(spec["universal"], sig.etypes, "adjunction.universal",
+                                  "type")
 
 
 def _load_trivial_model(doc: dict, path: str, name: str) -> Signature:
@@ -303,9 +305,7 @@ def _load_presheaf_model(doc: dict, path: str, name: str) -> Signature:
     presheaves = {}
     for pname, spec in _as_name_dict(doc.get("presheaves", {}), "presheaves").items():
         _require_keys(spec, f"presheaves.{pname}", ("cat", "at", "action"))
-        if spec["cat"] not in cats:
-            raise SignatureError(f"presheaves.{pname}: unknown category {spec['cat']!r}")
-        cat = cats[spec["cat"]]
+        cat = _name_ref(spec["cat"], cats, f"presheaves.{pname}.cat", "category")
         at = _as_name_dict(spec["at"], f"presheaves.{pname}.at")
         by_str = {str(o): o for o in cat.objects}
         if set(at) != set(by_str):
@@ -353,9 +353,8 @@ def _load_presheaf_model(doc: dict, path: str, name: str) -> Signature:
 
     for fname, spec in _as_name_dict(doc.get("functors", {}), "functors").items():
         _require_keys(spec, f"functors.{fname}", ("dom", "cod", "ob", "ar"))
-        if spec["dom"] not in cats or spec["cod"] not in cats:
-            raise SignatureError(f"functors.{fname}: unknown dom or cod")
-        dom, cod = cats[spec["dom"]], cats[spec["cod"]]
+        dom = _name_ref(spec["dom"], cats, f"functors.{fname}.dom", "category")
+        cod = _name_ref(spec["cod"], cats, f"functors.{fname}.cod", "category")
         ob_by_str = {str(o): o for o in dom.objects}
         cod_ob = {str(o): o for o in cod.objects}
         ob_map = {}

@@ -20,7 +20,12 @@ carriers (products, function spaces, the unit 1 = {*}) and its tables
 (pairing, coherence cells, evaluation, currying) come from the system's
 :class:`refsys.cartesian.CartesianKit`, which builds each carrier,
 pairing and coherence cell once and refuses any carrier larger than
-``max_carrier`` with a CapabilityError.  The system itself builds each
+``max_carrier`` with a CapabilityError.  The kit's products and function
+spaces compute their size, equality and membership from their factors, so
+a tensor subset checks its pairs factor by factor; their elements and
+position dicts are built when something iterates, indexes or renders them:
+a residual, which takes its members from the space, a morphism check,
+which reads positions, or a subset's name.  The system itself builds each
 tensor subset once, keyed by its two factors, each coherence cell once,
 keyed by its kind and subsets (equal subsets have equal carriers and
 elements, so an equal key gives an equal result), and the unit subset with
@@ -33,7 +38,8 @@ order, the space lists them in lexicographic order, so { t | t(S) <= U } is
 the mixed-radix product of U's indices at the positions in S and all of
 C's elsewhere, |U|^|S| * |C|^(|A|-|S|) tuples picked from the space by
 index.  The guard applies to the function space, which every residual is
-built inside.
+built inside, and a residual's evaluation asks for its carrier S x [A->C]
+(or [B->C] x T) first, so a refused evaluation builds no residual.
 
 ``Subset`` and ``SubsetMor`` check their members when built.  Three results
 that are valid by construction skip that check: residuals (their members
@@ -391,12 +397,15 @@ class SubsetSystem(RefinementSystem):
         return self._residual(t, u)
 
     def residual_left_ev_interp(self, s: Subset, u: Subset) -> SubsetMor:
+        # the evaluation's carrier S x [A->C] is refused before the residual is built
+        self.kit.product(s.of, self.function_space(s.of, u.of))
         res = self.residual_left_etype(s, u)
         return SubsetMor(
             self.tensor_etype(s, res), self.plug_l_expr(s.of, u.of), u
         )
 
     def residual_right_ev_interp(self, u: Subset, t: Subset) -> SubsetMor:
+        self.kit.product(self.function_space(t.of, u.of), t.of)
         res = self.residual_right_etype(u, t)
         return SubsetMor(
             self.tensor_etype(res, t), self.plug_r_expr(u.of, t.of), u

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -555,3 +556,92 @@ def test_laws_all_matches_the_recorded_report(capsys, sig):
     rc, out, _ = run(capsys, "laws", data_file(f"{sig}.json"), "all", "--json")
     assert rc == 0
     assert out == (GOLDEN / f"{sig}.json").read_text()
+
+
+# --- name references: a JSON list or object in place of a name is bad input ------------
+
+NAME_REF_SITES = [
+    ("continuation.json", ("adjunction", "answers"), {}),
+    ("classifier.json", ("adjunction", "universal"), []),
+    ("squaring.json", ("functions", "sq", "dom"), {}),
+    ("squaring.json", ("functions", "sq", "cod"), []),
+    ("z4.json", ("subsets", "zero", "of"), {}),
+    ("z4.json", ("monoid", "carrier"), []),
+    ("hoare4.json", ("machine", "states"), {}),
+    ("day_z2.json", ("presheaves", "Reg", "cat"), []),
+    ("presheaf_arrow.json", ("functors", "collapse", "dom"), {}),
+    ("presheaf_arrow.json", ("functors", "collapse", "cod"), []),
+]
+
+NAME_REF_RUN = """
+import contextlib, io, json, sys
+from refsys.cli import main
+for path in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            code = main(["check", path, "x <= x"])
+    except Exception as exc:  # an escape is reported per site, not for the whole run
+        code = f"{type(exc).__name__}: {exc}"
+    print(json.dumps([code, err.getvalue()]))
+"""
+
+
+def _name_ref_mutant(directory, index: int) -> str:
+    fname, keys, value = NAME_REF_SITES[index]
+    with open(data_file(fname), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if fname == "classifier.json":
+        doc["adjunction"]["universal"] = "truth"
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    path = directory / f"site{index}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def name_ref_runs(tmp_path_factory):
+    """(exit code, stderr) of `refsys check` on every mutant, per interpreter."""
+    directory = tmp_path_factory.mktemp("name_refs")
+    paths = [_name_ref_mutant(directory, i) for i in range(len(NAME_REF_SITES))]
+    env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent))
+    runs = {}
+    for flags in ((), ("-O",)):
+        proc = subprocess.run([sys.executable, *flags, "-c", NAME_REF_RUN, json.dumps(paths)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs[flags] = [tuple(json.loads(line)) for line in proc.stdout.splitlines()]
+    return runs
+
+
+@pytest.mark.parametrize("index", range(len(NAME_REF_SITES)),
+                         ids=[".".join(site[1]) for site in NAME_REF_SITES])
+def test_name_reference_of_the_wrong_type_is_bad_input(name_ref_runs, index):
+    _, keys, value = NAME_REF_SITES[index]
+    for flags, results in name_ref_runs.items():
+        code, err = results[index]
+        assert code == 3, (flags, err)
+        assert err.startswith(f"error: {'.'.join(keys)}: unknown "), (flags, err)
+        assert err.rstrip().endswith(repr(value)), (flags, err)
+    assert name_ref_runs[()][index] == name_ref_runs[("-O",)][index]
+
+
+# --- `refsys residual`, pinned against recorded output ------------------------------------
+
+RESIDUAL_GOLDEN = Path(__file__).resolve().parent / "golden" / "residual.json"
+
+
+@pytest.mark.parametrize("case", json.loads(RESIDUAL_GOLDEN.read_text()),
+                         ids=lambda c: "-".join([c["signature"], str(c["max_carrier"]), *c["args"]]))
+def test_residual_command_matches_its_recorded_output(tmp_path, capsys, case):
+    path = data_file(case["signature"])
+    if case["max_carrier"] is not None:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["max_carrier"] = case["max_carrier"]
+        path = write_sig(tmp_path, doc)
+    rc, out, err = run(capsys, "residual", path, *case["args"])
+    assert (rc, out, err) == (case["code"], case["stdout"], case["stderr"])
