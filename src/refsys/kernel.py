@@ -362,8 +362,13 @@ def derivations_over(sys: RefinementSystem, s, f, t) -> Iterator[Derivation]:
     """All derivations of a judgment, one per model morphism over f."""
     if not well_formed(sys, s, f, t):
         raise IllFormedError("ill-formed judgment")
-    for m in sys.morphisms_over(s, f, t):
-        yield Derivation("ax", Judgment(s, f, t), (), m)
+    yield from _axioms_over(sys, s, f, t)
+
+
+def _axioms_over(sys: RefinementSystem, s, f, t) -> Iterator[Derivation]:
+    """derivations_over for a judgment whose boundaries the caller has checked."""
+    j = Judgment(s, f, t)
+    return (Derivation("ax", j, (), m) for m in sys.morphisms_over(s, f, t))
 
 
 def derivations_equal(sys: RefinementSystem, d1: Derivation, d2: Derivation) -> bool:

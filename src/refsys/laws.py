@@ -343,12 +343,12 @@ def _suite_sep(sig: Signature, max_set: int) -> LawReport | str:
                   lambda: f"star table wrong at {s.name} * {t.name}")
     for u, t in itertools.product(subs, subs):
         expect = {x for x in car.elements
-                  if all(tbl[x, y] in u.elements for y in t.elements)}
+                  if all(tbl[x, y] in u for y in t.elements)}
         rep.check(wand_right_etype(sys_, mult, u, t).elements == frozenset(expect),
                   lambda: f"right wand table wrong at {t.name} -* {u.name}")
     for s, u in itertools.product(subs, subs):
         expect = {y for y in car.elements
-                  if all(tbl[x, y] in u.elements for x in s.elements)}
+                  if all(tbl[x, y] in u for x in s.elements)}
         rep.check(wand_left_etype(sys_, mult, s, u).elements == frozenset(expect),
                   lambda: f"left wand table wrong at {s.name} *- {u.name}")
     for s, t, u in itertools.product(subs, subs, subs):

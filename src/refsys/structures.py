@@ -26,18 +26,20 @@ from typing import Any, Callable, Optional
 from .kernel import (
     CapabilityError,
     Derivation,
+    IllFormedError,
     Judgment,
     LawViolation,
     MismatchError,
     RefinementSystem,
     Status,
     VerticalIso,
+    _axioms_over,
     axiom,
     classify,
     compose_derivations,
     derivations_equal,
-    derivations_over,
     identity_derivation,
+    well_formed,
 )
 
 
@@ -87,6 +89,15 @@ class PullbackWitness:
     etype: Any
     left: Derivation
     _factor: Callable
+    _last: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+
+    def _through(self, g):
+        """g;f, built once for a run of premises with the same factor g."""
+        last, gf = self._last
+        if last is not g:
+            gf = self.sys.compose_exprs(g, self.expr)
+            self._last = (g, gf)
+        return gf
 
     def right(self, beta: Derivation, g) -> Derivation:
         sys = self.sys
@@ -94,7 +105,7 @@ class PullbackWitness:
             raise MismatchError("pullback right rule: premise has wrong target")
         if sys.expr_cod(g) != sys.expr_dom(self.expr):
             raise MismatchError("pullback right rule: factor has wrong codomain")
-        if not sys.exprs_equal(beta.expr, sys.compose_exprs(g, self.expr)):
+        if not sys.exprs_equal(beta.expr, self._through(g)):
             raise MismatchError("pullback right rule: premise expression is not g;f")
         interp = self._factor(beta.interp, g)
         return Derivation(
@@ -115,6 +126,15 @@ class PushforwardWitness:
     etype: Any
     right: Derivation
     _factor: Callable
+    _last: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+
+    def _through(self, g):
+        """f;g, built once for a run of premises with the same factor g."""
+        last, fg = self._last
+        if last is not g:
+            fg = self.sys.compose_exprs(self.expr, g)
+            self._last = (g, fg)
+        return fg
 
     def left(self, beta: Derivation, g) -> Derivation:
         sys = self.sys
@@ -122,7 +142,7 @@ class PushforwardWitness:
             raise MismatchError("pushforward left rule: premise has wrong subject")
         if sys.expr_dom(g) != sys.expr_cod(self.expr):
             raise MismatchError("pushforward left rule: factor has wrong domain")
-        if not sys.exprs_equal(beta.expr, sys.compose_exprs(self.expr, g)):
+        if not sys.exprs_equal(beta.expr, self._through(g)):
             raise MismatchError("pushforward left rule: premise expression is not f;g")
         interp = self._factor(beta.interp, g)
         return Derivation(
@@ -197,13 +217,17 @@ def _check_pull(w: PullbackWitness, x_types, max_failures) -> LawReport:
     for x in (x_types if x_types is not None else sys.i_types()):
         subjects = sys.e_types_over(x)
         for g in sys.expressions(x, a):
-            gf = sys.compose_exprs(g, w.expr)
+            gf = w._through(g)
+            # every subject refines x, so one of them checks the factor's boundaries
+            if subjects and not (well_formed(sys, subjects[0], gf, w.target)
+                                 and well_formed(sys, subjects[0], g, w.etype)):
+                raise IllFormedError("ill-formed judgment")
             for s in subjects:
-                for beta in derivations_over(sys, s, gf, w.target):
+                for beta in _axioms_over(sys, s, gf, w.target):
                     round_trip = compose_derivations(sys, w.right(beta, g), w.left)
                     rep.check(derivations_equal(sys, round_trip, beta),
                               lambda: f"beta-law fails at subject {s.name}, factor {_name(g)}")
-                for eta in derivations_over(sys, s, g, w.etype):
+                for eta in _axioms_over(sys, s, g, w.etype):
                     back = w.right(compose_derivations(sys, eta, w.left), g)
                     rep.check(derivations_equal(sys, back, eta),
                               lambda: f"eta-law fails at subject {s.name}, factor {_name(g)}")
@@ -219,13 +243,17 @@ def _check_push(w: PushforwardWitness, x_types, max_failures) -> LawReport:
     for x in (x_types if x_types is not None else sys.i_types()):
         targets = sys.e_types_over(x)
         for g in sys.expressions(b, x):
-            fg = sys.compose_exprs(w.expr, g)
+            fg = w._through(g)
+            # every target refines x, so one of them checks the factor's boundaries
+            if targets and not (well_formed(sys, w.subject, fg, targets[0])
+                                and well_formed(sys, w.etype, g, targets[0])):
+                raise IllFormedError("ill-formed judgment")
             for t in targets:
-                for beta in derivations_over(sys, w.subject, fg, t):
+                for beta in _axioms_over(sys, w.subject, fg, t):
                     round_trip = compose_derivations(sys, w.right, w.left(beta, g))
                     rep.check(derivations_equal(sys, round_trip, beta),
                               lambda: f"beta-law fails at target {t.name}, factor {_name(g)}")
-                for eta in derivations_over(sys, w.etype, g, t):
+                for eta in _axioms_over(sys, w.etype, g, t):
                     back = w.left(compose_derivations(sys, w.right, eta), g)
                     rep.check(derivations_equal(sys, back, eta),
                               lambda: f"eta-law fails at target {t.name}, factor {_name(g)}")

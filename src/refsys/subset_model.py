@@ -21,36 +21,58 @@ carriers (products, function spaces, the unit 1 = {*}) and its tables
 :class:`refsys.cartesian.CartesianKit`, which builds each carrier,
 pairing and coherence cell once and refuses any carrier larger than
 ``max_carrier`` with a CapabilityError.  The kit's products and function
-spaces compute their size, equality and membership from their factors, so
-a tensor subset checks its pairs factor by factor; their elements and
-position dicts are built when something iterates, indexes or renders them:
-a residual, which takes its members from the space, a morphism check,
-which reads positions, or a subset's name.  The system itself builds each
-tensor subset once, keyed by its two factors, each coherence cell once,
-keyed by its kind and subsets (equal subsets have equal carriers and
-elements, so an equal key gives an equal result), and the unit subset with
-the system.
+spaces compute their size, equality and membership from their factors and
+build their elements only when something iterates, indexes or renders them.
+The system itself builds each tensor subset once, keyed by its two factors,
+each coherence cell once, keyed by its kind and subsets (equal subsets have
+equal carriers and positions, so an equal key gives an equal result), and
+the unit subset with the system.
 
-This module adds what is particular to subsets: the subsets over those
-carriers, and the residuals, built directly rather than by filtering the
-function space.  A function in [A->C] is the tuple of its values in A's
-order, the space lists them in lexicographic order, so { t | t(S) <= U } is
-the mixed-radix product of U's indices at the positions in S and all of
-C's elsewhere, |U|^|S| * |C|^(|A|-|S|) tuples picked from the space by
-index.  The guard applies to the function space, which every residual is
-built inside, and a residual's evaluation asks for its carrier S x [A->C]
-(or [B->C] x T) first, so a refused evaluation builds no residual.
+A subset holds the positions of its members in its carrier, ``ix``, a
+frozenset of ints, just as a :class:`refsys.fincat.FinFunction` holds
+positions in its codomain.  Every operation of the model therefore runs on
+positions and index tables, with set operations that run in C:
 
-``Subset`` and ``SubsetMor`` check their members when built.  Three results
-that are valid by construction skip that check: residuals (their members
-are taken from the function space), cuts (each step maps into the next) and
-the morphisms of ``morphisms_over`` (``holds`` has just checked them).
+    f maps S into T        T.ix contains f.idx[i] for every i in S.ix
+    pullback f*T           the positions i with f.idx[i] in T.ix
+    pushforward fS         the positions f.idx[i] for i in S.ix
+    tensor S x T           i*|B| + j for i in S.ix and j in T.ix
+    weighted meet/join     intersections of pullbacks, unions of images
+
+None of them reads a carrier's elements, so a subset of a kit carrier
+never builds that carrier's elements or position dict.  ``elements``,
+``name``, ``in`` and ``len`` read the subset in terms of elements;
+``elements`` and ``in`` build the carrier's elements, and ``in`` its
+position dict, on first use.
+
+The residuals are built as positions too.  A function in [A->C] is the
+tuple of its values in A's order, the space lists them in lexicographic
+order, so { t | t(S) <= U } is the mixed-radix product of U's positions at
+the positions in S and all of C's elsewhere, |U|^|S| * |C|^(|A|-|S|)
+positions of the space.  The guard applies to the function space, which
+every residual is built inside, and a residual's evaluation asks for its
+carrier S x [A->C] (or [B->C] x T) first, so a refused evaluation builds no
+residual.
+
+``Subset`` and ``SubsetMor`` are named tuples.  Their public constructors,
+``Subset(of, elements)`` (and ``subset``) and ``SubsetMor(src, expr, dst)``,
+check what they are given and raise ValidationError, also under
+``python -O``.  Results that are valid by construction are built from
+positions by ``_subset`` and ``_mor`` without a check: every subset the
+system computes (pullbacks, pushforwards, weighted types, tensors,
+residuals, the unit and the enumerated e-types), the morphisms of
+``morphisms_over`` (``holds`` has just checked them), identities, cuts
+(each step maps into the next), the pairing of two morphisms, coherence
+cells (a cell keeps every position, and so do its two ends) and
+evaluations (a residual's members send S into U).  The factors of the
+pullback and pushforward rules and the curried morphisms are checked,
+since they are built from morphisms and expressions that a caller passes
+in.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
+from collections import namedtuple
 from typing import Iterator
 
 from .cartesian import DEFAULT_MAX_CARRIER, CartesianKit, cell_ends
@@ -66,45 +88,56 @@ from .kernel import (
 
 MAX_ENUMERATED_CARRIER = 16
 
+_new = tuple.__new__
 
-def _unchecked(cls, **fields):
-    """An instance of a frozen dataclass built without its __post_init__ check.
 
-    Only for values that are valid by construction; a test compares each
-    such construction with the checked one.
+class Subset(namedtuple("Subset", "of ix")):
+    """A subset of a finite carrier; the refinement types of this model.
+
+    ``ix`` is the frozenset of the members' positions in ``of``.  Equality
+    and hashing compare the carrier and the positions, which is comparing
+    the members.  The constructor takes the members themselves.  ``len``
+    counts the members, so the tuple helpers ``_make`` and ``_replace``,
+    which check the length, do not apply.
     """
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Subset:
-    """A subset of a finite carrier; the refinement types of this model."""
-    of: FinSet
-    elements: frozenset
+    def __new__(cls, of: FinSet, elements) -> "Subset":
+        at = of.positions()
+        ix = []
+        for x in elements:
+            i = at.get(x)
+            if i is None:
+                raise ValidationError(f"element {x!r} outside carrier {of.name!r}")
+            ix.append(i)
+        return _new(cls, (of, frozenset(ix)))
 
-    def __post_init__(self):
-        for x in self.elements:
-            if x not in self.of:
-                raise ValidationError(f"element {x!r} outside carrier {self.of.name!r}")
+    def __getnewargs__(self):
+        return self.of, self.elements
 
-    @cached_property
+    @property
+    def elements(self) -> frozenset:
+        return frozenset(map(self.of.elements.__getitem__, self.ix))
+
+    @property
     def name(self) -> str:
-        inner = ",".join(
-            render_elem(x) for x in sorted(self.elements, key=self.of.index)
-        )
-        return "{" + inner + "}:" + self.of.name
+        el = self.of.elements
+        return "{" + ",".join(render_elem(el[i]) for i in sorted(self.ix)) + "}:" + self.of.name
 
     def __contains__(self, x) -> bool:
-        return x in self.elements
+        return self.of.positions().get(x) in self.ix
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.ix)
 
     def __repr__(self):
         return f"Subset({self.name})"
+
+
+def _subset(of: FinSet, ix: frozenset) -> Subset:
+    """The subset of ``of`` at positions ix, which must be valid.  Not checked."""
+    return _new(Subset, (of, ix))
 
 
 def subset(of: FinSet, elems) -> Subset:
@@ -112,24 +145,35 @@ def subset(of: FinSet, elems) -> Subset:
 
 
 def full_subset(of: FinSet) -> Subset:
-    return Subset(of, frozenset(of.elements))
+    return _subset(of, frozenset(range(len(of))))
 
 
-@dataclass(frozen=True)
-class SubsetMor:
+def _maps_into(f: FinFunction, s: Subset, t: Subset) -> bool:
+    """Whether f sends every member of s to a member of t."""
+    return t.ix.issuperset(map(f.idx.__getitem__, s.ix))
+
+
+def _preimage(f: FinFunction, ix: frozenset) -> Iterator[int]:
+    """The positions of f's domain that f sends into ix."""
+    return itertools.compress(itertools.count(), map(ix.__contains__, f.idx))
+
+
+class SubsetMor(namedtuple("SubsetMor", "src expr dst")):
     """The at-most-one morphism from src to dst over expr: f maps src into dst."""
-    src: Subset
-    expr: FinFunction
-    dst: Subset
 
-    def __post_init__(self):
-        if not (self.expr.dom == self.src.of and self.expr.cod == self.dst.of):
+    __slots__ = ()
+
+    def __new__(cls, src: Subset, expr: FinFunction, dst: Subset) -> "SubsetMor":
+        if not (expr.dom == src.of and expr.cod == dst.of):
             raise ValidationError("morphism boundaries do not match the expression")
-        for x in self.src.elements:
-            if self.expr(x) not in self.dst:
-                raise ValidationError(
-                    f"{self.expr.name!r} does not map {self.src.name} into {self.dst.name}"
-                )
+        if not _maps_into(expr, src, dst):
+            raise ValidationError(f"{expr.name!r} does not map {src.name} into {dst.name}")
+        return _new(cls, (src, expr, dst))
+
+
+def _mor(src: Subset, expr: FinFunction, dst: Subset) -> SubsetMor:
+    """The morphism over expr, which must map src into dst.  Not checked."""
+    return _new(SubsetMor, (src, expr, dst))
 
 
 class SubsetSystem(RefinementSystem):
@@ -186,10 +230,11 @@ class SubsetSystem(RefinementSystem):
 
     @staticmethod
     def _subsets(a: FinSet) -> list:
-        return [
-            Subset(a, frozenset(x for i, x in enumerate(a.elements) if mask >> i & 1))
-            for mask in range(1 << len(a))
-        ]
+        """The subsets of a in the order of their bitmasks, bit i for position i."""
+        ixs = [frozenset()]
+        for i in range(len(a)):
+            ixs += [ix | {i} for ix in ixs]
+        return [_subset(a, ix) for ix in ixs]
 
     def e_types(self) -> tuple:
         self._check_enumerable(self._sets)
@@ -214,21 +259,21 @@ class SubsetSystem(RefinementSystem):
             raise IllFormedError(
                 f"{s.name} =[{f.name}]=> {t.name}: boundaries do not match"
             )
-        return all(f(x) in t for x in s.elements)
+        return _maps_into(f, s, t)
 
     def morphisms_over(self, s: Subset, f: FinFunction, t: Subset) -> Iterator[SubsetMor]:
         if self.holds(s, f, t):
             # holds has just checked the boundaries and every member
-            yield _unchecked(SubsetMor, src=s, expr=f, dst=t)
+            yield _mor(s, f, t)
 
     def id_interp(self, s: Subset) -> SubsetMor:
-        return SubsetMor(s, self.id_expr(s.of), s)
+        return _mor(s, self.id_expr(s.of), s)
 
     def compose_interps(self, m: SubsetMor, n: SubsetMor) -> SubsetMor:
         """The cut of two morphisms: f;g maps m.src into n.dst since each step does."""
         if m.dst != n.src:
             raise MismatchError(f"cut: target {m.dst.name} != subject {n.src.name}")
-        return _unchecked(SubsetMor, src=m.src, expr=m.expr.then(n.expr), dst=n.dst)
+        return _mor(m.src, m.expr.then(n.expr), n.dst)
 
     def interp_expr(self, m: SubsetMor) -> FinFunction:
         return m.expr
@@ -243,8 +288,8 @@ class SubsetSystem(RefinementSystem):
     def pullback_data(self, f: FinFunction, t: Subset):
         if f.cod != t.of:
             raise MismatchError("pullback: expression must land in the carrier of the target")
-        et = Subset(f.dom, frozenset(x for x in f.dom.elements if f(x) in t))
-        left = SubsetMor(et, f, t)
+        et = _subset(f.dom, frozenset(_preimage(f, t.ix)))
+        left = _mor(et, f, t)
 
         def factor(m: SubsetMor, g: FinFunction) -> SubsetMor:
             return SubsetMor(m.src, g, et)
@@ -256,8 +301,8 @@ class SubsetSystem(RefinementSystem):
             raise MismatchError(
                 "pushforward: expression must start at the carrier of the subject"
             )
-        et = Subset(f.cod, f.image(s.elements))
-        right = SubsetMor(s, f, et)
+        et = _subset(f.cod, frozenset(map(f.idx.__getitem__, s.ix)))
+        right = _mor(s, f, et)
 
         def factor(m: SubsetMor, g: FinFunction) -> SubsetMor:
             return SubsetMor(et, g, m.dst)
@@ -272,20 +317,21 @@ class SubsetSystem(RefinementSystem):
                     f"weighted intersection: weight {f.name!r} does not run from "
                     f"{a.name!r} to the carrier of {t.name}"
                 )
-        return Subset(a, frozenset(
-            x for x in a.elements if all(f(x) in t for f, t in family)
-        ))
+        ix = set(range(len(a)))
+        for f, t in family:
+            ix.intersection_update(_preimage(f, t.ix))
+        return _subset(a, frozenset(ix))
 
     def weighted_union_etype(self, b: FinSet, family) -> Subset:
-        elems: set = set()
+        ix: set = set()
         for f, s in family:
             if not (f.cod == b and f.dom == s.of):
                 raise MismatchError(
                     f"weighted union: weight {f.name!r} does not run from "
                     f"the carrier of {s.name} to {b.name!r}"
                 )
-            elems |= {f(x) for x in s.elements}
-        return Subset(b, frozenset(elems))
+            ix.update(map(f.idx.__getitem__, s.ix))
+        return _subset(b, frozenset(ix))
 
     # --- monoidal structure: the kit's products, at the index level ------------
     def tensor_itype(self, a: FinSet, b: FinSet) -> FinSet:
@@ -297,18 +343,20 @@ class SubsetSystem(RefinementSystem):
     def tensor_etype(self, s: Subset, t: Subset) -> Subset:
         st = self._tensors.get((s, t))
         if st is None:
-            st = Subset(
+            # (a_i, b_j) sits at position i*|B| + j of the product
+            n = len(t.of)
+            st = self._tensors[s, t] = _subset(
                 self.kit.product(s.of, t.of),
-                frozenset(itertools.product(s.elements, t.elements)),
+                frozenset([i * n + j for i in s.ix for j in t.ix]),
             )
-            self._tensors[s, t] = st
         return st
 
     def unit_etype(self) -> Subset:
         return self._unit
 
     def tensor_interp(self, m: SubsetMor, n: SubsetMor) -> SubsetMor:
-        return SubsetMor(
+        # f x g maps S x S' into T x T' when f maps S into T and g maps S' into T'
+        return _mor(
             self.tensor_etype(m.src, n.src),
             self.kit.pairing(m.expr, n.expr),
             self.tensor_etype(m.dst, n.dst),
@@ -320,7 +368,8 @@ class SubsetSystem(RefinementSystem):
         if cell is None:
             expr = self.kit.cell(kind, tuple(s.of for s in etypes))
             src, dst = cell_ends(kind, etypes, self.tensor_etype, self._unit)
-            cell = self._cells[kind, etypes] = SubsetMor(src, expr, dst)
+            # a cell regroups, so it keeps every position, and both ends hold the same ones
+            cell = self._cells[kind, etypes] = _mor(src, expr, dst)
         return cell
 
     # --- residuals: subsets of the kit's function spaces ------------------------
@@ -349,21 +398,18 @@ class SubsetSystem(RefinementSystem):
         """{ t : A -> C | t(S) <= U } for S <= A and U <= C, built directly.
 
         [A->C] lists the tuples of ``itertools.product(C, repeat=|A|)`` in
-        lexicographic order, so the tuple at index k has the base-|C| digits
-        of k as its value indices, the first position most significant.  The
-        residual is the mixed-radix product in which a position x in S takes
-        the indices of U and every other position all of C; its size is
-        |U|^|S| * |C|^(|A|-|S|).  The members are taken from ``fs.elements``
-        by index (each prefix followed by free positions is one slice), so the
-        residual shares the function space's tuples instead of holding copies
-        of them.
+        lexicographic order, so the tuple at position k has the base-|C|
+        digits of k as its value positions, the first most significant.  The
+        residual is the mixed-radix product in which a position of A in S
+        takes the positions of U and every other position all of C; its size
+        is |U|^|S| * |C|^(|A|-|S|).  Each prefix followed by free positions
+        is one range of the space's positions, so the space's elements are
+        never read.
         """
-        a, c = s.of, u.of
-        fs = self.function_space(a, c)
-        n = len(c)
-        # ascending digits keep the members in the space's order
-        allowed = sorted(c.index(y) for y in u.elements)
-        digits = [allowed if x in s else range(n) for x in a.elements]
+        fs = self.function_space(s.of, u.of)
+        n = len(u.of)
+        allowed = sorted(u.ix)
+        digits = [allowed if i in s.ix else range(n) for i in range(len(s.of))]
         # trailing positions that allow all of C make each prefix a contiguous run
         run = 1
         while digits and len(digits[-1]) == n:
@@ -372,9 +418,8 @@ class SubsetSystem(RefinementSystem):
         starts = [0]
         for ds in digits:
             starts = [k * n + d for k in starts for d in ds]
-        # every member is taken from fs.elements, so it needs no membership check
-        return _unchecked(Subset, of=fs, elements=frozenset(itertools.chain.from_iterable(
-            fs.elements[k * run:(k + 1) * run] for k in starts
+        return _subset(fs, frozenset(itertools.chain.from_iterable(
+            range(k * run, (k + 1) * run) for k in starts
         )))
 
     def residual_left_etype(self, s: Subset, u: Subset) -> Subset:
@@ -400,14 +445,15 @@ class SubsetSystem(RefinementSystem):
         # the evaluation's carrier S x [A->C] is refused before the residual is built
         self.kit.product(s.of, self.function_space(s.of, u.of))
         res = self.residual_left_etype(s, u)
-        return SubsetMor(
+        # a residual's members send S into U, so evaluation maps S x res into U
+        return _mor(
             self.tensor_etype(s, res), self.plug_l_expr(s.of, u.of), u
         )
 
     def residual_right_ev_interp(self, u: Subset, t: Subset) -> SubsetMor:
         self.kit.product(self.function_space(t.of, u.of), t.of)
         res = self.residual_right_etype(u, t)
-        return SubsetMor(
+        return _mor(
             self.tensor_etype(res, t), self.plug_r_expr(u.of, t.of), u
         )
 
@@ -474,8 +520,8 @@ class HoareProgram:
     def check_triple(self, p: Subset, names, q: Subset) -> bool:
         names = list(names)
         direct = self.sys.holds(p, self.composite(names), q)
-        backward = p.elements <= self.wp_fold(names, q).elements
-        forward = self.sp_fold(p, names).elements <= q.elements
+        backward = p.ix <= self.wp_fold(names, q).ix
+        forward = self.sp_fold(p, names).ix <= q.ix
         if not direct == backward == forward:
             raise LawViolation("predicate transformer readings disagree")
         return direct
