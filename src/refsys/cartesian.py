@@ -1,10 +1,13 @@
 """The cartesian monoidal closed structure of finite sets, built once.
 
-Two models are cartesian closed over finite sets, at different levels: the
-subset model at the index level (its index types are finite sets and its
-expressions functions) and the trivial model at the refinement level (its
-refinement types are finite sets and its morphisms functions).  Both take
-their carriers and structural tables from one :class:`CartesianKit`:
+Three models take the cartesian structure of finite sets from one
+:class:`CartesianKit`, at different levels: the subset model at the index
+level (its index types are finite sets and its expressions functions), the
+trivial model at the refinement level (its refinement types are finite sets
+and its morphisms functions) and the presheaf model in each fibre (the
+value of S x T at (a, b) is S(a) x T(b), and its actions and the components
+of its morphisms and coherence cells are pairings and cells).  The subset
+and trivial models also take the closed structure from it:
 
     product       A x B, the tensor, with 1 = {*} as its unit
     function      [A->C]: a function is the tuple of its values in A's
@@ -40,10 +43,11 @@ are keyed by their factors and cells by their kind and the sets they act
 on; equal ``FinSet``s have equal names and elements, so an equal key gives
 an equal result.  Pairings are keyed by the identity of the two functions,
 and each entry keeps both alive: ``FinFunction`` equality ignores the name
-that the pairing's name is made from.  Evaluation and currying tables are
-built on each call.  Every carrier the kit would build with more than
-``max_carrier`` elements is refused with a CapabilityError that names its
-size, instead of exhausting memory; a refusal is not cached.
+that the pairing's name is made from.  ``pair`` builds a pairing without
+keeping it, for a caller that keeps what it builds from it.  Evaluation and
+currying tables are built on each call.  Every carrier the kit would build
+with more than ``max_carrier`` elements is refused with a CapabilityError
+that names its size, instead of exhausting memory; a refusal is not cached.
 """
 from __future__ import annotations
 
@@ -207,18 +211,20 @@ class CartesianKit:
             fs = self._spaces[a, c] = FunctionSpace(a, c)
         return fs
 
+    def pair(self, f: FinFunction, g: FinFunction) -> FinFunction:
+        """f x g, built on every call; ``pairing`` builds it once."""
+        n = len(g.cod)
+        return FinFunction._from_idx(
+            f"({f.name}x{g.name})", self.product(f.dom, g.dom), self.product(f.cod, g.cod),
+            tuple([i * n + j for i in f.idx for j in g.idx]),
+        )
+
     def pairing(self, f: FinFunction, g: FinFunction) -> FinFunction:
         key = (id(f), id(g))
         entry = self._pairings.get(key)
         if entry is None:
-            n = len(g.cod)
-            fg = FinFunction._from_idx(
-                f"({f.name}x{g.name})", self.product(f.dom, g.dom),
-                self.product(f.cod, g.cod),
-                tuple([i * n + j for i in f.idx for j in g.idx]),
-            )
             # holding f and g keeps their ids from being reused while the entry lives
-            entry = self._pairings[key] = (f, g, fg)
+            entry = self._pairings[key] = (f, g, self.pair(f, g))
         return entry[2]
 
     def cell(self, kind: str, sets: tuple) -> FinFunction:

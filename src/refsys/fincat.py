@@ -104,9 +104,8 @@ class FinFunction:
 
     ``idx[i]`` is the position in ``cod`` of the value at the i-th element of
     ``dom`` (both in canonical order), so composition is an index gather and
-    equality a tuple comparison.  ``mapping``, ``__call__`` and ``image``
-    read the table in terms of elements; ``mapping`` is a dict built on first
-    use.
+    equality a tuple comparison.  ``mapping`` and ``__call__`` read the
+    table in terms of elements; ``mapping`` is a dict built on first use.
 
     The public constructor takes an element table and is the one place where
     a table is checked: it raises ValidationError unless the table covers
@@ -175,10 +174,6 @@ class FinFunction:
     @staticmethod
     def identity(a: FinSet) -> "FinFunction":
         return FinFunction._from_idx(f"id_{a.name}", a, a, tuple(range(len(a))))
-
-    def image(self, elems) -> frozenset:
-        at, idx, cod = self.dom.positions(), self.idx, self.cod.elements
-        return frozenset([cod[idx[at[x]]] for x in elems])
 
     def __eq__(self, other):
         if self is other:

@@ -27,15 +27,21 @@ materialized functor category (size-guarded), and the residual value at a
 functor-object f is the set of natural transformations S => U(f-), encoded
 as nested tuples of images.
 
-A system builds its tensor structure once.  Product categories, the
-functors between two categories and functor categories are keyed by their
-two categories, tensor presheaves by their two factors, the tables of a
-functor category by the category itself, and coherence cells by their kind
-and the presheaves they act on; ``FinPresheaf`` and
-``FinCategory`` equality compare names and every table, so an equal key
-gives an equal result.  The unit presheaf is built with the system.  A
-build refused with a CapabilityError is not cached, so asking again refuses
-again.
+The tensor is cartesian in each fibre, and a system takes it from its
+:class:`refsys.cartesian.CartesianKit`: the value of S x T at (a, b) is the
+kit's product S(a) x T(b), each action and each component of a tensor of
+morphisms is a pairing, each component of a coherence cell is the kit's
+cell on the values it regroups, and the unit presheaf's value is the kit's
+unit.  The kit's ``max_carrier``, set from the ``max_values`` bound, is the
+one guard on the size of a value.  A system builds its tensor structure
+once.  Product categories, the functors between two categories and functor
+categories are keyed by their two categories, tensor presheaves by their
+two factors, the tables of a functor category by the category itself, and
+coherence cells by their kind and the presheaves they act on;
+``FinPresheaf`` and ``FinCategory`` equality compare names and every table,
+so an equal key gives an equal result.  The pairings in a tensor presheaf
+are built with it and kept by it, not by the kit.  A build refused with a
+CapabilityError is not cached, so asking again refuses again.
 
 ``day_star`` specializes the pushforward to a commutative monoid viewed as a
 one-object category, and ``day_star_coend`` recomputes the same presheaf by
@@ -46,6 +52,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
+from .cartesian import DEFAULT_MAX_CARRIER, CartesianKit, cell_ends
 from .fincat import (
     FinCategory,
     FinFunction,
@@ -63,7 +70,6 @@ from .kernel import (
     CapabilityError, IllFormedError, MismatchError, RefinementSystem, ValidationError,
 )
 
-DEFAULT_MAX_VALUES = 200_000
 DEFAULT_MAX_FUNCTOR_OBJECTS = 64
 DEFAULT_MAX_FUNCTOR_ARROWS = 4096
 
@@ -219,7 +225,7 @@ class PresheafSystem(RefinementSystem):
     proof_irrelevant = False
 
     def __init__(self, name: str, cats, presheaves,
-                 max_values: int = DEFAULT_MAX_VALUES,
+                 max_values: int = DEFAULT_MAX_CARRIER,
                  max_functor_objects: int = DEFAULT_MAX_FUNCTOR_OBJECTS,
                  max_functor_arrows: int = DEFAULT_MAX_FUNCTOR_ARROWS):
         self.name = name
@@ -231,7 +237,7 @@ class PresheafSystem(RefinementSystem):
             if p.cat not in self._cats:
                 raise ValidationError(
                     f"presheaf {p.name!r} lives over an unregistered category")
-        self.max_values = max_values
+        self.kit = CartesianKit(max_values)
         self.max_functor_objects = max_functor_objects
         self.max_functor_arrows = max_functor_arrows
         self._expr_cache: dict = {}
@@ -241,10 +247,7 @@ class PresheafSystem(RefinementSystem):
         self._fcat_objects: dict = {}
         self._fcat_components: dict = {}
         self._fcat_arrows: dict = {}
-        unit_set = FinSet("1", ("*",))
-        self._unit = FinPresheaf(
-            "1", terminal_category(), {"*": unit_set}, {"id": FinFunction.identity(unit_set)},
-        )
+        self._unit = constant_presheaf("1", terminal_category(), self.kit.unit)
         self._tensors: dict = {}
         self._cells: dict = {}
 
@@ -389,12 +392,6 @@ class PresheafSystem(RefinementSystem):
         return et, right, factor
 
     # --- monoidal structure: external product ---------------------------------------------
-    def _guard_values(self, size: int, what: str):
-        if size > self.max_values:
-            raise CapabilityError(
-                f"{what} would have {size} elements, exceeding the bound {self.max_values}"
-            )
-
     def tensor_itype(self, a: FinCategory, b: FinCategory) -> FinCategory:
         prod = self._pcat_cache.get((a, b))
         if prod is None:
@@ -423,22 +420,9 @@ class PresheafSystem(RefinementSystem):
         if st is not None:
             return st
         cat = self.tensor_itype(s.cat, t.cat)
-        name = f"({s.name}x{t.name})"
-        ob = {}
-        for (a, b) in cat.objects:
-            self._guard_values(len(s.ob[a]) * len(t.ob[b]), f"value of {name}")
-            ob[(a, b)] = FinSet(
-                f"({s.ob[a].name}x{t.ob[b].name})",
-                tuple(itertools.product(s.ob[a].elements, t.ob[b].elements)),
-            )
-        ar = {}
-        for (u, v), ((a, b), (a2, b2)) in cat.arrows.items():
-            ar[(u, v)] = FinFunction(
-                f"({s.name}.{render_elem(u)}x{t.name}.{render_elem(v)})",
-                ob[(a, b)], ob[(a2, b2)],
-                {(x, y): (s.ar[u](x), t.ar[v](y)) for (x, y) in ob[(a, b)].elements},
-            )
-        st = self._tensors[s, t] = FinPresheaf(name, cat, ob, ar)
+        ob = {(a, b): self.kit.product(s.ob[a], t.ob[b]) for (a, b) in cat.objects}
+        ar = {(u, v): self.kit.pair(s.ar[u], t.ar[v]) for (u, v) in cat.arrows}
+        st = self._tensors[s, t] = FinPresheaf(f"({s.name}x{t.name})", cat, ob, ar)
         return st
 
     def unit_etype(self) -> FinPresheaf:
@@ -447,81 +431,29 @@ class PresheafSystem(RefinementSystem):
     def tensor_interp(self, m: NatTransOver, n: NatTransOver) -> NatTransOver:
         src = self.tensor_etype(m.src, n.src)
         dst = self.tensor_etype(m.dst, n.dst)
-        expr = self.tensor_expr(m.expr, n.expr)
-        comps = {}
-        for (a, b) in src.cat.objects:
-            cod = dst.ob[(m.expr.ob(a), n.expr.ob(b))]
-            comps[(a, b)] = FinFunction(
-                f"(mxn)@{render_elem((a, b))}", src.ob[(a, b)], cod,
-                {(x, y): (m.components[a](x), n.components[b](y))
-                 for (x, y) in src.ob[(a, b)].elements},
-            )
-        return NatTransOver(src, expr, dst, comps)
+        comps = {(a, b): self.kit.pair(m.components[a], n.components[b])
+                 for (a, b) in src.cat.objects}
+        return NatTransOver(src, self.tensor_expr(m.expr, n.expr), dst, comps)
 
     def coherence_cell(self, kind: str, etypes: tuple) -> NatTransOver:
         etypes = tuple(etypes)
         cell = self._cells.get((kind, etypes))
         if cell is not None:
             return cell
-        if kind in ("assoc", "assoc_inv"):
-            s, t, v = etypes
-            lhs_e = self.tensor_etype(self.tensor_etype(s, t), v)
-            rhs_e = self.tensor_etype(s, self.tensor_etype(t, v))
-            if kind == "assoc":
-                src_e, dst_e = lhs_e, rhs_e
-                ob_map = lambda o: (o[0][0], (o[0][1], o[1]))
-                el_map = lambda e: (e[0][0], (e[0][1], e[1]))
-            else:
-                src_e, dst_e = rhs_e, lhs_e
-                ob_map = lambda o: ((o[0], o[1][0]), o[1][1])
-                el_map = lambda e: ((e[0], e[1][0]), e[1][1])
-        elif kind in ("unit_l", "unit_l_inv"):
-            (s,) = etypes
-            us = self.tensor_etype(self._unit, s)
-            if kind == "unit_l":
-                src_e, dst_e = us, s
-                ob_map = lambda o: o[1]
-                el_map = lambda e: e[1]
-            else:
-                src_e, dst_e = s, us
-                ob_map = lambda o: ("*", o)
-                el_map = lambda e: ("*", e)
-        elif kind in ("unit_r", "unit_r_inv"):
-            (s,) = etypes
-            su = self.tensor_etype(s, self._unit)
-            if kind == "unit_r":
-                src_e, dst_e = su, s
-                ob_map = lambda o: o[0]
-                el_map = lambda e: e[0]
-            else:
-                src_e, dst_e = s, su
-                ob_map = lambda o: (o, "*")
-                el_map = lambda e: (e, "*")
-        else:
-            raise CapabilityError(f"unknown coherence cell {kind!r}")
+        src_e, dst_e = cell_ends(kind, etypes, self.tensor_etype, self._unit)
         src_c, dst_c = src_e.cat, dst_e.cat
-        # arrows regroup as objects do, except that the unit's arrow is "id"
-        if kind == "unit_l_inv":
-            ar_map = lambda u: ("id", u)
-        elif kind == "unit_r_inv":
-            ar_map = lambda u: (u, "id")
-        else:
-            ar_map = ob_map
         arrow_map = {}
         for u, (o1, o2) in src_c.arrows.items():
-            w = ar_map(u)
-            if dst_c.arrows.get(w) != (ob_map(o1), ob_map(o2)):
+            w = _regroup(kind, u, "id")
+            if dst_c.arrows.get(w) != (_regroup(kind, o1, "*"), _regroup(kind, o2, "*")):
                 raise ValidationError(f"{kind} cell: {dst_c.name} has no arrow {w!r}")
             arrow_map[u] = w
         expr = FinFunctor.unchecked(
             f"{kind}[{src_c.name}]", src_c, dst_c,
-            {o: ob_map(o) for o in src_c.objects}, arrow_map,
+            {o: _regroup(kind, o, "*") for o in src_c.objects}, arrow_map,
         )
         comps = {
-            o: FinFunction(
-                f"{kind}@{render_elem(o)}", src_e.ob[o], dst_e.ob[ob_map(o)],
-                {e: el_map(e) for e in src_e.ob[o].elements},
-            )
+            o: self.kit.cell(kind, tuple(e.ob[x] for e, x in zip(etypes, _operands(kind, o))))
             for o in src_c.objects
         }
         cell = self._cells[kind, etypes] = NatTransOver(src_e, expr, dst_e, comps)
@@ -768,6 +700,24 @@ class PresheafSystem(RefinementSystem):
                 mapping[x] = enc
             comps[a] = FinFunction(f"rcur@{render_elem(a)}", v.ob[a], cod, mapping)
         return NatTransOver(v, expr, res, comps)
+
+
+def _operands(kind: str, x) -> tuple:
+    """The operands' objects, or arrows, that x is made of in the base of the
+    source of a coherence cell."""
+    if kind == "assoc":
+        (p, q), r = x
+        return p, q, r
+    if kind == "assoc_inv":
+        p, (q, r) = x
+        return p, q, r
+    return (x[1] if kind == "unit_l" else x[0] if kind == "unit_r" else x,)
+
+
+def _regroup(kind: str, x, unit):
+    """Where a coherence cell's functor sends the object or arrow x; unit is
+    the unit category's object or arrow."""
+    return cell_ends(kind, _operands(kind, x), lambda p, q: (p, q), unit)[1]
 
 
 def build_presheaf_system(cats, presheaves, name: str = "presheaf",

@@ -16,7 +16,13 @@ from refsys.presheaf_model import (
     representable_presheaf,
     same_values,
 )
-from refsys.structures import check_beta_eta, pullback, pushforward
+from refsys.structures import (
+    check_beta_eta,
+    composite_pullback_witness,
+    composite_pushforward_witness,
+    pullback,
+    pushforward,
+)
 
 Z2_TABLE = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
 
@@ -70,6 +76,33 @@ def test_pushforward_is_the_left_kan_extension(arrow_sig):
     # both points of P(x) are glued onto the single point of P(y)
     assert {o: len(w.etype.value(o)) for o in w.etype.cat.objects} == {"x": 0, "y": 1}
     assert check_beta_eta(w, mode="literal").ok
+
+
+def test_pasted_witnesses_satisfy_beta_eta(arrow_sig):
+    # the literal check runs each pasted witness's factor on every subject
+    sys = arrow_sig.system
+    collapse = arrow_sig.expr("collapse")
+    counts = []
+    for name in ("P", "Q"):
+        t = arrow_sig.etype(name)
+        for w in (composite_pullback_witness(sys, collapse, collapse, t),
+                  composite_pushforward_witness(sys, t, collapse, collapse)):
+            report = check_beta_eta(w, mode="literal")
+            assert report.ok and not report.skipped, str(report)
+            counts.append(report.checked)
+    assert counts == [12, 18, 36, 30]
+
+
+def test_residual_index_types_are_functor_categories(arrow_sig):
+    sys = arrow_sig.system
+    c = arrow_sig.categories["C"]
+    one = sys.unit_etype().cat
+    # [1,C] has an object per object of C and [C,1] has one, so a swap shows
+    assert len(sys.functor_category(one, c).objects) == 2
+    assert len(sys.functor_category(c, one).objects) == 1
+    for a, b in ((one, c), (c, one)):
+        assert sys.residual_left_itype(a, b) is sys.functor_category(a, b)
+        assert sys.residual_right_itype(b, a) is sys.functor_category(a, b)
 
 
 def test_enumerate_monoid_presheaves_counts():

@@ -153,6 +153,26 @@ def test_bad_tables_exit_3_under_both_interpreters(tmp_path):
             assert proc.stdout == ""
 
 
+def test_presheaf_tensor_refusal_names_the_kit_product(tmp_path):
+    # max_values bounds each value of a tensor presheaf: Reg(*) x Reg(*) has 4 elements
+    doc = json.loads(Path(data_file("day_z2.json")).read_text())
+    doc["bounds"] = {"max_values": 3}
+    path = write_sig(tmp_path, doc)
+    env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent))
+    outputs = []
+    for flags in ((), ("-O",)):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "refsys.cli", "laws", path, "monoidal"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert ("  note: product (Reg(*)xReg(*)) would have 4 elements, exceeding the bound 3\n"
+            in outputs[0])
+    assert "value of" not in outputs[0]
+
+
 def test_subset_of_unknown_carrier(tmp_path):
     doc = {
         "model": "subset",

@@ -101,6 +101,14 @@ def test_unknown_index_types_and_expressions_are_refused():
         sys.compose_exprs("id", "nope")
 
 
+def test_the_tensor_of_index_types_is_the_point():
+    sys = build_trivial_system((FinSet("two", (1, 2)),))
+    assert sys.tensor_itype(POINT, POINT) == POINT == "*"
+    for a, b in ((POINT, "elsewhere"), ("elsewhere", POINT), ("elsewhere", "elsewhere")):
+        with pytest.raises(IllFormedError):
+            sys.tensor_itype(a, b)
+
+
 def test_unknown_expression_is_ill_formed_under_optimize():
     # the refusals raise explicitly, so `python -O` (which strips asserts) agrees
     code = """
