@@ -261,7 +261,7 @@ class CartesianKit:
         nb, n = len(b), len(f.cod)
         return FinFunction._from_idx(
             f"lc({f.name})", b, self.function_space(a, f.cod),
-            tuple(_position(f.idx[j::nb], n) for j in range(nb)),
+            _positions((f.idx[i * nb:(i + 1) * nb] for i in range(len(a))), nb, n),
         )
 
     def curry_r(self, f: FinFunction, a: FinSet, b: FinSet) -> FinFunction:
@@ -270,7 +270,7 @@ class CartesianKit:
         nb, n = len(b), len(f.cod)
         return FinFunction._from_idx(
             f"rc({f.name})", a, self.function_space(b, f.cod),
-            tuple(_position(f.idx[i * nb:(i + 1) * nb], n) for i in range(len(a))),
+            _positions((f.idx[j::nb] for j in range(nb)), len(a), n),
         )
 
     def _require_product(self, f: FinFunction, a: FinSet, b: FinSet) -> None:
@@ -278,9 +278,9 @@ class CartesianKit:
             raise MismatchError(f"cannot curry {f.name!r}: its domain is not ({a.name}x{b.name})")
 
 
-def _position(values: tuple, n: int) -> int:
-    """Position in [A->C] of the function whose values sit at these positions of C."""
-    k = 0
-    for v in values:
-        k = k * n + v
-    return k
+def _positions(digits, count: int, n: int) -> tuple:
+    """Positions in [X->C] of `count` functions; digit i holds each one's value at x_i."""
+    pos = [0] * count
+    for digit in digits:
+        pos = [k * n + v for k, v in zip(pos, digit)]
+    return tuple(pos)

@@ -23,11 +23,11 @@ the same derivation" an executable check rather than a symbolic one.
 A refinement system is a functor p from its morphisms to its expressions,
 so a morphism m fixes its judgment: (dom m, p m, cod m).  A rule's judgment
 is therefore read off its interpretation by :func:`from_interp` (identity,
-tensor, unit, coherence cells, residual evaluation), unless the judgment is
-a given one: an axiom or :func:`derivations_over` states the judgment it was
-asked for, :func:`conversion` the replacement expression, the cut the
-boundaries of its premises, and the pull/push rules the factor they were
-given.
+tensor, unit, coherence cells, residual evaluation and currying), unless
+the judgment is a given one: an axiom or :func:`derivations_over` states
+the judgment it was asked for, :func:`conversion` the replacement
+expression, the cut the boundaries of its premises, and the pull/push rules
+the factor they were given.
 """
 from __future__ import annotations
 
@@ -124,7 +124,6 @@ class RefinementSystem:
     has_pushforwards = False
     is_monoidal = False
     is_closed = False
-    has_weighted = False
     proof_irrelevant = False
 
     # --- index level -------------------------------------------------------
@@ -241,16 +240,17 @@ class RefinementSystem:
     def residual_right_etype(self, u, t):
         raise CapabilityError(f"{self.name}: not closed")
 
-    def residual_left_ev_interp(self, s, u):
+    def residual_left_data(self, s, u):
+        """(etype, ev, curry) for negL[U]{S}, sharing one built residual etype.
+
+        ev interprets the evaluation S (x) etype => U, and curry(m, v) is the
+        transpose V => etype of m : S (x) V => U.
+        """
         raise CapabilityError(f"{self.name}: not closed")
 
-    def residual_right_ev_interp(self, u, t):
-        raise CapabilityError(f"{self.name}: not closed")
-
-    def residual_left_curry_interp(self, m, s, v, u):
-        raise CapabilityError(f"{self.name}: not closed")
-
-    def residual_right_curry_interp(self, m, v, t, u):
+    def residual_right_data(self, u, t):
+        """(etype, ev, curry) for negR[U]{T}: ev interprets etype (x) T => U, and
+        curry(m, v) transposes m : V (x) T => U into etype."""
         raise CapabilityError(f"{self.name}: not closed")
 
     def weighted_intersection_etype(self, a, family):

@@ -26,6 +26,7 @@ from .kernel import (
     CapabilityError,
     LawViolation,
     MismatchError,
+    RefinementSystem,
     Status,
     ValidationError,
     axiom,
@@ -365,8 +366,7 @@ def _suite_sep(sig: Signature, max_set: int) -> LawReport | str:
     return rep
 
 
-def _find_encodings(sig: Signature, pool, u) -> dict:
-    sys_ = sig.system
+def _find_encodings(sys_: RefinementSystem, pool, u) -> dict:
     target = sys_.refines(u)
     encodings = {}
     for t in pool:
@@ -435,12 +435,13 @@ def _suite_monadrep(sig: Signature, max_set: int) -> LawReport | str:
     if sig.universal is not None:
         u = sig.universal
         full_pool = list(_etype_pool(sig, max_set))
-        encodings = _find_encodings(sig, full_pool, u)
+        # encodings are q-expressions: R sends them to p through r1
+        encodings = _find_encodings(adj.q, full_pool, u)
         for t in full_pool:
             if t not in encodings:
                 rep.check(False, f"no encoding found for {etype_label(t)}")
         if encodings:
-            rep.absorb(check_universal(sys_, u, encodings, etypes=list(encodings)),
+            rep.absorb(check_universal(adj.q, u, encodings, etypes=list(encodings)),
                        "universality")
             ref = check_reflected(adj, u, encodings,
                                   q_etypes=list(encodings), p_etypes=list(encodings))

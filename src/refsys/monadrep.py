@@ -62,7 +62,11 @@ from .structures import (
 from .monoidal import (
     coherence_derivation,
     residual_left,
+    residual_left_expr,
+    residual_left_map,
     residual_right,
+    residual_right_expr,
+    residual_right_map,
     shift_derivation,
     shift_expr,
     tensor_derivations,
@@ -241,20 +245,10 @@ def build_continuation_adjunction(sys: RefinementSystem, u) -> AdjunctionDescrip
         return sys.residual_left_itype(b, c)
 
     def l1(f):
-        a2 = sys.expr_cod(f)
-        nr2 = sys.residual_right_itype(c, a2)
-        inner = sys.compose_exprs(
-            sys.tensor_expr(sys.id_expr(nr2), f), sys.plug_r_expr(c, a2)
-        )
-        return OpExpr(sys.curry_r_expr(inner))
+        return OpExpr(residual_right_expr(sys, c, f))
 
     def r1(g: OpExpr):
-        b = sys.expr_cod(g.base)
-        nl = sys.residual_left_itype(b, c)
-        inner = sys.compose_exprs(
-            sys.tensor_expr(g.base, sys.id_expr(nl)), sys.plug_l_expr(b, c)
-        )
-        return sys.curry_l_expr(inner)
+        return residual_left_expr(sys, g.base, c)
 
     def l_etype(s):
         return sys.residual_right_etype(u, s)
@@ -263,28 +257,13 @@ def build_continuation_adjunction(sys: RefinementSystem, u) -> AdjunctionDescrip
         return sys.residual_left_etype(t, u)
 
     def l_der(alpha: Derivation) -> Derivation:
-        w_t = residual_right(sys, u, alpha.target)
-        step = compose_derivations(
-            sys,
-            tensor_derivations(sys, identity_derivation(sys, w_t.etype), alpha),
-            w_t.ev,
-        )
-        w_s = residual_right(sys, u, alpha.subject)
-        d = w_s.curry(step, w_t.etype)
+        d = residual_right_map(sys, u, alpha)
         return Derivation("adj-L", Judgment(d.target, OpExpr(d.expr), d.subject),
                           (alpha,), OpMor(d.interp))
 
     def r_der(beta: Derivation) -> Derivation:
         # a q-derivation from T1 to T2 carries a base morphism T2 -> T1
-        delta = from_interp(sys, beta.interp.base)
-        w1 = residual_left(sys, beta.subject, u)
-        step = compose_derivations(
-            sys,
-            tensor_derivations(sys, delta, identity_derivation(sys, w1.etype)),
-            w1.ev,
-        )
-        w2 = residual_left(sys, beta.target, u)
-        d = w2.curry(step, w1.etype)
+        d = residual_left_map(sys, from_interp(sys, beta.interp.base), u)
         return Derivation("adj-R", d.judgment, (beta,), d.interp)
 
     def eta_rule(s):

@@ -11,21 +11,22 @@ currying rule:
     right residual negR[U]{T}:  ev : negR[U]{T} (x) T =[plugR]=> U
                                 curry : (V (x) T =[f]=> U)  ->  V =[rc f]=> negR[U]{T}
 
-subject to beta/eta equations mirroring the pullback ones.  On top of the
-residuals: double negation (shift into it, reset out of it), and the
-separating conjunction / magic wand pair obtained by pushing the tensor
-forward along a multiplication expression and pulling the residual back
-along its currying.
+subject to beta/eta equations mirroring the pullback ones.  A model gives
+both from one hook per side, as it gives a pullback with its rules; the
+functorial action f -o g of a residual is the curried (f (x) id) ; ev ; g,
+on derivations and on index types.  On top of the residuals: double
+negation (shift into it, reset out of it), and the separating conjunction /
+magic wand pair obtained by pushing the tensor forward along a
+multiplication expression and pulling the residual back along its currying.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .kernel import (
     Derivation,
-    Judgment,
     LawViolation,
     MismatchError,
     RefinementSystem,
@@ -222,6 +223,7 @@ class ResidualWitness:
 
     side "left": etype = negL[U]{S}, fixed = S, everything to the right of S.
     side "right": etype = negR[U]{T}, fixed = T, everything to the left of T.
+    transpose(m, v) is the model's currying of m into etype.
     """
     sys: RefinementSystem
     side: str
@@ -229,26 +231,22 @@ class ResidualWitness:
     u: Any
     etype: Any
     ev: Derivation
+    transpose: Callable
+
+    def operands(self, x, v) -> tuple:
+        """x in the fixed operand's place and v in the other: (x, v) on the left."""
+        return (x, v) if self.side == "left" else (v, x)
 
     def curry(self, beta: Derivation, v) -> Derivation:
         """Transpose beta across the residual; v is the non-fixed operand."""
         sys = self.sys
         if beta.target != self.u:
             raise MismatchError("residual curry: premise has wrong target")
-        if self.side == "left":
-            if beta.subject != sys.tensor_etype(self.fixed, v):
-                raise MismatchError("residual curry: premise subject is not S (x) V")
-            interp = sys.residual_left_curry_interp(beta.interp, self.fixed, v, self.u)
-            rule = "lres-R"
-        else:
-            if beta.subject != sys.tensor_etype(v, self.fixed):
-                raise MismatchError("residual curry: premise subject is not V (x) T")
-            interp = sys.residual_right_curry_interp(beta.interp, v, self.fixed, self.u)
-            rule = "rres-R"
-        # v and self.etype are stated, not read off interp, so that the judgment
-        # shares the witness's residual rather than an equal one built again
-        j = Judgment(v, sys.interp_expr(interp), self.etype)
-        return Derivation(rule, j, (beta,), interp)
+        if beta.subject != sys.tensor_etype(*self.operands(self.fixed, v)):
+            shape = "S (x) V" if self.side == "left" else "V (x) T"
+            raise MismatchError(f"residual curry: premise subject is not {shape}")
+        rule = "lres-R" if self.side == "left" else "rres-R"
+        return from_interp(sys, self.transpose(beta.interp, v), rule, (beta,))
 
     def uncurry(self, gamma: Derivation) -> Derivation:
         """Inverse transpose: pair gamma with the fixed side and evaluate."""
@@ -256,24 +254,18 @@ class ResidualWitness:
         if gamma.target != self.etype:
             raise MismatchError("residual uncurry: premise has wrong target")
         i_fixed = identity_derivation(sys, self.fixed)
-        if self.side == "left":
-            paired = tensor_derivations(sys, i_fixed, gamma)
-        else:
-            paired = tensor_derivations(sys, gamma, i_fixed)
+        paired = tensor_derivations(sys, *self.operands(i_fixed, gamma))
         return compose_derivations(sys, paired, self.ev)
 
 
 def residual_left(sys: RefinementSystem, s, u) -> ResidualWitness:
-    # evaluation first, so that a refused tensor stops before a second residual is built
-    ev = from_interp(sys, sys.residual_left_ev_interp(s, u), "lres-L")
-    et = sys.residual_left_etype(s, u)
-    return ResidualWitness(sys, "left", s, u, et, ev)
+    et, ev, curry = sys.residual_left_data(s, u)
+    return ResidualWitness(sys, "left", s, u, et, from_interp(sys, ev, "lres-L"), curry)
 
 
 def residual_right(sys: RefinementSystem, u, t) -> ResidualWitness:
-    ev = from_interp(sys, sys.residual_right_ev_interp(u, t), "rres-L")
-    et = sys.residual_right_etype(u, t)
-    return ResidualWitness(sys, "right", t, u, et, ev)
+    et, ev, curry = sys.residual_right_data(u, t)
+    return ResidualWitness(sys, "right", t, u, et, from_interp(sys, ev, "rres-L"), curry)
 
 
 def check_residual_laws(w: ResidualWitness, vs, expr_cap: Optional[int] = None,
@@ -291,10 +283,7 @@ def check_residual_laws(w: ResidualWitness, vs, expr_cap: Optional[int] = None,
     c_itype = sys.refines(w.u)
     for v in vs:
         x = sys.refines(v)
-        if w.side == "left":
-            sv = sys.tensor_etype(w.fixed, v)
-        else:
-            sv = sys.tensor_etype(v, w.fixed)
+        sv = sys.tensor_etype(*w.operands(w.fixed, v))
         dom_itype = sys.refines(sv)
         for f in itertools.islice(sys.expressions(dom_itype, c_itype), expr_cap):
             for beta in derivations_over(sys, sv, f, w.u):
@@ -311,6 +300,57 @@ def check_residual_laws(w: ResidualWitness, vs, expr_cap: Optional[int] = None,
     return rep
 
 
+def residual_left_map(sys: RefinementSystem, alpha: Derivation, u,
+                      beta: Optional[Derivation] = None) -> Derivation:
+    """alpha -o beta : negL[U]{S} => negL[U']{S'} for alpha : S' =[f]=> S, beta : U => U'.
+
+    The transpose of (alpha (x) id) ; ev ; beta, with U' = U when beta is
+    left out; then it lies over residual_left_expr(f, C).
+    """
+    return _residual_map(lambda s, v: residual_left(sys, s, v), alpha, u, beta)
+
+
+def residual_right_map(sys: RefinementSystem, u, alpha: Derivation,
+                       beta: Optional[Derivation] = None) -> Derivation:
+    """The mirror image: negR[U]{T} => negR[U']{T'} for alpha : T' =[f]=> T, beta : U => U'.
+
+    The transpose of (id (x) alpha) ; ev ; beta, over residual_right_expr(C, f)
+    when beta is left out.
+    """
+    return _residual_map(lambda t, v: residual_right(sys, v, t), alpha, u, beta)
+
+
+def _residual_map(witness, alpha: Derivation, u, beta: Optional[Derivation]) -> Derivation:
+    # alpha's target's witness comes before the step and its subject's after, the order refusals name
+    w = witness(alpha.target, u)
+    sys = w.sys
+    n = w.etype
+    step = compose_derivations(
+        sys, tensor_derivations(sys, *w.operands(alpha, identity_derivation(sys, n))), w.ev
+    )
+    if beta is not None:
+        step = compose_derivations(sys, step, beta)
+    return witness(alpha.subject, step.target).curry(step, n)
+
+
+def residual_left_expr(sys: RefinementSystem, f, c):
+    """f -o C : [A->C] -> [A'->C] for f : A' -> A, the curried (f (x) id) ; plugL."""
+    a = sys.expr_cod(f)
+    inner = sys.compose_exprs(
+        sys.tensor_expr(f, sys.id_expr(sys.residual_left_itype(a, c))), sys.plug_l_expr(a, c)
+    )
+    return sys.curry_l_expr(inner)
+
+
+def residual_right_expr(sys: RefinementSystem, c, f):
+    """C o- f : [B->C] -> [B'->C] for f : B' -> B, the curried (id (x) f) ; plugR."""
+    b = sys.expr_cod(f)
+    inner = sys.compose_exprs(
+        sys.tensor_expr(sys.id_expr(sys.residual_right_itype(c, b)), f), sys.plug_r_expr(c, b)
+    )
+    return sys.curry_r_expr(inner)
+
+
 def residual_subtyping_left(sys: RefinementSystem, alpha_s: Derivation,
                             alpha_u: Derivation) -> Derivation:
     """negL is contravariant in S and covariant in U on subtypings.
@@ -321,19 +361,8 @@ def residual_subtyping_left(sys: RefinementSystem, alpha_s: Derivation,
     """
     if not (sys.is_identity_expr(alpha_s.expr) and sys.is_identity_expr(alpha_u.expr)):
         raise MismatchError("residual subtyping needs subtyping premises")
-    s_small, s_big = alpha_s.subject, alpha_s.target
-    u_small, u_big = alpha_u.subject, alpha_u.target
-    w_big = residual_left(sys, s_big, u_small)
-    w_small = residual_left(sys, s_small, u_big)
-    n = w_big.etype
-    step = compose_many(
-        sys,
-        tensor_derivations(sys, alpha_s, identity_derivation(sys, n)),
-        w_big.ev,
-        alpha_u,
-    )
-    curried = w_small.curry(step, n)
-    return conversion(sys, curried, sys.id_expr(sys.refines(n)))
+    d = residual_left_map(sys, alpha_s, alpha_u.subject, alpha_u)
+    return conversion(sys, d, sys.id_expr(sys.refines(d.subject)))
 
 
 def residual_subtyping_right(sys: RefinementSystem, alpha_t: Derivation,
@@ -341,19 +370,8 @@ def residual_subtyping_right(sys: RefinementSystem, alpha_t: Derivation,
     """negR is contravariant in T and covariant in U on subtypings."""
     if not (sys.is_identity_expr(alpha_t.expr) and sys.is_identity_expr(alpha_u.expr)):
         raise MismatchError("residual subtyping needs subtyping premises")
-    t_small, t_big = alpha_t.subject, alpha_t.target
-    u_small, u_big = alpha_u.subject, alpha_u.target
-    w_big = residual_right(sys, u_small, t_big)
-    w_small = residual_right(sys, u_big, t_small)
-    n = w_big.etype
-    step = compose_many(
-        sys,
-        tensor_derivations(sys, identity_derivation(sys, n), alpha_t),
-        w_big.ev,
-        alpha_u,
-    )
-    curried = w_small.curry(step, n)
-    return conversion(sys, curried, sys.id_expr(sys.refines(n)))
+    d = residual_right_map(sys, alpha_u.subject, alpha_t, alpha_u)
+    return conversion(sys, d, sys.id_expr(sys.refines(d.subject)))
 
 
 # --- double negation: shift and reset ------------------------------------------------
@@ -371,8 +389,7 @@ def shift_derivation(sys: RefinementSystem, s, u) -> Derivation:
 
 
 def double_negation_etype(sys: RefinementSystem, s, u):
-    w_r = residual_right(sys, u, s)
-    return residual_left(sys, w_r.etype, u).etype
+    return sys.residual_left_etype(sys.residual_right_etype(u, s), u)
 
 
 def reset_derivation(sys: RefinementSystem, t, u) -> Derivation:

@@ -639,7 +639,7 @@ class PresheafSystem(RefinementSystem):
         i = s.cat.objects.index(a)
         return enc[i][s.ob[a].index(x)]
 
-    def residual_left_ev_interp(self, s: FinPresheaf, u: FinPresheaf) -> NatTransOver:
+    def residual_left_data(self, s: FinPresheaf, u: FinPresheaf):
         res = self.residual_left_etype(s, u)
         src = self.tensor_etype(s, res)
         expr = self.plug_l_expr(s.cat, u.cat)
@@ -651,9 +651,22 @@ class PresheafSystem(RefinementSystem):
                 {(x, enc): self._enc_lookup(s, enc, a, x)
                  for (x, enc) in src.ob[(a, fn)].elements},
             )
-        return NatTransOver(src, expr, u, comps)
 
-    def residual_right_ev_interp(self, u: FinPresheaf, t: FinPresheaf) -> NatTransOver:
+        def curry(m: NatTransOver, v: FinPresheaf) -> NatTransOver:
+            # y is sent to the encoding of m(-, y): one value tuple per object of S's base
+            expr = self.curry_l_expr(m.expr)
+            comps = {}
+            for b in v.cat.objects:
+                mapping = {y: tuple(tuple(m.components[(a, b)]((x, y)) for x in s.ob[a].elements)
+                                    for a in s.cat.objects)
+                           for y in v.ob[b].elements}
+                comps[b] = FinFunction(f"lcur@{render_elem(b)}", v.ob[b], res.ob[expr.ob(b)],
+                                       mapping)
+            return NatTransOver(v, expr, res, comps)
+
+        return res, NatTransOver(src, expr, u, comps), curry
+
+    def residual_right_data(self, u: FinPresheaf, t: FinPresheaf):
         res = self.residual_right_etype(u, t)
         src = self.tensor_etype(res, t)
         expr = self.plug_r_expr(u.cat, t.cat)
@@ -665,41 +678,19 @@ class PresheafSystem(RefinementSystem):
                 {(enc, x): self._enc_lookup(t, enc, b, x)
                  for (enc, x) in src.ob[(fn, b)].elements},
             )
-        return NatTransOver(src, expr, u, comps)
 
-    def residual_left_curry_interp(self, m: NatTransOver, s: FinPresheaf,
-                                   v: FinPresheaf, u: FinPresheaf) -> NatTransOver:
-        expr = self.curry_l_expr(m.expr)
-        res = self.residual_left_etype(s, u)
-        comps = {}
-        for b in v.cat.objects:
-            cod = res.ob[expr.ob(b)]
-            mapping = {}
-            for y in v.ob[b].elements:
-                enc = tuple(
-                    tuple(m.components[(a, b)]((x, y)) for x in s.ob[a].elements)
-                    for a in s.cat.objects
-                )
-                mapping[y] = enc
-            comps[b] = FinFunction(f"lcur@{render_elem(b)}", v.ob[b], cod, mapping)
-        return NatTransOver(v, expr, res, comps)
+        def curry(m: NatTransOver, v: FinPresheaf) -> NatTransOver:
+            expr = self.curry_r_expr(m.expr)
+            comps = {}
+            for a in v.cat.objects:
+                mapping = {x: tuple(tuple(m.components[(a, b)]((x, y)) for y in t.ob[b].elements)
+                                    for b in t.cat.objects)
+                           for x in v.ob[a].elements}
+                comps[a] = FinFunction(f"rcur@{render_elem(a)}", v.ob[a], res.ob[expr.ob(a)],
+                                       mapping)
+            return NatTransOver(v, expr, res, comps)
 
-    def residual_right_curry_interp(self, m: NatTransOver, v: FinPresheaf,
-                                    t: FinPresheaf, u: FinPresheaf) -> NatTransOver:
-        expr = self.curry_r_expr(m.expr)
-        res = self.residual_right_etype(u, t)
-        comps = {}
-        for a in v.cat.objects:
-            cod = res.ob[expr.ob(a)]
-            mapping = {}
-            for x in v.ob[a].elements:
-                enc = tuple(
-                    tuple(m.components[(a, b)]((x, y)) for y in t.ob[b].elements)
-                    for b in t.cat.objects
-                )
-                mapping[x] = enc
-            comps[a] = FinFunction(f"rcur@{render_elem(a)}", v.ob[a], cod, mapping)
-        return NatTransOver(v, expr, res, comps)
+        return res, NatTransOver(src, expr, u, comps), curry
 
 
 def _operands(kind: str, x) -> tuple:

@@ -183,7 +183,6 @@ class SubsetSystem(RefinementSystem):
     has_pushforwards = True
     is_monoidal = True
     is_closed = True
-    has_weighted = True
     proof_irrelevant = True
 
     def __init__(self, name: str, sets, max_carrier: int = DEFAULT_MAX_CARRIER):
@@ -441,29 +440,19 @@ class SubsetSystem(RefinementSystem):
         """
         return self._residual(t, u)
 
-    def residual_left_ev_interp(self, s: Subset, u: Subset) -> SubsetMor:
+    def residual_left_data(self, s: Subset, u: Subset):
         # the evaluation's carrier S x [A->C] is refused before the residual is built
         self.kit.product(s.of, self.function_space(s.of, u.of))
-        res = self.residual_left_etype(s, u)
+        res = self._residual(s, u)
         # a residual's members send S into U, so evaluation maps S x res into U
-        return _mor(
-            self.tensor_etype(s, res), self.plug_l_expr(s.of, u.of), u
-        )
+        ev = _mor(self.tensor_etype(s, res), self.plug_l_expr(s.of, u.of), u)
+        return res, ev, lambda m, v: SubsetMor(v, self.curry_l_expr(m.expr), res)
 
-    def residual_right_ev_interp(self, u: Subset, t: Subset) -> SubsetMor:
+    def residual_right_data(self, u: Subset, t: Subset):
         self.kit.product(self.function_space(t.of, u.of), t.of)
-        res = self.residual_right_etype(u, t)
-        return _mor(
-            self.tensor_etype(res, t), self.plug_r_expr(u.of, t.of), u
-        )
-
-    def residual_left_curry_interp(self, m: SubsetMor, s: Subset, v: Subset,
-                                   u: Subset) -> SubsetMor:
-        return SubsetMor(v, self.curry_l_expr(m.expr), self.residual_left_etype(s, u))
-
-    def residual_right_curry_interp(self, m: SubsetMor, v: Subset, t: Subset,
-                                    u: Subset) -> SubsetMor:
-        return SubsetMor(v, self.curry_r_expr(m.expr), self.residual_right_etype(u, t))
+        res = self._residual(t, u)
+        ev = _mor(self.tensor_etype(res, t), self.plug_r_expr(u.of, t.of), u)
+        return res, ev, lambda m, v: SubsetMor(v, self.curry_r_expr(m.expr), res)
 
 
 def build_subset_system(sets, name: str = "subset",

@@ -178,19 +178,13 @@ class TrivialSystem(RefinementSystem):
     def residual_right_etype(self, u: FinSet, t: FinSet) -> FinSet:
         return self.function_space(t, u)
 
-    def residual_left_ev_interp(self, s: FinSet, u: FinSet) -> FinFunction:
-        return self.kit.plug_l(s, u)
+    def residual_left_data(self, s: FinSet, u: FinSet):
+        return (self.function_space(s, u), self.kit.plug_l(s, u),
+                lambda m, v: self.kit.curry_l(m, s, v))
 
-    def residual_right_ev_interp(self, u: FinSet, t: FinSet) -> FinFunction:
-        return self.kit.plug_r(u, t)
-
-    def residual_left_curry_interp(self, m: FinFunction, s: FinSet, v: FinSet,
-                                   u: FinSet) -> FinFunction:
-        return self.kit.curry_l(m, s, v)
-
-    def residual_right_curry_interp(self, m: FinFunction, v: FinSet, t: FinSet,
-                                    u: FinSet) -> FinFunction:
-        return self.kit.curry_r(m, v, t)
+    def residual_right_data(self, u: FinSet, t: FinSet):
+        return (self.function_space(t, u), self.kit.plug_r(u, t),
+                lambda m, v: self.kit.curry_r(m, v, t))
 
 
 def build_trivial_system(sets, name: str = "trivial",

@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from refsys.fincat import FinSet
@@ -10,8 +16,10 @@ from refsys.kernel import (
     identity_derivation,
     is_identity_on,
 )
+from refsys.laws import _find_encodings
 from refsys.monadrep import (
     FiberwiseMonad,
+    OpExpr,
     build_continuation_adjunction,
     check_adjunction,
     check_comparison,
@@ -31,7 +39,10 @@ from refsys.monadrep import (
     two_out_of_three_push,
 )
 from refsys.subset_model import build_classifier_system, build_subset_system, subset
+from refsys.signature import load_signature
 from refsys.trivial_model import POINT, build_trivial_system
+
+from conftest import DATA, data_file
 
 
 @pytest.fixture(scope="module")
@@ -199,3 +210,48 @@ def test_answer_weakening_boundaries(small_sys):
     assert sys.refines(d.subject) == sys.refines(t)
     assert sys.refines(d.target) == sys.refines(t)
     assert sys.exprs_equal(d.expr, sys.id_expr(sys.refines(t)))
+
+
+# --- a universal type across the continuation adjunction -------------------------
+
+def _continuation_with_universal(tmp_path) -> str:
+    doc = json.loads(Path(data_file("continuation.json")).read_text())
+    doc["adjunction"]["universal"] = "yes"
+    path = tmp_path / "continuation_universal.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_continuation_encodings_are_searched_and_checked_in_q(tmp_path):
+    # a q-expression's pullback is p's pushforward along the reversed expression
+    sig = load_signature(_continuation_with_universal(tmp_path))
+    p, u = sig.system, sig.universal
+    q = build_continuation_adjunction(p, sig.answers).q
+    pool = p.e_types()
+    encodings = _find_encodings(q, pool, u)
+    assert encodings and all(isinstance(e, OpExpr) for e in encodings.values())
+    for t, enc in encodings.items():
+        et, rule, _ = q.pullback_data(enc, u)
+        assert et == t == p.pushforward_data(u, enc.base)[0]
+        assert (q.interp_src(rule), q.interp_dst(rule)) == (t, u)
+    # {} has no encoding: pushing {1} forward is never empty
+    assert [t.name for t in pool if t not in encodings][0] == "{}:B"
+    assert check_universal(q, u, encodings, etypes=list(encodings)).ok
+
+
+def test_continuation_with_a_universal_type_reports_under_both_interpreters(tmp_path):
+    path = _continuation_with_universal(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent))
+    outputs = []
+    for flags in ((), ("-O",)):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "refsys.cli", "laws", path, "monadrep"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stderr == ""
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    lines = outputs[0].splitlines()
+    assert lines[0].startswith("suite monadrep: FAIL")
+    assert lines[1] == "  counterexample: no encoding found for {}:B"
