@@ -8,12 +8,19 @@ are byte-stable.
 A :class:`FinSet` fixes the order of its elements, and a :class:`FinFunction`
 is stored against those orders: a tuple holding, for each domain element, the
 position of its value in the codomain.  Composition gathers one tuple through
-another, and equality and hashing compare tuples.  Tables are checked in one
-place, the public ``FinFunction`` constructor, which takes an element table
-(as a signature file gives it) and raises ValidationError on a bad one.
-Results that are valid by construction (composites, identities, enumerated
-tables) are wrapped from index tuples without a second check.  Every check
-raises explicitly, so it also runs under ``python -O``.
+another, and equality and hashing compare tuples.  The public
+``FinFunction`` constructor takes an element table (as a signature file
+gives it) and checks it as it converts it to positions, raising
+ValidationError on a bad one.  Results that are valid by construction
+(composites, identities, enumerated tables) are wrapped from index tuples
+without a second check.
+
+Categories and functors are stored as given: their constructors never check
+their tables.  :func:`check_category` and :func:`check_functor` validate
+them, and the signature loader, where tables from outside enter, calls them;
+the categories and functors the library builds are lawful by construction.
+Code that builds one by hand calls the check itself.  Every check raises or
+reports explicitly, so it also runs under ``python -O``.
 
 Every search over finite structures (functors here; natural
 transformations, functor-category arrows and monoid actions in
@@ -107,10 +114,10 @@ class FinFunction:
     equality a tuple comparison.  ``mapping`` and ``__call__`` read the
     table in terms of elements; ``mapping`` is a dict built on first use.
 
-    The public constructor takes an element table and is the one place where
-    a table is checked: it raises ValidationError unless the table covers
-    exactly the domain with values in the codomain.  ``_from_idx`` wraps an
-    index tuple without checking it, for results that are valid by
+    The public constructor takes an element table and checks it as it
+    converts it to positions: it raises ValidationError unless the table
+    covers exactly the domain with values in the codomain.  ``_from_idx``
+    wraps an index tuple without checking it, for results that are valid by
     construction (composites, identities, enumerated tables, the tables of
     :class:`refsys.cartesian.CartesianKit`).
 
@@ -258,9 +265,8 @@ class FinCategory:
     """A finite category given by explicit source/target/composition tables.
 
     Composition is diagrammatic: ``compose(a, b)`` is "a then b", defined when
-    dst(a) == src(b).  Construction validates identities, closure, unit laws,
-    and associativity exhaustively and raises ValidationError on the first
-    failure (explicitly, so the check also runs under ``python -O``).
+    dst(a) == src(b).  The constructor stores the tables without checking
+    them; :func:`check_category` validates them.
     """
 
     def __init__(self, name: str, objects: tuple, arrows: dict,
@@ -272,48 +278,6 @@ class FinCategory:
         self.composition = dict(composition)
         self.identities = dict(identities)
         self._homs: dict = {}
-        self._validate()
-
-    def _validate(self):
-        if len(set(self.objects)) != len(self.objects):
-            raise ValidationError(f"{self.name!r}: duplicate objects")
-        for a, (s, d) in self.arrows.items():
-            if s not in self.objects or d not in self.objects:
-                raise ValidationError(f"arrow {a!r} has unknown endpoint")
-        if set(self.identities) != set(self.objects):
-            raise ValidationError("identities must cover all objects")
-        for o, i in self.identities.items():
-            if self.arrows[i] != (o, o):
-                raise ValidationError(f"identity of {o!r} has wrong endpoints")
-        # after[i][j] = k when arrow k is arrow i;arrow j, numbering the arrows
-        # in order: a name may be a nested tuple, which costs a hash per lookup
-        names = tuple(self.arrows)
-        number = {a: i for i, a in enumerate(names)}
-        after: list = [{} for _ in names]
-        for a, (_, da) in self.arrows.items():
-            for b, (sb, db) in self.arrows.items():
-                if da == sb:
-                    c = self.composition.get((a, b))
-                    if c is None:
-                        raise ValidationError(f"missing composite {a!r};{b!r}")
-                    if self.arrows[c] != (self.arrows[a][0], db):
-                        raise ValidationError(f"composite {a!r};{b!r} has wrong endpoints")
-                    after[number[a]][number[b]] = number[c]
-                elif (a, b) in self.composition:
-                    raise ValidationError(f"composite of non-composable pair {a!r};{b!r}")
-        for a, (s, d) in self.arrows.items():
-            if self.composition[(self.identities[s], a)] != a:
-                raise ValidationError(f"left unit fails at {a!r}")
-            if self.composition[(a, self.identities[d])] != a:
-                raise ValidationError(f"right unit fails at {a!r}")
-        for a, then_a in enumerate(after):
-            for b, ab in then_a.items():
-                then_ab, then_b = after[ab], after[b]
-                if [then_ab[c] for c in then_b] != [then_a[bc] for bc in then_b.values()]:
-                    c = next(c for c, bc in then_b.items() if then_ab[c] != then_a[bc])
-                    raise ValidationError(
-                        f"associativity fails at {names[a]!r};{names[b]!r};{names[c]!r}"
-                    )
 
     def src(self, a) -> Any:
         return self.arrows[a][0]
@@ -393,6 +357,51 @@ def product_category(a: FinCategory, b: FinCategory) -> FinCategory:
     return FinCategory(f"({a.name}x{b.name})", objects, arrows, comp, ids)
 
 
+def check_category(c: FinCategory) -> None:
+    """Validate a category's tables: identities, closure, the unit laws and
+    associativity, exhaustively.  Raises ValidationError on the first
+    failure (explicitly, so the check also runs under ``python -O``)."""
+    if len(set(c.objects)) != len(c.objects):
+        raise ValidationError(f"{c.name!r}: duplicate objects")
+    for a, (s, d) in c.arrows.items():
+        if s not in c.objects or d not in c.objects:
+            raise ValidationError(f"arrow {a!r} has unknown endpoint")
+    if set(c.identities) != set(c.objects):
+        raise ValidationError("identities must cover all objects")
+    for o, i in c.identities.items():
+        if c.arrows[i] != (o, o):
+            raise ValidationError(f"identity of {o!r} has wrong endpoints")
+    # after[i][j] = k when arrow k is arrow i;arrow j, numbering the arrows
+    # in order: a name may be a nested tuple, which costs a hash per lookup
+    names = tuple(c.arrows)
+    number = {a: i for i, a in enumerate(names)}
+    after: list = [{} for _ in names]
+    for a, (sa, da) in c.arrows.items():
+        for b, (sb, db) in c.arrows.items():
+            if da == sb:
+                ab = c.composition.get((a, b))
+                if ab is None:
+                    raise ValidationError(f"missing composite {a!r};{b!r}")
+                if c.arrows[ab] != (sa, db):
+                    raise ValidationError(f"composite {a!r};{b!r} has wrong endpoints")
+                after[number[a]][number[b]] = number[ab]
+            elif (a, b) in c.composition:
+                raise ValidationError(f"composite of non-composable pair {a!r};{b!r}")
+    for a, (s, d) in c.arrows.items():
+        if c.composition[(c.identities[s], a)] != a:
+            raise ValidationError(f"left unit fails at {a!r}")
+        if c.composition[(a, c.identities[d])] != a:
+            raise ValidationError(f"right unit fails at {a!r}")
+    for a, then_a in enumerate(after):
+        for b, ab in then_a.items():
+            then_ab, then_b = after[ab], after[b]
+            if [then_ab[x] for x in then_b] != [then_a[bx] for bx in then_b.values()]:
+                x = next(x for x, bx in then_b.items() if then_ab[x] != then_a[bx])
+                raise ValidationError(
+                    f"associativity fails at {names[a]!r};{names[b]!r};{names[x]!r}"
+                )
+
+
 @dataclass(frozen=True)
 class FunctorReport:
     ok: bool
@@ -409,7 +418,11 @@ class FunctorReport:
 
 
 class FinFunctor:
-    """A functor between finite categories given by object/arrow tables."""
+    """A functor between finite categories given by object/arrow tables.
+
+    The constructor stores the tables without checking them;
+    :func:`check_functor` validates them.
+    """
 
     def __init__(self, name: str, dom: FinCategory, cod: FinCategory,
                  object_map: dict, arrow_map: dict):
@@ -418,20 +431,6 @@ class FinFunctor:
         self.cod = cod
         self.object_map = dict(object_map)
         self.arrow_map = dict(arrow_map)
-        report = check_functor(self)
-        if not report.ok:
-            raise ValidationError(str(report))
-
-    @classmethod
-    def unchecked(cls, name, dom, cod, object_map, arrow_map) -> "FinFunctor":
-        """The functor with these tables, which must be valid.  Not checked."""
-        f = cls.__new__(cls)
-        f.name = name
-        f.dom = dom
-        f.cod = cod
-        f.object_map = dict(object_map)
-        f.arrow_map = dict(arrow_map)
-        return f
 
     def ob(self, x):
         return self.object_map[x]
@@ -442,7 +441,7 @@ class FinFunctor:
     def then(self, other: "FinFunctor") -> "FinFunctor":
         if self.cod != other.dom:
             raise MismatchError(f"cannot compose functors {self.name!r} and {other.name!r}")
-        return FinFunctor.unchecked(
+        return FinFunctor(
             f"{self.name};{other.name}", self.dom, other.cod,
             {x: other.object_map[y] for x, y in self.object_map.items()},
             {a: other.arrow_map[b] for a, b in self.arrow_map.items()},
@@ -450,7 +449,7 @@ class FinFunctor:
 
     @staticmethod
     def identity(c: FinCategory) -> "FinFunctor":
-        return FinFunctor.unchecked(
+        return FinFunctor(
             f"Id_{c.name}", c, c, {x: x for x in c.objects}, {a: a for a in c.arrows},
         )
 
@@ -539,7 +538,7 @@ def enumerate_functors(dom: FinCategory, cod: FinCategory) -> tuple:
         units = [((at[dom.identity(o)],), lambda fa, i=cod.identity(object_map[o]): fa == i)
                  for o in dom.objects]
         for arrow_choice in solutions(homs, units + composites):
-            out.append(FinFunctor.unchecked(
+            out.append(FinFunctor(
                 f"F{len(out)}_{dom.name}_{cod.name}", dom, cod,
                 object_map, dict(zip(arrow_names, arrow_choice)),
             ))

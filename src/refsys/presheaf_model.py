@@ -7,6 +7,12 @@ component function per object and checked against every naturality square.
 Hom-sets over an expression routinely have several elements, so this is the
 model where derivation equality genuinely compares proofs.
 
+A ``FinPresheaf``, like a ``FinCategory`` and a ``FinFunctor``, stores its
+tables without checking them.  :func:`check_presheaf` validates one, and the
+signature loader calls it on every presheaf a file gives.  The presheaves
+built here (pullbacks, Kan extensions, tensors, residuals, M-sets) are
+functorial by construction, so none of them is checked again.
+
 Every enumeration here runs on the one depth-first search of
 :mod:`refsys.fincat`, :func:`refsys.fincat.solutions`.  For natural
 transformations S => T(f-) (:func:`natural_components`, shared by
@@ -60,6 +66,7 @@ from .fincat import (
     FinSet,
     all_functions,
     canon_key,
+    check_functor,
     enumerate_functors,
     product_category,
     render_elem,
@@ -78,8 +85,8 @@ class FinPresheaf:
     """A covariant finite-set-valued functor, stored as lookup tables.
 
     ob maps each object to a FinSet; ar maps each arrow name to a FinFunction
-    between the corresponding value sets.  Construction checks functoriality
-    exhaustively and raises ValidationError on the first failure.  Equality
+    between the corresponding value sets.  The constructor stores the tables
+    without checking them; :func:`check_presheaf` validates them.  Equality
     compares names, value sets, and action tables.
     """
 
@@ -88,23 +95,6 @@ class FinPresheaf:
         self.cat = cat
         self.ob = dict(ob)
         self.ar = dict(ar)
-        if set(self.ob) != set(cat.objects):
-            raise ValidationError(f"{name!r}: values must cover all objects")
-        if set(self.ar) != set(cat.arrows):
-            raise ValidationError(f"{name!r}: action must cover all arrows")
-        for u, (s, d) in cat.arrows.items():
-            fu = self.ar[u]
-            if fu.dom != self.ob[s] or fu.cod != self.ob[d]:
-                raise ValidationError(f"{name!r}: action at {u!r} has wrong boundaries")
-        for o in cat.objects:
-            if self.ar[cat.identity(o)] != FinFunction.identity(self.ob[o]):
-                raise ValidationError(f"{name!r}: identity of {o!r} not sent to the identity")
-        # the boundaries match, so u;v is respected iff the index tables compose
-        idx = {u: fu.idx for u, fu in self.ar.items()}
-        for (u, v), w in cat.composition.items():
-            iv = idx[v]
-            if tuple([iv[i] for i in idx[u]]) != idx[w]:
-                raise ValidationError(f"{name!r}: action does not respect {u!r};{v!r}")
 
     def value(self, o) -> FinSet:
         return self.ob[o]
@@ -126,6 +116,31 @@ class FinPresheaf:
     def __repr__(self):
         sizes = ",".join(str(len(self.ob[o])) for o in self.cat.objects)
         return f"FinPresheaf({self.name!r} over {self.cat.name}, sizes [{sizes}])"
+
+
+def check_presheaf(p: FinPresheaf) -> None:
+    """Validate a presheaf's tables: a value at every object, an action at
+    every arrow between the right values, and functoriality, exhaustively.
+    Raises ValidationError on the first failure (explicitly, so the check
+    also runs under ``python -O``)."""
+    name, cat = p.name, p.cat
+    if set(p.ob) != set(cat.objects):
+        raise ValidationError(f"{name!r}: values must cover all objects")
+    if set(p.ar) != set(cat.arrows):
+        raise ValidationError(f"{name!r}: action must cover all arrows")
+    for u, (s, d) in cat.arrows.items():
+        fu = p.ar[u]
+        if fu.dom != p.ob[s] or fu.cod != p.ob[d]:
+            raise ValidationError(f"{name!r}: action at {u!r} has wrong boundaries")
+    for o in cat.objects:
+        if p.ar[cat.identity(o)] != FinFunction.identity(p.ob[o]):
+            raise ValidationError(f"{name!r}: identity of {o!r} not sent to the identity")
+    # the boundaries match, so u;v is respected iff the index tables compose
+    idx = {u: fu.idx for u, fu in p.ar.items()}
+    for (u, v), w in cat.composition.items():
+        iv = idx[v]
+        if tuple([iv[i] for i in idx[u]]) != idx[w]:
+            raise ValidationError(f"{name!r}: action does not respect {u!r};{v!r}")
 
 
 def same_values(p: FinPresheaf, q: FinPresheaf) -> bool:
@@ -409,7 +424,7 @@ class PresheafSystem(RefinementSystem):
     def tensor_expr(self, f: FinFunctor, g: FinFunctor) -> FinFunctor:
         dom = self.tensor_itype(f.dom, g.dom)
         cod = self.tensor_itype(f.cod, g.cod)
-        return FinFunctor.unchecked(
+        return FinFunctor(
             f"({f.name}x{g.name})", dom, cod,
             {(x, y): (f.ob(x), g.ob(y)) for (x, y) in dom.objects},
             {(u, v): (f.ar(u), g.ar(v)) for (u, v) in dom.arrows},
@@ -441,16 +456,11 @@ class PresheafSystem(RefinementSystem):
         if cell is not None:
             return cell
         src_e, dst_e = cell_ends(kind, etypes, self.tensor_etype, self._unit)
-        src_c, dst_c = src_e.cat, dst_e.cat
-        arrow_map = {}
-        for u, (o1, o2) in src_c.arrows.items():
-            w = _regroup(kind, u, "id")
-            if dst_c.arrows.get(w) != (_regroup(kind, o1, "*"), _regroup(kind, o2, "*")):
-                raise ValidationError(f"{kind} cell: {dst_c.name} has no arrow {w!r}")
-            arrow_map[u] = w
-        expr = FinFunctor.unchecked(
-            f"{kind}[{src_c.name}]", src_c, dst_c,
-            {o: _regroup(kind, o, "*") for o in src_c.objects}, arrow_map,
+        src_c = src_e.cat
+        expr = FinFunctor(
+            f"{kind}[{src_c.name}]", src_c, dst_e.cat,
+            {o: _regroup(kind, o, "*") for o in src_c.objects},
+            {u: _regroup(kind, u, "id") for u in src_c.arrows},
         )
         comps = {
             o: self.kit.cell(kind, tuple(e.ob[x] for e, x in zip(etypes, _operands(kind, o))))
@@ -531,7 +541,7 @@ class PresheafSystem(RefinementSystem):
         fcat = self.functor_category(a, c)
         comps = self._fcat_components[fcat]
         dom = self.tensor_itype(a, fcat)
-        return FinFunctor.unchecked(
+        return FinFunctor(
             f"plugL[{a.name},{c.name}]", dom, c,
             {(x, fn): self._functor_at(fcat, fn).ob(x) for (x, fn) in dom.objects},
             {(u, nm): c.compose(
@@ -543,7 +553,7 @@ class PresheafSystem(RefinementSystem):
         fcat = self.functor_category(b, c)
         comps = self._fcat_components[fcat]
         dom = self.tensor_itype(fcat, b)
-        return FinFunctor.unchecked(
+        return FinFunctor(
             f"plugR[{c.name},{b.name}]", dom, c,
             {(fn, x): self._functor_at(fcat, fn).ob(x) for (fn, x) in dom.objects},
             {(nm, v): c.compose(
@@ -563,7 +573,7 @@ class PresheafSystem(RefinementSystem):
             cat = b_cat
             object_map = {y: h.ob((fixed, y)) for y in cat.objects}
             arrow_map = {v: h.ar((a_cat.identity(fixed), v)) for v in cat.arrows}
-        target = FinFunctor.unchecked("partial", cat, h.cod, object_map, arrow_map)
+        target = FinFunctor("partial", cat, h.cod, object_map, arrow_map)
         for name, func in self._fcat_objects[fcat].items():
             if func == target:
                 return name
@@ -582,7 +592,7 @@ class PresheafSystem(RefinementSystem):
                 h.ar((a_cat.identity(x), v)) for x in a_cat.objects
             )
             arrow_map[v] = lookup[(object_map[b], object_map[b2], comps)]
-        return FinFunctor.unchecked(f"lc({h.name})", b_cat, fcat, object_map, arrow_map)
+        return FinFunctor(f"lc({h.name})", b_cat, fcat, object_map, arrow_map)
 
     def curry_r_expr(self, h: FinFunctor) -> FinFunctor:
         a_cat, b_cat = self.tensor_factors(h.dom)
@@ -597,7 +607,7 @@ class PresheafSystem(RefinementSystem):
                 h.ar((u, b_cat.identity(y))) for y in b_cat.objects
             )
             arrow_map[u] = lookup[(object_map[x], object_map[x2], comps)]
-        return FinFunctor.unchecked(f"rc({h.name})", a_cat, fcat, object_map, arrow_map)
+        return FinFunctor(f"rc({h.name})", a_cat, fcat, object_map, arrow_map)
 
     def _nat_set(self, s: FinPresheaf, u: FinPresheaf, f: FinFunctor) -> tuple:
         """All natural transformations S => U(f-), each encoded as the tuple of
@@ -743,18 +753,23 @@ def representable_presheaf(cat: FinCategory, o) -> FinPresheaf:
 def multiplication_functor(sys: PresheafSystem, m: FinCategory) -> FinFunctor:
     """The multiplication of a one-object monoid category, as a functor M x M -> M.
 
-    Functoriality of (u, v) -> u;v is exactly commutativity of the monoid;
-    the functor check raises on a non-commutative table.
+    Functoriality of (u, v) -> u;v is exactly commutativity of the monoid,
+    so a non-commutative table fails the functor check and raises
+    ValidationError.
     """
     if len(m.objects) != 1:
         raise MismatchError("Day multiplication needs a one-object category")
     dom = sys.tensor_itype(m, m)
     star = m.objects[0]
-    return FinFunctor(
+    mult = FinFunctor(
         f"mult[{m.name}]", dom, m,
         {(star, star): star},
         {(u, v): m.compose(u, v) for (u, v) in dom.arrows},
     )
+    report = check_functor(mult)
+    if not report.ok:
+        raise ValidationError(str(report))
+    return mult
 
 
 def day_star(sys: PresheafSystem, m: FinCategory, s: FinPresheaf,

@@ -5,8 +5,12 @@ named carriers, expressions, and refinement types, plus optional stanzas for
 a monoid (separation-logic structure), a state machine (Hoare triples), and
 an adjunction.  Loading validates everything eagerly: unknown keys anywhere
 are rejected, all references must resolve, and all tables must be total and
-land in their declared codomains.  The exact schema is documented in
-docs/signature_schema.md.
+land in their declared codomains.  The loader is where tables from outside
+enter, so it is where categories, presheaves and functors are checked
+(:func:`refsys.fincat.check_category`,
+:func:`refsys.presheaf_model.check_presheaf`,
+:func:`refsys.fincat.check_functor`); their constructors only store them.
+The exact schema is documented in docs/signature_schema.md.
 """
 from __future__ import annotations
 
@@ -15,7 +19,9 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .cartesian import DEFAULT_MAX_CARRIER
-from .fincat import FinCategory, FinFunction, FinFunctor, FinSet, check_functor, monoid_category
+from .fincat import (
+    FinCategory, FinFunction, FinFunctor, FinSet, check_category, check_functor, monoid_category,
+)
 from .kernel import ValidationError
 from .subset_model import HoareProgram, SubsetSystem, subset
 from .trivial_model import TrivialSystem
@@ -54,6 +60,15 @@ def _name_ref(value, table: dict, path: Optional[str], what: str):
         prefix = f"{path}: " if path else ""
         raise SignatureError(f"{prefix}unknown {what} {value!r}")
     return table[value]
+
+
+def _checked(check, value, refusal: str):
+    """value, once check passes on it; SignatureError naming refusal otherwise."""
+    try:
+        check(value)
+    except ValidationError as exc:
+        raise SignatureError(f"{refusal} ({exc})") from exc
+    return value
 
 
 def _parse_elements(raw, where: str) -> tuple:
@@ -250,10 +265,8 @@ def _load_category(cname: str, spec, where: str) -> FinCategory:
             inner = car.resolve_table(row, car, f"{where}.monoid.table.{a_key}")
             for b, v in inner.items():
                 table[(a, b)] = v
-        try:
-            return monoid_category(cname, elems, table, unit)
-        except ValidationError as exc:
-            raise SignatureError(f"{where}: not a monoid ({exc})") from exc
+        return _checked(check_category, monoid_category(cname, elems, table, unit),
+                        f"{where}: not a monoid")
     _require_keys(spec, where, ("objects", "arrows"), ("compose",))
     objects = _parse_elements(spec["objects"], f"{where}.objects")
     arrows = {}
@@ -287,14 +300,12 @@ def _load_category(cname: str, spec, where: str) -> FinCategory:
                 composition[(a, b)] = b
             else:
                 raise SignatureError(f"{where}.compose: missing composite {a!r};{b!r}")
-    try:
-        return FinCategory(cname, objects, arrows, composition, identities)
-    except ValidationError as exc:
-        raise SignatureError(f"{where}: not a category ({exc})") from exc
+    return _checked(check_category, FinCategory(cname, objects, arrows, composition, identities),
+                    f"{where}: not a category")
 
 
 def _load_presheaf_model(doc: dict, path: str, name: str) -> Signature:
-    from .presheaf_model import FinPresheaf, PresheafSystem
+    from .presheaf_model import FinPresheaf, PresheafSystem, check_presheaf
 
     _require_keys(doc, "signature", ("model", "categories"),
                   ("name", "functors", "presheaves", "bounds"))
@@ -335,10 +346,8 @@ def _load_presheaf_model(doc: dict, path: str, name: str) -> Signature:
             table = values[src].resolve_table(
                 action[key], values[dst], f"presheaves.{pname}.action.{key}")
             ar[aname] = FinFunction(f"{pname}({key})", ob[src], ob[dst], table)
-        try:
-            presheaves[pname] = FinPresheaf(pname, cat, ob, ar)
-        except ValidationError as exc:
-            raise SignatureError(f"presheaves.{pname}: not functorial ({exc})") from exc
+        presheaves[pname] = _checked(check_presheaf, FinPresheaf(pname, cat, ob, ar),
+                                     f"presheaves.{pname}: not functorial")
 
     bounds = doc.get("bounds", {})
     _require_keys(bounds, "bounds", (),
@@ -386,7 +395,7 @@ def _load_presheaf_model(doc: dict, path: str, name: str) -> Signature:
             if str(tgt) not in cod_by_str:
                 raise SignatureError(f"functors.{fname}.ar.{key}: unknown arrow {tgt!r}")
             ar_map[aname] = cod_by_str[str(tgt)]
-        functor = FinFunctor.unchecked(fname, dom, cod, ob_map, ar_map)
+        functor = FinFunctor(fname, dom, cod, ob_map, ar_map)
         report = check_functor(functor)
         if not report.ok:
             bad = (report.structural_errors + report.law_violations)[0]

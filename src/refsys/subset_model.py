@@ -403,7 +403,8 @@ class SubsetSystem(RefinementSystem):
         takes the positions of U and every other position all of C; its size
         is |U|^|S| * |C|^(|A|-|S|).  Each prefix followed by free positions
         is one range of the space's positions, so the space's elements are
-        never read.
+        never read.  The prefixes of all but the last digit are listed; those
+        of the last, the largest level, are streamed into the result.
         """
         fs = self.function_space(s.of, u.of)
         n = len(u.of)
@@ -414,11 +415,12 @@ class SubsetSystem(RefinementSystem):
         while digits and len(digits[-1]) == n:
             digits.pop()
             run *= n
+        last = digits.pop() if digits else (0,)
         starts = [0]
         for ds in digits:
             starts = [k * n + d for k in starts for d in ds]
         return _subset(fs, frozenset(itertools.chain.from_iterable(
-            range(k * run, (k + 1) * run) for k in starts
+            range(k * run, (k + 1) * run) for k in (j * n + d for j in starts for d in last)
         )))
 
     def residual_left_etype(self, s: Subset, u: Subset) -> Subset:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from refsys.fincat import FinSet
+from refsys.fincat import FinFunction, FinSet
 from refsys.kernel import (
     CapabilityError,
     compose_derivations,
@@ -20,6 +21,8 @@ from refsys.laws import _find_encodings
 from refsys.monadrep import (
     FiberwiseMonad,
     OpExpr,
+    OpMor,
+    OppositeSystem,
     build_continuation_adjunction,
     check_adjunction,
     check_comparison,
@@ -40,6 +43,7 @@ from refsys.monadrep import (
 )
 from refsys.subset_model import build_classifier_system, build_subset_system, subset
 from refsys.signature import load_signature
+from refsys.structures import check_beta_eta, pushforward
 from refsys.trivial_model import POINT, build_trivial_system
 
 from conftest import DATA, data_file
@@ -255,3 +259,42 @@ def test_continuation_with_a_universal_type_reports_under_both_interpreters(tmp_
     lines = outputs[0].splitlines()
     assert lines[0].startswith("suite monadrep: FAIL")
     assert lines[1] == "  counterexample: no encoding found for {}:B"
+
+
+def _z4_cases(sig):
+    h = sig.sets["H"]
+    succ = FinFunction("succ", h, h, {i: (i + 1) % 4 for i in h})
+    double = FinFunction("double", h, h, {i: 2 * i % 4 for i in h})
+    return ((succ, sig.etype("one")), (double, sig.etype("evens")),
+            (double, sig.etype("odds")))
+
+
+def _arrow_cases(sig):
+    collapse = sig.expr("collapse")
+    ident = sig.system.id_expr(collapse.dom)
+    return ((collapse, sig.etype("P")), (collapse, sig.etype("Q")), (ident, sig.etype("P")))
+
+
+@pytest.mark.parametrize("fixture, cases", (("z4", _z4_cases), ("arrow_sig", _arrow_cases)),
+                         ids=("z4", "presheaf_arrow"))
+def test_opposite_pushforward_is_the_base_pullback_reversed(fixture, cases, request):
+    sig = request.getfixturevalue(fixture)
+    base = sig.system
+    op = OppositeSystem(base)
+    for f, s in cases(sig):
+        et, rule, factor = op.pushforward_data(s, OpExpr(f))
+        base_et, base_rule, base_factor = base.pullback_data(f, s)
+        assert et == base_et
+        assert rule == OpMor(base_rule)
+        # a morphism over g;f factors through the pullback exactly as in the base
+        a = base.expr_dom(f)
+        factored = 0
+        for g in itertools.islice(base.expressions(a, a), 8):
+            gf = base.compose_exprs(g, f)
+            for z in base.e_types_over(a):
+                for m in base.morphisms_over(z, gf, s):
+                    assert factor(OpMor(m), OpExpr(g)) == OpMor(base_factor(m, g))
+                    factored += 1
+        assert factored
+        report = check_beta_eta(pushforward(op, s, OpExpr(f)))
+        assert report.ok and report.checked, str(report)

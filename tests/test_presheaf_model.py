@@ -8,6 +8,7 @@ from refsys.fincat import FinFunction, FinSet, monoid_category
 from refsys.kernel import ValidationError
 from refsys.presheaf_model import (
     FinPresheaf,
+    check_presheaf,
     constant_presheaf,
     day_star,
     day_star_coend,
@@ -31,12 +32,12 @@ def test_presheaf_functoriality_enforced():
     m = monoid_category("Z2", (0, 1), Z2_TABLE, 0)
     fs = FinSet("X(*)", ("x0", "x1"))
     swap = FinFunction("swap", fs, fs, {"x0": "x1", "x1": "x0"})
-    FinPresheaf("X", m, {"*": fs}, {0: FinFunction.identity(fs), 1: swap})
+    check_presheaf(FinPresheaf("X", m, {"*": fs}, {0: FinFunction.identity(fs), 1: swap}))
     rotate_to_x0 = FinFunction("c", fs, fs, {"x0": "x0", "x1": "x0"})
     # 1;1 = 0 must act as the identity; a collapsing action cannot
+    bad = FinPresheaf("bad", m, {"*": fs}, {0: FinFunction.identity(fs), 1: rotate_to_x0})
     with pytest.raises(ValidationError, match="does not respect"):
-        FinPresheaf("bad", m, {"*": fs},
-                    {0: FinFunction.identity(fs), 1: rotate_to_x0})
+        check_presheaf(bad)
 
 
 def test_representable_presheaf_on_the_arrow_category(arrow_sig):

@@ -1,8 +1,9 @@
 """The presheaf tensor, built from the cartesian kit, against its element-level definition.
 
 The references below build S x T, the tensor of two morphisms and the six
-coherence cells element by element through the checking constructors:
-(S x T)(a, b) = S(a) x T(b), an action sends (x, y) to (S.u(x), T.v(y)), a
+coherence cells element by element, through the checking ``FinFunction``
+constructor, and run ``check_presheaf`` on each reference presheaf.  By
+definition (S x T)(a, b) = S(a) x T(b), an action sends (x, y) to (S.u(x), T.v(y)), a
 component of m x n sends (x, y) to (m_a(x), n_b(y)), and a cell sends each
 element to its regrouped element.  The model takes every one of them from
 its kit's products, pairings and cells instead.
@@ -14,7 +15,7 @@ import itertools
 import pytest
 
 from refsys.fincat import FinFunction, FinSet
-from refsys.presheaf_model import FinPresheaf
+from refsys.presheaf_model import FinPresheaf, check_presheaf
 
 CELL_KINDS = ("assoc", "assoc_inv", "unit_l", "unit_l_inv", "unit_r", "unit_r_inv")
 
@@ -44,7 +45,9 @@ def reference_tensor(sys, s: FinPresheaf, t: FinPresheaf) -> FinPresheaf:
                             {(x, y): (s.ar[u](x), t.ar[v](y)) for (x, y) in ob[a, b]})
         for (u, v), ((a, b), (a2, b2)) in cat.arrows.items()
     }
-    return FinPresheaf(f"({s.name}x{t.name})", cat, ob, ar)
+    st = FinPresheaf(f"({s.name}x{t.name})", cat, ob, ar)
+    check_presheaf(st)
+    return st
 
 
 def reference_cell_end(sys, kind: str, etypes: tuple, source: bool) -> FinPresheaf:

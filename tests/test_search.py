@@ -32,6 +32,7 @@ from refsys.kernel import ValidationError
 from refsys.presheaf_model import (
     FinPresheaf,
     build_presheaf_system,
+    check_presheaf,
     enumerate_monoid_presheaves,
 )
 from refsys.signature import load_signature
@@ -106,7 +107,7 @@ def ref_functors(dom: FinCategory, cod: FinCategory) -> list:
         object_map = dict(zip(dom.objects, obj_choice))
         homs = [cod.hom(object_map[dom.src(a)], object_map[dom.dst(a)]) for a in names]
         for arrow_choice in itertools.product(*homs):
-            cand = FinFunctor.unchecked("F", dom, cod, object_map, dict(zip(names, arrow_choice)))
+            cand = FinFunctor("F", dom, cod, object_map, dict(zip(names, arrow_choice)))
             if check_functor(cand).ok:
                 cand.name = f"F{len(out)}_{dom.name}_{cod.name}"
                 out.append(cand)
@@ -220,10 +221,12 @@ def random_presheaf(rng: random.Random, cat: FinCategory, name: str) -> FinPresh
                                           for u in free]):
             ar = {u: FinFunction.identity(ob[o]) for o, u in cat.identities.items()}
             ar.update(zip(free, tables))
+            candidate = FinPresheaf(name, cat, ob, ar)
             try:
-                found.append(FinPresheaf(name, cat, ob, ar))
+                check_presheaf(candidate)
             except ValidationError:
-                pass
+                continue
+            found.append(candidate)
         if found:
             return rng.choice(found)
 

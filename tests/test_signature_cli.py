@@ -302,6 +302,32 @@ def test_ill_formed_tables_rejected_under_optimize(tmp_path):
         assert proc.stdout == ""
 
 
+def test_non_associative_category_rejected_under_both_interpreters(tmp_path):
+    # the non-associative e/a/b monoid above, given as objects, arrows and
+    # composites: the loader fills in the unit laws, and its category check
+    # is the only thing that sees (a;a);a = b;a = b but a;(a;a) = a;b = a
+    doc = {
+        "model": "presheaf",
+        "categories": {"M": {
+            "objects": ["*"],
+            "arrows": {"a": {"dom": "*", "cod": "*"}, "b": {"dom": "*", "cod": "*"}},
+            "compose": {"a;a": "b", "a;b": "a", "b;a": "b", "b;b": "a"},
+        }},
+        "presheaves": {"P": {"cat": "M", "at": {"*": ["x"]},
+                             "action": {"a": {"x": "x"}, "b": {"x": "x"}}}},
+    }
+    path = write_sig(tmp_path, doc)
+    env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent))
+    for flags in ((), ("-O",)):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "refsys.cli", "check", path, "P <= P"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 3, proc.stdout + proc.stderr
+        assert "not a category" in proc.stderr
+        assert proc.stdout == ""
+
+
 def test_non_commutative_monoid_skipped_under_optimize(tmp_path):
     # left-zero monoid with a unit: x*y = x for x, y != e, so the Day
     # multiplication is not a functor and the monoidal suite must skip it

@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -152,6 +153,28 @@ def test_residuals_equal_checked_builds_on_a8_c4():
             t for t in fs.elements if all(t[a.index(x)] in u for x in s.elements)))
         assert sys.residual_left_etype(s, u) == expected
         assert sys.residual_right_etype(u, s) == expected
+
+
+def test_residual_without_a_trailing_free_run_streams_its_last_digit():
+    # S = {a7} leaves no trailing position free, so every member is a prefix of
+    # the last digit; S = {a0} has the same 49,152 members in runs of 4^7
+    a = FinSet("A8", tuple(f"a{i}" for i in range(8)))
+    c = FinSet("C4", ("w", "x", "y", "z"))
+    u_elems = ("w", "x", "y")
+
+    def peak(s_elems) -> int:
+        sys = build_subset_system((a, c))
+        s, u = subset(a, s_elems), subset(c, u_elems)
+        tracemalloc.start()
+        try:
+            res = sys._residual(s, u)
+            top = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(res) == 3 * 4 ** 7
+        return top
+
+    assert peak(("a7",)) <= 1.25 * peak(("a0",))
 
 
 @settings(max_examples=60, deadline=None)
