@@ -48,6 +48,9 @@ keeping it, for a caller that keeps what it builds from it.  Evaluation and
 currying tables are built on each call.  Every carrier the kit would build
 with more than ``max_carrier`` elements is refused with a CapabilityError
 that names its size, instead of exhausting memory; a refusal is not cached.
+A function space's size is compared with the bound by ``power_exceeds``,
+which stops multiplying once past it, and a size with more digits than
+Python converts to a string is written as a power, such as ``2^16384``.
 """
 from __future__ import annotations
 
@@ -155,6 +158,27 @@ def _same_elements(x: FinSet, y: FinSet) -> bool:
     return x.elements == y.elements
 
 
+def power_exceeds(base: int, exp: int, limit: int) -> bool:
+    """Whether base ** exp > limit, multiplying no further than past limit."""
+    if base < 2:
+        return base ** exp > limit
+    acc = 1
+    for _ in range(exp):
+        acc *= base
+        if acc > limit:
+            return True
+    return acc > limit
+
+
+def _power_text(base: int, exp: int) -> str:
+    """base ** exp in decimal, or as base^exp when it has more digits than
+    Python converts to a string."""
+    try:
+        return str(base ** exp)
+    except ValueError:
+        return f"{base}^{exp}"
+
+
 def cell_ends(kind: str, operands: tuple, tensor, unit) -> tuple:
     """(source, target) of a coherence cell, arranged with tensor and unit.
 
@@ -184,16 +208,16 @@ class CartesianKit:
         self._pairings: dict = {}
         self._cells: dict = {}
 
-    def _guard(self, size: int, what: str):
-        if size > self.max_carrier:
-            raise CapabilityError(
-                f"{what} would have {size} elements, exceeding the bound {self.max_carrier}"
-            )
+    def _refuse(self, what: str, size) -> CapabilityError:
+        return CapabilityError(
+            f"{what} would have {size} elements, exceeding the bound {self.max_carrier}"
+        )
 
     def product(self, a: FinSet, b: FinSet) -> FinSet:
         p = self._products.get((a, b))
         if p is None:
-            self._guard(len(a) * len(b), f"product ({a.name}x{b.name})")
+            if len(a) * len(b) > self.max_carrier:
+                raise self._refuse(f"product ({a.name}x{b.name})", len(a) * len(b))
             p = self._products[a, b] = ProductSet(a, b)
         return p
 
@@ -207,7 +231,9 @@ class CartesianKit:
     def function_space(self, a: FinSet, c: FinSet) -> FinSet:
         fs = self._spaces.get((a, c))
         if fs is None:
-            self._guard(len(c) ** len(a), f"function space [{a.name}->{c.name}]")
+            if power_exceeds(len(c), len(a), self.max_carrier):
+                raise self._refuse(f"function space [{a.name}->{c.name}]",
+                                   _power_text(len(c), len(a)))
             fs = self._spaces[a, c] = FunctionSpace(a, c)
         return fs
 

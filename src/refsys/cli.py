@@ -254,7 +254,7 @@ def cmd_laws(sig: Signature, args) -> int:
         else:
             verdict = "ok" if r.ok else "FAIL"
             lines.append(f"suite {name}: {verdict} ({r.checked} instances)")
-            lines += [f"  counterexample: {f}" for f in r.failures[:5]]
+            lines += [f"  counterexample: {f}" for f in r.failures[:LawReport.failure_cap]]
         lines += [f"  note: {s}" for s in r.skipped]
     overall = all(r.ok for _, _, r in results)
     lines.append("all laws hold" if overall else "law violations found")

@@ -26,7 +26,6 @@ from .kernel import (
     CapabilityError,
     LawViolation,
     MismatchError,
-    RefinementSystem,
     Status,
     ValidationError,
     axiom,
@@ -57,6 +56,7 @@ from .monadrep import (
     check_theorem,
     check_universal,
     identity_adjunction,
+    iter_encodings,
     search_encodings,
 )
 from .presheaf_model import (
@@ -70,6 +70,7 @@ from .signature import Signature
 from .structures import (
     LawReport,
     check_beta_eta,
+    law_mode,
     pull_compose_iso,
     pullback,
     push_compose_iso,
@@ -219,7 +220,7 @@ def _suite_structures(sig: Signature, max_set: int) -> LawReport:
     rep = LawReport()
     etypes = _etype_pool(sig, max_set)
     exprs = _expr_pool(sig)
-    mode = "membership" if sys_.proof_irrelevant else "literal"
+    mode = law_mode(sys_)
     for f in exprs:
         a, b = sys_.expr_dom(f), sys_.expr_cod(f)
         if sys_.has_pullbacks:
@@ -331,7 +332,7 @@ def _suite_sep(sig: Signature, max_set: int) -> LawReport | str:
         rep.check(left == right, lambda: (
             "associativity fails at ({0},{1},{2}): ({0}*{1})*{2} = {3} but {0}*({1}*{2}) = {4}"
             .format(*map(render_elem, (a, b, c, left, right)))))
-        if len(rep.failures) >= 5:
+        if rep.full:
             break
     if len(car.elements) <= 6:
         subs = list(sys_.e_types_over(car))
@@ -354,29 +355,16 @@ def _suite_sep(sig: Signature, max_set: int) -> LawReport | str:
                   lambda: f"left wand table wrong at {s.name} *- {u.name}")
     for s, t, u in itertools.product(subs, subs, subs):
         rep.absorb(check_threeway_adjunction(sys_, mult, s, t, u))
-        if len(rep.failures) >= 5:
+        if rep.full:
             return rep
     triples = list(itertools.product(subs, subs, subs))
     stride = max(1, len(triples) // 48)
     for s, t, u in triples[::stride]:
         rep.absorb(check_star_wand(sys_, mult, s, t, u),
                    f"round trip at ({s.name},{t.name},{u.name})")
-        if len(rep.failures) >= 5:
+        if rep.full:
             return rep
     return rep
-
-
-def _find_encodings(sys_: RefinementSystem, pool, u) -> dict:
-    target = sys_.refines(u)
-    encodings = {}
-    for t in pool:
-        a = sys_.refines(t)
-        for f in sys_.expressions(a, target):
-            et, _, _ = sys_.pullback_data(f, u)
-            if et == t:
-                encodings[t] = f
-                break
-    return encodings
 
 
 def _suite_monadrep(sig: Signature, max_set: int) -> LawReport | str:
@@ -436,10 +424,17 @@ def _suite_monadrep(sig: Signature, max_set: int) -> LawReport | str:
         u = sig.universal
         full_pool = list(_etype_pool(sig, max_set))
         # encodings are q-expressions: R sends them to p through r1
-        encodings = _find_encodings(adj.q, full_pool, u)
+        encodings = {}
         for t in full_pool:
-            if t not in encodings:
+            try:
+                f = next(iter_encodings(adj.q, t, u, limit=20_000), None)
+            except CapabilityError as exc:
+                rep.skip(f"encodings of {etype_label(t)}: {exc}")
+                continue
+            if f is None:
                 rep.check(False, f"no encoding found for {etype_label(t)}")
+            else:
+                encodings[t] = f
         if encodings:
             rep.absorb(check_universal(adj.q, u, encodings, etypes=list(encodings)),
                        "universality")

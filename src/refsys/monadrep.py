@@ -20,7 +20,15 @@ From the descriptor:
     be the identity (the failure is witnessed on a proof-relevant instance);
   * encodings into a universal type, the reflection conditions, and the
     representation theorem: M[T] is canonically isomorphic to the
-    shift-pullback of the double negation.
+    shift-pullback of the double negation.  iter_encodings is the one
+    candidate loop: it counts expressions, refuses past its limit, and
+    yields those along which the pullback of U is T.  search_encodings
+    collects every encoding across an adjunction, and the monadrep suite
+    takes the first one per type.  check_universal and check_reflected run
+    the witness laws in the mode law_mode reads off the system.
+  * two-out-of-three on witnesses: given pullback witnesses for f;g and g
+    (pushforward witnesses for f;g and f), check both, and only then build
+    and check the implied witness for f (for g).
 
 The opposite of a refinement system is materialized generically (both levels
 reversed) so the continuation adjunction L = negR[U]{-} -| R = negL[U]{-}
@@ -31,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
+from .cartesian import power_exceeds
 from .fincat import FinFunction, FinSet
 from .kernel import (
     CapabilityError,
@@ -55,8 +64,8 @@ from .structures import (
     composite_pullback_witness,
     implied_pullback_witness,
     implied_pushforward_witness,
+    law_mode,
     pullback,
-    pushforward,
     uniqueness_iso,
 )
 from .monoidal import (
@@ -309,8 +318,7 @@ def build_continuation_adjunction(sys: RefinementSystem, u) -> AdjunctionDescrip
 
 
 def check_adjunction(adj: AdjunctionDescriptor, p_etypes=(), q_etypes=(),
-                     p_derivations=(), q_derivations=(), strength_pairs=(),
-                     max_failures: int = 5) -> LawReport:
+                     p_derivations=(), q_derivations=(), strength_pairs=()) -> LawReport:
     """The adjunction equations, instantiated over the given material.
 
     Checks: commuting squares (e-level data lies over i-level data), the two
@@ -323,7 +331,7 @@ def check_adjunction(adj: AdjunctionDescriptor, p_etypes=(), q_etypes=(),
     rep = LawReport()
 
     for s in p_etypes:
-        if len(rep.failures) >= max_failures:
+        if rep.full:
             break
         name = getattr(s, "name", s)
         ls = adj.l_etype(s)
@@ -343,7 +351,7 @@ def check_adjunction(adj: AdjunctionDescriptor, p_etypes=(), q_etypes=(),
                   "index-level triangle L(eta);eps fails")
 
     for t in q_etypes:
-        if len(rep.failures) >= max_failures:
+        if rep.full:
             break
         name = getattr(t, "name", t)
         rt = adj.r_etype(t)
@@ -362,7 +370,7 @@ def check_adjunction(adj: AdjunctionDescriptor, p_etypes=(), q_etypes=(),
                   "index-level triangle eta;R(eps) fails")
 
     for alpha in p_derivations:
-        if len(rep.failures) >= max_failures:
+        if rep.full:
             break
         la = adj.l_der(alpha)
         rep.check(q.exprs_equal(la.expr, adj.l1(alpha.expr))
@@ -381,14 +389,14 @@ def check_adjunction(adj: AdjunctionDescriptor, p_etypes=(), q_etypes=(),
         for d2 in p_derivations:
             if d1.target != d2.subject:
                 continue
-            if len(rep.failures) >= max_failures:
+            if rep.full:
                 break
             lhs = adj.l_der(compose_derivations(p, d1, d2))
             rhs = compose_derivations(q, adj.l_der(d1), adj.l_der(d2))
             rep.check(derivations_equal(q, lhs, rhs), "L does not preserve composition")
 
     for beta in q_derivations:
-        if len(rep.failures) >= max_failures:
+        if rep.full:
             break
         nat_l = compose_derivations(q, adj.l_der(adj.r_der(beta)),
                                     adj.eps_rule(beta.target))
@@ -398,7 +406,7 @@ def check_adjunction(adj: AdjunctionDescriptor, p_etypes=(), q_etypes=(),
     if adj.sigma_rule is not None:
         unit_et = p.unit_etype()
         for (s, t) in strength_pairs:
-            if len(rep.failures) >= max_failures:
+            if rep.full:
                 break
             at = f"({getattr(s, 'name', s)}, {getattr(t, 'name', t)})"
             try:
@@ -498,8 +506,7 @@ class FiberwiseMonad:
         return w1.right(conv, p.id_expr(a))
 
 
-def check_monad_laws(monad: FiberwiseMonad, etypes,
-                     max_failures: int = 5) -> LawReport:
+def check_monad_laws(monad: FiberwiseMonad, etypes) -> LawReport:
     """Unit laws and associativity, by interpretation; infeasible carriers skipped."""
     p = monad.p
     rep = LawReport()
@@ -524,7 +531,7 @@ def check_monad_laws(monad: FiberwiseMonad, etypes,
             rep.check(derivations_equal(p, lhs, rhs), lambda: f"associativity fails at {name}")
         except CapabilityError as exc:
             rep.skip(f"associativity at {name}: {exc}")
-        if len(rep.failures) >= max_failures:
+        if rep.full:
             break
     return rep
 
@@ -619,8 +626,7 @@ def encoding_witness(adj: AdjunctionDescriptor, t, u, f) -> PullbackWitness:
     return w
 
 
-def from_double_negation(adj: AdjunctionDescriptor, t, u, f,
-                         witness: Optional[PullbackWitness] = None) -> Derivation:
+def from_double_negation(adj: AdjunctionDescriptor, t, u, f) -> Derivation:
     """shift*(double negation) <= M[T], given that RL[T] is a pullback of R[U].
 
     The construction picks the point of negR[W]{T} currying unit_l;eta;f,
@@ -630,9 +636,7 @@ def from_double_negation(adj: AdjunctionDescriptor, t, u, f,
     carrier witness.
     """
     p = adj.p
-    w_f = witness if witness is not None else encoding_witness(adj, t, u, f)
-    if w_f.etype != adj.rl_etype(t):
-        raise LawViolation("supplied hypothesis witness has the wrong type")
+    w_f = encoding_witness(adj, t, u, f)
     w_ans = adj.r_etype(u)
     b = p.refines(t)
     cw = p.refines(w_ans)
@@ -696,38 +700,29 @@ def search_encodings(adj: AdjunctionDescriptor, t, u,
     dom = adj.r0(adj.l0(p.refines(t)))
     cod = adj.r0(p.refines(u))
     if limit is not None and isinstance(dom, FinSet) and isinstance(cod, FinSet):
-        if _power_exceeds(len(cod), len(dom), limit):
-            raise CapabilityError(
-                f"encoding search exceeds {limit} candidate expressions"
-            )
-    rl_t = adj.rl_etype(t)
-    r_u = adj.r_etype(u)
-    dom = p.refines(rl_t)
-    cod = p.refines(r_u)
-    out = []
+        if power_exceeds(len(cod), len(dom), limit):
+            raise _search_refusal(limit)
+    return tuple(iter_encodings(p, adj.rl_etype(t), adj.r_etype(u), limit))
+
+
+def iter_encodings(sys: RefinementSystem, t, u, limit: Optional[int]) -> Iterator:
+    """Each expression f with pullback_f(U) = T, in sys's expression order.
+
+    Raises CapabilityError when a candidate past the first `limit` is
+    reached, so a search run to its end is exhaustive.
+    """
     count = 0
-    for f in p.expressions(dom, cod):
+    for f in sys.expressions(sys.refines(t), sys.refines(u)):
         count += 1
         if limit is not None and count > limit:
-            raise CapabilityError(
-                f"encoding search exceeds {limit} candidate expressions"
-            )
-        et, _, _ = p.pullback_data(f, r_u)
-        if et == rl_t:
-            out.append(f)
-    return tuple(out)
+            raise _search_refusal(limit)
+        et, _, _ = sys.pullback_data(f, u)
+        if et == t:
+            yield f
 
 
-def _power_exceeds(base: int, exp: int, limit: int) -> bool:
-    """Whether base ** exp > limit, multiplying no further than past limit."""
-    if base < 2:
-        return base ** exp > limit
-    acc = 1
-    for _ in range(exp):
-        acc *= base
-        if acc > limit:
-            return True
-    return acc > limit
+def _search_refusal(limit: int) -> CapabilityError:
+    return CapabilityError(f"encoding search exceeds {limit} candidate expressions")
 
 
 def count_encodings_elementwise(adj: AdjunctionDescriptor, t, u) -> tuple:
@@ -760,78 +755,32 @@ def count_encodings_elementwise(adj: AdjunctionDescriptor, t, u) -> tuple:
     return count, FinFunction(f"enc[{getattr(t, 'name', t)}]", dom, cod, table)
 
 
-# --- marked diagram judgments and two-out-of-three ---------------------------------------
+# --- two-out-of-three ----------------------------------------------------------------------
 
-@dataclass
-class DiagramJudgment:
-    """A judgment marked as a pullback, a pushforward, or plain.
-
-    The marker is backed by a witness; verify() checks the witness boundaries
-    match the judgment and runs the witness laws.
-    """
-    judgment: Judgment
-    kind: str = "plain"
-    witness: Any = None
-
-    def verify(self, sys: RefinementSystem, mode: str = "literal",
-               x_types=None) -> LawReport:
-        j, w = self.judgment, self.witness
-        if self.kind == "plain":
-            return LawReport()
-        if self.kind == "pullback":
-            witness_cls, ends = PullbackWitness, lambda: (w.etype, w.target)
-        elif self.kind == "pushforward":
-            witness_cls, ends = PushforwardWitness, lambda: (w.subject, w.etype)
-        else:
-            return LawReport(1, [f"unknown marker {self.kind!r}"])
-        if not isinstance(w, witness_cls):
-            return LawReport(1, [f"{self.kind} marker without a {self.kind} witness"])
-        if ends() != (j.subject, j.target) or not sys.exprs_equal(w.expr, j.expr):
-            return LawReport(1, [f"{self.kind} witness does not match the judgment"])
-        return check_beta_eta(w, mode=mode, x_types=x_types)
-
-
-def mark_pullback(sys: RefinementSystem, f, t) -> DiagramJudgment:
-    w = pullback(sys, f, t)
-    return DiagramJudgment(Judgment(w.etype, f, t), "pullback", w)
-
-
-def mark_pushforward(sys: RefinementSystem, s, f) -> DiagramJudgment:
-    w = pushforward(sys, s, f)
-    return DiagramJudgment(Judgment(s, f, w.etype), "pushforward", w)
-
-
-def two_out_of_three_pull(sys: RefinementSystem, dj_fg: DiagramJudgment,
-                          dj_g: DiagramJudgment, f, mode: str = "literal",
-                          x_types=None) -> LawReport:
+def two_out_of_three_pull(sys: RefinementSystem, w_fg: PullbackWitness,
+                          w_g: PullbackWitness, f) -> LawReport:
     """If S =[f;g]=> U and T =[g]=> U are pullbacks, then S =[f]=> T is one.
 
-    Verifies both hypotheses' markers, constructs the implied witness, and
-    runs its laws; the report concatenates all three checks.
+    Checks the laws of both witnesses and, when they hold, constructs the
+    implied witness and checks its laws; the report concatenates the checks.
     """
     return _two_out_of_three(
-        sys, "pullback", dj_fg, dj_g, mode, x_types,
-        lambda: implied_pullback_witness(sys, dj_fg.witness, dj_g.witness, f))
+        sys, w_fg, w_g, lambda: implied_pullback_witness(sys, w_fg, w_g, f))
 
 
-def two_out_of_three_push(sys: RefinementSystem, dj_fg: DiagramJudgment,
-                          dj_f: DiagramJudgment, g, mode: str = "literal",
-                          x_types=None) -> LawReport:
+def two_out_of_three_push(sys: RefinementSystem, w_fg: PushforwardWitness,
+                          w_f: PushforwardWitness, g) -> LawReport:
     """If S =[f;g]=> U and S =[f]=> T are pushforwards, then T =[g]=> U is one."""
     return _two_out_of_three(
-        sys, "pushforward", dj_fg, dj_f, mode, x_types,
-        lambda: implied_pushforward_witness(sys, dj_fg.witness, dj_f.witness, g))
+        sys, w_fg, w_f, lambda: implied_pushforward_witness(sys, w_fg, w_f, g))
 
 
-def _two_out_of_three(sys, kind: str, dj_fg, dj_other, mode, x_types, implied) -> LawReport:
-    rep = dj_fg.verify(sys, mode=mode, x_types=x_types)
-    rep.absorb(dj_other.verify(sys, mode=mode, x_types=x_types))
-    if not rep.ok:
-        return rep
-    if dj_fg.kind != kind or dj_other.kind != kind:
-        rep.check(False, f"two-out-of-three needs {kind} markers")
-        return rep
-    return rep.absorb(check_beta_eta(implied(), mode=mode, x_types=x_types))
+def _two_out_of_three(sys, w_fg, w_other, implied) -> LawReport:
+    mode = law_mode(sys)
+    rep = check_beta_eta(w_fg, mode=mode).absorb(check_beta_eta(w_other, mode=mode))
+    if rep.ok:
+        rep.absorb(check_beta_eta(implied(), mode=mode))
+    return rep
 
 
 # --- answer weakening for the double negation ---------------------------------------------
@@ -870,9 +819,9 @@ def double_negation_weakening(sys: RefinementSystem, t, u, f) -> Derivation:
 
 # --- encodings, universality, reflection, and the representation theorem -------------------
 
-def check_universal(sys: RefinementSystem, u, encodings: dict, etypes=None,
-                    mode: str = "membership", x_types=None) -> LawReport:
-    """Every e-type is the pullback of U along its encoding, witness laws included."""
+def check_universal(sys: RefinementSystem, u, encodings: dict, etypes=None) -> LawReport:
+    """Every e-type is the pullback of U along its encoding, witness laws included
+    (in law_mode(sys))."""
     rep = LawReport()
     for s in (etypes if etypes is not None else sys.e_types()):
         name = getattr(s, "name", s)
@@ -881,7 +830,7 @@ def check_universal(sys: RefinementSystem, u, encodings: dict, etypes=None,
             continue
         w = pullback(sys, encodings[s], u)
         if rep.check(w.etype == s, lambda: f"encoding of {name} pulls back to {w.etype.name}"):
-            rep.absorb(check_beta_eta(w, mode=mode, x_types=x_types), name)
+            rep.absorb(check_beta_eta(w, mode=law_mode(sys)), name)
     return rep
 
 
@@ -924,12 +873,12 @@ def _evaluation_expr(adj: AdjunctionDescriptor, t, u, encodings: dict):
 
 
 def check_reflected(adj: AdjunctionDescriptor, u, encodings: dict,
-                    q_etypes=None, p_etypes=None, mode: str = "membership",
-                    x_types=None) -> ReflectionReport:
+                    q_etypes=None, p_etypes=None) -> ReflectionReport:
     """Both reflection conditions for a universal type across an adjunction.
 
     Condition 1: R sends each q-side encoding pullback to a p-side pullback
-    of R[U] along R1 of the encoding - constructed and law-checked.
+    of R[U] along R1 of the encoding - constructed and law-checked in
+    law_mode(p).
 
     Condition 2: for each p-side T, the double negation of T with answers
     R[U] becomes, in the context of a shift, the pullback of R[U] along
@@ -949,7 +898,7 @@ def check_reflected(adj: AdjunctionDescriptor, u, encodings: dict,
         if rep.check(w.etype == adj.r_etype(t_q), lambda: (
                 f"R does not preserve the encoding pullback at {name}: "
                 f"got {getattr(w.etype, 'name', w.etype)}")):
-            rep.absorb(check_beta_eta(w, mode=mode, x_types=x_types), f"condition 1 at {name}")
+            rep.absorb(check_beta_eta(w, mode=law_mode(p)), f"condition 1 at {name}")
     w_ans = adj.r_etype(u)
     cw = p.refines(w_ans)
     for t in (p_etypes if p_etypes is not None else p.e_types()):

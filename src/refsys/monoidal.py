@@ -64,8 +64,7 @@ def coherence_derivation(sys: RefinementSystem, kind: str, etypes: tuple) -> Der
 
 # --- the monoidal equations -------------------------------------------------------
 
-def check_monoidal_equations(sys: RefinementSystem, ds, cap: int = 2000,
-                             max_failures: int = 5) -> LawReport:
+def check_monoidal_equations(sys: RefinementSystem, ds, cap: int = 2000) -> LawReport:
     """Equations of the tensor, instantiated over the given derivations.
 
     ds is a sequence of derivations used as raw material; the function forms
@@ -81,7 +80,7 @@ def check_monoidal_equations(sys: RefinementSystem, ds, cap: int = 2000,
     rep = LawReport()
     for holds, failure in _monoidal_instances(sys, tuple(ds), cap):
         rep.check(holds, failure)
-        if len(rep.failures) >= max_failures:
+        if rep.full:
             break
     return rep
 
@@ -268,8 +267,7 @@ def residual_right(sys: RefinementSystem, u, t) -> ResidualWitness:
     return ResidualWitness(sys, "right", t, u, et, from_interp(sys, ev, "rres-L"), curry)
 
 
-def check_residual_laws(w: ResidualWitness, vs, expr_cap: Optional[int] = None,
-                        max_failures: int = 5) -> LawReport:
+def check_residual_laws(w: ResidualWitness, vs, expr_cap: Optional[int] = None) -> LawReport:
     """beta/eta for a residual witness, quantified by enumeration.
 
     For each candidate operand type V in vs: every derivation beta of
@@ -289,13 +287,13 @@ def check_residual_laws(w: ResidualWitness, vs, expr_cap: Optional[int] = None,
             for beta in derivations_over(sys, sv, f, w.u):
                 rep.check(derivations_equal(sys, w.uncurry(w.curry(beta, v)), beta),
                           lambda: f"beta-law fails at V={v.name}, f={getattr(f, 'name', f)}")
-                if len(rep.failures) >= max_failures:
+                if rep.full:
                     return rep
         for g in itertools.islice(sys.expressions(x, n_itype), expr_cap):
             for gamma in derivations_over(sys, v, g, w.etype):
                 rep.check(derivations_equal(sys, w.curry(w.uncurry(gamma), v), gamma),
                           lambda: f"eta-law fails at V={v.name}, g={getattr(g, 'name', g)}")
-                if len(rep.failures) >= max_failures:
+                if rep.full:
                     return rep
     return rep
 
@@ -473,8 +471,7 @@ def wand_elim_rule(sys: RefinementSystem, mult, u, t) -> Derivation:
     return w_star.left(step, sys.id_expr(sys.refines(u)))
 
 
-def check_star_wand(sys: RefinementSystem, mult, s, t, u,
-                    max_failures: int = 5) -> LawReport:
+def check_star_wand(sys: RefinementSystem, mult, s, t, u) -> LawReport:
     """The star/wand adjunction round trips on a concrete (S, T, U) triple.
 
     When S * T <= U holds, introduction then elimination must reproduce the
@@ -497,7 +494,7 @@ def check_star_wand(sys: RefinementSystem, mult, s, t, u,
             back = compose_derivations(sys, star_rule(sys, mult, intro, alpha2), elim)
             rep.check(derivations_equal(sys, back, beta),
                       "intro;elim does not reproduce the premise")
-            if len(rep.failures) >= max_failures:
+            if rep.full:
                 break
     return rep
 

@@ -16,12 +16,21 @@ subjects, factors, and derivations exactly as the laws quantify; `membership`
 mode is an equivalent complete check available in proof-irrelevant models,
 where hom-sets over an expression have at most one element, so the laws hold
 iff the constructed type has exactly the right elements - an elementwise
-bi-implication on the carrier.
+bi-implication on the carrier.  law_mode(sys) is the one rule for picking
+the mode: membership where sys is proof-irrelevant, literal otherwise.  The
+law suites, universality, reflection and two-out-of-three all call it;
+check_beta_eta still takes the mode, so tests can run both as cross-checks.
+
+The law checkers that loop over instances stop once their report is
+`full`: LawReport.failure_cap (5) failures are recorded.  Each checker
+tests this at its own break points (once per subject in the literal
+loops), so a report can hold a few more failures than the cap, and its
+instance count is what was checked up to that point.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, ClassVar, Optional
 
 from .kernel import (
     CapabilityError,
@@ -50,9 +59,16 @@ class LawReport:
     failures: list = field(default_factory=list)
     skipped: list = field(default_factory=list)
 
+    failure_cap: ClassVar[int] = 5
+
     @property
     def ok(self) -> bool:
         return not self.failures
+
+    @property
+    def full(self) -> bool:
+        """Whether failure_cap failures are recorded: a checker stops here."""
+        return len(self.failures) >= self.failure_cap
 
     def check(self, holds: bool, failure) -> bool:
         """Count one instance; on failure record the message (a callable is called then)."""
@@ -168,8 +184,12 @@ def pushforward(sys: RefinementSystem, s, f) -> PushforwardWitness:
 
 # --- law checking --------------------------------------------------------------
 
-def check_beta_eta(w, mode: str = "literal", x_types: Optional[tuple] = None,
-                   max_failures: int = 5) -> LawReport:
+def law_mode(sys: RefinementSystem) -> str:
+    """The check_beta_eta mode for sys: membership when proof-irrelevant, else literal."""
+    return "membership" if sys.proof_irrelevant else "literal"
+
+
+def check_beta_eta(w, mode: str = "literal", x_types: Optional[tuple] = None) -> LawReport:
     """Verify the two witness equations.
 
     literal: quantify over subjects S, factors g, and derivations beta/eta by
@@ -190,7 +210,7 @@ def check_beta_eta(w, mode: str = "literal", x_types: Optional[tuple] = None,
     else:
         raise TypeError(f"not a witness: {w!r}")
     if mode == "literal":
-        return literal(w, x_types, max_failures)
+        return literal(w, x_types)
     sys = w.sys
     if not sys.proof_irrelevant:
         raise CapabilityError("membership mode needs a proof-irrelevant system")
@@ -210,7 +230,7 @@ def _name(x) -> str:
     return getattr(x, "name", x)
 
 
-def _check_pull(w: PullbackWitness, x_types, max_failures) -> LawReport:
+def _check_pull(w: PullbackWitness, x_types) -> LawReport:
     sys = w.sys
     rep = LawReport()
     a = sys.expr_dom(w.expr)
@@ -231,12 +251,12 @@ def _check_pull(w: PullbackWitness, x_types, max_failures) -> LawReport:
                     back = w.right(compose_derivations(sys, eta, w.left), g)
                     rep.check(derivations_equal(sys, back, eta),
                               lambda: f"eta-law fails at subject {s.name}, factor {_name(g)}")
-                if len(rep.failures) >= max_failures:
+                if rep.full:
                     return rep
     return rep
 
 
-def _check_push(w: PushforwardWitness, x_types, max_failures) -> LawReport:
+def _check_push(w: PushforwardWitness, x_types) -> LawReport:
     sys = w.sys
     rep = LawReport()
     b = sys.expr_cod(w.expr)
@@ -257,7 +277,7 @@ def _check_push(w: PushforwardWitness, x_types, max_failures) -> LawReport:
                     back = w.left(compose_derivations(sys, w.right, eta), g)
                     rep.check(derivations_equal(sys, back, eta),
                               lambda: f"eta-law fails at target {t.name}, factor {_name(g)}")
-                if len(rep.failures) >= max_failures:
+                if rep.full:
                     return rep
     return rep
 

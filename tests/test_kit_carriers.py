@@ -14,11 +14,10 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from refsys.cartesian import CartesianKit
+from refsys.cartesian import CartesianKit, power_exceeds
 from refsys.fincat import FinSet
 from refsys.kernel import CapabilityError
 from refsys.monadrep import (
-    _power_exceeds,
     build_continuation_adjunction,
     check_retraction,
     search_encodings,
@@ -60,7 +59,7 @@ def _small(tree, cap: int = 300) -> bool:
     if not (_small(left, cap) and _small(right, cap)):
         return False
     a, b = len(_reference(left)), len(_reference(right))
-    return a * b <= cap if op == "x" else not _power_exceeds(b, a, cap)
+    return a * b <= cap if op == "x" else not power_exceeds(b, a, cap)
 
 
 def _build(kit: CartesianKit, tree) -> FinSet:
@@ -202,4 +201,4 @@ def test_a_refused_encoding_search_builds_nothing_large():
                                    4 ** 12 - 1, 4 ** 12])
 def test_the_early_exit_bound_agrees_with_the_power(limit):
     for base, exp in itertools.product(range(5), range(13)):
-        assert _power_exceeds(base, exp, limit) == (base ** exp > limit), (base, exp)
+        assert power_exceeds(base, exp, limit) == (base ** exp > limit), (base, exp)

@@ -17,7 +17,6 @@ from refsys.kernel import (
     identity_derivation,
     is_identity_on,
 )
-from refsys.laws import _find_encodings
 from refsys.monadrep import (
     FiberwiseMonad,
     OpExpr,
@@ -35,15 +34,14 @@ from refsys.monadrep import (
     count_encodings_elementwise,
     double_negation_weakening,
     identity_adjunction,
-    mark_pullback,
-    mark_pushforward,
+    iter_encodings,
     search_encodings,
     two_out_of_three_pull,
     two_out_of_three_push,
 )
 from refsys.subset_model import build_classifier_system, build_subset_system, subset
 from refsys.signature import load_signature
-from refsys.structures import check_beta_eta, pushforward
+from refsys.structures import check_beta_eta, pullback, pushforward
 from refsys.trivial_model import POINT, build_trivial_system
 
 from conftest import DATA, data_file
@@ -191,15 +189,25 @@ def test_two_out_of_three(squaring):
     neg = squaring.expr("neg")
     fg = sys.compose_exprs(neg, sq)
     big = squaring.etype("big")
-    rep = two_out_of_three_pull(
-        sys, mark_pullback(sys, fg, big), mark_pullback(sys, sq, big), neg,
-        mode="membership")
+    rep = two_out_of_three_pull(sys, pullback(sys, fg, big), pullback(sys, sq, big), neg)
     assert rep.ok
     s = squaring.etype("negative")
-    rep = two_out_of_three_push(
-        sys, mark_pushforward(sys, s, fg), mark_pushforward(sys, s, neg), sq,
-        mode="membership")
+    rep = two_out_of_three_push(sys, pushforward(sys, s, fg), pushforward(sys, s, neg), sq)
     assert rep.ok
+
+
+def test_two_out_of_three_on_presheaf_witnesses(arrow_sig):
+    # the presheaf model is proof-relevant, so every check runs in literal mode
+    sys = arrow_sig.system
+    collapse = arrow_sig.expr("collapse")
+    ident = sys.id_expr(collapse.dom)
+    for f, g in ((collapse, collapse), (ident, collapse), (collapse, ident)):
+        fg = sys.compose_exprs(f, g)
+        for u in (arrow_sig.etype("P"), arrow_sig.etype("Q")):
+            rep = two_out_of_three_pull(sys, pullback(sys, fg, u), pullback(sys, g, u), f)
+            assert rep.ok and rep.checked, str(rep)
+            rep = two_out_of_three_push(sys, pushforward(sys, u, fg), pushforward(sys, u, f), g)
+            assert rep.ok and rep.checked, str(rep)
 
 
 def test_answer_weakening_boundaries(small_sys):
@@ -232,7 +240,7 @@ def test_continuation_encodings_are_searched_and_checked_in_q(tmp_path):
     p, u = sig.system, sig.universal
     q = build_continuation_adjunction(p, sig.answers).q
     pool = p.e_types()
-    encodings = _find_encodings(q, pool, u)
+    encodings = {t: f for t in pool for f in itertools.islice(iter_encodings(q, t, u, 20_000), 1)}
     assert encodings and all(isinstance(e, OpExpr) for e in encodings.values())
     for t, enc in encodings.items():
         et, rule, _ = q.pullback_data(enc, u)
@@ -267,6 +275,70 @@ def _z4_cases(sig):
     double = FinFunction("double", h, h, {i: 2 * i % 4 for i in h})
     return ((succ, sig.etype("one")), (double, sig.etype("evens")),
             (double, sig.etype("odds")))
+
+
+def _laws_under_both_interpreters(path, suite: str) -> tuple:
+    """(exit code, stdout) of `refsys laws path suite`, the same under python and -O."""
+    env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent))
+    runs = []
+    for flags in ((), ("-O",)):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "refsys.cli", "laws", str(path), suite],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.stderr == "", proc.stderr
+        runs.append((proc.returncode, proc.stdout))
+    assert runs[0] == runs[1]
+    return runs[0]
+
+
+def _wide_classifier(tmp_path, n: int) -> Path:
+    """A subset signature with a universal truth-value type and a set of n elements."""
+    doc = {
+        "model": "subset",
+        "name": f"wide{n}",
+        "sets": {"A": [f"a{i}" for i in range(n)], "Omega": [0, 1]},
+        "subsets": {"truth": {"of": "Omega", "elements": [1]}},
+        "adjunction": {"kind": "identity", "universal": "truth"},
+    }
+    path = tmp_path / f"wide{n}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_a_function_space_too_large_to_print_is_refused_in_power_form(tmp_path):
+    # [[A->Omega]->Omega] has 2^16384 elements, more digits than str() allows
+    code, out = _laws_under_both_interpreters(_wide_classifier(tmp_path, 14), "monadrep")
+    assert code == 0, out
+    assert ("function space [[A->Omega]->Omega] would have 2^16384 elements, "
+            "exceeding the bound 200000") in out
+
+
+def test_the_suite_encoding_search_is_bounded(tmp_path):
+    # [A->Omega] has 2^20 candidates: the full type's search is refused, not run
+    path = _wide_classifier(tmp_path, 20)
+    env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "refsys.cli", "laws", str(path), "monadrep"],
+                          capture_output=True, text=True, env=env, timeout=20)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    full = ",".join(f"a{i}" for i in range(20))
+    assert (f"  note: encodings of {{{full}}}:A: encoding search exceeds 20000 "
+            "candidate expressions") in proc.stdout.splitlines()
+    assert "no encoding found" not in proc.stdout
+
+
+def test_a_trivial_universal_type_is_checked_in_literal_mode(tmp_path):
+    doc = json.loads(Path(data_file("trivial2.json")).read_text())
+    doc["adjunction"]["universal"] = "two"
+    path = tmp_path / "trivial2_universal.json"
+    path.write_text(json.dumps(doc))
+    code, out = _laws_under_both_interpreters(path, "monadrep")
+    lines = out.splitlines()
+    assert code == 1, out
+    assert lines[0] == "suite monadrep: FAIL (44 instances)"
+    # the only expression is the identity, so shift*(DN) keeps DN's 16 elements
+    assert ("  counterexample: reflection: condition 2 (shift context) fails at two: "
+            "[[two->two]->two] != two") in lines
 
 
 def _arrow_cases(sig):

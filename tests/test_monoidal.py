@@ -43,6 +43,7 @@ from refsys.subset_model import (
     full_subset,
     subset,
 )
+from refsys.structures import LawReport
 from refsys.trivial_model import build_trivial_system
 
 
@@ -80,13 +81,14 @@ class ConstantAssociator(SubsetSystem):
         return SubsetMor(cell.src, bad, cell.dst)
 
 
-def test_wrong_associator_stops_at_max_failures():
+def test_wrong_associator_stops_at_max_failures(monkeypatch):
     a, b = FinSet("A", ("a1", "a2")), FinSet("B", (1, 2, 3))
     sys = ConstantAssociator("wrong", (a, b))
     ds = [identity_derivation(sys, full_subset(x)) for x in (a, b)]
     report = check_monoidal_equations(sys, ds)
     assert (report.checked, list(report.failures)) == (29, ["associator cell is not invertible"] * 5)
-    report = check_monoidal_equations(sys, ds, max_failures=100)
+    monkeypatch.setattr(LawReport, "failure_cap", 100)
+    report = check_monoidal_equations(sys, ds)
     assert (report.checked, list(report.failures)) == (
         52, ["associator cell is not invertible"] * 8 + ["triangle equation fails"] * 4)
 

@@ -13,6 +13,7 @@ from refsys.structures import (
     composite_pushforward_witness,
     implied_pullback_witness,
     implied_pushforward_witness,
+    law_mode,
     pull_compose_iso,
     pullback,
     push_compose_iso,
@@ -65,6 +66,13 @@ def test_witness_equations_both_modes(squaring, small_sys):
         rep = check_beta_eta(w, mode="literal")
         assert rep.ok
         assert rep.checked > 0
+
+
+def test_law_mode_is_read_off_the_system(squaring, trivial2, arrow_sig):
+    # membership is complete only where hom-sets have at most one element
+    assert law_mode(squaring.system) == "membership"
+    assert law_mode(trivial2.system) == "literal"
+    assert law_mode(arrow_sig.system) == "literal"
 
 
 def test_uniqueness_iso_between_presentations(squaring):
