@@ -124,6 +124,9 @@ class FinFunction:
     Equality ignores the name: two functions are equal iff they have equal
     boundaries and equal tables.  That is what makes conversion-style
     reasoning ("these two composites are the same expression") decidable.
+
+    A copy or pickle carries the name, boundaries and table, not the cached
+    mapping and hash: a string's hash differs between processes.
     """
 
     __slots__ = ("name", "dom", "cod", "idx", "_mapping", "_hash")
@@ -155,6 +158,9 @@ class FinFunction:
         f._mapping = None
         f._hash = None
         return f
+
+    def __reduce__(self):
+        return FinFunction._from_idx, (self.name, self.dom, self.cod, self.idx)
 
     @property
     def mapping(self) -> dict:

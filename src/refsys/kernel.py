@@ -28,11 +28,22 @@ the judgment is a given one: an axiom or :func:`derivations_over` states
 the judgment it was asked for, :func:`conversion` the replacement
 expression, the cut the boundaries of its premises, and the pull/push rules
 the factor they were given.
+
+Every literal law instance runs the same few rules: the axioms of a
+judgment, the cut, the pull/push rules and derivation equality.  These
+read a derivation's boundaries as ``d.judgment.subject`` (and ``.expr``,
+``.target``), through the named tuples' C-level field getters rather than
+the ``Derivation`` properties, and build their ``Judgment`` and
+``Derivation`` values with ``tuple.__new__``, which skips the named
+tuples' Python ``__new__``.  The values are the same named tuples, and
+every check these rules make is an explicit ``if``, so it also runs under
+``python -O``.
 """
 from __future__ import annotations
 
 import enum
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Any, Iterator, NamedTuple, Optional
 
@@ -72,6 +83,10 @@ class Judgment(NamedTuple):
     subject: Any
     expr: Any
     target: Any
+
+
+# _new(Cls, fields) builds a named tuple without running its Python __new__
+_new = tuple.__new__
 
 
 class Derivation(NamedTuple):
@@ -145,8 +160,7 @@ class RefinementSystem:
     def expr_cod(self, f):
         raise NotImplementedError
 
-    def exprs_equal(self, f, g) -> bool:
-        return f == g
+    exprs_equal = staticmethod(operator.eq)
 
     def is_identity_expr(self, f) -> bool:
         return self.exprs_equal(f, self.id_expr(self.expr_dom(f)))
@@ -168,8 +182,7 @@ class RefinementSystem:
     def compose_interps(self, m, n):
         raise NotImplementedError
 
-    def interps_equal(self, m, n) -> bool:
-        return m == n
+    interps_equal = staticmethod(operator.eq)
 
     def interp_expr(self, m):
         """The expression a model morphism lies over (the functor's action)."""
@@ -300,8 +313,8 @@ def from_interp(sys: RefinementSystem, m, rule: str = "ax",
     a second time.  Every rule whose judgment is not a given one is built
     here.
     """
-    j = Judgment(sys.interp_src(m), sys.interp_expr(m), sys.interp_dst(m))
-    return Derivation(rule, j, premises, m)
+    j = _new(Judgment, (sys.interp_src(m), sys.interp_expr(m), sys.interp_dst(m)))
+    return _new(Derivation, (rule, j, premises, m))
 
 
 def axiom(sys: RefinementSystem, s, f, t) -> Derivation:
@@ -330,12 +343,15 @@ def compose_derivations(sys: RefinementSystem, d1: Derivation, d2: Derivation) -
     table equality when a premise went through :func:`conversion`, so the
     expressions are not composed a second time.
     """
-    if d1.target != d2.subject:
+    j1 = d1.judgment
+    j2 = d2.judgment
+    if j1.target != j2.subject:
         raise MismatchError(
-            f"cut: target {describe(sys, d1.target)} != subject {describe(sys, d2.subject)}"
+            f"cut: target {describe(sys, j1.target)} != subject {describe(sys, j2.subject)}"
         )
     m = sys.compose_interps(d1.interp, d2.interp)
-    return Derivation("C", Judgment(d1.subject, sys.interp_expr(m), d2.target), (d1, d2), m)
+    j = _new(Judgment, (j1.subject, sys.interp_expr(m), j2.target))
+    return _new(Derivation, ("C", j, (d1, d2), m))
 
 
 def compose_many(sys: RefinementSystem, *ds: Derivation) -> Derivation:
@@ -367,14 +383,19 @@ def derivations_over(sys: RefinementSystem, s, f, t) -> Iterator[Derivation]:
 
 def _axioms_over(sys: RefinementSystem, s, f, t) -> Iterator[Derivation]:
     """derivations_over for a judgment whose boundaries the caller has checked."""
-    j = Judgment(s, f, t)
-    return (Derivation("ax", j, (), m) for m in sys.morphisms_over(s, f, t))
+    j = _new(Judgment, (s, f, t))
+    return (_new(Derivation, ("ax", j, (), m)) for m in sys.morphisms_over(s, f, t))
 
 
 def derivations_equal(sys: RefinementSystem, d1: Derivation, d2: Derivation) -> bool:
-    """Boundary equality plus equality of interpretations."""
-    return (d1.subject == d2.subject and d1.target == d2.target
-            and sys.exprs_equal(d1.expr, d2.expr)
+    """Boundary equality plus equality of interpretations.
+
+    The same expression object is equal to itself without asking the system.
+    """
+    j1 = d1.judgment
+    j2 = d2.judgment
+    return (j1.subject == j2.subject and j1.target == j2.target
+            and (j1.expr is j2.expr or sys.exprs_equal(j1.expr, j2.expr))
             and sys.interps_equal(d1.interp, d2.interp))
 
 

@@ -43,6 +43,7 @@ from .kernel import (
     Status,
     VerticalIso,
     _axioms_over,
+    _new,
     axiom,
     classify,
     compose_derivations,
@@ -117,16 +118,17 @@ class PullbackWitness:
 
     def right(self, beta: Derivation, g) -> Derivation:
         sys = self.sys
-        if beta.target != self.target:
+        j = beta.judgment
+        if j.target != self.target:
             raise MismatchError("pullback right rule: premise has wrong target")
         if sys.expr_cod(g) != sys.expr_dom(self.expr):
             raise MismatchError("pullback right rule: factor has wrong codomain")
-        if not sys.exprs_equal(beta.expr, self._through(g)):
+        gf = self._through(g)
+        if j.expr is not gf and not sys.exprs_equal(j.expr, gf):
             raise MismatchError("pullback right rule: premise expression is not g;f")
         interp = self._factor(beta.interp, g)
-        return Derivation(
-            "pull-R", Judgment(beta.subject, g, self.etype), (beta,), interp
-        )
+        return _new(Derivation, ("pull-R", _new(Judgment, (j.subject, g, self.etype)),
+                                 (beta,), interp))
 
     def factor_subtyping(self, beta: Derivation) -> Derivation:
         """Special case g = identity: from S =[f]=> T conclude S <= f*T."""
@@ -154,16 +156,17 @@ class PushforwardWitness:
 
     def left(self, beta: Derivation, g) -> Derivation:
         sys = self.sys
-        if beta.subject != self.subject:
+        j = beta.judgment
+        if j.subject != self.subject:
             raise MismatchError("pushforward left rule: premise has wrong subject")
         if sys.expr_dom(g) != sys.expr_cod(self.expr):
             raise MismatchError("pushforward left rule: factor has wrong domain")
-        if not sys.exprs_equal(beta.expr, self._through(g)):
+        fg = self._through(g)
+        if j.expr is not fg and not sys.exprs_equal(j.expr, fg):
             raise MismatchError("pushforward left rule: premise expression is not f;g")
         interp = self._factor(beta.interp, g)
-        return Derivation(
-            "push-L", Judgment(self.etype, g, beta.target), (beta,), interp
-        )
+        return _new(Derivation, ("push-L", _new(Judgment, (self.etype, g, j.target)),
+                                 (beta,), interp))
 
     def factor_subtyping(self, beta: Derivation) -> Derivation:
         """Special case g = identity: from S =[f]=> T conclude fS <= T."""

@@ -61,13 +61,20 @@ check what they are given and raise ValidationError, also under
 positions by ``_subset`` and ``_mor`` without a check: every subset the
 system computes (pullbacks, pushforwards, weighted types, tensors,
 residuals, the unit and the enumerated e-types), the morphisms of
-``morphisms_over`` (``holds`` has just checked them), identities, cuts
-(each step maps into the next), the pairing of two morphisms, coherence
-cells (a cell keeps every position, and so do its two ends) and
-evaluations (a residual's members send S into U).  The factors of the
-pullback and pushforward rules and the curried morphisms are checked,
-since they are built from morphisms and expressions that a caller passes
-in.
+``morphisms_over`` (it checks the boundaries and members first),
+identities, cuts (each step maps into the next), the pairing of two
+morphisms, coherence cells (a cell keeps every position, and so do its two
+ends) and evaluations (a residual's members send S into U).  The factors
+of the pullback and pushforward rules and the curried morphisms are
+checked, since they are built from morphisms and expressions that a caller
+passes in.
+
+``compose_exprs`` keeps its last composite, keyed on the identity of both
+operands, and the cut composes through it.  A literal β/η check builds g;f
+once per factor g in its witness and then cuts over the same g and f for
+every subject, so each cut gets the witness's object back and the kernel
+finds the two expressions equal by identity.  The memo holds one composite
+per system.
 """
 from __future__ import annotations
 
@@ -84,11 +91,10 @@ from .kernel import (
     MismatchError,
     RefinementSystem,
     ValidationError,
+    _new,
 )
 
 MAX_ENUMERATED_CARRIER = 16
-
-_new = tuple.__new__
 
 
 class Subset(namedtuple("Subset", "of ix")):
@@ -164,7 +170,8 @@ class SubsetMor(namedtuple("SubsetMor", "src expr dst")):
     __slots__ = ()
 
     def __new__(cls, src: Subset, expr: FinFunction, dst: Subset) -> "SubsetMor":
-        if not (expr.dom == src.of and expr.cod == dst.of):
+        # comparing tuples finds identical carriers equal without calling FinSet.__eq__
+        if (expr.dom, expr.cod) != (src.of, dst.of):
             raise ValidationError("morphism boundaries do not match the expression")
         if not _maps_into(expr, src, dst):
             raise ValidationError(f"{expr.name!r} does not map {src.name} into {dst.name}")
@@ -192,6 +199,7 @@ class SubsetSystem(RefinementSystem):
             raise ValidationError(f"{name}: duplicate set names")
         self.kit = CartesianKit(max_carrier)
         self._id_cache: dict = {}
+        self._last_composite = (None, None, None)
         self._unit = full_subset(self.kit.unit)
         self._tensors: dict = {}
         self._cells: dict = {}
@@ -210,7 +218,12 @@ class SubsetSystem(RefinementSystem):
         return f
 
     def compose_exprs(self, f: FinFunction, g: FinFunction) -> FinFunction:
-        return f.then(g)
+        """f;g, the same object again while it is asked for the same f and g."""
+        last_f, last_g, fg = self._last_composite
+        if last_f is not f or last_g is not g:
+            fg = f.then(g)
+            self._last_composite = (f, g, fg)
+        return fg
 
     def expr_dom(self, f: FinFunction) -> FinSet:
         return f.dom
@@ -254,16 +267,21 @@ class SubsetSystem(RefinementSystem):
         return s.of
 
     def holds(self, s: Subset, f: FinFunction, t: Subset) -> bool:
-        if not (f.dom == s.of and f.cod == t.of):
+        return bool(self.morphisms_over(s, f, t))
+
+    def morphisms_over(self, s: Subset, f: FinFunction, t: Subset) -> tuple:
+        """The morphism over f as a one-tuple when f maps s into t, else ().
+
+        It checks the boundaries and every member, so the morphism is built
+        unchecked.
+        """
+        if (f.dom, f.cod) != (s.of, t.of):
             raise IllFormedError(
                 f"{s.name} =[{f.name}]=> {t.name}: boundaries do not match"
             )
-        return _maps_into(f, s, t)
-
-    def morphisms_over(self, s: Subset, f: FinFunction, t: Subset) -> Iterator[SubsetMor]:
-        if self.holds(s, f, t):
-            # holds has just checked the boundaries and every member
-            yield _mor(s, f, t)
+        if _maps_into(f, s, t):
+            return (_new(SubsetMor, (s, f, t)),)
+        return ()
 
     def id_interp(self, s: Subset) -> SubsetMor:
         return _mor(s, self.id_expr(s.of), s)
@@ -272,7 +290,7 @@ class SubsetSystem(RefinementSystem):
         """The cut of two morphisms: f;g maps m.src into n.dst since each step does."""
         if m.dst != n.src:
             raise MismatchError(f"cut: target {m.dst.name} != subject {n.src.name}")
-        return _mor(m.src, m.expr.then(n.expr), n.dst)
+        return _new(SubsetMor, (m.src, self.compose_exprs(m.expr, n.expr), n.dst))
 
     def interp_expr(self, m: SubsetMor) -> FinFunction:
         return m.expr

@@ -6,8 +6,10 @@ is compared here with the same table built through that check.
 """
 from __future__ import annotations
 
+import copy
 import itertools
 import os
+import pickle
 import subprocess
 import sys
 
@@ -185,3 +187,46 @@ def test_composition_checks_the_boundary():
     f = FinFunction("f", a, b, {1: "x", 2: "y"})
     with pytest.raises(MismatchError, match="cannot compose 'f'"):
         f.then(f)
+
+
+def test_functions_survive_copy_and_pickle():
+    a = FinSet("A", ("x", 0, 1))
+    f = FinFunction("f", a, a, {"x": 1, 0: "x", 1: 0})
+    composite = f.then(f)
+    hash(f)
+    for twin in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert twin is not f
+        assert twin == f and hash(twin) == hash(f)
+        assert (twin.name, twin.dom, twin.cod, twin.idx) == (f.name, f.dom, f.cod, f.idx)
+        assert twin.mapping == f.mapping
+        assert twin.then(twin) == composite and twin.then(twin).name == "f;f"
+
+
+def test_a_pickled_function_hashes_as_a_fresh_one_in_another_process():
+    # a function's hash is of strings, which hash differently in each process,
+    # so a pickle must not carry the hash it had where it was made
+    make = """
+import pickle, sys
+from refsys.fincat import FinFunction, FinSet
+a = FinSet("A", ("x", "y"))
+f = FinFunction("f", a, a, {"x": "y", "y": "y"})
+hash(f)
+sys.stdout.write(pickle.dumps(f).hex())
+"""
+    load = """
+import pickle, sys
+from refsys.fincat import FinFunction, FinSet
+a = FinSet("A", ("x", "y"))
+fresh = FinFunction("f", a, a, {"x": "y", "y": "y"})
+loaded = pickle.loads(bytes.fromhex(sys.stdin.read()))
+print(loaded == fresh, hash(loaded) == hash(fresh), {fresh: 1}.get(loaded))
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(refsys.__file__)))
+    made = subprocess.run([sys.executable, "-c", make], capture_output=True, text=True,
+                          env=dict(env, PYTHONHASHSEED="1"), timeout=120)
+    assert made.returncode == 0, made.stderr
+    loaded = subprocess.run([sys.executable, "-c", load], input=made.stdout,
+                            capture_output=True, text=True,
+                            env=dict(env, PYTHONHASHSEED="2"), timeout=120)
+    assert loaded.returncode == 0, loaded.stderr
+    assert loaded.stdout.split() == ["True", "True", "1"]

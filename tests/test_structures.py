@@ -1,10 +1,21 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from refsys.fincat import FinFunction, FinSet
-from refsys.kernel import LawViolation, derivations_equal, is_identity_on
+from refsys.kernel import (
+    IllFormedError,
+    LawViolation,
+    MismatchError,
+    Status,
+    axiom,
+    classify,
+    derivations_equal,
+    is_identity_on,
+)
 from refsys.structures import (
     binary_intersection,
     binary_union,
@@ -24,7 +35,7 @@ from refsys.structures import (
     weighted_intersection,
     weighted_union,
 )
-from refsys.subset_model import build_subset_system, subset
+from refsys.subset_model import SubsetMor, build_subset_system, subset
 
 
 def test_pullback_is_the_inverse_image(squaring):
@@ -228,3 +239,75 @@ def test_composition_isos_random(data):
     t = subset(a, data.draw(st.sets(st.sampled_from(a.elements)), label="T"))
     pull_compose_iso(sys, f, g, t)
     push_compose_iso(sys, t, f, g)
+
+
+# --- the literal check still catches faults on the subset model ------------------
+
+def _fault_system():
+    a = FinSet("A", (1, 2, 3))
+    b = FinSet("B", ("x", "y"))
+    f = FinFunction("f", a, b, {1: "x", 2: "x", 3: "y"})
+    return build_subset_system((a, b)), a, b, f
+
+
+def _constant(dom, cod, value):
+    return FinFunction(f"const_{value}", dom, cod, {x: value for x in dom.elements})
+
+
+def test_a_pullback_factor_over_another_expression_fails_the_literal_check():
+    # the factor answers over a constant h instead of g: h;f and g;f have
+    # equal tables here, so only the eta-law can see it
+    sys, a, b, f = _fault_system()
+    w = pullback(sys, f, subset(b, ("x",)))
+    assert check_beta_eta(w, mode="literal").checked == 300
+    first = min(w.etype.elements)
+    broken = dataclasses.replace(w, _factor=lambda m, g: SubsetMor(
+        m.src, _constant(m.src.of, a, first), w.etype))
+    report = check_beta_eta(broken, mode="literal")
+    assert not report.ok and report.checked == 26
+    assert report.failures == [
+        f"eta-law fails at subject {s}:A, factor A>A#1"
+        for s in ("{}", "{1}", "{2}", "{1,2}", "{3}")
+    ]
+
+
+def test_a_pushforward_factor_over_another_expression_fails_the_literal_check():
+    sys, a, b, f = _fault_system()
+    w = pushforward(sys, subset(a, (1, 3)), f)
+    assert check_beta_eta(w, mode="literal").checked == 60
+
+    def factor(m, g):
+        dst = m.dst
+        return SubsetMor(w.etype, _constant(b, dst.of, dst.of.elements[min(dst.ix)]), dst)
+
+    report = check_beta_eta(dataclasses.replace(w, _factor=factor), mode="literal")
+    assert not report.ok and report.checked == 14
+    assert report.failures == [
+        f"{law}-law fails at target {t}:A, factor {g}"
+        for t, g in (("{1,2}", "B>A#1"), ("{1,2,3}", "B>A#1"), ("{1,3}", "B>A#2"))
+        for law in ("beta", "eta")
+    ]
+
+
+def test_the_pull_and_push_rules_still_check_their_premises():
+    sys, a, b, f = _fault_system()
+    w = pullback(sys, f, subset(b, ("x",)))
+    beta = axiom(sys, subset(a, (1,)), f, w.target)
+    with pytest.raises(MismatchError, match="^pullback right rule: factor has wrong codomain$"):
+        w.right(beta, sys.id_expr(b))
+    with pytest.raises(MismatchError, match="^pullback right rule: premise expression is not g;f$"):
+        w.right(beta, _constant(a, a, 3))
+    v = pushforward(sys, subset(a, (1, 3)), f)
+    beta = axiom(sys, v.subject, f, subset(b, ("x", "y")))
+    with pytest.raises(MismatchError, match="^pushforward left rule: factor has wrong domain$"):
+        v.left(beta, sys.id_expr(a))
+    with pytest.raises(MismatchError, match="^pushforward left rule: premise expression is not f;g$"):
+        v.left(beta, _constant(b, b, "x"))
+
+
+def test_an_ill_formed_judgment_is_still_refused():
+    sys, a, b, f = _fault_system()
+    x = subset(b, ("x",))
+    with pytest.raises(IllFormedError, match=r"^\{x\}:B =\[f\]=> \{x\}:B: boundaries do not match$"):
+        list(sys.morphisms_over(x, f, x))
+    assert classify(sys, x, f, x) is Status.ILL_FORMED

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import os
 import subprocess
@@ -298,3 +299,52 @@ def test_classifier_encodings_unique():
                 if sys.pullback_data(f, truth)[0] == s]
         assert len(hits) == 1
         assert hits[0].mapping == encodings[s].mapping
+
+
+def test_composition_hands_back_its_last_composite():
+    a, b = FinSet("A", (1, 2)), FinSet("B", ("x", "y"))
+    sys_ = build_subset_system((a, b))
+    f = FinFunction("f", a, b, {1: "x", 2: "x"})
+    g = FinFunction("g", b, a, {"x": 2, "y": 1})
+    fresh = FinFunction("f;g", a, a, {1: 2, 2: 2})
+    fg = sys_.compose_exprs(f, g)
+    again = sys_.compose_exprs(f, g)
+    assert again is fg
+    assert again == fresh and again.name == fresh.name == "f;g"
+    # an equal operand that is another object is composed afresh, under its name
+    h = FinFunction("h", b, a, {"x": 2, "y": 1})
+    fh = sys_.compose_exprs(f, h)
+    assert h == g and fh is not fg
+    assert fh == fg and fh.name == "f;h"
+    assert sys_.compose_exprs(f, g) == fg and sys_.compose_exprs(f, g).name == "f;g"
+    # a boundary mismatch is still refused after a hit on another operand
+    sys_.compose_exprs(f, h)
+    sys_.compose_exprs(f, h)
+    with pytest.raises(MismatchError, match="cannot compose 'f'"):
+        sys_.compose_exprs(f, f)
+    # the cut composes through the same memo
+    m = SubsetMor(subset(a, (1,)), f, subset(b, ("x",)))
+    n = SubsetMor(subset(b, ("x",)), g, subset(a, (2,)))
+    assert sys_.compose_exprs(f, g) is sys_.compose_interps(m, n).expr
+
+
+def test_composing_a_long_program_keeps_no_intermediate_composite():
+    states = FinSet("S", (0, 1, 2, 3))
+    step = FinFunction("step", states, states, {i: (i + 1) % 4 for i in range(4)})
+    sys_ = build_subset_system((states,))
+    prog = HoareProgram(sys_, states, {"step": step})
+
+    def live_composites():
+        gc.collect()
+        return sum(1 for o in gc.get_objects()
+                   if type(o) is FinFunction and o.name.endswith(";step"))
+
+    assert live_composites() == 0
+    out = prog.composite(["step"] * 50)
+    assert out.name.count(";step") == 50
+    assert live_composites() == 1
+    for _ in range(50):
+        out = sys_.compose_exprs(out, step)
+    # the system's one-entry memo holds the last composite and its left operand
+    del out
+    assert live_composites() == 2
