@@ -70,7 +70,8 @@ class _KitCarrier(FinSet):
 
     It equals, hashes like and lists the same elements as the plain FinSet
     built from its materialised tuple.  It is built without
-    ``FinSet.__init__``, whose duplicate check would read the elements.
+    ``FinSet.__init__``, whose duplicate check would read the elements, and
+    a copy or pickle carries its factors alone, so it stays unbuilt.
     """
 
     __slots__ = ("factors", "_size")
@@ -81,6 +82,9 @@ class _KitCarrier(FinSet):
         self._size = size
         self._index = None
         self._hash = None
+
+    def __reduce__(self):
+        return type(self), self.factors
 
     @cached_property
     def elements(self) -> tuple:

@@ -59,7 +59,11 @@ def render_elem(x: Any) -> str:
 
 
 class FinSet:
-    """A named finite set with a fixed canonical element order."""
+    """A named finite set with a fixed canonical element order.
+
+    A copy or pickle carries the name and elements, not the cached
+    positions and hash: a string's hash differs between processes.
+    """
 
     __slots__ = ("name", "elements", "_index", "_hash", "__dict__")
 
@@ -80,6 +84,9 @@ class FinSet:
 
     def index(self, x: Any) -> int:
         return self.positions()[x]
+
+    def __reduce__(self):
+        return type(self), (self.name, self.elements)
 
     def __contains__(self, x: Any) -> bool:
         return x in self.positions()
@@ -348,19 +355,56 @@ def monoid_category(name: str, elements: tuple, table: dict, unit) -> FinCategor
     return FinCategory(name, ("*",), arrows, comp, {"*": unit})
 
 
+class _ProductCategory(FinCategory):
+    """A x B, composing through its factors.
+
+    It is built without ``FinCategory.__init__``: its objects, arrows and
+    identities are tables as in any category, but ``compose`` composes in
+    each factor, and the ``composition`` table, the one table whose size is
+    the square of the arrow count, is built only when something reads it.
+    """
+
+    def __init__(self, a: FinCategory, b: FinCategory):
+        self.name = f"({a.name}x{b.name})"
+        self.factors = (a, b)
+        self.objects = tuple(itertools.product(a.objects, b.objects))
+        self.arrows = {
+            (f, g): ((a.src(f), b.src(g)), (a.dst(f), b.dst(g)))
+            for f in a.arrows for g in b.arrows
+        }
+        self.identities = {(x, y): (a.identity(x), b.identity(y)) for x, y in self.objects}
+        self._homs = {}
+
+    @cached_property
+    def composition(self) -> dict:
+        a, b = self.factors
+        comp = {}
+        for (f1, g1), (_, d1) in self.arrows.items():
+            for (f2, g2), (s2, _) in self.arrows.items():
+                if d1 == s2:
+                    comp[((f1, g1), (f2, g2))] = (a.compose(f1, f2), b.compose(g1, g2))
+        return comp
+
+    def compose(self, x, y):
+        # (f1, g1);(f2, g2) is defined iff f1;f2 and g1;g2 both are
+        a, b = self.factors
+        try:
+            (f1, g1), (f2, g2) = x, y
+            return (a.compose(f1, f2), b.compose(g1, g2))
+        except (KeyError, TypeError, ValueError):
+            raise KeyError((x, y)) from None
+
+
 def product_category(a: FinCategory, b: FinCategory) -> FinCategory:
-    objects = tuple(itertools.product(a.objects, b.objects))
-    arrows = {
-        (f, g): ((a.src(f), b.src(g)), (a.dst(f), b.dst(g)))
-        for f in a.arrows for g in b.arrows
-    }
-    comp = {}
-    for (f1, g1), (_, d1) in arrows.items():
-        for (f2, g2), (s2, _) in arrows.items():
-            if d1 == s2:
-                comp[((f1, g1), (f2, g2))] = (a.compose(f1, f2), b.compose(g1, g2))
-    ids = {(x, y): (a.identity(x), b.identity(y)) for x, y in objects}
-    return FinCategory(f"({a.name}x{b.name})", objects, arrows, comp, ids)
+    """A x B: the pairs of objects and of arrows, in ``itertools.product``
+    order, composed and with identities componentwise.
+
+    It composes through A and B, and like a table it raises KeyError on a
+    pair that does not compose.  Its ``composition`` table, which lists the
+    same composites, is built on first read, so a product that is only
+    composed in, never checked or compared, never builds it.
+    """
+    return _ProductCategory(a, b)
 
 
 def check_category(c: FinCategory) -> None:

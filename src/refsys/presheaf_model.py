@@ -40,14 +40,19 @@ morphisms is a pairing, each component of a coherence cell is the kit's
 cell on the values it regroups, and the unit presheaf's value is the kit's
 unit.  The kit's ``max_carrier``, set from the ``max_values`` bound, is the
 one guard on the size of a value.  A system builds its tensor structure
-once.  Product categories, the functors between two categories and functor
-categories are keyed by their two categories, tensor presheaves by their
-two factors, the tables of a functor category by the category itself, and
-coherence cells by their kind and the presheaves they act on;
-``FinPresheaf`` and ``FinCategory`` equality compare names and every table,
-so an equal key gives an equal result.  The pairings in a tensor presheaf
-are built with it and kept by it, not by the kit.  A build refused with a
-CapabilityError is not cached, so asking again refuses again.
+once, and only the parts that are read.  Product categories, the functors
+between two categories and functor categories are keyed by their two
+categories, tensor presheaves by their two factors, the tables of a functor
+category by the category itself, coherence cells by their kind and the
+presheaves they act on, and a cell's functor, which only regroups, by its
+kind and the bases of those presheaves; ``FinPresheaf`` and ``FinCategory``
+equality compare names and every table, so an equal key gives an equal
+result.  A product category composes through its factors and builds its
+composition table on first read (:func:`refsys.fincat.product_category`).
+A tensor presheaf builds its values, and so any refusal, with it, but pairs
+its actions only when its ``ar`` table is first read; the pairings are then
+kept by it, not by the kit.  A build refused with a CapabilityError is not
+cached, so asking again refuses again.
 
 ``day_star`` specializes the pushforward to a commutative monoid viewed as a
 one-object category, and ``day_star_coend`` recomputes the same presheaf by
@@ -56,6 +61,7 @@ an independent fixpoint quotient so tests can compare the two label-for-label.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from typing import Iterator
 
 from .cartesian import DEFAULT_MAX_CARRIER, CartesianKit, cell_ends
@@ -64,6 +70,7 @@ from .fincat import (
     FinFunction,
     FinFunctor,
     FinSet,
+    _ProductCategory,
     all_functions,
     canon_key,
     check_functor,
@@ -116,6 +123,28 @@ class FinPresheaf:
     def __repr__(self):
         sizes = ",".join(str(len(self.ob[o])) for o in self.cat.objects)
         return f"FinPresheaf({self.name!r} over {self.cat.name}, sizes [{sizes}])"
+
+
+class _TensorPresheaf(FinPresheaf):
+    """S x T over the product of their bases, its actions paired on first read.
+
+    It is built without ``FinPresheaf.__init__``.  Its values are the kit's
+    products S(a) x T(b), built, or refused past the bound, with it.  Each
+    action is the kit's pairing of an action of S with one of T; its ends
+    are two of those values, so pairing refuses nothing, and the ``ar``
+    table is built only when something reads it.
+    """
+
+    def __init__(self, kit: CartesianKit, s: FinPresheaf, t: FinPresheaf, cat: FinCategory):
+        self.name = f"({s.name}x{t.name})"
+        self.cat = cat
+        self.ob = {(a, b): kit.product(s.ob[a], t.ob[b]) for (a, b) in cat.objects}
+        self._parts = (kit, s, t)
+
+    @cached_property
+    def ar(self) -> dict:
+        kit, s, t = self._parts
+        return {(u, v): kit.pair(s.ar[u], t.ar[v]) for (u, v) in self.cat.arrows}
 
 
 def check_presheaf(p: FinPresheaf) -> None:
@@ -257,7 +286,6 @@ class PresheafSystem(RefinementSystem):
         self.max_functor_arrows = max_functor_arrows
         self._expr_cache: dict = {}
         self._pcat_cache: dict = {}
-        self._pcat_factors: dict = {}
         self._fcat_cache: dict = {}
         self._fcat_objects: dict = {}
         self._fcat_components: dict = {}
@@ -265,6 +293,7 @@ class PresheafSystem(RefinementSystem):
         self._unit = constant_presheaf("1", terminal_category(), self.kit.unit)
         self._tensors: dict = {}
         self._cells: dict = {}
+        self._cell_functors: dict = {}
 
     # --- index level -------------------------------------------------------------
     def i_types(self) -> tuple:
@@ -410,16 +439,13 @@ class PresheafSystem(RefinementSystem):
     def tensor_itype(self, a: FinCategory, b: FinCategory) -> FinCategory:
         prod = self._pcat_cache.get((a, b))
         if prod is None:
-            prod = product_category(a, b)
-            self._pcat_cache[a, b] = prod
-            self._pcat_factors[prod] = (a, b)
+            prod = self._pcat_cache[a, b] = product_category(a, b)
         return prod
 
     def tensor_factors(self, p: FinCategory) -> tuple:
-        try:
-            return self._pcat_factors[p]
-        except KeyError:
-            raise CapabilityError(f"{p.name!r} is not a constructed product category") from None
+        if not isinstance(p, _ProductCategory):
+            raise CapabilityError(f"{p.name!r} is not a constructed product category")
+        return p.factors
 
     def tensor_expr(self, f: FinFunctor, g: FinFunctor) -> FinFunctor:
         dom = self.tensor_itype(f.dom, g.dom)
@@ -434,10 +460,8 @@ class PresheafSystem(RefinementSystem):
         st = self._tensors.get((s, t))
         if st is not None:
             return st
-        cat = self.tensor_itype(s.cat, t.cat)
-        ob = {(a, b): self.kit.product(s.ob[a], t.ob[b]) for (a, b) in cat.objects}
-        ar = {(u, v): self.kit.pair(s.ar[u], t.ar[v]) for (u, v) in cat.arrows}
-        st = self._tensors[s, t] = FinPresheaf(f"({s.name}x{t.name})", cat, ob, ar)
+        st = self._tensors[s, t] = _TensorPresheaf(self.kit, s, t,
+                                                   self.tensor_itype(s.cat, t.cat))
         return st
 
     def unit_etype(self) -> FinPresheaf:
@@ -457,11 +481,15 @@ class PresheafSystem(RefinementSystem):
             return cell
         src_e, dst_e = cell_ends(kind, etypes, self.tensor_etype, self._unit)
         src_c = src_e.cat
-        expr = FinFunctor(
-            f"{kind}[{src_c.name}]", src_c, dst_e.cat,
-            {o: _regroup(kind, o, "*") for o in src_c.objects},
-            {u: _regroup(kind, u, "id") for u in src_c.arrows},
-        )
+        # the functor depends only on the bases, so presheaves over them share it
+        bases = (kind,) + tuple(e.cat for e in etypes)
+        expr = self._cell_functors.get(bases)
+        if expr is None:
+            expr = self._cell_functors[bases] = FinFunctor(
+                f"{kind}[{src_c.name}]", src_c, dst_e.cat,
+                {o: _regroup(kind, o, "*") for o in src_c.objects},
+                {u: _regroup(kind, u, "id") for u in src_c.arrows},
+            )
         comps = {
             o: self.kit.cell(kind, tuple(e.ob[x] for e, x in zip(etypes, _operands(kind, o))))
             for o in src_c.objects

@@ -3,17 +3,22 @@
 A product or function space of :class:`refsys.cartesian.CartesianKit` keeps
 its factors and computes its length, hash, equality and membership from
 them.  Here every such carrier is compared with the plain ``FinSet`` built
-from an independent materialisation, and a refusal is shown to happen
-before any large carrier is built.
+from an independent materialisation, a refusal is shown to happen before
+any large carrier is built, and a pickled carrier is shown to load unbuilt
+and to hash as a fresh one in another process.
 """
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import refsys
 from refsys.cartesian import CartesianKit, power_exceeds
 from refsys.fincat import FinSet
 from refsys.kernel import CapabilityError
@@ -202,3 +207,56 @@ def test_a_refused_encoding_search_builds_nothing_large():
 def test_the_early_exit_bound_agrees_with_the_power(limit):
     for base, exp in itertools.product(range(5), range(13)):
         assert power_exceeds(base, exp, limit) == (base ** exp > limit), (base, exp)
+
+
+_PICKLED = """
+from refsys.cartesian import CartesianKit
+from refsys.fincat import FinFunction, FinSet
+from refsys.subset_model import Subset
+a, b = FinSet("A", (1, 2)), FinSet("B", ("x", "y", "z"))
+kit = CartesianKit()
+values = {
+    "FinSet": a,
+    "ProductSet": kit.product(a, b),
+    "FunctionSpace": kit.function_space(a, b),
+    "Subset": Subset(b, ("x", "z")),
+    "FinFunction": FinFunction("f", b, a, {"x": 1, "y": 2, "z": 2}),
+}
+"""
+
+
+def test_pickled_carriers_hash_as_fresh_ones_in_another_process():
+    # a carrier's hash is of its name, a string, whose hash differs in each
+    # process, so a pickle must not carry the hash (or positions) it had
+    make = _PICKLED + """
+import pickle, sys
+for v in values.values():
+    hash(v)
+    getattr(v, "positions", lambda: None)()
+sys.stdout.write(pickle.dumps(values).hex())
+"""
+    load = _PICKLED + """
+import pickle, sys
+loaded = pickle.loads(bytes.fromhex(sys.stdin.read()))
+for name, fresh in values.items():
+    got = loaded[name]
+    print(name, got == fresh, hash(got) == hash(fresh), {fresh: 1}.get(got),
+          "elements" in vars(got) if hasattr(got, "factors") else "-",
+          {fresh.dom: 1}.get(got.dom) if name == "FinFunction" else "-")
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(refsys.__file__)))
+    made = subprocess.run([sys.executable, "-c", make], capture_output=True, text=True,
+                          env=dict(env, PYTHONHASHSEED="1"), timeout=120)
+    assert made.returncode == 0, made.stderr
+    loaded = subprocess.run([sys.executable, "-c", load], input=made.stdout,
+                            capture_output=True, text=True,
+                            env=dict(env, PYTHONHASHSEED="2"), timeout=120)
+    assert loaded.returncode == 0, loaded.stderr
+    # equal, hashed alike, found in a dict; a kit carrier loads unbuilt
+    assert loaded.stdout.splitlines() == [
+        "FinSet True True 1 - -",
+        "ProductSet True True 1 False -",
+        "FunctionSpace True True 1 False -",
+        "Subset True True 1 - -",
+        "FinFunction True True 1 - 1",
+    ]

@@ -25,16 +25,34 @@ from refsys.presheaf_model import FinPresheaf, check_presheaf
 from refsys.signature import load_signature
 
 
+def _family(cls: type):
+    """cls and every subclass of it, at any depth."""
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _family(sub)
+
+
 @pytest.fixture
 def built(monkeypatch) -> dict:
-    """Every instance of the three classes constructed while the test runs."""
-    seen: dict = {FinCategory: [], FinPresheaf: [], FinFunctor: []}
-    for cls, out in seen.items():
-        def record(self, *args, init=cls.__init__, out=out, **kwargs):
-            init(self, *args, **kwargs)
-            out.append(self)
+    """Every instance of the three classes, or of a subclass, constructed
+    while the test runs, keyed by its id.
 
-        monkeypatch.setattr(cls, "__init__", record)
+    A subclass that computes some tables from its parts (product categories,
+    tensor presheaves) is built without the base ``__init__``, so each
+    ``__init__`` in the family is recorded, and an instance whose
+    ``__init__`` calls another is kept once.
+    """
+    seen: dict = {FinCategory: {}, FinPresheaf: {}, FinFunctor: {}}
+    for base, out in seen.items():
+        for cls in _family(base):
+            if "__init__" not in vars(cls):
+                continue
+
+            def record(self, *args, init=cls.__init__, out=out, **kwargs):
+                init(self, *args, **kwargs)
+                out[id(self)] = self
+
+            monkeypatch.setattr(cls, "__init__", record)
     return seen
 
 
@@ -46,7 +64,12 @@ def test_every_structure_the_law_suites_build_passes_its_check(name, built):
     s, u = sys.e_types()[:2]
     for w in (residual_left(sys, s, u), residual_right(sys, s, u)):
         assert check_residual_laws(w, (s, u), expr_cap=2).ok
-    cats, presheaves, functors = built[FinCategory], built[FinPresheaf], built[FinFunctor]
+    # a tensor presheaf and its product category, which compute some of
+    # their tables, are recorded too
+    st = sys.tensor_etype(s, u)
+    assert id(st) in built[FinPresheaf] and id(st.cat) in built[FinCategory]
+    cats, presheaves, functors = (list(built[c].values())
+                                  for c in (FinCategory, FinPresheaf, FinFunctor))
     # product and functor categories, tensor and residual presheaves, and
     # composite functors are all among them
     assert any(isinstance(o, tuple) for c in cats for o in c.objects)
