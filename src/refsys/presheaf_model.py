@@ -27,11 +27,20 @@ and the results come in the same order as from the full product.
 Pullback is precomposition.  Pushforward is a pointwise left Kan extension:
 the value at d is the set of pairs (arrow f(a) -> d, element of S(a))
 quotiented by the relation generated from the arrows of A, computed by
-union-find with least representatives as canonical labels.  Residuals come
-from the closed structure of the index level: the residual index type is a
-materialized functor category (size-guarded), and the residual value at a
-functor-object f is the set of natural transformations S => U(f-), encoded
-as nested tuples of images.
+union-find with least representatives as canonical labels.
+
+Residuals come from the closed structure of the index level.  The residual
+index type [A,C] is a materialized functor category, refused past the
+``max_functor_objects`` and ``max_functor_arrows`` bounds; it keeps each
+object's functor, each arrow's components and the arrow with given ends and
+components beside its tables.  The residual value at a functor F is the set
+of natural transformations S => U(F-), encoded as nested tuples of images.
+The two residuals negL[U]{S} and negR[U]{T} are the same construction with
+the fixed operand on either side of the tensor, so plugging, currying,
+evaluation and the residual presheaf are each written once, and only the
+order of the two operands depends on the side.  One plugging formula
+serves both: plugL's F(u);θ_x' and plugR's θ_x;G(u) are the same arrow, by
+the naturality of θ.
 
 The tensor is cartesian in each fibre, and a system takes it from its
 :class:`refsys.cartesian.CartesianKit`: the value of S x T at (a, b) is the
@@ -42,13 +51,14 @@ unit.  The kit's ``max_carrier``, set from the ``max_values`` bound, is the
 one guard on the size of a value.  A system builds its tensor structure
 once, and only the parts that are read.  Product categories, the functors
 between two categories and functor categories are keyed by their two
-categories, tensor presheaves by their two factors, the tables of a functor
-category by the category itself, coherence cells by their kind and the
-presheaves they act on, and a cell's functor, which only regroups, by its
-kind and the bases of those presheaves; ``FinPresheaf`` and ``FinCategory``
-equality compare names and every table, so an equal key gives an equal
-result.  A product category composes through its factors and builds its
-composition table on first read (:func:`refsys.fincat.product_category`).
+categories, tensor presheaves by their two factors, the checked Day
+multiplication by its monoid category, coherence cells by their kind and
+the presheaves they act on, and a cell's functor, which only regroups, by
+its kind and the bases of those presheaves; ``FinPresheaf`` and
+``FinCategory`` equality compare names and every table, so an equal key
+gives an equal result.  A product category composes through its factors
+and builds its composition table on first read
+(:func:`refsys.fincat.product_category`).
 A tensor presheaf builds its values, and so any refusal, with it, but pairs
 its actions only when its ``ar`` table is first read; the pairings are then
 kept by it, not by the kit.  A build refused with a CapabilityError is not
@@ -235,6 +245,52 @@ def _square(cat: FinCategory, f_u, g_u):
     return lambda x, y: cat.compose(f_u, y) == cat.compose(x, g_u)
 
 
+class _FunctorCategory(FinCategory):
+    """[A,C]: the functors A -> C and the natural transformations between them.
+
+    Besides the tables of a category it keeps what the closed structure
+    reads: ``functors`` maps each object to the functor it names,
+    ``components`` maps each arrow to its components by object of A, and
+    :meth:`arrow` finds an arrow by its ends and components.  The arrows
+    from F to G are found by the search over the hom-sets C(F(o), G(o)),
+    with the naturality square of each arrow of A as a constraint.
+    """
+
+    def __init__(self, a: FinCategory, c: FinCategory, functors: tuple):
+        at = {o: i for i, o in enumerate(a.objects)}
+        self.functors = {f.name: f for f in functors}
+        self.components: dict = {}
+        self._by_components: dict = {}
+        arrows = {}
+        for f in functors:
+            for g in functors:
+                homs = [c.hom(f.ob(o), g.ob(o)) for o in a.objects]
+                squares = [((at[o1], at[o2]), _square(c, f.ar(u), g.ar(u)))
+                           for u, (o1, o2) in a.arrows.items()]
+                for idx, choice in enumerate(solutions(homs, squares)):
+                    nm = f"n{idx}[{f.name}>{g.name}]"
+                    arrows[nm] = (f.name, g.name)
+                    self.components[nm] = dict(zip(a.objects, choice))
+                    self._by_components[f.name, g.name, choice] = nm
+        composition = {}
+        for n1, (f1, g1) in arrows.items():
+            c1 = self.components[n1]
+            for n2, (f2, g2) in arrows.items():
+                if g1 == f2:
+                    c2 = self.components[n2]
+                    composition[n1, n2] = self.arrow(
+                        f1, g2, tuple(c.compose(c1[o], c2[o]) for o in a.objects))
+        identities = {f.name: self.arrow(f.name, f.name,
+                                         tuple(c.identity(f.ob(o)) for o in a.objects))
+                      for f in functors}
+        super().__init__(f"[{a.name},{c.name}]", tuple(self.functors), arrows, composition,
+                         identities)
+
+    def arrow(self, f: str, g: str, components: tuple) -> str:
+        """The arrow f -> g with these components, in the order of A's objects."""
+        return self._by_components[f, g, components]
+
+
 class _UnionFind:
     def __init__(self, items):
         self.parent = {x: x for x in items}
@@ -287,9 +343,7 @@ class PresheafSystem(RefinementSystem):
         self._expr_cache: dict = {}
         self._pcat_cache: dict = {}
         self._fcat_cache: dict = {}
-        self._fcat_objects: dict = {}
-        self._fcat_components: dict = {}
-        self._fcat_arrows: dict = {}
+        self._mults: dict = {}
         self._unit = constant_presheaf("1", terminal_category(), self.kit.unit)
         self._tensors: dict = {}
         self._cells: dict = {}
@@ -508,8 +562,6 @@ class PresheafSystem(RefinementSystem):
                 f"functor category [{a.name},{c.name}] has {len(functors)} objects, "
                 f"exceeding the bound {self.max_functor_objects}"
             )
-        objects = tuple(f.name for f in functors)
-        by_name = dict(zip(objects, functors))
         candidate_count = 0
         for f in functors:
             for g in functors:
@@ -522,42 +574,8 @@ class PresheafSystem(RefinementSystem):
                 f"functor category [{a.name},{c.name}] has {candidate_count} candidate "
                 f"transformations, exceeding the bound {self.max_functor_arrows}"
             )
-        at = {o: i for i, o in enumerate(a.objects)}
-        arrows: dict = {}
-        components: dict = {}
-        lookup: dict = {}
-        for f in functors:
-            for g in functors:
-                homs = [c.hom(f.ob(o), g.ob(o)) for o in a.objects]
-                squares = [((at[o1], at[o2]), _square(c, f.ar(u), g.ar(u)))
-                           for u, (o1, o2) in a.arrows.items()]
-                for idx, choice in enumerate(solutions(homs, squares)):
-                    nm = f"n{idx}[{f.name}>{g.name}]"
-                    arrows[nm] = (f.name, g.name)
-                    components[nm] = dict(zip(a.objects, choice))
-                    lookup[(f.name, g.name, choice)] = nm
-        composition = {}
-        for n1, (f1, g1) in arrows.items():
-            for n2, (f2, g2) in arrows.items():
-                if g1 != f2:
-                    continue
-                c1, c2 = components[n1], components[n2]
-                key2 = (f1, g2, tuple(c.compose(c1[o], c2[o]) for o in a.objects))
-                composition[(n1, n2)] = lookup[key2]
-        identities = {}
-        for f in functors:
-            key2 = (f.name, f.name,
-                    tuple(c.identity(f.ob(o)) for o in a.objects))
-            identities[f.name] = lookup[key2]
-        fcat = FinCategory(f"[{a.name},{c.name}]", objects, arrows, composition, identities)
-        self._fcat_cache[a, c] = fcat
-        self._fcat_objects[fcat] = by_name
-        self._fcat_components[fcat] = components
-        self._fcat_arrows[fcat] = lookup
+        fcat = self._fcat_cache[a, c] = _FunctorCategory(a, c, functors)
         return fcat
-
-    def _functor_at(self, fcat: FinCategory, obj: str) -> FinFunctor:
-        return self._fcat_objects[fcat][obj]
 
     def residual_left_itype(self, a: FinCategory, c: FinCategory) -> FinCategory:
         return self.functor_category(a, c)
@@ -566,76 +584,74 @@ class PresheafSystem(RefinementSystem):
         return self.functor_category(b, c)
 
     def plug_l_expr(self, a: FinCategory, c: FinCategory) -> FinFunctor:
-        fcat = self.functor_category(a, c)
-        comps = self._fcat_components[fcat]
-        dom = self.tensor_itype(a, fcat)
-        return FinFunctor(
-            f"plugL[{a.name},{c.name}]", dom, c,
-            {(x, fn): self._functor_at(fcat, fn).ob(x) for (x, fn) in dom.objects},
-            {(u, nm): c.compose(
-                self._functor_at(fcat, fcat.src(nm)).ar(u), comps[nm][a.dst(u)]
-            ) for (u, nm) in dom.arrows},
-        )
+        return self._plug("L", a, c)
 
     def plug_r_expr(self, c: FinCategory, b: FinCategory) -> FinFunctor:
-        fcat = self.functor_category(b, c)
-        comps = self._fcat_components[fcat]
-        dom = self.tensor_itype(fcat, b)
-        return FinFunctor(
-            f"plugR[{c.name},{b.name}]", dom, c,
-            {(fn, x): self._functor_at(fcat, fn).ob(x) for (fn, x) in dom.objects},
-            {(nm, v): c.compose(
-                comps[nm][b.src(v)], self._functor_at(fcat, fcat.dst(nm)).ar(v)
-            ) for (nm, v) in dom.arrows},
-        )
-
-    def _partial_functor_name(self, h: FinFunctor, fixed, side: str,
-                              fcat: FinCategory):
-        """The object of fcat equal to h with one argument frozen."""
-        a_cat, b_cat = self.tensor_factors(h.dom)
-        if side == "left":
-            cat = a_cat
-            object_map = {x: h.ob((x, fixed)) for x in cat.objects}
-            arrow_map = {u: h.ar((u, b_cat.identity(fixed))) for u in cat.arrows}
-        else:
-            cat = b_cat
-            object_map = {y: h.ob((fixed, y)) for y in cat.objects}
-            arrow_map = {v: h.ar((a_cat.identity(fixed), v)) for v in cat.arrows}
-        target = FinFunctor("partial", cat, h.cod, object_map, arrow_map)
-        for name, func in self._fcat_objects[fcat].items():
-            if func == target:
-                return name
-        raise CapabilityError("partial application is not an object of the functor category")
+        return self._plug("R", b, c)
 
     def curry_l_expr(self, h: FinFunctor) -> FinFunctor:
-        a_cat, b_cat = self.tensor_factors(h.dom)
-        fcat = self.functor_category(a_cat, h.cod)
-        lookup = self._fcat_arrows[fcat]
-        object_map = {
-            b: self._partial_functor_name(h, b, "left", fcat) for b in b_cat.objects
-        }
-        arrow_map = {}
-        for v, (b, b2) in b_cat.arrows.items():
-            comps = tuple(
-                h.ar((a_cat.identity(x), v)) for x in a_cat.objects
-            )
-            arrow_map[v] = lookup[(object_map[b], object_map[b2], comps)]
-        return FinFunctor(f"lc({h.name})", b_cat, fcat, object_map, arrow_map)
+        return self._curry_expr("L", h)
 
     def curry_r_expr(self, h: FinFunctor) -> FinFunctor:
-        a_cat, b_cat = self.tensor_factors(h.dom)
-        fcat = self.functor_category(b_cat, h.cod)
-        lookup = self._fcat_arrows[fcat]
-        object_map = {
-            x: self._partial_functor_name(h, x, "right", fcat) for x in a_cat.objects
-        }
-        arrow_map = {}
-        for u, (x, x2) in a_cat.arrows.items():
-            comps = tuple(
-                h.ar((u, b_cat.identity(y))) for y in b_cat.objects
+        return self._curry_expr("R", h)
+
+    def residual_left_etype(self, s: FinPresheaf, u: FinPresheaf) -> FinPresheaf:
+        return self._residual_presheaf("L", s, u)
+
+    def residual_right_etype(self, u: FinPresheaf, t: FinPresheaf) -> FinPresheaf:
+        return self._residual_presheaf("R", t, u)
+
+    def residual_left_data(self, s: FinPresheaf, u: FinPresheaf):
+        return self._residual_data("L", s, u)
+
+    def residual_right_data(self, u: FinPresheaf, t: FinPresheaf):
+        return self._residual_data("R", t, u)
+
+    # Each side's closed structure is written once below, for the fixed operand's
+    # base A (S's on the left, T's on the right) and the functor category [A,C];
+    # _in_place puts the two in the order of the side's tensor.
+
+    def _plug(self, side: str, a: FinCategory, c: FinCategory) -> FinFunctor:
+        """plugL : A x [A,C] -> C or plugR : [A,C] x A -> C, evaluation.
+
+        An arrow (u, n) is sent to F(u);n at u's target, which naturality
+        makes equal to n at u's source followed by G(u)."""
+        fcat = self.functor_category(a, c)
+        dom = self.tensor_itype(*_in_place(side, a, fcat))
+        ob, ar = {}, {}
+        for p in dom.objects:
+            x, fn = _in_place(side, *p)
+            ob[p] = fcat.functors[fn].ob(x)
+        for p in dom.arrows:
+            u, nm = _in_place(side, *p)
+            ar[p] = c.compose(fcat.functors[fcat.src(nm)].ar(u), fcat.components[nm][a.dst(u)])
+        return FinFunctor(f"plug{side}[{','.join(_in_place(side, a.name, c.name))}]",
+                          dom, c, ob, ar)
+
+    def _curry_expr(self, side: str, h: FinFunctor) -> FinFunctor:
+        """h : A x B -> C curried, lc(h) : B -> [A,C] or rc(h) : A -> [B,C]:
+        an object y of the other factor goes to h with y in its place."""
+        a, b = _in_place(side, *self.tensor_factors(h.dom))
+        fcat = self.functor_category(a, h.cod)
+
+        def frozen_at(y) -> str:
+            partial = FinFunctor(
+                "partial", a, h.cod,
+                {x: h.ob(_in_place(side, x, y)) for x in a.objects},
+                {u: h.ar(_in_place(side, u, b.identity(y))) for u in a.arrows},
             )
-            arrow_map[u] = lookup[(object_map[x], object_map[x2], comps)]
-        return FinFunctor(f"rc({h.name})", a_cat, fcat, object_map, arrow_map)
+            for name, f in fcat.functors.items():
+                if f == partial:
+                    return name
+            raise CapabilityError("partial application is not an object of the functor category")
+
+        object_map = {y: frozen_at(y) for y in b.objects}
+        arrow_map = {
+            v: fcat.arrow(object_map[y], object_map[y2],
+                          tuple(h.ar(_in_place(side, a.identity(x), v)) for x in a.objects))
+            for v, (y, y2) in b.arrows.items()
+        }
+        return FinFunctor(f"{side.lower()}c({h.name})", b, fcat, object_map, arrow_map)
 
     def _nat_set(self, s: FinPresheaf, u: FinPresheaf, f: FinFunctor) -> tuple:
         """All natural transformations S => U(f-), each encoded as the tuple of
@@ -644,91 +660,63 @@ class PresheafSystem(RefinementSystem):
                for components in natural_components(s, f, u)]
         return tuple(sorted(out, key=canon_key))
 
-    def _residual_presheaf(self, s: FinPresheaf, u: FinPresheaf,
-                           fcat: FinCategory, name: str) -> FinPresheaf:
-        comps = self._fcat_components[fcat]
-        ob = {}
-        for fn in fcat.objects:
-            f = self._functor_at(fcat, fn)
-            ob[fn] = FinSet(f"{name}({fn})", self._nat_set(s, u, f))
+    def _residual_presheaf(self, side: str, s: FinPresheaf, u: FinPresheaf) -> FinPresheaf:
+        """negL[U]{S} or negR[U]{S} over [A,C]: at F the natural transformations
+        S => U(F-), moved along an arrow by its components' actions in U."""
+        fcat = self.functor_category(s.cat, u.cat)
+        name = f"neg{side}[{u.name}]{{{s.name}}}"
+        ob = {fn: FinSet(f"{name}({fn})", self._nat_set(s, u, f))
+              for fn, f in fcat.functors.items()}
         ar = {}
-        objs = s.cat.objects
         for nm, (fn, gn) in fcat.arrows.items():
-            theta = comps[nm]
-            mapping = {}
-            for enc in ob[fn].elements:
-                moved = tuple(
-                    tuple(u.ar[theta[a]](val) for val in enc[i])
-                    for i, a in enumerate(objs)
-                )
-                mapping[enc] = moved
+            theta = fcat.components[nm]
+            mapping = {
+                enc: tuple(tuple(u.ar[theta[a]](val) for val in enc[i])
+                           for i, a in enumerate(s.cat.objects))
+                for enc in ob[fn].elements
+            }
             ar[nm] = FinFunction(f"{name}[{nm}]", ob[fn], ob[gn], mapping)
         return FinPresheaf(name, fcat, ob, ar)
 
-    def residual_left_etype(self, s: FinPresheaf, u: FinPresheaf) -> FinPresheaf:
-        fcat = self.functor_category(s.cat, u.cat)
-        return self._residual_presheaf(s, u, fcat, f"negL[{u.name}]{{{s.name}}}")
-
-    def residual_right_etype(self, u: FinPresheaf, t: FinPresheaf) -> FinPresheaf:
-        fcat = self.functor_category(t.cat, u.cat)
-        return self._residual_presheaf(t, u, fcat, f"negR[{u.name}]{{{t.name}}}")
-
-    def _enc_lookup(self, s: FinPresheaf, enc: tuple, a, x):
-        i = s.cat.objects.index(a)
-        return enc[i][s.ob[a].index(x)]
-
-    def residual_left_data(self, s: FinPresheaf, u: FinPresheaf):
-        res = self.residual_left_etype(s, u)
-        src = self.tensor_etype(s, res)
-        expr = self.plug_l_expr(s.cat, u.cat)
+    def _residual_data(self, side: str, s: FinPresheaf, u: FinPresheaf):
+        """The residual of U by the fixed operand S, its evaluation and its currying."""
+        res = self._residual_presheaf(side, s, u)
+        src = self.tensor_etype(*_in_place(side, s, res))
+        expr = self._plug(side, s.cat, u.cat)
+        ev = "".join(_in_place(side, "e", "v"))  # ev@ on the left, ve@ on the right
+        at = {a: i for i, a in enumerate(s.cat.objects)}
         comps = {}
-        for (a, fn) in src.cat.objects:
-            cod = u.ob[expr.ob((a, fn))]
-            comps[(a, fn)] = FinFunction(
-                f"ev@{render_elem((a, fn))}", src.ob[(a, fn)], cod,
-                {(x, enc): self._enc_lookup(s, enc, a, x)
-                 for (x, enc) in src.ob[(a, fn)].elements},
-            )
+        for p in src.cat.objects:
+            a, _ = _in_place(side, *p)
+            mapping = {}
+            for pair in src.ob[p].elements:
+                # an encoding lists each component's values in the order of S(a)
+                x, enc = _in_place(side, *pair)
+                mapping[pair] = enc[at[a]][s.ob[a].index(x)]
+            comps[p] = FinFunction(f"{ev}@{render_elem(p)}", src.ob[p], u.ob[expr.ob(p)],
+                                   mapping)
 
         def curry(m: NatTransOver, v: FinPresheaf) -> NatTransOver:
             # y is sent to the encoding of m(-, y): one value tuple per object of S's base
-            expr = self.curry_l_expr(m.expr)
+            expr = self._curry_expr(side, m.expr)
             comps = {}
             for b in v.cat.objects:
-                mapping = {y: tuple(tuple(m.components[(a, b)]((x, y)) for x in s.ob[a].elements)
+                mapping = {y: tuple(tuple(m.components[_in_place(side, a, b)](_in_place(side, x, y))
+                                          for x in s.ob[a].elements)
                                     for a in s.cat.objects)
                            for y in v.ob[b].elements}
-                comps[b] = FinFunction(f"lcur@{render_elem(b)}", v.ob[b], res.ob[expr.ob(b)],
-                                       mapping)
+                comps[b] = FinFunction(f"{side.lower()}cur@{render_elem(b)}", v.ob[b],
+                                       res.ob[expr.ob(b)], mapping)
             return NatTransOver(v, expr, res, comps)
 
         return res, NatTransOver(src, expr, u, comps), curry
 
-    def residual_right_data(self, u: FinPresheaf, t: FinPresheaf):
-        res = self.residual_right_etype(u, t)
-        src = self.tensor_etype(res, t)
-        expr = self.plug_r_expr(u.cat, t.cat)
-        comps = {}
-        for (fn, b) in src.cat.objects:
-            cod = u.ob[expr.ob((fn, b))]
-            comps[(fn, b)] = FinFunction(
-                f"ve@{render_elem((fn, b))}", src.ob[(fn, b)], cod,
-                {(enc, x): self._enc_lookup(t, enc, b, x)
-                 for (enc, x) in src.ob[(fn, b)].elements},
-            )
 
-        def curry(m: NatTransOver, v: FinPresheaf) -> NatTransOver:
-            expr = self.curry_r_expr(m.expr)
-            comps = {}
-            for a in v.cat.objects:
-                mapping = {x: tuple(tuple(m.components[(a, b)]((x, y)) for y in t.ob[b].elements)
-                                    for b in t.cat.objects)
-                           for x in v.ob[a].elements}
-                comps[a] = FinFunction(f"rcur@{render_elem(a)}", v.ob[a], res.ob[expr.ob(a)],
-                                       mapping)
-            return NatTransOver(v, expr, res, comps)
-
-        return res, NatTransOver(src, expr, u, comps), curry
+def _in_place(side: str, x, v) -> tuple:
+    """x in the fixed operand's place and v in the other: (x, v) on the left,
+    (v, x) on the right.  The swap is its own inverse, so it also splits a
+    pair of the side's tensor into (fixed, other)."""
+    return (x, v) if side == "L" else (v, x)
 
 
 def _operands(kind: str, x) -> tuple:
@@ -783,8 +771,12 @@ def multiplication_functor(sys: PresheafSystem, m: FinCategory) -> FinFunctor:
 
     Functoriality of (u, v) -> u;v is exactly commutativity of the monoid,
     so a non-commutative table fails the functor check and raises
-    ValidationError.
+    ValidationError.  The system keeps the checked functor for each monoid
+    category; a refused one is not kept, so it is refused again.
     """
+    mult = sys._mults.get(m)
+    if mult is not None:
+        return mult
     if len(m.objects) != 1:
         raise MismatchError("Day multiplication needs a one-object category")
     dom = sys.tensor_itype(m, m)
@@ -797,6 +789,7 @@ def multiplication_functor(sys: PresheafSystem, m: FinCategory) -> FinFunctor:
     report = check_functor(mult)
     if not report.ok:
         raise ValidationError(str(report))
+    sys._mults[m] = mult
     return mult
 
 

@@ -149,11 +149,29 @@ def _load_sets(raw, where: str) -> dict:
     return carriers
 
 
+def _positive_int(value, where: str) -> int:
+    """value, if it is a positive integer; a JSON ``true`` is refused, not read as 1."""
+    if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
+        raise SignatureError(f"{where}: expected a positive integer")
+    return value
+
+
 def _max_carrier(doc: dict) -> int:
-    max_carrier = doc.get("max_carrier", DEFAULT_MAX_CARRIER)
-    if not isinstance(max_carrier, int) or max_carrier <= 0:
-        raise SignatureError("max_carrier: expected a positive integer")
-    return max_carrier
+    return _positive_int(doc.get("max_carrier", DEFAULT_MAX_CARRIER), "max_carrier")
+
+
+def _monoid_table(car: _Carrier, raw, where: str, what: str) -> dict:
+    """The table (a, b) -> a*b of a monoid on car; its rows must cover car,
+    and a refusal says they must cover ``what``."""
+    rows = _as_name_dict(raw, where)
+    if set(rows) != set(car.by_str):
+        raise SignatureError(f"{where}: rows must cover the {what}")
+    table = {}
+    for a_key, row in rows.items():
+        a = car.by_str[a_key]
+        for b, v in car.resolve_table(row, car, f"{where}.{a_key}").items():
+            table[(a, b)] = v
+    return table
 
 
 def _load_subset_model(doc: dict, path: str, name: str) -> Signature:
@@ -186,16 +204,8 @@ def _load_subset_model(doc: dict, path: str, name: str) -> Signature:
         _require_keys(spec, "monoid", ("carrier", "unit", "table"))
         car = _name_ref(spec["carrier"], carriers, "monoid.carrier", "set")
         unit = car.resolve(spec["unit"], "monoid.unit")
-        rows = _as_name_dict(spec["table"], "monoid.table")
-        if set(rows) != set(car.by_str):
-            raise SignatureError("monoid.table: rows must cover the carrier")
+        table = _monoid_table(car, spec["table"], "monoid.table", "carrier")
         h2 = system.tensor_itype(car.fs, car.fs)
-        table = {}
-        for a_key, row in rows.items():
-            a = car.by_str[a_key]
-            inner = car.resolve_table(row, car, f"monoid.table.{a_key}")
-            for b, v in inner.items():
-                table[(a, b)] = v
         sig.monoid_mult = FinFunction("mult", h2, car.fs, table)
         sig.monoid_carrier = car.fs
         sig.monoid_unit = unit
@@ -256,15 +266,7 @@ def _load_category(cname: str, spec, where: str) -> FinCategory:
         elems = _parse_elements(mspec["elements"], f"{where}.monoid.elements")
         car = _Carrier(FinSet(cname, elems))
         unit = car.resolve(mspec["unit"], f"{where}.monoid.unit")
-        rows = _as_name_dict(mspec["table"], f"{where}.monoid.table")
-        if set(rows) != set(car.by_str):
-            raise SignatureError(f"{where}.monoid.table: rows must cover the elements")
-        table = {}
-        for a_key, row in rows.items():
-            a = car.by_str[a_key]
-            inner = car.resolve_table(row, car, f"{where}.monoid.table.{a_key}")
-            for b, v in inner.items():
-                table[(a, b)] = v
+        table = _monoid_table(car, mspec["table"], f"{where}.monoid.table", "elements")
         return _checked(check_category, monoid_category(cname, elems, table, unit),
                         f"{where}: not a monoid")
     _require_keys(spec, where, ("objects", "arrows"), ("compose",))
@@ -353,8 +355,7 @@ def _load_presheaf_model(doc: dict, path: str, name: str) -> Signature:
     _require_keys(bounds, "bounds", (),
                   ("max_values", "max_functor_objects", "max_functor_arrows"))
     for k, v in bounds.items():
-        if not isinstance(v, int) or v <= 0:
-            raise SignatureError(f"bounds.{k}: expected a positive integer")
+        _positive_int(v, f"bounds.{k}")
     system = PresheafSystem(name, tuple(cats.values()), tuple(presheaves.values()),
                             **bounds)
     sig = Signature(path=path, name=name, kind="presheaf", system=system,

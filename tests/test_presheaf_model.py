@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from refsys import presheaf_model
 from refsys.fincat import FinFunction, FinSet, monoid_category
 from refsys.kernel import ValidationError
 from refsys.presheaf_model import (
@@ -17,6 +18,7 @@ from refsys.presheaf_model import (
     representable_presheaf,
     same_values,
 )
+from refsys.signature import load_signature
 from refsys.structures import (
     check_beta_eta,
     composite_pullback_witness,
@@ -24,6 +26,8 @@ from refsys.structures import (
     pullback,
     pushforward,
 )
+
+from conftest import data_file
 
 Z2_TABLE = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
 
@@ -168,3 +172,48 @@ def test_constant_presheaf_shape(arrow_sig):
     k = constant_presheaf("K", c, FinSet("V", (1, 2)))
     assert all(len(k.value(o)) == 2 for o in c.objects)
     assert k.action("u").mapping == {1: 1, 2: 2}
+
+
+@pytest.mark.parametrize("fixture", ["day_z2", "arrow_sig"])
+def test_the_two_residuals_and_plugs_mirror_each_other(request, fixture):
+    # negL[U]{T} and negR[U]{T} have the same values and actions, and plugR
+    # sends (F, x) where plugL sends (x, F): F(u);θ_x' = θ_x;G(u) by naturality
+    sig = request.getfixturevalue(fixture)
+    sys = sig.system
+    checked = 0
+    for t, u in itertools.product(sig.etypes.values(), repeat=2):
+        assert same_values(sys.residual_left_etype(t, u), sys.residual_right_etype(u, t))
+        checked += 1
+    for a, c in itertools.product(sig.categories.values(), repeat=2):
+        left, right = sys.plug_l_expr(a, c), sys.plug_r_expr(c, a)
+        for x, fn in left.dom.objects:
+            assert right.ob((fn, x)) == left.ob((x, fn))
+        for u, nm in left.dom.arrows:
+            assert right.ar((nm, u)) == left.ar((u, nm))
+        checked += 1
+    assert checked == {"day_z2": 10, "arrow_sig": 5}[fixture]
+
+
+def test_a_system_builds_and_checks_each_day_multiplication_once(monkeypatch):
+    checks = []
+    check = presheaf_model.check_functor
+    monkeypatch.setattr(presheaf_model, "check_functor",
+                        lambda f: checks.append(f.name) or check(f))
+    sig = load_signature(data_file("day_z2.json"))
+    z2 = sig.categories["Z2"]
+    reg, fix = sig.etype("Reg"), sig.etype("Fix")
+    for _ in range(2):
+        day_star(sig.system, z2, reg, fix)
+        day_star_coend(sig.system, z2, fix, reg)
+        multiplication_functor(sig.system, z2)
+    assert checks == ["mult[Z2]"]
+    # a non-commutative monoid is refused, and so checked, on every call
+    table = {("e", "e"): "e", ("e", "a"): "a", ("e", "b"): "b",
+             ("a", "e"): "a", ("b", "e"): "b",
+             ("a", "a"): "a", ("a", "b"): "a",
+             ("b", "a"): "b", ("b", "b"): "b"}
+    lz = monoid_category("LZ", ("e", "a", "b"), table, "e")
+    for _ in range(2):
+        with pytest.raises(ValidationError):
+            multiplication_functor(sig.system, lz)
+    assert checks == ["mult[Z2]", "mult[LZ]", "mult[LZ]"]

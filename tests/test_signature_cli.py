@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from refsys.cli import main
+from refsys.kernel import CapabilityError
 from refsys.signature import SignatureError, load_signature
 
 from conftest import DATA, data_file
@@ -189,8 +190,54 @@ def test_monoid_rows_must_cover(tmp_path):
         "sets": {"A": [0, 1]},
         "monoid": {"carrier": "A", "unit": 0, "table": {"0": {"0": 0, "1": 1}}},
     }
-    with pytest.raises(SignatureError, match="rows must cover"):
+    with pytest.raises(SignatureError) as exc:
         load_signature(write_sig(tmp_path, doc))
+    assert str(exc.value) == "monoid.table: rows must cover the carrier"
+    # a presheaf signature's monoid category names its elements instead
+    category_doc = json.loads(Path(data_file("day_z2.json")).read_text())
+    del category_doc["categories"]["Z2"]["monoid"]["table"]["1"]
+    with pytest.raises(SignatureError) as exc:
+        load_signature(write_sig(tmp_path, category_doc))
+    assert str(exc.value) == "categories.Z2.monoid.table: rows must cover the elements"
+
+
+@pytest.mark.parametrize("where", ["max_carrier", "bounds.max_values",
+                                   "bounds.max_functor_objects", "bounds.max_functor_arrows"])
+def test_a_boolean_bound_is_refused(tmp_path, where):
+    # JSON true is a Python bool, an int equal to 1; it is refused, not read as 1
+    if where == "max_carrier":
+        doc = json.loads(Path(data_file("z4.json")).read_text())
+        doc["max_carrier"] = True
+    else:
+        doc = json.loads(Path(data_file("day_z2.json")).read_text())
+        doc["bounds"] = {where.split(".")[1]: True}
+    path = write_sig(tmp_path, doc)
+    env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent))
+    for flags in ((), ("-O",)):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "refsys.cli", "laws", path, "kernel"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (3, ""), (flags, proc.stdout + proc.stderr)
+        assert proc.stderr == f"error: {where}: expected a positive integer\n", flags
+
+
+@pytest.mark.parametrize("bound, message", [
+    ("max_functor_objects", "functor category [Z2,Z2] has 2 objects, exceeding the bound 1"),
+    ("max_functor_arrows",
+     "functor category [Z2,Z2] has 8 candidate transformations, exceeding the bound 3"),
+])
+def test_functor_category_refusals_are_not_cached(tmp_path, capsys, bound, message):
+    doc = json.loads(Path(data_file("day_z2.json")).read_text())
+    doc["bounds"] = {bound: {"max_functor_objects": 1, "max_functor_arrows": 3}[bound]}
+    path = write_sig(tmp_path, doc)
+    assert run(capsys, "residual", path, "left", "Reg", "Reg") == (3, "", f"error: {message}\n")
+    sig = load_signature(path)
+    reg = sig.etype("Reg")
+    for _ in range(2):
+        with pytest.raises(CapabilityError) as exc:
+            sig.system.residual_left_etype(reg, reg)
+        assert str(exc.value) == message
 
 
 def test_continuation_needs_answers(tmp_path):
