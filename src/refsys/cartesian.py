@@ -37,17 +37,21 @@ are distinct by construction, so no duplicate check runs.  A carrier past
 the bound is therefore refused before any of its members, or any member of
 a carrier built over it, exists.
 
-Products, function spaces, pairings and coherence cells are built once per
-kit, so asking again returns the same object.  Products and function spaces
-are keyed by their factors and cells by their kind and the sets they act
-on; equal ``FinSet``s have equal names and elements, so an equal key gives
-an equal result.  Pairings are keyed by the identity of the two functions,
-and each entry keeps both alive: ``FinFunction`` equality ignores the name
-that the pairing's name is made from.  ``pair`` builds a pairing without
-keeping it, for a caller that keeps what it builds from it.  Evaluation and
-currying tables are built on each call.  Every carrier the kit would build
-with more than ``max_carrier`` elements is refused with a CapabilityError
-that names its size, instead of exhausting memory; a refusal is not cached.
+Products, function spaces, pairings, coherence cells and the evaluation
+and currying tables are built once per kit, so asking again returns the
+same object.  Products and function spaces are keyed by their factors,
+cells by their kind and the sets they act on, and plugL and plugR by their
+two sets; equal ``FinSet``s have equal names and elements, so an equal key
+gives an equal result.  Pairings are keyed by the identity of the two
+functions and curried tables by the identity of the table and its two
+factors, and each entry keeps its functions alive, so no id in a key is
+reused while the entry lives: ``FinFunction`` equality ignores the name
+that the pairing's and the currying's names are made from.  ``pair``
+builds a pairing without keeping it, for a caller that keeps what it
+builds from it.  Every carrier the kit would build with more than
+``max_carrier`` elements is refused with a CapabilityError that names its
+size, instead of exhausting memory.  A refusal is raised before anything
+is kept, so asking again is refused again, with the same text.
 A function space's size is compared with the bound by ``power_exceeds``,
 which stops multiplying once past it, and a size with more digits than
 Python converts to a string is written as a power, such as ``2^16384``.
@@ -211,6 +215,8 @@ class CartesianKit:
         self._spaces: dict = {}
         self._pairings: dict = {}
         self._cells: dict = {}
+        self._plugs: dict = {}
+        self._curries: dict = {}
 
     def _refuse(self, what: str, size) -> CapabilityError:
         return CapabilityError(
@@ -269,39 +275,54 @@ class CartesianKit:
         return c
 
     def plug_l(self, a: FinSet, c: FinSet) -> FinFunction:
-        fs = self.function_space(a, c)
-        n, m = len(c), len(a)
-        # (x_i, t_k) is sent to t_k's i-th value, whose position is digit i of k
-        idx: list = []
-        for i in range(m):
-            idx.extend([d for d in range(n) for _ in range(n ** (m - 1 - i))] * n ** i)
-        return FinFunction._from_idx(f"plugL[{a.name},{c.name}]",
-                                     self.product(a, fs), c, tuple(idx))
+        p = self._plugs.get(("plugL", a, c))
+        if p is None:
+            fs = self.function_space(a, c)
+            n, m = len(c), len(a)
+            # (x_i, t_k) is sent to t_k's i-th value, whose position is digit i of k
+            idx: list = []
+            for i in range(m):
+                idx.extend([d for d in range(n) for _ in range(n ** (m - 1 - i))] * n ** i)
+            p = self._plugs["plugL", a, c] = FinFunction._from_idx(
+                f"plugL[{a.name},{c.name}]", self.product(a, fs), c, tuple(idx))
+        return p
 
     def plug_r(self, c: FinSet, b: FinSet) -> FinFunction:
-        fs = self.function_space(b, c)
-        # (t_k, y_j) is sent to t_k's j-th value, whose position is digit j of k
-        idx = itertools.chain.from_iterable(itertools.product(range(len(c)), repeat=len(b)))
-        return FinFunction._from_idx(f"plugR[{c.name},{b.name}]",
-                                     self.product(fs, b), c, tuple(idx))
+        p = self._plugs.get(("plugR", c, b))
+        if p is None:
+            fs = self.function_space(b, c)
+            # (t_k, y_j) is sent to t_k's j-th value, whose position is digit j of k
+            idx = itertools.chain.from_iterable(itertools.product(range(len(c)), repeat=len(b)))
+            p = self._plugs["plugR", c, b] = FinFunction._from_idx(
+                f"plugR[{c.name},{b.name}]", self.product(fs, b), c, tuple(idx))
+        return p
 
     def curry_l(self, f: FinFunction, a: FinSet, b: FinSet) -> FinFunction:
         """lc f : B -> [A->C] for f : A x B -> C."""
-        self._require_product(f, a, b)
-        nb, n = len(b), len(f.cod)
-        return FinFunction._from_idx(
-            f"lc({f.name})", b, self.function_space(a, f.cod),
-            _positions((f.idx[i * nb:(i + 1) * nb] for i in range(len(a))), nb, n),
-        )
+        key = ("lc", id(f), a, b)
+        entry = self._curries.get(key)
+        if entry is None:
+            self._require_product(f, a, b)
+            nb, n = len(b), len(f.cod)
+            # holding f keeps its id from being reused while the entry lives
+            entry = self._curries[key] = (f, FinFunction._from_idx(
+                f"lc({f.name})", b, self.function_space(a, f.cod),
+                _positions((f.idx[i * nb:(i + 1) * nb] for i in range(len(a))), nb, n),
+            ))
+        return entry[1]
 
     def curry_r(self, f: FinFunction, a: FinSet, b: FinSet) -> FinFunction:
         """rc f : A -> [B->C] for f : A x B -> C."""
-        self._require_product(f, a, b)
-        nb, n = len(b), len(f.cod)
-        return FinFunction._from_idx(
-            f"rc({f.name})", a, self.function_space(b, f.cod),
-            _positions((f.idx[j::nb] for j in range(nb)), len(a), n),
-        )
+        key = ("rc", id(f), a, b)
+        entry = self._curries.get(key)
+        if entry is None:
+            self._require_product(f, a, b)
+            nb, n = len(b), len(f.cod)
+            entry = self._curries[key] = (f, FinFunction._from_idx(
+                f"rc({f.name})", a, self.function_space(b, f.cod),
+                _positions((f.idx[j::nb] for j in range(nb)), len(a), n),
+            ))
+        return entry[1]
 
     def _require_product(self, f: FinFunction, a: FinSet, b: FinSet) -> None:
         if f.dom != self.product(a, b):

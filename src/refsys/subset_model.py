@@ -19,14 +19,15 @@ plain function space).  The index level is cartesian closed, so its
 carriers (products, function spaces, the unit 1 = {*}) and its tables
 (pairing, coherence cells, evaluation, currying) come from the system's
 :class:`refsys.cartesian.CartesianKit`, which builds each carrier,
-pairing and coherence cell once and refuses any carrier larger than
-``max_carrier`` with a CapabilityError.  The kit's products and function
-spaces compute their size, equality and membership from their factors and
-build their elements only when something iterates, indexes or renders them.
+pairing, coherence cell, evaluation table and curried table once and
+refuses any carrier larger than ``max_carrier`` with a CapabilityError.
+The kit's products and function spaces compute their size, equality and
+membership from their factors and build their elements only when
+something iterates, indexes or renders them.
 The system itself builds each tensor subset once, keyed by its two factors,
-each coherence cell once, keyed by its kind and subsets (equal subsets have
-equal carriers and positions, so an equal key gives an equal result), and
-the unit subset with the system.
+each coherence cell once, keyed by its kind and subsets, each residual
+once, keyed by (S, U) (equal subsets have equal carriers and positions, so
+an equal key gives an equal result), and the unit subset with the system.
 
 A subset holds the positions of its members in its carrier, ``ix``, a
 frozenset of ints, just as a :class:`refsys.fincat.FinFunction` holds
@@ -49,10 +50,13 @@ The residuals are built as positions too.  A function in [A->C] is the
 tuple of its values in A's order, the space lists them in lexicographic
 order, so { t | t(S) <= U } is the mixed-radix product of U's positions at
 the positions in S and all of C's elsewhere, |U|^|S| * |C|^(|A|-|S|)
-positions of the space.  The guard applies to the function space, which
-every residual is built inside, and a residual's evaluation asks for its
-carrier S x [A->C] (or [B->C] x T) first, so a refused evaluation builds no
-residual.
+positions of the space.  The left residual of U by S and the right
+residual of U by S are the same subset, kept once per (S, U) and shared
+by both sides.  The guard applies to the function space, which every
+residual is built inside, and a residual's evaluation asks for its carrier
+S x [A->C] (or [B->C] x T) first, so a refused evaluation builds no
+residual, and a residual kept from an earlier call does not move that
+refusal.  No refusal is kept.
 
 ``Subset`` and ``SubsetMor`` are named tuples.  Their public constructors,
 ``Subset(of, elements)`` (and ``subset``) and ``SubsetMor(src, expr, dst)``,
@@ -203,6 +207,7 @@ class SubsetSystem(RefinementSystem):
         self._unit = full_subset(self.kit.unit)
         self._tensors: dict = {}
         self._cells: dict = {}
+        self._residuals: dict = {}
 
     # --- index level -------------------------------------------------------
     def i_types(self) -> tuple:
@@ -412,7 +417,7 @@ class SubsetSystem(RefinementSystem):
         return self.kit.curry_r(f, *self.kit.factors(f.dom))
 
     def _residual(self, s: Subset, u: Subset) -> Subset:
-        """{ t : A -> C | t(S) <= U } for S <= A and U <= C, built directly.
+        """{ t : A -> C | t(S) <= U } for S <= A and U <= C, built once per (S, U).
 
         [A->C] lists the tuples of ``itertools.product(C, repeat=|A|)`` in
         lexicographic order, so the tuple at position k has the base-|C|
@@ -422,40 +427,44 @@ class SubsetSystem(RefinementSystem):
         is |U|^|S| * |C|^(|A|-|S|).  Each prefix followed by free positions
         is one range of the space's positions, so the space's elements are
         never read.  The prefixes of all but the last digit are listed; those
-        of the last, the largest level, are streamed into the result.
+        of the last, the largest level, are streamed into the result.  A
+        refused function space raises before anything is kept.
         """
-        fs = self.function_space(s.of, u.of)
-        n = len(u.of)
-        allowed = sorted(u.ix)
-        digits = [allowed if i in s.ix else range(n) for i in range(len(s.of))]
-        # trailing positions that allow all of C make each prefix a contiguous run
-        run = 1
-        while digits and len(digits[-1]) == n:
-            digits.pop()
-            run *= n
-        last = digits.pop() if digits else (0,)
-        starts = [0]
-        for ds in digits:
-            starts = [k * n + d for k in starts for d in ds]
-        return _subset(fs, frozenset(itertools.chain.from_iterable(
-            range(k * run, (k + 1) * run) for k in (j * n + d for j in starts for d in last)
-        )))
+        res = self._residuals.get((s, u))
+        if res is None:
+            fs = self.function_space(s.of, u.of)
+            n = len(u.of)
+            allowed = sorted(u.ix)
+            digits = [allowed if i in s.ix else range(n) for i in range(len(s.of))]
+            # trailing positions that allow all of C make each prefix a contiguous run
+            run = 1
+            while digits and len(digits[-1]) == n:
+                digits.pop()
+                run *= n
+            last = digits.pop() if digits else (0,)
+            starts = [0]
+            for ds in digits:
+                starts = [k * n + d for k in starts for d in ds]
+            res = self._residuals[s, u] = _subset(fs, frozenset(itertools.chain.from_iterable(
+                range(k * run, (k + 1) * run) for k in (j * n + d for j in starts for d in last)
+            )))
+        return res
 
     def residual_left_etype(self, s: Subset, u: Subset) -> Subset:
         """Left residual of U by S: the functions in [A->C] that map S into U.
 
-        Built directly by :meth:`_residual`, with |U|^|S| * |C|^(|A|-|S|)
-        members; the function space [A->C] itself is still subject to the
-        ``max_carrier`` guard.
+        Built once per (S, U) by :meth:`_residual`, with
+        |U|^|S| * |C|^(|A|-|S|) members; the function space [A->C] itself
+        is still subject to the ``max_carrier`` guard.
         """
         return self._residual(s, u)
 
     def residual_right_etype(self, u: Subset, t: Subset) -> Subset:
         """Right residual of U by T: the functions in [B->C] that map T into U.
 
-        The cartesian tensor is symmetric, so this is the same subset as the
-        left residual of U by T, built directly by :meth:`_residual` with
-        |U|^|T| * |C|^(|B|-|T|) members; [B->C] is still subject to the
+        The cartesian tensor is symmetric, so this is the left residual of
+        U by T, the same object, kept once per (T, U) by :meth:`_residual`
+        with |U|^|T| * |C|^(|B|-|T|) members; [B->C] is still subject to the
         ``max_carrier`` guard.
         """
         return self._residual(t, u)

@@ -6,7 +6,9 @@ load it or refuse it with SignatureError / RefinementError; a mutant that
 loads must run ``laws <sig> kernel --max-set 2`` to an exit code in 0-3
 without raising.  A fixed batch of mutants runs through the CLI once under
 ``python`` and once under ``python -O``, and both must print the same
-exit codes and stdout.
+exit codes and stdout.  A mutant that adds an unknown key, with the value
+null, to any object of a bundled signature is refused, under ``python``
+and ``python -O`` alike.
 """
 from __future__ import annotations
 
@@ -139,3 +141,51 @@ def test_a_fixed_batch_of_mutants_behaves_alike_under_python_and_python_O(tmp_pa
     codes = [code for code, _ in runs[0]]
     assert set(codes[:20]) <= {0, 1, 2, 3}
     assert codes[20:] == [3] * 20
+
+
+def _objects(value, prefix=()):
+    """The path of every JSON object in the document, the root's first."""
+    if isinstance(value, dict):
+        yield prefix
+    for key, child in (value.items() if isinstance(value, dict)
+                       else enumerate(value) if isinstance(value, list) else ()):
+        yield from _objects(child, prefix + (key,))
+
+
+_LOAD_DRIVER = """
+import json, sys
+from refsys.kernel import RefinementError
+from refsys.signature import SignatureError, load_signature
+outcomes = []
+for path in sys.argv[1:]:
+    try:
+        load_signature(path)
+        outcomes.append("loads")
+    except (SignatureError, RefinementError) as e:
+        outcomes.append(f"{type(e).__name__}: {e}")
+print(json.dumps(outcomes))
+"""
+
+
+def test_an_added_key_is_refused_in_every_object_under_python_and_python_O(tmp_path):
+    paths = []
+    for name, doc in BUNDLED.items():
+        for where in _objects(doc):
+            mutant = copy.deepcopy(doc)
+            obj = mutant
+            for key in where:
+                obj = obj[key]
+            # null is no valid entry anywhere, so a name map refuses it too
+            obj["zz_added"] = None
+            paths.append(str(tmp_path / f"{name}.{len(paths)}.json"))
+            Path(paths[-1]).write_text(json.dumps(mutant))
+    assert len(paths) == 121
+    env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent))
+    runs = []
+    for flags in ((), ("-O",)):
+        proc = subprocess.run([sys.executable, *flags, "-c", _LOAD_DRIVER, *paths],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
+    assert runs[0] == runs[1]
+    assert [o for o in runs[0] if o == "loads"] == []
