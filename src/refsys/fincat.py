@@ -262,8 +262,12 @@ def solutions(domains, constraints) -> Iterator[tuple]:
     branches = [iter(domains[0])]
     while branches:
         i = len(branches) - 1
+        checks = due[i]
         for values[i] in branches[i]:
-            if all(holds(*[values[j] for j in vs]) for vs, holds in due[i]):
+            for vs, holds in checks:
+                if not holds(*[values[j] for j in vs]):
+                    break
+            else:
                 break
         else:
             branches.pop()

@@ -29,15 +29,16 @@ the judgment it was asked for, :func:`conversion` the replacement
 expression, the cut the boundaries of its premises, and the pull/push rules
 the factor they were given.
 
-Every literal law instance runs the same few rules: the axioms of a
-judgment, the cut, the pull/push rules and derivation equality.  These
-read a derivation's boundaries as ``d.judgment.subject`` (and ``.expr``,
-``.target``), through the named tuples' C-level field getters rather than
-the ``Derivation`` properties, and build their ``Judgment`` and
-``Derivation`` values with ``tuple.__new__``, which skips the named
-tuples' Python ``__new__``.  The values are the same named tuples, and
-every check these rules make is an explicit ``if``, so it also runs under
-``python -O``.
+Every literal law instance runs the same few rules: an axiom over one
+model morphism, the cut, the pull/push rules and derivation equality.  The
+literal loop builds each axiom's judgment once for all the morphisms over
+it, as :func:`derivations_over` does.  These rules read a derivation's
+boundaries as ``d.judgment.subject`` (and ``.expr``, ``.target``),
+through the named tuples' C-level field getters rather than the
+``Derivation`` properties, and build their ``Judgment`` and ``Derivation``
+values with ``tuple.__new__``, which skips the named tuples' Python
+``__new__``.  The values are the same named tuples, and every check these
+rules make is an explicit ``if``, so it also runs under ``python -O``.
 """
 from __future__ import annotations
 
@@ -378,13 +379,9 @@ def derivations_over(sys: RefinementSystem, s, f, t) -> Iterator[Derivation]:
     """All derivations of a judgment, one per model morphism over f."""
     if not well_formed(sys, s, f, t):
         raise IllFormedError("ill-formed judgment")
-    yield from _axioms_over(sys, s, f, t)
-
-
-def _axioms_over(sys: RefinementSystem, s, f, t) -> Iterator[Derivation]:
-    """derivations_over for a judgment whose boundaries the caller has checked."""
     j = _new(Judgment, (s, f, t))
-    return (_new(Derivation, ("ax", j, (), m)) for m in sys.morphisms_over(s, f, t))
+    for m in sys.morphisms_over(s, f, t):
+        yield _new(Derivation, ("ax", j, (), m))
 
 
 def derivations_equal(sys: RefinementSystem, d1: Derivation, d2: Derivation) -> bool:

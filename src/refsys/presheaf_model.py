@@ -17,7 +17,12 @@ Every enumeration here runs on the one depth-first search of
 :mod:`refsys.fincat`, :func:`refsys.fincat.solutions`.  For natural
 transformations S => T(f-) (:func:`natural_components`, shared by
 ``morphisms_over`` and the residual values) the variables are the
-components, one per object, and each naturality square is a constraint; for
+components, one per object, each ranging over the raw index tables of
+``itertools.product``, and each naturality square is a constraint that
+compares index tables.  Only what is yielded becomes a function:
+``morphisms_over`` wraps each component of a transformation it yields as
+the ``FinFunction`` that ``all_functions`` gives at the table's rank,
+named ``c{rank}``, and the residual values read the tables directly.  For
 the arrows of a functor category the variables are the components in the
 hom-sets; for M-sets they are the action tables of the generators, under
 the composite law of each pair of arrows.  A square is tested as soon as
@@ -81,7 +86,6 @@ from .fincat import (
     FinFunctor,
     FinSet,
     _ProductCategory,
-    all_functions,
     canon_key,
     check_functor,
     enumerate_functors,
@@ -220,24 +224,35 @@ class NatTransOver:
 
 
 def natural_components(s: FinPresheaf, f: FinFunctor, t: FinPresheaf) -> Iterator[tuple]:
-    """The natural transformations S => T(f-), each as its tuple of components.
+    """The natural transformations S => T(f-), each as the tuple of its
+    components' index tables, in lexicographic order.
 
-    The components follow the objects of S's base, and each ranges over
-    ``all_functions`` (named ``c0``, ``c1``, ...), so the transformations
-    come in the lexicographic order of those tables.  Each naturality square
-    is one constraint of the search.
+    The components follow the objects of S's base, and each ranges over the
+    tables of ``itertools.product``.  Each naturality square is one
+    constraint of the search, and compares index tables.
     """
     at = {a: i for i, a in enumerate(s.cat.objects)}
-    spaces = [all_functions(s.ob[a], t.ob[f.ob(a)], name_prefix="c") for a in s.cat.objects]
+    spaces = [itertools.product(range(len(t.ob[f.ob(a)])), repeat=len(s.ob[a]))
+              for a in s.cat.objects]
     squares = [((at[a], at[a2]), _commutes(t.ar[f.ar(u)].idx, s.ar[u].idx))
                for u, (a, a2) in s.cat.arrows.items()]
     return solutions(spaces, squares)
 
 
+def _component(dom: FinSet, cod: FinSet, idx: tuple) -> FinFunction:
+    """The function with index table idx, as ``all_functions(dom, cod, "c")``
+    names it: ``c{rank}``, where the rank is idx's mixed-radix value."""
+    n, rank = len(cod), 0
+    for j in idx:
+        rank = rank * n + j
+    return FinFunction._from_idx(f"c{rank}", dom, cod, idx)
+
+
 def _commutes(t_u: tuple, s_u: tuple):
-    """The test that components c, c2 make the square c;T(fu) = S(u);c2
-    commute: the boundaries match, so it commutes iff the index tables do."""
-    return lambda c, c2: [t_u[j] for j in c.idx] == [c2.idx[i] for i in s_u]
+    """The test that components c, c2 (index tables) make the square
+    c;T(fu) = S(u);c2 commute: the boundaries match, so it commutes iff the
+    index tables do."""
+    return lambda c, c2: [t_u[j] for j in c] == [c2[i] for i in s_u]
 
 
 def _square(cat: FinCategory, f_u, g_u):
@@ -384,8 +399,10 @@ class PresheafSystem(RefinementSystem):
             raise IllFormedError(
                 f"{s.name} =[{f.name}]=> {t.name}: boundaries do not match"
             )
-        for components in natural_components(s, f, t):
-            yield NatTransOver(s, f, t, dict(zip(s.cat.objects, components)))
+        ends = [(a, s.ob[a], t.ob[f.ob(a)]) for a in s.cat.objects]
+        for tables in natural_components(s, f, t):
+            yield NatTransOver(s, f, t, {a: _component(dom, cod, idx)
+                                         for (a, dom, cod), idx in zip(ends, tables)})
 
     def id_interp(self, s: FinPresheaf) -> NatTransOver:
         return NatTransOver(
@@ -656,8 +673,9 @@ class PresheafSystem(RefinementSystem):
     def _nat_set(self, s: FinPresheaf, u: FinPresheaf, f: FinFunctor) -> tuple:
         """All natural transformations S => U(f-), each encoded as the tuple of
         its components' value tuples, in canonical order."""
-        out = [tuple(tuple([c.cod.elements[j] for j in c.idx]) for c in components)
-               for components in natural_components(s, f, u)]
+        cods = [u.ob[f.ob(a)].elements for a in s.cat.objects]
+        out = [tuple(tuple([el[j] for j in idx]) for el, idx in zip(cods, tables))
+               for tables in natural_components(s, f, u)]
         return tuple(sorted(out, key=canon_key))
 
     def _residual_presheaf(self, side: str, s: FinPresheaf, u: FinPresheaf) -> FinPresheaf:

@@ -21,11 +21,21 @@ the mode: membership where sys is proof-irrelevant, literal otherwise.  The
 law suites, universality, reflection and two-out-of-three all call it;
 check_beta_eta still takes the mode, so tests can run both as cross-checks.
 
+One loop runs the literal mode for both kinds of witness.  A pullback
+fixes its target and runs over subjects, a pushforward fixes its subject
+and runs over targets; call either the end.  For each factor g and end it
+builds the beta and the eta judgment once, and each model morphism over
+one of them, taken straight from ``morphisms_over``, is one instance: an
+axiom derivation, its round trip through the witness's rules (bound once
+per check) and one derivation equality; only a failing instance builds a
+message.  A witness builds g;f (or f;g) once per factor g and checks g's
+boundary then, and a later premise with the same g reuses both.
+
 The law checkers that loop over instances stop once their report is
 `full`: LawReport.failure_cap (5) failures are recorded.  Each checker
-tests this at its own break points (once per subject in the literal
-loops), so a report can hold a few more failures than the cap, and its
-instance count is what was checked up to that point.
+tests this at its own break points (once per end in the literal loop), so
+a report can hold a few more failures than the cap, and its instance
+count is what was checked up to that point.
 """
 from __future__ import annotations
 
@@ -42,7 +52,6 @@ from .kernel import (
     RefinementSystem,
     Status,
     VerticalIso,
-    _axioms_over,
     _new,
     axiom,
     classify,
@@ -109,9 +118,12 @@ class PullbackWitness:
     _last: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def _through(self, g):
-        """g;f, built once for a run of premises with the same factor g."""
+        """g;f, built once for a run of premises with the same factor g, whose
+        codomain is checked then."""
         last, gf = self._last
         if last is not g:
+            if self.sys.expr_cod(g) != self.sys.expr_dom(self.expr):
+                raise MismatchError("pullback right rule: factor has wrong codomain")
             gf = self.sys.compose_exprs(g, self.expr)
             self._last = (g, gf)
         return gf
@@ -119,10 +131,8 @@ class PullbackWitness:
     def right(self, beta: Derivation, g) -> Derivation:
         sys = self.sys
         j = beta.judgment
-        if j.target != self.target:
+        if j.target is not self.target and j.target != self.target:
             raise MismatchError("pullback right rule: premise has wrong target")
-        if sys.expr_cod(g) != sys.expr_dom(self.expr):
-            raise MismatchError("pullback right rule: factor has wrong codomain")
         gf = self._through(g)
         if j.expr is not gf and not sys.exprs_equal(j.expr, gf):
             raise MismatchError("pullback right rule: premise expression is not g;f")
@@ -147,9 +157,12 @@ class PushforwardWitness:
     _last: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def _through(self, g):
-        """f;g, built once for a run of premises with the same factor g."""
+        """f;g, built once for a run of premises with the same factor g, whose
+        domain is checked then."""
         last, fg = self._last
         if last is not g:
+            if self.sys.expr_dom(g) != self.sys.expr_cod(self.expr):
+                raise MismatchError("pushforward left rule: factor has wrong domain")
             fg = self.sys.compose_exprs(self.expr, g)
             self._last = (g, fg)
         return fg
@@ -157,10 +170,8 @@ class PushforwardWitness:
     def left(self, beta: Derivation, g) -> Derivation:
         sys = self.sys
         j = beta.judgment
-        if j.subject != self.subject:
+        if j.subject is not self.subject and j.subject != self.subject:
             raise MismatchError("pushforward left rule: premise has wrong subject")
-        if sys.expr_dom(g) != sys.expr_cod(self.expr):
-            raise MismatchError("pushforward left rule: factor has wrong domain")
         fg = self._through(g)
         if j.expr is not fg and not sys.exprs_equal(j.expr, fg):
             raise MismatchError("pushforward left rule: premise expression is not f;g")
@@ -207,13 +218,13 @@ def check_beta_eta(w, mode: str = "literal", x_types: Optional[tuple] = None) ->
     if mode not in ("literal", "membership"):
         raise ValueError(f"unknown mode {mode!r}")
     if isinstance(w, PullbackWitness):
-        kind, literal = "pullback", _check_pull
+        kind = "pullback"
     elif isinstance(w, PushforwardWitness):
-        kind, literal = "pushforward", _check_push
+        kind = "pushforward"
     else:
         raise TypeError(f"not a witness: {w!r}")
     if mode == "literal":
-        return literal(w, x_types)
+        return _check_literal(w, x_types)
     sys = w.sys
     if not sys.proof_irrelevant:
         raise CapabilityError("membership mode needs a proof-irrelevant system")
@@ -233,54 +244,49 @@ def _name(x) -> str:
     return getattr(x, "name", x)
 
 
-def _check_pull(w: PullbackWitness, x_types) -> LawReport:
-    sys = w.sys
-    rep = LawReport()
-    a = sys.expr_dom(w.expr)
-    for x in (x_types if x_types is not None else sys.i_types()):
-        subjects = sys.e_types_over(x)
-        for g in sys.expressions(x, a):
-            gf = w._through(g)
-            # every subject refines x, so one of them checks the factor's boundaries
-            if subjects and not (well_formed(sys, subjects[0], gf, w.target)
-                                 and well_formed(sys, subjects[0], g, w.etype)):
-                raise IllFormedError("ill-formed judgment")
-            for s in subjects:
-                for beta in _axioms_over(sys, s, gf, w.target):
-                    round_trip = compose_derivations(sys, w.right(beta, g), w.left)
-                    rep.check(derivations_equal(sys, round_trip, beta),
-                              lambda: f"beta-law fails at subject {s.name}, factor {_name(g)}")
-                for eta in _axioms_over(sys, s, g, w.etype):
-                    back = w.right(compose_derivations(sys, eta, w.left), g)
-                    rep.check(derivations_equal(sys, back, eta),
-                              lambda: f"eta-law fails at subject {s.name}, factor {_name(g)}")
-                if rep.full:
-                    return rep
-    return rep
+def _check_literal(w, x_types) -> LawReport:
+    """Both literal loops, in the order the laws quantify.
 
-
-def _check_push(w: PushforwardWitness, x_types) -> LawReport:
-    sys = w.sys
+    A pullback f*T fixes its target: the ends are the subjects S over each
+    x, the factors run over g : x -> A, beta over S =[g;f]=> T and eta over
+    S =[g]=> f*T.  A pushforward fS fixes its subject: the ends are the
+    targets T over each x, the factors run over g : B -> x, beta over
+    S =[f;g]=> T and eta over fS =[g]=> T.  Each judgment is built once per
+    (end, factor), and each morphism over it is one instance.
+    """
+    sys, etype, pull = w.sys, w.etype, isinstance(w, PullbackWitness)
+    # the rule that factors a premise, the unit it is cut with, and the fixed end
+    rule, unit, fixed = (w.right, w.left, w.target) if pull else (w.left, w.right, w.subject)
+    role = "subject" if pull else "target"
+    compose, equal, morphisms_over = compose_derivations, derivations_equal, sys.morphisms_over
     rep = LawReport()
-    b = sys.expr_cod(w.expr)
     for x in (x_types if x_types is not None else sys.i_types()):
-        targets = sys.e_types_over(x)
-        for g in sys.expressions(b, x):
-            fg = w._through(g)
-            # every target refines x, so one of them checks the factor's boundaries
-            if targets and not (well_formed(sys, w.subject, fg, targets[0])
-                                and well_formed(sys, w.etype, g, targets[0])):
-                raise IllFormedError("ill-formed judgment")
-            for t in targets:
-                for beta in _axioms_over(sys, w.subject, fg, t):
-                    round_trip = compose_derivations(sys, w.right, w.left(beta, g))
-                    rep.check(derivations_equal(sys, round_trip, beta),
-                              lambda: f"beta-law fails at target {t.name}, factor {_name(g)}")
-                for eta in _axioms_over(sys, w.etype, g, t):
-                    back = w.left(compose_derivations(sys, w.right, eta), g)
-                    rep.check(derivations_equal(sys, back, eta),
-                              lambda: f"eta-law fails at target {t.name}, factor {_name(g)}")
-                if rep.full:
+        ends = sys.e_types_over(x)
+        for g in (sys.expressions(x, sys.expr_dom(w.expr)) if pull
+                  else sys.expressions(sys.expr_cod(w.expr), x)):
+            h = w._through(g)
+            for e in ends:
+                (s, t), (s2, t2) = ((e, fixed), (e, etype)) if pull else ((fixed, e), (etype, e))
+                # every end refines x, so the first one checks the factor's boundaries
+                if e is ends[0] and not (well_formed(sys, s, h, t)
+                                         and well_formed(sys, s2, g, t2)):
+                    raise IllFormedError("ill-formed judgment")
+                j = _new(Judgment, (s, h, t))
+                for m in morphisms_over(s, h, t):
+                    beta = _new(Derivation, ("ax", j, (), m))
+                    rep.checked += 1
+                    back = (compose(sys, rule(beta, g), unit) if pull
+                            else compose(sys, unit, rule(beta, g)))
+                    if not equal(sys, back, beta):
+                        rep.failures.append(f"beta-law fails at {role} {e.name}, factor {_name(g)}")
+                j = _new(Judgment, (s2, g, t2))
+                for m in morphisms_over(s2, g, t2):
+                    eta = _new(Derivation, ("ax", j, (), m))
+                    rep.checked += 1
+                    back = rule(compose(sys, eta, unit) if pull else compose(sys, unit, eta), g)
+                    if not equal(sys, back, eta):
+                        rep.failures.append(f"eta-law fails at {role} {e.name}, factor {_name(g)}")
+                if rep.failures and rep.full:
                     return rep
     return rep
 

@@ -158,11 +158,6 @@ def full_subset(of: FinSet) -> Subset:
     return _subset(of, frozenset(range(len(of))))
 
 
-def _maps_into(f: FinFunction, s: Subset, t: Subset) -> bool:
-    """Whether f sends every member of s to a member of t."""
-    return t.ix.issuperset(map(f.idx.__getitem__, s.ix))
-
-
 def _preimage(f: FinFunction, ix: frozenset) -> Iterator[int]:
     """The positions of f's domain that f sends into ix."""
     return itertools.compress(itertools.count(), map(ix.__contains__, f.idx))
@@ -177,7 +172,7 @@ class SubsetMor(namedtuple("SubsetMor", "src expr dst")):
         # comparing tuples finds identical carriers equal without calling FinSet.__eq__
         if (expr.dom, expr.cod) != (src.of, dst.of):
             raise ValidationError("morphism boundaries do not match the expression")
-        if not _maps_into(expr, src, dst):
+        if not dst.ix.issuperset(map(expr.idx.__getitem__, src.ix)):
             raise ValidationError(f"{expr.name!r} does not map {src.name} into {dst.name}")
         return _new(cls, (src, expr, dst))
 
@@ -284,7 +279,7 @@ class SubsetSystem(RefinementSystem):
             raise IllFormedError(
                 f"{s.name} =[{f.name}]=> {t.name}: boundaries do not match"
             )
-        if _maps_into(f, s, t):
+        if t.ix.issuperset(map(f.idx.__getitem__, s.ix)):
             return (_new(SubsetMor, (s, f, t)),)
         return ()
 

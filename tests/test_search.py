@@ -271,3 +271,72 @@ def test_enumerators_match_on_the_bundled_categories():
     got = [(p.name, {u: tuple(fu.mapping.values()) for u, fu in p.ar.items()})
            for p in enumerate_monoid_presheaves(z3, 3)]
     assert got == ref_monoid_presheaves(z3, 3)
+
+
+# --- wider presheaves: 3-4 elements, involutions, chains, empty values ---------------
+
+def chain_category(n: int) -> FinCategory:
+    """o0 -> o1 -> ... -> o(n-1): one arrow i<=j from oi to oj for every i <= j."""
+    objs = tuple(f"o{i}" for i in range(n))
+    arrows = {f"{i}<={j}": (objs[i], objs[j]) for i in range(n) for j in range(i, n)}
+    comp = {(f"{i}<={j}", f"{j}<={k}"): f"{i}<={k}"
+            for i in range(n) for j in range(i, n) for k in range(j, n)}
+    return FinCategory(f"Ch{n}", objs, arrows, comp, {objs[i]: f"{i}<={i}" for i in range(n)})
+
+
+def chain_presheaf(rng: random.Random, cat: FinCategory, name: str, sizes) -> FinPresheaf:
+    """Values of the given sizes (empty ones only before the first non-empty one),
+    each step a random function and every other arrow the composite of its steps."""
+    ob = {o: FinSet(f"{name}({o})", tuple(range(k))) for o, k in zip(cat.objects, sizes)}
+    steps = [tuple(rng.randrange(sizes[i + 1]) for _ in range(sizes[i]))
+             for i in range(len(sizes) - 1)]
+    ar = {}
+    for u, (a, b) in cat.arrows.items():
+        i, j = cat.objects.index(a), cat.objects.index(b)
+        idx = tuple(range(sizes[i]))
+        for step in steps[i:j]:
+            idx = tuple(step[x] for x in idx)
+        ar[u] = FinFunction._from_idx(f"{name}[{u}]", ob[a], ob[b], idx)
+    return FinPresheaf(name, cat, ob, ar)
+
+
+def involution_presheaf(rng: random.Random, cat: FinCategory, name: str, n: int) -> FinPresheaf:
+    """n points with a random involution as the action of the generator of Z2."""
+    points = list(range(n))
+    rng.shuffle(points)
+    swap = list(range(n))
+    while len(points) > 1 and rng.random() < 0.7:
+        x, y = points.pop(), points.pop()
+        swap[x], swap[y] = y, x
+    value = FinSet(f"{name}(*)", tuple(range(n)))
+    return FinPresheaf(name, cat, {"*": value}, {
+        "e": FinFunction.identity(value),
+        "s": FinFunction._from_idx(f"{name}[s]", value, value, tuple(swap)),
+    })
+
+
+def _wide_bases(rng: random.Random):
+    z2 = monoid_category("Z2", ("e", "s"), {("e", "e"): "e", ("e", "s"): "s",
+                                            ("s", "e"): "s", ("s", "s"): "e"}, "e")
+    yield z2, [involution_presheaf(rng, z2, f"I{i}", n) for i, n in enumerate((0, 3, 4, 4))]
+    ch2, ch3 = chain_category(2), chain_category(3)
+    yield ch2, [chain_presheaf(rng, ch2, f"K{i}", sizes)
+                for i, sizes in enumerate(((3, 2), (2, 3), (0, 4), (4, 1)))]
+    yield ch3, [chain_presheaf(rng, ch3, f"L{i}", sizes)
+                for i, sizes in enumerate(((3, 2, 2), (0, 3, 2), (2, 1, 1), (0, 0, 3)))]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_natural_components_match_the_reference_on_wider_presheaves(seed):
+    rng = random.Random(seed)
+    for cat, ps in _wide_bases(rng):
+        for p in ps:
+            check_presheaf(p)
+        sys_ = build_presheaf_system((cat,), ps)
+        for s, t in itertools.product(ps, ps):
+            for f in sys_.expressions(cat, cat):
+                got = [tuple(m.components.values()) for m in sys_.morphisms_over(s, f, t)]
+                want = ref_natural_components(s, f, t)
+                assert [[(c.name, c.idx) for c in cs] for cs in got] == \
+                    [[(c.name, c.idx) for c in cs] for cs in want]
+                assert sys_._nat_set(s, t, f) == ref_nat_set(s, t, f)

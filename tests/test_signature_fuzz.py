@@ -3,10 +3,12 @@
 A mutant deletes one key (or list entry) of a bundled signature, or
 replaces one value with a JSON scalar, list or object.  The loader must
 load it or refuse it with SignatureError / RefinementError; a mutant that
-loads must run ``laws <sig> kernel --max-set 2`` to an exit code in 0-3
-without raising.  A fixed batch of mutants runs through the CLI once under
-``python`` and once under ``python -O``, and both must print the same
-exit codes and stdout.  A mutant that adds an unknown key, with the value
+loads must run ``laws <sig> kernel --max-set 2``, ``laws <sig> structures
+--max-set 2`` (which takes a presheaf mutant into the literal beta/eta
+loop) and ``check`` on its first declared type and expression to exit
+codes in 0-3 without raising.  A fixed batch of mutants runs through the
+CLI once under ``python`` and once under ``python -O``, and both must
+print the same exit codes and stdout.  A mutant that adds an unknown key, with the value
 null, to any object of a bundled signature is refused, under ``python``
 and ``python -O`` alike.
 """
@@ -58,10 +60,23 @@ def _mutant(doc, path, replacement):
     return out
 
 
-def _laws_kernel(path: str) -> int:
-    """The exit code of ``laws <path> kernel --max-set 2``, run in-process."""
+def _commands(path: str) -> list:
+    """The commands each loading mutant runs: two law suites and one judgment,
+    on its first declared type along its first declared expression (or the
+    identity, when it declares none)."""
+    sig = load_signature(path)
+    etype = next(iter(sig.etypes), "none")
+    judgment = (f"{etype} =[{next(iter(sig.exprs))}]=> {etype}" if sig.exprs
+                else f"{etype} <= {etype}")
+    return [["laws", path, "kernel", "--max-set", "2"],
+            ["laws", path, "structures", "--max-set", "2"],
+            ["check", path, judgment]]
+
+
+def _exit_code(argv: list) -> int:
+    """The exit code of the CLI on argv, run in-process."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main(["laws", path, "kernel", "--max-set", "2"])
+        return main(argv)
 
 
 _scalars = st.one_of(
@@ -89,10 +104,11 @@ def test_mutants_load_or_refuse_and_keep_the_exit_codes(doc):
         path = str(Path(tmp) / "mutant.json")
         Path(path).write_text(json.dumps(doc))
         try:
-            load_signature(path)
+            commands = _commands(path)
         except (SignatureError, RefinementError):
             return
-        assert _laws_kernel(path) in (0, 1, 2, 3)
+        for argv in commands:
+            assert _exit_code(argv) in (0, 1, 2, 3), argv
 
 
 _FIXED_VALUES = (DELETE, None, True, 0, -1, 2.5, "", "x", "B", [], [1, "a"], {}, {"of": "B"})
@@ -101,10 +117,10 @@ _BATCH_DRIVER = """
 import contextlib, io, json, sys
 from refsys.cli import main
 runs = []
-for path in sys.argv[1:]:
+for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(["laws", path, "kernel", "--max-set", "2"])
+        code = main(argv)
     runs.append([code, out.getvalue()])
 print(json.dumps(runs))
 """
@@ -128,19 +144,22 @@ def test_a_fixed_batch_of_mutants_behaves_alike_under_python_and_python_O(tmp_pa
             loads = False
         if len(batch[loads]) < 20:
             batch[loads].append(str(path))
+    # a loading mutant runs its three commands, a refused one the kernel suite
+    loaded = [argv for path in batch[True] for argv in _commands(path)]
+    refused = [["laws", path, "kernel", "--max-set", "2"] for path in batch[False]]
     env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent))
     runs = []
     for flags in ((), ("-O",)):
         proc = subprocess.run(
-            [sys.executable, *flags, "-c", _BATCH_DRIVER, *batch[True], *batch[False]],
+            [sys.executable, *flags, "-c", _BATCH_DRIVER, json.dumps(loaded + refused)],
             capture_output=True, text=True, env=env, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
         runs.append(json.loads(proc.stdout))
     assert runs[0] == runs[1]
     codes = [code for code, _ in runs[0]]
-    assert set(codes[:20]) <= {0, 1, 2, 3}
-    assert codes[20:] == [3] * 20
+    assert set(codes[:len(loaded)]) <= {0, 1, 2, 3}
+    assert codes[len(loaded):] == [3] * 20
 
 
 def _objects(value, prefix=()):
