@@ -14,9 +14,14 @@ and trivial models also take the closed structure from it:
     space         order, listed as ``itertools.product(C, repeat=|A|)``
     pairing       f x g : A x B -> A' x B'
     cells         assoc, unit_l, unit_r and their inverses (bijections)
-    evaluation    plugL : A x [A->C] -> C      plugR : [B->C] x B -> C
-    currying      lc f : B -> [A->C]           rc f : A -> [B->C]
-                  for f : A x B -> C
+    evaluation    plugL : A x [A->C] -> C      plugR : [A->C] x A -> C
+    currying      lc f : B -> [A->C]           rc f : B -> [A->C]
+                  for f : A x B -> C           for f : B x A -> C
+
+Evaluation and currying take a side, "left" or "right", and the fixed
+operand's set A first; :func:`refsys.kernel.in_place` puts A in its place
+in the product, and ``plug`` and ``curry`` each pick their index formula by
+the side.
 
 Every table is built as an index table (see
 :class:`refsys.fincat.FinFunction`), from positions alone.  A product lists
@@ -37,21 +42,21 @@ are distinct by construction, so no duplicate check runs.  A carrier past
 the bound is therefore refused before any of its members, or any member of
 a carrier built over it, exists.
 
-Products, function spaces, pairings, coherence cells and the evaluation
-and currying tables are built once per kit, so asking again returns the
-same object.  Products and function spaces are keyed by their factors,
-cells by their kind and the sets they act on, and plugL and plugR by their
-two sets; equal ``FinSet``s have equal names and elements, so an equal key
-gives an equal result.  Pairings are keyed by the identity of the two
-functions and curried tables by the identity of the table and its two
-factors, and each entry keeps its functions alive, so no id in a key is
-reused while the entry lives: ``FinFunction`` equality ignores the name
-that the pairing's and the currying's names are made from.  ``pair``
-builds a pairing without keeping it, for a caller that keeps what it
-builds from it.  Every carrier the kit would build with more than
-``max_carrier`` elements is refused with a CapabilityError that names its
-size, instead of exhausting memory.  A refusal is raised before anything
-is kept, so asking again is refused again, with the same text.
+Products, function spaces, pairings, coherence cells and the evaluation and
+currying tables are built once per kit, so asking again returns the same
+object.  Products and function spaces are keyed by their factors, cells by
+their kind and the sets they act on, and evaluation tables by their side
+and two sets; equal ``FinSet``s have equal names and elements, so an equal
+key gives an equal result.  Pairings are keyed by the identity of the two
+functions and curried tables by their side, the identity of the table and
+its two factors, and each entry keeps its functions alive, so no id in a
+key is reused while the entry lives: ``FinFunction`` equality ignores the
+name that the pairing's and the currying's names are made from.  ``pair``
+builds a pairing without keeping it, for a caller that keeps what it builds
+from it.  Every carrier the kit would build with more than ``max_carrier``
+elements is refused with a CapabilityError that names its size, instead of
+exhausting memory.  A refusal is raised before anything is kept, so asking
+again is refused again, with the same text.
 A function space's size is compared with the bound by ``power_exceeds``,
 which stops multiplying once past it, and a size with more digits than
 Python converts to a string is written as a power, such as ``2^16384``.
@@ -62,7 +67,7 @@ import itertools
 from functools import cached_property
 
 from .fincat import FinFunction, FinSet
-from .kernel import CapabilityError, MismatchError
+from .kernel import CapabilityError, MismatchError, in_place
 
 DEFAULT_MAX_CARRIER = 200_000
 
@@ -274,53 +279,46 @@ class CartesianKit:
             self._cells[kind, sets] = c
         return c
 
-    def plug_l(self, a: FinSet, c: FinSet) -> FinFunction:
-        p = self._plugs.get(("plugL", a, c))
+    def plug(self, side: str, a: FinSet, c: FinSet) -> FinFunction:
+        """Evaluation at the fixed operand's set A: plugL : A x [A->C] -> C on
+        the left, plugR : [A->C] x A -> C on the right."""
+        key = (side, a, c)
+        p = self._plugs.get(key)
         if p is None:
             fs = self.function_space(a, c)
+            dom = self.product(*in_place(side, a, fs))
             n, m = len(c), len(a)
-            # (x_i, t_k) is sent to t_k's i-th value, whose position is digit i of k
-            idx: list = []
-            for i in range(m):
-                idx.extend([d for d in range(n) for _ in range(n ** (m - 1 - i))] * n ** i)
-            p = self._plugs["plugL", a, c] = FinFunction._from_idx(
-                f"plugL[{a.name},{c.name}]", self.product(a, fs), c, tuple(idx))
+            if side == "left":
+                # (x_i, t_k) is sent to t_k's i-th value, whose position is digit i of k
+                idx: list = []
+                for i in range(m):
+                    idx.extend([d for d in range(n) for _ in range(n ** (m - 1 - i))] * n ** i)
+            else:
+                # (t_k, x_i) is sent to t_k's i-th value, whose position is digit i of k
+                idx = itertools.chain.from_iterable(itertools.product(range(n), repeat=m))
+            p = self._plugs[key] = FinFunction._from_idx(
+                f"plug{side[0].upper()}[{','.join(in_place(side, a.name, c.name))}]",
+                dom, c, tuple(idx))
         return p
 
-    def plug_r(self, c: FinSet, b: FinSet) -> FinFunction:
-        p = self._plugs.get(("plugR", c, b))
-        if p is None:
-            fs = self.function_space(b, c)
-            # (t_k, y_j) is sent to t_k's j-th value, whose position is digit j of k
-            idx = itertools.chain.from_iterable(itertools.product(range(len(c)), repeat=len(b)))
-            p = self._plugs["plugR", c, b] = FinFunction._from_idx(
-                f"plugR[{c.name},{b.name}]", self.product(fs, b), c, tuple(idx))
-        return p
-
-    def curry_l(self, f: FinFunction, a: FinSet, b: FinSet) -> FinFunction:
-        """lc f : B -> [A->C] for f : A x B -> C."""
-        key = ("lc", id(f), a, b)
+    def curry(self, side: str, f: FinFunction, a: FinSet, b: FinSet) -> FinFunction:
+        """The transpose B -> [A->C] into the fixed operand's function space:
+        lc f for f : A x B -> C on the left, rc f for f : B x A -> C on the right."""
+        key = (side, id(f), a, b)
         entry = self._curries.get(key)
         if entry is None:
-            self._require_product(f, a, b)
-            nb, n = len(b), len(f.cod)
+            self._require_product(f, *in_place(side, a, b))
+            na, nb, n = len(a), len(b), len(f.cod)
+            if side == "left":
+                # digit i of y's position is f at (x_i, y): row i of f's table
+                digits = (f.idx[i * nb:(i + 1) * nb] for i in range(na))
+            else:
+                # digit i of y's position is f at (y, x_i): column i of f's table
+                digits = (f.idx[i::na] for i in range(na))
             # holding f keeps its id from being reused while the entry lives
             entry = self._curries[key] = (f, FinFunction._from_idx(
-                f"lc({f.name})", b, self.function_space(a, f.cod),
-                _positions((f.idx[i * nb:(i + 1) * nb] for i in range(len(a))), nb, n),
-            ))
-        return entry[1]
-
-    def curry_r(self, f: FinFunction, a: FinSet, b: FinSet) -> FinFunction:
-        """rc f : A -> [B->C] for f : A x B -> C."""
-        key = ("rc", id(f), a, b)
-        entry = self._curries.get(key)
-        if entry is None:
-            self._require_product(f, a, b)
-            nb, n = len(b), len(f.cod)
-            entry = self._curries[key] = (f, FinFunction._from_idx(
-                f"rc({f.name})", a, self.function_space(b, f.cod),
-                _positions((f.idx[j::nb] for j in range(nb)), len(a), n),
+                f"{side[0]}c({f.name})", b, self.function_space(a, f.cod),
+                _positions(digits, nb, n),
             ))
         return entry[1]
 

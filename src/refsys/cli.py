@@ -15,11 +15,11 @@ import re
 import sys
 
 from .fincat import FinSet, render_elem
-from .kernel import RefinementError, Status, classify
+from .kernel import RefinementError, Status, classify, in_place
 # cmd_laws looks suites up in laws' own dict at call time, so a profiler that
 # wraps its entries (perfbench/tracer.py) also times `refsys laws`
 from .laws import SUITE_FNS as _SUITE_FNS, SUITES, etype_label
-from .monoidal import residual_left, residual_right, star_etype, wand_left_etype, wand_right_etype
+from .monoidal import residual, star_etype, wand_left_etype, wand_right_etype
 from .presheaf_model import FinPresheaf
 from .signature import Signature, SignatureError, load_signature
 from .structures import LawReport, pullback, pushforward
@@ -136,15 +136,11 @@ def cmd_push(sig: Signature, args) -> int:
 def cmd_residual(sig: Signature, args) -> int:
     if not sig.system.is_closed:
         raise UsageError(f"system {sig.name!r} has no residuals")
-    a = sig.etype(args.first)
-    b = sig.etype(args.second)
-    if args.side == "left":
-        w = residual_left(sig.system, a, b)
-        shown = f"left residual of {args.second} by {args.first}"
-    else:
-        w = residual_right(sig.system, a, b)
-        shown = f"right residual of {args.first} by {args.second}"
-    lines = [f"{shown}: {etype_label(w.etype)}"]
+    # the arguments are S U on the left and U T on the right: in_place gives (fixed, U)
+    first, second = sig.etype(args.first), sig.etype(args.second)
+    w = residual(sig.system, args.side, *in_place(args.side, first, second))
+    fixed, u = in_place(args.side, args.first, args.second)
+    lines = [f"{args.side} residual of {u} by {fixed}: {etype_label(w.etype)}"]
     _emit(args, lines, {
         "operation": f"residual_{args.side}",
         "first": args.first,

@@ -230,41 +230,36 @@ class RefinementSystem:
         """
         raise CapabilityError(f"{self.name}: not monoidal")
 
-    def residual_left_itype(self, a, c):
+    # The closed structure gives two residuals of U: negL[U]{S}, with S on the
+    # left of the tensor, and negR[U]{S}, with S on its right.  Each hook
+    # below serves both: side is "left" or "right", the fixed operand S comes
+    # first, and in_place puts it in its place in the tensor.
+    def residual_itype(self, a, c):
+        """The index type [A->C] of both residuals of an answer over C by a
+        fixed operand over A."""
         raise CapabilityError(f"{self.name}: not closed")
 
-    def residual_right_itype(self, c, b):
+    def plug_expr(self, side: str, a, c):
+        """Evaluation, plugL : A (x) [A->C] -> C or plugR : [A->C] (x) A -> C."""
         raise CapabilityError(f"{self.name}: not closed")
 
-    def plug_l_expr(self, a, c):
+    def curry_expr(self, side: str, f):
+        """The transpose of f : A (x) B -> C (left) or B (x) A -> C (right)
+        into the function space of the fixed operand A: lc f or rc f,
+        B -> [A->C]."""
         raise CapabilityError(f"{self.name}: not closed")
 
-    def plug_r_expr(self, c, b):
+    def residual_etype(self, side: str, s, u):
+        """negL[U]{S} or negR[U]{S}, the residual of U by the fixed operand S."""
         raise CapabilityError(f"{self.name}: not closed")
 
-    def curry_l_expr(self, f):
-        raise CapabilityError(f"{self.name}: not closed")
+    def residual_data(self, side: str, s, u):
+        """(etype, ev, curry) for the residual of U by S, sharing one built etype.
 
-    def curry_r_expr(self, f):
-        raise CapabilityError(f"{self.name}: not closed")
-
-    def residual_left_etype(self, s, u):
-        raise CapabilityError(f"{self.name}: not closed")
-
-    def residual_right_etype(self, u, t):
-        raise CapabilityError(f"{self.name}: not closed")
-
-    def residual_left_data(self, s, u):
-        """(etype, ev, curry) for negL[U]{S}, sharing one built residual etype.
-
-        ev interprets the evaluation S (x) etype => U, and curry(m, v) is the
-        transpose V => etype of m : S (x) V => U.
+        ev interprets the evaluation S (x) etype => U on the left and
+        etype (x) S => U on the right, and curry(m, v) is the transpose
+        V => etype of m : S (x) V => U, or of m : V (x) S => U.
         """
-        raise CapabilityError(f"{self.name}: not closed")
-
-    def residual_right_data(self, u, t):
-        """(etype, ev, curry) for negR[U]{T}: ev interprets etype (x) T => U, and
-        curry(m, v) transposes m : V (x) T => U into etype."""
         raise CapabilityError(f"{self.name}: not closed")
 
     def weighted_intersection_etype(self, a, family):
@@ -274,10 +269,24 @@ class RefinementSystem:
         raise CapabilityError(f"{self.name}: no weighted colimits")
 
 
+def in_place(side: str, fixed, other) -> tuple:
+    """The operands of a residual's tensor in order: (fixed, other) on the
+    "left" side, (other, fixed) on the "right".  The swap is its own inverse,
+    so it also splits a pair of the side's tensor into (fixed, other)."""
+    return (fixed, other) if side == "left" else (other, fixed)
+
+
 def well_formed(sys: RefinementSystem, s, f, t) -> bool:
-    """Boundary check: f must run from the index of s to the index of t."""
+    """Boundary check: f must run from the index of s to the index of t.
+
+    An index type is equal to itself without a call to its ``__eq__``.
+    """
     try:
-        return sys.expr_dom(f) == sys.refines(s) and sys.expr_cod(f) == sys.refines(t)
+        a, b = sys.expr_dom(f), sys.refines(s)
+        if a is not b and a != b:
+            return False
+        c, d = sys.expr_cod(f), sys.refines(t)
+        return c is d or c == d
     except (KeyError, IllFormedError):
         return False
 

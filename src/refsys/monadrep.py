@@ -70,12 +70,9 @@ from .structures import (
 )
 from .monoidal import (
     coherence_derivation,
-    residual_left,
-    residual_left_expr,
-    residual_left_map,
-    residual_right,
-    residual_right_expr,
-    residual_right_map,
+    residual,
+    residual_expr,
+    residual_map,
     shift_derivation,
     shift_expr,
     tensor_derivations,
@@ -248,39 +245,39 @@ def build_continuation_adjunction(sys: RefinementSystem, u) -> AdjunctionDescrip
     c = sys.refines(u)
 
     def l0(a):
-        return sys.residual_right_itype(c, a)
+        return sys.residual_itype(a, c)
 
     def r0(b):
-        return sys.residual_left_itype(b, c)
+        return sys.residual_itype(b, c)
 
     def l1(f):
-        return OpExpr(residual_right_expr(sys, c, f))
+        return OpExpr(residual_expr(sys, "right", f, c))
 
     def r1(g: OpExpr):
-        return residual_left_expr(sys, g.base, c)
+        return residual_expr(sys, "left", g.base, c)
 
     def l_etype(s):
-        return sys.residual_right_etype(u, s)
+        return sys.residual_etype("right", s, u)
 
     def r_etype(t):
-        return sys.residual_left_etype(t, u)
+        return sys.residual_etype("left", t, u)
 
     def l_der(alpha: Derivation) -> Derivation:
-        d = residual_right_map(sys, u, alpha)
+        d = residual_map(sys, "right", alpha, u)
         return Derivation("adj-L", Judgment(d.target, OpExpr(d.expr), d.subject),
                           (alpha,), OpMor(d.interp))
 
     def r_der(beta: Derivation) -> Derivation:
         # a q-derivation from T1 to T2 carries a base morphism T2 -> T1
-        d = residual_left_map(sys, from_interp(sys, beta.interp.base), u)
+        d = residual_map(sys, "left", from_interp(sys, beta.interp.base), u)
         return Derivation("adj-R", d.judgment, (beta,), d.interp)
 
     def eta_rule(s):
         return shift_derivation(sys, s, u)
 
     def eps_rule(t):
-        w_l = residual_left(sys, t, u)
-        w_r = residual_right(sys, u, w_l.etype)
+        w_l = residual(sys, "left", t, u)
+        w_r = residual(sys, "right", w_l.etype, u)
         d = w_r.curry(w_l.ev, t)
         return Derivation("eps", Judgment(d.target, OpExpr(d.expr), d.subject),
                           (d,), OpMor(d.interp))
@@ -288,13 +285,13 @@ def build_continuation_adjunction(sys: RefinementSystem, u) -> AdjunctionDescrip
     def sigma_rule(s, t):
         rl_t = r_etype(l_etype(t))
         st = sys.tensor_etype(s, t)
-        w_r_st = residual_right(sys, u, st)
+        w_r_st = residual(sys, "right", st, u)
         nr_st = w_r_st.etype
         assoc = coherence_derivation(sys, "assoc", (nr_st, s, t))
         inner1 = compose_derivations(sys, assoc, w_r_st.ev)
-        w_r_t = residual_right(sys, u, t)
+        w_r_t = residual(sys, "right", t, u)
         inner2 = w_r_t.curry(inner1, sys.tensor_etype(nr_st, s))
-        w_l_t = residual_left(sys, w_r_t.etype, u)
+        w_l_t = residual(sys, "left", w_r_t.etype, u)
         assoc_inv = coherence_derivation(sys, "assoc_inv", (nr_st, s, rl_t))
         step = compose_many(
             sys,
@@ -302,7 +299,7 @@ def build_continuation_adjunction(sys: RefinementSystem, u) -> AdjunctionDescrip
             tensor_derivations(sys, inner2, identity_derivation(sys, rl_t)),
             w_l_t.ev,
         )
-        w_l_st = residual_left(sys, nr_st, u)
+        w_l_st = residual(sys, "left", nr_st, u)
         return w_l_st.curry(step, sys.tensor_etype(s, rl_t))
 
     return AdjunctionDescriptor(
@@ -310,7 +307,7 @@ def build_continuation_adjunction(sys: RefinementSystem, u) -> AdjunctionDescrip
         p=sys, q=q,
         l0=l0, l1=l1, r0=r0, r1=r1,
         eta0=lambda a: shift_expr(sys, a, c),
-        eps0=lambda b: OpExpr(sys.curry_r_expr(sys.plug_l_expr(b, c))),
+        eps0=lambda b: OpExpr(sys.curry_expr("right", sys.plug_expr("left", b, c))),
         l_etype=l_etype, l_der=l_der, r_etype=r_etype, r_der=r_der,
         eta_rule=eta_rule, eps_rule=eps_rule,
         sigma_rule=sigma_rule,
@@ -549,7 +546,7 @@ def double_negation_comparison(adj: AdjunctionDescriptor, t, u) -> Derivation:
     if adj.sigma_rule is None:
         raise CapabilityError("comparison needs a strength")
     w = adj.r_etype(u)
-    w_r = residual_right(p, w, t)
+    w_r = residual(p, "right", t, w)
     n = w_r.etype
     rl_t = adj.rl_etype(t)
     step = compose_many(
@@ -558,7 +555,7 @@ def double_negation_comparison(adj: AdjunctionDescriptor, t, u) -> Derivation:
         adj.rl_der(w_r.ev),
         adj.r_der(adj.eps_rule(u)),
     )
-    w_l = residual_left(p, n, w)
+    w_l = residual(p, "left", n, w)
     d = w_l.curry(step, rl_t)
     return Derivation("dn-cmp", d.judgment, (d,), d.interp)
 
@@ -588,8 +585,8 @@ def double_negation_etypes(adj: AdjunctionDescriptor, t, u) -> tuple:
     """(N, DN): the single and double negation of T with answers R[U]."""
     p = adj.p
     w = adj.r_etype(u)
-    n = p.residual_right_etype(w, t)
-    dn = p.residual_left_etype(n, w)
+    n = p.residual_etype("right", t, w)
+    dn = p.residual_etype("left", n, w)
     return n, dn
 
 
@@ -643,12 +640,12 @@ def from_double_negation(adj: AdjunctionDescriptor, t, u, f) -> Derivation:
     n, dn = double_negation_etypes(adj, t, u)
     d1 = compose_derivations(p, adj.eta_rule(t), w_f.left)
     d2 = compose_derivations(p, coherence_derivation(p, "unit_l", (t,)), d1)
-    w_r = residual_right(p, w_ans, t)
+    w_r = residual(p, "right", t, w_ans)
     d3 = w_r.curry(d2, p.unit_etype())
     w_shift = pullback(p, shift_expr(p, b, cw), dn)
     pp = w_shift.etype
     d4 = tensor_derivations(p, d3, w_shift.left)
-    w_l = residual_left(p, n, w_ans)
+    w_l = residual(p, "left", n, w_ans)
     d5 = compose_derivations(p, d4, w_l.ev)
     d6 = compose_derivations(p, coherence_derivation(p, "unit_l_inv", (pp,)), d5)
     target_expr = p.compose_exprs(adj.eta0(b), f)
@@ -797,21 +794,21 @@ def double_negation_weakening(sys: RefinementSystem, t, u, f) -> Derivation:
     b = sys.refines(t)
     c = sys.refines(u)
     c2 = sys.expr_dom(f)
-    w_r_v = residual_right(sys, v, t)
+    w_r_v = residual(sys, "right", t, v)
     nr_v = w_r_v.etype
     step1 = compose_derivations(sys, w_r_v.ev, w_v.left)
-    w_r_u = residual_right(sys, u, t)
+    w_r_u = residual(sys, "right", t, u)
     step2 = w_r_u.curry(step1, nr_v)
     nr_u = w_r_u.etype
-    w_l_u = residual_left(sys, nr_u, u)
+    w_l_u = residual(sys, "left", nr_u, u)
     dn_u = w_l_u.etype
     w_shift_u = pullback(sys, shift_expr(sys, b, c), dn_u)
     step3 = tensor_derivations(sys, step2, w_shift_u.left)
     step4 = compose_derivations(sys, step3, w_l_u.ev)
-    plug_v = sys.plug_r_expr(c2, b)
+    plug_v = sys.plug_expr("right", b, c2)
     step5 = conversion(sys, step4, sys.compose_exprs(plug_v, f))
     step6 = w_v.right(step5, plug_v)
-    w_l_v = residual_left(sys, nr_v, v)
+    w_l_v = residual(sys, "left", nr_v, v)
     step7 = w_l_v.curry(step6, w_shift_u.etype)
     w_shift_v = pullback(sys, shift_expr(sys, b, c2), w_l_v.etype)
     return w_shift_v.right(step7, sys.id_expr(b))
@@ -849,7 +846,7 @@ def _point_expr(adj: AdjunctionDescriptor, t, encodings: dict):
     r_e = adj.r1(e_lt)
     lam = p.interp_expr(p.coherence_cell("unit_l", (t,)))
     inner = p.compose_exprs(p.compose_exprs(lam, adj.eta0(b)), r_e)
-    return r_e, p.curry_r_expr(inner)
+    return r_e, p.curry_expr("right", inner)
 
 
 def _evaluation_expr(adj: AdjunctionDescriptor, t, u, encodings: dict):
@@ -860,8 +857,8 @@ def _evaluation_expr(adj: AdjunctionDescriptor, t, u, encodings: dict):
     b = p.refines(t)
     _, dn = double_negation_etypes(adj, t, u)
     r_e, point = _point_expr(adj, t, encodings)
-    nr_itype = p.residual_right_itype(cw, b)
-    plug = p.plug_l_expr(nr_itype, cw)
+    nr_itype = p.residual_itype(b, cw)
+    plug = p.plug_expr("left", nr_itype, cw)
     lam_inv = p.interp_expr(p.coherence_cell("unit_l_inv", (dn,)))
     expr2 = p.compose_exprs(
         lam_inv,

@@ -12,12 +12,15 @@ currying rule:
                                 curry : (V (x) T =[f]=> U)  ->  V =[rc f]=> negR[U]{T}
 
 subject to beta/eta equations mirroring the pullback ones.  A model gives
-both from one hook per side, as it gives a pullback with its rules; the
-functorial action f -o g of a residual is the curried (f (x) id) ; ev ; g,
-on derivations and on index types.  On top of the residuals: double
-negation (shift into it, reset out of it), and the separating conjunction /
-magic wand pair obtained by pushing the tensor forward along a
-multiplication expression and pulling the residual back along its currying.
+both from one hook, ``residual_data``, that takes the side, as it gives a
+pullback with its rules.  Every function here that builds a residual takes
+the side too, and :func:`refsys.kernel.in_place` puts the fixed operand in
+its place in the tensor.  The functorial action f -o g of a residual is the
+curried (f (x) id) ; ev ; g, or (id (x) f) ; ev ; g, on derivations and on
+index types.  On top of the residuals: double negation (shift into it,
+reset out of it), and the separating conjunction / magic wand pair obtained
+by pushing the tensor forward along a multiplication expression and pulling
+the residual back along its currying.
 """
 from __future__ import annotations
 
@@ -41,6 +44,7 @@ from .kernel import (
     find_inverse,
     from_interp,
     identity_derivation,
+    in_place,
 )
 from .structures import LawReport, pullback, pushforward
 
@@ -232,20 +236,15 @@ class ResidualWitness:
     ev: Derivation
     transpose: Callable
 
-    def operands(self, x, v) -> tuple:
-        """x in the fixed operand's place and v in the other: (x, v) on the left."""
-        return (x, v) if self.side == "left" else (v, x)
-
     def curry(self, beta: Derivation, v) -> Derivation:
         """Transpose beta across the residual; v is the non-fixed operand."""
         sys = self.sys
         if beta.target != self.u:
             raise MismatchError("residual curry: premise has wrong target")
-        if beta.subject != sys.tensor_etype(*self.operands(self.fixed, v)):
+        if beta.subject != sys.tensor_etype(*in_place(self.side, self.fixed, v)):
             shape = "S (x) V" if self.side == "left" else "V (x) T"
             raise MismatchError(f"residual curry: premise subject is not {shape}")
-        rule = "lres-R" if self.side == "left" else "rres-R"
-        return from_interp(sys, self.transpose(beta.interp, v), rule, (beta,))
+        return from_interp(sys, self.transpose(beta.interp, v), f"{self.side[0]}res-R", (beta,))
 
     def uncurry(self, gamma: Derivation) -> Derivation:
         """Inverse transpose: pair gamma with the fixed side and evaluate."""
@@ -253,18 +252,15 @@ class ResidualWitness:
         if gamma.target != self.etype:
             raise MismatchError("residual uncurry: premise has wrong target")
         i_fixed = identity_derivation(sys, self.fixed)
-        paired = tensor_derivations(sys, *self.operands(i_fixed, gamma))
+        paired = tensor_derivations(sys, *in_place(self.side, i_fixed, gamma))
         return compose_derivations(sys, paired, self.ev)
 
 
-def residual_left(sys: RefinementSystem, s, u) -> ResidualWitness:
-    et, ev, curry = sys.residual_left_data(s, u)
-    return ResidualWitness(sys, "left", s, u, et, from_interp(sys, ev, "lres-L"), curry)
-
-
-def residual_right(sys: RefinementSystem, u, t) -> ResidualWitness:
-    et, ev, curry = sys.residual_right_data(u, t)
-    return ResidualWitness(sys, "right", t, u, et, from_interp(sys, ev, "rres-L"), curry)
+def residual(sys: RefinementSystem, side: str, fixed, u) -> ResidualWitness:
+    """The residual of u by fixed: negL[U]{S} on the "left", negR[U]{T} on the "right"."""
+    et, ev, curry = sys.residual_data(side, fixed, u)
+    return ResidualWitness(sys, side, fixed, u, et, from_interp(sys, ev, f"{side[0]}res-L"),
+                           curry)
 
 
 def check_residual_laws(w: ResidualWitness, vs, expr_cap: Optional[int] = None) -> LawReport:
@@ -281,7 +277,7 @@ def check_residual_laws(w: ResidualWitness, vs, expr_cap: Optional[int] = None) 
     c_itype = sys.refines(w.u)
     for v in vs:
         x = sys.refines(v)
-        sv = sys.tensor_etype(*w.operands(w.fixed, v))
+        sv = sys.tensor_etype(*in_place(w.side, w.fixed, v))
         dom_itype = sys.refines(sv)
         for f in itertools.islice(sys.expressions(dom_itype, c_itype), expr_cap):
             for beta in derivations_over(sys, sv, f, w.u):
@@ -298,77 +294,48 @@ def check_residual_laws(w: ResidualWitness, vs, expr_cap: Optional[int] = None) 
     return rep
 
 
-def residual_left_map(sys: RefinementSystem, alpha: Derivation, u,
-                      beta: Optional[Derivation] = None) -> Derivation:
-    """alpha -o beta : negL[U]{S} => negL[U']{S'} for alpha : S' =[f]=> S, beta : U => U'.
+def residual_map(sys: RefinementSystem, side: str, alpha: Derivation, u,
+                 beta: Optional[Derivation] = None) -> Derivation:
+    """alpha -o beta : negL[U]{S} => negL[U']{S'}, or the same of negR, for
+    alpha : S' =[f]=> S and beta : U => U'.
 
-    The transpose of (alpha (x) id) ; ev ; beta, with U' = U when beta is
-    left out; then it lies over residual_left_expr(f, C).
+    The transpose of (alpha (x) id) ; ev ; beta on the left and of
+    (id (x) alpha) ; ev ; beta on the right, with U' = U when beta is left
+    out; then it lies over residual_expr(sys, side, f, C).
     """
-    return _residual_map(lambda s, v: residual_left(sys, s, v), alpha, u, beta)
-
-
-def residual_right_map(sys: RefinementSystem, u, alpha: Derivation,
-                       beta: Optional[Derivation] = None) -> Derivation:
-    """The mirror image: negR[U]{T} => negR[U']{T'} for alpha : T' =[f]=> T, beta : U => U'.
-
-    The transpose of (id (x) alpha) ; ev ; beta, over residual_right_expr(C, f)
-    when beta is left out.
-    """
-    return _residual_map(lambda t, v: residual_right(sys, v, t), alpha, u, beta)
-
-
-def _residual_map(witness, alpha: Derivation, u, beta: Optional[Derivation]) -> Derivation:
     # alpha's target's witness comes before the step and its subject's after, the order refusals name
-    w = witness(alpha.target, u)
-    sys = w.sys
+    w = residual(sys, side, alpha.target, u)
     n = w.etype
     step = compose_derivations(
-        sys, tensor_derivations(sys, *w.operands(alpha, identity_derivation(sys, n))), w.ev
+        sys, tensor_derivations(sys, *in_place(side, alpha, identity_derivation(sys, n))), w.ev
     )
     if beta is not None:
         step = compose_derivations(sys, step, beta)
-    return witness(alpha.subject, step.target).curry(step, n)
+    return residual(sys, side, alpha.subject, step.target).curry(step, n)
 
 
-def residual_left_expr(sys: RefinementSystem, f, c):
-    """f -o C : [A->C] -> [A'->C] for f : A' -> A, the curried (f (x) id) ; plugL."""
+def residual_expr(sys: RefinementSystem, side: str, f, c):
+    """f -o C : [A->C] -> [A'->C] for f : A' -> A, the curried (f (x) id) ; plugL
+    on the left and (id (x) f) ; plugR on the right."""
     a = sys.expr_cod(f)
-    inner = sys.compose_exprs(
-        sys.tensor_expr(f, sys.id_expr(sys.residual_left_itype(a, c))), sys.plug_l_expr(a, c)
-    )
-    return sys.curry_l_expr(inner)
+    ident = sys.id_expr(sys.residual_itype(a, c))
+    inner = sys.compose_exprs(sys.tensor_expr(*in_place(side, f, ident)),
+                              sys.plug_expr(side, a, c))
+    return sys.curry_expr(side, inner)
 
 
-def residual_right_expr(sys: RefinementSystem, c, f):
-    """C o- f : [B->C] -> [B'->C] for f : B' -> B, the curried (id (x) f) ; plugR."""
-    b = sys.expr_cod(f)
-    inner = sys.compose_exprs(
-        sys.tensor_expr(sys.id_expr(sys.residual_right_itype(c, b)), f), sys.plug_r_expr(c, b)
-    )
-    return sys.curry_r_expr(inner)
-
-
-def residual_subtyping_left(sys: RefinementSystem, alpha_s: Derivation,
-                            alpha_u: Derivation) -> Derivation:
-    """negL is contravariant in S and covariant in U on subtypings.
+def residual_subtyping(sys: RefinementSystem, side: str, alpha_s: Derivation,
+                       alpha_u: Derivation) -> Derivation:
+    """Both residuals are contravariant in S and covariant in U on subtypings.
 
     From alpha_s : S' <= S and alpha_u : U <= U' (same carriers), derive
-    negL[U]{S} <= negL[U']{S'}.  The derived expression is table-equal to
-    the identity on the function space, and a conversion node records that.
+    negL[U]{S} <= negL[U']{S'}, or the same of negR.  The derived expression
+    is table-equal to the identity on the function space, and a conversion
+    node records that.
     """
     if not (sys.is_identity_expr(alpha_s.expr) and sys.is_identity_expr(alpha_u.expr)):
         raise MismatchError("residual subtyping needs subtyping premises")
-    d = residual_left_map(sys, alpha_s, alpha_u.subject, alpha_u)
-    return conversion(sys, d, sys.id_expr(sys.refines(d.subject)))
-
-
-def residual_subtyping_right(sys: RefinementSystem, alpha_t: Derivation,
-                             alpha_u: Derivation) -> Derivation:
-    """negR is contravariant in T and covariant in U on subtypings."""
-    if not (sys.is_identity_expr(alpha_t.expr) and sys.is_identity_expr(alpha_u.expr)):
-        raise MismatchError("residual subtyping needs subtyping premises")
-    d = residual_right_map(sys, alpha_u.subject, alpha_t, alpha_u)
+    d = residual_map(sys, side, alpha_s, alpha_u.subject, alpha_u)
     return conversion(sys, d, sys.id_expr(sys.refines(d.subject)))
 
 
@@ -376,18 +343,18 @@ def residual_subtyping_right(sys: RefinementSystem, alpha_t: Derivation,
 
 def shift_expr(sys: RefinementSystem, b, c):
     """B -> negL[C]{negR[C]{B}}: send x to evaluation-at-x."""
-    return sys.curry_l_expr(sys.plug_r_expr(c, b))
+    return sys.curry_expr("left", sys.plug_expr("right", b, c))
 
 
 def shift_derivation(sys: RefinementSystem, s, u) -> Derivation:
     """S entails its double negation with answers in U, over the shift expression."""
-    w_r = residual_right(sys, u, s)
-    w_l = residual_left(sys, w_r.etype, u)
+    w_r = residual(sys, "right", s, u)
+    w_l = residual(sys, "left", w_r.etype, u)
     return w_l.curry(w_r.ev, s)
 
 
 def double_negation_etype(sys: RefinementSystem, s, u):
-    return sys.residual_left_etype(sys.residual_right_etype(u, s), u)
+    return sys.residual_etype("left", sys.residual_etype("right", s, u), u)
 
 
 def reset_derivation(sys: RefinementSystem, t, u) -> Derivation:
@@ -396,8 +363,8 @@ def reset_derivation(sys: RefinementSystem, t, u) -> Derivation:
     The point is forced by currying the left unitor of T; the composite runs
     unit_l_inv, then that point tensored with the identity, then evaluation.
     """
-    w_r = residual_right(sys, t, t)
-    w_l = residual_left(sys, w_r.etype, u)
+    w_r = residual(sys, "right", t, t)
+    w_l = residual(sys, "left", w_r.etype, u)
     dn = w_l.etype
     lam = coherence_derivation(sys, "unit_l", (t,))
     pick = w_r.curry(lam, sys.unit_etype())
@@ -419,13 +386,13 @@ def star_etype(sys: RefinementSystem, mult, s, t):
 
 def wand_right_etype(sys: RefinementSystem, mult, u, t):
     """T -* U on the left operand: pull negR[U]{T} back along rc(mult)."""
-    et, _, _ = sys.pullback_data(sys.curry_r_expr(mult), sys.residual_right_etype(u, t))
+    et, _, _ = sys.pullback_data(sys.curry_expr("right", mult), sys.residual_etype("right", t, u))
     return et
 
 
 def wand_left_etype(sys: RefinementSystem, mult, s, u):
     """S -* U on the right operand: pull negL[U]{S} back along lc(mult)."""
-    et, _, _ = sys.pullback_data(sys.curry_l_expr(mult), sys.residual_left_etype(s, u))
+    et, _, _ = sys.pullback_data(sys.curry_expr("left", mult), sys.residual_etype("left", s, u))
     return et
 
 
@@ -451,16 +418,16 @@ def wand_intro_rule(sys: RefinementSystem, mult, beta: Derivation, s, t) -> Deri
         raise MismatchError("wand introduction: premise subject is not S * T")
     u = beta.target
     step = compose_derivations(sys, w_star.right, beta)
-    w_res = residual_right(sys, u, t)
+    w_res = residual(sys, "right", t, u)
     curried = w_res.curry(step, s)
-    w_pull = pullback(sys, sys.curry_r_expr(mult), w_res.etype)
+    w_pull = pullback(sys, sys.curry_expr("right", mult), w_res.etype)
     return w_pull.right(curried, sys.id_expr(sys.expr_dom(curried.expr)))
 
 
 def wand_elim_rule(sys: RefinementSystem, mult, u, t) -> Derivation:
     """(T -* U) * T <= U (application / modus ponens for the wand)."""
-    w_res = residual_right(sys, u, t)
-    w_pull = pullback(sys, sys.curry_r_expr(mult), w_res.etype)
+    w_res = residual(sys, "right", t, u)
+    w_pull = pullback(sys, sys.curry_expr("right", mult), w_res.etype)
     wand = w_pull.etype
     step = compose_derivations(
         sys,

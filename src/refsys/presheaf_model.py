@@ -42,8 +42,9 @@ components beside its tables.  The residual value at a functor F is the set
 of natural transformations S => U(F-), encoded as nested tuples of images.
 The two residuals negL[U]{S} and negR[U]{T} are the same construction with
 the fixed operand on either side of the tensor, so plugging, currying,
-evaluation and the residual presheaf are each written once, and only the
-order of the two operands depends on the side.  One plugging formula
+evaluation and the residual presheaf are each written once, as the hooks
+that take the side, and only the order of the two operands, which
+:func:`refsys.kernel.in_place` gives, depends on it.  One plugging formula
 serves both: plugL's F(u);θ_x' and plugR's θ_x;G(u) are the same arrow, by
 the naturality of θ.
 
@@ -96,6 +97,7 @@ from .fincat import (
 )
 from .kernel import (
     CapabilityError, IllFormedError, MismatchError, RefinementSystem, ValidationError,
+    in_place,
 )
 
 DEFAULT_MAX_FUNCTOR_OBJECTS = 64
@@ -594,68 +596,41 @@ class PresheafSystem(RefinementSystem):
         fcat = self._fcat_cache[a, c] = _FunctorCategory(a, c, functors)
         return fcat
 
-    def residual_left_itype(self, a: FinCategory, c: FinCategory) -> FinCategory:
+    def residual_itype(self, a: FinCategory, c: FinCategory) -> FinCategory:
         return self.functor_category(a, c)
 
-    def residual_right_itype(self, c: FinCategory, b: FinCategory) -> FinCategory:
-        return self.functor_category(b, c)
-
-    def plug_l_expr(self, a: FinCategory, c: FinCategory) -> FinFunctor:
-        return self._plug("L", a, c)
-
-    def plug_r_expr(self, c: FinCategory, b: FinCategory) -> FinFunctor:
-        return self._plug("R", b, c)
-
-    def curry_l_expr(self, h: FinFunctor) -> FinFunctor:
-        return self._curry_expr("L", h)
-
-    def curry_r_expr(self, h: FinFunctor) -> FinFunctor:
-        return self._curry_expr("R", h)
-
-    def residual_left_etype(self, s: FinPresheaf, u: FinPresheaf) -> FinPresheaf:
-        return self._residual_presheaf("L", s, u)
-
-    def residual_right_etype(self, u: FinPresheaf, t: FinPresheaf) -> FinPresheaf:
-        return self._residual_presheaf("R", t, u)
-
-    def residual_left_data(self, s: FinPresheaf, u: FinPresheaf):
-        return self._residual_data("L", s, u)
-
-    def residual_right_data(self, u: FinPresheaf, t: FinPresheaf):
-        return self._residual_data("R", t, u)
-
     # Each side's closed structure is written once below, for the fixed operand's
-    # base A (S's on the left, T's on the right) and the functor category [A,C];
-    # _in_place puts the two in the order of the side's tensor.
+    # base A and the functor category [A,C]; in_place puts the two in the order
+    # of the side's tensor.
 
-    def _plug(self, side: str, a: FinCategory, c: FinCategory) -> FinFunctor:
+    def plug_expr(self, side: str, a: FinCategory, c: FinCategory) -> FinFunctor:
         """plugL : A x [A,C] -> C or plugR : [A,C] x A -> C, evaluation.
 
         An arrow (u, n) is sent to F(u);n at u's target, which naturality
         makes equal to n at u's source followed by G(u)."""
         fcat = self.functor_category(a, c)
-        dom = self.tensor_itype(*_in_place(side, a, fcat))
+        dom = self.tensor_itype(*in_place(side, a, fcat))
         ob, ar = {}, {}
         for p in dom.objects:
-            x, fn = _in_place(side, *p)
+            x, fn = in_place(side, *p)
             ob[p] = fcat.functors[fn].ob(x)
         for p in dom.arrows:
-            u, nm = _in_place(side, *p)
+            u, nm = in_place(side, *p)
             ar[p] = c.compose(fcat.functors[fcat.src(nm)].ar(u), fcat.components[nm][a.dst(u)])
-        return FinFunctor(f"plug{side}[{','.join(_in_place(side, a.name, c.name))}]",
+        return FinFunctor(f"plug{side[0].upper()}[{','.join(in_place(side, a.name, c.name))}]",
                           dom, c, ob, ar)
 
-    def _curry_expr(self, side: str, h: FinFunctor) -> FinFunctor:
+    def curry_expr(self, side: str, h: FinFunctor) -> FinFunctor:
         """h : A x B -> C curried, lc(h) : B -> [A,C] or rc(h) : A -> [B,C]:
         an object y of the other factor goes to h with y in its place."""
-        a, b = _in_place(side, *self.tensor_factors(h.dom))
+        a, b = in_place(side, *self.tensor_factors(h.dom))
         fcat = self.functor_category(a, h.cod)
 
         def frozen_at(y) -> str:
             partial = FinFunctor(
                 "partial", a, h.cod,
-                {x: h.ob(_in_place(side, x, y)) for x in a.objects},
-                {u: h.ar(_in_place(side, u, b.identity(y))) for u in a.arrows},
+                {x: h.ob(in_place(side, x, y)) for x in a.objects},
+                {u: h.ar(in_place(side, u, b.identity(y))) for u in a.arrows},
             )
             for name, f in fcat.functors.items():
                 if f == partial:
@@ -665,10 +640,10 @@ class PresheafSystem(RefinementSystem):
         object_map = {y: frozen_at(y) for y in b.objects}
         arrow_map = {
             v: fcat.arrow(object_map[y], object_map[y2],
-                          tuple(h.ar(_in_place(side, a.identity(x), v)) for x in a.objects))
+                          tuple(h.ar(in_place(side, a.identity(x), v)) for x in a.objects))
             for v, (y, y2) in b.arrows.items()
         }
-        return FinFunctor(f"{side.lower()}c({h.name})", b, fcat, object_map, arrow_map)
+        return FinFunctor(f"{side[0]}c({h.name})", b, fcat, object_map, arrow_map)
 
     def _nat_set(self, s: FinPresheaf, u: FinPresheaf, f: FinFunctor) -> tuple:
         """All natural transformations S => U(f-), each encoded as the tuple of
@@ -678,11 +653,11 @@ class PresheafSystem(RefinementSystem):
                for tables in natural_components(s, f, u)]
         return tuple(sorted(out, key=canon_key))
 
-    def _residual_presheaf(self, side: str, s: FinPresheaf, u: FinPresheaf) -> FinPresheaf:
+    def residual_etype(self, side: str, s: FinPresheaf, u: FinPresheaf) -> FinPresheaf:
         """negL[U]{S} or negR[U]{S} over [A,C]: at F the natural transformations
         S => U(F-), moved along an arrow by its components' actions in U."""
         fcat = self.functor_category(s.cat, u.cat)
-        name = f"neg{side}[{u.name}]{{{s.name}}}"
+        name = f"neg{side[0].upper()}[{u.name}]{{{s.name}}}"
         ob = {fn: FinSet(f"{name}({fn})", self._nat_set(s, u, f))
               for fn, f in fcat.functors.items()}
         ar = {}
@@ -696,45 +671,38 @@ class PresheafSystem(RefinementSystem):
             ar[nm] = FinFunction(f"{name}[{nm}]", ob[fn], ob[gn], mapping)
         return FinPresheaf(name, fcat, ob, ar)
 
-    def _residual_data(self, side: str, s: FinPresheaf, u: FinPresheaf):
+    def residual_data(self, side: str, s: FinPresheaf, u: FinPresheaf):
         """The residual of U by the fixed operand S, its evaluation and its currying."""
-        res = self._residual_presheaf(side, s, u)
-        src = self.tensor_etype(*_in_place(side, s, res))
-        expr = self._plug(side, s.cat, u.cat)
-        ev = "".join(_in_place(side, "e", "v"))  # ev@ on the left, ve@ on the right
+        res = self.residual_etype(side, s, u)
+        src = self.tensor_etype(*in_place(side, s, res))
+        expr = self.plug_expr(side, s.cat, u.cat)
+        ev = "".join(in_place(side, "e", "v"))  # ev@ on the left, ve@ on the right
         at = {a: i for i, a in enumerate(s.cat.objects)}
         comps = {}
         for p in src.cat.objects:
-            a, _ = _in_place(side, *p)
+            a, _ = in_place(side, *p)
             mapping = {}
             for pair in src.ob[p].elements:
                 # an encoding lists each component's values in the order of S(a)
-                x, enc = _in_place(side, *pair)
+                x, enc = in_place(side, *pair)
                 mapping[pair] = enc[at[a]][s.ob[a].index(x)]
             comps[p] = FinFunction(f"{ev}@{render_elem(p)}", src.ob[p], u.ob[expr.ob(p)],
                                    mapping)
 
         def curry(m: NatTransOver, v: FinPresheaf) -> NatTransOver:
             # y is sent to the encoding of m(-, y): one value tuple per object of S's base
-            expr = self._curry_expr(side, m.expr)
+            expr = self.curry_expr(side, m.expr)
             comps = {}
             for b in v.cat.objects:
-                mapping = {y: tuple(tuple(m.components[_in_place(side, a, b)](_in_place(side, x, y))
+                mapping = {y: tuple(tuple(m.components[in_place(side, a, b)](in_place(side, x, y))
                                           for x in s.ob[a].elements)
                                     for a in s.cat.objects)
                            for y in v.ob[b].elements}
-                comps[b] = FinFunction(f"{side.lower()}cur@{render_elem(b)}", v.ob[b],
+                comps[b] = FinFunction(f"{side[0]}cur@{render_elem(b)}", v.ob[b],
                                        res.ob[expr.ob(b)], mapping)
             return NatTransOver(v, expr, res, comps)
 
         return res, NatTransOver(src, expr, u, comps), curry
-
-
-def _in_place(side: str, x, v) -> tuple:
-    """x in the fixed operand's place and v in the other: (x, v) on the left,
-    (v, x) on the right.  The swap is its own inverse, so it also splits a
-    pair of the side's tensor into (fixed, other)."""
-    return (x, v) if side == "L" else (v, x)
 
 
 def _operands(kind: str, x) -> tuple:

@@ -11,11 +11,11 @@ The model provides the full structural repertoire: inverse/direct image
 (pullback/pushforward), weighted intersections and unions, the cartesian
 tensor with explicit coherence cells, and the function-space residuals
 
-    left  residual of U by S:  { t : A -> C | t(S) <= U }
-    right residual of U by T:  { t : B -> C | t(T) <= U }
+    left and right residual of U by S:  { t : A -> C | t(S) <= U }
 
-whose carriers coincide (the cartesian tensor is symmetric, so both are the
-plain function space).  The index level is cartesian closed, so its
+which coincide (the cartesian tensor is symmetric), so every closed hook
+takes the side only to pass it to the kit's evaluation and currying and to
+order the evaluation's tensor.  The index level is cartesian closed, so its
 carriers (products, function spaces, the unit 1 = {*}) and its tables
 (pairing, coherence cells, evaluation, currying) come from the system's
 :class:`refsys.cartesian.CartesianKit`, which builds each carrier,
@@ -53,10 +53,10 @@ the positions in S and all of C's elsewhere, |U|^|S| * |C|^(|A|-|S|)
 positions of the space.  The left residual of U by S and the right
 residual of U by S are the same subset, kept once per (S, U) and shared
 by both sides.  The guard applies to the function space, which every
-residual is built inside, and a residual's evaluation asks for its carrier
-S x [A->C] (or [B->C] x T) first, so a refused evaluation builds no
-residual, and a residual kept from an earlier call does not move that
-refusal.  No refusal is kept.
+residual is built inside, and ``residual_data`` asks for the evaluation
+table, over S x [A->C] (or [A->C] x S), first, so a refused evaluation
+builds no residual, and a residual kept from an earlier call does not move
+that refusal.  No refusal is kept.
 
 ``Subset`` and ``SubsetMor`` are named tuples.  Their public constructors,
 ``Subset(of, elements)`` (and ``subset``) and ``SubsetMor(src, expr, dst)``,
@@ -96,6 +96,7 @@ from .kernel import (
     RefinementSystem,
     ValidationError,
     _new,
+    in_place,
 )
 
 MAX_ENUMERATED_CARRIER = 16
@@ -393,37 +394,31 @@ class SubsetSystem(RefinementSystem):
     def function_space(self, a: FinSet, c: FinSet) -> FinSet:
         return self.kit.function_space(a, c)
 
-    def residual_left_itype(self, a: FinSet, c: FinSet) -> FinSet:
+    def residual_itype(self, a: FinSet, c: FinSet) -> FinSet:
         return self.function_space(a, c)
 
-    def residual_right_itype(self, c: FinSet, b: FinSet) -> FinSet:
-        return self.function_space(b, c)
+    def plug_expr(self, side: str, a: FinSet, c: FinSet) -> FinFunction:
+        return self.kit.plug(side, a, c)
 
-    def plug_l_expr(self, a: FinSet, c: FinSet) -> FinFunction:
-        return self.kit.plug_l(a, c)
+    def curry_expr(self, side: str, f: FinFunction) -> FinFunction:
+        return self.kit.curry(side, f, *in_place(side, *self.kit.factors(f.dom)))
 
-    def plug_r_expr(self, c: FinSet, b: FinSet) -> FinFunction:
-        return self.kit.plug_r(c, b)
-
-    def curry_l_expr(self, f: FinFunction) -> FinFunction:
-        return self.kit.curry_l(f, *self.kit.factors(f.dom))
-
-    def curry_r_expr(self, f: FinFunction) -> FinFunction:
-        return self.kit.curry_r(f, *self.kit.factors(f.dom))
-
-    def _residual(self, s: Subset, u: Subset) -> Subset:
+    def residual_etype(self, side: str, s: Subset, u: Subset) -> Subset:
         """{ t : A -> C | t(S) <= U } for S <= A and U <= C, built once per (S, U).
 
-        [A->C] lists the tuples of ``itertools.product(C, repeat=|A|)`` in
-        lexicographic order, so the tuple at position k has the base-|C|
-        digits of k as its value positions, the first most significant.  The
-        residual is the mixed-radix product in which a position of A in S
-        takes the positions of U and every other position all of C; its size
-        is |U|^|S| * |C|^(|A|-|S|).  Each prefix followed by free positions
-        is one range of the space's positions, so the space's elements are
-        never read.  The prefixes of all but the last digit are listed; those
-        of the last, the largest level, are streamed into the result.  A
-        refused function space raises before anything is kept.
+        The cartesian tensor is symmetric, so both sides are this subset,
+        the same object.  [A->C] lists the tuples of
+        ``itertools.product(C, repeat=|A|)`` in lexicographic order, so the
+        tuple at position k has the base-|C| digits of k as its value
+        positions, the first most significant.  The residual is the
+        mixed-radix product in which a position of A in S takes the
+        positions of U and every other position all of C; its size is
+        |U|^|S| * |C|^(|A|-|S|).  Each prefix followed by free positions is
+        one range of the space's positions, so the space's elements are
+        never read.  The prefixes of all but the last digit are listed;
+        those of the last, the largest level, are streamed into the result.
+        The function space [A->C] is subject to the ``max_carrier`` guard,
+        and a refused one raises before anything is kept.
         """
         res = self._residuals.get((s, u))
         if res is None:
@@ -445,38 +440,13 @@ class SubsetSystem(RefinementSystem):
             )))
         return res
 
-    def residual_left_etype(self, s: Subset, u: Subset) -> Subset:
-        """Left residual of U by S: the functions in [A->C] that map S into U.
-
-        Built once per (S, U) by :meth:`_residual`, with
-        |U|^|S| * |C|^(|A|-|S|) members; the function space [A->C] itself
-        is still subject to the ``max_carrier`` guard.
-        """
-        return self._residual(s, u)
-
-    def residual_right_etype(self, u: Subset, t: Subset) -> Subset:
-        """Right residual of U by T: the functions in [B->C] that map T into U.
-
-        The cartesian tensor is symmetric, so this is the left residual of
-        U by T, the same object, kept once per (T, U) by :meth:`_residual`
-        with |U|^|T| * |C|^(|B|-|T|) members; [B->C] is still subject to the
-        ``max_carrier`` guard.
-        """
-        return self._residual(t, u)
-
-    def residual_left_data(self, s: Subset, u: Subset):
-        # the evaluation's carrier S x [A->C] is refused before the residual is built
-        self.kit.product(s.of, self.function_space(s.of, u.of))
-        res = self._residual(s, u)
+    def residual_data(self, side: str, s: Subset, u: Subset):
+        # the evaluation, over S x [A->C] or [A->C] x S, is refused before the residual is built
+        plug = self.kit.plug(side, s.of, u.of)
+        res = self.residual_etype(side, s, u)
         # a residual's members send S into U, so evaluation maps S x res into U
-        ev = _mor(self.tensor_etype(s, res), self.plug_l_expr(s.of, u.of), u)
-        return res, ev, lambda m, v: SubsetMor(v, self.curry_l_expr(m.expr), res)
-
-    def residual_right_data(self, u: Subset, t: Subset):
-        self.kit.product(self.function_space(t.of, u.of), t.of)
-        res = self._residual(t, u)
-        ev = _mor(self.tensor_etype(res, t), self.plug_r_expr(u.of, t.of), u)
-        return res, ev, lambda m, v: SubsetMor(v, self.curry_r_expr(m.expr), res)
+        ev = _mor(self.tensor_etype(*in_place(side, s, res)), plug, u)
+        return res, ev, lambda m, v: SubsetMor(v, self.curry_expr(side, m.expr), res)
 
 
 def build_subset_system(sets, name: str = "subset",

@@ -10,11 +10,12 @@ for exhibiting inequations that proof-irrelevant models cannot see.
 
 Pullback and pushforward along the identity are trivial (the type itself),
 while the monoidal and closed structure is real: tensor is the cartesian
-product of sets, residuals are full function spaces, and the coherence
-cells are honest bijections.  The refinement level is cartesian closed, so
-these carriers and tables (products, function spaces, pairing, coherence
-cells, evaluation plugL/plugR and currying lc/rc) come from the system's
-:class:`refsys.cartesian.CartesianKit`, which builds each carrier,
+product of sets, both residuals of U by S are the full function space
+[S->U], and the coherence cells are honest bijections.  The refinement
+level is cartesian closed, so these carriers and tables (products,
+function spaces, pairing, coherence cells, and evaluation plugL/plugR and
+currying lc/rc, which the kit picks by the residual's side) come from the
+system's :class:`refsys.cartesian.CartesianKit`, which builds each carrier,
 pairing, coherence cell, evaluation table and curried table once and
 refuses any carrier larger than ``max_carrier`` with a CapabilityError.
 """
@@ -152,39 +153,22 @@ class TrivialSystem(RefinementSystem):
     def function_space(self, s: FinSet, u: FinSet) -> FinSet:
         return self.kit.function_space(s, u)
 
-    def residual_left_itype(self, a, c):
+    def residual_itype(self, a, c):
         return POINT
 
-    def residual_right_itype(self, c, b):
-        return POINT
-
-    def plug_l_expr(self, a, c) -> str:
+    def plug_expr(self, side: str, a, c) -> str:
         return POINT_EXPR
 
-    def plug_r_expr(self, c, b) -> str:
-        return POINT_EXPR
-
-    def curry_l_expr(self, f: str) -> str:
+    def curry_expr(self, side: str, f: str) -> str:
         _require_expr(f)
         return POINT_EXPR
 
-    def curry_r_expr(self, f: str) -> str:
-        _require_expr(f)
-        return POINT_EXPR
-
-    def residual_left_etype(self, s: FinSet, u: FinSet) -> FinSet:
+    def residual_etype(self, side: str, s: FinSet, u: FinSet) -> FinSet:
         return self.function_space(s, u)
 
-    def residual_right_etype(self, u: FinSet, t: FinSet) -> FinSet:
-        return self.function_space(t, u)
-
-    def residual_left_data(self, s: FinSet, u: FinSet):
-        return (self.function_space(s, u), self.kit.plug_l(s, u),
-                lambda m, v: self.kit.curry_l(m, s, v))
-
-    def residual_right_data(self, u: FinSet, t: FinSet):
-        return (self.function_space(t, u), self.kit.plug_r(u, t),
-                lambda m, v: self.kit.curry_r(m, v, t))
+    def residual_data(self, side: str, s: FinSet, u: FinSet):
+        return (self.function_space(s, u), self.kit.plug(side, s, u),
+                lambda m, v: self.kit.curry(side, m, s, v))
 
 
 def build_trivial_system(sets, name: str = "trivial",

@@ -26,7 +26,7 @@ from refsys import subset_model
 from refsys.cartesian import CartesianKit, _positions
 from refsys.cli import main
 from refsys.fincat import FinFunction, FinSet
-from refsys.kernel import CapabilityError
+from refsys.kernel import CapabilityError, in_place
 from refsys.monadrep import (
     build_continuation_adjunction,
     check_retraction,
@@ -102,11 +102,9 @@ BUILDS = {
 @pytest.mark.parametrize("run", sorted(BUILDS))
 def test_each_residual_evaluation_and_currying_is_built_once(run, monkeypatch):
     builders = {
-        SubsetSystem._residual.__code__: "residual",
-        CartesianKit.plug_l.__code__: "plug",
-        CartesianKit.plug_r.__code__: "plug",
-        CartesianKit.curry_l.__code__: "curry",
-        CartesianKit.curry_r.__code__: "curry",
+        SubsetSystem.residual_etype.__code__: "residual",
+        CartesianKit.plug.__code__: "plug",
+        CartesianKit.curry.__code__: "curry",
     }
     counts = collections.Counter()
     from_idx, new_subset = FinFunction._from_idx, subset_model._subset
@@ -169,6 +167,15 @@ def _fresh_curry_r(kit, f, a, b) -> FinFunction:
     )
 
 
+def _fresh_plug(kit, side, a, c) -> FinFunction:
+    return _fresh_plug_l(kit, a, c) if side == "left" else _fresh_plug_r(kit, c, a)
+
+
+def _fresh_curry(kit, side, f, a, b) -> FinFunction:
+    # the kit takes the fixed operand's set first, the references the product's factors
+    return _fresh_curry_l(kit, f, a, b) if side == "left" else _fresh_curry_r(kit, f, b, a)
+
+
 def _same_table(got: FinFunction, fresh: FinFunction) -> None:
     assert (got.name, got.dom, got.cod, got.idx) == (fresh.name, fresh.dom, fresh.cod, fresh.idx)
     assert (got.dom.name, got.cod.name) == (fresh.dom.name, fresh.cod.name)
@@ -178,33 +185,31 @@ def _same_table(got: FinFunction, fresh: FinFunction) -> None:
 def test_every_kept_residual_evaluation_and_currying_equals_a_fresh_build(run, monkeypatch):
     # each result, by id, with what it was built from
     built: dict = {}
-    originals = {name: getattr(CartesianKit, name)
-                 for name in ("plug_l", "plug_r", "curry_l", "curry_r")}
-    residual = SubsetSystem._residual
+    originals = {name: getattr(CartesianKit, name) for name in ("plug", "curry")}
+    residual = SubsetSystem.residual_etype
 
     def recorded(name):
-        def method(self, *args):
-            out = originals[name](self, *args)
-            assert originals[name](self, *args) is out
-            built[id(out)] = (name, self, args, out)
+        def method(self, side, *args):
+            out = originals[name](self, side, *args)
+            assert originals[name](self, side, *args) is out
+            built[id(out)] = ((name, side), self, (side, *args), out)
             return out
         return method
 
-    def recorded_residual(self, s, u):
-        res = residual(self, s, u)
-        built[id(res)] = ("residual", self, (s, u), res)
+    def recorded_residual(self, side, s, u):
+        res = residual(self, side, s, u)
+        built[id(res)] = (("residual", None), self, (s, u), res)
         return res
 
     for name in originals:
         monkeypatch.setattr(CartesianKit, name, recorded(name))
-    monkeypatch.setattr(SubsetSystem, "_residual", recorded_residual)
+    monkeypatch.setattr(SubsetSystem, "residual_etype", recorded_residual)
     RUNS[run]()
-    kinds = {name for name, *_ in built.values()}
-    assert kinds >= {"plug_l", "plug_r", "curry_l", "curry_r"}
-    assert ("residual" in kinds) == (run != "laws trivial2.json all")
-    fresh_tables = {"plug_l": _fresh_plug_l, "plug_r": _fresh_plug_r,
-                    "curry_l": _fresh_curry_l, "curry_r": _fresh_curry_r}
-    for name, owner, args, out in built.values():
+    kinds = {kind for kind, *_ in built.values()}
+    assert kinds >= set(itertools.product(("plug", "curry"), ("left", "right")))
+    assert (("residual", None) in kinds) == (run != "laws trivial2.json all")
+    fresh_tables = {"plug": _fresh_plug, "curry": _fresh_curry}
+    for (name, _), owner, args, out in built.values():
         if name == "residual":
             s, u = args
             assert out.of is owner.function_space(s.of, u.of)
@@ -218,16 +223,16 @@ def test_a_refused_residual_or_evaluation_is_not_kept():
     c = FinSet("C", (0, 1, 2))
     # [A->C] has 9 elements and A x [A->C] 18, so the bound 10 refuses the
     # evaluation but not the residual, and the bound 8 refuses both
-    for bound, refused in ((10, ("plug_l", "plug_r", "left", "right")),
-                           (8, ("plug_l", "plug_r", "left", "right", "residual"))):
+    for bound, refused in ((10, ("plugL", "plugR", "left", "right")),
+                           (8, ("plugL", "plugR", "left", "right", "residual"))):
         sys_ = build_subset_system((a, c), max_carrier=bound)
         s, u = subset(a, ("a0",)), subset(c, (1,))
         calls = {
-            "plug_l": lambda: sys_.kit.plug_l(a, c),
-            "plug_r": lambda: sys_.kit.plug_r(c, a),
-            "left": lambda: sys_.residual_left_data(s, u),
-            "right": lambda: sys_.residual_right_data(u, s),
-            "residual": lambda: sys_.residual_left_etype(s, u),
+            "plugL": lambda: sys_.kit.plug("left", a, c),
+            "plugR": lambda: sys_.kit.plug("right", a, c),
+            "left": lambda: sys_.residual_data("left", s, u),
+            "right": lambda: sys_.residual_data("right", s, u),
+            "residual": lambda: sys_.residual_etype("left", s, u),
         }
         for name in refused:
             texts = []
@@ -239,14 +244,14 @@ def test_a_refused_residual_or_evaluation_is_not_kept():
             assert sys_.kit._plugs == {} and sys_._residuals == {}
         if bound == 10:
             # a kept residual does not move the evaluation's refusal
-            res = sys_.residual_left_etype(s, u)
+            res = sys_.residual_etype("left", s, u)
             assert sys_._residuals == {(s, u): res}
             with pytest.raises(CapabilityError, match=r"product \(Ax\[A->C\]\)"):
-                sys_.residual_left_data(s, u)
+                sys_.residual_data("left", s, u)
             assert sys_.kit._plugs == {}
 
 
-@pytest.mark.parametrize("side", ["curry_l", "curry_r"])
+@pytest.mark.parametrize("side", ["left", "right"])
 def test_a_curried_table_is_never_mistaken_for_one_dropped_before_it(side):
     kit = CartesianKit()
     a, b, c = FinSet("A", (0, 1)), FinSet("B", (0, 1, 2)), FinSet("C", (0, 1))
@@ -257,8 +262,8 @@ def test_a_curried_table_is_never_mistaken_for_one_dropped_before_it(side):
     curried = []
     for name, idx in tables:
         f = FinFunction._from_idx(name, dom, c, idx)
-        curried.append(getattr(kit, side)(f, a, b))
+        curried.append(kit.curry(side, f, *in_place(side, a, b)))
         del f
-    fresh = {"curry_l": _fresh_curry_l, "curry_r": _fresh_curry_r}[side]
     for (name, idx), got in zip(tables, curried):
-        _same_table(got, fresh(kit, FinFunction._from_idx(name, dom, c, idx), a, b))
+        f = FinFunction._from_idx(name, dom, c, idx)
+        _same_table(got, _fresh_curry(kit, side, f, *in_place(side, a, b)))

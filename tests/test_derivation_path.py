@@ -30,8 +30,7 @@ from refsys.kernel import (
 from refsys.monadrep import OpExpr, OppositeSystem, build_continuation_adjunction
 from refsys.monoidal import (
     coherence_derivation,
-    residual_left,
-    residual_right,
+    residual,
     tensor_derivations,
     unit_derivation,
 )
@@ -198,13 +197,13 @@ def test_evaluation_and_currying_read_their_judgment_off_the_interpretation(syst
     es = sys.e_types()[:3]
     curried = 0
     for fixed, u in itertools.product(es, repeat=2):
-        for w in (residual_left(sys, fixed, u), residual_right(sys, u, fixed)):
-            left = w.side == "left"
+        for side in ("left", "right"):
+            w = residual(sys, side, fixed, u)
+            left = side == "left"
             _assert_read_off(sys, w.ev)
             assert w.ev.rule == ("lres-L" if left else "rres-L")
             a, c = sys.refines(fixed), sys.refines(u)
-            plug = sys.plug_l_expr(a, c) if left else sys.plug_r_expr(c, a)
-            assert sys.exprs_equal(w.ev.expr, plug)
+            assert sys.exprs_equal(w.ev.expr, sys.plug_expr(side, a, c))
             assert w.ev.target == u
             assert w.ev.subject == (sys.tensor_etype(fixed, w.etype) if left
                                     else sys.tensor_etype(w.etype, fixed))
@@ -216,9 +215,7 @@ def test_evaluation_and_currying_read_their_judgment_off_the_interpretation(syst
                             d = w.curry(premise, v)
                             _assert_read_off(sys, d)
                             assert d.subject is v and d.target is w.etype
-                            old = (sys.curry_l_expr(premise.expr) if left
-                                   else sys.curry_r_expr(premise.expr))
-                            assert sys.exprs_equal(d.expr, old)
+                            assert sys.exprs_equal(d.expr, sys.curry_expr(side, premise.expr))
                             curried += 1
     assert curried > 0
 

@@ -71,8 +71,8 @@ cases = [
     lambda: triv.pushforward_data(a, "f"),
     lambda: triv.tensor_itype("*", "A"),
     lambda: triv.tensor_expr("id", "f"),
-    lambda: triv.curry_l_expr("f"),
-    lambda: triv.curry_r_expr("f"),
+    lambda: triv.curry_expr("left", "f"),
+    lambda: triv.curry_expr("right", "f"),
 ]
 for case in cases:
     try:

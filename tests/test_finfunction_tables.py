@@ -115,17 +115,17 @@ def test_evaluation_and_currying_equal_checked_builds(data):
     c = data.draw(finsets("C", min_size=1, max_size=3), label="C")
     kit = CartesianKit()
     dom = kit.product(a, kit.function_space(a, c))
-    assert kit.plug_l(a, c) == FinFunction(
+    assert kit.plug("left", a, c) == FinFunction(
         "r", dom, c, {(x, t): t[a.index(x)] for x, t in dom.elements})
     dom = kit.product(kit.function_space(b, c), b)
-    assert kit.plug_r(c, b) == FinFunction(
+    assert kit.plug("right", b, c) == FinFunction(
         "r", dom, c, {(t, y): t[b.index(y)] for t, y in dom.elements})
     ab = kit.product(a, b)
     f = FinFunction("f", ab, c, table(data, ab, c, "f"))
-    assert kit.curry_l(f, a, b) == FinFunction(
+    assert kit.curry("left", f, a, b) == FinFunction(
         "r", b, kit.function_space(a, c),
         {y: tuple(f((x, y)) for x in a.elements) for y in b.elements})
-    assert kit.curry_r(f, a, b) == FinFunction(
+    assert kit.curry("right", f, b, a) == FinFunction(
         "r", a, kit.function_space(b, c),
         {x: tuple(f((x, y)) for y in b.elements) for x in a.elements})
 
@@ -135,7 +135,7 @@ def test_currying_refuses_a_function_off_the_product():
     a, b = FinSet("A", (1, 2)), FinSet("B", ("x",))
     f = FinFunction.identity(kit.product(b, a))
     with pytest.raises(MismatchError, match="not \\(AxB\\)"):
-        kit.curry_l(f, a, b)
+        kit.curry("left", f, a, b)
 
 
 Z2 = monoid_category("Z2", (0, 1), {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}, 0)

@@ -24,10 +24,8 @@ from refsys.monoidal import (
     check_threeway_adjunction,
     double_negation_etype,
     reset_derivation,
-    residual_left,
-    residual_right,
-    residual_subtyping_left,
-    residual_subtyping_right,
+    residual,
+    residual_subtyping,
     shift_derivation,
     star_etype,
     tensor_derivations,
@@ -107,7 +105,7 @@ def test_residual_curry_uncurry_round_trip(small_sys):
     a, b = sys.i_types()
     s = subset(a, ("a1",))
     u = subset(b, (1, 2))
-    w = residual_left(sys, s, u)
+    w = residual(sys, "left", s, u)
     # beta : V (x) S => U curries to V => S -o U and back
     v = w.etype
     beta = w.uncurry(identity_derivation(sys, v))
@@ -125,7 +123,7 @@ def test_residual_right_mirrors_left(small_sys):
     a, b = sys.i_types()
     u = subset(b, (1,))
     t = subset(a, ("a1", "a2"))
-    w = residual_right(sys, u, t)
+    w = residual(sys, "right", t, u)
     report = check_residual_laws(w, (subset(a, ("a1",)),), expr_cap=60)
     assert report.ok
     assert report.checked > 0
@@ -138,13 +136,13 @@ def test_residual_subtyping_variance_subset(small_sys):
     u_small, u_big = subset(b, (1,)), subset(b, (1, 2))
     alpha_s = axiom(sys, s_small, sys.id_expr(a), s_big)
     alpha_u = axiom(sys, u_small, sys.id_expr(b), u_big)
-    left = residual_subtyping_left(sys, alpha_s, alpha_u)
-    right = residual_subtyping_right(sys, alpha_s, alpha_u)
+    left = residual_subtyping(sys, "left", alpha_s, alpha_u)
+    right = residual_subtyping(sys, "right", alpha_s, alpha_u)
     # contravariant in the fixed side, covariant in the answers
-    assert left.subject == sys.residual_left_etype(s_big, u_small)
-    assert left.target == sys.residual_left_etype(s_small, u_big)
-    assert right.subject == sys.residual_right_etype(u_small, s_big)
-    assert right.target == sys.residual_right_etype(u_big, s_small)
+    assert left.subject == sys.residual_etype("left", s_big, u_small)
+    assert left.target == sys.residual_etype("left", s_small, u_big)
+    assert right.subject == sys.residual_etype("right", s_big, u_small)
+    assert right.target == sys.residual_etype("right", s_small, u_big)
     for d in (left, right):
         assert sys.is_identity_expr(d.expr)
         assert classify(sys, d.subject, d.expr, d.target) is Status.DERIVABLE
@@ -152,9 +150,9 @@ def test_residual_subtyping_variance_subset(small_sys):
     swap = FinFunction("swap", a, a, {"a1": "a2", "a2": "a1"})
     not_sub = axiom(sys, s_small, swap, subset(a, ("a2",)))
     with pytest.raises(MismatchError):
-        residual_subtyping_left(sys, not_sub, alpha_u)
+        residual_subtyping(sys, "left", not_sub, alpha_u)
     with pytest.raises(MismatchError):
-        residual_subtyping_right(sys, not_sub, alpha_u)
+        residual_subtyping(sys, "right", not_sub, alpha_u)
 
 
 def test_residual_subtyping_variance_trivial():
@@ -165,12 +163,12 @@ def test_residual_subtyping_variance_trivial():
     sys = build_trivial_system((two, three))
     alpha_s = from_interp(sys, FinFunction("inc", two, three, {1: 1, 2: 3}))
     alpha_u = from_interp(sys, FinFunction("inc", two, three, {1: 2, 2: 1}))
-    left = residual_subtyping_left(sys, alpha_s, alpha_u)
-    right = residual_subtyping_right(sys, alpha_s, alpha_u)
-    assert left.subject == sys.residual_left_etype(three, two)
-    assert left.target == sys.residual_left_etype(two, three)
-    assert right.subject == sys.residual_right_etype(two, three)
-    assert right.target == sys.residual_right_etype(three, two)
+    left = residual_subtyping(sys, "left", alpha_s, alpha_u)
+    right = residual_subtyping(sys, "right", alpha_s, alpha_u)
+    assert left.subject == sys.residual_etype("left", three, two)
+    assert left.target == sys.residual_etype("left", two, three)
+    assert right.subject == sys.residual_etype("right", three, two)
+    assert right.target == sys.residual_etype("right", two, three)
     for d in (left, right):
         assert sys.is_identity_expr(d.expr)
         assert classify(sys, d.subject, d.expr, d.target) is Status.DERIVABLE

@@ -106,8 +106,7 @@ def test_residual_index_types_are_functor_categories(arrow_sig):
     assert len(sys.functor_category(one, c).objects) == 2
     assert len(sys.functor_category(c, one).objects) == 1
     for a, b in ((one, c), (c, one)):
-        assert sys.residual_left_itype(a, b) is sys.functor_category(a, b)
-        assert sys.residual_right_itype(b, a) is sys.functor_category(a, b)
+        assert sys.residual_itype(a, b) is sys.functor_category(a, b)
 
 
 def test_enumerate_monoid_presheaves_counts():
@@ -182,10 +181,10 @@ def test_the_two_residuals_and_plugs_mirror_each_other(request, fixture):
     sys = sig.system
     checked = 0
     for t, u in itertools.product(sig.etypes.values(), repeat=2):
-        assert same_values(sys.residual_left_etype(t, u), sys.residual_right_etype(u, t))
+        assert same_values(sys.residual_etype("left", t, u), sys.residual_etype("right", t, u))
         checked += 1
     for a, c in itertools.product(sig.categories.values(), repeat=2):
-        left, right = sys.plug_l_expr(a, c), sys.plug_r_expr(c, a)
+        left, right = sys.plug_expr("left", a, c), sys.plug_expr("right", a, c)
         for x, fn in left.dom.objects:
             assert right.ob((fn, x)) == left.ob((x, fn))
         for u, nm in left.dom.arrows:

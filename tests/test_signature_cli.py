@@ -236,7 +236,7 @@ def test_functor_category_refusals_are_not_cached(tmp_path, capsys, bound, messa
     reg = sig.etype("Reg")
     for _ in range(2):
         with pytest.raises(CapabilityError) as exc:
-            sig.system.residual_left_etype(reg, reg)
+            sig.system.residual_etype("left", reg, reg)
         assert str(exc.value) == message
 
 

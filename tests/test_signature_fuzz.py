@@ -5,8 +5,9 @@ replaces one value with a JSON scalar, list or object.  The loader must
 load it or refuse it with SignatureError / RefinementError; a mutant that
 loads must run ``laws <sig> kernel --max-set 2``, ``laws <sig> structures
 --max-set 2`` (which takes a presheaf mutant into the literal beta/eta
-loop) and ``check`` on its first declared type and expression to exit
-codes in 0-3 without raising.  A fixed batch of mutants runs through the
+loop), ``check`` on its first declared type and expression, and
+``residual`` on both sides of that type to exit codes in 0-3 without
+raising.  A fixed batch of mutants runs through the
 CLI once under ``python`` and once under ``python -O``, and both must
 print the same exit codes and stdout.  A mutant that adds an unknown key, with the value
 null, to any object of a bundled signature is refused, under ``python``
@@ -61,16 +62,18 @@ def _mutant(doc, path, replacement):
 
 
 def _commands(path: str) -> list:
-    """The commands each loading mutant runs: two law suites and one judgment,
-    on its first declared type along its first declared expression (or the
-    identity, when it declares none)."""
+    """The commands each loading mutant runs: two law suites, one judgment and
+    both residuals, on its first declared type (along its first declared
+    expression, or the identity when it declares none)."""
     sig = load_signature(path)
     etype = next(iter(sig.etypes), "none")
     judgment = (f"{etype} =[{next(iter(sig.exprs))}]=> {etype}" if sig.exprs
                 else f"{etype} <= {etype}")
     return [["laws", path, "kernel", "--max-set", "2"],
             ["laws", path, "structures", "--max-set", "2"],
-            ["check", path, judgment]]
+            ["check", path, judgment],
+            ["residual", path, "left", etype, etype],
+            ["residual", path, "right", etype, etype]]
 
 
 def _exit_code(argv: list) -> int:
@@ -144,7 +147,7 @@ def test_a_fixed_batch_of_mutants_behaves_alike_under_python_and_python_O(tmp_pa
             loads = False
         if len(batch[loads]) < 20:
             batch[loads].append(str(path))
-    # a loading mutant runs its three commands, a refused one the kernel suite
+    # a loading mutant runs its five commands, a refused one the kernel suite
     loaded = [argv for path in batch[True] for argv in _commands(path)]
     refused = [["laws", path, "kernel", "--max-set", "2"] for path in batch[False]]
     env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent))

@@ -102,11 +102,11 @@ def test_carrier_bound_refuses_large_products():
 
 def test_residual_is_the_function_space(small_sys):
     a, b = small_sys.i_types()
-    space = small_sys.residual_left_itype(a, b)
+    space = small_sys.residual_itype(a, b)
     assert len(space) == 9
     s = subset(a, ("a1",))
     u = subset(b, (1,))
-    w = small_sys.residual_left_etype(s, u)
+    w = small_sys.residual_etype("left", s, u)
     # maps sending the point of S into U
     assert len(w) == 3
 
@@ -127,8 +127,8 @@ def test_residuals_match_the_defining_filter(n_a, n_c, data):
     expected = frozenset(
         t for t in fs.elements if all(t[a.index(x)] in u for x in s.elements)
     )
-    left = sys.residual_left_etype(s, u)
-    right = sys.residual_right_etype(u, s)
+    left = sys.residual_etype("left", s, u)
+    right = sys.residual_etype("right", s, u)
     assert left.of == fs and right.of == fs
     assert left.elements == expected
     assert right.elements == expected
@@ -152,8 +152,8 @@ def test_residuals_equal_checked_builds_on_a8_c4():
         s, u = subset(a, s_elems), subset(c, u_elems)
         expected = Subset(fs, frozenset(
             t for t in fs.elements if all(t[a.index(x)] in u for x in s.elements)))
-        assert sys.residual_left_etype(s, u) == expected
-        assert sys.residual_right_etype(u, s) == expected
+        assert sys.residual_etype("left", s, u) == expected
+        assert sys.residual_etype("right", s, u) == expected
 
 
 def test_residual_without_a_trailing_free_run_streams_its_last_digit():
@@ -168,7 +168,7 @@ def test_residual_without_a_trailing_free_run_streams_its_last_digit():
         s, u = subset(a, s_elems), subset(c, u_elems)
         tracemalloc.start()
         try:
-            res = sys._residual(s, u)
+            res = sys.residual_etype("left", s, u)
             top = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

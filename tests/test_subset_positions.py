@@ -114,9 +114,8 @@ def test_residuals_over_a_kit_product_match_the_defining_filter(data):
     s, u = _pick_subset(data, a, "S"), _pick_subset(data, c, "U")
     fs = sys_.function_space(a, c)
     members = [t for t in fs.elements if all(t[a.index(x)] in u.elements for x in s.elements)]
-    _same(sys_._residual(s, u), fs, members)
-    _same(sys_.residual_left_etype(s, u), fs, members)
-    _same(sys_.residual_right_etype(u, s), fs, members)
+    _same(sys_.residual_etype("left", s, u), fs, members)
+    _same(sys_.residual_etype("right", s, u), fs, members)
 
 
 @pytest.mark.parametrize("size", [0, 1, 2, 3, 4])

@@ -61,7 +61,7 @@ def test_monoidal_closed_structure_is_products_and_function_spaces():
     sys = build_trivial_system((two,))
     prod = sys.tensor_etype(two, two)
     assert len(prod) == 4
-    space = sys.residual_left_etype(two, two)
+    space = sys.residual_etype("left", two, two)
     assert len(space) == 4
     unit = sys.unit_etype()
     assert len(unit) == 1

@@ -20,7 +20,7 @@ import pytest
 from conftest import data_file
 from refsys.cli import main
 from refsys.fincat import FinCategory, FinFunctor, check_category, check_functor
-from refsys.monoidal import check_residual_laws, residual_left, residual_right
+from refsys.monoidal import check_residual_laws, residual
 from refsys.presheaf_model import FinPresheaf, check_presheaf
 from refsys.signature import load_signature
 
@@ -62,7 +62,7 @@ def test_every_structure_the_law_suites_build_passes_its_check(name, built):
         assert main(["laws", data_file(name), "all"]) == 0
     sys = load_signature(data_file(name)).system
     s, u = sys.e_types()[:2]
-    for w in (residual_left(sys, s, u), residual_right(sys, s, u)):
+    for w in (residual(sys, "left", s, u), residual(sys, "right", u, s)):
         assert check_residual_laws(w, (s, u), expr_cap=2).ok
     # a tensor presheaf and its product category, which compute some of
     # their tables, are recorded too
