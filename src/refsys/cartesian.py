@@ -27,10 +27,16 @@ Every table is built as an index table (see
 :class:`refsys.fincat.FinFunction`), from positions alone.  A product lists
 its pairs lexicographically, so (a_i, b_j) sits at position i*|B| + j: the
 pairing sends i*|B| + j to f.idx[i]*|B'| + g.idx[j], and a coherence cell
-only regroups, so it keeps every position.  The function at position k of
-[A->C] has its values at the positions given by the base-|C| digits of k,
-most significant first: evaluation reads a digit of k, and currying writes
-the digits of a row or column of f's table.
+only regroups, so it keeps every position.  A cell's table is therefore
+marked as an :class:`refsys.fincat.IdentityTable`, and so is the pairing of
+two marked tables, the identity table of the product, which ``pair``
+returns without running the formula.  A composite with a cell takes the
+other operand's table (:meth:`refsys.fincat.FinFunction.then`).
+
+The function at position k of [A->C] has its values at the positions given
+by the base-|C| digits of k, most significant first: evaluation reads a
+digit of k, and currying writes the digits of a row or column of f's
+table.
 
 Products and function spaces are computed carriers (:class:`ProductSet`,
 :class:`FunctionSpace`).  Each keeps its factors, and its length, hash,
@@ -66,7 +72,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .fincat import FinFunction, FinSet
+from .fincat import FinFunction, FinSet, IdentityTable, identity_table
 from .kernel import CapabilityError, MismatchError, in_place
 
 DEFAULT_MAX_CARRIER = 200_000
@@ -254,11 +260,13 @@ class CartesianKit:
 
     def pair(self, f: FinFunction, g: FinFunction) -> FinFunction:
         """f x g, built on every call; ``pairing`` builds it once."""
-        n = len(g.cod)
-        return FinFunction._from_idx(
-            f"({f.name}x{g.name})", self.product(f.dom, g.dom), self.product(f.cod, g.cod),
-            tuple([i * n + j for i in f.idx for j in g.idx]),
-        )
+        dom, cod = self.product(f.dom, g.dom), self.product(f.cod, g.cod)
+        if type(f.idx) is IdentityTable and type(g.idx) is IdentityTable:
+            idx = identity_table(len(dom))
+        else:
+            n = len(g.cod)
+            idx = tuple([i * n + j for i in f.idx for j in g.idx])
+        return FinFunction._from_idx(f"({f.name}x{g.name})", dom, cod, idx)
 
     def pairing(self, f: FinFunction, g: FinFunction) -> FinFunction:
         key = (id(f), id(g))
@@ -275,7 +283,7 @@ class CartesianKit:
             src, dst = cell_ends(kind, sets, self.product, self.unit)
             name = f"{kind.replace('unit_', 'unit')}[{','.join(a.name for a in sets)}]"
             # regrouping keeps the lexicographic position of every element
-            c = FinFunction._from_idx(name, src, dst, tuple(range(len(src))))
+            c = FinFunction._from_idx(name, src, dst, identity_table(len(src)))
             self._cells[kind, sets] = c
         return c
 

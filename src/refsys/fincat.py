@@ -8,10 +8,16 @@ are byte-stable.
 A :class:`FinSet` fixes the order of its elements, and a :class:`FinFunction`
 is stored against those orders: a tuple holding, for each domain element, the
 position of its value in the codomain.  Composition gathers one tuple through
-another, and equality and hashing compare tuples.  The public
-``FinFunction`` constructor takes an element table (as a signature file
-gives it) and checks it as it converts it to positions, raising
-ValidationError on a bad one.  Results that are valid by construction
+another, and equality and hashing compare tuples.  A function that keeps
+every position carries the table ``(0, ..., n-1)`` as an
+:class:`IdentityTable`, built by :func:`identity_table`: identities here,
+and coherence cells and pairings of such tables in
+:mod:`refsys.cartesian`.  Composing with one returns the other operand's
+table without a gather.
+
+The public ``FinFunction`` constructor takes an element table (as a
+signature file gives it) and checks it as it converts it to positions,
+raising ValidationError on a bad one.  Results that are valid by construction
 (composites, identities, enumerated tables) are wrapped from index tuples
 without a second check.
 
@@ -113,6 +119,25 @@ class FinSet:
         return f"FinSet({self.name!r}, {len(self)} elements)"
 
 
+class IdentityTable(tuple):
+    """The index table ``(0, 1, ..., n-1)`` of a function that keeps every
+    position, such as an identity or a coherence cell that only regroups.
+
+    It is a tuple, so equality, hashing, pickling and every reader of an
+    index table treat it as the plain tuple; the type only tells
+    :meth:`FinFunction.then` and :meth:`refsys.cartesian.CartesianKit.pair`
+    that they need not gather.  A function whose table is marked has a domain
+    and a codomain of the same length.  Build one with :func:`identity_table`.
+    """
+
+    __slots__ = ()
+
+
+def identity_table(n: int) -> IdentityTable:
+    """The marked table (0, 1, ..., n-1)."""
+    return IdentityTable(range(n))
+
+
 class FinFunction:
     """A total function between finite sets, stored as a table of indices.
 
@@ -126,7 +151,9 @@ class FinFunction:
     covers exactly the domain with values in the codomain.  ``_from_idx``
     wraps an index tuple without checking it, for results that are valid by
     construction (composites, identities, enumerated tables, the tables of
-    :class:`refsys.cartesian.CartesianKit`).
+    :class:`refsys.cartesian.CartesianKit`).  Identities carry an
+    :class:`IdentityTable`, and a composite with one side marked takes the
+    other side's table as it is.
 
     Equality ignores the name: two functions are equal iff they have equal
     boundaries and equal tables.  That is what makes conversion-style
@@ -181,19 +208,23 @@ class FinFunction:
 
     def then(self, other: "FinFunction") -> "FinFunction":
         """Diagrammatic composite self;other."""
-        if self.cod != other.dom:
+        if self.cod is not other.dom and self.cod != other.dom:
             raise MismatchError(
                 f"cannot compose {self.name!r} : ..->{self.cod.name!r} "
                 f"with {other.name!r} : {other.dom.name!r}->.."
             )
-        o = other.idx
-        return FinFunction._from_idx(
-            f"{self.name};{other.name}", self.dom, other.cod, tuple([o[i] for i in self.idx])
-        )
+        f, g = self.idx, other.idx
+        if type(f) is IdentityTable:
+            idx = g
+        elif type(g) is IdentityTable:
+            idx = f
+        else:
+            idx = tuple([g[i] for i in f])
+        return FinFunction._from_idx(f"{self.name};{other.name}", self.dom, other.cod, idx)
 
     @staticmethod
     def identity(a: FinSet) -> "FinFunction":
-        return FinFunction._from_idx(f"id_{a.name}", a, a, tuple(range(len(a))))
+        return FinFunction._from_idx(f"id_{a.name}", a, a, identity_table(len(a)))
 
     def __eq__(self, other):
         if self is other:
