@@ -366,7 +366,8 @@ class FinCategory:
             return True
         if not isinstance(other, FinCategory):
             return NotImplemented
-        return self._key == other._key
+        # the name is the key's first field: unequal names build no key
+        return self.name == other.name and self._key == other._key
 
     def __hash__(self):
         return hash((self.name, len(self.objects), len(self.arrows)))

@@ -20,6 +20,12 @@ finite model - and two derivations are equal iff their boundaries agree and
 their interpretations are equal.  That makes "these two proof trees denote
 the same derivation" an executable check rather than a symbolic one.
 
+A judgment S =[f]=> T is derivable exactly when some morphism of the model
+lies over f, so :func:`classify` decides it by asking the system's
+``holds`` after the boundary check, and no derivation or morphism is built
+for a verdict.  Derivations are built only when asked for: by
+:func:`axiom`, :func:`derivations_over` and the rules below.
+
 A refinement system is a functor p from its morphisms to its expressions,
 so a morphism m fixes its judgment: (dom m, p m, cod m).  A rule's judgment
 is therefore read off its interpretation by :func:`from_interp` (identity,
@@ -177,6 +183,19 @@ class RefinementSystem:
         """All model morphisms from s to t lying over the expression f."""
         raise NotImplementedError
 
+    def holds(self, s, f, t) -> bool:
+        """Whether some model morphism from s to t lies over f, that is,
+        whether S =[f]=> T is derivable.
+
+        Boundaries that do not match raise IllFormedError, as in
+        morphisms_over.  This default asks morphisms_over for a first
+        morphism; a model that can decide existence without building one
+        overrides it.
+        """
+        for _ in self.morphisms_over(s, f, t):
+            return True
+        return False
+
     def id_interp(self, s):
         raise NotImplementedError
 
@@ -295,9 +314,7 @@ def classify(sys: RefinementSystem, s, f, t) -> Status:
     """Trichotomy for a judgment: derivable, underivable, or ill-formed."""
     if not well_formed(sys, s, f, t):
         return Status.ILL_FORMED
-    for _ in sys.morphisms_over(s, f, t):
-        return Status.DERIVABLE
-    return Status.UNDERIVABLE
+    return Status.DERIVABLE if sys.holds(s, f, t) else Status.UNDERIVABLE
 
 
 def derivable(sys: RefinementSystem, s, f, t) -> bool:

@@ -140,6 +140,10 @@ class OppositeSystem(RefinementSystem):
     def morphisms_over(self, s, f: OpExpr, t) -> Iterator[OpMor]:
         return (OpMor(m) for m in self.base.morphisms_over(t, f.base, s))
 
+    def holds(self, s, f: OpExpr, t) -> bool:
+        """The base's verdict on the reversed judgment; no OpMor is built."""
+        return self.base.holds(t, f.base, s)
+
     def id_interp(self, s) -> OpMor:
         return OpMor(self.base.id_interp(s))
 

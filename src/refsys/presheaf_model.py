@@ -19,10 +19,15 @@ transformations S => T(f-) (:func:`natural_components`, shared by
 ``morphisms_over`` and the residual values) the variables are the
 components, one per object, each ranging over the raw index tables of
 ``itertools.product``, and each naturality square is a constraint that
-compares index tables.  Only what is yielded becomes a function:
+compares index tables.  The square of an endo-arrow whose two actions are
+identity tables holds for every component, so it is no constraint; the
+tables are read, so an unchecked presheaf whose identity acts by another
+table keeps its square.  Only what is yielded becomes a function:
 ``morphisms_over`` wraps each component of a transformation it yields as
 the ``FinFunction`` that ``all_functions`` gives at the table's rank,
-named ``c{rank}``, and the residual values read the tables directly.  For
+named ``c{rank}``, and the residual values read the tables directly.
+``holds``, which decides a judgment, only asks the search for a first
+tuple of tables, and builds no function and no transformation.  For
 the arrows of a functor category the variables are the components in the
 hom-sets; for M-sets they are the action tables of the generators, under
 the composite law of each pair of arrows.  A square is tested as soon as
@@ -231,14 +236,29 @@ def natural_components(s: FinPresheaf, f: FinFunctor, t: FinPresheaf) -> Iterato
 
     The components follow the objects of S's base, and each ranges over the
     tables of ``itertools.product``.  Each naturality square is one
-    constraint of the search, and compares index tables.
+    constraint of the search, and compares index tables, except the square
+    of an endo-arrow u whose S(u) and T(fu) tables are both identity tables
+    of their values: it reads c = c, so it holds for every component.  The
+    tables are read, not the identities of the base, so a presheaf that
+    acts by a non-identity table at an identity arrow keeps its square.
     """
     at = {a: i for i, a in enumerate(s.cat.objects)}
     spaces = [itertools.product(range(len(t.ob[f.ob(a)])), repeat=len(s.ob[a]))
               for a in s.cat.objects]
-    squares = [((at[a], at[a2]), _commutes(t.ar[f.ar(u)].idx, s.ar[u].idx))
-               for u, (a, a2) in s.cat.arrows.items()]
+    squares = []
+    for u, (a, a2) in s.cat.arrows.items():
+        s_u, t_u = s.ar[u].idx, t.ar[f.ar(u)].idx
+        if (a == a2 and s_u == tuple(range(len(s.ob[a])))
+                and t_u == tuple(range(len(t.ob[f.ob(a)])))):
+            continue
+        squares.append(((at[a], at[a2]), _commutes(t_u, s_u)))
     return solutions(spaces, squares)
+
+
+def _require_over(s: FinPresheaf, f: FinFunctor, t: FinPresheaf) -> None:
+    """Raise IllFormedError unless f runs from the base of s to that of t."""
+    if not (f.dom == s.cat and f.cod == t.cat):
+        raise IllFormedError(f"{s.name} =[{f.name}]=> {t.name}: boundaries do not match")
 
 
 def _component(dom: FinSet, cod: FinSet, idx: tuple) -> FinFunction:
@@ -254,7 +274,7 @@ def _commutes(t_u: tuple, s_u: tuple):
     """The test that components c, c2 (index tables) make the square
     c;T(fu) = S(u);c2 commute: the boundaries match, so it commutes iff the
     index tables do."""
-    return lambda c, c2: [t_u[j] for j in c] == [c2[i] for i in s_u]
+    return lambda c, c2: list(map(t_u.__getitem__, c)) == list(map(c2.__getitem__, s_u))
 
 
 def _square(cat: FinCategory, f_u, g_u):
@@ -395,12 +415,17 @@ class PresheafSystem(RefinementSystem):
     def refines(self, s: FinPresheaf) -> FinCategory:
         return s.cat
 
+    def holds(self, s: FinPresheaf, f: FinFunctor, t: FinPresheaf) -> bool:
+        """Whether the search finds a first tuple of component tables; no
+        component function or transformation is built."""
+        _require_over(s, f, t)
+        for _ in natural_components(s, f, t):
+            return True
+        return False
+
     def morphisms_over(self, s: FinPresheaf, f: FinFunctor,
                        t: FinPresheaf) -> Iterator[NatTransOver]:
-        if not (f.dom == s.cat and f.cod == t.cat):
-            raise IllFormedError(
-                f"{s.name} =[{f.name}]=> {t.name}: boundaries do not match"
-            )
+        _require_over(s, f, t)
         ends = [(a, s.ob[a], t.ob[f.ob(a)]) for a in s.cat.objects]
         for tables in natural_components(s, f, t):
             yield NatTransOver(s, f, t, {a: _component(dom, cod, idx)

@@ -268,6 +268,7 @@ class SubsetSystem(RefinementSystem):
         return s.of
 
     def holds(self, s: Subset, f: FinFunction, t: Subset) -> bool:
+        """Whether f maps s into t: ``morphisms_over``'s tuple is not empty."""
         return bool(self.morphisms_over(s, f, t))
 
     def morphisms_over(self, s: Subset, f: FinFunction, t: Subset) -> tuple:
