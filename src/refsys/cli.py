@@ -22,7 +22,7 @@ from .laws import SUITE_FNS as _SUITE_FNS, SUITES, etype_label
 from .monoidal import residual, star_etype, wand_left_etype, wand_right_etype
 from .presheaf_model import FinPresheaf
 from .signature import Signature, SignatureError, load_signature
-from .structures import LawReport, pullback, pushforward
+from .structures import LawReport, witness
 from .subset_model import Subset
 
 
@@ -105,27 +105,16 @@ def cmd_check(sig: Signature, args) -> int:
     return {Status.DERIVABLE: 0, Status.UNDERIVABLE: 1, Status.ILL_FORMED: 2}[status]
 
 
-def cmd_pull(sig: Signature, args) -> int:
-    f = sig.expr(args.expr)
-    t = sig.etype(args.etype)
-    w = pullback(sig.system, f, t)
-    lines = [f"pullback of {args.etype} along {args.expr}: {etype_label(w.etype)}"]
+def cmd_witness(sig: Signature, args) -> int:
+    """`pull F T` and `push S F`; the names are looked up in argument order."""
+    if args.command == "pull":
+        f, fixed = sig.expr(args.expr), sig.etype(args.etype)
+    else:
+        fixed, f = sig.etype(args.etype), sig.expr(args.expr)
+    w = witness(sig.system, args.command, f, fixed)
+    lines = [f"{w.noun} of {args.etype} along {args.expr}: {etype_label(w.etype)}"]
     _emit(args, lines, {
-        "operation": "pullback",
-        "expr": args.expr,
-        "etype": args.etype,
-        "result": _etype_json(w.etype),
-    })
-    return 0
-
-
-def cmd_push(sig: Signature, args) -> int:
-    s = sig.etype(args.etype)
-    f = sig.expr(args.expr)
-    w = pushforward(sig.system, s, f)
-    lines = [f"pushforward of {args.etype} along {args.expr}: {etype_label(w.etype)}"]
-    _emit(args, lines, {
-        "operation": "pushforward",
+        "operation": w.noun,
         "expr": args.expr,
         "etype": args.etype,
         "result": _etype_json(w.etype),
@@ -294,11 +283,11 @@ def _build_parser() -> _Parser:
     p = add("check", cmd_check, "classify a judgment as derivable / underivable / ill-formed")
     p.add_argument("judgment", help="'S =[f]=> T', 'S <=[f] T', or 'S <= T'")
 
-    p = add("pull", cmd_pull, "pull a refinement type back along an expression")
+    p = add("pull", cmd_witness, "pull a refinement type back along an expression")
     p.add_argument("expr")
     p.add_argument("etype")
 
-    p = add("push", cmd_push, "push a refinement type forward along an expression")
+    p = add("push", cmd_witness, "push a refinement type forward along an expression")
     p.add_argument("etype")
     p.add_argument("expr")
 

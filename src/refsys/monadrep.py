@@ -26,9 +26,10 @@ From the descriptor:
     collects every encoding across an adjunction, and the monadrep suite
     takes the first one per type.  check_universal and check_reflected run
     the witness laws in the mode law_mode reads off the system.
-  * two-out-of-three on witnesses: given pullback witnesses for f;g and g
-    (pushforward witnesses for f;g and f), check both, and only then build
-    and check the implied witness for f (for g).
+  * two-out-of-three, one function for both kinds of witness: given the
+    witness along a composite and the one along its part at the fixed end
+    (g for pullbacks along e;g, f for pushforwards along f;e), check both,
+    and only then build and check the implied witness along e.
 
 The opposite of a refinement system is materialized generically (both levels
 reversed) so the continuation adjunction L = negR[U]{-} -| R = negL[U]{-}
@@ -58,12 +59,10 @@ from .kernel import (
 )
 from .structures import (
     LawReport,
-    PullbackWitness,
-    PushforwardWitness,
+    Witness,
     check_beta_eta,
     composite_pullback_witness,
-    implied_pullback_witness,
-    implied_pushforward_witness,
+    implied_witness,
     law_mode,
     pullback,
     uniqueness_iso,
@@ -96,7 +95,8 @@ class OpMor:
 class OppositeSystem(RefinementSystem):
     """Both levels of a refinement system reversed.
 
-    Pullbacks of the opposite are pushforwards of the base and vice versa.
+    Pullbacks of the opposite are pushforwards of the base and vice versa;
+    one helper, ``_reversed``, reads the data of either direction.
     Monoidal/closed structure is not delegated; the opposite is used as the
     codomain of adjunctions, where only the core surface is needed.
     """
@@ -164,20 +164,17 @@ class OppositeSystem(RefinementSystem):
 
     # structure by reversal
     def pullback_data(self, f: OpExpr, t):
-        et, right, bfactor = self.base.pushforward_data(t, f.base)
-
-        def factor(m: OpMor, g: OpExpr) -> OpMor:
-            return OpMor(bfactor(m.base, g.base))
-
-        return et, OpMor(right), factor
+        return _reversed(self.base.pushforward_data(t, f.base))
 
     def pushforward_data(self, s, f: OpExpr):
-        et, left, bfactor = self.base.pullback_data(f.base, s)
+        return _reversed(self.base.pullback_data(f.base, s))
 
-        def factor(m: OpMor, g: OpExpr) -> OpMor:
-            return OpMor(bfactor(m.base, g.base))
 
-        return et, OpMor(left), factor
+def _reversed(data) -> tuple:
+    """A base pushforward's (pullback's) data, read as the opposite's
+    pullback (pushforward): the unit and every factor reversed."""
+    et, unit, factor = data
+    return et, OpMor(unit), lambda m, g: OpMor(factor(m.base, g.base))
 
 
 # --- adjunction descriptors ---------------------------------------------------------
@@ -456,10 +453,10 @@ class FiberwiseMonad:
     """M[T] = eta*(RL[T]) with unit, multiplication, and functorial action.
 
     The multiplication is the composite M[M[T]] => RL[M[T]] => RL[RL[T]]
-    => RL[T] (left rule, RL of the left rule, R of the counit at L), which
-    lies over eta by the triangle law; the conversion step makes that
-    equation's use explicit, and the right rule of the defining pullback
-    finishes with the identity factor.
+    => RL[T] (the defining pullback's unit rule pull-L, RL of that rule, R
+    of the counit at L), which lies over eta by the triangle law; the
+    conversion step makes that equation's use explicit, and the pullback's
+    factor rule pull-R finishes with the identity factor.
     """
 
     def __init__(self, adj: AdjunctionDescriptor):
@@ -468,7 +465,7 @@ class FiberwiseMonad:
         self.adj = adj
         self.p = adj.p
 
-    def carrier_witness(self, t) -> PullbackWitness:
+    def carrier_witness(self, t) -> Witness:
         a = self.p.refines(t)
         return pullback(self.p, self.adj.eta0(a), self.adj.rl_etype(t))
 
@@ -478,7 +475,7 @@ class FiberwiseMonad:
     def unit(self, t) -> Derivation:
         w = self.carrier_witness(t)
         a = self.p.refines(t)
-        return w.right(self.adj.eta_rule(t), self.p.id_expr(a))
+        return w.factor(self.adj.eta_rule(t), self.p.id_expr(a))
 
     def map(self, alpha: Derivation) -> Derivation:
         """The action of M on a subtyping alpha : S <= T."""
@@ -487,9 +484,9 @@ class FiberwiseMonad:
             raise MismatchError("monad map needs a subtyping premise")
         w_s = self.carrier_witness(alpha.subject)
         w_t = self.carrier_witness(alpha.target)
-        step = compose_derivations(p, w_s.left, self.adj.rl_der(alpha))
+        step = compose_derivations(p, w_s.unit, self.adj.rl_der(alpha))
         conv = conversion(p, step, w_t.expr)
-        return w_t.right(conv, p.id_expr(p.refines(alpha.subject)))
+        return w_t.factor(conv, p.id_expr(p.refines(alpha.subject)))
 
     def mult(self, t) -> Derivation:
         p, adj = self.p, self.adj
@@ -498,13 +495,13 @@ class FiberwiseMonad:
         w2 = self.carrier_witness(m1)
         step = compose_many(
             p,
-            w2.left,
-            adj.rl_der(w1.left),
+            w2.unit,
+            adj.rl_der(w1.unit),
             adj.r_der(adj.eps_rule(adj.l_etype(t))),
         )
         a = p.refines(t)
         conv = conversion(p, step, adj.eta0(a))
-        return w1.right(conv, p.id_expr(a))
+        return w1.factor(conv, p.id_expr(a))
 
 
 def check_monad_laws(monad: FiberwiseMonad, etypes) -> LawReport:
@@ -600,17 +597,17 @@ def to_double_negation(adj: AdjunctionDescriptor, t, u) -> Derivation:
     monad = FiberwiseMonad(adj)
     w_eta = monad.carrier_witness(t)
     xi = double_negation_comparison(adj, t, u)
-    d1 = compose_derivations(p, w_eta.left, xi)
+    d1 = compose_derivations(p, w_eta.unit, xi)
     b = p.refines(t)
     w_ans = adj.r_etype(u)
     cw = p.refines(w_ans)
     d2 = conversion(p, d1, shift_expr(p, b, cw))
     _, dn = double_negation_etypes(adj, t, u)
     w_shift = pullback(p, shift_expr(p, b, cw), dn)
-    return w_shift.right(d2, p.id_expr(b))
+    return w_shift.factor(d2, p.id_expr(b))
 
 
-def encoding_witness(adj: AdjunctionDescriptor, t, u, f) -> PullbackWitness:
+def encoding_witness(adj: AdjunctionDescriptor, t, u, f) -> Witness:
     """The hypothesis of from_double_negation: RL[T] is the pullback of R[U] along f.
 
     Builds the canonical witness and verifies its type is RL[T]; raises
@@ -631,7 +628,7 @@ def from_double_negation(adj: AdjunctionDescriptor, t, u, f) -> Derivation:
     """shift*(double negation) <= M[T], given that RL[T] is a pullback of R[U].
 
     The construction picks the point of negR[W]{T} currying unit_l;eta;f,
-    pairs it with the shift-pullback's left rule, evaluates, and converts
+    pairs it with the shift-pullback's unit, evaluates, and converts
     along the table identity unit_l_inv;(rc(unit_l;eta;f) (x) shift);plugL
     == eta;f before factoring through the hypothesis witness and the monad
     carrier witness.
@@ -642,22 +639,22 @@ def from_double_negation(adj: AdjunctionDescriptor, t, u, f) -> Derivation:
     b = p.refines(t)
     cw = p.refines(w_ans)
     n, dn = double_negation_etypes(adj, t, u)
-    d1 = compose_derivations(p, adj.eta_rule(t), w_f.left)
+    d1 = compose_derivations(p, adj.eta_rule(t), w_f.unit)
     d2 = compose_derivations(p, coherence_derivation(p, "unit_l", (t,)), d1)
     w_r = residual(p, "right", t, w_ans)
     d3 = w_r.curry(d2, p.unit_etype())
     w_shift = pullback(p, shift_expr(p, b, cw), dn)
     pp = w_shift.etype
-    d4 = tensor_derivations(p, d3, w_shift.left)
+    d4 = tensor_derivations(p, d3, w_shift.unit)
     w_l = residual(p, "left", n, w_ans)
     d5 = compose_derivations(p, d4, w_l.ev)
     d6 = compose_derivations(p, coherence_derivation(p, "unit_l_inv", (pp,)), d5)
     target_expr = p.compose_exprs(adj.eta0(b), f)
     d7 = conversion(p, d6, target_expr)
-    d8 = w_f.right(d7, adj.eta0(b))
+    d8 = w_f.factor(d7, adj.eta0(b))
     monad = FiberwiseMonad(adj)
     w_eta = monad.carrier_witness(t)
-    return w_eta.right(d8, p.id_expr(b))
+    return w_eta.factor(d8, p.id_expr(b))
 
 
 def check_retraction(adj: AdjunctionDescriptor, t, u, f) -> LawReport:
@@ -758,29 +755,18 @@ def count_encodings_elementwise(adj: AdjunctionDescriptor, t, u) -> tuple:
 
 # --- two-out-of-three ----------------------------------------------------------------------
 
-def two_out_of_three_pull(sys: RefinementSystem, w_fg: PullbackWitness,
-                          w_g: PullbackWitness, f) -> LawReport:
-    """If S =[f;g]=> U and T =[g]=> U are pullbacks, then S =[f]=> T is one.
+def two_out_of_three(sys: RefinementSystem, whole: Witness, part: Witness, e) -> LawReport:
+    """If S =[e;g]=> U and T =[g]=> U are pullbacks, then S =[e]=> T is one;
+    if S =[f;e]=> U and S =[f]=> T are pushforwards, then T =[e]=> U is one.
 
-    Checks the laws of both witnesses and, when they hold, constructs the
-    implied witness and checks its laws; the report concatenates the checks.
+    Checks the laws of whole and part and, when they hold, constructs the
+    implied witness along e and checks its laws; the report concatenates
+    the checks.
     """
-    return _two_out_of_three(
-        sys, w_fg, w_g, lambda: implied_pullback_witness(sys, w_fg, w_g, f))
-
-
-def two_out_of_three_push(sys: RefinementSystem, w_fg: PushforwardWitness,
-                          w_f: PushforwardWitness, g) -> LawReport:
-    """If S =[f;g]=> U and S =[f]=> T are pushforwards, then T =[g]=> U is one."""
-    return _two_out_of_three(
-        sys, w_fg, w_f, lambda: implied_pushforward_witness(sys, w_fg, w_f, g))
-
-
-def _two_out_of_three(sys, w_fg, w_other, implied) -> LawReport:
     mode = law_mode(sys)
-    rep = check_beta_eta(w_fg, mode=mode).absorb(check_beta_eta(w_other, mode=mode))
+    rep = check_beta_eta(whole, mode=mode).absorb(check_beta_eta(part, mode=mode))
     if rep.ok:
-        rep.absorb(check_beta_eta(implied(), mode=mode))
+        rep.absorb(check_beta_eta(implied_witness(sys, whole, part, e), mode=mode))
     return rep
 
 
@@ -800,22 +786,22 @@ def double_negation_weakening(sys: RefinementSystem, t, u, f) -> Derivation:
     c2 = sys.expr_dom(f)
     w_r_v = residual(sys, "right", t, v)
     nr_v = w_r_v.etype
-    step1 = compose_derivations(sys, w_r_v.ev, w_v.left)
+    step1 = compose_derivations(sys, w_r_v.ev, w_v.unit)
     w_r_u = residual(sys, "right", t, u)
     step2 = w_r_u.curry(step1, nr_v)
     nr_u = w_r_u.etype
     w_l_u = residual(sys, "left", nr_u, u)
     dn_u = w_l_u.etype
     w_shift_u = pullback(sys, shift_expr(sys, b, c), dn_u)
-    step3 = tensor_derivations(sys, step2, w_shift_u.left)
+    step3 = tensor_derivations(sys, step2, w_shift_u.unit)
     step4 = compose_derivations(sys, step3, w_l_u.ev)
     plug_v = sys.plug_expr("right", b, c2)
     step5 = conversion(sys, step4, sys.compose_exprs(plug_v, f))
-    step6 = w_v.right(step5, plug_v)
+    step6 = w_v.factor(step5, plug_v)
     w_l_v = residual(sys, "left", nr_v, v)
     step7 = w_l_v.curry(step6, w_shift_u.etype)
     w_shift_v = pullback(sys, shift_expr(sys, b, c2), w_l_v.etype)
-    return w_shift_v.right(step7, sys.id_expr(b))
+    return w_shift_v.factor(step7, sys.id_expr(b))
 
 
 # --- encodings, universality, reflection, and the representation theorem -------------------

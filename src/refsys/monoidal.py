@@ -46,7 +46,7 @@ from .kernel import (
     identity_derivation,
     in_place,
 )
-from .structures import LawReport, pullback, pushforward
+from .structures import LawReport, Witness, pullback, pushforward, witness
 
 
 # --- tensor rules ----------------------------------------------------------------
@@ -194,27 +194,23 @@ def _monoidal_instances(sys: RefinementSystem, ds: tuple, cap: int):
 
 def tensor_pull_iso(sys: RefinementSystem, f1, t1, f2, t2) -> VerticalIso:
     """f1*T1 (x) f2*T2 is canonically isomorphic to (f1 (x) f2)*(T1 (x) T2)."""
-    w1 = pullback(sys, f1, t1)
-    w2 = pullback(sys, f2, t2)
-    w12 = pullback(sys, sys.tensor_expr(f1, f2), sys.tensor_etype(t1, t2))
-    paired = tensor_derivations(sys, w1.left, w2.left)
-    fwd = w12.right(paired, sys.id_expr(sys.refines(paired.subject)))
-    bwd = find_inverse(sys, fwd)
-    if bwd is None:
-        raise LawViolation("tensor does not preserve this pullback pair")
-    return VerticalIso(fwd, bwd)
+    return _tensor_iso(sys, pullback(sys, f1, t1), pullback(sys, f2, t2))
 
 
 def tensor_push_iso(sys: RefinementSystem, s1, f1, s2, f2) -> VerticalIso:
     """(f1 (x) f2)(S1 (x) S2) is canonically isomorphic to f1S1 (x) f2S2."""
-    w1 = pushforward(sys, s1, f1)
-    w2 = pushforward(sys, s2, f2)
-    w12 = pushforward(sys, sys.tensor_etype(s1, s2), sys.tensor_expr(f1, f2))
-    paired = tensor_derivations(sys, w1.right, w2.right)
-    fwd = w12.left(paired, sys.id_expr(sys.refines(paired.target)))
+    return _tensor_iso(sys, pushforward(sys, s1, f1), pushforward(sys, s2, f2))
+
+
+def _tensor_iso(sys: RefinementSystem, w1: Witness, w2: Witness) -> VerticalIso:
+    """The witness of the tensored data factors the paired units; its
+    inverse is searched for."""
+    w12 = witness(sys, w1.kind, sys.tensor_expr(w1.expr, w2.expr),
+                  sys.tensor_etype(w1.fixed, w2.fixed))
+    fwd = w12.factor_subtyping(tensor_derivations(sys, w1.unit, w2.unit))
     bwd = find_inverse(sys, fwd)
     if bwd is None:
-        raise LawViolation("tensor does not preserve this pushforward pair")
+        raise LawViolation(f"tensor does not preserve this {w1.noun} pair")
     return VerticalIso(fwd, bwd)
 
 
@@ -404,9 +400,9 @@ def star_rule(sys: RefinementSystem, mult, alpha1: Derivation,
     w_s = pushforward(sys, sys.tensor_etype(alpha1.subject, alpha2.subject), mult)
     w_t = pushforward(sys, sys.tensor_etype(alpha1.target, alpha2.target), mult)
     inner = compose_derivations(
-        sys, tensor_derivations(sys, alpha1, alpha2), w_t.right
+        sys, tensor_derivations(sys, alpha1, alpha2), w_t.unit
     )
-    return w_s.left(inner, sys.id_expr(sys.expr_cod(mult)))
+    return w_s.factor(inner, sys.id_expr(sys.expr_cod(mult)))
 
 
 def wand_intro_rule(sys: RefinementSystem, mult, beta: Derivation, s, t) -> Derivation:
@@ -417,11 +413,11 @@ def wand_intro_rule(sys: RefinementSystem, mult, beta: Derivation, s, t) -> Deri
     if beta.subject != w_star.etype:
         raise MismatchError("wand introduction: premise subject is not S * T")
     u = beta.target
-    step = compose_derivations(sys, w_star.right, beta)
+    step = compose_derivations(sys, w_star.unit, beta)
     w_res = residual(sys, "right", t, u)
     curried = w_res.curry(step, s)
     w_pull = pullback(sys, sys.curry_expr("right", mult), w_res.etype)
-    return w_pull.right(curried, sys.id_expr(sys.expr_dom(curried.expr)))
+    return w_pull.factor(curried, sys.id_expr(sys.expr_dom(curried.expr)))
 
 
 def wand_elim_rule(sys: RefinementSystem, mult, u, t) -> Derivation:
@@ -431,11 +427,11 @@ def wand_elim_rule(sys: RefinementSystem, mult, u, t) -> Derivation:
     wand = w_pull.etype
     step = compose_derivations(
         sys,
-        tensor_derivations(sys, w_pull.left, identity_derivation(sys, t)),
+        tensor_derivations(sys, w_pull.unit, identity_derivation(sys, t)),
         w_res.ev,
     )
     w_star = pushforward(sys, sys.tensor_etype(wand, t), mult)
-    return w_star.left(step, sys.id_expr(sys.refines(u)))
+    return w_star.factor(step, sys.id_expr(sys.refines(u)))
 
 
 def check_star_wand(sys: RefinementSystem, mult, s, t, u) -> LawReport:

@@ -1,16 +1,23 @@
 """Pullback/pushforward witnesses and the equations that make them universal.
 
-A pullback witness for (f, T) packages the constructed refinement type f*T,
-the left rule f*T =[f]=> T, and the right rule: an executable transformation
-sending any derivation S =[g;f]=> T together with the factor g to a
-derivation S =[g]=> f*T.  The two witness equations say that the round trips
-are identities:
+One class, :class:`Witness`, serves both directions of the bifibration: a
+pushforward is a pullback with both ends swapped.  A witness of kind "pull"
+for (f, T) packages the constructed refinement type f*T, its unit (the
+axiom rule pull-L, f*T =[f]=> T) and its factor rule (pull-R): an
+executable transformation sending any derivation S =[g;f]=> T together with
+the factor g to a derivation S =[g]=> f*T.  A witness of kind "push" for
+(S, f) packages fS, its unit push-R S =[f]=> fS and its factor rule push-L,
+sending S =[f;g]=> T with g to fS =[g]=> T.  The two witness equations say
+that the round trips are identities; for a pullback
 
-    beta-law   (right(beta, g) then left)  ==  beta
-    eta-law    right(eta then left, g)     ==  eta
+    beta-law   (factor(beta, g) then unit)  ==  beta
+    eta-law    factor(eta then unit, g)     ==  eta
 
-for every derivation beta : S =[g;f]=> T and eta : S =[g]=> f*T.  Pushforward
-witnesses are dual (left rule is the transformation, right rule the unit).
+for every derivation beta : S =[g;f]=> T and eta : S =[g]=> f*T, and
+dually for a pushforward (the unit comes first).  The rule names, the
+fault texts and the orientation of judgments are settled once, when a
+witness is built, so every function here (the law check, uniqueness, the
+pasting of two witnesses, two-out-of-three) is written once for both kinds.
 check_beta_eta makes the quantification executable: `literal` mode enumerates
 subjects, factors, and derivations exactly as the laws quantify; `membership`
 mode is an equivalent complete check available in proof-irrelevant models,
@@ -106,94 +113,95 @@ class LawReport:
         return "\n".join(lines)
 
 
-@dataclass
-class PullbackWitness:
-    """f*T with its left rule and executable right rule."""
-    sys: RefinementSystem
-    expr: Any
-    target: Any
-    etype: Any
-    left: Derivation
-    _factor: Callable
-    _last: tuple = field(default=(None, None), init=False, repr=False, compare=False)
-
-    def _through(self, g):
-        """g;f, built once for a run of premises with the same factor g, whose
-        codomain is checked then."""
-        last, gf = self._last
-        if last is not g:
-            if self.sys.expr_cod(g) != self.sys.expr_dom(self.expr):
-                raise MismatchError("pullback right rule: factor has wrong codomain")
-            gf = self.sys.compose_exprs(g, self.expr)
-            self._last = (g, gf)
-        return gf
-
-    def right(self, beta: Derivation, g) -> Derivation:
-        sys = self.sys
-        j = beta.judgment
-        if j.target is not self.target and j.target != self.target:
-            raise MismatchError("pullback right rule: premise has wrong target")
-        gf = self._through(g)
-        if j.expr is not gf and not sys.exprs_equal(j.expr, gf):
-            raise MismatchError("pullback right rule: premise expression is not g;f")
-        interp = self._factor(beta.interp, g)
-        return _new(Derivation, ("pull-R", _new(Judgment, (j.subject, g, self.etype)),
-                                 (beta,), interp))
-
-    def factor_subtyping(self, beta: Derivation) -> Derivation:
-        """Special case g = identity: from S =[f]=> T conclude S <= f*T."""
-        return self.right(beta, self.sys.id_expr(self.sys.expr_dom(self.expr)))
+# per kind: the noun, the universal rule, and that rule's fault texts when
+# the factor does not meet f, when the premise's fixed end is not the
+# witness's, and when the premise does not lie over the composite
+_KINDS = {
+    "pull": ("pullback", "pull-R", ("pullback right rule: factor has wrong codomain",
+                                    "pullback right rule: premise has wrong target",
+                                    "pullback right rule: premise expression is not g;f")),
+    "push": ("pushforward", "push-L", ("pushforward left rule: factor has wrong domain",
+                                       "pushforward left rule: premise has wrong subject",
+                                       "pushforward left rule: premise expression is not f;g")),
+}
 
 
 @dataclass
-class PushforwardWitness:
-    """fS with its right rule (unit) and executable left rule."""
+class Witness:
+    """A pullback f*T (kind "pull") or a pushforward fS (kind "push") with its rules.
+
+    ``fixed`` is T for a pullback and S for a pushforward, and ``etype`` is
+    the constructed type.  ``unit`` is the axiom rule, pull-L f*T =[f]=> T
+    or push-R S =[f]=> fS, and ``factor(beta, g)`` the universal rule:
+    pull-R takes beta : S =[g;f]=> T to S =[g]=> f*T, push-L takes
+    beta : S =[f;g]=> T to fS =[g]=> T.  ``_factor(m, g)`` is the model's
+    factoring of beta's morphism.  What depends on the kind (the rule name,
+    the fault texts, where the fixed end sits in a judgment) is settled when
+    the witness is built.
+    """
     sys: RefinementSystem
-    subject: Any
+    kind: str
     expr: Any
+    fixed: Any
     etype: Any
-    right: Derivation
+    unit: Derivation
     _factor: Callable
     _last: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
-    def _through(self, g):
-        """f;g, built once for a run of premises with the same factor g, whose
-        domain is checked then."""
-        last, fg = self._last
-        if last is not g:
-            if self.sys.expr_dom(g) != self.sys.expr_cod(self.expr):
-                raise MismatchError("pushforward left rule: factor has wrong domain")
-            fg = self.sys.compose_exprs(self.expr, g)
-            self._last = (g, fg)
-        return fg
+    def __post_init__(self):
+        self.noun, self._rule, self._faults = _KINDS[self.kind]
+        # a pushforward is a pullback with both ends swapped: it reads
+        # judgments and composites backwards, and its fixed end is the subject
+        self._pull = self.kind == "pull"
+        self._at = 2 if self._pull else 0
 
-    def left(self, beta: Derivation, g) -> Derivation:
+    def _through(self, g):
+        """g;f (pull) or f;g (push), after checking g's end at f; factor
+        keeps the last one, for a run of premises with the same g."""
         sys = self.sys
+        first, second = (g, self.expr) if self._pull else (self.expr, g)
+        if sys.expr_cod(first) != sys.expr_dom(second):
+            raise MismatchError(self._faults[0])
+        h = sys.compose_exprs(first, second)
+        self._last = (g, h)
+        return h
+
+    def factor(self, beta: Derivation, g) -> Derivation:
         j = beta.judgment
-        if j.subject is not self.subject and j.subject != self.subject:
-            raise MismatchError("pushforward left rule: premise has wrong subject")
-        fg = self._through(g)
-        if j.expr is not fg and not sys.exprs_equal(j.expr, fg):
-            raise MismatchError("pushforward left rule: premise expression is not f;g")
+        end = j[self._at]
+        if end is not self.fixed and end != self.fixed:
+            raise MismatchError(self._faults[1])
+        last, h = self._last
+        if last is not g:
+            h = self._through(g)
+        if j.expr is not h and not self.sys.exprs_equal(j.expr, h):
+            raise MismatchError(self._faults[2])
         interp = self._factor(beta.interp, g)
-        return _new(Derivation, ("push-L", _new(Judgment, (self.etype, g, j.target)),
-                                 (beta,), interp))
+        ends = (j[0], g, self.etype) if self._pull else (self.etype, g, j[2])
+        return _new(Derivation, (self._rule, _new(Judgment, ends), (beta,), interp))
 
     def factor_subtyping(self, beta: Derivation) -> Derivation:
-        """Special case g = identity: from S =[f]=> T conclude fS <= T."""
-        return self.left(beta, self.sys.id_expr(self.sys.expr_cod(self.expr)))
+        """Special case g = identity: from S =[f]=> T conclude S <= f*T or fS <= T."""
+        sys, f = self.sys, self.expr
+        ident = sys.id_expr(sys.expr_dom(f) if self._pull else sys.expr_cod(f))
+        return self.factor(beta, ident)
 
 
-def pullback(sys: RefinementSystem, f, t) -> PullbackWitness:
-    et, left_interp, factor = sys.pullback_data(f, t)
-    left = Derivation("pull-L", Judgment(et, f, t), (), left_interp)
-    return PullbackWitness(sys, f, t, et, left, factor)
+def pullback(sys: RefinementSystem, f, t) -> Witness:
+    et, interp, factor = sys.pullback_data(f, t)
+    unit = Derivation("pull-L", Judgment(et, f, t), (), interp)
+    return Witness(sys, "pull", f, t, et, unit, factor)
 
 
-def pushforward(sys: RefinementSystem, s, f) -> PushforwardWitness:
-    et, right_interp, factor = sys.pushforward_data(s, f)
-    right = Derivation("push-R", Judgment(s, f, et), (), right_interp)
-    return PushforwardWitness(sys, s, f, et, right, factor)
+def pushforward(sys: RefinementSystem, s, f) -> Witness:
+    et, interp, factor = sys.pushforward_data(s, f)
+    unit = Derivation("push-R", Judgment(s, f, et), (), interp)
+    return Witness(sys, "push", f, s, et, unit, factor)
+
+
+def witness(sys: RefinementSystem, kind: str, f, fixed) -> Witness:
+    """pullback(sys, f, fixed) for kind "pull", pushforward(sys, fixed, f) for "push"."""
+    return pullback(sys, f, fixed) if kind == "pull" else pushforward(sys, fixed, f)
 
 
 # --- law checking --------------------------------------------------------------
@@ -217,24 +225,17 @@ def check_beta_eta(w, mode: str = "literal", x_types: Optional[tuple] = None) ->
     """
     if mode not in ("literal", "membership"):
         raise ValueError(f"unknown mode {mode!r}")
-    if isinstance(w, PullbackWitness):
-        kind = "pullback"
-    elif isinstance(w, PushforwardWitness):
-        kind = "pushforward"
-    else:
+    if not isinstance(w, Witness):
         raise TypeError(f"not a witness: {w!r}")
     if mode == "literal":
         return _check_literal(w, x_types)
     sys = w.sys
     if not sys.proof_irrelevant:
         raise CapabilityError("membership mode needs a proof-irrelevant system")
-    if kind == "pullback":
-        et, _, _ = sys.pullback_data(w.expr, w.target)
-    else:
-        et, _, _ = sys.pushforward_data(w.subject, w.expr)
+    et = witness(sys, w.kind, w.expr, w.fixed).etype
     rep = LawReport()
     if rep.check(et == w.etype, lambda: (
-            f"{kind} along {_name(w.expr)!r}: "
+            f"{w.noun} along {_name(w.expr)!r}: "
             f"constructed {_name(w.etype)} != canonical {_name(et)}")):
         rep.checked = len(et.of) if hasattr(et, "of") else 1
     return rep
@@ -254,9 +255,8 @@ def _check_literal(w, x_types) -> LawReport:
     S =[f;g]=> T and eta over fS =[g]=> T.  Each judgment is built once per
     (end, factor), and each morphism over it is one instance.
     """
-    sys, etype, pull = w.sys, w.etype, isinstance(w, PullbackWitness)
-    # the rule that factors a premise, the unit it is cut with, and the fixed end
-    rule, unit, fixed = (w.right, w.left, w.target) if pull else (w.left, w.right, w.subject)
+    sys, etype, fixed, rule, unit = w.sys, w.etype, w.fixed, w.factor, w.unit
+    pull = w.kind == "pull"
     role = "subject" if pull else "target"
     compose, equal, morphisms_over = compose_derivations, derivations_equal, sys.morphisms_over
     rep = LawReport()
@@ -293,28 +293,22 @@ def _check_literal(w, x_types) -> LawReport:
 
 # --- uniqueness and composition ------------------------------------------------
 
-def uniqueness_iso(w1, w2) -> VerticalIso:
+def uniqueness_iso(w1: Witness, w2: Witness) -> VerticalIso:
     """Any two witnesses for the same data have canonically isomorphic types.
 
     Both composites are verified to interpret to identities; LawViolation
     otherwise.  The two witnesses may carry expressions that are merely
     table-equal rather than identical.
     """
+    _same_kind(w1, w2, "uniqueness")
     sys = w1.sys
-    if isinstance(w1, PullbackWitness) and isinstance(w2, PullbackWitness):
-        if w1.target != w2.target or not sys.exprs_equal(w1.expr, w2.expr):
-            raise MismatchError("uniqueness: witnesses are for different data")
-        ident = sys.id_expr(sys.expr_dom(w1.expr))
-        fwd = w2.right(w1.left, ident)
-        bwd = w1.right(w2.left, ident)
-    elif isinstance(w1, PushforwardWitness) and isinstance(w2, PushforwardWitness):
-        if w1.subject != w2.subject or not sys.exprs_equal(w1.expr, w2.expr):
-            raise MismatchError("uniqueness: witnesses are for different data")
-        ident = sys.id_expr(sys.expr_cod(w1.expr))
-        fwd = w1.left(w2.right, ident)
-        bwd = w2.left(w1.right, ident)
-    else:
-        raise TypeError("uniqueness: need two witnesses of the same kind")
+    if w1.fixed != w2.fixed or not sys.exprs_equal(w1.expr, w2.expr):
+        raise MismatchError("uniqueness: witnesses are for different data")
+    # fwd runs from w1's type to w2's: a pullback's factor lands in its own
+    # type, a pushforward's starts from it
+    a, b = (w2, w1) if w1.kind == "pull" else (w1, w2)
+    fwd = a.factor_subtyping(b.unit)
+    bwd = b.factor_subtyping(a.unit)
     round1 = compose_derivations(sys, fwd, bwd)
     round2 = compose_derivations(sys, bwd, fwd)
     if not derivations_equal(sys, round1, identity_derivation(sys, w1.etype)):
@@ -324,28 +318,37 @@ def uniqueness_iso(w1, w2) -> VerticalIso:
     return VerticalIso(fwd, bwd)
 
 
-def composite_pullback_witness(sys, f, g, t) -> PullbackWitness:
+def _same_kind(w1, w2, what: str) -> None:
+    if not (isinstance(w1, Witness) and isinstance(w2, Witness) and w1.kind == w2.kind):
+        raise TypeError(f"{what}: need two witnesses of the same kind")
+
+
+def composite_pullback_witness(sys, f, g, t) -> Witness:
     """Exhibit f*(g*T) as a pullback of T along f;g, by pasting two witnesses."""
-    w_g = pullback(sys, g, t)
-    w_f = pullback(sys, f, w_g.etype)
-    left = compose_derivations(sys, w_f.left, w_g.left)
-
-    def factor(m, h):
-        return w_f._factor(w_g._factor(m, sys.compose_exprs(h, f)), h)
-
-    return PullbackWitness(sys, sys.compose_exprs(f, g), t, w_f.etype, left, factor)
+    return _paste(sys, "pull", f, g, t)
 
 
-def composite_pushforward_witness(sys, s, f, g) -> PushforwardWitness:
+def composite_pushforward_witness(sys, s, f, g) -> Witness:
     """Exhibit g(fS) as a pushforward of S along f;g, by pasting two witnesses."""
-    w_f = pushforward(sys, s, f)
-    w_g = pushforward(sys, w_f.etype, g)
-    right = compose_derivations(sys, w_f.right, w_g.right)
+    return _paste(sys, "push", f, g, s)
+
+
+def _paste(sys, kind: str, f, g, fixed) -> Witness:
+    """The witness along f;g pasted from the one along the expression at the
+    fixed end (g for a pullback, f for a pushforward) and the one along the
+    other expression at its type."""
+    pull = kind == "pull"
+    near, far = (g, f) if pull else (f, g)
+    w_near = witness(sys, kind, near, fixed)
+    w_far = witness(sys, kind, far, w_near.etype)
+    units = (w_far.unit, w_near.unit) if pull else (w_near.unit, w_far.unit)
+    unit = compose_derivations(sys, *units)
 
     def factor(m, h):
-        return w_g._factor(w_f._factor(m, sys.compose_exprs(g, h)), h)
+        # m lies over h;f;g (or f;g;h): the near witness factors it through h;f (or g;h)
+        return w_far._factor(w_near._factor(m, w_far._through(h)), h)
 
-    return PushforwardWitness(sys, s, sys.compose_exprs(f, g), w_g.etype, right, factor)
+    return Witness(sys, kind, sys.compose_exprs(f, g), fixed, w_far.etype, unit, factor)
 
 
 def pull_compose_iso(sys, f, g, t) -> VerticalIso:
@@ -362,40 +365,30 @@ def push_compose_iso(sys, s, f, g) -> VerticalIso:
     return uniqueness_iso(direct, pasted)
 
 
-def implied_pullback_witness(sys, w_fg: PullbackWitness, w_g: PullbackWitness,
-                             f) -> PullbackWitness:
-    """Two-out-of-three: from S = (f;g)*U and T = g*U, exhibit S as f*T.
+def implied_witness(sys, whole: Witness, part: Witness, e) -> Witness:
+    """Two-out-of-three: the witness along e that whole and part imply.
 
-    The caller guarantees w_fg.expr is table-equal to f;(w_g.expr).  The laws
-    of the returned witness are not assumed; run check_beta_eta on it.
+    Pullbacks: from S = (e;g)*U (whole) and T = g*U (part), exhibit S as
+    e*T.  Pushforwards: from U = (f;e)S (whole) and T = fS (part), exhibit U
+    as eT.  The caller guarantees whole.expr is table-equal to e;g (f;e).
+    The laws of the returned witness are not assumed; run check_beta_eta on it.
     """
-    if not sys.exprs_equal(w_fg.expr, sys.compose_exprs(f, w_g.expr)):
+    _same_kind(whole, part, "two-out-of-three")
+    pull = part.kind == "pull"
+    composite = sys.compose_exprs(e, part.expr) if pull else sys.compose_exprs(part.expr, e)
+    if not sys.exprs_equal(whole.expr, composite):
         raise MismatchError("two-out-of-three: expressions do not factor")
-    if w_fg.target != w_g.target:
-        raise MismatchError("two-out-of-three: witnesses target different types")
-    left = w_g.right(w_fg.left, f)
+    if whole.fixed != part.fixed:
+        ends = "target" if pull else "start at"
+        raise MismatchError(f"two-out-of-three: witnesses {ends} different types")
+    unit = part.factor(whole.unit, e)
+    part_unit = part.unit.interp
 
     def factor(m, h):
-        mm = sys.compose_interps(m, w_g.left.interp)
-        return w_fg._factor(mm, h)
+        mm = sys.compose_interps(m, part_unit) if pull else sys.compose_interps(part_unit, m)
+        return whole._factor(mm, h)
 
-    return PullbackWitness(sys, f, w_g.etype, w_fg.etype, left, factor)
-
-
-def implied_pushforward_witness(sys, w_fg: PushforwardWitness,
-                                w_f: PushforwardWitness, g) -> PushforwardWitness:
-    """Two-out-of-three, dual: from U = (f;g)S and T = fS, exhibit U as gT."""
-    if not sys.exprs_equal(w_fg.expr, sys.compose_exprs(w_f.expr, g)):
-        raise MismatchError("two-out-of-three: expressions do not factor")
-    if w_fg.subject != w_f.subject:
-        raise MismatchError("two-out-of-three: witnesses start at different types")
-    right = w_f.left(w_fg.right, g)
-
-    def factor(m, h):
-        mm = sys.compose_interps(w_f.right.interp, m)
-        return w_fg._factor(mm, h)
-
-    return PushforwardWitness(sys, w_f.etype, g, w_fg.etype, right, factor)
+    return Witness(sys, part.kind, e, part.etype, whole.etype, unit, factor)
 
 
 # --- the three readings of a typing judgment ------------------------------------
@@ -433,10 +426,8 @@ def three_way_derivations(sys: RefinementSystem, s, f, t) -> dict:
     out["direct"] = direct
     out["push_to_sub"] = w_push.factor_subtyping(direct)
     out["pull_to_sub"] = w_pull.factor_subtyping(direct)
-    sub_push = out["push_to_sub"]
-    out["sub_to_direct_via_push"] = compose_derivations(sys, w_push.right, sub_push)
-    sub_pull = out["pull_to_sub"]
-    out["sub_to_direct_via_pull"] = compose_derivations(sys, sub_pull, w_pull.left)
+    out["sub_to_direct_via_push"] = compose_derivations(sys, w_push.unit, out["push_to_sub"])
+    out["sub_to_direct_via_pull"] = compose_derivations(sys, out["pull_to_sub"], w_pull.unit)
     return out
 
 

@@ -90,6 +90,11 @@ class TrivialSystem(RefinementSystem):
     def refines(self, s: FinSet):
         return POINT
 
+    def holds(self, s: FinSet, f: str, t: FinSet) -> bool:
+        """Whether some function s -> t exists: s is empty or t is not."""
+        _require_expr(f)
+        return len(s) == 0 or len(t) > 0
+
     def morphisms_over(self, s: FinSet, f: str, t: FinSet) -> Iterator[FinFunction]:
         _require_expr(f)
         return all_functions(s, t, name_prefix=f"{s.name}>{t.name}#")
@@ -111,20 +116,10 @@ class TrivialSystem(RefinementSystem):
 
     # --- pullback / pushforward: trivial along the identity --------------------
     def pullback_data(self, f: str, t: FinSet):
-        _require_expr(f)
-
-        def factor(m: FinFunction, g: str) -> FinFunction:
-            return m
-
-        return t, FinFunction.identity(t), factor
+        return _along_identity(f, t)
 
     def pushforward_data(self, s: FinSet, f: str):
-        _require_expr(f)
-
-        def factor(m: FinFunction, g: str) -> FinFunction:
-            return m
-
-        return s, FinFunction.identity(s), factor
+        return _along_identity(f, s)
 
     # --- monoidal structure: the kit's products, at the refinement level --------
     def tensor_itype(self, a, b):
@@ -169,6 +164,13 @@ class TrivialSystem(RefinementSystem):
     def residual_data(self, side: str, s: FinSet, u: FinSet):
         return (self.function_space(s, u), self.kit.plug(side, s, u),
                 lambda m, v: self.kit.curry(side, m, s, v))
+
+
+def _along_identity(f: str, x: FinSet) -> tuple:
+    """Both directions along the one expression: x itself, its identity, and
+    a factor that returns each morphism as it is."""
+    _require_expr(f)
+    return x, FinFunction.identity(x), lambda m, g: m
 
 
 def build_trivial_system(sets, name: str = "trivial",

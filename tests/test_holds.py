@@ -24,6 +24,7 @@ from refsys.kernel import IllFormedError, Status, classify, well_formed
 from refsys.monadrep import OppositeSystem, OpExpr
 from refsys.presheaf_model import FinPresheaf, build_presheaf_system, natural_components
 from refsys.signature import load_signature
+from refsys.trivial_model import build_trivial_system
 from test_search import ref_natural_components
 
 SIGNATURES = ("day_z2", "presheaf_arrow", "z4", "trivial2", "classifier")
@@ -208,3 +209,22 @@ def test_classify_builds_no_transformation(monkeypatch):
     sys_, s, f, t = derivable
     next(iter(sys_.morphisms_over(s, f, t)))
     assert len(built) == 1
+    # a trivial classify builds no function: one exists iff S is empty or T is not
+    functions = []
+    from_idx = FinFunction._from_idx.__func__
+
+    def counting_from_idx(cls, *args):
+        functions.append(args[0])
+        return from_idx(cls, *args)
+
+    monkeypatch.setattr(FinFunction, "_from_idx", classmethod(counting_from_idx))
+    trivial = build_trivial_system((FinSet("none", ()), FinSet("two", (1, 2))))
+    none, two = trivial.e_types()
+    assert {(s.name, t.name): classify(trivial, s, "id", t)
+            for s, t in itertools.product((none, two), repeat=2)} == {
+        ("none", "none"): Status.DERIVABLE, ("none", "two"): Status.DERIVABLE,
+        ("two", "none"): Status.UNDERIVABLE, ("two", "two"): Status.DERIVABLE,
+    }
+    assert functions == []
+    next(iter(trivial.morphisms_over(two, "id", two)))
+    assert functions == ["two>two#0"]

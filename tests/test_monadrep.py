@@ -36,8 +36,7 @@ from refsys.monadrep import (
     identity_adjunction,
     iter_encodings,
     search_encodings,
-    two_out_of_three_pull,
-    two_out_of_three_push,
+    two_out_of_three,
 )
 from refsys.subset_model import build_classifier_system, build_subset_system, subset
 from refsys.signature import load_signature
@@ -189,10 +188,10 @@ def test_two_out_of_three(squaring):
     neg = squaring.expr("neg")
     fg = sys.compose_exprs(neg, sq)
     big = squaring.etype("big")
-    rep = two_out_of_three_pull(sys, pullback(sys, fg, big), pullback(sys, sq, big), neg)
+    rep = two_out_of_three(sys, pullback(sys, fg, big), pullback(sys, sq, big), neg)
     assert rep.ok
     s = squaring.etype("negative")
-    rep = two_out_of_three_push(sys, pushforward(sys, s, fg), pushforward(sys, s, neg), sq)
+    rep = two_out_of_three(sys, pushforward(sys, s, fg), pushforward(sys, s, neg), sq)
     assert rep.ok
 
 
@@ -204,9 +203,9 @@ def test_two_out_of_three_on_presheaf_witnesses(arrow_sig):
     for f, g in ((collapse, collapse), (ident, collapse), (collapse, ident)):
         fg = sys.compose_exprs(f, g)
         for u in (arrow_sig.etype("P"), arrow_sig.etype("Q")):
-            rep = two_out_of_three_pull(sys, pullback(sys, fg, u), pullback(sys, g, u), f)
+            rep = two_out_of_three(sys, pullback(sys, fg, u), pullback(sys, g, u), f)
             assert rep.ok and rep.checked, str(rep)
-            rep = two_out_of_three_push(sys, pushforward(sys, u, fg), pushforward(sys, u, f), g)
+            rep = two_out_of_three(sys, pushforward(sys, u, fg), pushforward(sys, u, f), g)
             assert rep.ok and rep.checked, str(rep)
 
 
@@ -369,4 +368,29 @@ def test_opposite_pushforward_is_the_base_pullback_reversed(fixture, cases, requ
                     factored += 1
         assert factored
         report = check_beta_eta(pushforward(op, s, OpExpr(f)))
+        assert report.ok and report.checked, str(report)
+
+
+@pytest.mark.parametrize("fixture, cases", (("z4", _z4_cases), ("arrow_sig", _arrow_cases)),
+                         ids=("z4", "presheaf_arrow"))
+def test_opposite_pullback_is_the_base_pushforward_reversed(fixture, cases, request):
+    sig = request.getfixturevalue(fixture)
+    base = sig.system
+    op = OppositeSystem(base)
+    for f, t in cases(sig):
+        et, rule, factor = op.pullback_data(OpExpr(f), t)
+        base_et, base_rule, base_factor = base.pushforward_data(t, f)
+        assert et == base_et
+        assert rule == OpMor(base_rule)
+        # a morphism over f;g factors through the pushforward exactly as in the base
+        b = base.expr_cod(f)
+        factored = 0
+        for g in itertools.islice(base.expressions(b, b), 8):
+            fg = base.compose_exprs(f, g)
+            for z in base.e_types_over(b):
+                for m in base.morphisms_over(t, fg, z):
+                    assert factor(OpMor(m), OpExpr(g)) == OpMor(base_factor(m, g))
+                    factored += 1
+        assert factored
+        report = check_beta_eta(pullback(op, OpExpr(f), t))
         assert report.ok and report.checked, str(report)

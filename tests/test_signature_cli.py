@@ -738,3 +738,16 @@ def test_residual_command_matches_its_recorded_output(tmp_path, capsys, case):
         path = write_sig(tmp_path, doc)
     rc, out, err = run(capsys, "residual", path, *case["args"])
     assert (rc, out, err) == (case["code"], case["stdout"], case["stderr"])
+
+
+# --- `refsys pull` and `refsys push`, pinned against recorded output ----------------------
+
+PULLPUSH_GOLDEN = Path(__file__).resolve().parent / "golden" / "pullpush.json"
+
+
+@pytest.mark.parametrize("case", json.loads(PULLPUSH_GOLDEN.read_text()),
+                         ids=lambda c: "-".join([c["signature"], *c["args"]]))
+def test_pull_and_push_commands_match_their_recorded_output(capsys, case):
+    command, *rest = case["args"]
+    rc, out, err = run(capsys, command, data_file(case["signature"]), *rest)
+    assert (rc, out, err) == (case["code"], case["stdout"], case["stderr"])

@@ -22,8 +22,7 @@ from refsys.structures import (
     check_beta_eta,
     composite_pullback_witness,
     composite_pushforward_witness,
-    implied_pullback_witness,
-    implied_pushforward_witness,
+    implied_witness,
     law_mode,
     pull_compose_iso,
     pullback,
@@ -151,14 +150,14 @@ def test_two_out_of_three_witnesses(squaring):
     t = squaring.etype("big")
     w_fg = pullback(sys, fg, t)
     w_g = pullback(sys, sq, t)
-    implied = implied_pullback_witness(sys, w_fg, w_g, neg)
+    implied = implied_witness(sys, w_fg, w_g, neg)
     assert implied.etype == w_fg.etype
     assert check_beta_eta(implied, mode="membership").ok
 
     s = squaring.etype("negative")
     v_fg = pushforward(sys, s, fg)
     v_f = pushforward(sys, s, neg)
-    implied = implied_pushforward_witness(sys, v_fg, v_f, sq)
+    implied = implied_witness(sys, v_fg, v_f, sq)
     assert implied.etype == v_fg.etype
     assert check_beta_eta(implied, mode="membership").ok
 
@@ -292,17 +291,17 @@ def test_a_pushforward_factor_over_another_expression_fails_the_literal_check():
 def test_the_pull_and_push_rules_still_check_their_premises():
     sys, a, b, f = _fault_system()
     w = pullback(sys, f, subset(b, ("x",)))
-    beta = axiom(sys, subset(a, (1,)), f, w.target)
+    beta = axiom(sys, subset(a, (1,)), f, w.fixed)
     with pytest.raises(MismatchError, match="^pullback right rule: factor has wrong codomain$"):
-        w.right(beta, sys.id_expr(b))
+        w.factor(beta, sys.id_expr(b))
     with pytest.raises(MismatchError, match="^pullback right rule: premise expression is not g;f$"):
-        w.right(beta, _constant(a, a, 3))
+        w.factor(beta, _constant(a, a, 3))
     v = pushforward(sys, subset(a, (1, 3)), f)
-    beta = axiom(sys, v.subject, f, subset(b, ("x", "y")))
+    beta = axiom(sys, v.fixed, f, subset(b, ("x", "y")))
     with pytest.raises(MismatchError, match="^pushforward left rule: factor has wrong domain$"):
-        v.left(beta, sys.id_expr(a))
+        v.factor(beta, sys.id_expr(a))
     with pytest.raises(MismatchError, match="^pushforward left rule: premise expression is not f;g$"):
-        v.left(beta, _constant(b, b, "x"))
+        v.factor(beta, _constant(b, b, "x"))
 
 
 def test_an_ill_formed_judgment_is_still_refused():
