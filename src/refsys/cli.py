@@ -123,8 +123,6 @@ def cmd_witness(sig: Signature, args) -> int:
 
 
 def cmd_residual(sig: Signature, args) -> int:
-    if not sig.system.is_closed:
-        raise UsageError(f"system {sig.name!r} has no residuals")
     # the arguments are S U on the left and U T on the right: in_place gives (fixed, U)
     first, second = sig.etype(args.first), sig.etype(args.second)
     w = residual(sig.system, args.side, *in_place(args.side, first, second))

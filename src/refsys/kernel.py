@@ -137,15 +137,12 @@ class RefinementSystem:
 
     The mandatory surface is enumeration plus composition at both levels.
     Structured capabilities (pullbacks, tensor, residuals, ...) are provided
-    through hook methods; the default implementations raise CapabilityError,
-    and the corresponding `has_*` / `is_*` flags let callers probe first.
+    through hook methods, the one capability mechanism: the default
+    implementations raise CapabilityError, so a structure a model lacks is
+    refused the first time it is used, one (f, T) at a time.
     """
 
     name = "abstract"
-    has_pullbacks = False
-    has_pushforwards = False
-    is_monoidal = False
-    is_closed = False
     proof_irrelevant = False
 
     # --- index level -------------------------------------------------------

@@ -72,10 +72,9 @@ from .structures import (
     check_beta_eta,
     law_mode,
     pull_compose_iso,
-    pullback,
     push_compose_iso,
-    pushforward,
     three_way,
+    witness,
 )
 from .subset_model import Subset, full_subset, subset
 
@@ -221,48 +220,38 @@ def _suite_structures(sig: Signature, max_set: int) -> LawReport:
     etypes = _etype_pool(sig, max_set)
     exprs = _expr_pool(sig)
     mode = law_mode(sys_)
+
+    def over(x, n):
+        """The first n pool types over the index type x."""
+        return [e for e in etypes if sys_.refines(e) == x][:n]
+
     for f in exprs:
-        a, b = sys_.expr_dom(f), sys_.expr_cod(f)
-        if sys_.has_pullbacks:
-            for t in [t for t in etypes if sys_.refines(t) == b][:6]:
+        for kind, x in (("pull", sys_.expr_cod(f)), ("push", sys_.expr_dom(f))):
+            for e in over(x, 6):
                 with _refusals(rep):
-                    rep.absorb(check_beta_eta(pullback(sys_, f, t), mode=mode),
-                               f"pullback of {etype_label(t)} along {_expr_label(f)}")
-        if sys_.has_pushforwards:
-            for s in [s for s in etypes if sys_.refines(s) == a][:6]:
-                with _refusals(rep):
-                    rep.absorb(check_beta_eta(pushforward(sys_, s, f), mode=mode),
-                               f"pushforward of {etype_label(s)} along {_expr_label(f)}")
+                    w = witness(sys_, kind, f, e)
+                    rep.absorb(check_beta_eta(w, mode=mode),
+                               f"{w.noun} of {etype_label(e)} along {_expr_label(f)}")
     composable = [(f, g) for f in exprs for g in exprs
                   if sys_.expr_cod(f) == sys_.expr_dom(g)]
     for f, g in composable[:12]:
-        c = sys_.expr_cod(g)
-        a = sys_.expr_dom(f)
-        if sys_.has_pullbacks:
-            for t in [t for t in etypes if sys_.refines(t) == c][:2]:
-                with _law(rep, "pullback composite iso"):
-                    pull_compose_iso(sys_, f, g, t)
-        if sys_.has_pushforwards:
-            for s in [s for s in etypes if sys_.refines(s) == a][:2]:
-                with _law(rep, "pushforward composite iso"):
-                    push_compose_iso(sys_, s, f, g)
-    if sys_.has_pullbacks and sys_.has_pushforwards:
-        for f in exprs:
-            a, b = sys_.expr_dom(f), sys_.expr_cod(f)
-            ss = [s for s in etypes if sys_.refines(s) == a][:6]
-            ts = [t for t in etypes if sys_.refines(t) == b][:6]
-            for s, t in itertools.product(ss, ts):
-                with _refusals(rep):
-                    rep.check(three_way(sys_, s, f, t).agree, lambda: (
-                        f"three-way readings disagree at {etype_label(s)} "
-                        f"=[{_expr_label(f)}]=> {etype_label(t)}"))
+        for t in over(sys_.expr_cod(g), 2):
+            with _law(rep, "pullback composite iso"):
+                pull_compose_iso(sys_, f, g, t)
+        for s in over(sys_.expr_dom(f), 2):
+            with _law(rep, "pushforward composite iso"):
+                push_compose_iso(sys_, s, f, g)
+    for f in exprs:
+        for s, t in itertools.product(over(sys_.expr_dom(f), 6), over(sys_.expr_cod(f), 6)):
+            with _refusals(rep):
+                rep.check(three_way(sys_, s, f, t).agree, lambda: (
+                    f"three-way readings disagree at {etype_label(s)} "
+                    f"=[{_expr_label(f)}]=> {etype_label(t)}"))
     return rep
 
 
-def _suite_monoidal(sig: Signature, max_set: int) -> LawReport | str:
+def _suite_monoidal(sig: Signature, max_set: int) -> LawReport:
     sys_ = sig.system
-    if not sys_.is_monoidal:
-        return "system is not monoidal"
     rep = LawReport()
     if sig.kind == "presheaf":
         for cname, cat in sig.categories.items():

@@ -104,8 +104,6 @@ class OppositeSystem(RefinementSystem):
     def __init__(self, base: RefinementSystem):
         self.base = base
         self.name = f"{base.name}-op"
-        self.has_pullbacks = base.has_pushforwards
-        self.has_pushforwards = base.has_pullbacks
         self.proof_irrelevant = base.proof_irrelevant
 
     # index level
@@ -185,7 +183,7 @@ class AdjunctionDescriptor:
 
     All functor data is given as callables; unit/counit come both as
     expression formers (eta0/eps0) and as derivation formers (eta_rule/
-    eps_rule).  sigma_rule, when present, forms the strength derivation
+    eps_rule).  sigma_rule forms the strength derivation
     S (x) RL[T] => RL[S (x) T] over p's tensor.
     """
     name: str
@@ -203,7 +201,7 @@ class AdjunctionDescriptor:
     r_der: Callable
     eta_rule: Callable
     eps_rule: Callable
-    sigma_rule: Optional[Callable] = None
+    sigma_rule: Callable
 
     def rl_etype(self, s):
         return self.r_etype(self.l_etype(s))
@@ -229,7 +227,7 @@ def identity_adjunction(sys: RefinementSystem,
         l_etype=ident, l_der=ident, r_etype=ident, r_der=ident,
         eta_rule=lambda s: identity_derivation(sys, s),
         eps_rule=lambda t: identity_derivation(sys, t),
-        sigma_rule=sigma_rule if sys.is_monoidal else None,
+        sigma_rule=sigma_rule,
     )
 
 
@@ -240,8 +238,6 @@ def build_continuation_adjunction(sys: RefinementSystem, u) -> AdjunctionDescrip
     the counit is the transpose of left evaluation, and the strength is the
     canonical regrouping of a continuation with an extra tensor factor.
     """
-    if not (sys.is_monoidal and sys.is_closed):
-        raise CapabilityError("continuation adjunction needs a monoidal closed system")
     q = OppositeSystem(sys)
     c = sys.refines(u)
 
@@ -401,49 +397,47 @@ def check_adjunction(adj: AdjunctionDescriptor, p_etypes=(), q_etypes=(),
         nat_r = compose_derivations(q, adj.eps_rule(beta.subject), beta)
         rep.check(derivations_equal(q, nat_l, nat_r), "counit is not natural")
 
-    if adj.sigma_rule is not None:
-        unit_et = p.unit_etype()
-        for (s, t) in strength_pairs:
-            if rep.full:
-                break
-            at = f"({getattr(s, 'name', s)}, {getattr(t, 'name', t)})"
-            try:
-                sig = adj.sigma_rule(s, t)
-                rl_t = adj.rl_etype(t)
-                # left unitor compatibility: sigma_{1,T};RL[unit_l] == unit_l
-                lam_rl = coherence_derivation(p, "unit_l", (rl_t,))
-                lhs = compose_derivations(
-                    p, adj.sigma_rule(unit_et, t),
-                    adj.rl_der(coherence_derivation(p, "unit_l", (t,))),
-                )
-                rep.check(derivations_equal(p, lhs, lam_rl),
-                          lambda: f"strength unitor axiom fails at {getattr(t, 'name', t)}")
-                # unit compatibility: (id (x) eta);sigma == eta
-                lhs = compose_derivations(
-                    p,
-                    tensor_derivations(p, identity_derivation(p, s), adj.eta_rule(t)),
-                    sig,
-                )
-                rep.check(derivations_equal(p, lhs, adj.eta_rule(p.tensor_etype(s, t))),
-                          lambda: f"strength unit axiom fails at {at}")
-                # associativity compatibility, with t doubling as the third operand
-                v = t
-                rl_v = adj.rl_etype(v)
-                lhs = compose_many(
-                    p,
-                    coherence_derivation(p, "assoc", (s, t, rl_v)),
-                    tensor_derivations(p, identity_derivation(p, s), adj.sigma_rule(t, v)),
-                    adj.sigma_rule(s, p.tensor_etype(t, v)),
-                )
-                rhs = compose_derivations(
-                    p,
-                    adj.sigma_rule(p.tensor_etype(s, t), v),
-                    adj.rl_der(coherence_derivation(p, "assoc", (s, t, v))),
-                )
-                rep.check(derivations_equal(p, lhs, rhs),
-                          lambda: f"strength associativity axiom fails at {at}")
-            except CapabilityError as exc:
-                rep.skip(f"strength instance {at}: {exc}")
+    for (s, t) in strength_pairs:
+        if rep.full:
+            break
+        at = f"({getattr(s, 'name', s)}, {getattr(t, 'name', t)})"
+        try:
+            sig = adj.sigma_rule(s, t)
+            rl_t = adj.rl_etype(t)
+            # left unitor compatibility: sigma_{1,T};RL[unit_l] == unit_l
+            lam_rl = coherence_derivation(p, "unit_l", (rl_t,))
+            lhs = compose_derivations(
+                p, adj.sigma_rule(p.unit_etype(), t),
+                adj.rl_der(coherence_derivation(p, "unit_l", (t,))),
+            )
+            rep.check(derivations_equal(p, lhs, lam_rl),
+                      lambda: f"strength unitor axiom fails at {getattr(t, 'name', t)}")
+            # unit compatibility: (id (x) eta);sigma == eta
+            lhs = compose_derivations(
+                p,
+                tensor_derivations(p, identity_derivation(p, s), adj.eta_rule(t)),
+                sig,
+            )
+            rep.check(derivations_equal(p, lhs, adj.eta_rule(p.tensor_etype(s, t))),
+                      lambda: f"strength unit axiom fails at {at}")
+            # associativity compatibility, with t doubling as the third operand
+            v = t
+            rl_v = adj.rl_etype(v)
+            lhs = compose_many(
+                p,
+                coherence_derivation(p, "assoc", (s, t, rl_v)),
+                tensor_derivations(p, identity_derivation(p, s), adj.sigma_rule(t, v)),
+                adj.sigma_rule(s, p.tensor_etype(t, v)),
+            )
+            rhs = compose_derivations(
+                p,
+                adj.sigma_rule(p.tensor_etype(s, t), v),
+                adj.rl_der(coherence_derivation(p, "assoc", (s, t, v))),
+            )
+            rep.check(derivations_equal(p, lhs, rhs),
+                      lambda: f"strength associativity axiom fails at {at}")
+        except CapabilityError as exc:
+            rep.skip(f"strength instance {at}: {exc}")
     return rep
 
 
@@ -460,8 +454,6 @@ class FiberwiseMonad:
     """
 
     def __init__(self, adj: AdjunctionDescriptor):
-        if not adj.p.has_pullbacks:
-            raise CapabilityError("fiberwise monad needs pullbacks in p")
         self.adj = adj
         self.p = adj.p
 
@@ -544,8 +536,6 @@ def double_negation_comparison(adj: AdjunctionDescriptor, t, u) -> Derivation:
     relies on that equation through an explicit conversion step.
     """
     p = adj.p
-    if adj.sigma_rule is None:
-        raise CapabilityError("comparison needs a strength")
     w = adj.r_etype(u)
     w_r = residual(p, "right", t, w)
     n = w_r.etype

@@ -355,10 +355,6 @@ class _UnionFind:
 class PresheafSystem(RefinementSystem):
     """The presheaves-over-finite-categories refinement system."""
 
-    has_pullbacks = True
-    has_pushforwards = True
-    is_monoidal = True
-    is_closed = True
     proof_irrelevant = False
 
     def __init__(self, name: str, cats, presheaves,

@@ -58,6 +58,7 @@ from .kernel import (
     MismatchError,
     RefinementSystem,
     Status,
+    ValidationError,
     VerticalIso,
     _new,
     axiom,
@@ -253,7 +254,9 @@ def _check_literal(w, x_types) -> LawReport:
     S =[g]=> f*T.  A pushforward fS fixes its subject: the ends are the
     targets T over each x, the factors run over g : B -> x, beta over
     S =[f;g]=> T and eta over fS =[g]=> T.  Each judgment is built once per
-    (end, factor), and each morphism over it is one instance.
+    (end, factor), and each morphism over it is one instance.  A factor the
+    model cannot build as a morphism (a ValidationError) fails that law at
+    that end and factor with the model's text, and ends that loop.
     """
     sys, etype, fixed, rule, unit = w.sys, w.etype, w.fixed, w.factor, w.unit
     pull = w.kind == "pull"
@@ -272,20 +275,26 @@ def _check_literal(w, x_types) -> LawReport:
                                          and well_formed(sys, s2, g, t2)):
                     raise IllFormedError("ill-formed judgment")
                 j = _new(Judgment, (s, h, t))
-                for m in morphisms_over(s, h, t):
-                    beta = _new(Derivation, ("ax", j, (), m))
-                    rep.checked += 1
-                    back = (compose(sys, rule(beta, g), unit) if pull
-                            else compose(sys, unit, rule(beta, g)))
-                    if not equal(sys, back, beta):
-                        rep.failures.append(f"beta-law fails at {role} {e.name}, factor {_name(g)}")
+                try:
+                    for m in morphisms_over(s, h, t):
+                        beta = _new(Derivation, ("ax", j, (), m))
+                        rep.checked += 1
+                        back = (compose(sys, rule(beta, g), unit) if pull
+                                else compose(sys, unit, rule(beta, g)))
+                        if not equal(sys, back, beta):
+                            rep.failures.append(f"beta-law fails at {role} {e.name}, factor {_name(g)}")
+                except ValidationError as exc:
+                    rep.failures.append(f"beta-law fails at {role} {e.name}, factor {_name(g)}: {exc}")
                 j = _new(Judgment, (s2, g, t2))
-                for m in morphisms_over(s2, g, t2):
-                    eta = _new(Derivation, ("ax", j, (), m))
-                    rep.checked += 1
-                    back = rule(compose(sys, eta, unit) if pull else compose(sys, unit, eta), g)
-                    if not equal(sys, back, eta):
-                        rep.failures.append(f"eta-law fails at {role} {e.name}, factor {_name(g)}")
+                try:
+                    for m in morphisms_over(s2, g, t2):
+                        eta = _new(Derivation, ("ax", j, (), m))
+                        rep.checked += 1
+                        back = rule(compose(sys, eta, unit) if pull else compose(sys, unit, eta), g)
+                        if not equal(sys, back, eta):
+                            rep.failures.append(f"eta-law fails at {role} {e.name}, factor {_name(g)}")
+                except ValidationError as exc:
+                    rep.failures.append(f"eta-law fails at {role} {e.name}, factor {_name(g)}: {exc}")
                 if rep.failures and rep.full:
                     return rep
     return rep
@@ -297,8 +306,9 @@ def uniqueness_iso(w1: Witness, w2: Witness) -> VerticalIso:
     """Any two witnesses for the same data have canonically isomorphic types.
 
     Both composites are verified to interpret to identities; LawViolation
-    otherwise.  The two witnesses may carry expressions that are merely
-    table-equal rather than identical.
+    otherwise, and also when the model cannot build a factor as a morphism.
+    The two witnesses may carry expressions that are merely table-equal
+    rather than identical.
     """
     _same_kind(w1, w2, "uniqueness")
     sys = w1.sys
@@ -307,8 +317,12 @@ def uniqueness_iso(w1: Witness, w2: Witness) -> VerticalIso:
     # fwd runs from w1's type to w2's: a pullback's factor lands in its own
     # type, a pushforward's starts from it
     a, b = (w2, w1) if w1.kind == "pull" else (w1, w2)
-    fwd = a.factor_subtyping(b.unit)
-    bwd = b.factor_subtyping(a.unit)
+    try:
+        fwd = a.factor_subtyping(b.unit)
+        bwd = b.factor_subtyping(a.unit)
+    except ValidationError as exc:
+        # a model whose factor is not a morphism breaks the universal property
+        raise LawViolation(f"uniqueness iso: factor is not a morphism ({exc})") from exc
     round1 = compose_derivations(sys, fwd, bwd)
     round2 = compose_derivations(sys, bwd, fwd)
     if not derivations_equal(sys, round1, identity_derivation(sys, w1.etype)):

@@ -186,10 +186,6 @@ def _mor(src: Subset, expr: FinFunction, dst: Subset) -> SubsetMor:
 class SubsetSystem(RefinementSystem):
     """The subsets-over-finite-sets refinement system."""
 
-    has_pullbacks = True
-    has_pushforwards = True
-    is_monoidal = True
-    is_closed = True
     proof_irrelevant = True
 
     def __init__(self, name: str, sets, max_carrier: int = DEFAULT_MAX_CARRIER):

@@ -44,10 +44,6 @@ def _require_expr(f, error=IllFormedError) -> None:
 class TrivialSystem(RefinementSystem):
     """Finite sets and all functions, fibred over the one-point base."""
 
-    has_pullbacks = True
-    has_pushforwards = True
-    is_monoidal = True
-    is_closed = True
     proof_irrelevant = False
 
     def __init__(self, name: str, sets, max_carrier: int = DEFAULT_MAX_CARRIER):

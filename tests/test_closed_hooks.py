@@ -5,10 +5,12 @@ which both residuals share, and ``plug_expr``, ``curry_expr``,
 ``residual_etype`` and ``residual_data``, which take the side and the fixed
 operand first.  These tests pin what each model returns on either side, and
 the refusal texts of ``residual_data`` as the two-hooks-per-side interface
-gave them.
+gave them, and that a model without a structure is refused by that
+structure's hooks, the one capability mechanism.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
@@ -16,6 +18,8 @@ import pytest
 from conftest import data_file
 from refsys.fincat import FinSet
 from refsys.kernel import CapabilityError, RefinementSystem
+from refsys.laws import _suite_structures
+from refsys.monadrep import FiberwiseMonad, identity_adjunction
 from refsys.presheaf_model import PresheafSystem, same_values
 from refsys.signature import load_signature
 from refsys.subset_model import SubsetSystem, build_subset_system, subset
@@ -87,6 +91,31 @@ def test_a_system_without_closed_hooks_is_not_closed():
                  lambda: bare.residual_data("right", "S", "U")):
         with pytest.raises(CapabilityError, match=r"^bare: not closed$"):
             call()
+    # the hooks are the one capability mechanism: each refuses with its own text
+    for call, text in ((lambda: bare.pullback_data("f", "T"), "bare: no pullbacks"),
+                       (lambda: bare.pushforward_data("S", "f"), "bare: no pushforwards"),
+                       (lambda: bare.tensor_etype("S", "T"), "bare: not monoidal"),
+                       (lambda: bare.coherence_cell("assoc", ("S", "T", "U")),
+                        "bare: not monoidal")):
+        with pytest.raises(CapabilityError) as err:
+            call()
+        assert str(err.value) == text
+
+    # a model that lacks pullbacks is refused where one is first needed
+    class NoPullbacks(SubsetSystem):
+        pullback_data = RefinementSystem.pullback_data
+
+    squaring = load_signature(data_file("squaring.json"))
+    nopull = NoPullbacks("nopull", tuple(squaring.sets.values()))
+    monad = FiberwiseMonad(identity_adjunction(nopull))
+    with pytest.raises(CapabilityError) as err:
+        monad.carrier(squaring.etype("big"))
+    assert str(err.value) == "nopull: no pullbacks"
+    # the structures suite notes each pullback it needs, the three-way
+    # readings included, and checks the pushforward side of squaring's 396
+    rep = _suite_structures(dataclasses.replace(squaring, system=nopull), 3)
+    assert rep.ok and rep.checked == 162
+    assert rep.skipped == ["nopull: no pullbacks"] * 111
 
 
 # residual_data's refusals, as the left and right hooks raised them: the

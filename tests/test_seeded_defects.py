@@ -1,0 +1,114 @@
+"""Seeded defects: a wrong model hook must read as a failed law, not a refusal.
+
+Each row replaces one hook of ``SubsetSystem`` by a plausible mistake and
+runs ``refsys laws squaring.json structures`` and ``... all`` in a
+subprocess, under ``python`` and ``python -O``.  The exit-code contract reads
+1 for a failing check and 3 for a refusal, so a defect the suites catch
+exits 1 with a counterexample, whatever the interpreter does with
+``assert``.  Run this file as a script, ``python tests/test_seeded_defects.py
+ROW ARGS...``, to run the command line ``refsys ARGS...`` with row ROW's
+defect in place.
+"""
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from conftest import data_file
+from refsys.signature import load_signature
+from refsys.structures import check_beta_eta, pullback
+from refsys.subset_model import SubsetMor, SubsetSystem, _mor, _subset
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+_pullback_data = SubsetSystem.pullback_data
+_pushforward_data = SubsetSystem.pushforward_data
+
+
+def pullback_dropping_the_smallest_position(self, f, t):
+    """Row (a): f*T without its smallest preimage position."""
+    et, _, _ = _pullback_data(self, f, t)
+    et = _subset(et.of, et.ix - {min(et.ix)}) if et.ix else et
+
+    def factor(m, g):
+        return SubsetMor(m.src, g, et)
+
+    return et, _mor(et, f, t), factor
+
+
+def pushforward_adding_a_position(self, s, f):
+    """Row (b): fS with the first codomain position outside the image added."""
+    et, _, _ = _pushforward_data(self, s, f)
+    extra = [i for i in range(len(et.of)) if i not in et.ix][:1]
+    et = _subset(et.of, et.ix | set(extra))
+
+    def factor(m, g):
+        return SubsetMor(et, g, m.dst)
+
+    return et, _mor(s, f, et), factor
+
+
+ROWS = {
+    "a": ("pullback_data", pullback_dropping_the_smallest_position,
+          "pullback composite iso: uniqueness iso: "),
+    "b": ("pushforward_data", pushforward_adding_a_position,
+          "pushforward composite iso: uniqueness iso: "),
+}
+
+
+def _refsys(row: str, flags: tuple, *argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *flags, __file__, row, *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["python", "python-O"])
+@pytest.mark.parametrize("suite", ["structures", "all"])
+@pytest.mark.parametrize("row", sorted(ROWS))
+def test_a_seeded_defect_fails_the_structures_suite(row, suite, flags):
+    proc = _refsys(row, flags, "laws", data_file("squaring.json"), suite)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ""
+    assert "suite structures: FAIL (" in proc.stdout
+    counterexamples = [line.strip() for line in proc.stdout.splitlines()
+                       if line.strip().startswith("counterexample: ")]
+    assert any(c.startswith("counterexample: " + ROWS[row][2]) for c in counterexamples)
+
+
+def test_row_b_names_the_position_it_added():
+    proc = _refsys("b", ("-O",), "laws", data_file("squaring.json"), "structures")
+    assert ("pushforward composite iso: uniqueness iso: factor is not a morphism "
+            "('id_A' does not map {-3,-2}:A into {-3}:A)") in proc.stdout
+
+
+@pytest.fixture
+def row_a(monkeypatch):
+    """Row (a)'s witness of big along sq, {3}:A where {-3,3}:A is right."""
+    monkeypatch.setattr(SubsetSystem, "pullback_data", pullback_dropping_the_smallest_position)
+    sig = load_signature(data_file("squaring.json"))
+    return pullback(sig.system, sig.expr("sq"), sig.etype("big"))
+
+
+def test_literal_mode_fails_row_a_at_the_beta_law(row_a):
+    assert row_a.etype.name == "{3}:A"
+    rep = check_beta_eta(row_a, mode="literal")
+    assert not rep.ok
+    assert any(f.startswith("beta-law fails at subject ") and "does not map" in f
+               for f in rep.failures)
+
+
+@pytest.mark.xfail(strict=True, reason="membership mode rebuilds the witness through the "
+                   "same model hook, so it has no independent answer to compare with")
+def test_membership_mode_fails_row_a(row_a):
+    assert not check_beta_eta(row_a, mode="membership").ok
+
+
+if __name__ == "__main__":
+    from refsys.cli import main
+    hook, patch, _ = ROWS[sys.argv[1]]
+    setattr(SubsetSystem, hook, patch)
+    raise SystemExit(main(sys.argv[2:]))
