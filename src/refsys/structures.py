@@ -30,13 +30,18 @@ check_beta_eta still takes the mode, so tests can run both as cross-checks.
 
 One loop runs the literal mode for both kinds of witness.  A pullback
 fixes its target and runs over subjects, a pushforward fixes its subject
-and runs over targets; call either the end.  For each factor g and end it
-builds the beta and the eta judgment once, and each model morphism over
-one of them, taken straight from ``morphisms_over``, is one instance: an
-axiom derivation, its round trip through the witness's rules (bound once
-per check) and one derivation equality; only a failing instance builds a
-message.  A witness builds g;f (or f;g) once per factor g and checks g's
-boundary then, and a later premise with the same g reuses both.
+and runs over targets; call either the end.  The boundaries of the beta
+and the eta judgment at each end are laid out once per index type, so the
+loop tests no kind per end, and they are checked once per factor g.  Each
+model morphism over a judgment, taken straight from ``morphisms_over``, is
+one instance: an axiom derivation, its round trip through the witness's
+rules (bound once per check) and one derivation equality; a judgment is
+built only when some morphism lies over it, and only a failing instance
+builds a message.  A witness builds g;f (or f;g) once per factor g and
+checks g's boundary then, and a later premise with the same g reuses both;
+what its factor rule reads on every call (the fixed end and its place, the
+type, the rule name, the fault texts, the model's factor) is bound once,
+when the witness is built.
 
 The law checkers that loop over instances stop once their report is
 `full`: LawReport.failure_cap (5) failures are recorded.  Each checker
@@ -138,7 +143,9 @@ class Witness:
     beta : S =[f;g]=> T to fS =[g]=> T.  ``_factor(m, g)`` is the model's
     factoring of beta's morphism.  What depends on the kind (the rule name,
     the fault texts, where the fixed end sits in a judgment) is settled when
-    the witness is built.
+    the witness is built, together with the fields ``factor`` reads, so a
+    witness is not changed after it is built: ``dataclasses.replace`` builds
+    a new one.
     """
     sys: RefinementSystem
     kind: str
@@ -150,36 +157,41 @@ class Witness:
     _last: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.noun, self._rule, self._faults = _KINDS[self.kind]
+        self.noun, rule, faults = _KINDS[self.kind]
         # a pushforward is a pullback with both ends swapped: it reads
         # judgments and composites backwards, and its fixed end is the subject
-        self._pull = self.kind == "pull"
-        self._at = 2 if self._pull else 0
+        self._pull = pull = self.kind == "pull"
+        # what factor reads on every call, bound once: the fixed end's place
+        # in a judgment, the kind's rule name and fault texts, the model's factor
+        self._bound = (2 if pull else 0, self.fixed, self.etype, pull, rule, faults,
+                       self._factor)
 
     def _through(self, g):
         """g;f (pull) or f;g (push), after checking g's end at f; factor
         keeps the last one, for a run of premises with the same g."""
         sys = self.sys
         first, second = (g, self.expr) if self._pull else (self.expr, g)
-        if sys.expr_cod(first) != sys.expr_dom(second):
-            raise MismatchError(self._faults[0])
+        a, b = sys.expr_cod(first), sys.expr_dom(second)
+        if a is not b and a != b:
+            raise MismatchError(_KINDS[self.kind][2][0])
         h = sys.compose_exprs(first, second)
         self._last = (g, h)
         return h
 
     def factor(self, beta: Derivation, g) -> Derivation:
+        at, fixed, etype, pull, rule, faults, model_factor = self._bound
         j = beta.judgment
-        end = j[self._at]
-        if end is not self.fixed and end != self.fixed:
-            raise MismatchError(self._faults[1])
+        end = j[at]
+        if end is not fixed and end != fixed:
+            raise MismatchError(faults[1])
         last, h = self._last
         if last is not g:
             h = self._through(g)
         if j.expr is not h and not self.sys.exprs_equal(j.expr, h):
-            raise MismatchError(self._faults[2])
-        interp = self._factor(beta.interp, g)
-        ends = (j[0], g, self.etype) if self._pull else (self.etype, g, j[2])
-        return _new(Derivation, (self._rule, _new(Judgment, ends), (beta,), interp))
+            raise MismatchError(faults[2])
+        interp = model_factor(beta.interp, g)
+        ends = (j[0], g, etype) if pull else (etype, g, j[2])
+        return _new(Derivation, (rule, _new(Judgment, ends), (beta,), interp))
 
     def factor_subtyping(self, beta: Derivation) -> Derivation:
         """Special case g = identity: from S =[f]=> T conclude S <= f*T or fS <= T."""
@@ -222,7 +234,9 @@ def check_beta_eta(w, mode: str = "literal", x_types: Optional[tuple] = None) ->
     constructed type elementwise and compare.  At most one morphism lives over
     each expression in such systems, so boundary derivability determines the
     derivation, and the elementwise bi-implication is exactly the universal
-    property quantified over all subjects and factors at once.
+    property quantified over all subjects and factors at once.  The type is
+    recomputed from the expression's values alone (see _elementwise), so a
+    model hook that builds the wrong type fails here.
     """
     if mode not in ("literal", "membership"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -233,13 +247,30 @@ def check_beta_eta(w, mode: str = "literal", x_types: Optional[tuple] = None) ->
     sys = w.sys
     if not sys.proof_irrelevant:
         raise CapabilityError("membership mode needs a proof-irrelevant system")
-    et = witness(sys, w.kind, w.expr, w.fixed).etype
+    et = _elementwise(w)
     rep = LawReport()
     if rep.check(et == w.etype, lambda: (
             f"{w.noun} along {_name(w.expr)!r}: "
             f"constructed {_name(w.etype)} != canonical {_name(et)}")):
         rep.checked = len(et.of) if hasattr(et, "of") else 1
     return rep
+
+
+def _elementwise(w: Witness):
+    """The type w should have, from its expression's values one element at a
+    time: f*T = {x | f(x) in T} and fS = {f(x) | x in S}, built by the
+    constructed type's own checked constructor.  A witness of an opposite
+    system is its base's witness of the other kind along the base
+    expression.  No model hook and no index table is read."""
+    from .monadrep import OppositeSystem  # monadrep imports this module
+
+    sys, pull, f = w.sys, w._pull, w.expr
+    while isinstance(sys, OppositeSystem):
+        sys, pull, f = sys.base, not pull, f.base
+    inside = w.fixed.elements
+    if pull:
+        return type(w.etype)(f.dom, [x for x in f.dom.elements if f(x) in inside])
+    return type(w.etype)(f.cod, {f(x) for x in inside})
 
 
 def _name(x) -> str:
@@ -253,50 +284,60 @@ def _check_literal(w, x_types) -> LawReport:
     x, the factors run over g : x -> A, beta over S =[g;f]=> T and eta over
     S =[g]=> f*T.  A pushforward fS fixes its subject: the ends are the
     targets T over each x, the factors run over g : B -> x, beta over
-    S =[f;g]=> T and eta over fS =[g]=> T.  Each judgment is built once per
-    (end, factor), and each morphism over it is one instance.  A factor the
+    S =[f;g]=> T and eta over fS =[g]=> T.  Each judgment is built at most
+    once per (end, factor), and each morphism over it is one instance.  A factor the
     model cannot build as a morphism (a ValidationError) fails that law at
     that end and factor with the model's text, and ends that loop.
     """
     sys, etype, fixed, rule, unit = w.sys, w.etype, w.fixed, w.factor, w.unit
-    pull = w.kind == "pull"
+    pull = w._pull
     role = "subject" if pull else "target"
     compose, equal, morphisms_over = compose_derivations, derivations_equal, sys.morphisms_over
     rep = LawReport()
+    failures = rep.failures
+    checked = 0
     for x in (x_types if x_types is not None else sys.i_types()):
         ends = sys.e_types_over(x)
+        # per end: the beta judgment's boundaries, then the eta judgment's
+        sides = ([(e, e, fixed, e, etype) for e in ends] if pull
+                 else [(e, fixed, e, etype, e) for e in ends])
         for g in (sys.expressions(x, sys.expr_dom(w.expr)) if pull
                   else sys.expressions(sys.expr_cod(w.expr), x)):
             h = w._through(g)
-            for e in ends:
-                (s, t), (s2, t2) = ((e, fixed), (e, etype)) if pull else ((fixed, e), (etype, e))
+            if sides:
                 # every end refines x, so the first one checks the factor's boundaries
-                if e is ends[0] and not (well_formed(sys, s, h, t)
-                                         and well_formed(sys, s2, g, t2)):
+                _, s, t, s2, t2 = sides[0]
+                if not (well_formed(sys, s, h, t) and well_formed(sys, s2, g, t2)):
                     raise IllFormedError("ill-formed judgment")
-                j = _new(Judgment, (s, h, t))
+            for e, s, t, s2, t2 in sides:
                 try:
-                    for m in morphisms_over(s, h, t):
+                    # a judgment is built only when some morphism lies over it
+                    ms = morphisms_over(s, h, t)
+                    j = _new(Judgment, (s, h, t)) if ms else None
+                    for m in ms:
                         beta = _new(Derivation, ("ax", j, (), m))
-                        rep.checked += 1
+                        checked += 1
                         back = (compose(sys, rule(beta, g), unit) if pull
                                 else compose(sys, unit, rule(beta, g)))
                         if not equal(sys, back, beta):
-                            rep.failures.append(f"beta-law fails at {role} {e.name}, factor {_name(g)}")
+                            failures.append(f"beta-law fails at {role} {e.name}, factor {_name(g)}")
                 except ValidationError as exc:
-                    rep.failures.append(f"beta-law fails at {role} {e.name}, factor {_name(g)}: {exc}")
-                j = _new(Judgment, (s2, g, t2))
+                    failures.append(f"beta-law fails at {role} {e.name}, factor {_name(g)}: {exc}")
                 try:
-                    for m in morphisms_over(s2, g, t2):
+                    ms = morphisms_over(s2, g, t2)
+                    j = _new(Judgment, (s2, g, t2)) if ms else None
+                    for m in ms:
                         eta = _new(Derivation, ("ax", j, (), m))
-                        rep.checked += 1
+                        checked += 1
                         back = rule(compose(sys, eta, unit) if pull else compose(sys, unit, eta), g)
                         if not equal(sys, back, eta):
-                            rep.failures.append(f"eta-law fails at {role} {e.name}, factor {_name(g)}")
+                            failures.append(f"eta-law fails at {role} {e.name}, factor {_name(g)}")
                 except ValidationError as exc:
-                    rep.failures.append(f"eta-law fails at {role} {e.name}, factor {_name(g)}: {exc}")
-                if rep.failures and rep.full:
+                    failures.append(f"eta-law fails at {role} {e.name}, factor {_name(g)}: {exc}")
+                if failures and rep.full:
+                    rep.checked = checked
                     return rep
+    rep.checked = checked
     return rep
 
 

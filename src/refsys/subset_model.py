@@ -71,18 +71,25 @@ morphisms, coherence cells (a cell keeps every position, and so do its two
 ends) and evaluations (a residual's members send S into U).  The factors
 of the pullback and pushforward rules and the curried morphisms are
 checked, since they are built from morphisms and expressions that a caller
-passes in.
+passes in.  ``morphisms_over`` and the two factor rules make that check in
+their own frame: carriers are compared by identity before equality, and the
+members by a short loop over the positions; a factor rule whose carriers
+are not the same objects, or whose check fails, calls ``SubsetMor(...)``,
+so every refusal keeps its text.
 
 ``compose_exprs`` keeps its last composite, keyed on the identity of both
-operands, and the cut composes through it.  A literal β/η check builds g;f
-once per factor g in its witness and then cuts over the same g and f for
-every subject, so each cut gets the witness's object back and the kernel
-finds the two expressions equal by identity.  The memo holds one composite
-per system.
+operands, and the cut reads that memo inline.  A literal β/η check builds
+g;f once per factor g in its witness and then cuts over the same g and f
+for every subject, so each cut gets the witness's object back and the
+kernel finds the two expressions equal by identity.  The memo holds one
+composite per system.  The accessors ``refines``, ``expr_dom``,
+``expr_cod`` and ``interp_*`` read one field through a C getter, so the
+kernel's rules call no Python function for them.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import namedtuple
 from typing import Iterator
 
@@ -222,11 +229,8 @@ class SubsetSystem(RefinementSystem):
             self._last_composite = (f, g, fg)
         return fg
 
-    def expr_dom(self, f: FinFunction) -> FinSet:
-        return f.dom
-
-    def expr_cod(self, f: FinFunction) -> FinSet:
-        return f.cod
+    expr_dom = staticmethod(operator.attrgetter("dom"))
+    expr_cod = staticmethod(operator.attrgetter("cod"))
 
     # --- refinement level ----------------------------------------------------
     def _check_enumerable(self, carriers) -> None:
@@ -260,8 +264,7 @@ class SubsetSystem(RefinementSystem):
         self._check_enumerable(carriers)
         return tuple(s for b in carriers for s in self._subsets(b))
 
-    def refines(self, s: Subset) -> FinSet:
-        return s.of
+    refines = staticmethod(operator.attrgetter("of"))
 
     def holds(self, s: Subset, f: FinFunction, t: Subset) -> bool:
         """Whether f maps s into t: ``morphisms_over``'s tuple is not empty."""
@@ -273,41 +276,55 @@ class SubsetSystem(RefinementSystem):
         It checks the boundaries and every member, so the morphism is built
         unchecked.
         """
-        if (f.dom, f.cod) != (s.of, t.of):
+        a, b = f.dom, f.cod
+        if (a is not s.of and a != s.of) or (b is not t.of and b != t.of):
             raise IllFormedError(
                 f"{s.name} =[{f.name}]=> {t.name}: boundaries do not match"
             )
-        if t.ix.issuperset(map(f.idx.__getitem__, s.ix)):
-            return (_new(SubsetMor, (s, f, t)),)
-        return ()
+        idx, tix = f.idx, t.ix
+        for i in s.ix:
+            if idx[i] not in tix:
+                return ()
+        return (_new(SubsetMor, (s, f, t)),)
 
     def id_interp(self, s: Subset) -> SubsetMor:
         return _mor(s, self.id_expr(s.of), s)
 
     def compose_interps(self, m: SubsetMor, n: SubsetMor) -> SubsetMor:
         """The cut of two morphisms: f;g maps m.src into n.dst since each step does."""
-        if m.dst != n.src:
+        if m.dst is not n.src and m.dst != n.src:
             raise MismatchError(f"cut: target {m.dst.name} != subject {n.src.name}")
-        return _new(SubsetMor, (m.src, self.compose_exprs(m.expr, n.expr), n.dst))
+        f, g = m.expr, n.expr
+        # compose_exprs's memo, read here: a literal check cuts over one g;f many times
+        last_f, last_g, fg = self._last_composite
+        if last_f is not f or last_g is not g:
+            fg = self.compose_exprs(f, g)
+        return _new(SubsetMor, (m.src, fg, n.dst))
 
-    def interp_expr(self, m: SubsetMor) -> FinFunction:
-        return m.expr
-
-    def interp_src(self, m: SubsetMor) -> Subset:
-        return m.src
-
-    def interp_dst(self, m: SubsetMor) -> Subset:
-        return m.dst
+    interp_expr = staticmethod(operator.attrgetter("expr"))
+    interp_src = staticmethod(operator.attrgetter("src"))
+    interp_dst = staticmethod(operator.attrgetter("dst"))
 
     # --- pullback / pushforward ---------------------------------------------
     def pullback_data(self, f: FinFunction, t: Subset):
         if f.cod != t.of:
             raise MismatchError("pullback: expression must land in the carrier of the target")
-        et = _subset(f.dom, frozenset(_preimage(f, t.ix)))
+        a = f.dom
+        et = _subset(a, frozenset(_preimage(f, t.ix)))
         left = _mor(et, f, t)
+        into = et.ix
 
         def factor(m: SubsetMor, g: FinFunction) -> SubsetMor:
-            return SubsetMor(m.src, g, et)
+            # SubsetMor's check, made here while the carriers are the same objects
+            src = m.src
+            if g.dom is src.of and g.cod is a:
+                idx = g.idx
+                for i in src.ix:
+                    if idx[i] not in into:
+                        break
+                else:
+                    return _new(SubsetMor, (src, g, et))
+            return SubsetMor(src, g, et)
 
         return et, left, factor
 
@@ -316,11 +333,22 @@ class SubsetSystem(RefinementSystem):
             raise MismatchError(
                 "pushforward: expression must start at the carrier of the subject"
             )
-        et = _subset(f.cod, frozenset(map(f.idx.__getitem__, s.ix)))
+        b = f.cod
+        et = _subset(b, frozenset(map(f.idx.__getitem__, s.ix)))
         right = _mor(s, f, et)
+        members = et.ix
 
         def factor(m: SubsetMor, g: FinFunction) -> SubsetMor:
-            return SubsetMor(et, g, m.dst)
+            # SubsetMor's check, made here while the carriers are the same objects
+            dst = m.dst
+            if g.dom is b and g.cod is dst.of:
+                idx, into = g.idx, dst.ix
+                for i in members:
+                    if idx[i] not in into:
+                        break
+                else:
+                    return _new(SubsetMor, (et, g, dst))
+            return SubsetMor(et, g, dst)
 
         return et, right, factor
 

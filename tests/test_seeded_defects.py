@@ -5,12 +5,15 @@ runs ``refsys laws squaring.json structures`` and ``... all`` in a
 subprocess, under ``python`` and ``python -O``.  The exit-code contract reads
 1 for a failing check and 3 for a refusal, so a defect the suites catch
 exits 1 with a counterexample, whatever the interpreter does with
-``assert``.  Run this file as a script, ``python tests/test_seeded_defects.py
+``assert``.  The suite's membership checks, which recompute each witness's
+type element by element, report the defect first; the composite isos
+still fail behind them.  Run this file as a script, ``python tests/test_seeded_defects.py
 ROW ARGS...``, to run the command line ``refsys ARGS...`` with row ROW's
 defect in place.
 """
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -20,7 +23,7 @@ import pytest
 
 from conftest import data_file
 from refsys.signature import load_signature
-from refsys.structures import check_beta_eta, pullback
+from refsys.structures import check_beta_eta, pullback, pushforward
 from refsys.subset_model import SubsetMor, SubsetSystem, _mor, _subset
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -52,11 +55,16 @@ def pushforward_adding_a_position(self, s, f):
     return et, _mor(s, f, et), factor
 
 
+# per row: the hook, its defect, and the start of the first counterexample
+# `laws squaring.json structures` prints, from the membership check of the
+# first witness of the row's kind
 ROWS = {
     "a": ("pullback_data", pullback_dropping_the_smallest_position,
-          "pullback composite iso: uniqueness iso: "),
+          "pullback of {-3,-2,-1,0,1,2,3}:A along id_A: pullback along 'id_A': "
+          "constructed {-2,-1,0,1,2,3}:A != canonical "),
     "b": ("pushforward_data", pushforward_adding_a_position,
-          "pushforward composite iso: uniqueness iso: "),
+          "pushforward of {}:A along id_A: pushforward along 'id_A': "
+          "constructed {-3}:A != canonical "),
 }
 
 
@@ -76,13 +84,24 @@ def test_a_seeded_defect_fails_the_structures_suite(row, suite, flags):
     assert "suite structures: FAIL (" in proc.stdout
     counterexamples = [line.strip() for line in proc.stdout.splitlines()
                        if line.strip().startswith("counterexample: ")]
-    assert any(c.startswith("counterexample: " + ROWS[row][2]) for c in counterexamples)
+    assert counterexamples[0].startswith("counterexample: " + ROWS[row][2])
+
+
+@pytest.mark.parametrize("row", sorted(ROWS))
+def test_the_composite_iso_still_fails_behind_the_membership_checks(row):
+    proc = _refsys(row, ("-O",), "laws", data_file("squaring.json"), "structures", "--json")
+    assert proc.returncode == 1, proc.stderr
+    (suite,) = json.loads(proc.stdout)["suites"]
+    noun = {"a": "pullback", "b": "pushforward"}[row]
+    assert any(f.startswith(f"{noun} composite iso: uniqueness iso: ")
+               for f in suite["failures"])
 
 
 def test_row_b_names_the_position_it_added():
-    proc = _refsys("b", ("-O",), "laws", data_file("squaring.json"), "structures")
+    proc = _refsys("b", ("-O",), "laws", data_file("squaring.json"), "structures", "--json")
     assert ("pushforward composite iso: uniqueness iso: factor is not a morphism "
-            "('id_A' does not map {-3,-2}:A into {-3}:A)") in proc.stdout
+            "('id_A' does not map {-3,-2}:A into {-3}:A)") in json.loads(proc.stdout)[
+                "suites"][0]["failures"]
 
 
 @pytest.fixture
@@ -101,10 +120,28 @@ def test_literal_mode_fails_row_a_at_the_beta_law(row_a):
                for f in rep.failures)
 
 
-@pytest.mark.xfail(strict=True, reason="membership mode rebuilds the witness through the "
-                   "same model hook, so it has no independent answer to compare with")
 def test_membership_mode_fails_row_a(row_a):
-    assert not check_beta_eta(row_a, mode="membership").ok
+    rep = check_beta_eta(row_a, mode="membership")
+    assert not rep.ok
+    assert rep.failures == ["pullback along 'sq': constructed {3}:A != canonical {-3,3}:A"]
+    assert rep.checked == 1
+
+
+@pytest.fixture
+def row_b(monkeypatch):
+    """Row (b)'s witness of negative along sq, {0,1,4,9}:B where {1,4,9}:B is right."""
+    monkeypatch.setattr(SubsetSystem, "pushforward_data", pushforward_adding_a_position)
+    sig = load_signature(data_file("squaring.json"))
+    return pushforward(sig.system, sig.etype("negative"), sig.expr("sq"))
+
+
+def test_membership_mode_fails_row_b(row_b):
+    assert row_b.etype.name == "{0,1,4,9}:B"
+    rep = check_beta_eta(row_b, mode="membership")
+    assert not rep.ok
+    assert rep.failures == [
+        "pushforward along 'sq': constructed {0,1,4,9}:B != canonical {1,4,9}:B"]
+    assert rep.checked == 1
 
 
 if __name__ == "__main__":
