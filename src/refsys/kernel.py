@@ -36,15 +36,15 @@ expression, the cut the boundaries of its premises, and the pull/push rules
 the factor they were given.
 
 Every literal law instance runs the same few rules: an axiom over one
-model morphism, the cut, the pull/push rules and derivation equality.  The
-literal loop builds each axiom's judgment once for all the morphisms over
-it, as :func:`derivations_over` does.  These rules read a derivation's
-boundaries as ``d.judgment.subject`` (and ``.expr``, ``.target``),
-through the named tuples' C-level field getters rather than the
-``Derivation`` properties, and build their ``Judgment`` and ``Derivation``
-values with ``tuple.__new__``, which skips the named tuples' Python
-``__new__``.  The values are the same named tuples, and every check these
-rules make is an explicit ``if``, so it also runs under ``python -O``.
+model morphism, the cut, the pull/push rules and derivation equality.  A
+derivation is one flat named tuple ``(rule, subject, expr, target,
+premises, interp)``: its judgment is its three boundaries, read through
+the tuple's C-level field getters, and ``d.judgment`` builds a
+``Judgment`` only for a caller that asks for one.  These rules build each
+derivation as one tuple with ``tuple.__new__``, which skips the named
+tuple's Python ``__new__``, and compare boundaries by identity before
+equality.  Every check they make is an explicit ``if``, so it also runs
+under ``python -O``.
 """
 from __future__ import annotations
 
@@ -99,27 +99,24 @@ _new = tuple.__new__
 class Derivation(NamedTuple):
     """A derivation tree together with its interpretation in the ambient model.
 
-    rule is a short label for the final rule; premises are the sub-derivations;
+    rule is a short label for the final rule; subject, expr and target are
+    the boundaries of its judgment; premises are the sub-derivations;
     interp is a morphism of the model whose boundaries match the judgment.
     Both value types are named tuples: immutable, hashed and compared by
-    their fields, and cheaper to build than frozen dataclasses.
+    their fields, and cheaper to build than frozen dataclasses.  The
+    judgment is stored flat, so a rule builds one tuple.
     """
     rule: str
-    judgment: Judgment
+    subject: Any
+    expr: Any
+    target: Any
     premises: tuple
     interp: Any
 
     @property
-    def subject(self):
-        return self.judgment.subject
-
-    @property
-    def expr(self):
-        return self.judgment.expr
-
-    @property
-    def target(self):
-        return self.judgment.target
+    def judgment(self) -> Judgment:
+        """The judgment subject =[expr]=> target, built on each read."""
+        return Judgment(self.subject, self.expr, self.target)
 
     def size(self) -> int:
         return 1 + sum(p.size() for p in self.premises)
@@ -337,8 +334,8 @@ def from_interp(sys: RefinementSystem, m, rule: str = "ax",
     a second time.  Every rule whose judgment is not a given one is built
     here.
     """
-    j = _new(Judgment, (sys.interp_src(m), sys.interp_expr(m), sys.interp_dst(m)))
-    return _new(Derivation, (rule, j, premises, m))
+    return _new(Derivation, (rule, sys.interp_src(m), sys.interp_expr(m), sys.interp_dst(m),
+                             premises, m))
 
 
 def axiom(sys: RefinementSystem, s, f, t) -> Derivation:
@@ -350,7 +347,7 @@ def axiom(sys: RefinementSystem, s, f, t) -> Derivation:
     if not well_formed(sys, s, f, t):
         raise IllFormedError(f"ill-formed judgment over {getattr(f, 'name', f)!r}")
     for m in sys.morphisms_over(s, f, t):
-        return Derivation("ax", Judgment(s, f, t), (), m)
+        return Derivation("ax", s, f, t, (), m)
     raise RefinementError(f"judgment over {getattr(f, 'name', f)!r} is underivable")
 
 
@@ -367,15 +364,11 @@ def compose_derivations(sys: RefinementSystem, d1: Derivation, d2: Derivation) -
     table equality when a premise went through :func:`conversion`, so the
     expressions are not composed a second time.
     """
-    j1 = d1.judgment
-    j2 = d2.judgment
-    if j1.target != j2.subject:
-        raise MismatchError(
-            f"cut: target {describe(sys, j1.target)} != subject {describe(sys, j2.subject)}"
-        )
+    t, s = d1.target, d2.subject
+    if t is not s and t != s:
+        raise MismatchError(f"cut: target {describe(sys, t)} != subject {describe(sys, s)}")
     m = sys.compose_interps(d1.interp, d2.interp)
-    j = _new(Judgment, (j1.subject, sys.interp_expr(m), j2.target))
-    return _new(Derivation, ("C", j, (d1, d2), m))
+    return _new(Derivation, ("C", d1.subject, sys.interp_expr(m), d2.target, (d1, d2), m))
 
 
 def compose_many(sys: RefinementSystem, *ds: Derivation) -> Derivation:
@@ -395,27 +388,26 @@ def conversion(sys: RefinementSystem, d: Derivation, g) -> Derivation:
             f"conversion: expressions differ ({getattr(d.expr, 'name', d.expr)!r} "
             f"vs {getattr(g, 'name', g)!r})"
         )
-    return Derivation("conv", Judgment(d.subject, g, d.target), (d,), d.interp)
+    return Derivation("conv", d.subject, g, d.target, (d,), d.interp)
 
 
 def derivations_over(sys: RefinementSystem, s, f, t) -> Iterator[Derivation]:
     """All derivations of a judgment, one per model morphism over f."""
     if not well_formed(sys, s, f, t):
         raise IllFormedError("ill-formed judgment")
-    j = _new(Judgment, (s, f, t))
     for m in sys.morphisms_over(s, f, t):
-        yield _new(Derivation, ("ax", j, (), m))
+        yield _new(Derivation, ("ax", s, f, t, (), m))
 
 
 def derivations_equal(sys: RefinementSystem, d1: Derivation, d2: Derivation) -> bool:
     """Boundary equality plus equality of interpretations.
 
-    The same expression object is equal to itself without asking the system.
+    The same boundary object is equal to itself without a call to its
+    ``__eq__`` or the system's.
     """
-    j1 = d1.judgment
-    j2 = d2.judgment
-    return (j1.subject == j2.subject and j1.target == j2.target
-            and (j1.expr is j2.expr or sys.exprs_equal(j1.expr, j2.expr))
+    return ((d1.subject is d2.subject or d1.subject == d2.subject)
+            and (d1.target is d2.target or d1.target == d2.target)
+            and (d1.expr is d2.expr or sys.exprs_equal(d1.expr, d2.expr))
             and sys.interps_equal(d1.interp, d2.interp))
 
 

@@ -45,7 +45,6 @@ from .fincat import FinFunction, FinSet
 from .kernel import (
     CapabilityError,
     Derivation,
-    Judgment,
     LawViolation,
     MismatchError,
     RefinementSystem,
@@ -261,13 +260,13 @@ def build_continuation_adjunction(sys: RefinementSystem, u) -> AdjunctionDescrip
 
     def l_der(alpha: Derivation) -> Derivation:
         d = residual_map(sys, "right", alpha, u)
-        return Derivation("adj-L", Judgment(d.target, OpExpr(d.expr), d.subject),
+        return Derivation("adj-L", d.target, OpExpr(d.expr), d.subject,
                           (alpha,), OpMor(d.interp))
 
     def r_der(beta: Derivation) -> Derivation:
         # a q-derivation from T1 to T2 carries a base morphism T2 -> T1
         d = residual_map(sys, "left", from_interp(sys, beta.interp.base), u)
-        return Derivation("adj-R", d.judgment, (beta,), d.interp)
+        return Derivation("adj-R", d.subject, d.expr, d.target, (beta,), d.interp)
 
     def eta_rule(s):
         return shift_derivation(sys, s, u)
@@ -276,7 +275,7 @@ def build_continuation_adjunction(sys: RefinementSystem, u) -> AdjunctionDescrip
         w_l = residual(sys, "left", t, u)
         w_r = residual(sys, "right", w_l.etype, u)
         d = w_r.curry(w_l.ev, t)
-        return Derivation("eps", Judgment(d.target, OpExpr(d.expr), d.subject),
+        return Derivation("eps", d.target, OpExpr(d.expr), d.subject,
                           (d,), OpMor(d.interp))
 
     def sigma_rule(s, t):
@@ -548,7 +547,7 @@ def double_negation_comparison(adj: AdjunctionDescriptor, t, u) -> Derivation:
     )
     w_l = residual(p, "left", n, w)
     d = w_l.curry(step, rl_t)
-    return Derivation("dn-cmp", d.judgment, (d,), d.interp)
+    return Derivation("dn-cmp", d.subject, d.expr, d.target, (d,), d.interp)
 
 
 def check_comparison(adj: AdjunctionDescriptor, t, u) -> LawReport:

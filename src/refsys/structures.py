@@ -34,14 +34,14 @@ and runs over targets; call either the end.  The boundaries of the beta
 and the eta judgment at each end are laid out once per index type, so the
 loop tests no kind per end, and they are checked once per factor g.  Each
 model morphism over a judgment, taken straight from ``morphisms_over``, is
-one instance: an axiom derivation, its round trip through the witness's
-rules (bound once per check) and one derivation equality; a judgment is
-built only when some morphism lies over it, and only a failing instance
-builds a message.  A witness builds g;f (or f;g) once per factor g and
-checks g's boundary then, and a later premise with the same g reuses both;
-what its factor rule reads on every call (the fixed end and its place, the
-type, the rule name, the fault texts, the model's factor) is bound once,
-when the witness is built.
+one instance: an axiom derivation (one flat tuple holding the judgment's
+boundaries, so no ``Judgment`` is built), its round trip through the
+witness's rules (bound once per check) and one derivation equality, and
+only a failing instance builds a message.  A witness builds g;f (or f;g)
+once per factor g and checks g's boundary then, and a later premise with
+the same g reuses both; what its factor rule reads on every call (the
+fixed end and its place, the type, the rule name, the fault texts, the
+model's factor) is bound once, when the witness is built.
 
 The law checkers that loop over instances stop once their report is
 `full`: LawReport.failure_cap (5) failures are recorded.  Each checker
@@ -58,7 +58,6 @@ from .kernel import (
     CapabilityError,
     Derivation,
     IllFormedError,
-    Judgment,
     LawViolation,
     MismatchError,
     RefinementSystem,
@@ -161,9 +160,9 @@ class Witness:
         # a pushforward is a pullback with both ends swapped: it reads
         # judgments and composites backwards, and its fixed end is the subject
         self._pull = pull = self.kind == "pull"
-        # what factor reads on every call, bound once: the fixed end's place
-        # in a judgment, the kind's rule name and fault texts, the model's factor
-        self._bound = (2 if pull else 0, self.fixed, self.etype, pull, rule, faults,
+        # what factor reads on every call, bound once: the fixed end's field
+        # in a derivation, the kind's rule name and fault texts, the model's factor
+        self._bound = (3 if pull else 1, self.fixed, self.etype, pull, rule, faults,
                        self._factor)
 
     def _through(self, g):
@@ -180,18 +179,19 @@ class Witness:
 
     def factor(self, beta: Derivation, g) -> Derivation:
         at, fixed, etype, pull, rule, faults, model_factor = self._bound
-        j = beta.judgment
-        end = j[at]
+        end = beta[at]
         if end is not fixed and end != fixed:
             raise MismatchError(faults[1])
         last, h = self._last
         if last is not g:
             h = self._through(g)
-        if j.expr is not h and not self.sys.exprs_equal(j.expr, h):
+        f = beta.expr
+        if f is not h and not self.sys.exprs_equal(f, h):
             raise MismatchError(faults[2])
         interp = model_factor(beta.interp, g)
-        ends = (j[0], g, etype) if pull else (etype, g, j[2])
-        return _new(Derivation, (rule, _new(Judgment, ends), (beta,), interp))
+        if pull:
+            return _new(Derivation, (rule, beta.subject, g, etype, (beta,), interp))
+        return _new(Derivation, (rule, etype, g, beta.target, (beta,), interp))
 
     def factor_subtyping(self, beta: Derivation) -> Derivation:
         """Special case g = identity: from S =[f]=> T conclude S <= f*T or fS <= T."""
@@ -202,13 +202,13 @@ class Witness:
 
 def pullback(sys: RefinementSystem, f, t) -> Witness:
     et, interp, factor = sys.pullback_data(f, t)
-    unit = Derivation("pull-L", Judgment(et, f, t), (), interp)
+    unit = Derivation("pull-L", et, f, t, (), interp)
     return Witness(sys, "pull", f, t, et, unit, factor)
 
 
 def pushforward(sys: RefinementSystem, s, f) -> Witness:
     et, interp, factor = sys.pushforward_data(s, f)
-    unit = Derivation("push-R", Judgment(s, f, et), (), interp)
+    unit = Derivation("push-R", s, f, et, (), interp)
     return Witness(sys, "push", f, s, et, unit, factor)
 
 
@@ -284,10 +284,11 @@ def _check_literal(w, x_types) -> LawReport:
     x, the factors run over g : x -> A, beta over S =[g;f]=> T and eta over
     S =[g]=> f*T.  A pushforward fS fixes its subject: the ends are the
     targets T over each x, the factors run over g : B -> x, beta over
-    S =[f;g]=> T and eta over fS =[g]=> T.  Each judgment is built at most
-    once per (end, factor), and each morphism over it is one instance.  A factor the
-    model cannot build as a morphism (a ValidationError) fails that law at
-    that end and factor with the model's text, and ends that loop.
+    S =[f;g]=> T and eta over fS =[g]=> T.  Each judgment's boundaries are
+    laid out once per index type, and each morphism over it is one
+    instance.  A factor the model cannot build as a morphism (a
+    ValidationError) fails that law at that end and factor with the
+    model's text, and ends that loop.
     """
     sys, etype, fixed, rule, unit = w.sys, w.etype, w.fixed, w.factor, w.unit
     pull = w._pull
@@ -311,11 +312,8 @@ def _check_literal(w, x_types) -> LawReport:
                     raise IllFormedError("ill-formed judgment")
             for e, s, t, s2, t2 in sides:
                 try:
-                    # a judgment is built only when some morphism lies over it
-                    ms = morphisms_over(s, h, t)
-                    j = _new(Judgment, (s, h, t)) if ms else None
-                    for m in ms:
-                        beta = _new(Derivation, ("ax", j, (), m))
+                    for m in morphisms_over(s, h, t):
+                        beta = _new(Derivation, ("ax", s, h, t, (), m))
                         checked += 1
                         back = (compose(sys, rule(beta, g), unit) if pull
                                 else compose(sys, unit, rule(beta, g)))
@@ -324,10 +322,8 @@ def _check_literal(w, x_types) -> LawReport:
                 except ValidationError as exc:
                     failures.append(f"beta-law fails at {role} {e.name}, factor {_name(g)}: {exc}")
                 try:
-                    ms = morphisms_over(s2, g, t2)
-                    j = _new(Judgment, (s2, g, t2)) if ms else None
-                    for m in ms:
-                        eta = _new(Derivation, ("ax", j, (), m))
+                    for m in morphisms_over(s2, g, t2):
+                        eta = _new(Derivation, ("ax", s2, g, t2, (), m))
                         checked += 1
                         back = rule(compose(sys, eta, unit) if pull else compose(sys, unit, eta), g)
                         if not equal(sys, back, eta):
@@ -537,7 +533,7 @@ class WeightedFamily:
         if subject is None:
             raise MismatchError("tupling with no premises needs cotupling of arity 0 via axiom")
         d = axiom(sys, subject, g, self.etype)
-        return Derivation("wint-R", d.judgment, tuple(betas), d.interp)
+        return Derivation("wint-R", d.subject, d.expr, d.target, tuple(betas), d.interp)
 
 
 def weighted_intersection(sys: RefinementSystem, a, family) -> WeightedFamily:

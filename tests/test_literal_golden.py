@@ -33,7 +33,7 @@ from conftest import data_file
 from refsys.fincat import FinFunctor
 from refsys.signature import load_signature
 from refsys.structures import check_beta_eta, witness
-from refsys.subset_model import SubsetSystem, subset
+from refsys.subset_model import subset
 from test_seeded_defects import ROWS
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "literal.json"
@@ -43,17 +43,17 @@ ROW_KIND = {"a": "pull", "b": "push"}
 
 @contextlib.contextmanager
 def _row(row):
-    """Row ``row``'s defect in SubsetSystem while the block runs; none for None."""
+    """Row ``row``'s defect in its model class while the block runs; none for None."""
     if row is None:
         yield
         return
-    hook, patch, _ = ROWS[row]
-    saved = vars(SubsetSystem)[hook]
-    setattr(SubsetSystem, hook, patch)
+    cls, hook, patch = ROWS[row][:3]
+    saved = vars(cls)[hook]
+    setattr(cls, hook, patch)
     try:
         yield
     finally:
-        setattr(SubsetSystem, hook, saved)
+        setattr(cls, hook, saved)
 
 
 def _built(row, sys_, kind, f, fixed):

@@ -1,14 +1,22 @@
 """Seeded defects: a wrong model hook must read as a failed law, not a refusal.
 
-Each row replaces one hook of ``SubsetSystem`` by a plausible mistake and
-runs ``refsys laws squaring.json structures`` and ``... all`` in a
-subprocess, under ``python`` and ``python -O``.  The exit-code contract reads
-1 for a failing check and 3 for a refusal, so a defect the suites catch
-exits 1 with a counterexample, whatever the interpreter does with
-``assert``.  The suite's membership checks, which recompute each witness's
-type element by element, report the defect first; the composite isos
-still fail behind them.  Run this file as a script, ``python tests/test_seeded_defects.py
-ROW ARGS...``, to run the command line ``refsys ARGS...`` with row ROW's
+Each row replaces one hook of a model class by a plausible mistake and
+runs ``refsys laws SIG structures`` and ``... all`` on the row's signature
+in a subprocess, under ``python`` and ``python -O``.  The exit-code
+contract reads 1 for a failing check and 3 for a refusal, so a defect the
+suites catch exits 1 with a counterexample, whatever the interpreter does
+with ``assert``.
+
+Rows (a) and (b) break ``SubsetSystem``'s pullback and pushforward types
+on squaring.json.  The suite's membership checks, which recompute each
+witness's type element by element, report the defect first; the composite
+isos still fail behind them.  Row (c) keeps ``PresheafSystem``'s pullback
+type and gives it a factor that returns another morphism, on
+presheaf_arrow.json.  The presheaf model is not proof-irrelevant, so no
+membership check applies, and the literal beta/eta loop reports it first.
+
+Run this file as a script, ``python tests/test_seeded_defects.py ROW
+ARGS...``, to run the command line ``refsys ARGS...`` with row ROW's
 defect in place.
 """
 from __future__ import annotations
@@ -22,6 +30,8 @@ from pathlib import Path
 import pytest
 
 from conftest import data_file
+from refsys.kernel import CapabilityError
+from refsys.presheaf_model import PresheafSystem
 from refsys.signature import load_signature
 from refsys.structures import check_beta_eta, pullback, pushforward
 from refsys.subset_model import SubsetMor, SubsetSystem, _mor, _subset
@@ -30,6 +40,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 _pullback_data = SubsetSystem.pullback_data
 _pushforward_data = SubsetSystem.pushforward_data
+_presheaf_pullback_data = PresheafSystem.pullback_data
 
 
 def pullback_dropping_the_smallest_position(self, f, t):
@@ -55,16 +66,38 @@ def pushforward_adding_a_position(self, s, f):
     return et, _mor(s, f, et), factor
 
 
-# per row: the hook, its defect, and the start of the first counterexample
-# `laws squaring.json structures` prints, from the membership check of the
-# first witness of the row's kind
+def pullback_factoring_through_another_morphism(self, f, t):
+    """Row (c): the right f*T, but a factor that returns another morphism
+    over g from m's subject to f*T, when one exists."""
+    et, unit, factor = _presheaf_pullback_data(self, f, t)
+
+    def other_factor(m, g):
+        right = factor(m, g)
+        for n in self.morphisms_over(m.src, g, et):
+            if n != right:
+                return n
+        return right
+
+    return et, unit, other_factor
+
+
+# per row: the model class, the hook, its defect, the signature, and the
+# start of the first counterexample `laws SIG structures` prints: from the
+# membership check of the first witness of the row's kind in rows (a) and
+# (b), from the literal loop in row (c)
 ROWS = {
-    "a": ("pullback_data", pullback_dropping_the_smallest_position,
+    "a": (SubsetSystem, "pullback_data", pullback_dropping_the_smallest_position,
+          "squaring.json",
           "pullback of {-3,-2,-1,0,1,2,3}:A along id_A: pullback along 'id_A': "
           "constructed {-2,-1,0,1,2,3}:A != canonical "),
-    "b": ("pushforward_data", pushforward_adding_a_position,
+    "b": (SubsetSystem, "pushforward_data", pushforward_adding_a_position,
+          "squaring.json",
           "pushforward of {}:A along id_A: pushforward along 'id_A': "
           "constructed {-3}:A != canonical "),
+    "c": (PresheafSystem, "pullback_data", pullback_factoring_through_another_morphism,
+          "presheaf_arrow.json",
+          "pullback of P: x -> {p0,p1}; y -> {q0} along Id_C: "
+          "beta-law fails at subject P, factor F0_C_C"),
 }
 
 
@@ -78,16 +111,25 @@ def _refsys(row: str, flags: tuple, *argv: str) -> subprocess.CompletedProcess:
 @pytest.mark.parametrize("suite", ["structures", "all"])
 @pytest.mark.parametrize("row", sorted(ROWS))
 def test_a_seeded_defect_fails_the_structures_suite(row, suite, flags):
-    proc = _refsys(row, flags, "laws", data_file("squaring.json"), suite)
+    proc = _refsys(row, flags, "laws", data_file(ROWS[row][3]), suite)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr == ""
     assert "suite structures: FAIL (" in proc.stdout
     counterexamples = [line.strip() for line in proc.stdout.splitlines()
                        if line.strip().startswith("counterexample: ")]
-    assert counterexamples[0].startswith("counterexample: " + ROWS[row][2])
+    assert counterexamples[0].startswith("counterexample: " + ROWS[row][4])
 
 
-@pytest.mark.parametrize("row", sorted(ROWS))
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["python", "python-O"])
+def test_row_c_fails_the_literal_loop_first(flags):
+    proc = _refsys("c", flags, "laws", data_file("presheaf_arrow.json"), "structures")
+    assert proc.returncode == 1, proc.stderr
+    lines = [line.strip() for line in proc.stdout.splitlines()]
+    assert lines[0] == "suite structures: FAIL (172 instances)"
+    assert lines[1] == "counterexample: " + ROWS["c"][4]
+
+
+@pytest.mark.parametrize("row", ["a", "b"])
 def test_the_composite_iso_still_fails_behind_the_membership_checks(row):
     proc = _refsys(row, ("-O",), "laws", data_file("squaring.json"), "structures", "--json")
     assert proc.returncode == 1, proc.stderr
@@ -144,8 +186,27 @@ def test_membership_mode_fails_row_b(row_b):
     assert rep.checked == 1
 
 
+@pytest.fixture
+def row_c(monkeypatch):
+    """Row (c)'s witness of P along the identity functor: the right type,
+    whose factor returns another morphism."""
+    monkeypatch.setattr(PresheafSystem, "pullback_data",
+                        pullback_factoring_through_another_morphism)
+    sig = load_signature(data_file("presheaf_arrow.json"))
+    p = sig.etype("P")
+    return pullback(sig.system, sig.system.id_expr(p.cat), p)
+
+
+def test_literal_mode_fails_row_c_and_membership_mode_does_not_apply(row_c):
+    assert row_c.etype.ob == row_c.fixed.ob
+    rep = check_beta_eta(row_c, mode="literal")
+    assert rep.failures[0] == "beta-law fails at subject P, factor F0_C_C"
+    with pytest.raises(CapabilityError, match="proof-irrelevant"):
+        check_beta_eta(row_c, mode="membership")
+
+
 if __name__ == "__main__":
     from refsys.cli import main
-    hook, patch, _ = ROWS[sys.argv[1]]
-    setattr(SubsetSystem, hook, patch)
+    cls, hook, patch = ROWS[sys.argv[1]][:3]
+    setattr(cls, hook, patch)
     raise SystemExit(main(sys.argv[2:]))
