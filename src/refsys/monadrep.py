@@ -31,14 +31,15 @@ From the descriptor:
     (g for pullbacks along e;g, f for pushforwards along f;e), check both,
     and only then build and check the implied witness along e.
 
-The opposite of a refinement system is materialized generically (both levels
-reversed) so the continuation adjunction L = negR[U]{-} -| R = negL[U]{-}
-between p and p-op is an ordinary descriptor built from residual rules.
+The opposite of a refinement system is the base read backwards: the same
+expressions and morphisms with their ends swapped, so the continuation
+adjunction L = negR[U]{-} -| R = negL[U]{-} between p and p-op is an ordinary
+descriptor built from residual rules on p's own objects.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .cartesian import power_exceeds
 from .fincat import FinFunction, FinSet
@@ -68,6 +69,7 @@ from .structures import (
 )
 from .monoidal import (
     coherence_derivation,
+    double_negation_etype,
     residual,
     residual_expr,
     residual_map,
@@ -79,25 +81,17 @@ from .monoidal import (
 
 # --- the opposite refinement system ----------------------------------------------
 
-@dataclass(frozen=True)
-class OpExpr:
-    """An expression of the opposite system: the base expression, reversed."""
-    base: Any
-
-
-@dataclass(frozen=True)
-class OpMor:
-    """A morphism of the opposite system: the base morphism, reversed."""
-    base: Any
-
-
 class OppositeSystem(RefinementSystem):
-    """Both levels of a refinement system reversed.
+    """The base system read backwards: the same expressions and morphisms,
+    with their ends swapped at both levels.
 
-    Pullbacks of the opposite are pushforwards of the base and vice versa;
-    one helper, ``_reversed``, reads the data of either direction.
-    Monoidal/closed structure is not delegated; the opposite is used as the
-    codomain of adjunctions, where only the core surface is needed.
+    An expression A -> B of the opposite is a base expression B -> A, and a
+    morphism S =[f]=> T of the opposite is a base morphism T =[f]=> S;
+    composites run in the other order.  Pullbacks of the opposite are the
+    base's pushforwards and vice versa, data and factor rule unchanged.  The
+    refinement level is not reversed.  Monoidal/closed structure is not
+    delegated; the opposite is used as the codomain of adjunctions, where
+    only the core surface is needed.
     """
 
     def __init__(self, base: RefinementSystem):
@@ -109,69 +103,64 @@ class OppositeSystem(RefinementSystem):
     def i_types(self) -> tuple:
         return self.base.i_types()
 
-    def expressions(self, a, b) -> Iterator[OpExpr]:
-        return (OpExpr(f) for f in self.base.expressions(b, a))
+    def expressions(self, a, b) -> Iterator:
+        return self.base.expressions(b, a)
 
-    def id_expr(self, a) -> OpExpr:
-        return OpExpr(self.base.id_expr(a))
+    def id_expr(self, a):
+        return self.base.id_expr(a)
 
-    def compose_exprs(self, f: OpExpr, g: OpExpr) -> OpExpr:
-        return OpExpr(self.base.compose_exprs(g.base, f.base))
+    def compose_exprs(self, f, g):
+        return self.base.compose_exprs(g, f)
 
-    def expr_dom(self, f: OpExpr):
-        return self.base.expr_cod(f.base)
+    def expr_dom(self, f):
+        return self.base.expr_cod(f)
 
-    def expr_cod(self, f: OpExpr):
-        return self.base.expr_dom(f.base)
+    def expr_cod(self, f):
+        return self.base.expr_dom(f)
 
-    def exprs_equal(self, f: OpExpr, g: OpExpr) -> bool:
-        return self.base.exprs_equal(f.base, g.base)
+    def exprs_equal(self, f, g) -> bool:
+        return self.base.exprs_equal(f, g)
 
     # refinement level
     def e_types(self) -> tuple:
         return self.base.e_types()
 
+    def e_types_over(self, a) -> tuple:
+        return self.base.e_types_over(a)
+
     def refines(self, s):
         return self.base.refines(s)
 
-    def morphisms_over(self, s, f: OpExpr, t) -> Iterator[OpMor]:
-        return (OpMor(m) for m in self.base.morphisms_over(t, f.base, s))
+    def morphisms_over(self, s, f, t) -> Iterator:
+        return self.base.morphisms_over(t, f, s)
 
-    def holds(self, s, f: OpExpr, t) -> bool:
-        """The base's verdict on the reversed judgment; no OpMor is built."""
-        return self.base.holds(t, f.base, s)
+    def holds(self, s, f, t) -> bool:
+        return self.base.holds(t, f, s)
 
-    def id_interp(self, s) -> OpMor:
-        return OpMor(self.base.id_interp(s))
+    def id_interp(self, s):
+        return self.base.id_interp(s)
 
-    def compose_interps(self, m: OpMor, n: OpMor) -> OpMor:
-        return OpMor(self.base.compose_interps(n.base, m.base))
+    def compose_interps(self, m, n):
+        return self.base.compose_interps(n, m)
 
-    def interps_equal(self, m: OpMor, n: OpMor) -> bool:
-        return self.base.interps_equal(m.base, n.base)
+    def interps_equal(self, m, n) -> bool:
+        return self.base.interps_equal(m, n)
 
-    def interp_expr(self, m: OpMor) -> OpExpr:
-        return OpExpr(self.base.interp_expr(m.base))
+    def interp_expr(self, m):
+        return self.base.interp_expr(m)
 
-    def interp_src(self, m: OpMor):
-        return self.base.interp_dst(m.base)
+    def interp_src(self, m):
+        return self.base.interp_dst(m)
 
-    def interp_dst(self, m: OpMor):
-        return self.base.interp_src(m.base)
+    def interp_dst(self, m):
+        return self.base.interp_src(m)
 
     # structure by reversal
-    def pullback_data(self, f: OpExpr, t):
-        return _reversed(self.base.pushforward_data(t, f.base))
+    def pullback_data(self, f, t):
+        return self.base.pushforward_data(t, f)
 
-    def pushforward_data(self, s, f: OpExpr):
-        return _reversed(self.base.pullback_data(f.base, s))
-
-
-def _reversed(data) -> tuple:
-    """A base pushforward's (pullback's) data, read as the opposite's
-    pullback (pushforward): the unit and every factor reversed."""
-    et, unit, factor = data
-    return et, OpMor(unit), lambda m, g: OpMor(factor(m.base, g.base))
+    def pushforward_data(self, s, f):
+        return self.base.pullback_data(f, s)
 
 
 # --- adjunction descriptors ---------------------------------------------------------
@@ -209,8 +198,7 @@ class AdjunctionDescriptor:
         return self.r_der(self.l_der(d))
 
 
-def identity_adjunction(sys: RefinementSystem,
-                        name: Optional[str] = None) -> AdjunctionDescriptor:
+def identity_adjunction(sys: RefinementSystem) -> AdjunctionDescriptor:
     """L = R = Id on a single system; unit, counit, and strength are identities."""
     ident = lambda x: x
 
@@ -218,7 +206,7 @@ def identity_adjunction(sys: RefinementSystem,
         return identity_derivation(sys, sys.tensor_etype(s, t))
 
     return AdjunctionDescriptor(
-        name=name or f"id-adj[{sys.name}]",
+        name=f"id-adj[{sys.name}]",
         p=sys, q=sys,
         l0=ident, l1=ident, r0=ident, r1=ident,
         eta0=lambda a: sys.id_expr(a),
@@ -247,10 +235,10 @@ def build_continuation_adjunction(sys: RefinementSystem, u) -> AdjunctionDescrip
         return sys.residual_itype(b, c)
 
     def l1(f):
-        return OpExpr(residual_expr(sys, "right", f, c))
+        return residual_expr(sys, "right", f, c)
 
-    def r1(g: OpExpr):
-        return residual_expr(sys, "left", g.base, c)
+    def r1(g):
+        return residual_expr(sys, "left", g, c)
 
     def l_etype(s):
         return sys.residual_etype("right", s, u)
@@ -260,12 +248,11 @@ def build_continuation_adjunction(sys: RefinementSystem, u) -> AdjunctionDescrip
 
     def l_der(alpha: Derivation) -> Derivation:
         d = residual_map(sys, "right", alpha, u)
-        return Derivation("adj-L", d.target, OpExpr(d.expr), d.subject,
-                          (alpha,), OpMor(d.interp))
+        return from_interp(q, d.interp, "adj-L", (alpha,))
 
     def r_der(beta: Derivation) -> Derivation:
         # a q-derivation from T1 to T2 carries a base morphism T2 -> T1
-        d = residual_map(sys, "left", from_interp(sys, beta.interp.base), u)
+        d = residual_map(sys, "left", from_interp(sys, beta.interp), u)
         return Derivation("adj-R", d.subject, d.expr, d.target, (beta,), d.interp)
 
     def eta_rule(s):
@@ -275,8 +262,7 @@ def build_continuation_adjunction(sys: RefinementSystem, u) -> AdjunctionDescrip
         w_l = residual(sys, "left", t, u)
         w_r = residual(sys, "right", w_l.etype, u)
         d = w_r.curry(w_l.ev, t)
-        return Derivation("eps", d.target, OpExpr(d.expr), d.subject,
-                          (d,), OpMor(d.interp))
+        return from_interp(q, d.interp, "eps", (d,))
 
     def sigma_rule(s, t):
         rl_t = r_etype(l_etype(t))
@@ -303,7 +289,7 @@ def build_continuation_adjunction(sys: RefinementSystem, u) -> AdjunctionDescrip
         p=sys, q=q,
         l0=l0, l1=l1, r0=r0, r1=r1,
         eta0=lambda a: shift_expr(sys, a, c),
-        eps0=lambda b: OpExpr(sys.curry_expr("right", sys.plug_expr("left", b, c))),
+        eps0=lambda b: sys.curry_expr("right", sys.plug_expr("left", b, c)),
         l_etype=l_etype, l_der=l_der, r_etype=r_etype, r_der=r_der,
         eta_rule=eta_rule, eps_rule=eps_rule,
         sigma_rule=sigma_rule,
@@ -571,15 +557,6 @@ def check_comparison(adj: AdjunctionDescriptor, t, u) -> LawReport:
     return rep
 
 
-def double_negation_etypes(adj: AdjunctionDescriptor, t, u) -> tuple:
-    """(N, DN): the single and double negation of T with answers R[U]."""
-    p = adj.p
-    w = adj.r_etype(u)
-    n = p.residual_etype("right", t, w)
-    dn = p.residual_etype("left", n, w)
-    return n, dn
-
-
 def to_double_negation(adj: AdjunctionDescriptor, t, u) -> Derivation:
     """M[T] <= shift*(double negation of T with answers R[U]); always derivable."""
     p = adj.p
@@ -591,7 +568,7 @@ def to_double_negation(adj: AdjunctionDescriptor, t, u) -> Derivation:
     w_ans = adj.r_etype(u)
     cw = p.refines(w_ans)
     d2 = conversion(p, d1, shift_expr(p, b, cw))
-    _, dn = double_negation_etypes(adj, t, u)
+    dn = double_negation_etype(p, t, w_ans)
     w_shift = pullback(p, shift_expr(p, b, cw), dn)
     return w_shift.factor(d2, p.id_expr(b))
 
@@ -627,7 +604,7 @@ def from_double_negation(adj: AdjunctionDescriptor, t, u, f) -> Derivation:
     w_ans = adj.r_etype(u)
     b = p.refines(t)
     cw = p.refines(w_ans)
-    n, dn = double_negation_etypes(adj, t, u)
+    dn = double_negation_etype(p, t, w_ans)
     d1 = compose_derivations(p, adj.eta_rule(t), w_f.unit)
     d2 = compose_derivations(p, coherence_derivation(p, "unit_l", (t,)), d1)
     w_r = residual(p, "right", t, w_ans)
@@ -635,7 +612,7 @@ def from_double_negation(adj: AdjunctionDescriptor, t, u, f) -> Derivation:
     w_shift = pullback(p, shift_expr(p, b, cw), dn)
     pp = w_shift.etype
     d4 = tensor_derivations(p, d3, w_shift.unit)
-    w_l = residual(p, "left", n, w_ans)
+    w_l = residual(p, "left", w_r.etype, w_ans)
     d5 = compose_derivations(p, d4, w_l.ev)
     d6 = compose_derivations(p, coherence_derivation(p, "unit_l_inv", (pp,)), d5)
     target_expr = p.compose_exprs(adj.eta0(b), f)
@@ -834,7 +811,7 @@ def _evaluation_expr(adj: AdjunctionDescriptor, t, u, encodings: dict):
     w_ans = adj.r_etype(u)
     cw = p.refines(w_ans)
     b = p.refines(t)
-    _, dn = double_negation_etypes(adj, t, u)
+    dn = double_negation_etype(p, t, w_ans)
     r_e, point = _point_expr(adj, t, encodings)
     nr_itype = p.residual_itype(b, cw)
     plug = p.plug_expr("left", nr_itype, cw)
@@ -883,7 +860,7 @@ def check_reflected(adj: AdjunctionDescriptor, u, encodings: dict,
             rep.check(False, f"no encoding for L[{name}]")
             continue
         try:
-            _, dn = double_negation_etypes(adj, t, u)
+            dn = double_negation_etype(p, t, w_ans)
             _, expr2 = _evaluation_expr(adj, t, u, encodings)
             sh = shift_expr(p, p.refines(t), cw)
             lhs, _, _ = p.pullback_data(sh, dn)
@@ -922,7 +899,7 @@ def check_theorem(adj: AdjunctionDescriptor, u, encodings: dict, t) -> VerticalI
     base_pull, _, _ = p.pullback_data(r_e, w_ans)
     if base_pull != adj.rl_etype(t):
         raise LawViolation("condition 1 fails: R1(encoding) does not pull back to RL[T]")
-    _, dn = double_negation_etypes(adj, t, u)
+    dn = double_negation_etype(p, t, w_ans)
     shifted_dn, _, _ = p.pullback_data(sh, dn)
     w1 = composite_pullback_witness(p, adj.eta0(b), r_e, w_ans)
     w2 = composite_pullback_witness(p, sh, expr2, w_ans)

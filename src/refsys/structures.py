@@ -260,13 +260,13 @@ def _elementwise(w: Witness):
     """The type w should have, from its expression's values one element at a
     time: f*T = {x | f(x) in T} and fS = {f(x) | x in S}, built by the
     constructed type's own checked constructor.  A witness of an opposite
-    system is its base's witness of the other kind along the base
+    system is its base's witness of the other kind along the same
     expression.  No model hook and no index table is read."""
     from .monadrep import OppositeSystem  # monadrep imports this module
 
     sys, pull, f = w.sys, w._pull, w.expr
     while isinstance(sys, OppositeSystem):
-        sys, pull, f = sys.base, not pull, f.base
+        sys, pull = sys.base, not pull
     inside = w.fixed.elements
     if pull:
         return type(w.etype)(f.dom, [x for x in f.dom.elements if f(x) in inside])

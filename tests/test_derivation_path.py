@@ -29,7 +29,7 @@ from refsys.kernel import (
     derivations_over,
     identity_derivation,
 )
-from refsys.monadrep import OpExpr, OppositeSystem, build_continuation_adjunction
+from refsys.monadrep import OppositeSystem, build_continuation_adjunction
 from refsys.monoidal import (
     coherence_derivation,
     residual,
@@ -95,8 +95,7 @@ def test_trivial_cut_expression_is_p_of_the_composite():
 
 def test_opposite_cut_expression_is_p_of_the_composite():
     sys = OppositeSystem(_small_subset_system())
-    _assert_cuts_read_p_of_the_composite(
-        sys, lambda f: OpExpr(_rename_function(f.base)))
+    _assert_cuts_read_p_of_the_composite(sys, _rename_function)
 
 
 def test_cut_after_conversion_keeps_the_composite_table():

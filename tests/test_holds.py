@@ -21,7 +21,7 @@ from conftest import data_file
 from refsys import presheaf_model
 from refsys.fincat import FinCategory, FinFunction, FinSet, monoid_category
 from refsys.kernel import IllFormedError, Status, classify, well_formed
-from refsys.monadrep import OppositeSystem, OpExpr
+from refsys.monadrep import OppositeSystem
 from refsys.presheaf_model import FinPresheaf, build_presheaf_system, natural_components
 from refsys.signature import load_signature
 from refsys.trivial_model import build_trivial_system
@@ -84,11 +84,11 @@ def _crossed_triples():
         for s, t in itertools.product(sys_.e_types()[:3], repeat=2):
             for f in fs:
                 yield sys_, s, f, t
-                yield OppositeSystem(sys_), s, OpExpr(f), t
+                yield OppositeSystem(sys_), s, f, t
     triv = _system("trivial2")
     for s, t in itertools.product(triv.e_types(), repeat=2):
         yield triv, s, "not-an-expression", t
-        yield OppositeSystem(triv), s, OpExpr("not-an-expression"), t
+        yield OppositeSystem(triv), s, "not-an-expression", t
 
 
 def test_ill_formed_triples_raise_the_same_text_from_both():
@@ -112,7 +112,7 @@ def test_opposite_classify_is_the_base_classify_reversed(name, monkeypatch):
     monkeypatch.setattr(op, "morphisms_over", no_search)
     seen = set()
     for s, f, t in _triples(base):
-        got = classify(op, t, OpExpr(f), s)
+        got = classify(op, t, f, s)
         assert got is classify(base, s, f, t)
         seen.add(got)
     assert Status.DERIVABLE in seen

@@ -31,6 +31,7 @@ import pytest
 
 from conftest import data_file
 from refsys.kernel import CapabilityError
+from refsys.monadrep import OppositeSystem
 from refsys.presheaf_model import PresheafSystem
 from refsys.signature import load_signature
 from refsys.structures import check_beta_eta, pullback, pushforward
@@ -184,6 +185,29 @@ def test_membership_mode_fails_row_b(row_b):
     assert rep.failures == [
         "pushforward along 'sq': constructed {0,1,4,9}:B != canonical {1,4,9}:B"]
     assert rep.checked == 1
+
+
+@pytest.mark.parametrize("row, failing, first", [
+    # the image of sq misses 2, so row (b) adds a position to every image
+    ("b", 128, "pullback along 'sq': constructed {0}:B != canonical {}:B"),
+    # row (a) drops a position from every preimage but the 64 empty ones
+    ("a", 960, "pushforward along 'sq': constructed {}:A != canonical {0}:A"),
+])
+def test_membership_mode_on_the_opposite_names_the_expression(row, failing, first,
+                                                              monkeypatch):
+    """The opposite's pullback along sq is the base's pushforward along sq,
+    so row (b) breaks the opposite's pullbacks and row (a) its pushforwards."""
+    cls, hook, patch = ROWS[row][:3]
+    monkeypatch.setattr(cls, hook, patch)
+    sig = load_signature(data_file("squaring.json"))
+    op, sq = OppositeSystem(sig.system), sig.expr("sq")
+    if row == "b":
+        witnesses = [pullback(op, sq, t) for t in op.e_types_over(op.expr_cod(sq))]
+    else:
+        witnesses = [pushforward(op, s, sq) for s in op.e_types_over(op.expr_dom(sq))]
+    failures = [f for w in witnesses for f in check_beta_eta(w, mode="membership").failures]
+    assert len(failures) == failing
+    assert failures[0] == first
 
 
 @pytest.fixture
