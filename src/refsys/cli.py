@@ -105,6 +105,12 @@ def cmd_check(sig: Signature, args) -> int:
     return {Status.DERIVABLE: 0, Status.UNDERIVABLE: 1, Status.ILL_FORMED: 2}[status]
 
 
+def _emit_etype(args, shown, et, **names) -> int:
+    """Emit `shown: <et>`, or with --json names and et as the result; exit 0."""
+    _emit(args, [f"{shown}: {etype_label(et)}"], {**names, "result": _etype_json(et)})
+    return 0
+
+
 def cmd_witness(sig: Signature, args) -> int:
     """`pull F T` and `push S F`; the names are looked up in argument order."""
     if args.command == "pull":
@@ -112,14 +118,8 @@ def cmd_witness(sig: Signature, args) -> int:
     else:
         fixed, f = sig.etype(args.etype), sig.expr(args.expr)
     w = witness(sig.system, args.command, f, fixed)
-    lines = [f"{w.noun} of {args.etype} along {args.expr}: {etype_label(w.etype)}"]
-    _emit(args, lines, {
-        "operation": w.noun,
-        "expr": args.expr,
-        "etype": args.etype,
-        "result": _etype_json(w.etype),
-    })
-    return 0
+    return _emit_etype(args, f"{w.noun} of {args.etype} along {args.expr}", w.etype,
+                       operation=w.noun, expr=args.expr, etype=args.etype)
 
 
 def cmd_residual(sig: Signature, args) -> int:
@@ -127,14 +127,8 @@ def cmd_residual(sig: Signature, args) -> int:
     first, second = sig.etype(args.first), sig.etype(args.second)
     w = residual(sig.system, args.side, *in_place(args.side, first, second))
     fixed, u = in_place(args.side, args.first, args.second)
-    lines = [f"{args.side} residual of {u} by {fixed}: {etype_label(w.etype)}"]
-    _emit(args, lines, {
-        "operation": f"residual_{args.side}",
-        "first": args.first,
-        "second": args.second,
-        "result": _etype_json(w.etype),
-    })
-    return 0
+    return _emit_etype(args, f"{args.side} residual of {u} by {fixed}", w.etype,
+                       operation=f"residual_{args.side}", first=args.first, second=args.second)
 
 
 def _need_monoid(sig: Signature):
@@ -145,17 +139,8 @@ def _need_monoid(sig: Signature):
 
 def cmd_star(sig: Signature, args) -> int:
     mult = _need_monoid(sig)
-    s = sig.etype(args.s)
-    t = sig.etype(args.t)
-    et = star_etype(sig.system, mult, s, t)
-    lines = [f"{args.s} * {args.t}: {etype_label(et)}"]
-    _emit(args, lines, {
-        "operation": "star",
-        "s": args.s,
-        "t": args.t,
-        "result": _etype_json(et),
-    })
-    return 0
+    et = star_etype(sig.system, mult, sig.etype(args.s), sig.etype(args.t))
+    return _emit_etype(args, f"{args.s} * {args.t}", et, operation="star", s=args.s, t=args.t)
 
 
 def cmd_wand(sig: Signature, args) -> int:
@@ -168,14 +153,8 @@ def cmd_wand(sig: Signature, args) -> int:
     else:
         et = wand_left_etype(sig.system, mult, operand, u)
         shown = f"{args.operand} *- {args.answer}"
-    lines = [f"{shown}: {etype_label(et)}"]
-    _emit(args, lines, {
-        "operation": f"wand_{args.side}",
-        "operand": args.operand,
-        "answer": args.answer,
-        "result": _etype_json(et),
-    })
-    return 0
+    return _emit_etype(args, shown, et, operation=f"wand_{args.side}",
+                       operand=args.operand, answer=args.answer)
 
 
 def cmd_hoare(sig: Signature, args) -> int:

@@ -39,8 +39,7 @@ from .monoidal import (
     check_star_wand,
     check_threeway_adjunction,
     star_etype,
-    tensor_pull_iso,
-    tensor_push_iso,
+    tensor_iso,
     wand_left_etype,
     wand_right_etype,
 )
@@ -68,11 +67,11 @@ from .presheaf_model import (
 )
 from .signature import Signature
 from .structures import (
+    _KINDS,
     LawReport,
     check_beta_eta,
+    compose_iso,
     law_mode,
-    pull_compose_iso,
-    push_compose_iso,
     three_way,
     witness,
 )
@@ -163,6 +162,11 @@ def _expr_pool(sig: Signature) -> tuple:
     return idents + named + extra
 
 
+def _over(sys_, etypes: tuple, x, n: int) -> list:
+    """The first n types in etypes over the index type x."""
+    return [e for e in etypes if sys_.refines(e) == x][:n]
+
+
 # --- the suites -------------------------------------------------------------------
 
 def _suite_kernel(sig: Signature, max_set: int) -> LawReport:
@@ -220,14 +224,9 @@ def _suite_structures(sig: Signature, max_set: int) -> LawReport:
     etypes = _etype_pool(sig, max_set)
     exprs = _expr_pool(sig)
     mode = law_mode(sys_)
-
-    def over(x, n):
-        """The first n pool types over the index type x."""
-        return [e for e in etypes if sys_.refines(e) == x][:n]
-
     for f in exprs:
         for kind, x in (("pull", sys_.expr_cod(f)), ("push", sys_.expr_dom(f))):
-            for e in over(x, 6):
+            for e in _over(sys_, etypes, x, 6):
                 with _refusals(rep):
                     w = witness(sys_, kind, f, e)
                     rep.absorb(check_beta_eta(w, mode=mode),
@@ -235,14 +234,13 @@ def _suite_structures(sig: Signature, max_set: int) -> LawReport:
     composable = [(f, g) for f in exprs for g in exprs
                   if sys_.expr_cod(f) == sys_.expr_dom(g)]
     for f, g in composable[:12]:
-        for t in over(sys_.expr_cod(g), 2):
-            with _law(rep, "pullback composite iso"):
-                pull_compose_iso(sys_, f, g, t)
-        for s in over(sys_.expr_dom(f), 2):
-            with _law(rep, "pushforward composite iso"):
-                push_compose_iso(sys_, s, f, g)
+        for kind, x in (("pull", sys_.expr_cod(g)), ("push", sys_.expr_dom(f))):
+            for e in _over(sys_, etypes, x, 2):
+                with _law(rep, f"{_KINDS[kind][0]} composite iso"):
+                    compose_iso(sys_, kind, f, g, e)
     for f in exprs:
-        for s, t in itertools.product(over(sys_.expr_dom(f), 6), over(sys_.expr_cod(f), 6)):
+        for s, t in itertools.product(_over(sys_, etypes, sys_.expr_dom(f), 6),
+                                      _over(sys_, etypes, sys_.expr_cod(f), 6)):
             with _refusals(rep):
                 rep.check(three_way(sys_, s, f, t).agree, lambda: (
                     f"three-way readings disagree at {etype_label(s)} "
@@ -291,16 +289,14 @@ def _suite_monoidal(sig: Signature, max_set: int) -> LawReport:
     for f1, f2 in itertools.product(exprs, exprs):
         if combos >= 8:
             break
-        t1s = [t for t in etypes if sys_.refines(t) == sys_.expr_cod(f1)][:1]
-        t2s = [t for t in etypes if sys_.refines(t) == sys_.expr_cod(f2)][:1]
-        s1s = [s for s in etypes if sys_.refines(s) == sys_.expr_dom(f1)][:1]
-        s2s = [s for s in etypes if sys_.refines(s) == sys_.expr_dom(f2)][:1]
-        if not (t1s and t2s and s1s and s2s):
+        ends = [(kind, _over(sys_, etypes, end(f1), 1), _over(sys_, etypes, end(f2), 1))
+                for kind, end in (("pull", sys_.expr_cod), ("push", sys_.expr_dom))]
+        if not all(x1 and x2 for _, x1, x2 in ends):
             continue
         combos += 1
         with _law(rep, "tensor preservation", count=2):
-            tensor_pull_iso(sys_, f1, t1s[0], f2, t2s[0])
-            tensor_push_iso(sys_, s1s[0], f1, s2s[0], f2)
+            for kind, (x1,), (x2,) in ends:
+                tensor_iso(sys_, kind, f1, x1, f2, x2)
     return rep
 
 

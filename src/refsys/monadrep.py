@@ -61,7 +61,7 @@ from .structures import (
     LawReport,
     Witness,
     check_beta_eta,
-    composite_pullback_witness,
+    composite_witness,
     implied_witness,
     law_mode,
     pullback,
@@ -901,8 +901,8 @@ def check_theorem(adj: AdjunctionDescriptor, u, encodings: dict, t) -> VerticalI
         raise LawViolation("condition 1 fails: R1(encoding) does not pull back to RL[T]")
     dn = double_negation_etype(p, t, w_ans)
     shifted_dn, _, _ = p.pullback_data(sh, dn)
-    w1 = composite_pullback_witness(p, adj.eta0(b), r_e, w_ans)
-    w2 = composite_pullback_witness(p, sh, expr2, w_ans)
+    w1 = composite_witness(p, "pull", adj.eta0(b), r_e, w_ans)
+    w2 = composite_witness(p, "pull", sh, expr2, w_ans)
     if w2.etype != shifted_dn:
         raise LawViolation("condition 2 (shift context) fails at the theorem instance")
     monad = FiberwiseMonad(adj)

@@ -2,7 +2,9 @@
 
 The tensor rule M pairs two derivations; coherence cells (associators and
 unitors) are explicit derivations, so the monoidal equations are stated
-modulo those cells and checked by interpretation.  A residual witness
+modulo those cells and checked by interpretation.  ``tensor_iso`` checks
+that the tensor preserves pullbacks and pushforwards; like
+``structures.witness`` it takes the kind first.  A residual witness
 packages a function-space type with its evaluation rule and executable
 currying rule:
 
@@ -34,6 +36,7 @@ from .kernel import (
     MismatchError,
     RefinementSystem,
     Status,
+    ValidationError,
     VerticalIso,
     classify,
     compose_derivations,
@@ -46,7 +49,7 @@ from .kernel import (
     identity_derivation,
     in_place,
 )
-from .structures import LawReport, Witness, pullback, pushforward, witness
+from .structures import LawReport, pullback, pushforward, witness
 
 
 # --- tensor rules ----------------------------------------------------------------
@@ -192,22 +195,22 @@ def _monoidal_instances(sys: RefinementSystem, ds: tuple, cap: int):
 
 # --- tensor preserves pullbacks and pushforwards -----------------------------------
 
-def tensor_pull_iso(sys: RefinementSystem, f1, t1, f2, t2) -> VerticalIso:
-    """f1*T1 (x) f2*T2 is canonically isomorphic to (f1 (x) f2)*(T1 (x) T2)."""
-    return _tensor_iso(sys, pullback(sys, f1, t1), pullback(sys, f2, t2))
+def tensor_iso(sys: RefinementSystem, kind: str, f1, x1, f2, x2) -> VerticalIso:
+    """f1*T1 (x) f2*T2 is canonically isomorphic to (f1 (x) f2)*(T1 (x) T2)
+    for kind "pull", and (f1 (x) f2)(S1 (x) S2) to f1S1 (x) f2S2 for "push".
 
-
-def tensor_push_iso(sys: RefinementSystem, s1, f1, s2, f2) -> VerticalIso:
-    """(f1 (x) f2)(S1 (x) S2) is canonically isomorphic to f1S1 (x) f2S2."""
-    return _tensor_iso(sys, pushforward(sys, s1, f1), pushforward(sys, s2, f2))
-
-
-def _tensor_iso(sys: RefinementSystem, w1: Witness, w2: Witness) -> VerticalIso:
-    """The witness of the tensored data factors the paired units; its
-    inverse is searched for."""
-    w12 = witness(sys, w1.kind, sys.tensor_expr(w1.expr, w2.expr),
-                  sys.tensor_etype(w1.fixed, w2.fixed))
-    fwd = w12.factor_subtyping(tensor_derivations(sys, w1.unit, w2.unit))
+    The witness of the tensored data factors the paired units; its inverse
+    is searched for.  A factor the model cannot build as a morphism fails
+    the law, as in uniqueness_iso.
+    """
+    w1, w2 = witness(sys, kind, f1, x1), witness(sys, kind, f2, x2)
+    w12 = witness(sys, kind, sys.tensor_expr(f1, f2), sys.tensor_etype(x1, x2))
+    paired = tensor_derivations(sys, w1.unit, w2.unit)
+    try:
+        fwd = w12.factor_subtyping(paired)
+    except ValidationError as exc:
+        raise LawViolation(f"tensor does not preserve this {w1.noun} pair: "
+                           f"factor is not a morphism ({exc})") from exc
     bwd = find_inverse(sys, fwd)
     if bwd is None:
         raise LawViolation(f"tensor does not preserve this {w1.noun} pair")

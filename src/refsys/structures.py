@@ -18,6 +18,9 @@ dually for a pushforward (the unit comes first).  The rule names, the
 fault texts and the orientation of judgments are settled once, when a
 witness is built, so every function here (the law check, uniqueness, the
 pasting of two witnesses, two-out-of-three) is written once for both kinds.
+The functions that build witnesses take the kind first, as ``witness``
+does: ``composite_witness`` pastes two witnesses along f;g and
+``compose_iso`` compares the pasted one with the direct one.
 check_beta_eta makes the quantification executable: `literal` mode enumerates
 subjects, factors, and derivations exactly as the laws quantify; `membership`
 mode is an equivalent complete check available in proof-irrelevant models,
@@ -374,20 +377,11 @@ def _same_kind(w1, w2, what: str) -> None:
         raise TypeError(f"{what}: need two witnesses of the same kind")
 
 
-def composite_pullback_witness(sys, f, g, t) -> Witness:
-    """Exhibit f*(g*T) as a pullback of T along f;g, by pasting two witnesses."""
-    return _paste(sys, "pull", f, g, t)
-
-
-def composite_pushforward_witness(sys, s, f, g) -> Witness:
-    """Exhibit g(fS) as a pushforward of S along f;g, by pasting two witnesses."""
-    return _paste(sys, "push", f, g, s)
-
-
-def _paste(sys, kind: str, f, g, fixed) -> Witness:
+def composite_witness(sys, kind: str, f, g, fixed) -> Witness:
     """The witness along f;g pasted from the one along the expression at the
     fixed end (g for a pullback, f for a pushforward) and the one along the
-    other expression at its type."""
+    other expression at its type: f*(g*T) as a pullback of T, or g(fS) as a
+    pushforward of S."""
     pull = kind == "pull"
     near, far = (g, f) if pull else (f, g)
     w_near = witness(sys, kind, near, fixed)
@@ -402,18 +396,10 @@ def _paste(sys, kind: str, f, g, fixed) -> Witness:
     return Witness(sys, kind, sys.compose_exprs(f, g), fixed, w_far.etype, unit, factor)
 
 
-def pull_compose_iso(sys, f, g, t) -> VerticalIso:
-    """(f;g)*T is canonically isomorphic to f*(g*T)."""
-    direct = pullback(sys, sys.compose_exprs(f, g), t)
-    pasted = composite_pullback_witness(sys, f, g, t)
-    return uniqueness_iso(direct, pasted)
-
-
-def push_compose_iso(sys, s, f, g) -> VerticalIso:
-    """(f;g)S is canonically isomorphic to g(fS)."""
-    direct = pushforward(sys, s, sys.compose_exprs(f, g))
-    pasted = composite_pushforward_witness(sys, s, f, g)
-    return uniqueness_iso(direct, pasted)
+def compose_iso(sys, kind: str, f, g, fixed) -> VerticalIso:
+    """(f;g)*T is canonically isomorphic to f*(g*T), and (f;g)S to g(fS)."""
+    direct = witness(sys, kind, sys.compose_exprs(f, g), fixed)
+    return uniqueness_iso(direct, composite_witness(sys, kind, f, g, fixed))
 
 
 def implied_witness(sys, whole: Witness, part: Witness, e) -> Witness:

@@ -42,8 +42,7 @@ from refsys.monoidal import (
     check_star_wand,
     check_threeway_adjunction,
     star_etype,
-    tensor_pull_iso,
-    tensor_push_iso,
+    tensor_iso,
     wand_left_etype,
     wand_right_etype,
 )
@@ -57,10 +56,9 @@ from refsys.presheaf_model import (
 )
 from refsys.structures import (
     check_beta_eta,
-    composite_pullback_witness,
-    pull_compose_iso,
+    compose_iso,
+    composite_witness,
     pullback,
-    push_compose_iso,
     pushforward,
     three_way,
     uniqueness_iso,
@@ -224,13 +222,13 @@ def test_criterion_03_composition_isos():
             if sys.expr_cod(f) != sys.expr_dom(g):
                 continue
             for t in sys.e_types_over(sys.expr_cod(g)):
-                iso = pull_compose_iso(sys, f, g, t)
+                iso = compose_iso(sys, "pull", f, g, t)
                 rt = compose_derivations(sys, iso.fwd, iso.bwd)
                 assert derivations_equal(
                     sys, rt, identity_derivation(sys, iso.fwd.subject))
                 n += 1
             for s in sys.e_types_over(sys.expr_dom(f)):
-                iso = push_compose_iso(sys, s, f, g)
+                iso = compose_iso(sys, "push", f, g, s)
                 rt = compose_derivations(sys, iso.fwd, iso.bwd)
                 assert derivations_equal(
                     sys, rt, identity_derivation(sys, iso.fwd.subject))
@@ -242,7 +240,7 @@ def test_criterion_03_composition_isos():
             ident = sys.id_expr(sys.expr_dom(f))
             for t in sys.e_types_over(sys.expr_cod(f)):
                 w1 = pullback(sys, f, t)
-                w2 = composite_pullback_witness(sys, ident, f, t)
+                w2 = composite_witness(sys, "pull", ident, f, t)
                 iso = uniqueness_iso(w1, w2)
                 rt = compose_derivations(sys, iso.fwd, iso.bwd)
                 assert derivations_equal(
@@ -259,10 +257,10 @@ def test_criterion_03_composition_isos():
         k = 0
         for f, g in itertools.product((ident, collapse), repeat=2):
             for t in pool:
-                pull_compose_iso(psys, f, g, t)
+                compose_iso(psys, "pull", f, g, t)
                 k += 1
             for s in pool:
-                push_compose_iso(psys, s, f, g)
+                compose_iso(psys, "push", f, g, s)
                 k += 1
         assert k == 64
     run_criterion(3, "composition isos", 30, body)
@@ -303,10 +301,10 @@ def test_criterion_05_monoidal_equations_and_preservation():
                  for f in all_functions(x, y)]
         n = 0
         for f1, f2 in itertools.product(exprs, exprs):
-            tensor_pull_iso(sys, f1, subset(f1.cod, f1.cod.elements[:1]),
-                            f2, subset(f2.cod, f2.cod.elements[:1]))
-            tensor_push_iso(sys, subset(f1.dom, f1.dom.elements[:1]), f1,
-                            subset(f2.dom, f2.dom.elements[:1]), f2)
+            tensor_iso(sys, "pull", f1, subset(f1.cod, f1.cod.elements[:1]),
+                       f2, subset(f2.cod, f2.cod.elements[:1]))
+            tensor_iso(sys, "push", f1, subset(f1.dom, f1.dom.elements[:1]),
+                       f2, subset(f2.dom, f2.dom.elements[:1]))
             n += 2
         assert n == 4608
     run_criterion(5, "monoidal equations", 30, body)

@@ -29,8 +29,7 @@ from refsys.monoidal import (
     shift_derivation,
     star_etype,
     tensor_derivations,
-    tensor_pull_iso,
-    tensor_push_iso,
+    tensor_iso,
     wand_left_etype,
     wand_right_etype,
 )
@@ -96,8 +95,8 @@ def test_tensor_preservation_isos(small_sys):
     a, b = sys.i_types()
     f = FinFunction("f", a, b, {"a1": 1, "a2": 1})
     g = FinFunction("g", b, a, {1: "a1", 2: "a1", 3: "a2"})
-    tensor_pull_iso(sys, f, subset(b, (1, 2)), g, subset(a, ("a1",)))
-    tensor_push_iso(sys, subset(a, ("a2",)), f, subset(b, (2, 3)), g)
+    tensor_iso(sys, "pull", f, subset(b, (1, 2)), g, subset(a, ("a1",)))
+    tensor_iso(sys, "push", f, subset(a, ("a2",)), g, subset(b, (2, 3)))
 
 
 def test_residual_curry_uncurry_round_trip(small_sys):

@@ -21,8 +21,7 @@ from refsys.presheaf_model import (
 from refsys.signature import load_signature
 from refsys.structures import (
     check_beta_eta,
-    composite_pullback_witness,
-    composite_pushforward_witness,
+    composite_witness,
     pullback,
     pushforward,
 )
@@ -90,8 +89,8 @@ def test_pasted_witnesses_satisfy_beta_eta(arrow_sig):
     counts = []
     for name in ("P", "Q"):
         t = arrow_sig.etype(name)
-        for w in (composite_pullback_witness(sys, collapse, collapse, t),
-                  composite_pushforward_witness(sys, t, collapse, collapse)):
+        for w in (composite_witness(sys, "pull", collapse, collapse, t),
+                  composite_witness(sys, "push", collapse, collapse, t)):
             report = check_beta_eta(w, mode="literal")
             assert report.ok and not report.skipped, str(report)
             counts.append(report.checked)

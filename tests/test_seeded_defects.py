@@ -7,13 +7,17 @@ contract reads 1 for a failing check and 3 for a refusal, so a defect the
 suites catch exits 1 with a counterexample, whatever the interpreter does
 with ``assert``.
 
-Rows (a) and (b) break ``SubsetSystem``'s pullback and pushforward types
-on squaring.json.  The suite's membership checks, which recompute each
-witness's type element by element, report the defect first; the composite
-isos still fail behind them.  Row (c) keeps ``PresheafSystem``'s pullback
-type and gives it a factor that returns another morphism, on
-presheaf_arrow.json.  The presheaf model is not proof-irrelevant, so no
-membership check applies, and the literal beta/eta loop reports it first.
+Rows (a), (b) and (d) break ``SubsetSystem``'s pullback and pushforward
+types on squaring.json: (a) drops a position from a pullback, (b) adds
+one to a pushforward and (d) adds one to a pullback.  The suite's
+membership checks, which recompute each witness's type element by
+element, report the defect first; the composite isos still fail behind
+them.  Row (d) also breaks the tensor preservation iso, whose factor is
+then not a morphism: that is a failed law, not a refusal.  Row (c) keeps
+``PresheafSystem``'s pullback type and gives it a factor that returns
+another morphism, on presheaf_arrow.json.  The presheaf model is not
+proof-irrelevant, so no membership check applies, and the literal
+beta/eta loop reports it first.
 
 Run this file as a script, ``python tests/test_seeded_defects.py ROW
 ARGS...``, to run the command line ``refsys ARGS...`` with row ROW's
@@ -30,8 +34,9 @@ from pathlib import Path
 import pytest
 
 from conftest import data_file
-from refsys.kernel import CapabilityError
+from refsys.kernel import CapabilityError, LawViolation
 from refsys.monadrep import OppositeSystem
+from refsys.monoidal import tensor_iso
 from refsys.presheaf_model import PresheafSystem
 from refsys.signature import load_signature
 from refsys.structures import check_beta_eta, pullback, pushforward
@@ -67,6 +72,18 @@ def pushforward_adding_a_position(self, s, f):
     return et, _mor(s, f, et), factor
 
 
+def pullback_adding_a_position(self, f, t):
+    """Row (d): f*T with the first domain position outside the preimage added."""
+    et, _, _ = _pullback_data(self, f, t)
+    extra = [i for i in range(len(et.of)) if i not in et.ix][:1]
+    et = _subset(et.of, et.ix | set(extra))
+
+    def factor(m, g):
+        return SubsetMor(m.src, g, et)
+
+    return et, _mor(et, f, t), factor
+
+
 def pullback_factoring_through_another_morphism(self, f, t):
     """Row (c): the right f*T, but a factor that returns another morphism
     over g from m's subject to f*T, when one exists."""
@@ -84,8 +101,8 @@ def pullback_factoring_through_another_morphism(self, f, t):
 
 # per row: the model class, the hook, its defect, the signature, and the
 # start of the first counterexample `laws SIG structures` prints: from the
-# membership check of the first witness of the row's kind in rows (a) and
-# (b), from the literal loop in row (c)
+# membership check of the first witness of the row's kind in rows (a), (b)
+# and (d), from the literal loop in row (c)
 ROWS = {
     "a": (SubsetSystem, "pullback_data", pullback_dropping_the_smallest_position,
           "squaring.json",
@@ -99,6 +116,10 @@ ROWS = {
           "presheaf_arrow.json",
           "pullback of P: x -> {p0,p1}; y -> {q0} along Id_C: "
           "beta-law fails at subject P, factor F0_C_C"),
+    "d": (SubsetSystem, "pullback_data", pullback_adding_a_position,
+          "squaring.json",
+          "pullback of {}:A along id_A: pullback along 'id_A': "
+          "constructed {-3}:A != canonical {}:A"),
 }
 
 
@@ -208,6 +229,18 @@ def test_membership_mode_on_the_opposite_names_the_expression(row, failing, firs
     failures = [f for w in witnesses for f in check_beta_eta(w, mode="membership").failures]
     assert len(failures) == failing
     assert failures[0] == first
+
+
+def test_tensor_iso_fails_the_law_when_row_d_factor_is_not_a_morphism(monkeypatch):
+    """Row (d)'s pullbacks of big along sq are too big, so the tensored
+    witness cannot factor the paired units: a failed law, not a refusal."""
+    monkeypatch.setattr(SubsetSystem, "pullback_data", pullback_adding_a_position)
+    sig = load_signature(data_file("squaring.json"))
+    sq, big = sig.expr("sq"), sig.etype("big")
+    with pytest.raises(LawViolation, match=(
+            r"^tensor does not preserve this pullback pair: factor is not a morphism "
+            r"\('id_\(AxA\)' does not map .* into .*\)$")):
+        tensor_iso(sig.system, "pull", sq, big, sq, big)
 
 
 @pytest.fixture

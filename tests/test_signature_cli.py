@@ -751,3 +751,16 @@ def test_pull_and_push_commands_match_their_recorded_output(capsys, case):
     command, *rest = case["args"]
     rc, out, err = run(capsys, command, data_file(case["signature"]), *rest)
     assert (rc, out, err) == (case["code"], case["stdout"], case["stderr"])
+
+
+# --- `refsys star` and `refsys wand`, pinned against recorded output ----------------------
+
+STARWAND_GOLDEN = Path(__file__).resolve().parent / "golden" / "starwand.json"
+
+
+@pytest.mark.parametrize("case", json.loads(STARWAND_GOLDEN.read_text()),
+                         ids=lambda c: "-".join([c["signature"], *c["args"]]))
+def test_star_and_wand_commands_match_their_recorded_output(capsys, case):
+    command, *rest = case["args"]
+    rc, out, err = run(capsys, command, data_file(case["signature"]), *rest)
+    assert (rc, out, err) == (case["code"], case["stdout"], case["stderr"])

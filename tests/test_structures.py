@@ -20,13 +20,11 @@ from refsys.structures import (
     binary_intersection,
     binary_union,
     check_beta_eta,
-    composite_pullback_witness,
-    composite_pushforward_witness,
+    compose_iso,
+    composite_witness,
     implied_witness,
     law_mode,
-    pull_compose_iso,
     pullback,
-    push_compose_iso,
     pushforward,
     three_way,
     three_way_derivations,
@@ -91,7 +89,7 @@ def test_uniqueness_iso_between_presentations(squaring):
     neg = squaring.expr("neg")
     ident = sys.id_expr(sys.expr_dom(sq))
     direct = pullback(sys, sq, squaring.etype("big"))
-    pasted = composite_pullback_witness(sys, ident, sq, squaring.etype("big"))
+    pasted = composite_witness(sys, "pull", ident, sq, squaring.etype("big"))
     iso = uniqueness_iso(direct, pasted)
     assert is_identity_on(
         sys,
@@ -117,9 +115,9 @@ def test_composition_isos_subset(squaring):
     sq = squaring.expr("sq")
     neg = squaring.expr("neg")
     for t in ("positive", "big", "squares"):
-        pull_compose_iso(sys, neg, sq, squaring.etype(t))
+        compose_iso(sys, "pull", neg, sq, squaring.etype(t))
     for s in ("nonzero", "negative", "whole"):
-        push_compose_iso(sys, squaring.etype(s), neg, sq)
+        compose_iso(sys, "push", neg, sq, squaring.etype(s))
 
 
 def test_composition_isos_presheaf(arrow_sig):
@@ -129,16 +127,16 @@ def test_composition_isos_presheaf(arrow_sig):
     ident = sys.id_expr(sys.expr_dom(collapse))
     for s in (arrow_sig.etype("P"), arrow_sig.etype("Q")):
         for f, g in ((ident, ident), (ident, collapse), (collapse, collapse)):
-            push_compose_iso(sys, s, f, g)
-            pull_compose_iso(sys, f, g, s)
+            compose_iso(sys, "push", f, g, s)
+            compose_iso(sys, "pull", f, g, s)
 
 
 def test_composite_witness_satisfies_the_equations(arrow_sig):
     sys = arrow_sig.system
     collapse = arrow_sig.expr("collapse")
-    w = composite_pushforward_witness(sys, arrow_sig.etype("P"), collapse, collapse)
+    w = composite_witness(sys, "push", collapse, collapse, arrow_sig.etype("P"))
     assert check_beta_eta(w, mode="literal").ok
-    w = composite_pullback_witness(sys, collapse, collapse, arrow_sig.etype("Q"))
+    w = composite_witness(sys, "pull", collapse, collapse, arrow_sig.etype("Q"))
     assert check_beta_eta(w, mode="literal").ok
 
 
@@ -236,8 +234,8 @@ def test_composition_isos_random(data):
     f = FinFunction("f", a, a, data.draw(draw_table, label="f"))
     g = FinFunction("g", a, a, data.draw(draw_table, label="g"))
     t = subset(a, data.draw(st.sets(st.sampled_from(a.elements)), label="T"))
-    pull_compose_iso(sys, f, g, t)
-    push_compose_iso(sys, t, f, g)
+    compose_iso(sys, "pull", f, g, t)
+    compose_iso(sys, "push", f, g, t)
 
 
 # --- the literal check still catches faults on the subset model ------------------
