@@ -189,7 +189,12 @@ def power_exceeds(base: int, exp: int, limit: int) -> bool:
     return acc > limit
 
 
-def _power_text(base: int, exp: int) -> str:
+def refusal(what: str, size, bound: int) -> CapabilityError:
+    """The refusal of something that would have size elements, past bound."""
+    return CapabilityError(f"{what} would have {size} elements, exceeding the bound {bound}")
+
+
+def power_text(base: int, exp: int) -> str:
     """base ** exp in decimal, or as base^exp when it has more digits than
     Python converts to a string."""
     try:
@@ -229,16 +234,11 @@ class CartesianKit:
         self._plugs: dict = {}
         self._curries: dict = {}
 
-    def _refuse(self, what: str, size) -> CapabilityError:
-        return CapabilityError(
-            f"{what} would have {size} elements, exceeding the bound {self.max_carrier}"
-        )
-
     def product(self, a: FinSet, b: FinSet) -> FinSet:
         p = self._products.get((a, b))
         if p is None:
             if len(a) * len(b) > self.max_carrier:
-                raise self._refuse(f"product ({a.name}x{b.name})", len(a) * len(b))
+                raise refusal(f"product ({a.name}x{b.name})", len(a) * len(b), self.max_carrier)
             p = self._products[a, b] = ProductSet(a, b)
         return p
 
@@ -253,8 +253,8 @@ class CartesianKit:
         fs = self._spaces.get((a, c))
         if fs is None:
             if power_exceeds(len(c), len(a), self.max_carrier):
-                raise self._refuse(f"function space [{a.name}->{c.name}]",
-                                   _power_text(len(c), len(a)))
+                raise refusal(f"function space [{a.name}->{c.name}]",
+                              power_text(len(c), len(a)), self.max_carrier)
             fs = self._spaces[a, c] = FunctionSpace(a, c)
         return fs
 

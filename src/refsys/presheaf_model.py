@@ -16,13 +16,19 @@ functorial by construction, so none of them is checked again.
 Every enumeration here runs on the one depth-first search of
 :mod:`refsys.fincat`, :func:`refsys.fincat.solutions`.  For natural
 transformations S => T(f-) (:func:`natural_components`, shared by
-``morphisms_over`` and the residual values) the variables are the
-components, one per object, each ranging over the raw index tables of
-``itertools.product``, and each naturality square is a constraint that
-compares index tables.  The square of an endo-arrow whose two actions are
-identity tables holds for every component, so it is no constraint; the
-tables are read, so an unchecked presheaf whose identity acts by another
-table keeps its square.  Only what is yielded becomes a function:
+``holds``, ``morphisms_over`` and the residual values) the variables are the
+components, one per object, each ranging over the space of every index
+table from its value of S into that of T(f-), in the order of
+``itertools.product``.  The space of each pair of sizes is built once and
+shared by every later search, in any system, while it has at most 4,096
+tables; a larger one is built for the search that asks for it, and one of
+more tables than the kit's ``max_carrier`` is refused with a
+CapabilityError before it is built.  Each naturality square is a
+constraint that compares index tables.  The square of an endo-arrow whose
+two actions are the identity tables of their values' sizes holds for every
+component, so it is no constraint; the tables are read, so an unchecked
+presheaf whose identity acts by another table keeps its square.  Only what
+is yielded becomes a function:
 ``morphisms_over`` wraps each component of a transformation it yields as
 the ``FinFunction`` that ``all_functions`` gives at the table's rank,
 named ``c{rank}``, and the residual values read the tables directly.
@@ -59,13 +65,14 @@ kit's product S(a) x T(b), each action and each component of a tensor of
 morphisms is a pairing, each component of a coherence cell is the kit's
 cell on the values it regroups, and the unit presheaf's value is the kit's
 unit.  The kit's ``max_carrier``, set from the ``max_values`` bound, is the
-one guard on the size of a value.  A system builds its tensor structure
-once, and only the parts that are read.  Product categories, the functors
-between two categories and functor categories are keyed by their two
-categories, tensor presheaves by their two factors, the checked Day
-multiplication by its monoid category, coherence cells by their kind and
-the presheaves they act on, and a cell's functor, which only regroups, by
-its kind and the bases of those presheaves; ``FinPresheaf`` and
+one guard on the size of a value and of a component space.  A system
+builds its tensor structure once, and only the parts that are read.
+Product categories, the functors between two categories and functor
+categories are keyed by their two categories, tensor presheaves by their
+two factors, the checked Day multiplication by its monoid category,
+coherence cells by their kind and the presheaves they act on, and a cell's
+functor, which only regroups, by its kind and the bases of those
+presheaves; ``FinPresheaf`` and
 ``FinCategory`` equality compare names and every table, so an equal key
 gives an equal result.  A product category composes through its factors
 and builds its composition table on first read
@@ -82,10 +89,13 @@ an independent fixpoint quotient so tests can compare the two label-for-label.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import cached_property
 from typing import Iterator
 
-from .cartesian import DEFAULT_MAX_CARRIER, CartesianKit, cell_ends
+from .cartesian import (
+    DEFAULT_MAX_CARRIER, CartesianKit, cell_ends, power_exceeds, power_text, refusal,
+)
 from .fincat import (
     FinCategory,
     FinFunction,
@@ -230,34 +240,61 @@ class NatTransOver:
         return f"NatTransOver({self.src.name} => {self.dst.name} over {self.expr.name})"
 
 
-def natural_components(s: FinPresheaf, f: FinFunctor, t: FinPresheaf) -> Iterator[tuple]:
+# A space of at most this many index tables is built once and kept for every
+# later search, and so is the identity table of each size up to 256.
+_SHARED_SPACE_TABLES = 4096
+_spaces: dict = {}
+_identities = {n: tuple(range(n)) for n in range(257)}
+
+
+def natural_components(s: FinPresheaf, f: FinFunctor, t: FinPresheaf,
+                       max_tables: int = DEFAULT_MAX_CARRIER) -> Iterator[tuple]:
     """The natural transformations S => T(f-), each as the tuple of its
     components' index tables, in lexicographic order.
 
-    The components follow the objects of S's base, and each ranges over the
-    tables of ``itertools.product``.  Each naturality square is one
-    constraint of the search, and compares index tables, except the square
-    of an endo-arrow u whose S(u) and T(fu) tables are both identity tables
-    of their values: it reads c = c, so it holds for every component.  The
-    tables are read, not the identities of the base, so a presheaf that
-    acts by a non-identity table at an identity arrow keeps its square.
+    The components follow the objects of S's base.  The component at a
+    ranges over the space of every index table from S(a) into T(fa), in the
+    order of ``itertools.product``; the space of each pair of sizes is built
+    once and shared by every search while it has at most
+    ``_SHARED_SPACE_TABLES`` tables, and a larger one is built for the
+    search that asks for it.  A space of more than max_tables tables is
+    refused with a CapabilityError before it is built.  Each naturality
+    square is one constraint of the search, and compares index tables,
+    except the square of an endo-arrow u whose S(u) and T(fu) tables are
+    both the identity tables of their values' sizes: it reads c = c, so it
+    holds for every component.  The tables are read, not the identities of
+    the base, so a presheaf that acts by a non-identity table at an
+    identity arrow keeps its square.
     """
-    at = {a: i for i, a in enumerate(s.cat.objects)}
-    spaces = [itertools.product(range(len(t.ob[f.ob(a)])), repeat=len(s.ob[a]))
-              for a in s.cat.objects]
+    at, sizes, spaces = {}, {}, []
+    for i, a in enumerate(s.cat.objects):
+        m, n = len(s.ob[a]), len(t.ob[f.ob(a)])
+        space = _spaces.get((m, n))
+        if space is None or len(space) > max_tables:
+            if power_exceeds(n, m, max_tables):
+                raise refusal(f"component space of {s.name} =[{f.name}]=> {t.name} "
+                              f"at {render_elem(a)}", power_text(n, m), max_tables)
+            space = tuple(itertools.product(range(n), repeat=m))
+            if len(space) <= _SHARED_SPACE_TABLES:
+                _spaces[m, n] = space
+        at[a] = i
+        sizes[a] = m, n
+        spaces.append(space)
     squares = []
     for u, (a, a2) in s.cat.arrows.items():
         s_u, t_u = s.ar[u].idx, t.ar[f.ar(u)].idx
-        if (a == a2 and s_u == tuple(range(len(s.ob[a])))
-                and t_u == tuple(range(len(t.ob[f.ob(a)])))):
-            continue
+        if a == a2:
+            m, n = sizes[a]
+            if (s_u == (_identities.get(m) or tuple(range(m)))
+                    and t_u == (_identities.get(n) or tuple(range(n)))):
+                continue
         squares.append(((at[a], at[a2]), _commutes(t_u, s_u)))
     return solutions(spaces, squares)
 
 
 def _require_over(s: FinPresheaf, f: FinFunctor, t: FinPresheaf) -> None:
     """Raise IllFormedError unless f runs from the base of s to that of t."""
-    if not (f.dom == s.cat and f.cod == t.cat):
+    if (f.dom is not s.cat and f.dom != s.cat) or (f.cod is not t.cat and f.cod != t.cat):
         raise IllFormedError(f"{s.name} =[{f.name}]=> {t.name}: boundaries do not match")
 
 
@@ -398,24 +435,20 @@ class PresheafSystem(RefinementSystem):
     def compose_exprs(self, f: FinFunctor, g: FinFunctor) -> FinFunctor:
         return f.then(g)
 
-    def expr_dom(self, f: FinFunctor) -> FinCategory:
-        return f.dom
-
-    def expr_cod(self, f: FinFunctor) -> FinCategory:
-        return f.cod
+    expr_dom = staticmethod(operator.attrgetter("dom"))
+    expr_cod = staticmethod(operator.attrgetter("cod"))
 
     # --- refinement level -----------------------------------------------------------
     def e_types(self) -> tuple:
         return self._presheaves
 
-    def refines(self, s: FinPresheaf) -> FinCategory:
-        return s.cat
+    refines = staticmethod(operator.attrgetter("cat"))
 
     def holds(self, s: FinPresheaf, f: FinFunctor, t: FinPresheaf) -> bool:
         """Whether the search finds a first tuple of component tables; no
         component function or transformation is built."""
         _require_over(s, f, t)
-        for _ in natural_components(s, f, t):
+        for _ in natural_components(s, f, t, self.kit.max_carrier):
             return True
         return False
 
@@ -423,7 +456,7 @@ class PresheafSystem(RefinementSystem):
                        t: FinPresheaf) -> Iterator[NatTransOver]:
         _require_over(s, f, t)
         ends = [(a, s.ob[a], t.ob[f.ob(a)]) for a in s.cat.objects]
-        for tables in natural_components(s, f, t):
+        for tables in natural_components(s, f, t, self.kit.max_carrier):
             yield NatTransOver(s, f, t, {a: _component(dom, cod, idx)
                                          for (a, dom, cod), idx in zip(ends, tables)})
 
@@ -442,14 +475,9 @@ class PresheafSystem(RefinementSystem):
              for a in m.src.cat.objects},
         )
 
-    def interp_expr(self, m: NatTransOver) -> FinFunctor:
-        return m.expr
-
-    def interp_src(self, m: NatTransOver) -> FinPresheaf:
-        return m.src
-
-    def interp_dst(self, m: NatTransOver) -> FinPresheaf:
-        return m.dst
+    interp_expr = staticmethod(operator.attrgetter("expr"))
+    interp_src = staticmethod(operator.attrgetter("src"))
+    interp_dst = staticmethod(operator.attrgetter("dst"))
 
     # --- pullback: precomposition ------------------------------------------------------
     def pullback_data(self, f: FinFunctor, t: FinPresheaf):
@@ -671,7 +699,7 @@ class PresheafSystem(RefinementSystem):
         its components' value tuples, in canonical order."""
         cods = [u.ob[f.ob(a)].elements for a in s.cat.objects]
         out = [tuple(tuple([el[j] for j in idx]) for el, idx in zip(cods, tables))
-               for tables in natural_components(s, f, u)]
+               for tables in natural_components(s, f, u, self.kit.max_carrier)]
         return tuple(sorted(out, key=canon_key))
 
     def residual_etype(self, side: str, s: FinPresheaf, u: FinPresheaf) -> FinPresheaf:
