@@ -275,12 +275,6 @@ class RefinementSystem:
         """
         raise CapabilityError(f"{self.name}: not closed")
 
-    def weighted_intersection_etype(self, a, family):
-        raise CapabilityError(f"{self.name}: no weighted limits")
-
-    def weighted_union_etype(self, a, family):
-        raise CapabilityError(f"{self.name}: no weighted colimits")
-
 
 def in_place(side: str, fixed, other) -> tuple:
     """The operands of a residual's tensor in order: (fixed, other) on the

@@ -421,14 +421,16 @@ def _suite_monadrep(sig: Signature, max_set: int) -> LawReport | str:
             else:
                 encodings[t] = f
         if encodings:
-            rep.absorb(check_universal(adj.q, u, encodings, etypes=list(encodings)),
-                       "universality")
-            ref = check_reflected(adj, u, encodings,
-                                  q_etypes=list(encodings), p_etypes=list(encodings))
-            rep.absorb(ref, "reflection")
-            strict_holds = sum(1 for _, s in ref.double_negation_strict if s)
-            rep.skip(f"strict double negation holds at {strict_holds} of "
-                     f"{len(ref.double_negation_strict)} types (informational)")
+            with _refusals(rep):
+                rep.absorb(check_universal(adj.q, u, encodings, etypes=list(encodings)),
+                           "universality")
+            with _refusals(rep):
+                ref = check_reflected(adj, u, encodings,
+                                      q_etypes=list(encodings), p_etypes=list(encodings))
+                rep.absorb(ref, "reflection")
+                strict_holds = sum(1 for _, s in ref.double_negation_strict if s)
+                rep.skip(f"strict double negation holds at {strict_holds} of "
+                         f"{len(ref.double_negation_strict)} types (informational)")
             for t in list(encodings)[:3]:
                 with _law(rep, f"representation at {etype_label(t)}",
                           fails=(LawViolation, MismatchError)):

@@ -26,10 +26,6 @@ From the descriptor:
     collects every encoding across an adjunction, and the monadrep suite
     takes the first one per type.  check_universal and check_reflected run
     the witness laws in the mode law_mode reads off the system.
-  * two-out-of-three, one function for both kinds of witness: given the
-    witness along a composite and the one along its part at the fixed end
-    (g for pullbacks along e;g, f for pushforwards along f;e), check both,
-    and only then build and check the implied witness along e.
 
 The opposite of a refinement system is the base read backwards: the same
 expressions and morphisms with their ends swapped, so the continuation
@@ -62,7 +58,6 @@ from .structures import (
     Witness,
     check_beta_eta,
     composite_witness,
-    implied_witness,
     law_mode,
     pullback,
     uniqueness_iso,
@@ -717,57 +712,6 @@ def count_encodings_elementwise(adj: AdjunctionDescriptor, t, u) -> tuple:
     if count == 0:
         return 0, None
     return count, FinFunction(f"enc[{getattr(t, 'name', t)}]", dom, cod, table)
-
-
-# --- two-out-of-three ----------------------------------------------------------------------
-
-def two_out_of_three(sys: RefinementSystem, whole: Witness, part: Witness, e) -> LawReport:
-    """If S =[e;g]=> U and T =[g]=> U are pullbacks, then S =[e]=> T is one;
-    if S =[f;e]=> U and S =[f]=> T are pushforwards, then T =[e]=> U is one.
-
-    Checks the laws of whole and part and, when they hold, constructs the
-    implied witness along e and checks its laws; the report concatenates
-    the checks.
-    """
-    mode = law_mode(sys)
-    rep = check_beta_eta(whole, mode=mode).absorb(check_beta_eta(part, mode=mode))
-    if rep.ok:
-        rep.absorb(check_beta_eta(implied_witness(sys, whole, part, e), mode=mode))
-    return rep
-
-
-# --- answer weakening for the double negation ---------------------------------------------
-
-def double_negation_weakening(sys: RefinementSystem, t, u, f) -> Derivation:
-    """shift*(negL[U]{negR[U]{T}}) <= shift*(negL[V]{negR[V]{T}}) for V = f*U.
-
-    Precomposing continuations with f restricts the answers; the derivation
-    factors through the pullback defining V and converts along the table
-    identity (rc(plugR;f) (x) shift);plugL == plugR;f.
-    """
-    w_v = pullback(sys, f, u)
-    v = w_v.etype
-    b = sys.refines(t)
-    c = sys.refines(u)
-    c2 = sys.expr_dom(f)
-    w_r_v = residual(sys, "right", t, v)
-    nr_v = w_r_v.etype
-    step1 = compose_derivations(sys, w_r_v.ev, w_v.unit)
-    w_r_u = residual(sys, "right", t, u)
-    step2 = w_r_u.curry(step1, nr_v)
-    nr_u = w_r_u.etype
-    w_l_u = residual(sys, "left", nr_u, u)
-    dn_u = w_l_u.etype
-    w_shift_u = pullback(sys, shift_expr(sys, b, c), dn_u)
-    step3 = tensor_derivations(sys, step2, w_shift_u.unit)
-    step4 = compose_derivations(sys, step3, w_l_u.ev)
-    plug_v = sys.plug_expr("right", b, c2)
-    step5 = conversion(sys, step4, sys.compose_exprs(plug_v, f))
-    step6 = w_v.factor(step5, plug_v)
-    w_l_v = residual(sys, "left", nr_v, v)
-    step7 = w_l_v.curry(step6, w_shift_u.etype)
-    w_shift_v = pullback(sys, shift_expr(sys, b, c2), w_l_v.etype)
-    return w_shift_v.factor(step7, sys.id_expr(b))
 
 
 # --- encodings, universality, reflection, and the representation theorem -------------------

@@ -19,10 +19,10 @@ pullback with its rules.  Every function here that builds a residual takes
 the side too, and :func:`refsys.kernel.in_place` puts the fixed operand in
 its place in the tensor.  The functorial action f -o g of a residual is the
 curried (f (x) id) ; ev ; g, or (id (x) f) ; ev ; g, on derivations and on
-index types.  On top of the residuals: double negation (shift into it,
-reset out of it), and the separating conjunction / magic wand pair obtained
-by pushing the tensor forward along a multiplication expression and pulling
-the residual back along its currying.
+index types.  On top of the residuals: double negation (shift into it),
+and the separating conjunction / magic wand pair obtained by pushing the
+tensor forward along a multiplication expression and pulling the residual
+back along its currying.
 """
 from __future__ import annotations
 
@@ -338,7 +338,7 @@ def residual_subtyping(sys: RefinementSystem, side: str, alpha_s: Derivation,
     return conversion(sys, d, sys.id_expr(sys.refines(d.subject)))
 
 
-# --- double negation: shift and reset ------------------------------------------------
+# --- double negation: the shift ------------------------------------------------------
 
 def shift_expr(sys: RefinementSystem, b, c):
     """B -> negL[C]{negR[C]{B}}: send x to evaluation-at-x."""
@@ -354,25 +354,6 @@ def shift_derivation(sys: RefinementSystem, s, u) -> Derivation:
 
 def double_negation_etype(sys: RefinementSystem, s, u):
     return sys.residual_etype("left", sys.residual_etype("right", s, u), u)
-
-
-def reset_derivation(sys: RefinementSystem, t, u) -> Derivation:
-    """negL[U]{negR[T]{T}} entails U: evaluate at the point picking the identity.
-
-    The point is forced by currying the left unitor of T; the composite runs
-    unit_l_inv, then that point tensored with the identity, then evaluation.
-    """
-    w_r = residual(sys, "right", t, t)
-    w_l = residual(sys, "left", w_r.etype, u)
-    dn = w_l.etype
-    lam = coherence_derivation(sys, "unit_l", (t,))
-    pick = w_r.curry(lam, sys.unit_etype())
-    return compose_many(
-        sys,
-        coherence_derivation(sys, "unit_l_inv", (dn,)),
-        tensor_derivations(sys, pick, identity_derivation(sys, dn)),
-        w_l.ev,
-    )
 
 
 # --- separating conjunction and magic wand --------------------------------------------

@@ -258,7 +258,9 @@ def natural_components(s: FinPresheaf, f: FinFunctor, t: FinPresheaf,
     once and shared by every search while it has at most
     ``_SHARED_SPACE_TABLES`` tables, and a larger one is built for the
     search that asks for it.  A space of more than max_tables tables is
-    refused with a CapabilityError before it is built.  Each naturality
+    refused with a CapabilityError before it is built, unless some object's
+    space is empty (S(a) has elements and T(fa) none): then there is no
+    transformation, and nothing is searched or refused.  Each naturality
     square is one constraint of the search, and compares index tables,
     except the square of an endo-arrow u whose S(u) and T(fu) tables are
     both the identity tables of their values' sizes: it reads c = c, so it
@@ -272,6 +274,9 @@ def natural_components(s: FinPresheaf, f: FinFunctor, t: FinPresheaf,
         space = _spaces.get((m, n))
         if space is None or len(space) > max_tables:
             if power_exceeds(n, m, max_tables):
+                # an object whose space is empty leaves no transformation to refuse
+                if any(len(s.ob[b]) and not len(t.ob[f.ob(b)]) for b in s.cat.objects):
+                    return iter(())
                 raise refusal(f"component space of {s.name} =[{f.name}]=> {t.name} "
                               f"at {render_elem(a)}", power_text(n, m), max_tables)
             space = tuple(itertools.product(range(n), repeat=m))

@@ -17,7 +17,7 @@ for every derivation beta : S =[g;f]=> T and eta : S =[g]=> f*T, and
 dually for a pushforward (the unit comes first).  The rule names, the
 fault texts and the orientation of judgments are settled once, when a
 witness is built, so every function here (the law check, uniqueness, the
-pasting of two witnesses, two-out-of-three) is written once for both kinds.
+pasting of two witnesses) is written once for both kinds.
 The functions that build witnesses take the kind first, as ``witness``
 does: ``composite_witness`` pastes two witnesses along f;g and
 ``compose_iso`` compares the pasted one with the direct one.
@@ -28,7 +28,7 @@ where hom-sets over an expression have at most one element, so the laws hold
 iff the constructed type has exactly the right elements - an elementwise
 bi-implication on the carrier.  law_mode(sys) is the one rule for picking
 the mode: membership where sys is proof-irrelevant, literal otherwise.  The
-law suites, universality, reflection and two-out-of-three all call it;
+law suites, universality and reflection all call it;
 check_beta_eta still takes the mode, so tests can run both as cross-checks.
 
 One loop runs the literal mode for both kinds of witness.  A pullback
@@ -68,7 +68,6 @@ from .kernel import (
     ValidationError,
     VerticalIso,
     _new,
-    axiom,
     classify,
     compose_derivations,
     derivations_equal,
@@ -402,32 +401,6 @@ def compose_iso(sys, kind: str, f, g, fixed) -> VerticalIso:
     return uniqueness_iso(direct, composite_witness(sys, kind, f, g, fixed))
 
 
-def implied_witness(sys, whole: Witness, part: Witness, e) -> Witness:
-    """Two-out-of-three: the witness along e that whole and part imply.
-
-    Pullbacks: from S = (e;g)*U (whole) and T = g*U (part), exhibit S as
-    e*T.  Pushforwards: from U = (f;e)S (whole) and T = fS (part), exhibit U
-    as eT.  The caller guarantees whole.expr is table-equal to e;g (f;e).
-    The laws of the returned witness are not assumed; run check_beta_eta on it.
-    """
-    _same_kind(whole, part, "two-out-of-three")
-    pull = part.kind == "pull"
-    composite = sys.compose_exprs(e, part.expr) if pull else sys.compose_exprs(part.expr, e)
-    if not sys.exprs_equal(whole.expr, composite):
-        raise MismatchError("two-out-of-three: expressions do not factor")
-    if whole.fixed != part.fixed:
-        ends = "target" if pull else "start at"
-        raise MismatchError(f"two-out-of-three: witnesses {ends} different types")
-    unit = part.factor(whole.unit, e)
-    part_unit = part.unit.interp
-
-    def factor(m, h):
-        mm = sys.compose_interps(m, part_unit) if pull else sys.compose_interps(part_unit, m)
-        return whole._factor(mm, h)
-
-    return Witness(sys, part.kind, e, part.etype, whole.etype, unit, factor)
-
-
 # --- the three readings of a typing judgment ------------------------------------
 
 @dataclass(frozen=True)
@@ -452,101 +425,3 @@ def three_way(sys: RefinementSystem, s, f, t) -> ThreeWay:
         classify(sys, s, f, t) is Status.DERIVABLE,
         classify(sys, s, ia, pull_et) is Status.DERIVABLE,
     )
-
-
-def three_way_derivations(sys: RefinementSystem, s, f, t) -> dict:
-    """When derivable, the actual derivations carrying each reading into the others."""
-    out = {}
-    w_push = pushforward(sys, s, f)
-    w_pull = pullback(sys, f, t)
-    direct = axiom(sys, s, f, t)
-    out["direct"] = direct
-    out["push_to_sub"] = w_push.factor_subtyping(direct)
-    out["pull_to_sub"] = w_pull.factor_subtyping(direct)
-    out["sub_to_direct_via_push"] = compose_derivations(sys, w_push.unit, out["push_to_sub"])
-    out["sub_to_direct_via_pull"] = compose_derivations(sys, out["pull_to_sub"], w_pull.unit)
-    return out
-
-
-# --- weighted intersections and unions ------------------------------------------
-
-@dataclass
-class WeightedFamily:
-    """A weighted intersection/union with its projection/injection rules.
-
-    For an intersection over (f_i : A -> B_i, T_i), the constructed type W
-    refines A, each projection W =[f_i]=> T_i is derivable, and the tupling
-    rule turns a family beta_i : S =[g;f_i]=> T_i into S =[g]=> W.  A union
-    has the dual injections S_i =[f_i]=> W.  The weights may land in
-    distinct index types.
-    """
-    sys: RefinementSystem
-    kind: str
-    index_type: Any
-    family: tuple
-    etype: Any
-
-    def _require_kind(self, kind: str, rule: str) -> None:
-        if self.kind != kind:
-            raise MismatchError(f"{rule} applies to a weighted {kind}, not to this {self.kind}")
-
-    def projection(self, i: int) -> Derivation:
-        self._require_kind("intersection", "projection")
-        f, t = self.family[i]
-        return axiom(self.sys, self.etype, f, t)
-
-    def injection(self, i: int) -> Derivation:
-        self._require_kind("union", "injection")
-        f, s = self.family[i]
-        return axiom(self.sys, s, f, self.etype)
-
-    def tuple_rule(self, betas: tuple, g) -> Derivation:
-        """intersection: from beta_i : S =[g;f_i]=> T_i, infer S =[g]=> W."""
-        self._require_kind("intersection", "tupling")
-        sys = self.sys
-        if len(betas) != len(self.family):
-            raise MismatchError(
-                f"tupling: {len(betas)} premises for {len(self.family)} weights"
-            )
-        subject = None
-        for beta, (f, t) in zip(betas, self.family):
-            if beta.target != t or not sys.exprs_equal(beta.expr, sys.compose_exprs(g, f)):
-                raise MismatchError("tupling: premise does not match its weight")
-            if subject is None:
-                subject = beta.subject
-            elif beta.subject != subject:
-                raise MismatchError("tupling: premises have different subjects")
-        if subject is None:
-            raise MismatchError("tupling with no premises needs cotupling of arity 0 via axiom")
-        d = axiom(sys, subject, g, self.etype)
-        return Derivation("wint-R", d.subject, d.expr, d.target, tuple(betas), d.interp)
-
-
-def weighted_intersection(sys: RefinementSystem, a, family) -> WeightedFamily:
-    """family: tuple of (f_i : a -> B_i, T_i over B_i).  Empty family gives the top type."""
-    family = tuple(family)
-    et = sys.weighted_intersection_etype(a, family)
-    return WeightedFamily(sys, "intersection", a, family, et)
-
-
-def weighted_union(sys: RefinementSystem, b, family) -> WeightedFamily:
-    """family: tuple of (f_i : A_i -> b, S_i over A_i).  Empty family gives the bottom type."""
-    family = tuple(family)
-    et = sys.weighted_union_etype(b, family)
-    return WeightedFamily(sys, "union", b, family, et)
-
-
-def binary_intersection(sys: RefinementSystem, t1, t2):
-    a = sys.refines(t1)
-    if sys.refines(t2) != a:
-        raise MismatchError("binary intersection: the types refine different index types")
-    i = sys.id_expr(a)
-    return weighted_intersection(sys, a, ((i, t1), (i, t2))).etype
-
-
-def binary_union(sys: RefinementSystem, s1, s2):
-    a = sys.refines(s1)
-    if sys.refines(s2) != a:
-        raise MismatchError("binary union: the types refine different index types")
-    i = sys.id_expr(a)
-    return weighted_union(sys, a, ((i, s1), (i, s2))).etype

@@ -8,8 +8,8 @@ expression, so derivation equality collapses to derivability of the
 boundary judgment.
 
 The model provides the full structural repertoire: inverse/direct image
-(pullback/pushforward), weighted intersections and unions, the cartesian
-tensor with explicit coherence cells, and the function-space residuals
+(pullback/pushforward), the cartesian tensor with explicit coherence
+cells, and the function-space residuals
 
     left and right residual of U by S:  { t : A -> C | t(S) <= U }
 
@@ -38,7 +38,6 @@ positions and index tables, with set operations that run in C:
     pullback f*T           the positions i with f.idx[i] in T.ix
     pushforward fS         the positions f.idx[i] for i in S.ix
     tensor S x T           i*|B| + j for i in S.ix and j in T.ix
-    weighted meet/join     intersections of pullbacks, unions of images
 
 None of them reads a carrier's elements, so a subset of a kit carrier
 never builds that carrier's elements or position dict.  ``elements``,
@@ -63,12 +62,11 @@ that refusal.  No refusal is kept.
 check what they are given and raise ValidationError, also under
 ``python -O``.  Results that are valid by construction are built from
 positions by ``_subset`` and ``_mor`` without a check: every subset the
-system computes (pullbacks, pushforwards, weighted types, tensors,
-residuals, the unit and the enumerated e-types), the morphisms of
-``morphisms_over`` (it checks the boundaries and members first),
-identities, cuts (each step maps into the next), the pairing of two
-morphisms, coherence cells (a cell keeps every position, and so do its two
-ends) and evaluations (a residual's members send S into U).  The factors
+system computes (pullbacks, pushforwards, tensors, residuals, the unit
+and the enumerated e-types), the morphisms of ``morphisms_over`` (it
+checks the boundaries and members first), identities, cuts (each step maps
+into the next), the pairing of two morphisms, coherence cells (a cell
+keeps every position, and so do its two ends) and evaluations (a residual's members send S into U).  The factors
 of the pullback and pushforward rules and the curried morphisms are
 checked, since they are built from morphisms and expressions that a caller
 passes in.  ``morphisms_over`` and the two factor rules make that check in
@@ -351,30 +349,6 @@ class SubsetSystem(RefinementSystem):
             return SubsetMor(et, g, dst)
 
         return et, right, factor
-
-    # --- weighted families ----------------------------------------------------
-    def weighted_intersection_etype(self, a: FinSet, family) -> Subset:
-        for f, t in family:
-            if not (f.dom == a and f.cod == t.of):
-                raise MismatchError(
-                    f"weighted intersection: weight {f.name!r} does not run from "
-                    f"{a.name!r} to the carrier of {t.name}"
-                )
-        ix = set(range(len(a)))
-        for f, t in family:
-            ix.intersection_update(_preimage(f, t.ix))
-        return _subset(a, frozenset(ix))
-
-    def weighted_union_etype(self, b: FinSet, family) -> Subset:
-        ix: set = set()
-        for f, s in family:
-            if not (f.cod == b and f.dom == s.of):
-                raise MismatchError(
-                    f"weighted union: weight {f.name!r} does not run from "
-                    f"the carrier of {s.name} to {b.name!r}"
-                )
-            ix.update(map(f.idx.__getitem__, s.ix))
-        return _subset(b, frozenset(ix))
 
     # --- monoidal structure: the kit's products, at the index level ------------
     def tensor_itype(self, a: FinSet, b: FinSet) -> FinSet:

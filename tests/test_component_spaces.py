@@ -16,9 +16,9 @@ import pytest
 
 from refsys import presheaf_model
 from refsys.cli import main
-from refsys.fincat import FinSet, terminal_category
+from refsys.fincat import FinCategory, FinFunction, FinSet, terminal_category
 from refsys.kernel import CapabilityError, Status, classify
-from refsys.presheaf_model import build_presheaf_system, constant_presheaf
+from refsys.presheaf_model import FinPresheaf, build_presheaf_system, constant_presheaf
 
 
 def _constant_judgment(m: int, n: int, **bounds):
@@ -45,6 +45,40 @@ def test_a_space_past_max_values_is_refused_before_it_is_built():
             with pytest.raises(CapabilityError, match=text):
                 decide()
     assert (12, 3) not in presheaf_model._spaces
+
+
+def _discrete_judgment(s_sizes: tuple, t_sizes: tuple):
+    """S =[Id]=> T over the discrete category on x and y, with the given
+    numbers of elements at x and at y."""
+    d = FinCategory("D", ("x", "y"), {"ix": ("x", "x"), "iy": ("y", "y")},
+                    {("ix", "ix"): "ix", ("iy", "iy"): "iy"}, {"x": "ix", "y": "iy"})
+
+    def presheaf(name, sizes):
+        vx, vy = (FinSet(f"{name}{o}", tuple(range(k))) for o, k in zip("xy", sizes))
+        return FinPresheaf(name, d, {"x": vx, "y": vy},
+                           {"ix": FinFunction.identity(vx), "iy": FinFunction.identity(vy)})
+
+    s, t = presheaf("S", s_sizes), presheaf("T", t_sizes)
+    sys_ = build_presheaf_system((d,), (s, t))
+    return sys_, s, sys_.id_expr(d), t
+
+
+@pytest.mark.parametrize("big, empty", (("x", "y"), ("y", "x")))
+def test_an_empty_space_elsewhere_decides_a_space_past_max_values(big, empty):
+    # 3^12 tables at the big object, past the bound, but no table at all
+    # from one element into none at the other: there is no transformation
+    s_sizes, t_sizes = ((12, 1), (3, 0)) if big == "x" else ((1, 12), (0, 3))
+    sys_, s, f, t = _discrete_judgment(s_sizes, t_sizes)
+    assert classify(sys_, s, f, t) is Status.UNDERIVABLE
+    assert list(sys_.morphisms_over(s, f, t)) == []
+    # with an element at the other object the big space is refused as before
+    s_sizes, t_sizes = ((12, 1), (3, 1)) if big == "x" else ((1, 12), (1, 3))
+    sys_, s, f, t = _discrete_judgment(s_sizes, t_sizes)
+    text = (rf"^component space of S =\[Id_D\]=> T at {big} would have 531441 elements, "
+            r"exceeding the bound 200000$")
+    for decide in (lambda: classify(sys_, s, f, t), lambda: next(sys_.morphisms_over(s, f, t))):
+        with pytest.raises(CapabilityError, match=text):
+            decide()
 
 
 def test_a_space_within_max_values_is_searched_and_not_kept():

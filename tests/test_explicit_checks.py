@@ -24,9 +24,6 @@ from refsys.kernel import RefinementError, check_vertical_iso
 from refsys.presheaf_model import (
     PresheafSystem, constant_presheaf, enumerate_monoid_presheaves, multiplication_functor,
 )
-from refsys.structures import (
-    binary_intersection, binary_union, weighted_intersection, weighted_union,
-)
 from refsys.subset_model import build_subset_system, full_subset
 from refsys.trivial_model import TrivialSystem
 
@@ -34,8 +31,6 @@ a, b = FinSet("A", (1, 2)), FinSet("B", ("x",))
 sys_ = build_subset_system((a, b))
 f = FinFunction("f", a, b, {1: "x", 2: "x"})
 sa, sb = full_subset(a), full_subset(b)
-inter = weighted_intersection(sys_, a, ((f, sb),))
-union = weighted_union(sys_, b, ((f, sa),))
 one = terminal_category()
 arrow = FinCategory("2", ("x", "y"), {"ix": ("x", "x"), "iy": ("y", "y"), "u": ("x", "y")},
                     {("ix", "ix"): "ix", ("iy", "iy"): "iy", ("ix", "u"): "u",
@@ -48,16 +43,6 @@ cases = [
     lambda: build_subset_system((a, FinSet("A", (3,)))),
     lambda: sys_.pullback_data(f, sa),
     lambda: sys_.pushforward_data(sb, f),
-    lambda: weighted_intersection(sys_, b, ((f, sb),)),
-    lambda: weighted_intersection(sys_, a, ((f, sa),)),
-    lambda: weighted_union(sys_, a, ((f, sa),)),
-    lambda: weighted_union(sys_, b, ((f, sb),)),
-    lambda: binary_intersection(sys_, sa, sb),
-    lambda: binary_union(sys_, sa, sb),
-    lambda: union.projection(0),
-    lambda: inter.injection(0),
-    lambda: union.tuple_rule((), f),
-    lambda: inter.tuple_rule((), sys_.id_expr(a)),
     lambda: check_vertical_iso(triv, a, a, limit=3),
     lambda: PresheafSystem("psh", (one, terminal_category()), ()),
     lambda: PresheafSystem("psh", (one,), (q,)),
@@ -87,20 +72,6 @@ EXPECTED = [
     "ValidationError: subset: duplicate set names",
     "MismatchError: pullback: expression must land in the carrier of the target",
     "MismatchError: pushforward: expression must start at the carrier of the subject",
-    "MismatchError: weighted intersection: weight 'f' does not run from 'B' "
-    "to the carrier of {x}:B",
-    "MismatchError: weighted intersection: weight 'f' does not run from 'A' "
-    "to the carrier of {1,2}:A",
-    "MismatchError: weighted union: weight 'f' does not run from "
-    "the carrier of {1,2}:A to 'A'",
-    "MismatchError: weighted union: weight 'f' does not run from "
-    "the carrier of {x}:B to 'B'",
-    "MismatchError: binary intersection: the types refine different index types",
-    "MismatchError: binary union: the types refine different index types",
-    "MismatchError: projection applies to a weighted intersection, not to this union",
-    "MismatchError: injection applies to a weighted union, not to this intersection",
-    "MismatchError: tupling applies to a weighted intersection, not to this union",
-    "MismatchError: tupling: 0 premises for 1 weights",
     "CapabilityError: vertical iso search between A and A exceeds the bound of 3 pairs",
     "ValidationError: psh: duplicate category names",
     "ValidationError: presheaf 'Q' lives over an unregistered category",

@@ -30,11 +30,9 @@ from refsys.monadrep import (
     check_theorem,
     check_universal,
     count_encodings_elementwise,
-    double_negation_weakening,
     identity_adjunction,
     iter_encodings,
     search_encodings,
-    two_out_of_three,
 )
 from refsys.subset_model import build_classifier_system, build_subset_system, subset
 from refsys.signature import load_signature
@@ -180,47 +178,6 @@ def test_representation_theorem_isos():
         assert is_identity_on(sys, bwd_fwd, iso.bwd.subject)
 
 
-def test_two_out_of_three(squaring):
-    sys = squaring.system
-    sq = squaring.expr("sq")
-    neg = squaring.expr("neg")
-    fg = sys.compose_exprs(neg, sq)
-    big = squaring.etype("big")
-    rep = two_out_of_three(sys, pullback(sys, fg, big), pullback(sys, sq, big), neg)
-    assert rep.ok
-    s = squaring.etype("negative")
-    rep = two_out_of_three(sys, pushforward(sys, s, fg), pushforward(sys, s, neg), sq)
-    assert rep.ok
-
-
-def test_two_out_of_three_on_presheaf_witnesses(arrow_sig):
-    # the presheaf model is proof-relevant, so every check runs in literal mode
-    sys = arrow_sig.system
-    collapse = arrow_sig.expr("collapse")
-    ident = sys.id_expr(collapse.dom)
-    for f, g in ((collapse, collapse), (ident, collapse), (collapse, ident)):
-        fg = sys.compose_exprs(f, g)
-        for u in (arrow_sig.etype("P"), arrow_sig.etype("Q")):
-            rep = two_out_of_three(sys, pullback(sys, fg, u), pullback(sys, g, u), f)
-            assert rep.ok and rep.checked, str(rep)
-            rep = two_out_of_three(sys, pushforward(sys, u, fg), pushforward(sys, u, f), g)
-            assert rep.ok and rep.checked, str(rep)
-
-
-def test_answer_weakening_boundaries(small_sys):
-    # restricting the answers along f yields a vertical map between the shifted DNs
-    sys = small_sys
-    a, b = sys.i_types()
-    t = subset(a, ("a1",))
-    u = subset(b, (1, 2))
-    from refsys.fincat import FinFunction
-    f = FinFunction("f", b, b, {1: 1, 2: 1, 3: 3})
-    d = double_negation_weakening(sys, t, u, f)
-    assert sys.refines(d.subject) == sys.refines(t)
-    assert sys.refines(d.target) == sys.refines(t)
-    assert sys.exprs_equal(d.expr, sys.id_expr(sys.refines(t)))
-
-
 # --- a universal type across the continuation adjunction -------------------------
 
 def _continuation_with_universal(tmp_path) -> str:
@@ -338,6 +295,28 @@ def test_a_trivial_universal_type_is_checked_in_literal_mode(tmp_path):
     # the only expression is the identity, so shift*(DN) keeps DN's 16 elements
     assert ("  counterexample: reflection: condition 2 (shift context) fails at two: "
             "[[two->two]->two] != two") in lines
+
+
+def test_a_refusal_in_universality_or_reflection_is_a_note(tmp_path):
+    # seven answers: reflection's first condition curries into [C->C], which
+    # has 7^7 elements, past the bound; the report still completes
+    doc = {
+        "model": "subset",
+        "name": "continuation7",
+        "sets": {"B": ["b"], "C": list(range(1, 8))},
+        "subsets": {"yes": {"of": "C", "elements": [1]}},
+        "adjunction": {"kind": "continuation", "answers": "yes", "universal": "yes"},
+    }
+    path = tmp_path / "continuation7.json"
+    path.write_text(json.dumps(doc))
+    code, out = _laws_under_both_interpreters(path, "monadrep")
+    lines = out.splitlines()
+    assert code == 1, out
+    assert lines[0] == "suite monadrep: FAIL (11 instances)"
+    assert [line for line in lines if "counterexample" in line] == [
+        "  counterexample: no encoding found for {}:B"]
+    assert ("  note: function space [C->C] would have 823543 elements, "
+            "exceeding the bound 200000") in lines
 
 
 def _arrow_cases(sig):

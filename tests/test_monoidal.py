@@ -11,8 +11,6 @@ from refsys.kernel import (
     Status,
     axiom,
     classify,
-    compose_derivations,
-    derivations_equal,
     from_interp,
     identity_derivation,
     is_identity_on,
@@ -23,10 +21,8 @@ from refsys.monoidal import (
     check_star_wand,
     check_threeway_adjunction,
     double_negation_etype,
-    reset_derivation,
     residual,
     residual_subtyping,
-    shift_derivation,
     star_etype,
     tensor_derivations,
     tensor_iso,
@@ -184,27 +180,6 @@ def test_double_negation_sizes():
     dn = double_negation_etype(triv, t, t)
     # two -o two has 4 points, (two -o two) -o two has 16
     assert len(dn) == 16
-
-
-def test_shift_then_reset_is_the_identity():
-    two = FinSet("two", (1, 2))
-    triv = build_trivial_system((two,))
-    t = triv.e_types()[0]
-    sh = shift_derivation(triv, t, t)
-    rs = reset_derivation(triv, t, t)
-    assert is_identity_on(triv, compose_derivations(triv, sh, rs), t)
-
-
-def test_reset_then_shift_is_not_the_identity():
-    # proof relevance: the double negation object retains more points than T
-    two = FinSet("two", (1, 2))
-    triv = build_trivial_system((two,))
-    t = triv.e_types()[0]
-    sh = shift_derivation(triv, t, t)
-    rs = reset_derivation(triv, t, t)
-    dn = double_negation_etype(triv, t, t)
-    back = compose_derivations(triv, rs, sh)
-    assert not derivations_equal(triv, back, identity_derivation(triv, dn))
 
 
 def test_star_and_wand_oracles(z4):

@@ -13,24 +13,17 @@ from refsys.kernel import (
     Status,
     axiom,
     classify,
-    derivations_equal,
     is_identity_on,
 )
 from refsys.structures import (
-    binary_intersection,
-    binary_union,
     check_beta_eta,
     compose_iso,
     composite_witness,
-    implied_witness,
     law_mode,
     pullback,
     pushforward,
     three_way,
-    three_way_derivations,
     uniqueness_iso,
-    weighted_intersection,
-    weighted_union,
 )
 from refsys.subset_model import SubsetMor, build_subset_system, subset
 
@@ -140,71 +133,13 @@ def test_composite_witness_satisfies_the_equations(arrow_sig):
     assert check_beta_eta(w, mode="literal").ok
 
 
-def test_two_out_of_three_witnesses(squaring):
-    sys = squaring.system
-    sq = squaring.expr("sq")
-    neg = squaring.expr("neg")
-    fg = sys.compose_exprs(neg, sq)
-    t = squaring.etype("big")
-    w_fg = pullback(sys, fg, t)
-    w_g = pullback(sys, sq, t)
-    implied = implied_witness(sys, w_fg, w_g, neg)
-    assert implied.etype == w_fg.etype
-    assert check_beta_eta(implied, mode="membership").ok
-
-    s = squaring.etype("negative")
-    v_fg = pushforward(sys, s, fg)
-    v_f = pushforward(sys, s, neg)
-    implied = implied_witness(sys, v_fg, v_f, sq)
-    assert implied.etype == v_fg.etype
-    assert check_beta_eta(implied, mode="membership").ok
-
-
-def test_three_way_readings_and_derivations(squaring):
+def test_three_way_readings(squaring):
     sys = squaring.system
     sq = squaring.expr("sq")
     tw = three_way(sys, squaring.etype("nonzero"), sq, squaring.etype("positive"))
     assert tw.agree and tw.direct
     tw = three_way(sys, squaring.etype("whole"), sq, squaring.etype("positive"))
     assert tw.agree and not tw.direct
-    ders = three_way_derivations(
-        sys, squaring.etype("nonzero"), sq, squaring.etype("positive"))
-    assert derivations_equal(sys, ders["sub_to_direct_via_push"], ders["direct"])
-    assert derivations_equal(sys, ders["sub_to_direct_via_pull"], ders["direct"])
-
-
-def test_weighted_family_etypes(small_sys):
-    sys = small_sys
-    a, b = sys.i_types()
-    sa = subset(a, ("a1",))
-    ta = subset(a, ("a1", "a2"))
-    assert set(binary_intersection(sys, sa, ta).elements) == {"a1"}
-    assert set(binary_union(sys, sa, ta).elements) == {"a1", "a2"}
-    # empty families give top and bottom
-    top = weighted_intersection(sys, a, ()).etype
-    bot = weighted_union(sys, a, ()).etype
-    assert set(top.elements) == set(a.elements)
-    assert set(bot.elements) == set()
-    # mixed codomains: membership tested through each weight separately
-    f = FinFunction("f", a, b, {"a1": 1, "a2": 2})
-    fam = ((sys.id_expr(a), ta), (f, subset(b, (1,))))
-    both = weighted_intersection(sys, a, fam).etype
-    assert set(both.elements) == {"a1"}
-
-
-def test_weighted_rules_round_trip(small_sys):
-    sys = small_sys
-    a, b = sys.i_types()
-    f = FinFunction("f", a, b, {"a1": 1, "a2": 2})
-    g = FinFunction("g", a, b, {"a1": 1, "a2": 1})
-    fam = weighted_intersection(
-        sys, a, ((f, subset(b, (1, 2))), (g, subset(b, (1,)))))
-    from refsys.kernel import axiom
-    betas = tuple(
-        axiom(sys, fam.etype, sys.compose_exprs(sys.id_expr(a), e), t)
-        for e, t in fam.family)
-    paired = fam.tuple_rule(betas, sys.id_expr(a))
-    assert is_identity_on(sys, paired, fam.etype)
 
 
 @settings(max_examples=60)

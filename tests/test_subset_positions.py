@@ -18,8 +18,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from refsys.fincat import FinFunction, FinSet
-from refsys.kernel import MismatchError, RefinementError
-from refsys.structures import weighted_intersection, weighted_union
 from refsys.subset_model import Subset, SubsetMor, build_subset_system, subset
 
 from conftest import DATA
@@ -86,25 +84,6 @@ def test_tensor_matches_the_pairs_of_members(data):
           itertools.product(s.elements, t.elements))
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_weighted_types_match_their_definitions(data):
-    sys_, carriers = _system(data)
-    apex = data.draw(st.sampled_from(carriers), label="apex")
-    n = data.draw(st.integers(0, 3), label="weights")
-    meet, join = [], []
-    for i in range(n):
-        other = data.draw(st.sampled_from(carriers), label=f"B{i}")
-        meet.append((_pick_function(data, apex, other, f"f{i}"),
-                     _pick_subset(data, other, f"T{i}")))
-        join.append((_pick_function(data, other, apex, f"g{i}"),
-                     _pick_subset(data, other, f"S{i}")))
-    _same(sys_.weighted_intersection_etype(apex, meet), apex,
-          (x for x in apex.elements if all(f(x) in t.elements for f, t in meet)))
-    _same(sys_.weighted_union_etype(apex, join), apex,
-          (g(x) for g, s in join for x in s.elements))
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_residuals_over_a_kit_product_match_the_defining_filter(data):
@@ -127,60 +106,6 @@ def test_e_types_over_list_the_subsets_by_bitmask(size):
     for mask, s in enumerate(got):
         _same(s, a, (x for i, x in enumerate(a.elements) if mask >> i & 1))
     assert sys_.e_types()[:len(got)] == got
-
-
-# --- the projections and injections of weighted families ----------------------------
-
-def _weighted_system():
-    a = FinSet("A", ("a0", "a1", "a2"))
-    b = FinSet("B", (0, 1))
-    sys_ = build_subset_system((a, b))
-    f = FinFunction("f", a, b, {"a0": 0, "a1": 1, "a2": 1})
-    g = FinFunction("g", a, b, {"a0": 1, "a1": 1, "a2": 0})
-    return sys_, a, b, f, g
-
-
-def test_projections_lie_over_their_own_weights():
-    sys_, a, b, f, g = _weighted_system()
-    family = ((f, subset(b, (1,))), (g, subset(b, (1,))))
-    w = weighted_intersection(sys_, a, family)
-    _same(w.etype, a, ("a1",))
-    for i, (weight, target) in enumerate(family):
-        d = w.projection(i)
-        assert d.rule == "ax"
-        assert (d.subject, d.expr, d.target) == (w.etype, weight, target)
-        assert d.interp == SubsetMor(w.etype, weight, target)
-    assert w.projection(0).expr != w.projection(1).expr
-    with pytest.raises(MismatchError, match="injection"):
-        w.injection(0)
-
-
-def test_injections_lie_over_their_own_weights():
-    sys_, a, b, f, g = _weighted_system()
-    family = ((f, subset(a, ("a0",))), (g, subset(a, ("a2",))))
-    w = weighted_union(sys_, b, family)
-    _same(w.etype, b, (0,))
-    for i, (weight, source) in enumerate(family):
-        d = w.injection(i)
-        assert d.rule == "ax"
-        assert (d.subject, d.expr, d.target) == (source, weight, w.etype)
-        assert d.interp == SubsetMor(source, weight, w.etype)
-    with pytest.raises(MismatchError, match="projection"):
-        w.projection(0)
-
-
-def test_projection_and_injection_need_the_universal_type():
-    # a type larger than the intersection has no projection; one smaller than
-    # the union has no injection, so a wrong weighted type cannot pass
-    sys_, a, b, f, g = _weighted_system()
-    meet = weighted_intersection(sys_, a, ((f, subset(b, (1,))),))
-    meet.etype = subset(a, ("a0", "a1"))
-    with pytest.raises(RefinementError, match="underivable"):
-        meet.projection(0)
-    join = weighted_union(sys_, b, ((f, subset(a, ("a0", "a1"))),))
-    join.etype = subset(b, (0,))
-    with pytest.raises(RefinementError, match="underivable"):
-        join.injection(0)
 
 
 # --- memory of the deep continuation instance --------------------------------------
