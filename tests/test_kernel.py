@@ -140,6 +140,16 @@ def test_vertical_iso_search_past_its_bound_is_a_refusal():
         check_vertical_iso(triv, three, two, limit=71)
 
 
+def test_vertical_iso_in_the_presheaf_model(arrow_sig):
+    # P and Q have their two points at different objects, so no iso joins them
+    sys = arrow_sig.system
+    p, q = arrow_sig.etype("P"), arrow_sig.etype("Q")
+    iso = check_vertical_iso(sys, p, p)
+    assert is_identity_on(sys, compose_derivations(sys, iso.fwd, iso.bwd), p)
+    assert is_identity_on(sys, compose_derivations(sys, iso.bwd, iso.fwd), p)
+    assert check_vertical_iso(sys, p, q) is None
+    assert check_vertical_iso(sys, q, p) is None
+
 @given(st.data())
 def test_subset_judgment_matches_image_containment(data):
     # derivability in the subset model is exactly f(S) <= T

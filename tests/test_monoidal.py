@@ -23,6 +23,8 @@ from refsys.monoidal import (
     double_negation_etype,
     residual,
     residual_subtyping,
+    shift_derivation,
+    shift_expr,
     star_etype,
     tensor_derivations,
     tensor_iso,
@@ -181,6 +183,65 @@ def test_double_negation_sizes():
     # two -o two has 4 points, (two -o two) -o two has 16
     assert len(dn) == 16
 
+
+
+# --- the shift into the double negation -----------------------------------------------
+
+def _two_by_two() -> SubsetSystem:
+    return build_subset_system((FinSet("A", ("a1", "a2")), FinSet("B", (1, 2))))
+
+
+@pytest.mark.parametrize("fixture", ["two_by_two", "trivial2", "day_z2"])
+def test_the_shift_lies_over_the_shift_expression(fixture, request):
+    sys = _two_by_two() if fixture == "two_by_two" else request.getfixturevalue(fixture).system
+    for s, u in itertools.product(sys.e_types(), repeat=2):
+        sh = shift_derivation(sys, s, u)
+        dn = double_negation_etype(sys, s, u)
+        assert (sh.subject, sh.target) == (s, dn)
+        assert sys.exprs_equal(sh.expr, shift_expr(sys, sys.refines(s), sys.refines(u)))
+        assert classify(sys, s, sh.expr, dn) is Status.DERIVABLE
+
+
+def test_the_shift_sends_a_point_to_evaluation_at_it():
+    # proof relevance: the shift is one-to-one but reaches 2 of the 16 points
+    # of the double negation, so no map back can undo it on that side
+    two = FinSet("two", (1, 2))
+    triv = build_trivial_system((two,))
+    t = triv.e_types()[0]
+    sh = shift_derivation(triv, t, t)
+    negated = triv.residual_etype("right", t, t)
+    images = {x: sh.interp(x) for x in two.elements}
+    for x, image in images.items():
+        assert image == tuple(k[two.index(x)] for k in negated.elements)
+    assert len(set(images.values())) == 2
+    assert len(sh.target) == 16
+
+
+def test_the_largest_type_the_shift_sends_into_the_double_negation_is_its_closure():
+    # x is sent into negL[U]{negR[U]{S}} iff every k : A -> C that sends S
+    # into U sends x into U
+    sys = _two_by_two()
+    a, c = sys.i_types()
+    maps = sys.function_space(a, c).elements
+    for s, u in itertools.product(sys.e_types_over(a), sys.e_types_over(c)):
+        dn = double_negation_etype(sys, s, u)
+        closure, _, _ = sys.pullback_data(shift_expr(sys, a, c), dn)
+        into_u = [k for k in maps if all(k[a.index(y)] in u.elements for y in s.elements)]
+        assert set(closure.elements) == {
+            x for x in a.elements if all(k[a.index(x)] in u.elements for k in into_u)}
+        assert set(s.elements) <= set(closure.elements)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_residual_laws_in_the_trivial_model(side):
+    # every derivation over the identity is a function, so beta and eta are
+    # checked on all 16 maps two (x) two -> two and all 16 maps two -> [two->two]
+    two = FinSet("two", (1, 2))
+    triv = build_trivial_system((two,))
+    w = residual(triv, side, two, two)
+    report = check_residual_laws(w, (two,))
+    assert report.ok
+    assert report.checked == 32
 
 def test_star_and_wand_oracles(z4):
     sys = z4.system

@@ -25,6 +25,7 @@ from refsys.structures import (
     three_way,
     uniqueness_iso,
 )
+from refsys.presheaf_model import FinPresheaf, build_presheaf_system
 from refsys.subset_model import SubsetMor, build_subset_system, subset
 
 
@@ -133,6 +134,32 @@ def test_composite_witness_satisfies_the_equations(arrow_sig):
     assert check_beta_eta(w, mode="literal").ok
 
 
+def test_the_pullback_along_a_composite_is_the_pasted_one(squaring):
+    # neg ; sq squares to the same table as sq: the pasted pullback of big is
+    # {-3, 3}, it satisfies the equations, and the direct one is iso to it
+    sys = squaring.system
+    neg, sq, big = squaring.expr("neg"), squaring.expr("sq"), squaring.etype("big")
+    direct = pullback(sys, sys.compose_exprs(neg, sq), big)
+    pasted = composite_witness(sys, "pull", neg, sq, big)
+    assert pasted.etype == direct.etype
+    assert set(pasted.etype.elements) == {-3, 3}
+    assert check_beta_eta(pasted, mode="membership").ok
+    iso = uniqueness_iso(direct, pasted)
+    assert is_identity_on(sys, sys_compose(sys, iso.fwd, iso.bwd), direct.etype)
+
+
+def test_the_pushforward_along_a_composite_is_the_pasted_one(squaring):
+    sys = squaring.system
+    neg, sq, negative = squaring.expr("neg"), squaring.expr("sq"), squaring.etype("negative")
+    direct = pushforward(sys, negative, sys.compose_exprs(neg, sq))
+    pasted = composite_witness(sys, "push", neg, sq, negative)
+    assert pasted.etype == direct.etype
+    assert set(pasted.etype.elements) == {1, 4, 9}
+    assert check_beta_eta(pasted, mode="membership").ok
+    iso = uniqueness_iso(direct, pasted)
+    assert is_identity_on(sys, sys_compose(sys, iso.fwd, iso.bwd), direct.etype)
+
+
 def test_three_way_readings(squaring):
     sys = squaring.system
     sq = squaring.expr("sq")
@@ -140,6 +167,31 @@ def test_three_way_readings(squaring):
     assert tw.agree and tw.direct
     tw = three_way(sys, squaring.etype("whole"), sq, squaring.etype("positive"))
     assert tw.agree and not tw.direct
+
+
+def test_three_way_readings_when_none_holds(squaring):
+    # sq sends -1 to 1, outside big, so no reading holds
+    sys = squaring.system
+    tw = three_way(sys, squaring.etype("negative"), squaring.expr("sq"), squaring.etype("big"))
+    assert (tw.via_push, tw.direct, tw.via_pull) == (False, False, False)
+    assert tw.agree
+
+
+def test_three_way_readings_in_the_presheaf_model(arrow_sig):
+    # E is empty at x, so only what is empty at x maps into it over the
+    # identity; collapse reads every presheaf at y, where E has a point
+    cat = arrow_sig.system.i_types()[0]
+    ex, ey = FinSet("Ex", ()), FinSet("Ey", ("e",))
+    e = FinPresheaf("E", cat, {"x": ex, "y": ey},
+                    {"id_x": FinFunction.identity(ex), "id_y": FinFunction.identity(ey),
+                     "u": FinFunction("u", ex, ey, {})})
+    sys = build_presheaf_system((cat,), (arrow_sig.etype("P"), arrow_sig.etype("Q"), e))
+    for f in (sys.id_expr(cat), arrow_sig.expr("collapse")):
+        for s in sys.e_types():
+            for t in sys.e_types():
+                tw = three_way(sys, s, f, t)
+                assert tw.agree
+                assert tw.direct == (f.name == "collapse" or t is not e or s is e), (s, f, t)
 
 
 @settings(max_examples=60)

@@ -1,8 +1,10 @@
 """The refusals of the witness layer, pinned by their exact texts.
 
 ``uniqueness_iso`` refuses two witnesses of different kinds and two of one
-kind for different data; ``check_beta_eta`` refuses an unknown mode before
-it looks at what it was given, and then anything that is not a witness.
+kind for different data; a composite witness and its iso refuse
+expressions that do not compose; ``check_beta_eta`` refuses an unknown
+mode before it looks at what it was given, and then anything that is not
+a witness.
 """
 from __future__ import annotations
 
@@ -12,6 +14,8 @@ from refsys.fincat import FinFunction
 from refsys.kernel import MismatchError
 from refsys.structures import (
     check_beta_eta,
+    compose_iso,
+    composite_witness,
     pullback,
     pushforward,
     uniqueness_iso,
@@ -48,6 +52,29 @@ def test_uniqueness_refuses_different_data_of_either_kind(squaring):
         with pytest.raises(MismatchError, match="^uniqueness: witnesses are for different data$"):
             uniqueness_iso(w1, w2)
 
+
+def test_a_composite_pullback_refuses_expressions_that_do_not_compose(squaring):
+    # the pasting pulls back along g first and then finds f landing elsewhere;
+    # the iso builds the direct witness first and refuses the composite
+    sys = squaring.system
+    sq, big = squaring.expr("sq"), squaring.etype("big")
+    with pytest.raises(MismatchError,
+                       match="^pullback: expression must land in the carrier of the target$"):
+        composite_witness(sys, "pull", sq, sq, big)
+    with pytest.raises(MismatchError,
+                       match=r"^cannot compose 'sq' : \.\.->'B' with 'sq' : 'A'->\.\.$"):
+        compose_iso(sys, "pull", sq, sq, big)
+
+
+def test_a_composite_pushforward_refuses_expressions_that_do_not_compose(squaring):
+    sys = squaring.system
+    sq, neg, negative = squaring.expr("sq"), squaring.expr("neg"), squaring.etype("negative")
+    with pytest.raises(MismatchError,
+                       match="^pushforward: expression must start at the carrier of the subject$"):
+        composite_witness(sys, "push", sq, neg, negative)
+    with pytest.raises(MismatchError,
+                       match=r"^cannot compose 'sq' : \.\.->'B' with 'neg' : 'A'->\.\.$"):
+        compose_iso(sys, "push", sq, neg, negative)
 
 def test_beta_eta_refuses_a_mode_first_and_then_a_non_witness(squaring):
     w = pushforward(squaring.system, squaring.etype("negative"), squaring.expr("sq"))
