@@ -4,6 +4,7 @@ Every subcommand takes a signature file first (see docs/signature_schema.md)
 and emits byte-identical output for identical inputs.  Exit codes: 0 for a
 derivable judgment or a passing check, 1 for underivable or failing, 2 for an
 ill-formed judgment, 3 for parse errors, bad signatures, or unknown names.
+A reader that closes stdout early does not change the exit code.
 The law suites themselves live in refsys.laws; `laws` only renders their
 reports, as text or with --json.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -58,10 +60,16 @@ def _etype_json(et):
 
 
 def _emit(args, lines, payload) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print("\n".join(lines))
+    try:
+        if getattr(args, "json", False):
+            print(json.dumps(payload, sort_keys=True, indent=2))
+        else:
+            print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; point stdout at devnull so that the flush at
+        # exit does not raise again, and the verdict's exit code stands
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 # --- judgment parsing ----------------------------------------------------------

@@ -25,8 +25,9 @@ Categories and functors are stored as given: their constructors never check
 their tables.  :func:`check_category` and :func:`check_functor` validate
 them, and the signature loader, where tables from outside enter, calls them;
 the categories and functors the library builds are lawful by construction.
-Code that builds one by hand calls the check itself.  Every check raises or
-reports explicitly, so it also runs under ``python -O``.
+Code that builds one by hand calls the check itself.  Each check returns
+None or raises ValidationError naming its first fault, explicitly, so it
+also runs under ``python -O``.
 
 Every search over finite structures (functors here; natural
 transformations, functor-category arrows and monoid actions in
@@ -39,7 +40,6 @@ being extended to every full candidate and filtered afterwards.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterator
 
@@ -488,21 +488,6 @@ def check_category(c: FinCategory) -> None:
                 )
 
 
-@dataclass(frozen=True)
-class FunctorReport:
-    ok: bool
-    structural_errors: tuple
-    law_violations: tuple
-
-    def __str__(self):
-        if self.ok:
-            return "functor: ok"
-        lines = ["functor: INVALID"]
-        lines += [f"  structural: {e}" for e in self.structural_errors]
-        lines += [f"  law: {e}" for e in self.law_violations]
-        return "\n".join(lines)
-
-
 class FinFunctor:
     """A functor between finite categories given by object/arrow tables.
 
@@ -556,51 +541,42 @@ class FinFunctor:
         return f"FinFunctor({self.name!r}: {self.dom.name} -> {self.cod.name})"
 
 
-def check_functor(p: FinFunctor) -> FunctorReport:
-    """Validate a functor table: totality and endpoints, then the two laws.
+def check_functor(p: FinFunctor) -> None:
+    """Validate a functor's tables: totality and endpoints, then the two laws.
 
-    Structural errors (missing/dangling assignments, endpoint mismatches) are
-    reported separately from law violations (identities or composites not
-    preserved), each naming the offending object or arrow pair.
+    Raises ValidationError on the first failure (explicitly, so the check
+    also runs under ``python -O``), naming the offending object, arrow or
+    arrow pair.  The tables are tested in this order: object images,
+    unknown object keys, arrow images and their endpoints, unknown arrow
+    keys, identities, composites.
     """
-    structural = []
-    laws = []
-    dom, cod = p.dom, p.cod
+    dom, cod, ob, ar = p.dom, p.cod, p.object_map, p.arrow_map
     for x in dom.objects:
-        if x not in p.object_map:
-            structural.append(f"object {x!r} has no image")
-        elif p.object_map[x] not in cod.objects:
-            structural.append(f"object image {p.object_map[x]!r} of {x!r} not in {cod.name!r}")
-    for x in p.object_map:
+        if x not in ob:
+            raise ValidationError(f"object {x!r} has no image")
+        if ob[x] not in cod.objects:
+            raise ValidationError(f"object image {ob[x]!r} of {x!r} not in {cod.name!r}")
+    for x in ob:
         if x not in dom.objects:
-            structural.append(f"object assignment for unknown {x!r}")
-    for a in dom.arrows:
-        if a not in p.arrow_map:
-            structural.append(f"arrow {a!r} has no image")
-            continue
-        fa = p.arrow_map[a]
+            raise ValidationError(f"object assignment for unknown {x!r}")
+    for a, (s, d) in dom.arrows.items():
+        if a not in ar:
+            raise ValidationError(f"arrow {a!r} has no image")
+        fa = ar[a]
         if fa not in cod.arrows:
-            structural.append(f"arrow image {fa!r} of {a!r} not in {cod.name!r}")
-            continue
-        if a in p.arrow_map and all(x in p.object_map for x in dom.arrows[a]):
-            s, d = dom.arrows[a]
-            if cod.arrows[fa] != (p.object_map[s], p.object_map[d]):
-                structural.append(
-                    f"arrow {a!r}: image endpoints {cod.arrows[fa]!r} != "
-                    f"({p.object_map[s]!r}, {p.object_map[d]!r})"
-                )
-    for a in p.arrow_map:
+            raise ValidationError(f"arrow image {fa!r} of {a!r} not in {cod.name!r}")
+        if cod.arrows[fa] != (ob[s], ob[d]):
+            raise ValidationError(
+                f"arrow {a!r}: image endpoints {cod.arrows[fa]!r} != ({ob[s]!r}, {ob[d]!r})")
+    for a in ar:
         if a not in dom.arrows:
-            structural.append(f"arrow assignment for unknown {a!r}")
-    if structural:
-        return FunctorReport(False, tuple(structural), ())
+            raise ValidationError(f"arrow assignment for unknown {a!r}")
     for o in dom.objects:
-        if p.arrow_map[dom.identity(o)] != cod.identity(p.object_map[o]):
-            laws.append(f"identity of {o!r} not preserved")
+        if ar[dom.identity(o)] != cod.identity(ob[o]):
+            raise ValidationError(f"identity of {o!r} not preserved")
     for (a, b), c in dom.composition.items():
-        if cod.compose(p.arrow_map[a], p.arrow_map[b]) != p.arrow_map[c]:
-            laws.append(f"composite {a!r};{b!r} not preserved")
-    return FunctorReport(not laws, (), tuple(laws))
+        if cod.compose(ar[a], ar[b]) != ar[c]:
+            raise ValidationError(f"composite {a!r};{b!r} not preserved")
 
 
 def enumerate_functors(dom: FinCategory, cod: FinCategory) -> tuple:

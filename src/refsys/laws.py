@@ -259,7 +259,7 @@ def _suite_monoidal(sig: Signature, max_set: int) -> LawReport:
             try:
                 multiplication_functor(sys_, cat)
             except ValidationError as exc:
-                rep.skip(f"category {cname}: {exc}")
+                rep.skip(f"category {cname}: multiplication is not a functor: {exc}")
                 continue
             pool = [p for p in sig.etypes.values() if p.cat == cat]
             for s, t in itertools.product(pool, pool):

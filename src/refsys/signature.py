@@ -306,6 +306,45 @@ def _load_category(cname: str, spec, where: str) -> FinCategory:
                     f"{where}: not a category")
 
 
+def _read_objects(raw, cat: FinCategory, where: str, read) -> dict:
+    """A table over cat's objects from raw, keyed by each object's text:
+    read(value, object, path) in raw's order."""
+    raw = _as_name_dict(raw, where)
+    by_str = {str(o): o for o in cat.objects}
+    if set(raw) != set(by_str):
+        raise SignatureError(f"{where}: must cover all objects")
+    return {by_str[key]: read(value, by_str[key], f"{where}.{key}") for key, value in raw.items()}
+
+
+def _read_arrows(raw, cat: FinCategory, where: str, identity, read) -> dict:
+    """A table over cat's arrows, in cat.arrows order: identity(o) at the
+    identity of o, and read(value, arrow, path) at every other arrow, with
+    raw keyed by each such arrow's text."""
+    raw = _as_name_dict(raw, where)
+    idents = set(cat.identities.values())
+    named = {str(u) for u in cat.arrows if u not in idents}
+    for key in raw:
+        if key not in named:
+            raise SignatureError(f"{where}: {key!r} is not a non-identity arrow")
+    out = {}
+    for u, (src, _) in cat.arrows.items():
+        if u in idents:
+            out[u] = identity(src)
+            continue
+        key = str(u)
+        if key not in raw:
+            raise SignatureError(f"{where}: missing arrow {key!r}")
+        out[u] = read(raw[key], u, f"{where}.{key}")
+    return out
+
+
+def _by_text(value, table: dict, where: str, what: str):
+    """The entry of table, keyed by text, that value's text names."""
+    if str(value) not in table:
+        raise SignatureError(f"{where}: unknown {what} {value!r}")
+    return table[str(value)]
+
+
 def _load_presheaf_model(doc: dict, path: str, name: str) -> Signature:
     from .presheaf_model import FinPresheaf, PresheafSystem, check_presheaf
 
@@ -319,35 +358,17 @@ def _load_presheaf_model(doc: dict, path: str, name: str) -> Signature:
     for pname, spec in _as_name_dict(doc.get("presheaves", {}), "presheaves").items():
         _require_keys(spec, f"presheaves.{pname}", ("cat", "at", "action"))
         cat = _name_ref(spec["cat"], cats, f"presheaves.{pname}.cat", "category")
-        at = _as_name_dict(spec["at"], f"presheaves.{pname}.at")
-        by_str = {str(o): o for o in cat.objects}
-        if set(at) != set(by_str):
-            raise SignatureError(f"presheaves.{pname}.at: must cover all objects")
-        ob = {}
-        values = {}
-        for okey, elems in at.items():
-            o = by_str[okey]
-            fs = FinSet(f"{pname}({o})", _parse_elements(elems, f"presheaves.{pname}.at.{okey}"))
-            ob[o] = fs
-            values[o] = _Carrier(fs)
-        action = _as_name_dict(spec["action"], f"presheaves.{pname}.action")
-        idents = {cat.identities[o] for o in cat.objects}
-        named = {str(a): a for a in cat.arrows if a not in idents}
-        for key in action:
-            if key not in named:
-                raise SignatureError(
-                    f"presheaves.{pname}.action: {key!r} is not a non-identity arrow")
-        ar = {}
-        for aname, (src, dst) in cat.arrows.items():
-            if aname in idents:
-                ar[aname] = FinFunction.identity(ob[src])
-                continue
-            key = str(aname)
-            if key not in action:
-                raise SignatureError(f"presheaves.{pname}.action: missing arrow {key!r}")
-            table = values[src].resolve_table(
-                action[key], values[dst], f"presheaves.{pname}.action.{key}")
-            ar[aname] = FinFunction(f"{pname}({key})", ob[src], ob[dst], table)
+        ob = _read_objects(spec["at"], cat, f"presheaves.{pname}.at",
+                           lambda raw, o, at: FinSet(f"{pname}({o})", _parse_elements(raw, at)))
+        values = {o: _Carrier(fs) for o, fs in ob.items()}
+
+        def action(raw, u, at):
+            src, dst = cat.arrows[u]
+            table = values[src].resolve_table(raw, values[dst], at)
+            return FinFunction(f"{pname}({u})", ob[src], ob[dst], table)
+
+        ar = _read_arrows(spec["action"], cat, f"presheaves.{pname}.action",
+                          lambda o: FinFunction.identity(ob[o]), action)
         presheaves[pname] = _checked(check_presheaf, FinPresheaf(pname, cat, ob, ar),
                                      f"presheaves.{pname}: not functorial")
 
@@ -365,42 +386,18 @@ def _load_presheaf_model(doc: dict, path: str, name: str) -> Signature:
         _require_keys(spec, f"functors.{fname}", ("dom", "cod", "ob", "ar"))
         dom = _name_ref(spec["dom"], cats, f"functors.{fname}.dom", "category")
         cod = _name_ref(spec["cod"], cats, f"functors.{fname}.cod", "category")
-        ob_by_str = {str(o): o for o in dom.objects}
-        cod_ob = {str(o): o for o in cod.objects}
-        ob_map = {}
-        raw_ob = _as_name_dict(spec["ob"], f"functors.{fname}.ob")
-        if set(raw_ob) != set(ob_by_str):
-            raise SignatureError(f"functors.{fname}.ob: must cover all objects")
-        for okey, tgt in raw_ob.items():
-            if str(tgt) not in cod_ob:
-                raise SignatureError(f"functors.{fname}.ob.{okey}: unknown object {tgt!r}")
-            ob_map[ob_by_str[okey]] = cod_ob[str(tgt)]
-        ar_map = {}
-        raw_ar = _as_name_dict(spec["ar"], f"functors.{fname}.ar")
-        dom_idents = {dom.identities[o] for o in dom.objects}
-        dom_named = {str(a): a for a in dom.arrows if a not in dom_idents}
-        for key in raw_ar:
-            if key not in dom_named:
-                raise SignatureError(
-                    f"functors.{fname}.ar: {key!r} is not a non-identity arrow")
-        cod_by_str = {str(a): a for a in cod.arrows}
-        for aname in dom.arrows:
-            if aname in dom_idents:
-                src = dom.arrows[aname][0]
-                ar_map[aname] = cod.identities[ob_map[src]]
-                continue
-            key = str(aname)
-            if key not in raw_ar:
-                raise SignatureError(f"functors.{fname}.ar: missing arrow {key!r}")
-            tgt = raw_ar[key]
-            if str(tgt) not in cod_by_str:
-                raise SignatureError(f"functors.{fname}.ar.{key}: unknown arrow {tgt!r}")
-            ar_map[aname] = cod_by_str[str(tgt)]
+        cod_objects = {str(o): o for o in cod.objects}
+        cod_arrows = {str(a): a for a in cod.arrows}
+        ob_map = _read_objects(spec["ob"], dom, f"functors.{fname}.ob",
+                               lambda raw, o, at: _by_text(raw, cod_objects, at, "object"))
+        ar_map = _read_arrows(spec["ar"], dom, f"functors.{fname}.ar",
+                              lambda o: cod.identities[ob_map[o]],
+                              lambda raw, u, at: _by_text(raw, cod_arrows, at, "arrow"))
         functor = FinFunctor(fname, dom, cod, ob_map, ar_map)
-        report = check_functor(functor)
-        if not report.ok:
-            bad = (report.structural_errors + report.law_violations)[0]
-            raise SignatureError(f"functors.{fname}: {bad}")
+        try:
+            check_functor(functor)
+        except ValidationError as exc:
+            raise SignatureError(f"functors.{fname}: {exc}") from exc
         sig.exprs[fname] = functor
     return sig
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -85,7 +87,7 @@ def test_terminal_and_product_category():
 def test_functor_identity_and_composition():
     m = monoid_category("Z2", (0, 1), Z2_TABLE, 0)
     ident = FinFunctor.identity(m)
-    assert check_functor(ident).ok
+    assert check_functor(ident) is None
     fold = FinFunctor("fold", m, m, {"*": "*"}, {0: 0, 1: 0})
     assert fold.then(ident) == fold
     assert ident.then(fold) == fold
@@ -97,11 +99,39 @@ def test_functor_law_violation_reported():
     m = monoid_category("Z2", (0, 1), Z2_TABLE, 0)
     # 1 -> 1 but 1;1 = 0 would need 1;1 -> 1: breaks multiplicativity
     bad = FinFunctor("bad", m, m, {"*": "*"}, {0: 0, 1: 1})
-    report = check_functor(FinFunctor("broken", m, m, {"*": "*"}, {0: 1, 1: 1}))
-    assert not report.ok
-    assert report.law_violations or report.structural_errors
-    assert check_functor(bad).ok
-    assert str(report).startswith("functor: INVALID")
+    with pytest.raises(ValidationError, match=r"^identity of '\*' not preserved$"):
+        check_functor(FinFunctor("broken", m, m, {"*": "*"}, {0: 1, 1: 1}))
+    assert check_functor(bad) is None
+    z3_table = {(a, b): (a + b) % 3 for a in range(3) for b in range(3)}
+    z3 = monoid_category("Z3", (0, 1, 2), z3_table, 0)
+    with pytest.raises(ValidationError, match=r"^composite 1;1 not preserved$"):
+        check_functor(FinFunctor("skew", z3, z3, {"*": "*"}, {0: 0, 1: 1, 2: 1}))
+
+
+@pytest.mark.parametrize("object_map, arrow_map, fault", [
+    ({}, {}, "object 'x' has no image"),
+    ({"x": "z", "y": "y"}, {}, "object image 'z' of 'x' not in 'C'"),
+    ({"x": "x", "y": "y", "w": "x"}, {}, "object assignment for unknown 'w'"),
+    ({"x": "x", "y": "y"}, {}, "arrow 'id_x' has no image"),
+    ({"x": "x", "y": "y"}, {"id_x": "v"}, "arrow image 'v' of 'id_x' not in 'C'"),
+    ({"x": "y", "y": "y"}, {"id_x": "id_x"},
+     "arrow 'id_x': image endpoints ('x', 'x') != ('y', 'y')"),
+    ({"x": "x", "y": "y"}, {"id_x": "id_x", "u": "u", "id_y": "id_y", "w": "u"},
+     "arrow assignment for unknown 'w'"),
+    ({"x": "x", "y": "x"}, {"id_x": "id_x", "u": "id_x", "id_y": "id_x"}, None),
+])
+def test_functor_check_names_its_first_fault(object_map, arrow_map, fault):
+    # x --u--> y; objects are tested first, then arrows; the last row collapses y onto x
+    c = FinCategory("C", ("x", "y"), {"id_x": ("x", "x"), "u": ("x", "y"), "id_y": ("y", "y")},
+                    {("id_x", "id_x"): "id_x", ("id_x", "u"): "u", ("u", "id_y"): "u",
+                     ("id_y", "id_y"): "id_y"},
+                    {"x": "id_x", "y": "id_y"})
+    f = FinFunctor("F", c, c, object_map, arrow_map)
+    if fault is None:
+        assert check_functor(f) is None
+    else:
+        with pytest.raises(ValidationError, match=f"^{re.escape(fault)}$"):
+            check_functor(f)
 
 
 def test_enumerate_functors_between_monoids():

@@ -13,7 +13,6 @@ from refsys.fincat import FinFunction, FinSet
 from refsys.kernel import (
     CapabilityError,
     compose_derivations,
-    derivations_equal,
     identity_derivation,
     is_identity_on,
 )

@@ -132,7 +132,8 @@ def test_multiplication_functor_needs_commutativity(day_z2):
     lz = monoid_category("LZ", ("e", "a", "b"), table, "e")
     from refsys.presheaf_model import build_presheaf_system
     sys2 = build_presheaf_system((lz,), ())
-    with pytest.raises(ValidationError, match="functor: INVALID"):
+    with pytest.raises(ValidationError,
+                       match=r"^composite \('e', 'a'\);\('b', 'e'\) not preserved$"):
         multiplication_functor(sys2, lz)
 
 

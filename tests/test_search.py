@@ -108,9 +108,12 @@ def ref_functors(dom: FinCategory, cod: FinCategory) -> list:
         homs = [cod.hom(object_map[dom.src(a)], object_map[dom.dst(a)]) for a in names]
         for arrow_choice in itertools.product(*homs):
             cand = FinFunctor("F", dom, cod, object_map, dict(zip(names, arrow_choice)))
-            if check_functor(cand).ok:
-                cand.name = f"F{len(out)}_{dom.name}_{cod.name}"
-                out.append(cand)
+            try:
+                check_functor(cand)
+            except ValidationError:
+                continue
+            cand.name = f"F{len(out)}_{dom.name}_{cod.name}"
+            out.append(cand)
     return out
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -375,21 +376,23 @@ def test_non_associative_category_rejected_under_both_interpreters(tmp_path):
         assert proc.stdout == ""
 
 
+# left-zero monoid with a unit: x*y = x for x, y != e, so the Day
+# multiplication is not a functor and the monoidal suite must skip it
+LEFT_ZERO = {
+    "model": "presheaf",
+    "categories": {"LZ": {"monoid": {
+        "elements": ["e", "a", "b"], "unit": "e",
+        "table": {"e": {"e": "e", "a": "a", "b": "b"},
+                  "a": {"e": "a", "a": "a", "b": "a"},
+                  "b": {"e": "b", "a": "b", "b": "b"}},
+    }}},
+    "presheaves": {"P": {"cat": "LZ", "at": {"*": ["x"]},
+                         "action": {"a": {"x": "x"}, "b": {"x": "x"}}}},
+}
+
+
 def test_non_commutative_monoid_skipped_under_optimize(tmp_path):
-    # left-zero monoid with a unit: x*y = x for x, y != e, so the Day
-    # multiplication is not a functor and the monoidal suite must skip it
-    left_zero = {
-        "model": "presheaf",
-        "categories": {"LZ": {"monoid": {
-            "elements": ["e", "a", "b"], "unit": "e",
-            "table": {"e": {"e": "e", "a": "a", "b": "b"},
-                      "a": {"e": "a", "a": "a", "b": "a"},
-                      "b": {"e": "b", "a": "b", "b": "b"}},
-        }}},
-        "presheaves": {"P": {"cat": "LZ", "at": {"*": ["x"]},
-                             "action": {"a": {"x": "x"}, "b": {"x": "x"}}}},
-    }
-    path = write_sig(tmp_path, left_zero)
+    path = write_sig(tmp_path, LEFT_ZERO)
     env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent))
     runs = [
         subprocess.run(
@@ -401,7 +404,9 @@ def test_non_commutative_monoid_skipped_under_optimize(tmp_path):
     plain, optimized = runs
     assert plain.returncode == optimized.returncode == 0, plain.stderr + optimized.stderr
     assert plain.stdout == optimized.stdout
-    assert "category LZ: functor: INVALID" in optimized.stdout
+    (monoidal,) = json.loads(optimized.stdout)["suites"]
+    assert monoidal["notes"] == ["category LZ: multiplication is not a functor: "
+                     "composite ('e', 'a');('b', 'e') not preserved"]
 
 
 def test_functor_must_satisfy_the_laws(tmp_path):
@@ -649,6 +654,37 @@ def test_laws_all_matches_the_recorded_report(capsys, sig):
     rc, out, _ = run(capsys, "laws", data_file(f"{sig}.json"), "all", "--json")
     assert rc == 0
     assert out == (GOLDEN / f"{sig}.json").read_text()
+
+
+LAWS_LINE = re.compile(
+    r"^(suite \w+: .+|  note: .+|  counterexample: .+|all laws hold|law violations found)$")
+
+
+@pytest.mark.parametrize("sig", [*BUNDLED, "left_zero"])
+def test_every_line_of_the_laws_report_is_a_suite_note_or_verdict(tmp_path, capsys, sig):
+    path = write_sig(tmp_path, LEFT_ZERO) if sig == "left_zero" else data_file(sig)
+    _, out, _ = run(capsys, "laws", path, "all")
+    assert [line for line in out.splitlines() if not LAWS_LINE.match(line)] == []
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+def test_a_closed_stdout_keeps_the_exit_code(flags):
+    env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent))
+    squaring = data_file("squaring.json")
+    for argv, code in ((("check", squaring, "negative =[sq]=> positive"), 0),
+                       (("laws", data_file("z4.json"), "kernel"), 0),
+                       (("check", squaring, "whole =[sq]=> big"), 1)):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "refsys.cli", *argv], stdout=write_end,
+                stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 # --- name references: a JSON list or object in place of a name is bad input ------------

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from refsys.fincat import FinFunction, FinSet
 from refsys.kernel import (
     IllFormedError,
-    LawViolation,
     MismatchError,
     Status,
     axiom,

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import gc
-import itertools
 import os
 import subprocess
 import sys
