@@ -314,6 +314,12 @@ def derivable(sys: RefinementSystem, s, f, t) -> bool:
     return status is Status.DERIVABLE
 
 
+def name_of(x):
+    """x's display name: its ``name`` when it has one, else x itself, so an
+    unnamed object formats (``str`` or ``!r``) as it would on its own."""
+    return getattr(x, "name", x)
+
+
 def describe(sys: RefinementSystem, s) -> str:
     return getattr(s, "name", None) or repr(s)
 
@@ -339,10 +345,10 @@ def axiom(sys: RefinementSystem, s, f, t) -> Derivation:
     or underivable.  In proof-irrelevant models the choice is canonical.
     """
     if not well_formed(sys, s, f, t):
-        raise IllFormedError(f"ill-formed judgment over {getattr(f, 'name', f)!r}")
+        raise IllFormedError(f"ill-formed judgment over {name_of(f)!r}")
     for m in sys.morphisms_over(s, f, t):
         return Derivation("ax", s, f, t, (), m)
-    raise RefinementError(f"judgment over {getattr(f, 'name', f)!r} is underivable")
+    raise RefinementError(f"judgment over {name_of(f)!r} is underivable")
 
 
 def identity_derivation(sys: RefinementSystem, s) -> Derivation:
@@ -379,8 +385,8 @@ def conversion(sys: RefinementSystem, d: Derivation, g) -> Derivation:
         raise MismatchError("conversion: replacement expression has wrong boundaries")
     if not sys.exprs_equal(d.expr, g):
         raise MismatchError(
-            f"conversion: expressions differ ({getattr(d.expr, 'name', d.expr)!r} "
-            f"vs {getattr(g, 'name', g)!r})"
+            f"conversion: expressions differ ({name_of(d.expr)!r} "
+            f"vs {name_of(g)!r})"
         )
     return Derivation("conv", d.subject, g, d.target, (d,), d.interp)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 
-from .fincat import FinFunction, FinFunctor, FinSet, render_elem
+from .fincat import FinFunctor, FinSet, render_elem
 from .kernel import (
     CapabilityError,
     LawViolation,
@@ -33,6 +33,7 @@ from .kernel import (
     compose_derivations,
     derivations_equal,
     identity_derivation,
+    name_of,
 )
 from .monoidal import (
     check_monoidal_equations,
@@ -93,12 +94,6 @@ def etype_label(et) -> str:
             parts.append(f"{render_elem(o)} -> {{{inner}}}")
         return f"{et.name}: " + "; ".join(parts)
     return str(et)
-
-
-def _expr_label(f) -> str:
-    if isinstance(f, (FinFunction, FinFunctor)):
-        return f.name
-    return str(f)
 
 
 @contextmanager
@@ -182,7 +177,7 @@ def _suite_kernel(sig: Signature, max_set: int) -> LawReport:
                 status = classify(sys_, s, f, t)
                 well = sys_.refines(s) == a and sys_.refines(t) == b
                 if not rep.check(well != (status is Status.ILL_FORMED), lambda: (
-                        f"trichotomy: {etype_label(s)} =[{_expr_label(f)}]=> "
+                        f"trichotomy: {etype_label(s)} =[{name_of(f)}]=> "
                         f"{etype_label(t)} is {status.name} but well-formedness is {well}")):
                     continue
                 if not well:
@@ -190,7 +185,7 @@ def _suite_kernel(sig: Signature, max_set: int) -> LawReport:
                 found = next(iter(sys_.morphisms_over(s, f, t)), None)
                 if not rep.check((found is not None) == (status is Status.DERIVABLE), lambda: (
                         f"search disagrees with classification at {etype_label(s)} "
-                        f"=[{_expr_label(f)}]=> {etype_label(t)}")):
+                        f"=[{name_of(f)}]=> {etype_label(t)}")):
                     continue
                 if status is Status.DERIVABLE and len(ders) < 12:
                     d = axiom(sys_, s, f, t)
@@ -199,8 +194,8 @@ def _suite_kernel(sig: Signature, max_set: int) -> LawReport:
     for d in ders:
         left = compose_derivations(sys_, identity_derivation(sys_, d.subject), d)
         right = compose_derivations(sys_, d, identity_derivation(sys_, d.target))
-        rep.check(derivations_equal(sys_, left, d), lambda: f"I;d != d over {_expr_label(d.expr)}")
-        rep.check(derivations_equal(sys_, right, d), lambda: f"d;I != d over {_expr_label(d.expr)}")
+        rep.check(derivations_equal(sys_, left, d), lambda: f"I;d != d over {name_of(d.expr)}")
+        rep.check(derivations_equal(sys_, right, d), lambda: f"d;I != d over {name_of(d.expr)}")
     pairs = [(d1, d2) for d1 in ders for d2 in ders if d1.target == d2.subject]
     for (d1, d2), d3 in itertools.islice(
             ((p, d) for p in pairs for d in ders if p[1].target == d.subject), 64):
@@ -230,7 +225,7 @@ def _suite_structures(sig: Signature, max_set: int) -> LawReport:
                 with _refusals(rep):
                     w = witness(sys_, kind, f, e)
                     rep.absorb(check_beta_eta(w, mode=mode),
-                               f"{w.noun} of {etype_label(e)} along {_expr_label(f)}")
+                               f"{w.noun} of {etype_label(e)} along {name_of(f)}")
     composable = [(f, g) for f in exprs for g in exprs
                   if sys_.expr_cod(f) == sys_.expr_dom(g)]
     for f, g in composable[:12]:
@@ -244,7 +239,7 @@ def _suite_structures(sig: Signature, max_set: int) -> LawReport:
             with _refusals(rep):
                 rep.check(three_way(sys_, s, f, t).agree, lambda: (
                     f"three-way readings disagree at {etype_label(s)} "
-                    f"=[{_expr_label(f)}]=> {etype_label(t)}"))
+                    f"=[{name_of(f)}]=> {etype_label(t)}"))
     return rep
 
 

@@ -18,6 +18,17 @@ From the descriptor:
     exhibited as a pullback of R[U] along some expression - and then a
     retraction of to_double_negation, while the other composite can fail to
     be the identity (the failure is witnessed on a proof-relevant instance);
+  * one double-negation frame per (adjunction, T, U), the private
+    _DoubleNegation: W = R[U] and its carrier, the shift expression, DN, the
+    shift-pullback witness of DN, M[T]'s carrier witness and the comparison
+    are its pieces, each built on first read and then shared, and
+    to/from_double_negation and the evaluation at the encoded point are its
+    methods.  check_comparison, check_retraction, check_section, condition 2
+    of check_reflected and check_theorem make one frame and read its pieces.
+    A piece past the carrier bound raises CapabilityError on its first read,
+    so the build order is the refusal order: each caller reads the pieces in
+    the order the reports pin (check_theorem reads W before it looks up
+    L[T]'s encoding);
   * encodings into a universal type, the reflection conditions, and the
     representation theorem: M[T] is canonically isomorphic to the
     shift-pullback of the double negation.  iter_encodings is the one
@@ -35,6 +46,7 @@ descriptor built from residual rules on p's own objects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, Optional
 
 from .cartesian import power_exceeds
@@ -52,6 +64,7 @@ from .kernel import (
     derivations_equal,
     from_interp,
     identity_derivation,
+    name_of,
 )
 from .structures import (
     LawReport,
@@ -223,11 +236,8 @@ def build_continuation_adjunction(sys: RefinementSystem, u) -> AdjunctionDescrip
     q = OppositeSystem(sys)
     c = sys.refines(u)
 
-    def l0(a):
-        return sys.residual_itype(a, c)
-
-    def r0(b):
-        return sys.residual_itype(b, c)
+    def neg0(x):
+        return sys.residual_itype(x, c)
 
     def l1(f):
         return residual_expr(sys, "right", f, c)
@@ -280,9 +290,9 @@ def build_continuation_adjunction(sys: RefinementSystem, u) -> AdjunctionDescrip
         return w_l_st.curry(step, sys.tensor_etype(s, rl_t))
 
     return AdjunctionDescriptor(
-        name=f"cont[{sys.name};{getattr(u, 'name', u)}]",
+        name=f"cont[{sys.name};{name_of(u)}]",
         p=sys, q=q,
-        l0=l0, l1=l1, r0=r0, r1=r1,
+        l0=neg0, l1=l1, r0=neg0, r1=r1,
         eta0=lambda a: shift_expr(sys, a, c),
         eps0=lambda b: sys.curry_expr("right", sys.plug_expr("left", b, c)),
         l_etype=l_etype, l_der=l_der, r_etype=r_etype, r_der=r_der,
@@ -307,7 +317,7 @@ def check_adjunction(adj: AdjunctionDescriptor, p_etypes=(), q_etypes=(),
     for s in p_etypes:
         if rep.full:
             break
-        name = getattr(s, "name", s)
+        name = name_of(s)
         ls = adj.l_etype(s)
         rep.check(q.refines(ls) == adj.l0(p.refines(s)),
                   lambda: f"L does not commute with the base at {name}")
@@ -327,7 +337,7 @@ def check_adjunction(adj: AdjunctionDescriptor, p_etypes=(), q_etypes=(),
     for t in q_etypes:
         if rep.full:
             break
-        name = getattr(t, "name", t)
+        name = name_of(t)
         rt = adj.r_etype(t)
         rep.check(p.refines(rt) == adj.r0(q.refines(t)),
                   lambda: f"R does not commute with the base at {name}")
@@ -380,7 +390,7 @@ def check_adjunction(adj: AdjunctionDescriptor, p_etypes=(), q_etypes=(),
     for (s, t) in strength_pairs:
         if rep.full:
             break
-        at = f"({getattr(s, 'name', s)}, {getattr(t, 'name', t)})"
+        at = f"({name_of(s)}, {name_of(t)})"
         try:
             sig = adj.sigma_rule(s, t)
             rl_t = adj.rl_etype(t)
@@ -391,7 +401,7 @@ def check_adjunction(adj: AdjunctionDescriptor, p_etypes=(), q_etypes=(),
                 adj.rl_der(coherence_derivation(p, "unit_l", (t,))),
             )
             rep.check(derivations_equal(p, lhs, lam_rl),
-                      lambda: f"strength unitor axiom fails at {getattr(t, 'name', t)}")
+                      lambda: f"strength unitor axiom fails at {name_of(t)}")
             # unit compatibility: (id (x) eta);sigma == eta
             lhs = compose_derivations(
                 p,
@@ -481,7 +491,7 @@ def check_monad_laws(monad: FiberwiseMonad, etypes) -> LawReport:
     p = monad.p
     rep = LawReport()
     for t in etypes:
-        name = getattr(t, "name", t)
+        name = name_of(t)
         try:
             mt = monad.carrier(t)
             ident = identity_derivation(p, mt)
@@ -506,29 +516,121 @@ def check_monad_laws(monad: FiberwiseMonad, etypes) -> LawReport:
     return rep
 
 
-# --- double negation: comparison, to/from, retraction ----------------------------------
+# --- double negation: one frame per (adjunction, T, U) ---------------------------------
 
-def double_negation_comparison(adj: AdjunctionDescriptor, t, u) -> Derivation:
-    """The canonical RL[T] => negL[W]{negR[W]{T}} with answers W = R[U].
+class _DoubleNegation:
+    """The double-negation side of the theorem at (adj, T, U).
 
-    Built as the currying of sigma ; RL[right evaluation] ; R[counit at U].
-    Composed with the unit it interprets to the shift; to_double_negation
-    relies on that equation through an explicit conversion step.
+    T's index type b is read when the frame is made.  Every other piece is
+    built on its first read and kept: W = R[U] and its carrier cw, the
+    shift expression, DN = negL[W]{negR[W]{T}}, the shift-pullback witness
+    of DN, M[T]'s carrier witness eta*(RL[T]), and the comparison
+    RL[T] => DN.  A piece past the carrier bound raises CapabilityError on
+    that first read, so each caller reads the pieces in the order its
+    refusal notes are pinned in.
     """
-    p = adj.p
-    w = adj.r_etype(u)
-    w_r = residual(p, "right", t, w)
-    n = w_r.etype
-    rl_t = adj.rl_etype(t)
-    step = compose_many(
-        p,
-        adj.sigma_rule(n, t),
-        adj.rl_der(w_r.ev),
-        adj.r_der(adj.eps_rule(u)),
-    )
-    w_l = residual(p, "left", n, w)
-    d = w_l.curry(step, rl_t)
-    return Derivation("dn-cmp", d.subject, d.expr, d.target, (d,), d.interp)
+
+    def __init__(self, adj: AdjunctionDescriptor, t, u):
+        self.adj, self.p, self.t, self.u = adj, adj.p, t, u
+        self.b = adj.p.refines(t)
+
+    @cached_property
+    def w(self):
+        return self.adj.r_etype(self.u)
+
+    @cached_property
+    def cw(self):
+        return self.p.refines(self.w)
+
+    @cached_property
+    def shift(self):
+        return shift_expr(self.p, self.b, self.cw)
+
+    @cached_property
+    def dn(self):
+        return double_negation_etype(self.p, self.t, self.w)
+
+    @cached_property
+    def shift_witness(self) -> Witness:
+        return pullback(self.p, self.shift, self.dn)
+
+    @cached_property
+    def m_witness(self) -> Witness:
+        return FiberwiseMonad(self.adj).carrier_witness(self.t)
+
+    @cached_property
+    def comparison(self) -> Derivation:
+        """The canonical RL[T] => DN: the currying of sigma ; RL[right
+        evaluation] ; R[counit at U].  Composed with the unit it interprets
+        to the shift; to_double_negation relies on that equation through an
+        explicit conversion step."""
+        p, adj, t, w = self.p, self.adj, self.t, self.w
+        w_r = residual(p, "right", t, w)
+        n = w_r.etype
+        rl_t = adj.rl_etype(t)
+        step = compose_many(
+            p,
+            adj.sigma_rule(n, t),
+            adj.rl_der(w_r.ev),
+            adj.r_der(adj.eps_rule(self.u)),
+        )
+        d = residual(p, "left", n, w).curry(step, rl_t)
+        return Derivation("dn-cmp", d.subject, d.expr, d.target, (d,), d.interp)
+
+    def to_double_negation(self) -> Derivation:
+        """M[T] <= shift*(DN); always derivable."""
+        p = self.p
+        d1 = compose_derivations(p, self.m_witness.unit, self.comparison)
+        d2 = conversion(p, d1, self.shift)
+        return self.shift_witness.factor(d2, p.id_expr(self.b))
+
+    def from_double_negation(self, f) -> Derivation:
+        """shift*(DN) <= M[T], given that RL[T] is the pullback of R[U] along f;
+        LawViolation naming both types otherwise.
+
+        The construction picks the point of negR[W]{T} currying unit_l;eta;f,
+        pairs it with the shift-pullback's unit, evaluates, and converts
+        along the table identity unit_l_inv;(rc(unit_l;eta;f) (x) shift);plugL
+        == eta;f before factoring through the hypothesis witness and the monad
+        carrier witness.
+        """
+        p, adj, t, w = self.p, self.adj, self.t, self.w
+        w_f = pullback(p, f, w)
+        rl_t = adj.rl_etype(t)
+        if w_f.etype != rl_t:
+            raise LawViolation(
+                f"hypothesis fails: pullback along {name_of(f)!r} is "
+                f"{name_of(w_f.etype)}, not {name_of(rl_t)}"
+            )
+        d1 = compose_derivations(p, adj.eta_rule(t), w_f.unit)
+        d2 = compose_derivations(p, coherence_derivation(p, "unit_l", (t,)), d1)
+        w_r = residual(p, "right", t, w)
+        d3 = w_r.curry(d2, p.unit_etype())
+        w_shift = self.shift_witness
+        d4 = tensor_derivations(p, d3, w_shift.unit)
+        d5 = compose_derivations(p, d4, residual(p, "left", w_r.etype, w).ev)
+        d6 = compose_derivations(
+            p, coherence_derivation(p, "unit_l_inv", (w_shift.etype,)), d5)
+        eta_b = adj.eta0(self.b)
+        d7 = conversion(p, d6, p.compose_exprs(eta_b, f))
+        return self.m_witness.factor(w_f.factor(d7, eta_b), p.id_expr(self.b))
+
+    def evaluation(self, encodings: dict) -> tuple:
+        """(R1(e), the evaluation-at-the-encoded-point expression DN-space ->
+        R0(C)) for e the encoding of L[T]; the point 1 -> negR space curries
+        unit_l;eta;R1(e) : 1 (x) B -> R0(C)."""
+        p, adj, t, b, cw = self.p, self.adj, self.t, self.b, self.cw
+        dn = self.dn  # before L[T]'s encoding is read, as the notes record
+        r_e = adj.r1(encodings[adj.l_etype(t)])
+        lam = p.interp_expr(p.coherence_cell("unit_l", (t,)))
+        point = p.curry_expr("right", p.compose_exprs(p.compose_exprs(lam, adj.eta0(b)), r_e))
+        plug = p.plug_expr("left", p.residual_itype(b, cw), cw)
+        lam_inv = p.interp_expr(p.coherence_cell("unit_l_inv", (dn,)))
+        expr2 = p.compose_exprs(
+            lam_inv,
+            p.compose_exprs(p.tensor_expr(point, p.id_expr(p.refines(dn))), plug),
+        )
+        return r_e, expr2
 
 
 def check_comparison(adj: AdjunctionDescriptor, t, u) -> LawReport:
@@ -539,96 +641,27 @@ def check_comparison(adj: AdjunctionDescriptor, t, u) -> LawReport:
     """
     p = adj.p
     rep = LawReport()
-    xi = double_negation_comparison(adj, t, u)
-    w = adj.r_etype(u)
-    b = p.refines(t)
-    cw = p.refines(w)
-    lhs_expr = p.compose_exprs(adj.eta0(b), xi.expr)
-    rep.check(p.exprs_equal(lhs_expr, shift_expr(p, b, cw)),
+    frame = _DoubleNegation(adj, t, u)
+    xi = frame.comparison
+    lhs_expr = p.compose_exprs(adj.eta0(frame.b), xi.expr)
+    rep.check(p.exprs_equal(lhs_expr, frame.shift),
               "eta;comparison is not the shift expression")
     lhs = compose_derivations(p, adj.eta_rule(t), xi)
-    rep.check(derivations_equal(p, lhs, shift_derivation(p, t, w)),
+    rep.check(derivations_equal(p, lhs, shift_derivation(p, t, frame.w)),
               "eta;comparison is not the shift derivation")
     return rep
-
-
-def to_double_negation(adj: AdjunctionDescriptor, t, u) -> Derivation:
-    """M[T] <= shift*(double negation of T with answers R[U]); always derivable."""
-    p = adj.p
-    monad = FiberwiseMonad(adj)
-    w_eta = monad.carrier_witness(t)
-    xi = double_negation_comparison(adj, t, u)
-    d1 = compose_derivations(p, w_eta.unit, xi)
-    b = p.refines(t)
-    w_ans = adj.r_etype(u)
-    cw = p.refines(w_ans)
-    d2 = conversion(p, d1, shift_expr(p, b, cw))
-    dn = double_negation_etype(p, t, w_ans)
-    w_shift = pullback(p, shift_expr(p, b, cw), dn)
-    return w_shift.factor(d2, p.id_expr(b))
-
-
-def encoding_witness(adj: AdjunctionDescriptor, t, u, f) -> Witness:
-    """The hypothesis of from_double_negation: RL[T] is the pullback of R[U] along f.
-
-    Builds the canonical witness and verifies its type is RL[T]; raises
-    LawViolation naming both types otherwise.
-    """
-    p = adj.p
-    w = pullback(p, f, adj.r_etype(u))
-    rl_t = adj.rl_etype(t)
-    if w.etype != rl_t:
-        raise LawViolation(
-            f"hypothesis fails: pullback along {getattr(f, 'name', f)!r} is "
-            f"{getattr(w.etype, 'name', w.etype)}, not {getattr(rl_t, 'name', rl_t)}"
-        )
-    return w
-
-
-def from_double_negation(adj: AdjunctionDescriptor, t, u, f) -> Derivation:
-    """shift*(double negation) <= M[T], given that RL[T] is a pullback of R[U].
-
-    The construction picks the point of negR[W]{T} currying unit_l;eta;f,
-    pairs it with the shift-pullback's unit, evaluates, and converts
-    along the table identity unit_l_inv;(rc(unit_l;eta;f) (x) shift);plugL
-    == eta;f before factoring through the hypothesis witness and the monad
-    carrier witness.
-    """
-    p = adj.p
-    w_f = encoding_witness(adj, t, u, f)
-    w_ans = adj.r_etype(u)
-    b = p.refines(t)
-    cw = p.refines(w_ans)
-    dn = double_negation_etype(p, t, w_ans)
-    d1 = compose_derivations(p, adj.eta_rule(t), w_f.unit)
-    d2 = compose_derivations(p, coherence_derivation(p, "unit_l", (t,)), d1)
-    w_r = residual(p, "right", t, w_ans)
-    d3 = w_r.curry(d2, p.unit_etype())
-    w_shift = pullback(p, shift_expr(p, b, cw), dn)
-    pp = w_shift.etype
-    d4 = tensor_derivations(p, d3, w_shift.unit)
-    w_l = residual(p, "left", w_r.etype, w_ans)
-    d5 = compose_derivations(p, d4, w_l.ev)
-    d6 = compose_derivations(p, coherence_derivation(p, "unit_l_inv", (pp,)), d5)
-    target_expr = p.compose_exprs(adj.eta0(b), f)
-    d7 = conversion(p, d6, target_expr)
-    d8 = w_f.factor(d7, adj.eta0(b))
-    monad = FiberwiseMonad(adj)
-    w_eta = monad.carrier_witness(t)
-    return w_eta.factor(d8, p.id_expr(b))
 
 
 def check_retraction(adj: AdjunctionDescriptor, t, u, f) -> LawReport:
     """from_double_negation retracts to_double_negation: the composite on M[T]
     interprets to the identity, checked exactly."""
     p = adj.p
-    fwd = to_double_negation(adj, t, u)
-    bwd = from_double_negation(adj, t, u, f)
-    monad = FiberwiseMonad(adj)
-    mt = monad.carrier(t)
+    frame = _DoubleNegation(adj, t, u)
+    fwd = frame.to_double_negation()
+    bwd = frame.from_double_negation(f)
     composite = compose_derivations(p, fwd, bwd)
     rep = LawReport()
-    rep.check(derivations_equal(p, composite, identity_derivation(p, mt)),
+    rep.check(derivations_equal(p, composite, identity_derivation(p, fwd.subject)),
               "retraction composite is not the identity")
     return rep
 
@@ -639,8 +672,9 @@ def check_section(adj: AdjunctionDescriptor, t, u, f) -> bool:
     Not a theorem: proof-relevant instances refute it, and tests pin one down.
     """
     p = adj.p
-    fwd = to_double_negation(adj, t, u)
-    bwd = from_double_negation(adj, t, u, f)
+    frame = _DoubleNegation(adj, t, u)
+    fwd = frame.to_double_negation()
+    bwd = frame.from_double_negation(f)
     composite = compose_derivations(p, bwd, fwd)
     return derivations_equal(p, composite, identity_derivation(p, bwd.subject))
 
@@ -711,7 +745,7 @@ def count_encodings_elementwise(adj: AdjunctionDescriptor, t, u) -> tuple:
             table[x] = choices[0]
     if count == 0:
         return 0, None
-    return count, FinFunction(f"enc[{getattr(t, 'name', t)}]", dom, cod, table)
+    return count, FinFunction(f"enc[{name_of(t)}]", dom, cod, table)
 
 
 # --- encodings, universality, reflection, and the representation theorem -------------------
@@ -721,7 +755,7 @@ def check_universal(sys: RefinementSystem, u, encodings: dict, etypes=None) -> L
     (in law_mode(sys))."""
     rep = LawReport()
     for s in (etypes if etypes is not None else sys.e_types()):
-        name = getattr(s, "name", s)
+        name = name_of(s)
         if s not in encodings:
             rep.check(False, f"no encoding for {name}")
             continue
@@ -735,38 +769,6 @@ def check_universal(sys: RefinementSystem, u, encodings: dict, etypes=None) -> L
 class ReflectionReport(LawReport):
     """A LawReport plus (type name, holds) for the unshifted double negation."""
     double_negation_strict: list = field(default_factory=list)
-
-
-def _point_expr(adj: AdjunctionDescriptor, t, encodings: dict):
-    """unit_l;eta;R[e_{L[T]}] : 1 (x) B -> R0(C), and its currying 1 -> negR space."""
-    p = adj.p
-    b = p.refines(t)
-    lt = adj.l_etype(t)
-    e_lt = encodings[lt]
-    r_e = adj.r1(e_lt)
-    lam = p.interp_expr(p.coherence_cell("unit_l", (t,)))
-    inner = p.compose_exprs(p.compose_exprs(lam, adj.eta0(b)), r_e)
-    return r_e, p.curry_expr("right", inner)
-
-
-def _evaluation_expr(adj: AdjunctionDescriptor, t, u, encodings: dict):
-    """The evaluation-at-the-encoded-point expression DN-space -> R0(C)."""
-    p = adj.p
-    w_ans = adj.r_etype(u)
-    cw = p.refines(w_ans)
-    b = p.refines(t)
-    dn = double_negation_etype(p, t, w_ans)
-    r_e, point = _point_expr(adj, t, encodings)
-    nr_itype = p.residual_itype(b, cw)
-    plug = p.plug_expr("left", nr_itype, cw)
-    lam_inv = p.interp_expr(p.coherence_cell("unit_l_inv", (dn,)))
-    expr2 = p.compose_exprs(
-        lam_inv,
-        p.compose_exprs(
-            p.tensor_expr(point, p.id_expr(p.refines(dn))), plug
-        ),
-    )
-    return r_e, expr2
 
 
 def check_reflected(adj: AdjunctionDescriptor, u, encodings: dict,
@@ -787,33 +789,32 @@ def check_reflected(adj: AdjunctionDescriptor, u, encodings: dict,
     p, q = adj.p, adj.q
     rep = ReflectionReport()
     for t_q in (q_etypes if q_etypes is not None else q.e_types()):
-        name = getattr(t_q, "name", t_q)
+        name = name_of(t_q)
         if t_q not in encodings:
             rep.check(False, f"no encoding for q-type {name}")
             continue
         w = pullback(p, adj.r1(encodings[t_q]), adj.r_etype(u))
         if rep.check(w.etype == adj.r_etype(t_q), lambda: (
                 f"R does not preserve the encoding pullback at {name}: "
-                f"got {getattr(w.etype, 'name', w.etype)}")):
+                f"got {name_of(w.etype)}")):
             rep.absorb(check_beta_eta(w, mode=law_mode(p)), f"condition 1 at {name}")
+    # R[U] is built before the loop, so a refusal there ends the check
     w_ans = adj.r_etype(u)
-    cw = p.refines(w_ans)
     for t in (p_etypes if p_etypes is not None else p.e_types()):
-        name = getattr(t, "name", t)
+        name = name_of(t)
         if adj.l_etype(t) not in encodings:
             rep.check(False, f"no encoding for L[{name}]")
             continue
         try:
-            dn = double_negation_etype(p, t, w_ans)
-            _, expr2 = _evaluation_expr(adj, t, u, encodings)
-            sh = shift_expr(p, p.refines(t), cw)
-            lhs, _, _ = p.pullback_data(sh, dn)
-            rhs, _, _ = p.pullback_data(p.compose_exprs(sh, expr2), w_ans)
+            frame = _DoubleNegation(adj, t, u)
+            _, expr2 = frame.evaluation(encodings)
+            lhs = frame.shift_witness.etype
+            rhs, _, _ = p.pullback_data(p.compose_exprs(frame.shift, expr2), w_ans)
             rep.check(lhs == rhs, lambda: (
                 f"condition 2 (shift context) fails at {name}: "
-                f"{getattr(lhs, 'name', lhs)} != {getattr(rhs, 'name', rhs)}"))
+                f"{name_of(lhs)} != {name_of(rhs)}"))
             unshifted, _, _ = p.pullback_data(expr2, w_ans)
-            rep.double_negation_strict.append((name, unshifted == dn))
+            rep.double_negation_strict.append((name, unshifted == frame.dn))
         except CapabilityError as exc:
             rep.skip(f"condition 2 at {name}: {exc}")
     return rep
@@ -828,28 +829,23 @@ def check_theorem(adj: AdjunctionDescriptor, u, encodings: dict, t) -> VerticalI
     pullbacks produces the iso; LawViolation if any step fails.
     """
     p = adj.p
-    b = p.refines(t)
-    w_ans = adj.r_etype(u)
-    cw = p.refines(w_ans)
-    lt = adj.l_etype(t)
-    if lt not in encodings:
-        raise LawViolation(f"no encoding for L[{getattr(t, 'name', t)}]")
-    r_e, expr2 = _evaluation_expr(adj, t, u, encodings)
-    sh = shift_expr(p, b, cw)
-    lhs_expr = p.compose_exprs(adj.eta0(b), r_e)
-    rhs_expr = p.compose_exprs(sh, expr2)
-    if not p.exprs_equal(lhs_expr, rhs_expr):
+    frame = _DoubleNegation(adj, t, u)
+    w_ans = frame.w  # built before L[T]'s encoding is looked up
+    if adj.l_etype(t) not in encodings:
+        raise LawViolation(f"no encoding for L[{name_of(t)}]")
+    r_e, expr2 = frame.evaluation(encodings)
+    sh = frame.shift
+    eta_b = adj.eta0(frame.b)
+    if not p.exprs_equal(p.compose_exprs(eta_b, r_e), p.compose_exprs(sh, expr2)):
         raise LawViolation("shift;evaluation does not equal eta;R1(encoding)")
     base_pull, _, _ = p.pullback_data(r_e, w_ans)
     if base_pull != adj.rl_etype(t):
         raise LawViolation("condition 1 fails: R1(encoding) does not pull back to RL[T]")
-    dn = double_negation_etype(p, t, w_ans)
-    shifted_dn, _, _ = p.pullback_data(sh, dn)
-    w1 = composite_witness(p, "pull", adj.eta0(b), r_e, w_ans)
+    shifted_dn = frame.shift_witness.etype
+    w1 = composite_witness(p, "pull", eta_b, r_e, w_ans)
     w2 = composite_witness(p, "pull", sh, expr2, w_ans)
     if w2.etype != shifted_dn:
         raise LawViolation("condition 2 (shift context) fails at the theorem instance")
-    monad = FiberwiseMonad(adj)
-    if w1.etype != monad.carrier(t):
+    if w1.etype != frame.m_witness.etype:
         raise LawViolation("pasted pullback does not produce the monad carrier")
     return uniqueness_iso(w1, w2)

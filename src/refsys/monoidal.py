@@ -48,6 +48,7 @@ from .kernel import (
     from_interp,
     identity_derivation,
     in_place,
+    name_of,
 )
 from .structures import LawReport, pullback, pushforward, witness
 
@@ -281,13 +282,13 @@ def check_residual_laws(w: ResidualWitness, vs, expr_cap: Optional[int] = None) 
         for f in itertools.islice(sys.expressions(dom_itype, c_itype), expr_cap):
             for beta in derivations_over(sys, sv, f, w.u):
                 rep.check(derivations_equal(sys, w.uncurry(w.curry(beta, v)), beta),
-                          lambda: f"beta-law fails at V={v.name}, f={getattr(f, 'name', f)}")
+                          lambda: f"beta-law fails at V={v.name}, f={name_of(f)}")
                 if rep.full:
                     return rep
         for g in itertools.islice(sys.expressions(x, n_itype), expr_cap):
             for gamma in derivations_over(sys, v, g, w.etype):
                 rep.check(derivations_equal(sys, w.curry(w.uncurry(gamma), v), gamma),
-                          lambda: f"eta-law fails at V={v.name}, g={getattr(g, 'name', g)}")
+                          lambda: f"eta-law fails at V={v.name}, g={name_of(g)}")
                 if rep.full:
                     return rep
     return rep

@@ -72,6 +72,7 @@ from .kernel import (
     compose_derivations,
     derivations_equal,
     identity_derivation,
+    name_of,
     well_formed,
 )
 
@@ -252,8 +253,8 @@ def check_beta_eta(w, mode: str = "literal", x_types: Optional[tuple] = None) ->
     et = _elementwise(w)
     rep = LawReport()
     if rep.check(et == w.etype, lambda: (
-            f"{w.noun} along {_name(w.expr)!r}: "
-            f"constructed {_name(w.etype)} != canonical {_name(et)}")):
+            f"{w.noun} along {name_of(w.expr)!r}: "
+            f"constructed {name_of(w.etype)} != canonical {name_of(et)}")):
         rep.checked = len(et.of) if hasattr(et, "of") else 1
     return rep
 
@@ -273,10 +274,6 @@ def _elementwise(w: Witness):
     if pull:
         return type(w.etype)(f.dom, [x for x in f.dom.elements if f(x) in inside])
     return type(w.etype)(f.cod, {f(x) for x in inside})
-
-
-def _name(x) -> str:
-    return getattr(x, "name", x)
 
 
 def _check_literal(w, x_types) -> LawReport:
@@ -320,18 +317,18 @@ def _check_literal(w, x_types) -> LawReport:
                         back = (compose(sys, rule(beta, g), unit) if pull
                                 else compose(sys, unit, rule(beta, g)))
                         if not equal(sys, back, beta):
-                            failures.append(f"beta-law fails at {role} {e.name}, factor {_name(g)}")
+                            failures.append(f"beta-law fails at {role} {e.name}, factor {name_of(g)}")
                 except ValidationError as exc:
-                    failures.append(f"beta-law fails at {role} {e.name}, factor {_name(g)}: {exc}")
+                    failures.append(f"beta-law fails at {role} {e.name}, factor {name_of(g)}: {exc}")
                 try:
                     for m in morphisms_over(s2, g, t2):
                         eta = _new(Derivation, ("ax", s2, g, t2, (), m))
                         checked += 1
                         back = rule(compose(sys, eta, unit) if pull else compose(sys, unit, eta), g)
                         if not equal(sys, back, eta):
-                            failures.append(f"eta-law fails at {role} {e.name}, factor {_name(g)}")
+                            failures.append(f"eta-law fails at {role} {e.name}, factor {name_of(g)}")
                 except ValidationError as exc:
-                    failures.append(f"eta-law fails at {role} {e.name}, factor {_name(g)}: {exc}")
+                    failures.append(f"eta-law fails at {role} {e.name}, factor {name_of(g)}: {exc}")
                 if failures and rep.full:
                     rep.checked = checked
                     return rep

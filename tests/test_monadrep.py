@@ -12,6 +12,7 @@ import pytest
 from refsys.fincat import FinFunction, FinSet
 from refsys.kernel import (
     CapabilityError,
+    LawViolation,
     compose_derivations,
     identity_derivation,
     is_identity_on,
@@ -166,6 +167,37 @@ def test_a_missing_encoding_is_a_counted_failure():
     assert ref.checked >= len(ref.failures)
 
 
+def _classifier_at_a1():
+    """The (1, 2) classifier with the identity adjunction, T = {a1}:A2 and its neighbour {a2}:A2."""
+    sys, truth, encodings = build_classifier_system(sizes=(1, 2))
+    a2 = sys.i_types()[2]
+    return (sys, truth, encodings, identity_adjunction(sys),
+            subset(a2, ("a1",)), subset(a2, ("a2",)))
+
+
+def test_retraction_names_the_type_another_encoding_pulls_back_to():
+    _, truth, encodings, adj, t, other = _classifier_at_a1()
+    with pytest.raises(LawViolation) as exc:
+        check_retraction(adj, t, truth, encodings[other])
+    assert str(exc.value) == ("hypothesis fails: pullback along 'chi_{a2}:A2' is "
+                              "{a2}:A2, not {a1}:A2")
+
+
+def test_theorem_without_an_encoding_of_l_t_names_it():
+    _, truth, encodings, adj, t, _ = _classifier_at_a1()
+    partial = {s: e for s, e in encodings.items() if s != t}
+    with pytest.raises(LawViolation) as exc:
+        check_theorem(adj, truth, partial, t)
+    assert str(exc.value) == "no encoding for L[{a1}:A2]"
+
+
+def test_theorem_with_a_wrong_encoding_fails_condition_1():
+    _, truth, encodings, adj, t, other = _classifier_at_a1()
+    with pytest.raises(LawViolation) as exc:
+        check_theorem(adj, truth, {**encodings, t: encodings[other]}, t)
+    assert str(exc.value) == "condition 1 fails: R1(encoding) does not pull back to RL[T]"
+
+
 def test_representation_theorem_isos():
     sys, truth, encodings = build_classifier_system(sizes=(1, 2))
     adj = identity_adjunction(sys)
@@ -232,13 +264,13 @@ def _z4_cases(sig):
             (double, sig.etype("odds")))
 
 
-def _laws_under_both_interpreters(path, suite: str) -> tuple:
-    """(exit code, stdout) of `refsys laws path suite`, the same under python and -O."""
+def _laws_under_both_interpreters(path, suite: str, *options) -> tuple:
+    """(exit code, stdout) of `refsys laws path suite [options]`, the same under python and -O."""
     env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent))
     runs = []
     for flags in ((), ("-O",)):
         proc = subprocess.run(
-            [sys.executable, *flags, "-m", "refsys.cli", "laws", str(path), suite],
+            [sys.executable, *flags, "-m", "refsys.cli", "laws", str(path), suite, *options],
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert proc.stderr == "", proc.stderr
@@ -296,18 +328,20 @@ def test_a_trivial_universal_type_is_checked_in_literal_mode(tmp_path):
             "[[two->two]->two] != two") in lines
 
 
+# seven answers: reflection's first condition curries into [C->C], which has
+# 7^7 elements, past the bound; the report still completes
+CONTINUATION7 = {
+    "model": "subset",
+    "name": "continuation7",
+    "sets": {"B": ["b"], "C": list(range(1, 8))},
+    "subsets": {"yes": {"of": "C", "elements": [1]}},
+    "adjunction": {"kind": "continuation", "answers": "yes", "universal": "yes"},
+}
+
+
 def test_a_refusal_in_universality_or_reflection_is_a_note(tmp_path):
-    # seven answers: reflection's first condition curries into [C->C], which
-    # has 7^7 elements, past the bound; the report still completes
-    doc = {
-        "model": "subset",
-        "name": "continuation7",
-        "sets": {"B": ["b"], "C": list(range(1, 8))},
-        "subsets": {"yes": {"of": "C", "elements": [1]}},
-        "adjunction": {"kind": "continuation", "answers": "yes", "universal": "yes"},
-    }
     path = tmp_path / "continuation7.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(CONTINUATION7))
     code, out = _laws_under_both_interpreters(path, "monadrep")
     lines = out.splitlines()
     assert code == 1, out
@@ -316,6 +350,27 @@ def test_a_refusal_in_universality_or_reflection_is_a_note(tmp_path):
         "  counterexample: no encoding found for {}:B"]
     assert ("  note: function space [C->C] would have 823543 elements, "
             "exceeding the bound 200000") in lines
+
+
+# Whole `laws <sig> monadrep --json` reports where the comparison, the
+# retraction and reflection's condition 2 are refused at function spaces and
+# products: the classifier at four carrier bounds, and continuation7.
+MONADREP_GOLDEN = Path(__file__).resolve().parent / "golden" / "monadrep_bounds.json"
+
+
+@pytest.mark.parametrize("case", json.loads(MONADREP_GOLDEN.read_text()),
+                         ids=lambda c: f"{c['signature']}-{c['max_carrier']}")
+def test_monadrep_reports_match_their_recorded_output(tmp_path, case):
+    if case["signature"] == "continuation7":
+        doc = CONTINUATION7
+    else:
+        doc = json.loads(Path(data_file(case["signature"])).read_text())
+    if case["max_carrier"] is not None:
+        doc = {**doc, "max_carrier": case["max_carrier"]}
+    path = tmp_path / "signature.json"
+    path.write_text(json.dumps(doc))
+    code, out = _laws_under_both_interpreters(path, "monadrep", "--json")
+    assert (code, out) == (case["code"], case["stdout"])
 
 
 def _arrow_cases(sig):
