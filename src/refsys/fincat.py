@@ -231,7 +231,13 @@ class FinFunction:
             return True
         if not isinstance(other, FinFunction):
             return NotImplemented
-        return self.idx == other.idx and self.dom == other.dom and self.cod == other.cod
+        f, g = self.idx, other.idx
+        # marked tables of one length are equal, and identical carriers are,
+        # without a comparison element by element
+        return ((f is g or (type(f) is IdentityTable and type(g) is IdentityTable
+                            and len(f) == len(g)) or f == g)
+                and (self.dom is other.dom or self.dom == other.dom)
+                and (self.cod is other.cod or self.cod == other.cod))
 
     def __hash__(self):
         if self._hash is None:

@@ -46,13 +46,14 @@ from .monoidal import (
 )
 from .monadrep import (
     FiberwiseMonad,
+    _check_comparison,
+    _check_retraction,
+    _check_section,
+    _DoubleNegation,
     build_continuation_adjunction,
     check_adjunction,
-    check_comparison,
     check_monad_laws,
     check_reflected,
-    check_retraction,
-    check_section,
     check_theorem,
     check_universal,
     identity_adjunction,
@@ -385,19 +386,22 @@ def _suite_monadrep(sig: Signature, max_set: int) -> LawReport | str:
                 et = monad.carrier(t)
                 rep.checked += 1
                 rep.skip(f"monad carrier at {etype_label(t)}: {etype_label(et)}")
-        for t in enc_pool:
+        # one double-negation frame per type: the comparison, the retraction
+        # and the section read the same pieces, and the last two the same maps
+        frames = [_DoubleNegation(adj, t, u) for t in enc_pool]
+        for t, frame in zip(enc_pool, frames):
             with _refusals(rep):
-                rep.absorb(check_comparison(adj, t, u), f"comparison at {etype_label(t)}")
-        for t in enc_pool:
+                rep.absorb(_check_comparison(frame), f"comparison at {etype_label(t)}")
+        for t, frame in zip(enc_pool, frames):
             with _refusals(rep):
                 found = search_encodings(adj, t, u, limit=20_000)
                 rep.checked += 1
                 rep.skip(f"encodings of {etype_label(t)}: {len(found)} found")
                 for f in found[:1]:
                     with _refusals(rep):
-                        rep.absorb(check_retraction(adj, t, u, f),
+                        rep.absorb(_check_retraction(frame, f),
                                    f"retraction at {etype_label(t)}")
-                        sec = check_section(adj, t, u, f)
+                        sec = _check_section(frame, f)
                         rep.skip(f"section at {etype_label(t)}: "
                                  + ("holds" if sec else "fails"))
     if sig.universal is not None:

@@ -24,7 +24,9 @@ From the descriptor:
     are its pieces, each built on first read and then shared, and
     to/from_double_negation and the evaluation at the encoded point are its
     methods.  check_comparison, check_retraction, check_section, condition 2
-    of check_reflected and check_theorem make one frame and read its pieces.
+    of check_reflected and check_theorem make one frame and read its pieces;
+    the first three are thin wrappers over private helpers that take the
+    frame, so the monadrep suite makes one frame per type for all three.
     A piece past the carrier bound raises CapabilityError on its first read,
     so the build order is the refusal order: each caller reads the pieces in
     the order the reports pin (check_theorem reads W before it looks up
@@ -525,14 +527,16 @@ class _DoubleNegation:
     built on its first read and kept: W = R[U] and its carrier cw, the
     shift expression, DN = negL[W]{negR[W]{T}}, the shift-pullback witness
     of DN, M[T]'s carrier witness eta*(RL[T]), and the comparison
-    RL[T] => DN.  A piece past the carrier bound raises CapabilityError on
-    that first read, so each caller reads the pieces in the order its
-    refusal notes are pinned in.
+    RL[T] => DN; ``maps(f)`` keeps the two maps for the last encoding f.
+    A piece past the carrier bound raises CapabilityError on that first
+    read, so each caller reads the pieces in the order its refusal notes
+    are pinned in.
     """
 
     def __init__(self, adj: AdjunctionDescriptor, t, u):
         self.adj, self.p, self.t, self.u = adj, adj.p, t, u
         self.b = adj.p.refines(t)
+        self._maps = None
 
     @cached_property
     def w(self):
@@ -615,6 +619,13 @@ class _DoubleNegation:
         d7 = conversion(p, d6, p.compose_exprs(eta_b, f))
         return self.m_witness.factor(w_f.factor(d7, eta_b), p.id_expr(self.b))
 
+    def maps(self, f) -> tuple:
+        """(to_double_negation(), from_double_negation(f)), kept for the
+        last f: the retraction and the section compose the same two maps."""
+        if self._maps is None or self._maps[0] is not f:
+            self._maps = (f, self.to_double_negation(), self.from_double_negation(f))
+        return self._maps[1:]
+
     def evaluation(self, encodings: dict) -> tuple:
         """(R1(e), the evaluation-at-the-encoded-point expression DN-space ->
         R0(C)) for e the encoding of L[T]; the point 1 -> negR space curries
@@ -639,15 +650,18 @@ def check_comparison(adj: AdjunctionDescriptor, t, u) -> LawReport:
     eta ; comparison must equal the shift as an expression table, and the
     composed derivation must equal the shift derivation by interpretation.
     """
-    p = adj.p
+    return _check_comparison(_DoubleNegation(adj, t, u))
+
+
+def _check_comparison(frame: _DoubleNegation) -> LawReport:
+    p, adj = frame.p, frame.adj
     rep = LawReport()
-    frame = _DoubleNegation(adj, t, u)
     xi = frame.comparison
     lhs_expr = p.compose_exprs(adj.eta0(frame.b), xi.expr)
     rep.check(p.exprs_equal(lhs_expr, frame.shift),
               "eta;comparison is not the shift expression")
-    lhs = compose_derivations(p, adj.eta_rule(t), xi)
-    rep.check(derivations_equal(p, lhs, shift_derivation(p, t, frame.w)),
+    lhs = compose_derivations(p, adj.eta_rule(frame.t), xi)
+    rep.check(derivations_equal(p, lhs, shift_derivation(p, frame.t, frame.w)),
               "eta;comparison is not the shift derivation")
     return rep
 
@@ -655,10 +669,12 @@ def check_comparison(adj: AdjunctionDescriptor, t, u) -> LawReport:
 def check_retraction(adj: AdjunctionDescriptor, t, u, f) -> LawReport:
     """from_double_negation retracts to_double_negation: the composite on M[T]
     interprets to the identity, checked exactly."""
-    p = adj.p
-    frame = _DoubleNegation(adj, t, u)
-    fwd = frame.to_double_negation()
-    bwd = frame.from_double_negation(f)
+    return _check_retraction(_DoubleNegation(adj, t, u), f)
+
+
+def _check_retraction(frame: _DoubleNegation, f) -> LawReport:
+    p = frame.p
+    fwd, bwd = frame.maps(f)
     composite = compose_derivations(p, fwd, bwd)
     rep = LawReport()
     rep.check(derivations_equal(p, composite, identity_derivation(p, fwd.subject)),
@@ -671,10 +687,12 @@ def check_section(adj: AdjunctionDescriptor, t, u, f) -> bool:
 
     Not a theorem: proof-relevant instances refute it, and tests pin one down.
     """
-    p = adj.p
-    frame = _DoubleNegation(adj, t, u)
-    fwd = frame.to_double_negation()
-    bwd = frame.from_double_negation(f)
+    return _check_section(_DoubleNegation(adj, t, u), f)
+
+
+def _check_section(frame: _DoubleNegation, f) -> bool:
+    p = frame.p
+    fwd, bwd = frame.maps(f)
     composite = compose_derivations(p, bwd, fwd)
     return derivations_equal(p, composite, identity_derivation(p, bwd.subject))
 

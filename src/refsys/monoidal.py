@@ -84,6 +84,13 @@ def check_monoidal_equations(sys: RefinementSystem, ds, cap: int = 2000) -> LawR
       unitor naturality unit_l;(d) == (U (x) d);unit_l  (and unit_r)
       invertibility     each cell composed with its inverse is an identity
       pentagon/triangle the two classical diagrams, on the subjects of ds
+
+    A derivation that several instances share (the identity on a type, the
+    tensor of two derivations of ds, the cut of a composable pair, a
+    coherence cell on subjects or targets of ds) is built once, on first
+    use, and kept until the call returns.  Nothing is built ahead, so a
+    model that refuses a product refuses it at the instance that first
+    needs it, as when every instance builds its own.
     """
     rep = LawReport()
     for holds, failure in _monoidal_instances(sys, tuple(ds), cap):
@@ -94,13 +101,44 @@ def check_monoidal_equations(sys: RefinementSystem, ds, cap: int = 2000) -> LawR
 
 
 def _monoidal_instances(sys: RefinementSystem, ds: tuple, cap: int):
-    """(holds, failure message) for each instance, equation by equation."""
+    """(holds, failure message) for each instance, equation by equation.
+
+    The memos key a derivation by the ids of its operands.  Every operand
+    is kept alive until the call returns, by ds, by the memo entry or by a
+    local name, so no id is reused while a memo lives.
+    """
+    idents, cells = {}, {}
+
+    def ident(s) -> Derivation:
+        entry = idents.get(id(s))
+        if entry is None:
+            entry = idents[id(s)] = (s, identity_derivation(sys, s))
+        return entry[1]
+
+    def pairwise(rule):
+        """rule(sys, x, y), built once per (x, y)."""
+        built = {}
+
+        def get(x, y) -> Derivation:
+            d = built.get((id(x), id(y)))
+            if d is None:
+                d = built[id(x), id(y)] = rule(sys, x, y)
+            return d
+        return get
+
+    tensor, cut = pairwise(tensor_derivations), pairwise(compose_derivations)
+
+    def cell(kind, *etypes) -> Derivation:
+        key = (kind, *map(id, etypes))
+        d = cells.get(key)
+        if d is None:
+            d = cells[key] = coherence_derivation(sys, kind, etypes)
+        return d
+
     # functoriality on identities
     for d1, d2 in itertools.islice(itertools.product(ds, repeat=2), cap):
-        i1 = identity_derivation(sys, d1.subject)
-        i2 = identity_derivation(sys, d2.subject)
-        lhs = tensor_derivations(sys, i1, i2)
-        rhs = identity_derivation(sys, sys.tensor_etype(d1.subject, d2.subject))
+        lhs = tensor(ident(d1.subject), ident(d2.subject))
+        rhs = ident(sys.tensor_etype(d1.subject, d2.subject))
         yield (derivations_equal(sys, lhs, rhs),
                lambda: f"M(I,I) != I at {d1.subject.name}, {d2.subject.name}")
 
@@ -110,48 +148,34 @@ def _monoidal_instances(sys: RefinementSystem, ds: tuple, cap: int):
     ]
     for (d1, e1), (d2, e2) in itertools.islice(
             itertools.product(composable, repeat=2), cap):
-        lhs = compose_derivations(
-            sys, tensor_derivations(sys, d1, d2), tensor_derivations(sys, e1, e2)
-        )
-        rhs = tensor_derivations(
-            sys, compose_derivations(sys, d1, e1), compose_derivations(sys, d2, e2)
-        )
+        lhs = compose_derivations(sys, tensor(d1, d2), tensor(e1, e2))
+        rhs = tensor_derivations(sys, cut(d1, e1), cut(d2, e2))
         yield derivations_equal(sys, lhs, rhs), "tensor does not respect cut"
 
     # associator naturality
     for d1, d2, d3 in itertools.islice(itertools.product(ds, repeat=3), cap):
-        a_src = coherence_derivation(sys, "assoc", (d1.subject, d2.subject, d3.subject))
-        a_dst = coherence_derivation(sys, "assoc", (d1.target, d2.target, d3.target))
-        lhs = compose_derivations(
-            sys, a_src,
-            tensor_derivations(sys, d1, tensor_derivations(sys, d2, d3)),
-        )
-        rhs = compose_derivations(
-            sys, tensor_derivations(sys, tensor_derivations(sys, d1, d2), d3), a_dst
-        )
+        a_src = cell("assoc", d1.subject, d2.subject, d3.subject)
+        a_dst = cell("assoc", d1.target, d2.target, d3.target)
+        lhs = compose_derivations(sys, a_src, tensor_derivations(sys, d1, tensor(d2, d3)))
+        rhs = compose_derivations(sys, tensor_derivations(sys, tensor(d1, d2), d3), a_dst)
         yield derivations_equal(sys, lhs, rhs), "associator is not natural"
 
     # unitor naturality and invertibility of all cells
     u = unit_derivation(sys)
     for d in itertools.islice(ds, cap):
-        l_src = coherence_derivation(sys, "unit_l", (d.subject,))
-        l_dst = coherence_derivation(sys, "unit_l", (d.target,))
-        lhs = compose_derivations(sys, l_src, d)
-        rhs = compose_derivations(sys, tensor_derivations(sys, u, d), l_dst)
+        lhs = compose_derivations(sys, cell("unit_l", d.subject), d)
+        rhs = compose_derivations(sys, tensor_derivations(sys, u, d), cell("unit_l", d.target))
         yield derivations_equal(sys, lhs, rhs), "left unitor is not natural"
-        r_src = coherence_derivation(sys, "unit_r", (d.subject,))
-        r_dst = coherence_derivation(sys, "unit_r", (d.target,))
-        lhs = compose_derivations(sys, r_src, d)
-        rhs = compose_derivations(sys, tensor_derivations(sys, d, u), r_dst)
+        lhs = compose_derivations(sys, cell("unit_r", d.subject), d)
+        rhs = compose_derivations(sys, tensor_derivations(sys, d, u), cell("unit_r", d.target))
         yield derivations_equal(sys, lhs, rhs), "right unitor is not natural"
 
     def invertible(kind, inv, operands) -> bool:
-        fwd = coherence_derivation(sys, kind, operands)
-        bwd = coherence_derivation(sys, inv, operands)
-        return (derivations_equal(sys, compose_derivations(sys, fwd, bwd),
-                                  identity_derivation(sys, fwd.subject))
+        fwd = cell(kind, *operands)
+        bwd = cell(inv, *operands)
+        return (derivations_equal(sys, compose_derivations(sys, fwd, bwd), ident(fwd.subject))
                 and derivations_equal(sys, compose_derivations(sys, bwd, fwd),
-                                      identity_derivation(sys, fwd.target)))
+                                      ident(fwd.target)))
 
     subjects = []
     for d in ds:
@@ -167,24 +191,21 @@ def _monoidal_instances(sys: RefinementSystem, ds: tuple, cap: int):
     # triangle
     unit_et = sys.unit_etype()
     for s, t in itertools.islice(itertools.product(subjects, repeat=2), cap):
-        assoc = coherence_derivation(sys, "assoc", (s, unit_et, t))
-        lam = coherence_derivation(sys, "unit_l", (t,))
-        rho = coherence_derivation(sys, "unit_r", (s,))
-        i_s = identity_derivation(sys, s)
-        i_t = identity_derivation(sys, t)
-        lhs = compose_derivations(sys, assoc, tensor_derivations(sys, i_s, lam))
-        rhs = tensor_derivations(sys, rho, i_t)
+        assoc = cell("assoc", s, unit_et, t)
+        lam = cell("unit_l", t)
+        rho = cell("unit_r", s)
+        lhs = compose_derivations(sys, assoc, tensor_derivations(sys, ident(s), lam))
+        rhs = tensor_derivations(sys, rho, ident(t))
         yield derivations_equal(sys, lhs, rhs), "triangle equation fails"
 
     # pentagon
     for s, t, v, w in itertools.islice(itertools.product(subjects, repeat=4), cap):
-        i_s = identity_derivation(sys, s)
-        i_w = identity_derivation(sys, w)
+        i_s, i_w = ident(s), ident(w)
         lhs = compose_many(
             sys,
-            tensor_derivations(sys, coherence_derivation(sys, "assoc", (s, t, v)), i_w),
+            tensor_derivations(sys, cell("assoc", s, t, v), i_w),
             coherence_derivation(sys, "assoc", (s, sys.tensor_etype(t, v), w)),
-            tensor_derivations(sys, i_s, coherence_derivation(sys, "assoc", (t, v, w))),
+            tensor_derivations(sys, i_s, cell("assoc", t, v, w)),
         )
         rhs = compose_many(
             sys,

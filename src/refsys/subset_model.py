@@ -383,7 +383,7 @@ class SubsetSystem(RefinementSystem):
         etypes = tuple(etypes)
         cell = self._cells.get((kind, etypes))
         if cell is None:
-            expr = self.kit.cell(kind, tuple(s.of for s in etypes))
+            expr = self.kit.cell(kind, tuple(map(self.refines, etypes)))
             src, dst = cell_ends(kind, etypes, self.tensor_etype, self._unit)
             # a cell regroups, so it keeps every position, and both ends hold the same ones
             cell = self._cells[kind, etypes] = _mor(src, expr, dst)

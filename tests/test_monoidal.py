@@ -5,8 +5,10 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from refsys import monoidal
 from refsys.fincat import FinFunction, FinSet
 from refsys.kernel import (
+    CapabilityError,
     MismatchError,
     Status,
     axiom,
@@ -86,6 +88,40 @@ def test_wrong_associator_stops_at_max_failures(monkeypatch):
     report = check_monoidal_equations(sys, ds)
     assert (report.checked, list(report.failures)) == (
         52, ["associator cell is not invertible"] * 8 + ["triangle equation fails"] * 4)
+
+
+@pytest.mark.parametrize("bound, checked, refused", [
+    # functoriality on identities
+    (8, 4, "product (BxB) would have 9 elements, exceeding the bound 8"),
+    # associator naturality
+    (12, 17, "product ((AxB)xB) would have 18 elements, exceeding the bound 12"),
+    (18, 26, "product ((BxB)xB) would have 27 elements, exceeding the bound 18"),
+    # the pentagon, the last equation: 88 instances come before it
+    (27, 92, "product (((AxA)xB)xB) would have 36 elements, exceeding the bound 27"),
+    (36, 101, "product (((AxB)xB)xB) would have 54 elements, exceeding the bound 36"),
+    (54, 128, "product (((BxB)xB)xB) would have 81 elements, exceeding the bound 54"),
+])
+def test_a_refusal_comes_at_the_instance_that_first_needs_the_product(
+        bound, checked, refused, monkeypatch):
+    """Shared derivations are built on first use, never ahead: the report
+    the refusal interrupts holds the instances before it and nothing else."""
+    reports = []
+
+    class Kept(LawReport):
+        def __init__(self):
+            super().__init__()
+            reports.append(self)
+
+    monkeypatch.setattr(monoidal, "LawReport", Kept)
+    a, b = FinSet("A", ("a1", "a2")), FinSet("B", (1, 2, 3))
+    sys = SubsetSystem("bounded", (a, b), max_carrier=bound)
+    ds = [identity_derivation(sys, full_subset(a)), identity_derivation(sys, full_subset(b)),
+          axiom(sys, subset(b, (1,)), sys.id_expr(b), subset(b, (1, 2)))]
+    with pytest.raises(CapabilityError) as exc:
+        check_monoidal_equations(sys, ds)
+    assert str(exc.value) == refused
+    (rep,) = reports
+    assert (rep.checked, rep.failures, rep.skipped) == (checked, [], [])
 
 
 def test_tensor_preservation_isos(small_sys):

@@ -1,8 +1,9 @@
 """Seeded defects: a wrong model hook must read as a failed law, not a refusal.
 
 Each row replaces one hook of a model class by a plausible mistake and
-runs ``refsys laws SIG structures`` and ``... all`` on the row's signature
-in a subprocess, under ``python`` and ``python -O``.  The exit-code
+runs ``refsys laws SIG SUITE`` and ``... all`` on the row's signature in a
+subprocess, under ``python`` and ``python -O``; SUITE is ``structures``
+for rows (a) to (d) and ``monoidal`` for row (e).  The exit-code
 contract reads 1 for a failing check and 3 for a refusal, so a defect the
 suites catch exits 1 with a counterexample, whatever the interpreter does
 with ``assert``.
@@ -19,6 +20,11 @@ another morphism, on presheaf_arrow.json.  The presheaf model is not
 proof-irrelevant, so no membership check applies, and the literal
 beta/eta loop reports it first.
 
+Row (e) breaks ``SubsetSystem``'s coherence cells on squaring.json: its
+associator sends every triple to one element, a morphism that no inverse
+undoes.  The monoidal equations fail at the associator's invertibility,
+and both reports are pinned whole.
+
 Run this file as a script, ``python tests/test_seeded_defects.py ROW
 ARGS...``, to run the command line ``refsys ARGS...`` with row ROW's
 defect in place.
@@ -34,6 +40,7 @@ from pathlib import Path
 import pytest
 
 from conftest import data_file
+from refsys.fincat import FinFunction
 from refsys.kernel import CapabilityError, LawViolation
 from refsys.monadrep import OppositeSystem
 from refsys.monoidal import tensor_iso
@@ -47,6 +54,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 _pullback_data = SubsetSystem.pullback_data
 _pushforward_data = SubsetSystem.pushforward_data
 _presheaf_pullback_data = PresheafSystem.pullback_data
+_coherence_cell = SubsetSystem.coherence_cell
 
 
 def pullback_dropping_the_smallest_position(self, f, t):
@@ -99,6 +107,17 @@ def pullback_factoring_through_another_morphism(self, f, t):
     return et, unit, other_factor
 
 
+def associator_to_one_element(self, kind, etypes):
+    """Row (e): an associator that sends every triple to the first element."""
+    cell = _coherence_cell(self, kind, etypes)
+    if kind != "assoc":
+        return cell
+    expr = cell.expr
+    first = expr.cod.elements[0]
+    bad = FinFunction(expr.name, expr.dom, expr.cod, {x: first for x in expr.dom.elements})
+    return SubsetMor(cell.src, bad, cell.dst)
+
+
 # per row: the model class, the hook, its defect, the signature, and the
 # start of the first counterexample `laws SIG structures` prints: from the
 # membership check of the first witness of the row's kind in rows (a), (b)
@@ -121,6 +140,20 @@ ROWS = {
           "pullback of {}:A along id_A: pullback along 'id_A': "
           "constructed {-3}:A != canonical {}:A"),
 }
+# row (e) fails the monoidal suite, not structures: the model class, the
+# hook, its defect and the signature, with the reports it prints
+MONOIDAL_ROWS = {
+    "e": (SubsetSystem, "coherence_cell", associator_to_one_element, "squaring.json"),
+}
+_NOT_INVERTIBLE = ["  counterexample: equations: associator cell is not invertible"] * 5
+ROW_E_REPORTS = {
+    "monoidal": ["suite monoidal: FAIL (553 instances)", *_NOT_INVERTIBLE,
+                 "law violations found"],
+    "all": ["suite kernel: ok (490 instances)", "suite structures: ok (396 instances)",
+            "suite monoidal: FAIL (553 instances)", *_NOT_INVERTIBLE,
+            "suite sep: skipped (no monoid stanza)",
+            "suite monadrep: skipped (no adjunction stanza)", "law violations found"],
+}
 
 
 def _refsys(row: str, flags: tuple, *argv: str) -> subprocess.CompletedProcess:
@@ -140,6 +173,15 @@ def test_a_seeded_defect_fails_the_structures_suite(row, suite, flags):
     counterexamples = [line.strip() for line in proc.stdout.splitlines()
                        if line.strip().startswith("counterexample: ")]
     assert counterexamples[0].startswith("counterexample: " + ROWS[row][4])
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["python", "python-O"])
+@pytest.mark.parametrize("suite", ["monoidal", "all"])
+def test_row_e_fails_the_monoidal_suite(suite, flags):
+    proc = _refsys("e", flags, "laws", data_file(MONOIDAL_ROWS["e"][3]), suite)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines() == ROW_E_REPORTS[suite]
 
 
 @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["python", "python-O"])
@@ -264,6 +306,6 @@ def test_literal_mode_fails_row_c_and_membership_mode_does_not_apply(row_c):
 
 if __name__ == "__main__":
     from refsys.cli import main
-    cls, hook, patch = ROWS[sys.argv[1]][:3]
+    cls, hook, patch = {**ROWS, **MONOIDAL_ROWS}[sys.argv[1]][:3]
     setattr(cls, hook, patch)
     raise SystemExit(main(sys.argv[2:]))
