@@ -39,12 +39,11 @@ Every literal law instance runs the same few rules: an axiom over one
 model morphism, the cut, the pull/push rules and derivation equality.  A
 derivation is one flat named tuple ``(rule, subject, expr, target,
 premises, interp)``: its judgment is its three boundaries, read through
-the tuple's C-level field getters, and ``d.judgment`` builds a
-``Judgment`` only for a caller that asks for one.  These rules build each
-derivation as one tuple with ``tuple.__new__``, which skips the named
-tuple's Python ``__new__``, and compare boundaries by identity before
-equality.  Every check they make is an explicit ``if``, so it also runs
-under ``python -O``.
+the tuple's C-level field getters.  These rules build each derivation as
+one tuple with ``tuple.__new__``, which skips the named tuple's Python
+``__new__``, and compare boundaries by identity before equality.  Every
+check they make is an explicit ``if``, so it also runs under
+``python -O``.
 """
 from __future__ import annotations
 
@@ -85,13 +84,6 @@ class Status(enum.Enum):
     ILL_FORMED = "ill-formed"
 
 
-class Judgment(NamedTuple):
-    """A typing triple subject =[expr]=> target; subtyping when expr is an identity."""
-    subject: Any
-    expr: Any
-    target: Any
-
-
 # _new(Cls, fields) builds a named tuple without running its Python __new__
 _new = tuple.__new__
 
@@ -102,9 +94,9 @@ class Derivation(NamedTuple):
     rule is a short label for the final rule; subject, expr and target are
     the boundaries of its judgment; premises are the sub-derivations;
     interp is a morphism of the model whose boundaries match the judgment.
-    Both value types are named tuples: immutable, hashed and compared by
-    their fields, and cheaper to build than frozen dataclasses.  The
-    judgment is stored flat, so a rule builds one tuple.
+    It is a named tuple: immutable, hashed and compared by its fields, and
+    cheaper to build than a frozen dataclass.  The judgment is stored flat,
+    so a rule builds one tuple.
     """
     rule: str
     subject: Any
@@ -112,14 +104,6 @@ class Derivation(NamedTuple):
     target: Any
     premises: tuple
     interp: Any
-
-    @property
-    def judgment(self) -> Judgment:
-        """The judgment subject =[expr]=> target, built on each read."""
-        return Judgment(self.subject, self.expr, self.target)
-
-    def size(self) -> int:
-        return 1 + sum(p.size() for p in self.premises)
 
 
 @dataclass(frozen=True)
@@ -305,15 +289,6 @@ def classify(sys: RefinementSystem, s, f, t) -> Status:
     return Status.DERIVABLE if sys.holds(s, f, t) else Status.UNDERIVABLE
 
 
-def derivable(sys: RefinementSystem, s, f, t) -> bool:
-    status = classify(sys, s, f, t)
-    if status is Status.ILL_FORMED:
-        raise IllFormedError(
-            f"judgment {describe(sys, s)} =[..]=> {describe(sys, t)} is ill-formed"
-        )
-    return status is Status.DERIVABLE
-
-
 def name_of(x):
     """x's display name: its ``name`` when it has one, else x itself, so an
     unnamed object formats (``str`` or ``!r``) as it would on its own."""
@@ -409,11 +384,6 @@ def derivations_equal(sys: RefinementSystem, d1: Derivation, d2: Derivation) -> 
             and (d1.target is d2.target or d1.target == d2.target)
             and (d1.expr is d2.expr or sys.exprs_equal(d1.expr, d2.expr))
             and sys.interps_equal(d1.interp, d2.interp))
-
-
-def is_identity_on(sys: RefinementSystem, d: Derivation, s) -> bool:
-    return (d.subject == s and d.target == s
-            and derivations_equal(sys, d, identity_derivation(sys, s)))
 
 
 def find_inverse(sys: RefinementSystem, fwd: Derivation,

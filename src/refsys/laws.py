@@ -301,7 +301,7 @@ def _suite_sep(sig: Signature, max_set: int) -> LawReport | str:
         return "no monoid stanza"
     sys_ = sig.system
     rep = LawReport()
-    mult, car, unit = sig.monoid_mult, sig.monoid_carrier, sig.monoid_unit
+    mult, car, unit = sig.monoid_mult, sig.monoid_mult.cod, sig.monoid_unit
     tbl = mult.mapping
     for a in car.elements:
         rep.check(tbl[unit, a] == a,

@@ -23,10 +23,11 @@ From the descriptor:
     shift-pullback witness of DN, M[T]'s carrier witness and the comparison
     are its pieces, each built on first read and then shared, and
     to/from_double_negation and the evaluation at the encoded point are its
-    methods.  check_comparison, check_retraction, check_section, condition 2
-    of check_reflected and check_theorem make one frame and read its pieces;
-    the first three are thin wrappers over private helpers that take the
-    frame, so the monadrep suite makes one frame per type for all three.
+    methods.  check_retraction, check_section, condition 2 of
+    check_reflected and check_theorem make one frame and read its pieces;
+    the first two are thin wrappers over private helpers that take the
+    frame, and the monadrep suite makes one frame per type for those two
+    helpers and _check_comparison.
     A piece past the carrier bound raises CapabilityError on its first read,
     so the build order is the refusal order: each caller reads the pieces in
     the order the reports pin (check_theorem reads W before it looks up
@@ -644,16 +645,12 @@ class _DoubleNegation:
         return r_e, expr2
 
 
-def check_comparison(adj: AdjunctionDescriptor, t, u) -> LawReport:
+def _check_comparison(frame: _DoubleNegation) -> LawReport:
     """Both equations for the comparison: expressions and derivations.
 
     eta ; comparison must equal the shift as an expression table, and the
     composed derivation must equal the shift derivation by interpretation.
     """
-    return _check_comparison(_DoubleNegation(adj, t, u))
-
-
-def _check_comparison(frame: _DoubleNegation) -> LawReport:
     p, adj = frame.p, frame.adj
     rep = LawReport()
     xi = frame.comparison

@@ -90,13 +90,18 @@ def check_monoidal_equations(sys: RefinementSystem, ds, cap: int = 2000) -> LawR
     coherence cell on subjects or targets of ds) is built once, on first
     use, and kept until the call returns.  Nothing is built ahead, so a
     model that refuses a product refuses it at the instance that first
-    needs it, as when every instance builds its own.
+    needs it, as when every instance builds its own.  A cell or tensor the
+    model cannot build as a morphism fails the instance that needs it, as
+    in tensor_iso, and ends the check there.
     """
     rep = LawReport()
-    for holds, failure in _monoidal_instances(sys, tuple(ds), cap):
-        rep.check(holds, failure)
-        if rep.full:
-            break
+    try:
+        for holds, failure in _monoidal_instances(sys, tuple(ds), cap):
+            rep.check(holds, failure)
+            if rep.full:
+                break
+    except ValidationError as exc:
+        rep.check(False, f"an instance builds a derivation that is not a morphism ({exc})")
     return rep
 
 

@@ -134,12 +134,6 @@ class FinPresheaf:
         self.ob = dict(ob)
         self.ar = dict(ar)
 
-    def value(self, o) -> FinSet:
-        return self.ob[o]
-
-    def action(self, u) -> FinFunction:
-        return self.ar[u]
-
     def __eq__(self, other):
         if self is other:
             return True

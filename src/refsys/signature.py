@@ -128,7 +128,6 @@ class Signature:
     etypes: dict = field(default_factory=dict)
     categories: dict = field(default_factory=dict)
     monoid_mult: Optional[FinFunction] = None
-    monoid_carrier: Optional[FinSet] = None
     monoid_unit: Any = None
     machine: Optional[HoareProgram] = None
     adjunction_kind: Optional[str] = None
@@ -207,7 +206,6 @@ def _load_subset_model(doc: dict, path: str, name: str) -> Signature:
         table = _monoid_table(car, spec["table"], "monoid.table", "carrier")
         h2 = system.tensor_itype(car.fs, car.fs)
         sig.monoid_mult = FinFunction("mult", h2, car.fs, table)
-        sig.monoid_carrier = car.fs
         sig.monoid_unit = unit
 
     if "machine" in doc:

@@ -38,7 +38,7 @@ and the eta judgment at each end are laid out once per index type, so the
 loop tests no kind per end, and they are checked once per factor g.  Each
 model morphism over a judgment, taken straight from ``morphisms_over``, is
 one instance: an axiom derivation (one flat tuple holding the judgment's
-boundaries, so no ``Judgment`` is built), its round trip through the
+boundaries), its round trip through the
 witness's rules (bound once per check) and one derivation equality, and
 only a failing instance builds a message.  A witness builds g;f (or f;g)
 once per factor g and checks g's boundary then, and a later premise with

@@ -507,26 +507,3 @@ class HoareProgram:
         if not direct == backward == forward:
             raise LawViolation("predicate transformer readings disagree")
         return direct
-
-
-def build_classifier_system(sizes=(1, 2, 3), name: str = "classifier"):
-    """Carriers of the given sizes plus a two-point answer set Omega.
-
-    Returns (system, truth, encodings) where truth = {1} <= Omega and
-    encodings maps every subset S of every registered carrier to its
-    characteristic function chi_S, the unique expression whose inverse image
-    of truth is S.
-    """
-    omega = FinSet("Omega", (0, 1))
-    carriers = [omega]
-    for k in sizes:
-        carriers.append(FinSet(f"A{k}", tuple(f"a{i}" for i in range(1, k + 1))))
-    sys = SubsetSystem(name, tuple(carriers))
-    truth = subset(omega, {1})
-    encodings = {}
-    for s in sys.e_types():
-        encodings[s] = FinFunction(
-            f"chi_{s.name}", s.of, omega,
-            {x: 1 if x in s else 0 for x in s.of.elements},
-        )
-    return sys, truth, encodings

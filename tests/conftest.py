@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from refsys.fincat import FinSet
+from refsys.fincat import FinFunction, FinSet
+from refsys.kernel import derivations_equal, identity_derivation
 from refsys.signature import Signature, load_signature
-from refsys.subset_model import build_subset_system
+from refsys.subset_model import SubsetSystem, build_subset_system, subset
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "refsys" / "data"
 
@@ -60,3 +61,32 @@ def small_sys():
     a = FinSet("A", ("a1", "a2"))
     b = FinSet("B", (1, 2, 3))
     return build_subset_system((a, b), name="small")
+
+
+def build_classifier_system(sizes=(1, 2, 3), name: str = "classifier"):
+    """Carriers of the given sizes plus a two-point answer set Omega.
+
+    Returns (system, truth, encodings) where truth = {1} <= Omega and
+    encodings maps every subset S of every registered carrier to its
+    characteristic function chi_S, the unique expression whose inverse image
+    of truth is S.
+    """
+    omega = FinSet("Omega", (0, 1))
+    carriers = [omega]
+    for k in sizes:
+        carriers.append(FinSet(f"A{k}", tuple(f"a{i}" for i in range(1, k + 1))))
+    sys = SubsetSystem(name, tuple(carriers))
+    truth = subset(omega, {1})
+    encodings = {}
+    for s in sys.e_types():
+        encodings[s] = FinFunction(
+            f"chi_{s.name}", s.of, omega,
+            {x: 1 if x in s else 0 for x in s.of.elements},
+        )
+    return sys, truth, encodings
+
+
+def is_identity_on(sys, d, s) -> bool:
+    """Whether d derives s <= s and equals the identity derivation on s."""
+    return (d.subject == s and d.target == s
+            and derivations_equal(sys, d, identity_derivation(sys, s)))

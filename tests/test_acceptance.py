@@ -63,8 +63,10 @@ from refsys.structures import (
     three_way,
     uniqueness_iso,
 )
-from refsys.subset_model import build_classifier_system, build_subset_system, subset
+from refsys.subset_model import build_subset_system, subset
 from refsys.trivial_model import POINT, build_trivial_system
+
+from conftest import build_classifier_system
 
 Z2_TABLE = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
 
@@ -314,7 +316,7 @@ def test_criterion_06_separation_logic(z4):
     def body():
         sys = z4.system
         mult = z4.monoid_mult
-        car = z4.monoid_carrier
+        car = mult.cod
         tbl = mult.mapping
         subs = list(sys.e_types_over(car))
         assert len(subs) == 16

@@ -15,13 +15,10 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import data_file
-from refsys.cli import main
 from refsys.fincat import FinFunction, FinFunctor, FinSet, all_functions
 from refsys.kernel import (
     CapabilityError,
     Derivation,
-    Judgment,
     RefinementSystem,
     ValidationError,
     compose_derivations,
@@ -129,7 +126,8 @@ def system(request):
 def _assert_read_off(sys, d):
     """d's judgment is (dom m, p m, cod m) for its interpretation m."""
     m = d.interp
-    assert tuple(d.judgment) == (sys.interp_src(m), sys.interp_expr(m), sys.interp_dst(m))
+    assert (d.subject, d.expr, d.target) == (sys.interp_src(m), sys.interp_expr(m),
+                                             sys.interp_dst(m))
 
 
 def _regroup(kind, x, unit):
@@ -303,38 +301,21 @@ def test_morphisms_over_equal_checked_builds(n_a, n_b, data):
 
 # --- the kernel's value types ----------------------------------------------------
 
-def test_judgments_and_derivations_are_values():
+def test_derivations_are_values():
     sys = _small_subset_system()
     a = sys.i_types()[0]
     s = subset(a, (1,))
-    j = Judgment(s, sys.id_expr(a), s)
-    assert j == Judgment(subject=s, expr=sys.id_expr(a), target=s)
-    assert hash(j) == hash(Judgment(s, sys.id_expr(a), s))
-    assert j != Judgment(subset(a, (2,)), sys.id_expr(a), s)
-    assert repr(j) == f"Judgment(subject={s!r}, expr={j.expr!r}, target={s!r})"
     # a derivation is one flat tuple: its judgment is its three boundaries
     assert Derivation._fields == ("rule", "subject", "expr", "target", "premises", "interp")
     d = identity_derivation(sys, s)
     same = Derivation("I", s, sys.id_expr(a), s, (), sys.id_interp(s))
     assert d == same and hash(d) == hash(same) and {d: 1}[same] == 1
     assert d != same._replace(rule="ax")
-    assert (d.subject, d.expr, d.target) == tuple(j)
-    assert d.judgment == Judgment(d.subject, d.expr, d.target) == j
+    assert d != same._replace(subject=subset(a, (2,)))
+    assert (d.subject, d.expr, d.target) == (s, sys.id_expr(a), s)
     cut = compose_derivations(sys, d, d)
-    assert cut.size() == 3
+    assert cut.premises == (d, d) and d.premises == ()
     assert repr(d).startswith(f"Derivation(rule='I', subject={s!r}, ")
-    for value, field in ((j, "expr"), (d, "interp"), (d, "rule"), (d, "subject"),
-                         (d, "judgment")):
+    for field in ("rule", "subject", "expr", "interp"):
         with pytest.raises(AttributeError):
-            setattr(value, field, None)
-
-
-@pytest.mark.parametrize("sig", ["continuation.json", "presheaf_arrow.json", "squaring.json"])
-def test_no_rule_builds_a_judgment(sig, monkeypatch, capsys):
-    """The rules read a derivation's boundaries off its fields, so the law
-    suites pass with ``Derivation.judgment`` made to fail."""
-    def refuse(d):
-        raise AssertionError(f"rule {d.rule} built a judgment")
-
-    monkeypatch.setattr(Derivation, "judgment", property(refuse))
-    assert main(["laws", data_file(sig), "all"]) == 0, capsys.readouterr().out
+            setattr(d, field, None)

@@ -15,14 +15,12 @@ from refsys.kernel import (
     LawViolation,
     compose_derivations,
     identity_derivation,
-    is_identity_on,
 )
 from refsys.monadrep import (
     FiberwiseMonad,
     OppositeSystem,
     build_continuation_adjunction,
     check_adjunction,
-    check_comparison,
     check_monad_laws,
     check_reflected,
     check_retraction,
@@ -33,13 +31,15 @@ from refsys.monadrep import (
     identity_adjunction,
     iter_encodings,
     search_encodings,
+    _check_comparison,
+    _DoubleNegation,
 )
-from refsys.subset_model import build_classifier_system, build_subset_system, subset
+from refsys.subset_model import build_subset_system, subset
 from refsys.signature import load_signature
 from refsys.structures import check_beta_eta, pullback, pushforward
 from refsys.trivial_model import POINT, build_trivial_system
 
-from conftest import DATA, data_file
+from conftest import DATA, build_classifier_system, data_file, is_identity_on
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +90,7 @@ def test_continuation_adjunction_on_a_proof_relevant_base(trivial_pair):
                            q_derivations=(qd,), strength_pairs=((two, two),))
     assert rep.ok
     assert not rep.skipped
-    assert check_comparison(adj, two, one).ok
+    assert _check_comparison(_DoubleNegation(adj, two, one)).ok
 
 
 def test_retraction_holds_but_section_fails(trivial_pair):

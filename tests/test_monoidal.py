@@ -15,7 +15,6 @@ from refsys.kernel import (
     classify,
     from_interp,
     identity_derivation,
-    is_identity_on,
 )
 from refsys.monoidal import (
     check_monoidal_equations,
@@ -42,6 +41,8 @@ from refsys.subset_model import (
 )
 from refsys.structures import LawReport
 from refsys.trivial_model import build_trivial_system
+
+from conftest import is_identity_on
 
 
 def test_tensor_derivation_boundaries(small_sys):

@@ -46,11 +46,11 @@ def test_presheaf_functoriality_enforced():
 def test_representable_presheaf_on_the_arrow_category(arrow_sig):
     c = arrow_sig.categories["C"]
     yx = representable_presheaf(c, "x")
-    assert len(yx.value("x")) == 1
-    assert len(yx.value("y")) == 1
+    assert len(yx.ob["x"]) == 1
+    assert len(yx.ob["y"]) == 1
     yy = representable_presheaf(c, "y")
-    assert len(yy.value("x")) == 0
-    assert len(yy.value("y")) == 1
+    assert len(yy.ob["x"]) == 0
+    assert len(yy.ob["y"]) == 1
 
 
 def test_nat_trans_enumeration_is_constrained(arrow_sig):
@@ -68,7 +68,7 @@ def test_pullback_is_restriction(arrow_sig):
     collapse = arrow_sig.expr("collapse")
     q = arrow_sig.etype("Q")
     w = pullback(sys, collapse, q)
-    assert {o: len(w.etype.value(o)) for o in w.etype.cat.objects} == {"x": 2, "y": 2}
+    assert {o: len(w.etype.ob[o]) for o in w.etype.cat.objects} == {"x": 2, "y": 2}
     assert check_beta_eta(w, mode="literal").ok
 
 
@@ -78,7 +78,7 @@ def test_pushforward_is_the_left_kan_extension(arrow_sig):
     p = arrow_sig.etype("P")
     w = pushforward(sys, p, collapse)
     # both points of P(x) are glued onto the single point of P(y)
-    assert {o: len(w.etype.value(o)) for o in w.etype.cat.objects} == {"x": 0, "y": 1}
+    assert {o: len(w.etype.ob[o]) for o in w.etype.cat.objects} == {"x": 0, "y": 1}
     assert check_beta_eta(w, mode="literal").ok
 
 
@@ -111,12 +111,12 @@ def test_residual_index_types_are_functor_categories(arrow_sig):
 def test_enumerate_monoid_presheaves_counts():
     z2 = monoid_category("Z2", (0, 1), Z2_TABLE, 0)
     ps = enumerate_monoid_presheaves(z2, 2)
-    assert [len(p.value("*")) for p in ps] == [1, 2, 2]
+    assert [len(p.ob["*"]) for p in ps] == [1, 2, 2]
     z3 = monoid_category(
         "Z3", (0, 1, 2),
         {(a, b): (a + b) % 3 for a in range(3) for b in range(3)}, 0)
     ps = enumerate_monoid_presheaves(z3, 2)
-    assert [len(p.value("*")) for p in ps] == [1, 2]
+    assert [len(p.ob["*"]) for p in ps] == [1, 2]
 
 
 def test_multiplication_functor_needs_commutativity(day_z2):
@@ -141,7 +141,7 @@ def test_day_sizes_z2(day_z2):
     sys = day_z2.system
     z2 = day_z2.categories["Z2"]
     ps = enumerate_monoid_presheaves(z2, 2)
-    sizes = [[len(day_star(sys, z2, a, b).value("*")) for b in ps] for a in ps]
+    sizes = [[len(day_star(sys, z2, a, b).ob["*"]) for b in ps] for a in ps]
     assert sizes == [[1, 2, 1], [2, 4, 2], [1, 2, 2]]
 
 
@@ -163,14 +163,14 @@ def test_day_unit_is_the_point(day_z2):
     reg = day_z2.etype("Reg")
     pt = day_z2.etype("Pt")
     d = day_star(sys, z2, reg, pt)
-    assert len(d.value("*")) == 1
+    assert len(d.ob["*"]) == 1
 
 
 def test_constant_presheaf_shape(arrow_sig):
     c = arrow_sig.categories["C"]
     k = constant_presheaf("K", c, FinSet("V", (1, 2)))
-    assert all(len(k.value(o)) == 2 for o in c.objects)
-    assert k.action("u").mapping == {1: 1, 2: 2}
+    assert all(len(k.ob[o]) == 2 for o in c.objects)
+    assert k.ar["u"].mapping == {1: 1, 2: 2}
 
 
 @pytest.mark.parametrize("fixture", ["day_z2", "arrow_sig"])

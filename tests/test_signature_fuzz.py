@@ -5,8 +5,10 @@ replaces one value with a JSON scalar, list or object.  The loader must
 load it or refuse it with SignatureError / RefinementError; a mutant that
 loads must run ``laws <sig> kernel --max-set 2``, ``laws <sig> structures
 --max-set 2`` (which takes a presheaf mutant into the literal beta/eta
-loop), ``check`` on its first declared type and expression, and
-``residual`` on both sides of that type to exit codes in 0-3 without
+loop), ``check``, ``pull`` and ``push`` on its first declared type and
+expression, ``residual`` on both sides of that type, ``star`` and
+``wand`` on both sides when it keeps its monoid stanza, and ``hoare`` on
+its first command when it keeps its machine, to exit codes in 0-3 without
 raising.  A fixed batch of mutants runs through the
 CLI once under ``python`` and once under ``python -O``, and both must
 print the same exit codes and stdout.  A mutant that adds an unknown key, with the value
@@ -62,18 +64,30 @@ def _mutant(doc, path, replacement):
 
 
 def _commands(path: str) -> list:
-    """The commands each loading mutant runs: two law suites, one judgment and
-    both residuals, on its first declared type (along its first declared
-    expression, or the identity when it declares none)."""
+    """The commands each loading mutant runs: two law suites, one judgment,
+    its pullback and pushforward, and both residuals, on its first declared
+    type (along its first declared expression, or the identity when it
+    declares none); then star and both wands when it keeps its monoid, and
+    a triple over its first command when it keeps its machine."""
     sig = load_signature(path)
     etype = next(iter(sig.etypes), "none")
-    judgment = (f"{etype} =[{next(iter(sig.exprs))}]=> {etype}" if sig.exprs
-                else f"{etype} <= {etype}")
-    return [["laws", path, "kernel", "--max-set", "2"],
-            ["laws", path, "structures", "--max-set", "2"],
-            ["check", path, judgment],
-            ["residual", path, "left", etype, etype],
-            ["residual", path, "right", etype, etype]]
+    expr = next(iter(sig.exprs), None)
+    judgment = f"{etype} =[{expr}]=> {etype}" if expr else f"{etype} <= {etype}"
+    commands = [["laws", path, "kernel", "--max-set", "2"],
+                ["laws", path, "structures", "--max-set", "2"],
+                ["check", path, judgment]]
+    if expr:
+        commands += [["pull", path, expr, etype], ["push", path, etype, expr]]
+    commands += [["residual", path, "left", etype, etype],
+                 ["residual", path, "right", etype, etype]]
+    if sig.monoid_mult is not None:
+        commands += [["star", path, etype, etype],
+                     ["wand", path, etype, etype],
+                     ["wand", path, etype, etype, "--side", "left"]]
+    if sig.machine is not None:
+        command = next(iter(sig.machine.commands), "")
+        commands.append(["hoare", path, f"{{{etype}}} {command} {{{etype}}}"])
+    return commands
 
 
 def _exit_code(argv: list) -> int:
@@ -147,7 +161,7 @@ def test_a_fixed_batch_of_mutants_behaves_alike_under_python_and_python_O(tmp_pa
             loads = False
         if len(batch[loads]) < 20:
             batch[loads].append(str(path))
-    # a loading mutant runs its five commands, a refused one the kernel suite
+    # a loading mutant runs its commands, a refused one the kernel suite
     loaded = [argv for path in batch[True] for argv in _commands(path)]
     refused = [["laws", path, "kernel", "--max-set", "2"] for path in batch[False]]
     env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent))

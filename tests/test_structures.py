@@ -12,7 +12,6 @@ from refsys.kernel import (
     Status,
     axiom,
     classify,
-    is_identity_on,
 )
 from refsys.structures import (
     check_beta_eta,
@@ -26,6 +25,8 @@ from refsys.structures import (
 )
 from refsys.presheaf_model import FinPresheaf, build_presheaf_system
 from refsys.subset_model import SubsetMor, build_subset_system, subset
+
+from conftest import is_identity_on
 
 
 def test_pullback_is_the_inverse_image(squaring):

@@ -15,13 +15,12 @@ from refsys.subset_model import (
     HoareProgram,
     Subset,
     SubsetMor,
-    build_classifier_system,
     build_subset_system,
     full_subset,
     subset,
 )
 
-from conftest import DATA
+from conftest import DATA, build_classifier_system
 
 
 def test_subset_validation():
